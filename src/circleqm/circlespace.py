@@ -267,23 +267,29 @@ class UncertaintyReport:
 
 def uncertainty_report(a: str, b: str, state: CircleState) -> UncertaintyReport:
     """Evaluate the variance inequality for operators a, b on a normalized
-    copy of `state`."""
+    copy of `state`.
+
+    The variances, covariance and commutator are the Gram entries of the
+    centred vectors (A - <A>) psi and (B - <B>) psi, so lhs >= rhs is the
+    Cauchy-Schwarz inequality and holds to rounding even when a variance is
+    far below <A^2>, where <A^2> - <A>^2 loses it to cancellation.
+    """
     psi = state.normalized()
-    a_psi = apply_operator(a, psi)
-    b_psi = apply_operator(b, psi)
-    mean_a = inner(psi, a_psi).real
-    mean_b = inner(psi, b_psi).real
-    # <A^2> - <A>^2 can come out a few ulp negative on eigenstates; clamp
-    # within the cancellation noise, never beyond it.
-    sq_a = inner(a_psi, a_psi).real
-    sq_b = inner(b_psi, b_psi).real
-    var_a = max(sq_a - mean_a ** 2, 0.0) \
-        if sq_a - mean_a ** 2 > -1e-12 * max(sq_a, 1.0) else sq_a - mean_a ** 2
-    var_b = max(sq_b - mean_b ** 2, 0.0) \
-        if sq_b - mean_b ** 2 > -1e-12 * max(sq_b, 1.0) else sq_b - mean_b ** 2
-    ab = inner(a_psi, b_psi)
-    covariance = ab.real - mean_a * mean_b
-    commutator_mean = ab - np.conj(ab)  # <AB> - <BA> = 2i Im <A psi, B psi>
+    states = (psi, apply_operator(a, psi), apply_operator(b, psi))
+    lo = min(s.n_lo for s in states)
+    vecs = np.zeros((3, max(s.n_hi for s in states) - lo + 1), dtype=complex)
+    for vec, s in zip(vecs, states):
+        vec[s.n_lo - lo:s.n_hi - lo + 1] = s.coeffs
+    p, a_psi, b_psi = vecs
+    mean_a = complex(np.vdot(p, a_psi)).real
+    mean_b = complex(np.vdot(p, b_psi)).real
+    da = a_psi - mean_a * p
+    db = b_psi - mean_b * p
+    var_a = complex(np.vdot(da, da)).real
+    var_b = complex(np.vdot(db, db)).real
+    ab = np.vdot(da, db)
+    covariance = ab.real
+    commutator_mean = ab - np.conj(ab)  # <AB> - <BA> = 2i Im <dA psi, dB psi>
     lhs = var_a * var_b
     rhs = covariance ** 2 + 0.25 * abs(commutator_mean) ** 2
     saturated = abs(lhs - rhs) < 1e-10 * max(lhs, 1e-30)

@@ -681,9 +681,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="report format where applicable")
     common.add_argument("--tol", type=float, default=None,
                         help="override every check tolerance (verify only)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="reserved; computations are deterministic and "
-                             "single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common],
@@ -709,9 +706,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return 2
     handlers = {
         "verify": _cmd_verify,
         "table": _cmd_table,

@@ -20,7 +20,7 @@ import numpy as np
 
 from circleqm.circlespace import CircleState, Params, Sector
 from circleqm.mincs import MinUncParams, min_state
-from circleqm.specfun import ThetaNome, theta
+from circleqm.specfun import ThetaNome, _theta_sum, theta
 from circleqm.zakcs import PhasePoint
 
 __all__ = [
@@ -81,23 +81,24 @@ def _kernel_series(spec: EvolutionSpec, dphi: np.ndarray) -> np.ndarray:
 
 
 def _kernel_gaussian(spec: EvolutionSpec, dphi: np.ndarray) -> np.ndarray:
-    # The Gaussian prefactor decays exactly as fast as the theta series
-    # grows (their product is the bounded kernel), so the two are fused into
-    # a single exponent per term; evaluating them separately overflows
-    # around |dphi| ~ pi for small eta.
+    """The modular face: a free-spreading Gaussian times theta_3 of the
+    reciprocal nome exp(2 i pi^2 / (eps T)).
+
+    The Gaussian decays exactly as fast as the theta series grows (their
+    product is the bounded kernel), so it enters `_theta_sum` as the offset
+    fused into every term's exponent; evaluated apart the two overflow
+    around |dphi| ~ pi for small eta.  With dphi reduced to [-pi, pi),
+    max |Im zeta| <= -Re(log q)/2, so large arrays stay on the blocked
+    route of `_theta_sum`.  The series' term budget applies: a nome too
+    close to the unit circle raises ValueError.
+    """
     eps, delta = spec.params.epsilon, spec.sector.delta
     T = spec.complex_time
     lq = 2j * math.pi ** 2 / (eps * T)
     shifted = dphi - eps * delta * T
     zeta = math.pi * shifted / (eps * T)
     envelope = -shifted * shifted / (2j * eps * T)
-    a = -lq.real
-    b = float(np.max(np.abs(zeta.imag))) if zeta.size else 0.0
-    nmax = int(math.ceil(b / a + math.sqrt(40.0 / a))) + 2
-    total = np.exp(envelope)
-    for n in range(1, nmax + 1):
-        base = envelope + n * n * lq
-        total += np.exp(base + 2j * n * zeta) + np.exp(base - 2j * n * zeta)
+    total, _, _ = _theta_sum(3, zeta, lq, False, offset=envelope)
     pref = cmath.sqrt(2.0 * math.pi) * (1j * eps * T) ** -0.5
     return (pref * cmath.exp(-0.5j * eps * delta * delta * T)
             * np.exp(1j * delta * dphi) * total)
@@ -150,6 +151,12 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out,
     the convolution; the default handles that automatically.  The result
     carries the eta-bias exp(-eps (n+delta)^2 omega eta / 2) on each
     coefficient relative to `propagate`.
+
+    The kernel is sampled on (output angle x node) grids of about 400,000
+    points per call at most.  Large grids take the blocked theta route
+    (terms in blocks of ~sqrt(terms), each block summed by one matmul per
+    chunk of points, see `specfun._theta_sum`), whose temporaries are
+    capped at 2^16 elements, so memory stays at a few grid-sized arrays.
     """
     if state.sector.delta != spec.sector.delta:
         raise ValueError("state sector must match the evolution sector")

@@ -38,6 +38,14 @@ _TRANSFORM_CUT = math.exp(-math.pi)
 # the largest term cannot move the sum at double precision.
 _LOG_MARGIN = 40.0
 _MAX_TERMS = 200_000
+# _theta_sum takes the blocked route from this many (term, point) pairs on;
+# below it the blocked route's fixed set-up costs more than the exps it
+# saves (measured crossover: 800-1,100 pairs for 10 to 636 terms).
+_BLOCK_WORK = 1024
+# Cap, in elements, on each temporary of the blocked route (1 MiB complex).
+_BLOCK_CHUNK = 1 << 16
+# Bound on the log magnitude of the blocked route's powers of exp(+-2i zeta).
+_BLOCK_MAX_GROWTH = 300.0
 
 
 @dataclass(frozen=True)
@@ -104,53 +112,136 @@ def _n_cutoff(a: float, b: float) -> int:
     return n
 
 
-def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool):
-    """Direct series for theta and (optionally) its first two zeta-derivatives."""
-    v = np.zeros(zeta.shape, dtype=complex)
-    d1 = np.zeros(zeta.shape, dtype=complex) if want_derivs else None
-    d2 = np.zeros(zeta.shape, dtype=complex) if want_derivs else None
+def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool,
+               offset=0.0):
+    """Series for exp(offset) * theta and (optionally) its first two
+    zeta-derivatives.
+
+    The terms are s_m exp(offset + m^2 lq + 2 i m zeta), m over the
+    integers (kinds 3, 4; s_m = (-1)^m for kind 4) or the half-integers
+    (kind 2), summed as pairs +-m for m >= 0 up to the `_n_cutoff` bound.
+    `offset` (scalar or shaped like zeta) is fused into the exponents, so a
+    prefactor that decays as fast as the series grows never overflows
+    separately from it.
+
+    The route is picked from the work, (term count) x (points):
+
+    * below `_BLOCK_WORK` (every scalar call, and small arrays), one exp per
+      (term, sign, point), the plain series;
+    * from `_BLOCK_WORK` on, the terms go in blocks of R ~ sqrt(terms)
+      consecutive indices, m = m_first + R b + k (see `_theta_blocks`).
+      With w = exp(+-2i zeta), each term is
+      exp(offset + m_first^2 lq +- 2i m_first zeta) * c_m * w^(R b) * w^k,
+      c_m = s_m exp((m^2 - m_first^2) lq) a scalar with |c_m| <= 1, so the
+      sum over k is one (block x k) @ (k x point) matmul and each point and
+      sign costs two exps and O(R) products instead of O(terms) exps.  The
+      derivative weights 2im and -4m^2 ride in the same matmul as extra
+      rows of the scalar table.  The powers of w grow to at most
+      exp(4 (nmax + 1) b), b = max |Im zeta|; past `_BLOCK_MAX_GROWTH` the
+      plain series is used instead.  (On both kernel faces b <= -Re(lq),
+      which keeps that growth small whenever there are many terms.)  A
+      result below about exp(-745 + _BLOCK_MAX_GROWTH) can flush to zero
+      on this route.  The point axis is chunked so that no temporary holds
+      more than `_BLOCK_CHUNK` elements.
+    """
+    z = zeta.reshape(-1)
+    off = np.reshape(offset, -1) if np.ndim(offset) else offset
 
     if lq.real == -math.inf:  # q = 0: only the leading term survives
+        v = np.zeros(zeta.shape, dtype=complex)
         if kind in (3, 4):
-            v += 1.0
-        return v, d1, d2
+            v += np.exp(offset)
+        if want_derivs:
+            return v, np.zeros_like(v), np.zeros_like(v)
+        return v, None, None
 
     a = -lq.real
-    b = float(np.max(np.abs(zeta.imag))) if zeta.size else 0.0
+    b = float(np.abs(z.imag).max()) if z.size else 0.0
     nmax = _n_cutoff(a, b)
+    m = np.arange(0.5 if kind == 2 else 0.0, nmax + 1)
+    s = np.ones(nmax + 1)
+    if kind == 4:
+        s[1::2] = -1.0
+    if kind != 2:
+        s[0] = 0.5  # m = 0 is its own +- partner
 
-    if kind in (3, 4):
-        v += 1.0
-        chunk = max(1, 4_000_000 // max(zeta.size, 1))
-        for start in range(1, nmax + 1, chunk):
-            n = np.arange(start, min(start + chunk, nmax + 1), dtype=float)
-            w = np.exp(n * n * lq)
-            if kind == 4:
-                w = w * np.where(n.astype(int) % 2 == 0, 1.0, -1.0)
-            ep = np.exp(2j * np.multiply.outer(n, zeta))
-            em = np.exp(-2j * np.multiply.outer(n, zeta))
-            wb = w.reshape((-1,) + (1,) * zeta.ndim)
-            v += np.sum(wb * (ep + em), axis=0)
-            if want_derivs:
-                nb = n.reshape((-1,) + (1,) * zeta.ndim)
-                d1 += np.sum(wb * 2j * nb * (ep - em), axis=0)
-                d2 += np.sum(wb * (-4.0 * nb * nb) * (ep + em), axis=0)
-    else:  # kind == 2
-        chunk = max(1, 4_000_000 // max(zeta.size, 1))
-        for start in range(0, nmax + 1, chunk):
-            n = np.arange(start, min(start + chunk, nmax + 1), dtype=float)
-            m = n + 0.5
-            c = 2.0 * n + 1.0
-            w = np.exp(m * m * lq)
-            ep = np.exp(1j * np.multiply.outer(c, zeta))
-            em = np.exp(-1j * np.multiply.outer(c, zeta))
-            wb = w.reshape((-1,) + (1,) * zeta.ndim)
-            cb = c.reshape((-1,) + (1,) * zeta.ndim)
-            v += np.sum(wb * (ep + em), axis=0)
-            if want_derivs:
-                d1 += np.sum(wb * 1j * cb * (ep - em), axis=0)
-                d2 += np.sum(wb * (-cb * cb) * (ep + em), axis=0)
-    return v, d1, d2
+    plain = ((nmax + 1) * z.size < _BLOCK_WORK
+             or 4 * (nmax + 1) * b > _BLOCK_MAX_GROWTH)
+    sums = (_theta_terms if plain else _theta_blocks)(m, s, z, off, lq,
+                                                      want_derivs)
+    if want_derivs:
+        return tuple(x.reshape(zeta.shape) for x in sums)
+    return sums[0].reshape(zeta.shape), None, None
+
+
+# The -m terms enter the first derivative with the opposite sign.
+_PARITY = (1.0, -1.0, 1.0)
+
+
+def _theta_terms(m, s, z, off, lq, want_derivs):
+    """Plain route of `_theta_sum` (see there): one exp per (term, sign,
+    point).  Returns [value] or [value, d1, d2], each flat like z."""
+    weights = [s, 2j * m * s, -4.0 * m * m * s] if want_derivs else [s]
+    out = [np.empty(z.size, dtype=complex) for _ in weights]
+    e0 = (m * m * lq)[:, None]
+    chunk = max(1, _BLOCK_CHUNK // m.size)
+    for start in range(0, z.size, chunk):
+        stop = min(start + chunk, z.size)
+        e = e0 + (off[start:stop] if np.ndim(off) else off)
+        phase = 2j * np.multiply.outer(m, z[start:stop])
+        ep, em = np.exp(e + phase), np.exp(e - phase)
+        for i, (wt, parity) in enumerate(zip(weights, _PARITY)):
+            out[i][start:stop] = wt @ (ep + em if parity > 0 else ep - em)
+    return out
+
+
+def _powers(w: np.ndarray, n: int) -> np.ndarray:
+    """Rows w^0, ..., w^(n-1), by doubling: about log2(n) array products."""
+    out = np.empty((n, w.size), dtype=complex)
+    out[0] = 1.0
+    filled, step = 1, w
+    while filled < n:
+        take = min(filled, n - filled)
+        np.multiply(out[:take], step, out=out[filled:filled + take])
+        filled += take
+        step = step * step
+    return out
+
+
+def _theta_blocks(m, s, z, off, lq, want_derivs):
+    """Blocked route of `_theta_sum` (see there): sum_m s_m exp(off + m^2 lq
+    +- 2 i m z) as a baby-step/giant-step polynomial in w = exp(+-2i z).
+
+    Returns [value] or [value, d1, d2], each flat like z.
+    """
+    n_terms = m.size
+    r = math.isqrt(n_terms - 1) + 1  # ceil(sqrt(n_terms))
+    nb = -(-n_terms // r)
+    mm = m[0] + np.arange(nb * r, dtype=float).reshape(nb, r)
+    sw = np.zeros(nb * r)
+    sw[:n_terms] = s
+    table = sw.reshape(nb, r) * np.exp((mm * mm - m[0] * m[0]) * lq)
+    if want_derivs:
+        table = np.concatenate([table, 2j * mm * table, -4.0 * mm * mm * table])
+
+    off = np.broadcast_to(off, z.shape)
+    n_sums = 3 if want_derivs else 1
+    out = [np.empty(z.size, dtype=complex) for _ in range(n_sums)]
+    chunk = max(1, _BLOCK_CHUNK // (2 * max(table.shape[0], r)))
+    for start in range(0, z.size, chunk):
+        stop = min(start + chunk, z.size)
+        c = stop - start
+        iz = 2j * z[start:stop]
+        iz = np.concatenate([iz, -iz])            # + and - terms side by side
+        head = np.exp(np.tile(off[start:stop], 2) + m[0] * m[0] * lq
+                      + m[0] * iz)
+        baby = _powers(np.exp(iz), r)             # w^k
+        giant = _powers(baby[-1] * baby[1], nb)   # w^(r b)
+        inner = table @ baby
+        for i, parity in enumerate(_PARITY[:n_sums]):
+            both = head * np.einsum("ij,ij->j", giant, inner[i * nb:(i + 1) * nb])
+            out[i][start:stop] = both[:c] + parity * both[c:]
+    return out
 
 
 # Under tau -> -1/tau kind 3 maps to itself and kinds 2 and 4 swap.
@@ -168,16 +259,18 @@ def _theta_transformed(kind: int, zeta: np.ndarray, nome: ThetaNome,
     tau2 = -1.0 / tau
     lq2 = 1j * math.pi * tau2
     w = zeta / tau
-    g, g1, g2 = _theta_sum(_MODULAR_PARTNER[kind], w, lq2, want_derivs)
-    pref = (-1j * tau) ** (-0.5)
     c = 1.0 / (1j * math.pi * tau)
-    envelope = pref * np.exp(c * zeta * zeta)
-    v = envelope * g
+    # the Gaussian exp(c zeta^2) is fused into the series' exponents: apart
+    # they under- and overflow together once |Im w| grows
+    g, g1, g2 = _theta_sum(_MODULAR_PARTNER[kind], w, lq2, want_derivs,
+                           offset=c * zeta * zeta)
+    pref = (-1j * tau) ** (-0.5)
+    v = pref * g
     if not want_derivs:
         return v, None, None
-    d1 = envelope * (2.0 * c * zeta * g + g1 / tau)
-    d2 = envelope * ((2.0 * c + 4.0 * c * c * zeta * zeta) * g
-                     + 4.0 * c * zeta * g1 / tau + g2 / tau / tau)
+    d1 = pref * (2.0 * c * zeta * g + g1 / tau)
+    d2 = pref * ((2.0 * c + 4.0 * c * c * zeta * zeta) * g
+                 + 4.0 * c * zeta * g1 / tau + g2 / tau / tau)
     return v, d1, d2
 
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circleqm.circlespace import (
@@ -205,6 +205,8 @@ class TestUncertaintyReport:
     @given(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
                     min_size=1, max_size=6),
            st.floats(0, 0.999), st.integers(-3, 3))
+    # var L ~ 1e-24 sits far below <L^2> = 1
+    @example([(0.0, 1e-12), (0.0, 1.0)], 0.0, 0)
     def test_inequality_hypothesis(self, pairs, delta, n_lo):
         c = np.array([complex(re, im) for re, im in pairs])
         if np.all(np.abs(c) < 1e-12):

@@ -130,6 +130,35 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel(spec, 0.3)
 
+    def test_gaussian_face_term_budget(self):
+        # eta = 1e-12 puts the reciprocal nome within 2e-11 of the unit
+        # circle: about 1.4M terms, past the series' budget
+        spec = EvolutionSpec(Params(1.0, 1.0), Sector(0.0), 1.0, eta=1e-12)
+        with pytest.raises(ValueError):
+            kernel(spec, 0.3, form="gaussian")
+
+    @pytest.mark.parametrize("eps,delta,wt", [
+        (1.0, 0.3, 0.7), (0.5, 0.7, 2.0), (2.0, 0.2, 0.1), (1.0, 0.45, 12.0)])
+    def test_faces_match_spectral_sum(self, eps, delta, wt):
+        # 64 samples take the blocked theta route, single angles the plain
+        # series; the reference sums the spectral series term by term with
+        # the quadratic phase reduced mod 2 pi in extended precision
+        eta = 1e-4
+        spec = EvolutionSpec(Params(eps, 1.0), Sector(delta), wt, eta=eta)
+        dphi = -math.pi + np.arange(64) * (2.0 * math.pi / 64)
+        half = int(math.ceil(math.sqrt(83.0 / (eps * eta)))) + 2
+        freq = np.arange(-half, half + 1) + delta
+        phase = np.fmod(np.longdouble(0.5 * eps * wt)
+                        * freq.astype(np.longdouble) ** 2, 2.0 * np.pi)
+        weights = np.exp(-0.5 * eps * eta * freq ** 2 - 1j * phase.astype(float))
+        ref = np.exp(1j * np.outer(dphi, freq)) @ weights
+        scale = np.max(np.abs(ref))
+        for form in ("series", "gaussian"):
+            vals = kernel(spec, dphi, form=form)
+            assert np.max(np.abs(vals - ref)) < 1e-10 * scale
+            for i in (0, 21, 40):
+                assert abs(kernel(spec, dphi[i], form=form) - ref[i]) < 1e-10 * scale
+
     def test_quadrature_matches_propagate(self):
         eps, delta, wt, eta = 1.0, 0.2, 0.9, 1e-6
         sector = Sector(delta)

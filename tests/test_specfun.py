@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate, special
 
 from circleqm.specfun import (
+    _BLOCK_WORK,
     ThetaNome,
     bessel_i,
     bessel_j,
@@ -167,6 +168,59 @@ class TestThetaDerivs:
         assert abs(va - vb) < 1e-12 * abs(va)
         assert abs(d1a - d1b) < 1e-11 * max(abs(d1a), 1.0)
         assert abs(d2a - d2b) < 1e-10 * max(abs(d2a), 1.0)
+
+
+def _abs_terms(kind, z, nome, order):
+    """sum_m |2m|^order |q^(m^2) e^(2imz)| over the series' lattice: the
+    scale of the rounding error of any term-wise evaluation."""
+    lq = nome.log_q
+    a = -lq.real
+    n = int(abs(z.imag) / a + math.sqrt(80.0 / a)) + 3
+    m = np.arange(-n, n + 1) + (0.5 if kind == 2 else 0.0)
+    return float(np.sum(np.abs(2.0 * m) ** order
+                        * np.exp((m * m * lq).real - 2.0 * m * z.imag)))
+
+
+class TestThetaAgainstMpmath:
+    """Both summation routes (a scalar call sums term by term, an array of
+    _BLOCK_WORK points goes through the blocked route) against
+    mpmath.jtheta, at a generic point, at the kind's zero and next to it."""
+
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    @pytest.mark.parametrize("q", [0.3 * cmath.exp(0.4j),
+                                   0.99 * cmath.exp(-1.1j),
+                                   0.9999 * cmath.exp(0.7j)],
+                             ids=["abs_q=0.3", "abs_q=0.99", "abs_q=0.9999"])
+    def test_routes_match_jtheta(self, kind, q):
+        mpmath = pytest.importorskip("mpmath")
+        nome = ThetaNome.from_q(q)
+        half_tau = math.pi * nome.tau / 2
+        zero = {2: math.pi / 2, 3: math.pi / 2 + half_tau, 4: half_tau}[kind]
+        pts = np.array([0.37 + 0.2j * half_tau.imag, zero,
+                        zero + 1e-7 * (1 + 1j)])
+        with mpmath.workdps(25):
+            mq = mpmath.mpc(q.real, q.imag)
+            refs = [[complex(mpmath.jtheta(kind, mpmath.mpc(p.real, p.imag),
+                                           mq, order))
+                     for order in range(3)] for p in pts]
+        rng = np.random.default_rng(kind)
+        big = (rng.uniform(-math.pi, math.pi, _BLOCK_WORK)
+               + 0.25j * half_tau.imag * rng.uniform(-1, 1, _BLOCK_WORK))
+        idx = [5, _BLOCK_WORK // 2, _BLOCK_WORK - 3]
+        big[idx] = pts
+        for method in ("direct", "auto"):
+            big_vals = theta(kind, big, nome, method=method)
+            big_derivs = theta_derivs(kind, big, nome, method=method)
+            for i, p in enumerate(pts):
+                scale = [_abs_terms(kind, p, nome, order) for order in range(3)]
+                tol = 1e-12
+                assert abs(theta(kind, p, nome, method=method)
+                           - refs[i][0]) < tol * scale[0]
+                assert abs(big_vals[idx[i]] - refs[i][0]) < tol * scale[0]
+                for order, (small, ref) in enumerate(zip(
+                        theta_derivs(kind, p, nome, method=method), refs[i])):
+                    assert abs(small - ref) < tol * scale[order]
+                    assert abs(big_derivs[order][idx[i]] - ref) < tol * scale[order]
 
 
 class TestBesselI:

@@ -217,6 +217,21 @@ class TestWOverlap:
         s2 = w_state(params, z2, window_tol=1e-15)
         assert abs(inner(s1, s2) - w_overlap(params, z1, z2)) < 1e-10
 
+    @pytest.mark.parametrize("eps,z1,z2", [
+        # |Im| of the transformed argument ~230: exp(2 i n zeta) overflowed
+        # before its q^(n^2) weight was applied
+        (0.02, PhasePoint(0.0, 0.5), PhasePoint(2.9, 0.7)),
+        # near neighbours across the 2 pi cut: the transform's Gaussian
+        # underflowed while its series overflowed
+        (0.01, PhasePoint(0.05, 0.5), PhasePoint(6.2, 0.7))],
+        ids=["eps=0.02", "eps=0.01-across-cut"])
+    def test_small_eps_kernel_finite(self, eps, z1, z2):
+        params = WZParams(eps, Sector(0.3))
+        s1, s2 = w_state(params, z1), w_state(params, z2)
+        k = w_overlap(params, z1, z2)
+        assert np.isfinite(k)
+        assert abs(k - inner(s1, s2)) < 1e-12 * s1.norm() * s2.norm()
+
     def _measure_nodes(self, params, n_theta=64, n_herm=40):
         eps, delta = params.epsilon, params.delta
         x_h, w_h = np.polynomial.hermite.hermgauss(n_herm)
@@ -420,6 +435,20 @@ class TestDensity:
         phi = np.linspace(z.theta - 2, z.theta + 2, 9)
         ref = np.abs(st.evaluate(phi)) ** 2
         assert np.max(np.abs(density(params, z, phi) - ref)) < 1e-9
+
+    def test_small_eps_tail_finite(self):
+        # far from theta, exp(-2 i n zeta) overflowed before its q^(n^2)
+        # weight was applied; the full grid is large enough for the blocked
+        # theta route, whose powers of exp(2 i zeta) would overflow here
+        params = WZParams(0.04, Sector(0.3))
+        z = PhasePoint(0.0, 0.5)
+        phi = np.concatenate([[2.5, 3.0], np.linspace(-math.pi, math.pi, 2048)])
+        st = w_state(params, z)
+        vals = density(params, z, phi)
+        ref = np.abs(st.evaluate(phi)) ** 2 / st.norm_sq()
+        assert np.all(np.isfinite(vals))
+        scale = np.sum(np.abs(st.coeffs)) ** 2 / st.norm_sq()
+        assert np.max(np.abs(vals - ref)) < 1e-12 * scale
 
     def test_classical_limit_concentrates(self):
         z = PhasePoint(math.pi, 0.4)
