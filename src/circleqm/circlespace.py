@@ -19,6 +19,8 @@ from typing import Optional
 
 import numpy as np
 
+from circleqm.specfun import _bessel_half_width, bessel_j
+
 __all__ = [
     "Sector",
     "RepLabel",
@@ -303,43 +305,38 @@ def uncertainty_report(a: str, b: str, state: CircleState) -> UncertaintyReport:
                              sigma)
 
 
+# The translation taps are cut where the dropped |J_k|^2 sum to below this,
+# so that each dropped coefficient is below about 1e-16 of ||psi||.
+_TAP_TAIL = 1e-32
+# (-i)^k by k mod 4, exact
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
+
+
 def rep_apply(alpha: float, a: float, b: float, rep: RepLabel,
               state: CircleState) -> CircleState:
     """Act with the group element (alpha, t = a + i b) in the representation
     labelled by rep.
 
     The rotation is diagonal, c_n -> exp(-i (n + delta) alpha) c_n.  The
-    translation multiplies pointwise by exp(-i rho (a cos phi + b sin phi)),
-    realized on a uniform grid followed by spectral projection with the
-    window grown to hold the Bessel tail of the multiplier.
+    translation multiplies pointwise by exp(-i rho (a cos phi + b sin phi))
+    = exp(-i R cos(phi - beta)) with R e^{i beta} = rho (a + i b); by
+    Jacobi-Anger (DLMF 10.12) that is the convolution of the coefficients
+    with the taps (-i)^k J_k(R) e^{-i k beta}, and the window grows by the
+    Bessel half-width on each side.
     """
     if rep.sector.delta != state.sector.delta:
         raise ValueError("representation sector must match the state sector")
-    delta = state.sector.delta
-    out = state
+    coeffs = state.coeffs
     if alpha != 0.0:
-        phases = np.exp(-1j * (out.indices + delta) * alpha)
-        out = CircleState(out.sector, out.n_lo, out.coeffs * phases)
+        coeffs = coeffs * np.exp(-1j * (state.indices + state.sector.delta) * alpha)
     radius = rep.rho * math.hypot(a, b)
     if radius == 0.0:
-        return out
-    grow = int(math.ceil(radius)) + 20
-    for attempt in range(2):
-        n_lo = out.n_lo - grow
-        n_hi = out.n_hi + grow
-        m = 4 * (n_hi - n_lo + 1) + 16
-        phi = np.arange(m) * (2.0 * math.pi / m)
-        vals = out.evaluate(phi) * np.exp(
-            -1j * rep.rho * (a * np.cos(phi) + b * np.sin(phi)))
-        # project onto e_{n,delta}; the delta phases cancel against evaluate's
-        freq = np.arange(n_lo, n_hi + 1) + delta
-        coeffs = np.exp(-1j * np.outer(freq, phi)) @ vals / m
-        new = CircleState(out.sector, n_lo, coeffs)
-        tail = abs(new.norm_sq() - out.norm_sq())
-        if tail < 1e-12 * max(out.norm_sq(), 1e-30):
-            return new
-        grow += int(math.ceil(10.0 * radius ** (1.0 / 3.0)))
-    raise RuntimeError("translation window growth failed the tail-energy check")
+        return CircleState(state.sector, state.n_lo, coeffs)
+    half = _bessel_half_width(radius, _TAP_TAIL)
+    k = np.arange(-half, half + 1)
+    taps = (_MINUS_I_POWERS[k % 4] * bessel_j(k, radius)
+            * np.exp(-1j * k * math.atan2(b, a)))
+    return CircleState(state.sector, state.n_lo - half, np.convolve(coeffs, taps))
 
 
 def energy(n: int, params: Params, sector: Sector) -> float:

@@ -62,22 +62,26 @@ def _load_config(source) -> dict:
     return doc
 
 
+def _convert(doc: dict, key: str, kind):
+    try:
+        val = kind(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"key {key!r}: expected {kind.__name__}") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"key {key!r}: expected a finite number")
+    return val
+
+
 def _need(doc: dict, key: str, kind=float):
     if key not in doc:
         raise ConfigError(f"missing required key {key!r}")
-    try:
-        return kind(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key {key!r}: expected {kind.__name__}") from exc
+    return _convert(doc, key, kind)
 
 
 def _get(doc: dict, key: str, default, kind=float):
     if key not in doc:
         return default
-    try:
-        return kind(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key {key!r}: expected {kind.__name__}") from exc
+    return _convert(doc, key, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +720,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # a library ValueError is its refusal of a configured value
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

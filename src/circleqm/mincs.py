@@ -10,6 +10,7 @@ ratios I1/I0.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from circleqm.circlespace import CircleState, Sector
-from circleqm.specfun import bessel_i, bessel_j, g_ratio
+from circleqm.specfun import _bessel_half_width, bessel_j, g_ratio
 
 __all__ = [
     "MinUncParams",
@@ -72,27 +73,33 @@ class MinUncParams:
         return Sector(self.delta0)
 
 
-def _norm_const(s: float) -> float:
-    return math.sqrt(bessel_i(0.0, 2.0 * s))
+def _normalized_window(sigma: complex, ks) -> np.ndarray:
+    """J_k(sigma) / sqrt(I0(2s)), s = -Im sigma, for the integer orders ks.
+
+    Both J_k(sigma) and sqrt(I0(2s)) = exp(|s|) sqrt(ive(0, 2|s|)) grow like
+    exp(|s|); the ratio is formed as J_k(sigma) exp(-|s|) / sqrt(ive(0, 2|s|))
+    so neither exponential is formed on its own.  bessel_j raises
+    ValueError once J itself overflows, past |s| of about 709.
+    """
+    s = abs(sigma.imag)
+    return bessel_j(ks, sigma) * (math.exp(-s) / math.sqrt(special.ive(0, 2.0 * s)))
 
 
 def min_state(params: MinUncParams, window_tol: float = 1e-12) -> CircleState:
     """Coefficient window of the minimal-uncertainty state.
 
     c_m = exp(-i (m + delta) alpha) J_{m-n0}(sigma) / sqrt(I0(2s)); the
-    half-width ceil(|sigma|) + ceil(10 + 5 ln(1/tol)) exploits the
+    half-width `_bessel_half_width(|sigma|, window_tol)` exploits the
     super-exponential decay of J_{m-n0}(sigma) beyond |m - n0| > |sigma|,
     so the discarded tail of |c_m|^2 stays below window_tol.
     """
     if not 0.0 < window_tol < 1.0:
         raise ValueError("window_tol must lie in (0, 1)")
-    sigma = params.sigma
-    half = int(math.ceil(abs(sigma))) + int(math.ceil(10 + 5 * math.log(1.0 / window_tol)))
-    n0, delta = params.n0, params.delta0
-    norm = _norm_const(params.s)
-    ms = np.arange(n0 - half, n0 + half + 1)
-    coeffs = np.array([bessel_j(m - n0, sigma) for m in ms]) / norm
-    coeffs *= np.exp(-1j * (ms + delta) * params.alpha)
+    half = _bessel_half_width(abs(params.sigma), window_tol)
+    ks = np.arange(-half, half + 1)
+    ms = params.n0 + ks
+    coeffs = (_normalized_window(params.sigma, ks)
+              * np.exp(-1j * (ms + params.delta0) * params.alpha))
     return CircleState(params.sector, int(ms[0]), coeffs)
 
 
@@ -163,33 +170,15 @@ def saturation_gap(params: MinUncParams, pair: str = "CL"):
     raise ValueError("pair must be 'CL' or 'SL'")
 
 
-def _iv_complex_series(nu: float, z: complex) -> complex:
-    """Ascending series of I_nu at complex argument, principal branch of
-    z^nu.  Only used off the real axis (the flagged overlap region)."""
-    import cmath
-    if nu < 0 and nu == int(nu):
-        nu = -nu  # I_{-n} = I_n
-    if z == 0:
-        return complex(1.0) if nu == 0 else 0j
-    t = cmath.exp(nu * cmath.log(0.5 * z)) / math.gamma(nu + 1.0)
-    s = t
-    z2 = 0.25 * z * z
-    for k in range(1, 600):
-        t *= z2 / (k * (nu + k))
-        s += t
-        if abs(t) < 1e-17 * abs(s):
-            break
-    return s
-
-
 @dataclass(frozen=True)
 class OverlapResult:
     """Closed-form overlap value plus a validity flag.
 
     valid is False when the square-root argument s^2 cos^2 - gamma^2 sin^2
-    goes negative (or a fractional power hits a negative base); there the
-    principal-branch value is advisory and the coefficient-space inner
-    product is authoritative.
+    goes negative, so that the Bessel factor takes an imaginary argument,
+    or when the momentum difference is fractional (distinct sectors, a
+    formal value).  The coefficient-space inner product is the reference
+    there.
     """
 
     value: complex
@@ -200,13 +189,21 @@ def min_overlap(p2: MinUncParams, p1: MinUncParams,
                 allow_sector_mismatch: bool = False) -> OverlapResult:
     """Closed-form scalar product (psi_{p2}, psi_{p1}).
 
+    With dl = l1 - l2, num = gamma sin h - s cos h, den = gamma sin h +
+    s cos h (h = (alpha1 - alpha2)/2) and r = sqrt(-num den), the product
+    is phase * (num/den)^(dl/2) I_dl(2 r) / I0(2s).  It is evaluated in the
+    branch-free form (-i num)^dl I_dl(2r) / r^dl (num -> den for dl < 0),
+    an entire function of num and den, so no square root or fractional
+    power picks a branch.
+
     Requires shared (gamma, s) and shared sector.  An integer momentum
     difference identifies shared sectors even when frac(n + delta) differs
     across n by representation noise; such differences are snapped to the
     exact integer.  Genuinely different sectors are rejected unless
-    allow_sector_mismatch is set, in which case the formal fractional-power
-    value is returned flagged invalid (there is no inner product between
-    the spaces; the coefficient route is authoritative wherever it exists).
+    allow_sector_mismatch is set, in which case the same form with a
+    principal-branch fractional power is returned flagged invalid (there is
+    no inner product between the spaces; the coefficient route is
+    authoritative wherever it exists).
     """
     if (p2.gamma, p2.s) != (p1.gamma, p1.s):
         raise ValueError("overlap requires shared gamma and s")
@@ -222,28 +219,23 @@ def min_overlap(p2: MinUncParams, p1: MinUncParams,
     sh, ch = math.sin(half), math.cos(half)
     num = gamma * sh - s * ch
     den = gamma * sh + s * ch
-    root_arg = s * s * ch * ch - gamma * gamma * sh * sh
+    root_arg = s * s * ch * ch - gamma * gamma * sh * sh  # = -num den
     phase = np.exp(1j * (p2.alpha - p1.alpha) * (p1.l_tilde + p2.l_tilde) / 2.0)
-    i0 = bessel_i(0.0, 2.0 * s)
-
-    integer_dl = dl == round(dl)
     # fractional dl means distinct sectors: formal value, never valid
-    valid = integer_dl and root_arg >= 0.0
+    valid = dl == round(dl) and root_arg >= 0.0
 
-    if den == 0.0:
-        # degenerate direction: the product ratio^(dl/2) I_dl(2 sqrt(-num den))
-        # has the finite limit (-num^2)^(dl/2) / Gamma(dl + 1)
-        base = complex(-num * num)
-        value = phase * base ** (dl / 2.0) / math.gamma(dl + 1.0) / i0
-        return OverlapResult(complex(value), False)
-
-    # principal-branch power throughout; for integer dl this reproduces the
-    # coefficient-space inner product including its i^dl phase at ratio < 0
-    power = complex(num / den) ** (dl / 2.0)
-    root = complex(root_arg) ** 0.5
-    bess = (bessel_i(dl, 2.0 * root.real) if root.imag == 0.0
-            else _iv_complex_series(dl, 2.0 * root))
-    value = phase * power * bess / i0
+    order = abs(dl)
+    base = -1j * (num if dl >= 0 else den)
+    r = cmath.sqrt(root_arg)
+    # I_n(2r) / I0(2|s|) through the scaled ive: Re r <= |s|, so the
+    # exponential never exceeds 1
+    ratio = (math.exp(2.0 * r.real - 2.0 * abs(s))
+             / special.ive(0, 2.0 * abs(s)))
+    if r == 0:
+        bess = ratio / math.gamma(order + 1.0)   # I_n(2r) / r^n -> 1/n!
+    else:
+        bess = special.ive(order, 2.0 * r) * ratio / r ** order
+    value = phase * base ** order * bess
     return OverlapResult(complex(value), bool(valid))
 
 
@@ -251,25 +243,16 @@ def sum_rule_residual(sigma: complex) -> float:
     """Defect of |J0(sigma)|^2 + 2 sum_{n>=1} |J_n(sigma)|^2 = I0(2s) with
     s = -Im(sigma); the tail is summed below 1e-14 of the total.
 
-    Measured relative to max(I0(2s), 1): both sides grow like e^{2|s|}, so
-    an absolute defect would saturate at the ulp of the values themselves
-    (~1e-9 already at |sigma| = 10).  At small sigma, where I0 ~ 1, this
-    coincides with the absolute defect.
+    Measured relative to I0(2s) >= 1, as the defect of the normalized
+    window sum_k |J_k(sigma)|^2 / I0(2s) = 1: both sides grow like
+    e^{2|s|}, so an absolute defect would saturate at the ulp of the values
+    themselves (~1e-9 already at |sigma| = 10).  At small sigma, where
+    I0 ~ 1, this coincides with the absolute defect.
     """
     sigma = complex(sigma)
-    s = -sigma.imag
-    total = abs(bessel_j(0, sigma)) ** 2
-    n = 0
-    while True:
-        n += 1
-        term = 2.0 * abs(bessel_j(n, sigma)) ** 2
-        total += term
-        if n > abs(sigma) + 10 and term < 1e-14 * max(total, 1e-300):
-            break
-        if n > 1000:
-            break
-    target = bessel_i(0.0, 2.0 * s)
-    return abs(total - target) / max(target, 1.0)
+    half = _bessel_half_width(abs(sigma), 1e-14)
+    window = _normalized_window(sigma, np.arange(-half, half + 1))
+    return abs(float(np.sum(np.abs(window) ** 2)) - 1.0)
 
 
 def completeness_residual(m1: int, m2: int, s: float, gamma: float,
@@ -284,10 +267,9 @@ def completeness_residual(m1: int, m2: int, s: float, gamma: float,
         raise ValueError("n_cut must be nonnegative")
     if m1 != m2:
         return 0j
-    sigma = complex(gamma, -s)
-    total = sum(abs(bessel_j(m1 - n, sigma)) ** 2
-                for n in range(-n_cut, n_cut + 1))
-    return complex(total / bessel_i(0.0, 2.0 * s) - 1.0)
+    window = _normalized_window(complex(gamma, -s),
+                                m1 - np.arange(-n_cut, n_cut + 1))
+    return complex(float(np.sum(np.abs(window) ** 2)) - 1.0)
 
 
 def dbt_divergence(n: int, gamma_max: float, nodes_per_panel: int = 12) -> float:

@@ -1,9 +1,10 @@
 """Special-function kernel.
 
 Jacobi theta functions (kinds 2, 3, 4) with automatic modular acceleration,
-modified Bessel functions I_nu of real order, Bessel functions J_n of integer
-order and complex argument, a Jacobi-elliptic evaluation suite, and the
-I1/I0 ratio functions that control the circular minimal-uncertainty family.
+validated wrappers of scipy's modified Bessel functions I_nu of real order
+and Bessel functions J_n of integer order and complex argument, a
+Jacobi-elliptic evaluation suite, and the I1/I0 ratio functions that control
+the circular minimal-uncertainty family.
 
 Conventions: theta_3(zeta, q) = sum_n q^(n^2) exp(2 i n zeta) with nome
 q = exp(i pi tau), Im(tau) > 0, and analogously for kinds 2 and 4.  All
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "ThetaNome",
@@ -345,157 +346,63 @@ def theta_derivs(kind: int, zeta, nome, method: str = "auto"):
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel I_nu, real order
+# Bessel functions (scipy's Amos routines, validated)
 
 
-def _iv_series(nu: float, x: float) -> float:
-    """Ascending series for I_nu(x), x > 0, nu not a negative integer."""
-    t = math.exp(nu * math.log(0.5 * x)) / math.gamma(nu + 1.0)
-    s = t
-    x2 = 0.25 * x * x
-    for k in range(1, 400):
-        t *= x2 / (k * (nu + k))
-        s += t
-        if abs(t) < 1e-17 * abs(s):
-            break
-    return s
+def _bessel_half_width(z_abs: float, tol: float) -> int:
+    """Half-width h of an order window k = -h..h that holds J_k(z) for
+    |z| = z_abs up to a discarded tail sum_{|k| > h} |J_k(z)|^2 below tol
+    (relative to the whole sum).
 
-
-def _iv_asym_factor(nu: float, x: float) -> float:
-    """S(nu, x) in I_nu(x) ~ exp(x)/sqrt(2 pi x) * S, truncated at the
-    smallest term."""
-    mu = 4.0 * nu * nu
-    t = 1.0
-    s = 1.0
-    prev = math.inf
-    for k in range(1, 60):
-        t *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(t) >= prev:
-            break
-        s += t
-        prev = abs(t)
-        if abs(t) < 1e-17 * abs(s):
-            break
-    return s
+    Past |k| > |z| the orders decay super-exponentially; the margin
+    ceil(10 + 5 ln(1/tol)) over ceil(|z|) covers the turning region with
+    room to spare.
+    """
+    return int(math.ceil(z_abs)) + int(math.ceil(10 + 5 * math.log(1.0 / tol)))
 
 
 def bessel_i(nu: float, x: float):
     """Modified Bessel function I_nu(x), real order, real argument.
 
-    Ascending series for |x| <= 20, asymptotic expansion beyond.  For
-    negative x: integer orders use the parity relation I_n(-x) =
-    (-1)^n I_n(x); fractional orders return the principal-branch
-    continuation exp(i pi nu) I_nu(|x|), which is complex -- a nonzero
-    imaginary part is the caller's signal that a branch choice was made.
+    scipy's `iv` on |x|.  For negative x: integer orders use the parity
+    relation I_n(-x) = (-1)^n I_n(x); fractional orders return the
+    principal-branch continuation exp(i pi nu) I_nu(|x|), which is complex
+    -- a nonzero imaginary part is the caller's signal that a branch choice
+    was made.  Raises ValueError where the value is not a finite double
+    (|x| beyond about 713, or x = 0 at negative fractional order).
     """
     nu = float(nu)
     x = float(x)
     if not (math.isfinite(nu) and math.isfinite(x)):
         raise ValueError("bessel_i requires finite order and argument")
-    if nu < 0 and nu == int(nu):
-        nu = -nu  # I_{-n} = I_n
-    if x < 0:
-        base = bessel_i(nu, -x)
-        if nu == int(nu):
-            return base if int(nu) % 2 == 0 else -base
-        return cmath.exp(1j * math.pi * nu) * base
-    if x == 0.0:
-        if nu == 0:
-            return 1.0
-        if nu > 0:
-            return 0.0
-        return math.inf
-    if x <= 20.0:
-        return _iv_series(nu, x)
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * _iv_asym_factor(nu, x)
+    val = float(special.iv(nu, abs(x)))
+    if not math.isfinite(val):
+        raise ValueError(f"I_{nu}({abs(x)}) is not a finite double")
+    if x >= 0:
+        return val
+    if nu == int(nu):
+        return val if int(nu) % 2 == 0 else -val
+    return cmath.exp(1j * math.pi * nu) * val
 
 
-# ---------------------------------------------------------------------------
-# Bessel J_n, integer order, complex argument
-
-
-def _jn_series(n: int, z: complex) -> complex:
-    # seed in log space: (z/2)^n / n! overflows the factorial past n ~ 170
-    t = cmath.exp(n * cmath.log(0.5 * z) - math.lgamma(n + 1.0))
-    s = t
-    z2 = 0.25 * z * z
-    for k in range(1, 400):
-        t *= -z2 / (k * (n + k))
-        s += t
-        if abs(t) < 1e-17 * abs(s):
-            break
-    return s
-
-
-def _jn_miller(n: int, z: complex) -> complex:
-    """Backward recurrence with region-adapted normalization.
-
-    On the real axis the even-order identity J_0 + 2 sum J_{2k} = 1 is well
-    conditioned; off axis its terms grow like exp(|Im z|) while the sum stays
-    at 1, so there we normalize instead by J_0 + 2 sum (-+i)^k J_k =
-    exp(-+iz), whose target grows with the terms.  The start-order cushion
-    scales like |z|^(1/3) (the width of the turning region): a flat +15
-    already loses ~1e-3 by |z| ~ 80.
-    """
-    az = abs(z)
-    nstart = (n + int(math.ceil(az)) + 15
-              + int(math.ceil(8.0 * max(az, 1.0) ** (1.0 / 3.0))))
-    yp = 0j                       # y_{k+1}
-    y = complex(1e-160, 0.0)      # y_k, arbitrary seed
-    target = y if nstart == n else None
-    use_exp_norm = z.imag != 0.0
-    sgn = 1.0 if z.imag >= 0 else -1.0
-    w = complex(0.0, -sgn)        # sum weights w^k, w = -i for Im z > 0
-    wk = w ** nstart
-    norm_sum = 0j
-    if nstart > 0:
-        norm_sum = y * wk if use_exp_norm else (y if nstart % 2 == 0 else 0j)
-    two_over_z = 2.0 / z
-    for k in range(nstart, 0, -1):
-        ym = k * two_over_z * y - yp  # y_{k-1}
-        yp, y = y, ym
-        idx = k - 1
-        wk = wk / w
-        if idx == n:
-            target = y
-        if idx > 0:
-            if use_exp_norm:
-                norm_sum += y * wk
-            elif idx % 2 == 0:
-                norm_sum += y
-        if abs(y.real) > 1e250 or abs(y.imag) > 1e250:
-            y *= 1e-250
-            yp *= 1e-250
-            norm_sum *= 1e-250
-            if target is not None:
-                target *= 1e-250
-    norm = y + 2.0 * norm_sum
-    if use_exp_norm:
-        return target * cmath.exp(-sgn * 1j * z) / norm
-    return target / norm
-
-
-def bessel_j(n: int, z) -> complex:
+def bessel_j(n, z):
     """Bessel function J_n(z), integer order, complex argument.
 
-    Ascending series for |z| <= 5, Miller backward recurrence (start order
-    |n| + ceil(|z|) + 15, normalized by the even-order sum identity extended
-    to complex z) beyond.
+    scipy's `jv` (Amos, ACM TOMS 644).  n may be an integer or an array of
+    integers; the result is a complex scalar or an array shaped like n.
+    Raises ValueError where a value is not a finite double (|Im z| beyond
+    about 709 overflows).
     """
-    if n != int(n):
+    order = np.asarray(n, dtype=float)
+    if not np.all(np.isfinite(order)) or np.any(order != np.round(order)):
         raise ValueError("bessel_j takes an integer order")
-    n = int(n)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("bessel_j requires a finite argument")
-    if n < 0:
-        val = bessel_j(-n, z)
-        return -val if n % 2 else val
-    if z == 0:
-        return complex(1.0) if n == 0 else 0j
-    if abs(z) <= 5.0:
-        return _jn_series(n, z)
-    return _jn_miller(n, z)
+    val = special.jv(order, z)
+    if not np.all(np.isfinite(val)):
+        raise ValueError(f"J_n(z) at z = {z} is not a finite double")
+    return complex(val) if order.ndim == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +435,9 @@ def elliptic_suite(zeta: float, nome: ThetaNome) -> EllipticRecord:
     """Evaluate the elliptic-function record for real zeta and real nome.
 
     The moduli come from the theta null values, k = theta2^2/theta3^2 (0, q)
-    and k' = theta4^2/theta3^2 (0, q), with 2K/pi = theta3^2(0, q); E(u, k)
-    is computed by adaptive quadrature of dn^2.
+    and k' = theta4^2/theta3^2 (0, q), with 2K/pi = theta3^2(0, q); E_u is
+    the incomplete integral E(am(u), m) at the amplitude am(u) = ph that
+    `ellipj` returns (DLMF 22.16.14).
     """
     if not isinstance(nome, ThetaNome):
         nome = ThetaNome.from_q(nome)
@@ -547,14 +455,9 @@ def elliptic_suite(zeta: float, nome: ThetaNome) -> EllipticRecord:
     u = t3 * t3 * u_zeta
     m = k * k
 
-    sn, cn, dn, _ = special.ellipj(u, m)
+    sn, cn, dn, ph = special.ellipj(u, m)
     E = float(special.ellipe(m))
-    if u == 0.0:
-        E_u = 0.0
-    else:
-        E_u, _err = integrate.quad(lambda v: special.ellipj(v, m)[2] ** 2,
-                                   0.0, u, epsabs=1e-12, epsrel=1e-12,
-                                   limit=200)
+    E_u = float(special.ellipeinc(ph, m))
     Z = E_u - u * E / K
     return EllipticRecord(sn=float(sn), cn=float(cn), dn=float(dn), Z=Z,
                           k=k, kprime=kprime, K=K, E=E, u=u)
@@ -576,33 +479,19 @@ class GRatio:
 def g_ratio(x: float) -> GRatio:
     """Ratio functions of the modified Bessel pair I1, I0.
 
-    A small-|x| series keeps r2 finite (and equal to 1/2) at x = 0; for
-    |x| > 20 the shared exponential prefactor cancels so the ratios never
-    overflow.  r2 lies in (0, 1/2] for every finite x and g is even with
-    g(x) -> 1/(2 x^2) as |x| -> infinity.
+    r1 = i1e(x)/i0e(x): the exponentially scaled pair shares its
+    prefactor, so the ratios never overflow.  Below |x| = 1e-8, r1 = x/2
+    and r2 = 1/2 to double precision (the next terms are x^2/16 relative),
+    which keeps r2 exact at x = 0 and at subnormal x.  r2 lies in (0, 1/2]
+    for every finite x and g is even with g(x) -> 1/(2 x^2) as
+    |x| -> infinity.
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("g_ratio requires a finite argument")
-    ax = abs(x)
-    if ax < 0.1:
-        x2 = 0.25 * x * x
-        t0, i0 = 1.0, 1.0
-        t1, i1x = 0.5, 0.5  # I1(x)/x series
-        for k in range(1, 30):
-            t0 *= x2 / (k * k)
-            i0 += t0
-            t1 *= x2 / (k * (k + 1))
-            i1x += t1
-            if t0 < 1e-18 and t1 < 1e-18:
-                break
-        r2 = i1x / i0
-        r1 = x * r2
-    elif ax <= 20.0:
-        r1 = math.copysign(_iv_series(1.0, ax) / _iv_series(0.0, ax), x)
-        r2 = r1 / x
+    if abs(x) < 1e-8:
+        r1, r2 = 0.5 * x, 0.5
     else:
-        r1 = math.copysign(
-            _iv_asym_factor(1.0, ax) / _iv_asym_factor(0.0, ax), x)
+        r1 = float(special.i1e(x) / special.i0e(x))
         r2 = r1 / x
     return GRatio(r1=r1, r2=r2, g=1.0 - r1 * r1 - r2)

@@ -254,6 +254,23 @@ class TestRepApply:
         g2 = rep_apply(alpha, a, b, rep, psi2)
         assert abs(inner(g2, g1) - inner(psi2, psi1)) < 1e-12
 
+    @pytest.mark.parametrize("radius", [0.3, 5.0, 20.0, 50.0])
+    def test_translation_matches_pointwise_product(self, radius):
+        # the translation is multiplication by exp(-i rho (a cos + b sin))
+        # of the rotated wavefunction; compare at random angles
+        rng = np.random.default_rng(int(radius * 10))
+        delta, rho, alpha = 0.41, 1.7, 0.9
+        beta = rng.uniform(0.0, 2.0 * math.pi)
+        a, b = radius / rho * math.cos(beta), radius / rho * math.sin(beta)
+        psi = random_state(Sector(delta), n_lo=-40, width=81, rng=rng)
+        out = rep_apply(alpha, a, b, RepLabel(rho, Sector(delta)), psi)
+        phi = rng.uniform(-10.0, 10.0, 64)
+        rotated = CircleState(psi.sector, psi.n_lo, psi.coeffs * np.exp(
+            -1j * (psi.indices + delta) * alpha))
+        expected = rotated.evaluate(phi) * np.exp(
+            -1j * rho * (a * np.cos(phi) + b * np.sin(phi)))
+        assert np.max(np.abs(out.evaluate(phi) - expected)) < 1e-10
+
 
 class TestEnergy:
     def test_zero_ground(self):

@@ -152,6 +152,25 @@ class TestOverlap:
         assert float(doc["value_re"]) == pytest.approx(ref, rel=1e-12)
 
 
+class TestConfigValues:
+    @pytest.mark.parametrize("doc,word", [
+        ({"family": "wz", "epsilon": -1.0, "delta": 0.2, "theta": 0.3,
+          "l": 0.5}, "epsilon"),
+        ({"family": "wz", "epsilon": 1.0, "delta": 1.5, "theta": 0.3,
+          "l": 0.5}, "delta"),
+        ({"family": "wz", "epsilon": 1.0, "delta": 0.2, "theta": "nan",
+          "l": 0.5}, "theta"),
+    ])
+    def test_rejected_value_exits_two(self, capsys, tmp_path, doc, word):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "state", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:")
+        assert word in err
+
+
 class TestEvolve:
     def test_single_zero_time_row_matches_state(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -73,6 +73,25 @@ class TestMinState:
         with pytest.raises(ValueError):
             min_state(MinUncParams(0, 0, 0, 1), window_tol=0.0)
 
+    @pytest.mark.parametrize("s", [400.0, -500.0])
+    def test_large_s_normalized_and_moments(self, s):
+        # I0(2s) overflows a double here; the window is normalized through
+        # the scaled ive(0, 2|s|)
+        params = MinUncParams(0.9, 1.3, 2.5, s)
+        st = min_state(params)
+        assert abs(st.norm_sq() - 1.0) < 1e-13
+        rep = uncertainty_report("C", "L", st)
+        e = min_expectations(params)
+        for got, ref in [(rep.mean_a, e.mean_c), (rep.mean_b, e.mean_l),
+                         (rep.var_a, e.var_c), (rep.var_b, e.var_l),
+                         (rep.covariance, e.cov_cl)]:
+            assert got == pytest.approx(ref, rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize("s", [800.0, -800.0])
+    def test_beyond_double_range_raises_value_error(self, s):
+        with pytest.raises(ValueError):
+            min_state(MinUncParams(0.0, 0.0, 0.5, s))
+
 
 class TestMinExpectations:
     def test_alpha_zero_means(self):
@@ -188,6 +207,10 @@ class TestMinOverlap:
     @pytest.mark.parametrize("a1,a2,l1,l2", [
         (0.0, 0.5, 1.0, 0.0), (1.2, 0.4, 3.0, 1.0), (0.1, 2.8, -1.0, 2.0),
         (0.0, 0.0, 2.0, 2.0),
+        # odd dl with s cos((a1 - a2)/2) < 0, where a principal-branch
+        # (num/den)^(dl/2) flips the sign
+        (0.0, 6.0, 1.0, 0.0), (0.2, 5.0, -1.0, 2.0), (5.5, 1.0, 2.0, 1.0),
+        (6.2, 0.1, 0.0, 3.0),
     ])
     def test_against_coefficient_oracle(self, a1, a2, l1, l2):
         gamma, s = 0.6, 0.9

@@ -1,8 +1,9 @@
 """Special-function kernel checks against independent oracles.
 
 Theta values are cross-checked between the direct and modular-transformed
-series, Bessel functions against scipy and the classical sum identities,
-and the elliptic record against the theta-ratio identity web.
+series, Bessel functions against mpmath, the integral representation, the
+recurrences and the classical sum identities, and the elliptic record
+against the theta-ratio identity web.
 """
 
 import cmath
@@ -241,10 +242,15 @@ class TestBesselI:
         assert abs(val - ref) < 1e-14 * abs(ref)
         assert abs(val.imag) > 0  # complex result flags the branch choice
 
+    # bessel_i wraps scipy's iv; the test keeps its name so its ids stay
+    # stable, and checks against mpmath as the independent oracle
     @pytest.mark.parametrize("nu", [0.0, 1.0, 0.5, 2.7, -0.3, 5.0])
     @pytest.mark.parametrize("x", [0.1, 1.0, 7.5, 19.0, 25.0, 60.0, 300.0])
     def test_against_scipy(self, nu, x):
-        assert bessel_i(nu, x) == pytest.approx(special.iv(nu, x), rel=1e-12)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = float(mpmath.besseli(nu, x))
+        assert bessel_i(nu, x) == pytest.approx(ref, rel=1e-12)
 
     def test_ratio_bound(self):
         # 0 < I1(x)/(x I0(x)) <= 1/2, equality only as x -> 0
@@ -273,6 +279,10 @@ class TestBesselI:
         with pytest.raises(ValueError):
             bessel_i(0, math.inf)
 
+    def test_overflow_raises_value_error(self):
+        with pytest.raises(ValueError):
+            bessel_i(0, 800.0)
+
 
 class TestBesselJ:
     def test_at_origin(self):
@@ -293,8 +303,22 @@ class TestBesselJ:
     @pytest.mark.parametrize("z", [0.3, 4.9, 5.1, 12.0, 1.0 + 2.0j,
                                    -3.0 + 0.5j, 8.0 - 4.0j])
     def test_against_scipy(self, n, z):
-        ref = special.jv(n, z)
+        # bessel_j wraps scipy's jv; mpmath is the independent oracle (the
+        # name is kept so the test ids stay stable)
+        mpmath = pytest.importorskip("mpmath")
+        z = complex(z)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.besselj(n, mpmath.mpc(z.real, z.imag)))
         assert abs(bessel_j(n, z) - ref) < 1e-12 * max(abs(ref), 1e-8)
+
+    def test_integer_order_array(self):
+        z = 2.0 - 1.5j
+        ns = np.arange(-4, 5)
+        vals = bessel_j(ns, z)
+        assert vals.shape == ns.shape
+        assert all(vals[i] == bessel_j(int(n), z) for i, n in enumerate(ns))
+        with pytest.raises(ValueError):
+            bessel_j(np.array([0, 1.5]), z)
 
     def test_product_sum_identity(self):
         # sum_n J_n(z) J_{-n}(z) = J_0(2z)
@@ -400,14 +424,18 @@ class TestGRatio:
             assert g_ratio(x).g == pytest.approx(0.5 / x ** 2, rel=0.05)
 
     def test_r2_bound(self):
-        for x in [0.0, 0.01, 0.5, 2.0, 20.0, 500.0, -3.0]:
+        for x in [0.0, 5e-324, 1e-310, 0.01, 0.5, 2.0, 20.0, 500.0, -3.0]:
             assert 0.0 < g_ratio(x).r2 <= 0.5
 
     def test_against_scipy(self):
+        # g_ratio is built on scipy's i1e/i0e; mpmath is the independent
+        # oracle (the name is kept so the test id stays stable)
+        mpmath = pytest.importorskip("mpmath")
         for x in [0.3, 1.7, 12.0, 80.0]:
             rec = g_ratio(x)
-            assert rec.r1 == pytest.approx(
-                special.i1(x) / special.i0(x), rel=1e-12)
+            with mpmath.workdps(30):
+                ref = float(mpmath.besseli(1, x) / mpmath.besseli(0, x))
+            assert rec.r1 == pytest.approx(ref, rel=1e-12)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
