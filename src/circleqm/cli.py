@@ -7,11 +7,19 @@ JSON or CSV reports for a configuration document (positional path or "-"
 for stdin).  Output is deterministic: identical configuration yields
 identical bytes (floats printed with 17 significant digits, JSON numbers
 as decimal strings).
+
+Exit codes: 0 ok, 1 a failed verify check, 2 a malformed configuration,
+with a `config error:` message on stderr and nothing on stdout.  Exit 2
+covers missing keys, non-finite numbers, values the library refuses (a
+ValueError), grids (`t_grid`, `theta_grid`, `l_grid`) that are not
+nonempty lists of finite numbers, and `evolve` times at which a phase
+eps omega t (n+delta)^2 / 2 reaches 2^52 rad.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -62,26 +70,34 @@ def _load_config(source) -> dict:
     return doc
 
 
-def _convert(doc: dict, key: str, kind):
+def _convert(val, what: str, kind=float):
     try:
-        val = kind(doc[key])
+        val = kind(val)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"key {key!r}: expected {kind.__name__}") from exc
+        raise ConfigError(f"{what}: expected {kind.__name__}") from exc
     if not math.isfinite(val):
-        raise ConfigError(f"key {key!r}: expected a finite number")
+        raise ConfigError(f"{what}: expected a finite number")
     return val
 
 
 def _need(doc: dict, key: str, kind=float):
     if key not in doc:
         raise ConfigError(f"missing required key {key!r}")
-    return _convert(doc, key, kind)
+    return _convert(doc[key], f"key {key!r}", kind)
 
 
 def _get(doc: dict, key: str, default, kind=float):
     if key not in doc:
         return default
-    return _convert(doc, key, kind)
+    return _convert(doc[key], f"key {key!r}", kind)
+
+
+def _grid(doc: dict, key: str, default=None) -> list:
+    """The elements of the list `key` as finite floats."""
+    vals = doc.get(key, default)
+    if not isinstance(vals, list) or not vals:
+        raise ConfigError(f"key {key!r} must be a nonempty list of numbers")
+    return [_convert(v, f"key {key!r} element {i}") for i, v in enumerate(vals)]
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +160,8 @@ def _check_elliptic_identities():
 def _check_bessel_sum_rule():
     worst = 0.0
     for x in (0.5, 1.5, 3.0, 7.0):
-        total = abs(specfun.bessel_j(0, x)) ** 2 + 2 * sum(
-            abs(specfun.bessel_j(n, x)) ** 2 for n in range(1, 40))
-        worst = max(worst, abs(total - 1.0))
+        sq = np.abs(specfun.bessel_j(np.arange(40), x)) ** 2
+        worst = max(worst, abs(sq[0] + 2 * np.sum(sq[1:]) - 1.0))
     return worst
 
 
@@ -468,21 +483,20 @@ def _cmd_table(args) -> int:
         params = WZParams(_get(doc, "epsilon", 1.0),
                           Sector(_get(doc, "delta", 0.0)))
         z = PhasePoint(_get(doc, "theta", 0.0), _get(doc, "l", 0.0))
-        st = zakcs.w_state(params, z, window_tol=1e-14)
-        lines = ["m,probability"]
-        for m in range(st.n_lo, st.n_hi + 1):
-            lines.append(",".join([str(m),
-                                   _fmt(zakcs.transition_prob(m, params, z))]))
+        ms = zakcs.w_state(params, z, window_tol=1e-14).indices
+        probs = zakcs.transition_prob(ms, params, z)
+        lines = ["m,probability"] + [
+            f"{m},{_fmt(p)}" for m, p in zip(ms.tolist(), probs.tolist())]
     elif args.name == "kj":
         eps = _get(doc, "epsilon", 1.0)
         delta = _get(doc, "delta", 0.0)
-        thetas = doc.get("theta_grid", [0.0, math.pi / 2, math.pi])
-        ls = doc.get("l_grid", [-1.0, 0.0, 1.0])
+        thetas = _grid(doc, "theta_grid", [0.0, math.pi / 2, math.pi])
+        ls = _grid(doc, "l_grid", [-1.0, 0.0, 1.0])
         ctx = ladder.LadderContext(eps, Sector(delta))
         lines = ["theta,l,mean_k,mean_j,var_k,var_j,commutator_im,saturated"]
         for th in thetas:
             for l_t in ls:
-                rep = ladder.kj_report(ctx, PhasePoint(float(th), float(l_t)))
+                rep = ladder.kj_report(ctx, PhasePoint(th, l_t))
                 lines.append(",".join(
                     [_fmt(th), _fmt(l_t), _fmt(rep.mean_k), _fmt(rep.mean_j),
                      _fmt(rep.var_k), _fmt(rep.var_j),
@@ -606,49 +620,54 @@ def _cmd_overlap(args) -> int:
     return 0
 
 
-def _state_for_family(doc: dict):
+def _state_for_family(doc: dict) -> circlespace.CircleState:
     family = doc.get("family")
     if family == "min":
-        p = _min_params_from(doc)
-        return mincs.min_state(p, window_tol=1e-14), p.sector
+        return mincs.min_state(_min_params_from(doc), window_tol=1e-14)
     if family == "wz":
         params, z = _wz_from(doc)
-        return zakcs.w_state(params, z, window_tol=1e-14), params.sector
+        return zakcs.w_state(params, z, window_tol=1e-14)
     if "coeffs" in doc:
         # raw coefficient window {delta, n_lo, coeffs: [[re, im], ...]}
         try:
-            state = circlespace.CircleState.from_json(json.dumps(doc))
+            return circlespace.CircleState.from_json(json.dumps(doc))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed state document: {exc}") from exc
-        return state, state.sector
     raise ConfigError("key 'family' must be 'min' or 'wz', or provide a raw "
                       "state via delta/n_lo/coeffs")
 
 
+def _row_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re (a_i, b_i) for each row pair."""
+    return np.einsum("ij,ij->i", a.conj(), b).real
+
+
 def _cmd_evolve(args) -> int:
     doc = _load_config(args.config)
-    state, sector = _state_for_family(doc)
-    state = state.normalized()
+    state = _state_for_family(doc).normalized()
     params = Params(_get(doc, "epsilon", 1.0), _get(doc, "omega", 1.0))
-    t_grid = doc.get("t_grid")
-    if not isinstance(t_grid, list) or not t_grid:
-        raise ConfigError("key 't_grid' must be a nonempty list of times")
-    lines = ["t,re_c,re_s,mean_l,var_c,var_s,var_l,fidelity"]
-    for t in t_grid:
-        spec = evolve.EvolutionSpec(params, sector, float(t))
-        psi = evolve.propagate(spec, state)
-        c_psi = circlespace.apply_operator("C", psi)
-        s_psi = circlespace.apply_operator("S", psi)
-        l_psi = circlespace.apply_operator("L", psi)
-        mean_c = circlespace.inner(psi, c_psi).real
-        mean_s = circlespace.inner(psi, s_psi).real
-        mean_l = circlespace.inner(psi, l_psi).real
-        var_c = circlespace.inner(c_psi, c_psi).real - mean_c ** 2
-        var_s = circlespace.inner(s_psi, s_psi).real - mean_s ** 2
-        var_l = circlespace.inner(l_psi, l_psi).real - mean_l ** 2
-        fid = circlespace.fidelity(state, psi)
-        lines.append(",".join(map(_fmt, (t, mean_c, mean_s, mean_l,
-                                         var_c, var_s, var_l, fid))))
+    t = np.array(_grid(doc, "t_grid"))
+    # row i is the window propagated to t[i]; C and S widen a window by one
+    # index a side, so psi_wide pads each row with two zeros a side and the
+    # means of C and S are taken on the one-wider window `psi`
+    freq = state.indices + state.sector.delta
+    prop = state.coeffs * evolve._phases(params, t[:, None], freq)
+    psi_wide = np.pad(prop, ((0, 0), (2, 2)))
+    psi = psi_wide[:, 1:-1]
+    c_psi = 0.5 * (psi_wide[:, :-2] + psi_wide[:, 2:])
+    s_psi = (psi_wide[:, :-2] - psi_wide[:, 2:]) / 2j
+    l_psi = prop * freq
+    mean_c = _row_inner(psi, c_psi)
+    mean_s = _row_inner(psi, s_psi)
+    mean_l = _row_inner(prop, l_psi)
+    var_c = _row_inner(c_psi, c_psi) - mean_c ** 2
+    var_s = _row_inner(s_psi, s_psi) - mean_s ** 2
+    var_l = _row_inner(l_psi, l_psi) - mean_l ** 2
+    fid = np.abs(prop @ state.coeffs.conj()) / (
+        state.norm() * np.sqrt(_row_inner(prop, prop)))
+    rows = np.column_stack((t, mean_c, mean_s, mean_l, var_c, var_s, var_l, fid))
+    lines = ["t,re_c,re_s,mean_l,var_c,var_s,var_l,fidelity"] + [
+        ",".join(map(_fmt, row)) for row in rows.tolist()]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -674,7 +693,10 @@ def _cmd_kernel(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main`
+    call in the process; `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="circleqm",
         description="Quantum mechanics on the circle: verification suites, "

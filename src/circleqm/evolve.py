@@ -50,23 +50,41 @@ class EvolutionSpec:
             raise ValueError("eta must be nonnegative")
 
     @property
-    def phase_scale(self) -> float:
-        """eps * omega * t / 2, the quadratic phase per unit (n+delta)^2."""
-        return 0.5 * self.params.epsilon * self.params.omega * self.t
-
-    @property
     def complex_time(self) -> complex:
         """omega (t - i eta), the regularized time in frequency units."""
         return self.params.omega * complex(self.t, -self.eta)
 
 
+# From a phase of 2^52 rad on, one ulp is at least 1 rad: the phase mod
+# 2 pi has no significant bits left.
+_PHASE_LIMIT = 2.0 ** 52
+
+
+def _phases(params: Params, t, freq: np.ndarray) -> np.ndarray:
+    """exp(-i eps omega t (n+delta)^2 / 2) at the frequencies freq = n + delta.
+
+    t is one time, or a column of times giving one row of phases each.
+    Raises ValueError once the largest phase reaches 2^52 rad.
+    """
+    scale = 0.5 * params.epsilon * params.omega * t
+    # keep this association: grouping (freq * freq) first rounds
+    # differently, and at t ~ 20 the phase is ~1e4 rad, where that moves
+    # results by ~3e-13
+    arg = -1j * scale * freq * freq
+    if not np.max(np.abs(arg.imag)) < _PHASE_LIMIT:
+        raise ValueError("eps omega t (n+delta)^2 / 2 reaches 2^52 rad: the "
+                         "phase mod 2 pi has no significant bits")
+    return np.exp(arg)
+
+
 def propagate(spec: EvolutionSpec, state: CircleState) -> CircleState:
     """Diagonal spectral evolution; exactly unitary, composes additively in
-    t, and conjugates cleanly for t < 0."""
+    t, and conjugates cleanly for t < 0.  Raises ValueError where a phase
+    reaches 2^52 rad (see `_phases`)."""
     if state.sector.delta != spec.sector.delta:
         raise ValueError("state sector must match the evolution sector")
     freq = state.indices + spec.sector.delta
-    phases = np.exp(-1j * spec.phase_scale * freq * freq)
+    phases = _phases(spec.params, spec.t, freq)
     return CircleState(state.sector, state.n_lo, state.coeffs * phases)
 
 

@@ -349,16 +349,27 @@ def w_expectations(params: WZParams, z) -> WZExpectations:
     )
 
 
-def transition_prob(m: int, params: WZParams, z) -> float:
+def transition_prob(m, params: WZParams, z):
     """Probability of angular momentum m + delta in the normalized state:
     sqrt(eps/pi) e^{-[l - eps(m+delta)]^2/eps} / theta3[pi(l - eps
-    delta)/eps, e^{-pi^2/eps}]; peaks at l = eps(m + delta)."""
+    delta)/eps, e^{-pi^2/eps}]; peaks at l = eps(m + delta).
+
+    m is an integer, giving a float, or an integer array, giving an array
+    of probabilities shaped like m; either way the theta normalization is
+    evaluated once.
+    """
     eps, delta = params.epsilon, params.delta
     l_tilde = _as_point(z).l_tilde
     nome = ThetaNome.from_q(math.exp(-math.pi ** 2 / eps))
     norm = theta(3, math.pi * (l_tilde - eps * delta) / eps, nome).real
+    if np.isscalar(m):
+        exp = math.exp
+    else:
+        m, exp = np.asarray(m), np.exp
+        if m.dtype.kind not in "iu":
+            raise ValueError("m must be an integer or an integer array")
     return (math.sqrt(eps / math.pi)
-            * math.exp(-(l_tilde - eps * (m + delta)) ** 2 / eps) / norm)
+            * exp(-(l_tilde - eps * (m + delta)) ** 2 / eps) / norm)
 
 
 def density(params: WZParams, z, phi):

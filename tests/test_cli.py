@@ -1,11 +1,20 @@
 """Command-line interface: exit codes, determinism, report contents."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from circleqm.cli import main
+from circleqm import circlespace, evolve, mincs, zakcs
+from circleqm.circlespace import Params, Sector
+from circleqm.cli import _build_parser, _check_bessel_sum_rule, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -26,11 +35,47 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_bessel_sum_rule_headroom(self):
+        assert _check_bessel_sum_rule() < 1e-13
+
     def test_rows_carry_identity_and_tolerance(self, capsys):
         _, out, _ = run(capsys, "verify", "e2")
         header = out.splitlines()[0]
         assert header == "suite,check_id,identity,residual,tolerance,pass"
         assert any("transporter-round-trip" in line for line in out.splitlines())
+
+
+class TestInProcess:
+    def test_parser_built_once_and_left_unchanged(self):
+        parser = _build_parser()
+        assert _build_parser() is parser
+        first = parser.parse_args(["state", "-", "--density-out", "d.csv"])
+        second = parser.parse_args(["verify", "all"])
+        assert first is not second
+        assert first.density_out == "d.csv" and not hasattr(second, "density_out")
+        assert parser.parse_args(["state", "-"]).density_out is None
+
+    def test_calls_match_fresh_processes(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "wz", "epsilon": 0.7,
+                                   "delta": 0.2, "theta": 0.9, "l": 0.4}))
+        calls = [["state", str(cfg)], ["state", "--format", "xml", str(cfg)],
+                 ["verify", "specfun", "--tol", "1e-3"], ["state", str(cfg)]]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:   # argparse usage error
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "circleqm.cli", *argv],
+                                   capture_output=True, text=True, env=env,
+                                   timeout=120)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert code == 0 and captured.out
 
 
 class TestTable:
@@ -171,7 +216,82 @@ class TestConfigValues:
         assert word in err
 
 
+class TestGridValues:
+    @pytest.mark.parametrize("argv,doc,word", [
+        (["table", "kj"], {"theta_grid": ["nan"]}, "theta_grid"),
+        (["table", "kj"], {"theta_grid": 3}, "theta_grid"),
+        (["table", "kj"], {"l_grid": [None]}, "l_grid"),
+        (["evolve"], {"family": "wz", "epsilon": 1.0, "delta": 0.2,
+                      "theta": 0.3, "l": 0.5, "t_grid": [None]}, "t_grid"),
+        (["evolve"], {"family": "wz", "epsilon": 1.0, "delta": 0.2,
+                      "theta": 0.3, "l": 0.5, "t_grid": [0.5, 1e300]}, "2^52"),
+    ])
+    def test_rejected_grid_exits_two(self, capsys, tmp_path, argv, doc, word):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:")
+        assert word in err
+
+
+def _per_t_rows(state, params, t_grid):
+    """The evolve columns from the per-time library calls."""
+    state = state.normalized()
+    rows = []
+    for t in t_grid:
+        psi = evolve.propagate(evolve.EvolutionSpec(params, state.sector, t),
+                               state)
+        c_psi, s_psi, l_psi = (circlespace.apply_operator(op, psi)
+                               for op in "CSL")
+        means = [circlespace.inner(psi, x).real for x in (c_psi, s_psi, l_psi)]
+        second = [circlespace.inner(x, x).real for x in (c_psi, s_psi, l_psi)]
+        rows.append([t] + means + [b - m ** 2 for b, m in zip(second, means)]
+                    + [circlespace.fidelity(state, psi)])
+    return np.array(rows)
+
+
 class TestEvolve:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batched_rows_match_per_time_library_path(self, capsys, tmp_path,
+                                                      seed):
+        rng = np.random.default_rng(seed)
+        t_grid = sorted(float(t) for t in rng.uniform(0, 20, 4 + 7 * seed))
+        # one epsilon: a wz config's stiffness is also the flow's
+        params = Params(float(rng.uniform(0.1, 2.0)), 1.0)
+        delta = float(rng.uniform(0, 1))
+        kind = ("min", "wz", "raw")[seed % 3]
+        if kind == "min":
+            doc = {"family": "min", "alpha": float(rng.uniform(0, 2 * math.pi)),
+                   "l": float(rng.integers(-3, 4)), "gamma": float(rng.uniform(-3, 3)),
+                   "s": float(rng.uniform(-5, 5))}
+            state = mincs.min_state(mincs.MinUncParams(
+                doc["alpha"], doc["l"], doc["gamma"], doc["s"]), window_tol=1e-14)
+        elif kind == "wz":
+            doc = {"family": "wz", "epsilon": params.epsilon,
+                   "delta": delta, "theta": float(rng.uniform(0, 2 * math.pi)),
+                   "l": float(rng.uniform(-2, 2))}
+            wz = zakcs.WZParams(doc["epsilon"], Sector(delta))
+            state = zakcs.w_state(wz, zakcs.PhasePoint(doc["theta"], doc["l"]),
+                                  window_tol=1e-14)
+        else:
+            width = 3 + 37 * (seed // 3)
+            coeffs = rng.normal(size=width) + 1j * rng.normal(size=width)
+            doc = {"delta": delta, "n_lo": int(rng.integers(-20, 5)),
+                   "coeffs": [[c.real, c.imag] for c in coeffs]}
+            state = circlespace.CircleState(Sector(delta), doc["n_lo"], coeffs)
+        doc.update(epsilon=params.epsilon, t_grid=t_grid)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "evolve", str(cfg))
+        assert code == 0
+        got = np.array([[float(v) for v in line.split(",")]
+                        for line in out.splitlines()[1:]])
+        ref = _per_t_rows(state, params, t_grid)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
     def test_single_zero_time_row_matches_state(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "min", "alpha": 0.0, "l": 0.0,

@@ -94,6 +94,20 @@ class TestPropagate:
         l2_after = inner(out, apply_operator("L2", out)).real
         assert abs(l2_after - l2_before) < 1e-12 * max(abs(l2_before), 1.0)
 
+    def test_phase_without_significant_bits_rejected(self):
+        # at eps omega t (n+delta)^2 / 2 >= 2^52 rad one ulp spans a radian
+        psi = random_state(Sector(0.3))
+        with pytest.raises(ValueError, match="2\\^52"):
+            propagate(EvolutionSpec(Params(1.0, 1.0), Sector(0.3), 1e300), psi)
+        # the largest |n + delta| of the window is 2.3; just below the limit
+        # the phases are still computed
+        t_ok = 0.99 * 2.0 ** 53 / 2.3 ** 2
+        out = propagate(EvolutionSpec(Params(1.0, 1.0), Sector(0.3), t_ok), psi)
+        assert out.norm_sq() == pytest.approx(1.0, abs=1e-14)
+        with pytest.raises(ValueError):
+            propagate(EvolutionSpec(Params(1.0, 1.0), Sector(0.3),
+                                    1.01 * 2.0 ** 53 / 2.3 ** 2), psi)
+
 
 class TestKernel:
     def test_two_faces_agree_at_reference_point(self):

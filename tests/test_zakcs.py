@@ -418,6 +418,23 @@ class TestTransitionProb:
         assert all(transition_prob(m, params, PhasePoint(0, 0.5)) >= 0
                    for m in range(-10, 11))
 
+    @pytest.mark.parametrize("eps,delta,z", [
+        (1.0, 0.3, PhasePoint(1.0, 0.7)), (0.1, 0.85, PhasePoint(4.0, -1.9)),
+        (2.0, 0.0, PhasePoint(0.0, 1.5))])
+    def test_array_form_matches_scalar_loop(self, eps, delta, z):
+        params = WZParams(eps, Sector(delta))
+        ms = w_state(params, z, window_tol=1e-14).indices
+        probs = transition_prob(ms, params, z)
+        assert probs.shape == ms.shape
+        ref = np.array([transition_prob(int(m), params, z) for m in ms])
+        assert isinstance(transition_prob(int(ms[0]), params, z), float)
+        assert np.all(np.abs(probs - ref) <= 1e-15 * ref)
+
+    def test_array_form_rejects_non_integer_m(self):
+        with pytest.raises(ValueError):
+            transition_prob(np.array([0.5, 1.5]), WZParams(1.0, Sector(0.0)),
+                            PhasePoint(0.0, 0.0))
+
 
 class TestDensity:
     def test_normalized_on_circle(self):
