@@ -29,6 +29,7 @@ __all__ = [
     "UncertaintyReport",
     "basis_state",
     "apply_operator",
+    "operator_coeffs",
     "inner",
     "inner_quadrature",
     "uncertainty_report",
@@ -178,28 +179,38 @@ def basis_state(n: int, sector: Sector) -> CircleState:
 _OPERATOR_TAGS = ("C", "S", "L", "L2")
 
 
-def apply_operator(which: str, state: CircleState) -> CircleState:
-    """Apply C = cos phi, S = sin phi, L or L^2 in coefficient space.
+def operator_coeffs(which: str, coeffs: np.ndarray,
+                    freq: np.ndarray) -> np.ndarray:
+    """C, S, L or L^2 on coefficient windows along the last axis of coeffs.
 
-    C and S shift the window by one on each side, c_n -> (c_{n-1} + c_{n+1})/2
-    and (c_{n-1} - c_{n+1})/(2i); L multiplies by the eigenvalue n + delta.
+    freq holds the L eigenvalues n + delta of the window.  C and S return a
+    window one index wider on each side, c_n -> (c_{n-1} + c_{n+1})/2 and
+    (c_{n-1} - c_{n+1})/(2i); L and L^2 multiply by freq and freq^2.
     """
     if which not in _OPERATOR_TAGS:
         raise ValueError(f"operator must be one of {_OPERATOR_TAGS}")
-    c = state.coeffs
     if which in ("C", "S"):
-        out = np.zeros(c.size + 2, dtype=complex)
+        out = np.zeros(coeffs.shape[:-1] + (coeffs.shape[-1] + 2,),
+                       dtype=complex)
         if which == "C":
-            out[2:] += 0.5 * c      # c_{n-1} contribution at index n
-            out[:-2] += 0.5 * c     # c_{n+1} contribution
+            out[..., 2:] += 0.5 * coeffs    # c_{n-1} contribution at index n
+            out[..., :-2] += 0.5 * coeffs   # c_{n+1} contribution
         else:
-            out[2:] += c / 2j
-            out[:-2] -= c / 2j
-        return CircleState(state.sector, state.n_lo - 1, out)
-    eig = state.indices + state.sector.delta
+            out[..., 2:] += coeffs / 2j
+            out[..., :-2] -= coeffs / 2j
+        return out
     if which == "L":
-        return CircleState(state.sector, state.n_lo, c * eig)
-    return CircleState(state.sector, state.n_lo, c * eig * eig)
+        return coeffs * freq
+    return coeffs * freq * freq
+
+
+def apply_operator(which: str, state: CircleState) -> CircleState:
+    """Apply C = cos phi, S = sin phi, L or L^2 in coefficient space (see
+    `operator_coeffs`); C and S widen the window by one index a side."""
+    out = operator_coeffs(which, state.coeffs,
+                          state.indices + state.sector.delta)
+    n_lo = state.n_lo - 1 if which in ("C", "S") else state.n_lo
+    return CircleState(state.sector, n_lo, out)
 
 
 def _common_window(s2: CircleState, s1: CircleState):

@@ -637,35 +637,12 @@ def _state_for_family(doc: dict) -> circlespace.CircleState:
                       "state via delta/n_lo/coeffs")
 
 
-def _row_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re (a_i, b_i) for each row pair."""
-    return np.einsum("ij,ij->i", a.conj(), b).real
-
-
 def _cmd_evolve(args) -> int:
     doc = _load_config(args.config)
     state = _state_for_family(doc).normalized()
     params = Params(_get(doc, "epsilon", 1.0), _get(doc, "omega", 1.0))
-    t = np.array(_grid(doc, "t_grid"))
-    # row i is the window propagated to t[i]; C and S widen a window by one
-    # index a side, so psi_wide pads each row with two zeros a side and the
-    # means of C and S are taken on the one-wider window `psi`
-    freq = state.indices + state.sector.delta
-    prop = state.coeffs * evolve._phases(params, t[:, None], freq)
-    psi_wide = np.pad(prop, ((0, 0), (2, 2)))
-    psi = psi_wide[:, 1:-1]
-    c_psi = 0.5 * (psi_wide[:, :-2] + psi_wide[:, 2:])
-    s_psi = (psi_wide[:, :-2] - psi_wide[:, 2:]) / 2j
-    l_psi = prop * freq
-    mean_c = _row_inner(psi, c_psi)
-    mean_s = _row_inner(psi, s_psi)
-    mean_l = _row_inner(prop, l_psi)
-    var_c = _row_inner(c_psi, c_psi) - mean_c ** 2
-    var_s = _row_inner(s_psi, s_psi) - mean_s ** 2
-    var_l = _row_inner(l_psi, l_psi) - mean_l ** 2
-    fid = np.abs(prop @ state.coeffs.conj()) / (
-        state.norm() * np.sqrt(_row_inner(prop, prop)))
-    rows = np.column_stack((t, mean_c, mean_s, mean_l, var_c, var_s, var_l, fid))
+    t = _grid(doc, "t_grid")
+    rows = np.column_stack((t, evolve.moment_series(params, state, t)))
     lines = ["t,re_c,re_s,mean_l,var_c,var_s,var_l,fidelity"] + [
         ",".join(map(_fmt, row)) for row in rows.tolist()]
     _emit("\n".join(lines) + "\n", args.out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circleqm.circlespace import CircleState, Params, Sector
+from circleqm.circlespace import CircleState, Params, Sector, operator_coeffs
 from circleqm.mincs import MinUncParams, min_state
 from circleqm.specfun import ThetaNome, _theta_sum, theta
 from circleqm.zakcs import PhasePoint
@@ -26,6 +26,7 @@ from circleqm.zakcs import PhasePoint
 __all__ = [
     "EvolutionSpec",
     "propagate",
+    "moment_series",
     "kernel",
     "kernel_apply",
     "evolve_w",
@@ -86,6 +87,42 @@ def propagate(spec: EvolutionSpec, state: CircleState) -> CircleState:
     freq = state.indices + spec.sector.delta
     phases = _phases(spec.params, spec.t, freq)
     return CircleState(state.sector, state.n_lo, state.coeffs * phases)
+
+
+def _row_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re (a_i, b_i) for each row pair."""
+    return np.einsum("ij,ij->i", a.conj(), b).real
+
+
+def moment_series(params: Params, state: CircleState, times) -> np.ndarray:
+    """The state propagated to every time in one array pass, reduced to
+    moments.
+
+    times is a 1-D sequence.  Row i holds <C>, <S>, <L>, Var C, Var S,
+    Var L and the fidelity to `state` at times[i] (the moments are
+    expectation values when `state` is normalized).  Agrees with
+    `propagate`, `apply_operator`, `inner` and `fidelity` per time to about
+    1e-13.  Raises ValueError for non-finite times or where a phase reaches
+    2^52 rad (see `_phases`).
+    """
+    t = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("time must be finite")
+    freq = state.indices + state.sector.delta
+    # row i is the window propagated to t[i]
+    psi = state.coeffs * _phases(params, t[:, None], freq)
+    c_psi, s_psi, l_psi = (operator_coeffs(op, psi, freq) for op in "CSL")
+    # C and S widen the window by one index a side: columns 1:-1 are the
+    # part of C psi and S psi on psi's window
+    mean_c = _row_inner(psi, c_psi[:, 1:-1])
+    mean_s = _row_inner(psi, s_psi[:, 1:-1])
+    mean_l = _row_inner(psi, l_psi)
+    var_c = _row_inner(c_psi, c_psi) - mean_c ** 2
+    var_s = _row_inner(s_psi, s_psi) - mean_s ** 2
+    var_l = _row_inner(l_psi, l_psi) - mean_l ** 2
+    fid = np.abs(psi @ state.coeffs.conj()) / (
+        state.norm() * np.sqrt(_row_inner(psi, psi)))
+    return np.column_stack((mean_c, mean_s, mean_l, var_c, var_s, var_l, fid))
 
 
 def _kernel_series(spec: EvolutionSpec, dphi: np.ndarray) -> np.ndarray:

@@ -356,20 +356,18 @@ def transition_prob(m, params: WZParams, z):
 
     m is an integer, giving a float, or an integer array, giving an array
     of probabilities shaped like m; either way the theta normalization is
-    evaluated once.
+    evaluated once.  Non-integer m raises ValueError.
     """
+    m = np.asarray(m)
+    if m.dtype.kind not in "iu":
+        raise ValueError("m must be an integer or an integer array")
     eps, delta = params.epsilon, params.delta
     l_tilde = _as_point(z).l_tilde
     nome = ThetaNome.from_q(math.exp(-math.pi ** 2 / eps))
     norm = theta(3, math.pi * (l_tilde - eps * delta) / eps, nome).real
-    if np.isscalar(m):
-        exp = math.exp
-    else:
-        m, exp = np.asarray(m), np.exp
-        if m.dtype.kind not in "iu":
-            raise ValueError("m must be an integer or an integer array")
-    return (math.sqrt(eps / math.pi)
-            * exp(-(l_tilde - eps * (m + delta)) ** 2 / eps) / norm)
+    prob = (math.sqrt(eps / math.pi)
+            * np.exp(-(l_tilde - eps * (m + delta)) ** 2 / eps) / norm)
+    return float(prob) if prob.ndim == 0 else prob
 
 
 def density(params: WZParams, z, phi):

@@ -25,6 +25,7 @@ from circleqm.circlespace import (
     ground_state,
     inner,
     inner_quadrature,
+    operator_coeffs,
     parity,
     rep_apply,
     time_reversal,
@@ -145,6 +146,17 @@ class TestOperators:
         st_ = basis_state(3, Sector(0.4))
         out = apply_operator("L", st_)
         assert out.coeffs[0] == pytest.approx(3.4)
+
+    @pytest.mark.parametrize("which", ["C", "S", "L", "L2"])
+    def test_operator_coeffs_rows_match_apply_operator(self, which):
+        # one stencil serves single windows and stacks of windows alike
+        rows = [random_state(Sector(0.43), n_lo=-3, width=7) for _ in range(4)]
+        stack = np.array([r.coeffs for r in rows])
+        out = operator_coeffs(which, stack, rows[0].indices + 0.43)
+        for r, got in zip(rows, out):
+            ref = apply_operator(which, r)
+            assert np.array_equal(got, ref.coeffs)
+        assert ref.n_lo == (-4 if which in ("C", "S") else -3)
 
     def test_rejects_unknown_tag(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from circleqm.evolve import (
     evolve_w,
     kernel,
     kernel_apply,
+    moment_series,
     propagate,
 )
 from circleqm.mincs import MinUncParams, min_state
@@ -107,6 +108,28 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(EvolutionSpec(Params(1.0, 1.0), Sector(0.3),
                                     1.01 * 2.0 ** 53 / 2.3 ** 2), psi)
+
+
+class TestMomentSeries:
+    def test_rows_match_per_time_library_path(self):
+        params = Params(0.7, 1.3)
+        psi = random_state(Sector(0.6), n_lo=-5, width=12)
+        times = [0.0, 0.25, 3.0, -7.5, 20.0]
+        got = moment_series(params, psi, times)
+        for t, row in zip(times, got):
+            phi = propagate(EvolutionSpec(params, Sector(0.6), t), psi)
+            ops = [apply_operator(op, phi) for op in "CSL"]
+            means = [inner(phi, x).real for x in ops]
+            var = [inner(x, x).real - m ** 2 for x, m in zip(ops, means)]
+            ref = np.array(means + var + [fidelity(psi, phi)])
+            assert np.all(np.abs(row - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_bad_times_rejected(self):
+        psi = random_state(Sector(0.3))
+        with pytest.raises(ValueError, match="finite"):
+            moment_series(Params(1.0, 1.0), psi, [0.0, float("nan")])
+        with pytest.raises(ValueError, match="2\\^52"):
+            moment_series(Params(1.0, 1.0), psi, [0.5, 1e300])
 
 
 class TestKernel:
