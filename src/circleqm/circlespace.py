@@ -213,14 +213,15 @@ def apply_operator(which: str, state: CircleState) -> CircleState:
     return CircleState(state.sector, n_lo, out)
 
 
-def _common_window(s2: CircleState, s1: CircleState):
-    lo = min(s2.n_lo, s1.n_lo)
-    hi = max(s2.n_hi, s1.n_hi)
-    a = np.zeros(hi - lo + 1, dtype=complex)
-    b = np.zeros(hi - lo + 1, dtype=complex)
-    a[s2.n_lo - lo: s2.n_hi - lo + 1] = s2.coeffs
-    b[s1.n_lo - lo: s1.n_hi - lo + 1] = s1.coeffs
-    return a, b
+def _windows(*states: CircleState) -> np.ndarray:
+    """The coefficient windows of `states` as the rows of one array over
+    their common index range, zero-padded."""
+    lo = min(s.n_lo for s in states)
+    rows = np.zeros((len(states), max(s.n_hi for s in states) - lo + 1),
+                    dtype=complex)
+    for row, s in zip(rows, states):
+        row[s.n_lo - lo:s.n_hi - lo + 1] = s.coeffs
+    return rows
 
 
 def _require_same_sector(s2: CircleState, s1: CircleState) -> None:
@@ -232,7 +233,7 @@ def _require_same_sector(s2: CircleState, s1: CircleState) -> None:
 def inner(state2: CircleState, state1: CircleState) -> complex:
     """Scalar product (psi2, psi1) = sum_n conj(c2_n) c1_n."""
     _require_same_sector(state2, state1)
-    a, b = _common_window(state2, state1)
+    a, b = _windows(state2, state1)
     return complex(np.vdot(a, b))
 
 
@@ -278,26 +279,21 @@ class UncertaintyReport:
     sigma: Optional[complex]
 
 
-def uncertainty_report(a: str, b: str, state: CircleState) -> UncertaintyReport:
-    """Evaluate the variance inequality for operators a, b on a normalized
-    copy of `state`.
+def _centred_report(rows: np.ndarray, tol: float) -> UncertaintyReport:
+    """The variance inequality of a pair (A, B) from the coefficient rows
+    psi, A psi, B psi on one index range, psi normalized and A, B
+    self-adjoint; saturated means |lhs - rhs| < tol * lhs.
 
     The variances, covariance and commutator are the Gram entries of the
     centred vectors (A - <A>) psi and (B - <B>) psi, so lhs >= rhs is the
     Cauchy-Schwarz inequality and holds to rounding even when a variance is
     far below <A^2>, where <A^2> - <A>^2 loses it to cancellation.
     """
-    psi = state.normalized()
-    states = (psi, apply_operator(a, psi), apply_operator(b, psi))
-    lo = min(s.n_lo for s in states)
-    vecs = np.zeros((3, max(s.n_hi for s in states) - lo + 1), dtype=complex)
-    for vec, s in zip(vecs, states):
-        vec[s.n_lo - lo:s.n_hi - lo + 1] = s.coeffs
-    p, a_psi, b_psi = vecs
-    mean_a = complex(np.vdot(p, a_psi)).real
-    mean_b = complex(np.vdot(p, b_psi)).real
-    da = a_psi - mean_a * p
-    db = b_psi - mean_b * p
+    psi, a_psi, b_psi = rows
+    mean_a = complex(np.vdot(psi, a_psi)).real
+    mean_b = complex(np.vdot(psi, b_psi)).real
+    da = a_psi - mean_a * psi
+    db = b_psi - mean_b * psi
     var_a = complex(np.vdot(da, da)).real
     var_b = complex(np.vdot(db, db)).real
     ab = np.vdot(da, db)
@@ -305,7 +301,7 @@ def uncertainty_report(a: str, b: str, state: CircleState) -> UncertaintyReport:
     commutator_mean = ab - np.conj(ab)  # <AB> - <BA> = 2i Im <dA psi, dB psi>
     lhs = var_a * var_b
     rhs = covariance ** 2 + 0.25 * abs(commutator_mean) ** 2
-    saturated = abs(lhs - rhs) < 1e-10 * max(lhs, 1e-30)
+    saturated = abs(lhs - rhs) < tol * max(lhs, 1e-30)
     sigma = None
     if saturated and var_a > 0:
         gamma = covariance / var_a
@@ -314,6 +310,15 @@ def uncertainty_report(a: str, b: str, state: CircleState) -> UncertaintyReport:
     return UncertaintyReport(mean_a, mean_b, var_a, var_b, covariance,
                              complex(commutator_mean), lhs, rhs, saturated,
                              sigma)
+
+
+def uncertainty_report(a: str, b: str, state: CircleState) -> UncertaintyReport:
+    """Evaluate the variance inequality for operators a, b on a normalized
+    copy of `state`, from the centred vectors (see `_centred_report`);
+    saturated within 1e-10 relative."""
+    psi = state.normalized()
+    rows = _windows(psi, apply_operator(a, psi), apply_operator(b, psi))
+    return _centred_report(rows, 1e-10)
 
 
 # The translation taps are cut where the dropped |J_k|^2 sum to below this,

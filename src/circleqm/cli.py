@@ -19,6 +19,7 @@ eps omega t (n+delta)^2 / 2 reaches 2^52 rad.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -104,36 +105,33 @@ def _grid(doc: dict, key: str, default=None) -> list:
 # verify
 
 
-def _check_theta_modular():
+def _theta_transform_residual(kind, partner, im_taus, zetas, floor):
+    """Worst relative defect of theta_kind(z | tau) = (-i tau)^(-1/2)
+    exp(z^2 / (i pi tau)) theta_partner(z / tau | -1/tau), both sides
+    summed directly, at tau = i im_tau; |lhs| is floored at `floor`."""
     worst = 0.0
-    for im_tau in (0.5, 1.0, 2.0, 5.0):
+    for im_tau in im_taus:
         tau = 1j * im_tau
         nome = specfun.ThetaNome.from_tau(tau)
         nome2 = specfun.ThetaNome.from_tau(-1.0 / tau)
-        for re_z in np.linspace(-math.pi, math.pi, 4):
-            for im_z in np.linspace(-2.0, 2.0, 4):
-                z = complex(re_z, im_z)
-                lhs = specfun.theta(3, z, nome, method="direct")
-                rhs = ((-1j * tau) ** -0.5
-                       * np.exp(z * z / (1j * math.pi * tau))
-                       * specfun.theta(3, z / tau, nome2, method="direct"))
-                worst = max(worst, abs(lhs - rhs) / abs(lhs))
+        for z in zetas:
+            lhs = specfun.theta(kind, z, nome, method="direct")
+            rhs = ((-1j * tau) ** -0.5
+                   * np.exp(z * z / (1j * math.pi * tau))
+                   * specfun.theta(partner, z / tau, nome2, method="direct"))
+            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), floor))
     return worst
+
+
+def _check_theta_modular():
+    zetas = [complex(re_z, im_z) for re_z in np.linspace(-math.pi, math.pi, 4)
+             for im_z in np.linspace(-2.0, 2.0, 4)]
+    return _theta_transform_residual(3, 3, (0.5, 1.0, 2.0, 5.0), zetas, 0.0)
 
 
 def _check_theta_two_four():
-    worst = 0.0
-    for im_tau in (0.6, 1.0, 3.0):
-        tau = 1j * im_tau
-        nome = specfun.ThetaNome.from_tau(tau)
-        nome2 = specfun.ThetaNome.from_tau(-1.0 / tau)
-        for z in (0.0, 0.4, 1.0 + 0.5j, -0.9 + 1.2j):
-            lhs = specfun.theta(2, z, nome, method="direct")
-            rhs = ((-1j * tau) ** -0.5
-                   * np.exp(z * z / (1j * math.pi * tau))
-                   * specfun.theta(4, z / tau, nome2, method="direct"))
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-3))
-    return worst
+    return _theta_transform_residual(2, 4, (0.6, 1.0, 3.0),
+                                     (0.0, 0.4, 1.0 + 0.5j, -0.9 + 1.2j), 1e-3)
 
 
 def _check_elliptic_identities():
@@ -337,7 +335,7 @@ def _check_ladder_kj():
         worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-30))
         mat = ladder.kj_matrix_elements(ctx, PhasePoint.from_z(z))
         scale = max(abs(rep.var_k), 1.0)
-        worst = max(worst, abs(rep.var_k - mat.var_k) / scale * 1e-4)
+        worst = max(worst, abs(rep.var_k - mat.var_k) / scale)
     return worst
 
 
@@ -372,7 +370,12 @@ def _check_evolve_kernel_vs_spectral():
     spec = evolve.EvolutionSpec(Params(1.0, 1.0), sector, 0.9, eta=1e-6)
     phi_out = np.linspace(0, 2 * math.pi, 4, endpoint=False)
     via_kernel = evolve.kernel_apply(spec, psi, phi_out)
-    ref = evolve.propagate(spec, psi).evaluate(phi_out)
+    # the kernel's eta-bias exp(-eps omega eta (n+delta)^2 / 2) (eps = omega
+    # = 1 here), folded into the reference so that the residual measures
+    # the kernel alone
+    bias = np.exp(-0.5 * spec.eta * (psi.indices + sector.delta) ** 2)
+    damped = evolve.propagate(spec, psi).coeffs * bias
+    ref = circlespace.CircleState(sector, psi.n_lo, damped).evaluate(phi_out)
     return float(np.max(np.abs(via_kernel - ref)))
 
 
@@ -438,7 +441,7 @@ _VERIFY_SUITES = {
         ("kernel-two-faces", "spectral vs Gaussian-prefactor kernel",
          _check_evolve_kernel_faces, 1e-9),
         ("kernel-vs-spectral", "kernel quadrature matches propagation",
-         _check_evolve_kernel_vs_spectral, 1e-6),
+         _check_evolve_kernel_vs_spectral, 1e-11),
     ],
 }
 
@@ -557,30 +560,12 @@ def _cmd_state(args) -> int:
     doc = _load_config(args.config)
     family = doc.get("family")
     if family == "min":
-        e = mincs.min_expectations(_min_params_from(doc))
-        record = {
-            "mean_c": e.mean_c, "mean_s": e.mean_s, "mean_l": e.mean_l,
-            "mean_c2": e.mean_c2, "mean_s2": e.mean_s2, "mean_l2": e.mean_l2,
-            "var_c": e.var_c, "var_s": e.var_s, "var_l": e.var_l,
-            "cov_cl": e.cov_cl, "cov_sl": e.cov_sl, "cov_cs": e.cov_cs,
-        }
+        record = dataclasses.asdict(
+            mincs.min_expectations(_min_params_from(doc)))
     elif family == "wz":
         params, z = _wz_from(doc)
-        e = zakcs.w_expectations(params, z)
-        record = {
-            "mean_u": e.mean_u, "mean_udag": e.mean_udag,
-            "mean_c": e.mean_c, "mean_s": e.mean_s, "mean_l": e.mean_l,
-            "mean_c2": e.mean_c2, "mean_s2": e.mean_s2,
-            "var_c": e.var_c, "var_s": e.var_s,
-            "var_l_scaled": e.var_l_scaled,
-            "corr_cl_scaled": e.corr_cl_scaled,
-            "leading_order": {
-                "ratio43": e.leading.ratio43,
-                "mean_l": e.leading.mean_l,
-                "var_l_scaled": e.leading.var_l_scaled,
-                "corr_cl_scaled": e.leading.corr_cl_scaled,
-            },
-        }
+        record = dataclasses.asdict(zakcs.w_expectations(params, z))
+        record["leading_order"] = record.pop("leading")
         if args.density_out:
             n = int(_get(doc, "density_points", 256, int))
             phi = z.theta - math.pi + np.arange(n) * (2.0 * math.pi / n)
@@ -597,25 +582,21 @@ def _cmd_state(args) -> int:
 def _cmd_overlap(args) -> int:
     doc = _load_config(args.config)
     family = doc.get("family")
+    if family not in ("min", "wz"):
+        raise ConfigError("key 'family' must be 'min' or 'wz'")
+    first = doc.get("first")
+    second = doc.get("second")
+    if not isinstance(first, dict) or not isinstance(second, dict):
+        raise ConfigError("keys 'first' and 'second' must be objects")
     if family == "min":
-        first = doc.get("first")
-        second = doc.get("second")
-        if not isinstance(first, dict) or not isinstance(second, dict):
-            raise ConfigError("keys 'first' and 'second' must be objects")
         res = mincs.min_overlap(_min_params_from(second),
                                 _min_params_from(first))
         record = {"value": res.value, "valid": res.valid}
-    elif family == "wz":
-        first = doc.get("first")
-        second = doc.get("second")
-        if not isinstance(first, dict) or not isinstance(second, dict):
-            raise ConfigError("keys 'first' and 'second' must be objects")
+    else:
         params = WZParams(_need(doc, "epsilon"), Sector(_need(doc, "delta")))
         z1 = PhasePoint(_need(first, "theta"), _need(first, "l"))
         z2 = PhasePoint(_need(second, "theta"), _need(second, "l"))
         record = {"value": zakcs.w_overlap(params, z1, z2)}
-    else:
-        raise ConfigError("key 'family' must be 'min' or 'wz'")
     _emit(_render(record, args.format), args.out)
     return 0
 
@@ -680,16 +661,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "reference tables, coherent-state reports.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", default="json", choices=("json", "csv"),
-                        help="report format where applicable")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override every check tolerance (verify only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run invariant suites and report residuals")
     p.add_argument("suite", choices=("all", "specfun", "mincs", "zakcs",
                                      "ladder", "evolve", "e2"))
+    p.add_argument("--tol", type=float, default=None,
+                   help="override every check tolerance")
 
     p = sub.add_parser("table", parents=[common], help="emit reference tables")
     p.add_argument("name", choices=("mincs-g", "transition", "kj"))
@@ -701,6 +680,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            ("kernel", "propagator kernel samples")):
         p = sub.add_parser(name, parents=[common], help=helptext)
         p.add_argument("config", nargs="?", default=None)
+        if name in ("state", "overlap"):
+            p.add_argument("--format", default="json", choices=("json", "csv"),
+                           help="report format")
         if name == "state":
             p.add_argument("--density-out", default=None,
                            help="also write the angular density CSV here")

@@ -20,7 +20,7 @@ import numpy as np
 
 from circleqm.circlespace import CircleState, Params, Sector, operator_coeffs
 from circleqm.mincs import MinUncParams, min_state
-from circleqm.specfun import ThetaNome, _theta_sum, theta
+from circleqm.specfun import ThetaNome, theta
 from circleqm.zakcs import PhasePoint
 
 __all__ = [
@@ -125,54 +125,31 @@ def moment_series(params: Params, state: CircleState, times) -> np.ndarray:
     return np.column_stack((mean_c, mean_s, mean_l, var_c, var_s, var_l, fid))
 
 
-def _kernel_series(spec: EvolutionSpec, dphi: np.ndarray) -> np.ndarray:
-    eps, delta = spec.params.epsilon, spec.sector.delta
-    T = spec.complex_time
-    nome = ThetaNome.from_q(cmath.exp(-0.5j * eps * T))
-    zeta = (dphi - eps * delta * T) / 2.0
-    return (cmath.exp(-0.5j * eps * delta * delta * T)
-            * np.exp(1j * delta * dphi)
-            * theta(3, zeta, nome, method="direct"))
-
-
-def _kernel_gaussian(spec: EvolutionSpec, dphi: np.ndarray) -> np.ndarray:
-    """The modular face: a free-spreading Gaussian times theta_3 of the
-    reciprocal nome exp(2 i pi^2 / (eps T)).
-
-    The Gaussian decays exactly as fast as the theta series grows (their
-    product is the bounded kernel), so it enters `_theta_sum` as the offset
-    fused into every term's exponent; evaluated apart the two overflow
-    around |dphi| ~ pi for small eta.  With dphi reduced to [-pi, pi),
-    max |Im zeta| <= -Re(log q)/2, so large arrays stay on the blocked
-    route of `_theta_sum`.  The series' term budget applies: a nome too
-    close to the unit circle raises ValueError.
-    """
-    eps, delta = spec.params.epsilon, spec.sector.delta
-    T = spec.complex_time
-    lq = 2j * math.pi ** 2 / (eps * T)
-    shifted = dphi - eps * delta * T
-    zeta = math.pi * shifted / (eps * T)
-    envelope = -shifted * shifted / (2j * eps * T)
-    total, _, _ = _theta_sum(3, zeta, lq, False, offset=envelope)
-    pref = cmath.sqrt(2.0 * math.pi) * (1j * eps * T) ** -0.5
-    return (pref * cmath.exp(-0.5j * eps * delta * delta * T)
-            * np.exp(1j * delta * dphi) * total)
+# kernel form -> theta method: the spectral series is theta's direct sum,
+# the Gaussian-prefactor face its tau -> -1/tau transform
+_KERNEL_METHODS = {"series": "direct", "gaussian": "transform", "auto": "auto"}
 
 
 def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     """Propagator kernel at angle difference dphi.
 
-    form "series" is the spectral sum written as a theta function of nome
-    exp(-i eps omega (t - i eta)/2); form "gaussian" is its modular
-    transform, with a free-spreading Gaussian prefactor and the reciprocal
-    nome exp(2 i pi^2 / (eps omega (t - i eta))).  "auto" picks the face
-    whose nome is smaller; the two agree to machine precision because the
-    complex time enters both uniformly.
+    The kernel is theta_3((dphi - eps delta T)/2 | nome exp(-i eps T/2)),
+    T = omega (t - i eta), times the delta phases.  form "series" sums that
+    theta series directly; form "gaussian" evaluates its modular transform,
+    a free-spreading Gaussian times theta_3 of the reciprocal nome (for
+    eps omega t < 2 pi, exp(2 i pi^2 / (eps T))); "auto" leaves the choice
+    to `specfun.theta`, which takes the transform once |q| > exp(-pi) and
+    the reciprocal nome is smaller.  The two faces agree to rounding
+    because the complex time enters both uniformly.  A nome too close to
+    the unit circle for the chosen face raises ValueError (the series'
+    term budget).
     """
     if spec.eta <= 0:
         raise ValueError("kernel evaluation needs eta > 0 (|q| < 1)")
     if spec.t == 0 and spec.eta == 0:
         raise ValueError("kernel undefined at t = eta = 0")
+    if form not in _KERNEL_METHODS:
+        raise ValueError(f"unknown kernel form {form!r}")
     scalar = np.isscalar(dphi)
     dphi_arr = np.atleast_1d(np.asarray(dphi, dtype=float))
     # reduce by the kernel's quasi-periodicity K(dphi + 2 pi) =
@@ -180,18 +157,13 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     winding = np.floor((dphi_arr + math.pi) / (2.0 * math.pi))
     dphi_arr = dphi_arr - 2.0 * math.pi * winding
     winding_phase = np.exp(1j * 2.0 * math.pi * spec.sector.delta * winding)
-    eps = spec.params.epsilon
+    eps, delta = spec.params.epsilon, spec.sector.delta
     T = spec.complex_time
-    if form == "auto":
-        q_series = abs(cmath.exp(-0.5j * eps * T))
-        q_gauss = abs(cmath.exp(2j * math.pi ** 2 / (eps * T)))
-        form = "series" if q_series <= q_gauss else "gaussian"
-    if form == "series":
-        vals = _kernel_series(spec, dphi_arr)
-    elif form == "gaussian":
-        vals = _kernel_gaussian(spec, dphi_arr)
-    else:
-        raise ValueError(f"unknown kernel form {form!r}")
+    nome = ThetaNome.from_q(cmath.exp(-0.5j * eps * T))
+    zeta = (dphi_arr - eps * delta * T) / 2.0
+    vals = (cmath.exp(-0.5j * eps * delta * delta * T)
+            * np.exp(1j * delta * dphi_arr)
+            * theta(3, zeta, nome, method=_KERNEL_METHODS[form]))
     vals = vals * winding_phase
     return complex(vals[0]) if scalar else vals
 
@@ -208,9 +180,9 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out,
     coefficient relative to `propagate`.
 
     The kernel is sampled on (output angle x node) grids of about 400,000
-    points per call at most.  Large grids take the blocked theta route
-    (terms in blocks of ~sqrt(terms), each block summed by one matmul per
-    chunk of points, see `specfun._theta_sum`), whose temporaries are
+    points per call at most.  On either face, large grids take the blocked
+    route of `specfun.theta` (terms in blocks of ~sqrt(terms), each block
+    summed by one matmul per chunk of points), whose temporaries are
     capped at 2^16 elements, so memory stays at a few grid-sized arrays.
     """
     if state.sector.delta != spec.sector.delta:

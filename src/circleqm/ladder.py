@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circleqm.circlespace import CircleState, Sector, inner
+from circleqm.circlespace import (
+    CircleState,
+    Sector,
+    _centred_report,
+    _windows,
+)
 from circleqm.zakcs import PhasePoint, WZParams, w_state
 
 __all__ = [
@@ -162,36 +167,20 @@ def pair_stats(ctx: LadderContext, state: CircleState) -> KJReport:
     """K/J statistics of an arbitrary normalized finite-window state from
     matrix elements.
 
-    All moments reduce to inner products of the ladder images:
-    <B^2> = (Bdag psi, B psi), <Bdag B> = (B psi, B psi), <B Bdag> =
-    (Bdag psi, Bdag psi), (KJ + JK)/2 = i(Bdag^2 - B^2) and
-    [K, J] = 2i [B, Bdag].
+    K psi = B psi + Bdag psi and J psi = i (Bdag psi - B psi) on one index
+    range give the means and the Gram record of the centred vectors (see
+    `circlespace._centred_report`); saturated within 1e-8 relative.
     """
     psi = state.normalized()
-    bw = apply_B(ctx, psi)
-    bdw = apply_Bdag(ctx, psi)
-    mean_b = inner(psi, bw)
-    mean_bd = inner(psi, bdw)
-    mean_k = (mean_b + mean_bd).real
-    mean_j = (1j * (mean_bd - mean_b)).real
-    b_sq = inner(bdw, bw)        # <B^2>
-    bdb = inner(bw, bw).real     # <Bdag B>
-    bbd = inner(bdw, bdw).real   # <B Bdag>
-    mean_k2 = 2.0 * b_sq.real + bdb + bbd
-    mean_j2 = -2.0 * b_sq.real + bdb + bbd
-    var_k = mean_k2 - mean_k ** 2
-    var_j = mean_j2 - mean_j ** 2
-    cov = 2.0 * b_sq.imag - mean_k * mean_j
-    commutator = 2j * (bbd - bdb)
-    lhs = var_k * var_j
-    rhs = cov ** 2 + 0.25 * abs(commutator) ** 2
-    theta_rec = math.atan2(-mean_j, mean_k) % (2.0 * math.pi)
-    mag_sq = (mean_k ** 2 + mean_j ** 2) / 4.0
+    p, b, bd = _windows(psi, apply_B(ctx, psi), apply_Bdag(ctx, psi))
+    rep = _centred_report(np.stack([p, b + bd, 1j * (bd - b)]), 1e-8)
+    theta_rec = math.atan2(-rep.mean_b, rep.mean_a) % (2.0 * math.pi)
+    mag_sq = (rep.mean_a ** 2 + rep.mean_b ** 2) / 4.0
     l_rec = 0.5 * math.log(mag_sq) if mag_sq > 0 else -math.inf
     return KJReport(
-        mean_k=mean_k, mean_j=mean_j, var_k=var_k, var_j=var_j,
-        covariance=cov, commutator_mean=commutator,
-        saturated=abs(lhs - rhs) < 1e-8 * max(lhs, 1e-30),
+        mean_k=rep.mean_a, mean_j=rep.mean_b, var_k=rep.var_a,
+        var_j=rep.var_b, covariance=rep.covariance,
+        commutator_mean=rep.commutator_mean, saturated=rep.saturated,
         theta_recovered=theta_rec, l_recovered=l_rec,
     )
 

@@ -174,11 +174,11 @@ def saturation_gap(params: MinUncParams, pair: str = "CL"):
 class OverlapResult:
     """Closed-form overlap value plus a validity flag.
 
-    valid is False when the square-root argument s^2 cos^2 - gamma^2 sin^2
-    goes negative, so that the Bessel factor takes an imaginary argument,
-    or when the momentum difference is fractional (distinct sectors, a
-    formal value).  The coefficient-space inner product is the reference
-    there.
+    valid means the value is the exact scalar product.  It is False only
+    for a fractional momentum difference (distinct sectors, a formal value
+    returned with allow_sector_mismatch), where no scalar product exists.
+    A negative square-root argument s^2 cos^2 - gamma^2 sin^2 is valid:
+    the branch-free form is entire in it.
     """
 
     value: complex
@@ -222,7 +222,7 @@ def min_overlap(p2: MinUncParams, p1: MinUncParams,
     root_arg = s * s * ch * ch - gamma * gamma * sh * sh  # = -num den
     phase = np.exp(1j * (p2.alpha - p1.alpha) * (p1.l_tilde + p2.l_tilde) / 2.0)
     # fractional dl means distinct sectors: formal value, never valid
-    valid = dl == round(dl) and root_arg >= 0.0
+    valid = dl == round(dl)
 
     order = abs(dl)
     base = -1j * (num if dl >= 0 else den)

@@ -139,8 +139,9 @@ def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool,
       derivative weights 2im and -4m^2 ride in the same matmul as extra
       rows of the scalar table.  The powers of w grow to at most
       exp(4 (nmax + 1) b), b = max |Im zeta|; past `_BLOCK_MAX_GROWTH` the
-      plain series is used instead.  (On both kernel faces b <= -Re(lq),
-      which keeps that growth small whenever there are many terms.)  A
+      plain series is used instead.  (`evolve.kernel` reduces its angles
+      to [-pi, pi), which keeps b <= -Re(lq) on its series face, and on its
+      transformed face while eps omega t < 2 pi.)  A
       result below about exp(-745 + _BLOCK_MAX_GROWTH) can flush to zero
       on this route.  The point axis is chunked so that no temporary holds
       more than `_BLOCK_CHUNK` elements.

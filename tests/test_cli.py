@@ -59,8 +59,14 @@ class TestInProcess:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "wz", "epsilon": 0.7,
                                    "delta": 0.2, "theta": 0.9, "l": 0.4}))
+        kcfg = tmp_path / "kernel.json"
+        kcfg.write_text(json.dumps({"t": 0.5, "eta": 1e-3, "n_points": 4}))
+        # the usage errors: a bad --format choice, and --tol where only
+        # verify takes it
         calls = [["state", str(cfg)], ["state", "--format", "xml", str(cfg)],
-                 ["verify", "specfun", "--tol", "1e-3"], ["state", str(cfg)]]
+                 ["verify", "specfun", "--tol", "1e-3"],
+                 ["kernel", str(kcfg), "--tol", "1e-3"], ["state", str(cfg)]]
+        codes = []
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -75,7 +81,8 @@ class TestInProcess:
                                    timeout=120)
             assert (code, captured.out, captured.err) == (
                 fresh.returncode, fresh.stdout, fresh.stderr), argv
-        assert code == 0 and captured.out
+            codes.append(code)
+        assert codes == [0, 2, 0, 2, 0] and captured.out
 
 
 class TestTable:

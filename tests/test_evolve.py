@@ -205,8 +205,11 @@ class TestKernel:
         spec = EvolutionSpec(Params(eps, 1.0), sector, wt, eta=eta)
         phi_out = np.linspace(0, 2 * math.pi, 5, endpoint=False)
         via_kernel = kernel_apply(spec, psi, phi_out)
-        ref = propagate(spec, psi).evaluate(phi_out)
-        assert np.max(np.abs(via_kernel - ref)) < 1e-6
+        # the reference carries the kernel's eta-bias on each coefficient
+        bias = np.exp(-0.5 * eps * eta * (psi.indices + delta) ** 2)
+        ref = CircleState(sector, psi.n_lo,
+                          propagate(spec, psi).coeffs * bias).evaluate(phi_out)
+        assert np.max(np.abs(via_kernel - ref)) < 1e-11
 
     def test_delta_limit_convergence_sweep(self):
         # as t -> 0 (eta = t/100) the kernel approaches the reproducing

@@ -166,6 +166,19 @@ class TestKJReport:
             assert abs(rep.covariance - mat.covariance) < 1e-8 * scale
             assert abs(rep.commutator_mean - mat.commutator_mean) < 1e-8 * scale
 
+    @pytest.mark.parametrize("theta_ang", [0.0, 1.0, 2.5, 4.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    def test_small_eps_variances_to_rounding(self, theta_ang, delta):
+        # at eps = 0.01, l = 1.5 the variance (e^{2 eps} - 1) e^{2l} ~ 0.4
+        # is under 1% of <K^2> ~ 80: raw moments would lose two digits to
+        # cancellation, the centred vectors keep rounding level
+        ctx = LadderContext(0.01, Sector(delta))
+        rep = kj_report(ctx, PhasePoint(theta_ang, 1.5))
+        mat = kj_matrix_elements(ctx, PhasePoint(theta_ang, 1.5))
+        scale = max(abs(rep.var_k), 1.0)
+        assert abs(rep.var_k - mat.var_k) < 2e-15 * scale
+        assert abs(rep.var_j - mat.var_j) < 2e-15 * scale
+
     @pytest.mark.parametrize("theta_ang,l", [(0.0, 0.0), (1.2, 0.5),
                                              (4.0, -0.8), (3.14, 1.0)])
     def test_parameter_recovery(self, theta_ang, l):

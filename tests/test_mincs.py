@@ -218,8 +218,8 @@ class TestMinOverlap:
         p2 = MinUncParams(a2, l2, gamma, s)
         res = min_overlap(p2, p1)
         ref = self.coefficient_overlap(p2, p1)
-        if res.valid:
-            assert abs(res.value - ref) < 1e-8
+        assert res.valid
+        assert abs(res.value - ref) < 1e-8
 
     def test_orthogonal_angles_root_collapses(self):
         s = 0.7
@@ -230,14 +230,14 @@ class TestMinOverlap:
         assert abs(res.value - ref) < 1e-8
         assert abs(res.value) < 1e-8  # I_2 at (near-)zero argument
 
-    def test_invalid_region_flagged_and_oracle_authoritative(self):
+    def test_negative_root_argument_is_exact(self):
         gamma, s = 2.0, 0.2  # gamma-dominated: root argument goes negative
         p1 = MinUncParams(2.0, 1.0, gamma, s)
         p2 = MinUncParams(0.0, 0.0, gamma, s)
         res = min_overlap(p2, p1)
-        assert not res.valid
+        assert res.valid
         ref = self.coefficient_overlap(p2, p1)
-        assert abs(ref) <= 1.0 + 1e-12  # the oracle value is always sane
+        assert abs(res.value - ref) < 1e-12
 
     def test_mismatched_sector_rejected(self):
         with pytest.raises(ValueError):
