@@ -41,7 +41,7 @@ print(f"  transporter alpha = {g.alpha:.6f}, t = {g.t:.6f}")
 print(f"  lands on ({landed.phi:.12f}, {landed.p_phi:.12f}) "
       f"vs target ({s2.phi}, {s2.p_phi})\n")
 
-print("the action is symplectic (|det J - 1| by finite differences):")
+print("the action is symplectic (|det J - 1| by complex-step derivatives):")
 rng = np.random.default_rng(1)
 worst = max(symplectic_residual(
     GroupElement(rng.uniform(-6, 6),

@@ -46,7 +46,11 @@ __all__ = [
 @dataclass(frozen=True)
 class Sector:
     """Boundary-condition label delta in [0, 1), optionally with the covering
-    order q when delta = p/q in lowest terms."""
+    order q when delta = p/q in lowest terms.  Labels with |delta1 -
+    delta2| < 1e-9 are one Hilbert space (frac(l) of momenta an integer
+    apart differs by up to 9.3e-10 at |l| = 1e7); there is no wrap-around,
+    as labels near 1 and near 0 index their windows one apart.  Every
+    function that pairs two sectors raises ValueError for any other pair."""
 
     delta: float
     covering_order: Optional[int] = None
@@ -68,6 +72,27 @@ class Sector:
     def from_fraction(cls, p: int, q: int) -> "Sector":
         frac = Fraction(p, q)
         return cls(float(frac % 1), (frac % 1).denominator)
+
+
+# Sector labels closer than this name one Hilbert space (see `Sector`).
+_SECTOR_TOL = 1e-9
+
+
+def _fold(x: float) -> float:
+    """x mod 1 in [0, 1), taking the rounding case x % 1.0 == 1.0 (tiny
+    negative x) to 0."""
+    f = x % 1.0
+    return 0.0 if f == 1.0 else f
+
+
+def _same_sector(delta1: float, delta2: float) -> bool:
+    return abs(delta1 - delta2) < _SECTOR_TOL
+
+
+def _require_same_sector(sector1: Sector, sector2: Sector) -> None:
+    if not _same_sector(sector1.delta, sector2.delta):
+        raise ValueError(f"delta = {sector1.delta!r} and {sector2.delta!r} "
+                         "label different Hilbert spaces")
 
 
 @dataclass(frozen=True)
@@ -224,15 +249,22 @@ def _windows(*states: CircleState) -> np.ndarray:
     return rows
 
 
-def _require_same_sector(s2: CircleState, s1: CircleState) -> None:
-    if s2.sector.delta != s1.sector.delta:
-        raise ValueError(
-            "states with different delta live in different Hilbert spaces")
+def _dots(a: np.ndarray, b: np.ndarray):
+    """(a, b) = sum conj(a) b along the last axis, one value per row (a
+    scalar for 1-d a and b, with the same bits as np.vdot)."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0][()]
+
+
+def _centred(psi: np.ndarray, x_psi: np.ndarray):
+    """Row-wise <X> = Re (psi, X psi) and the centred rows (X - <X>) psi,
+    whose squared norms are the variances without <X^2> - <X>^2."""
+    mean = _dots(psi, x_psi).real
+    return mean, x_psi - mean[..., None] * psi
 
 
 def inner(state2: CircleState, state1: CircleState) -> complex:
     """Scalar product (psi2, psi1) = sum_n conj(c2_n) c1_n."""
-    _require_same_sector(state2, state1)
+    _require_same_sector(state2.sector, state1.sector)
     a, b = _windows(state2, state1)
     return complex(np.vdot(a, b))
 
@@ -245,7 +277,7 @@ def inner_quadrature(state2: CircleState, state1: CircleState,
     for delta != 0, so the uniform rule with more nodes than twice the
     bandwidth is exact; serves as the independent oracle for `inner`.
     """
-    _require_same_sector(state2, state1)
+    _require_same_sector(state2.sector, state1.sector)
     width = max(state2.n_hi, state1.n_hi) - min(state2.n_lo, state1.n_lo) + 1
     m = n_nodes or (4 * width + 16)
     phi = np.arange(m) * (2.0 * math.pi / m)
@@ -284,19 +316,13 @@ def _centred_report(rows: np.ndarray, tol: float) -> UncertaintyReport:
     psi, A psi, B psi on one index range, psi normalized and A, B
     self-adjoint; saturated means |lhs - rhs| < tol * lhs.
 
-    The variances, covariance and commutator are the Gram entries of the
-    centred vectors (A - <A>) psi and (B - <B>) psi, so lhs >= rhs is the
-    Cauchy-Schwarz inequality and holds to rounding even when a variance is
-    far below <A^2>, where <A^2> - <A>^2 loses it to cancellation.
+    The entries are the Gram entries of the centred rows (see `_centred`),
+    so lhs >= rhs is the Cauchy-Schwarz inequality and holds to rounding.
     """
-    psi, a_psi, b_psi = rows
-    mean_a = complex(np.vdot(psi, a_psi)).real
-    mean_b = complex(np.vdot(psi, b_psi)).real
-    da = a_psi - mean_a * psi
-    db = b_psi - mean_b * psi
-    var_a = complex(np.vdot(da, da)).real
-    var_b = complex(np.vdot(db, db)).real
-    ab = np.vdot(da, db)
+    means, centred = _centred(rows[0], rows[1:])
+    mean_a, mean_b = means.tolist()
+    var_a, var_b = _dots(centred, centred).real.tolist()
+    ab = _dots(*centred)
     covariance = ab.real
     commutator_mean = ab - np.conj(ab)  # <AB> - <BA> = 2i Im <dA psi, dB psi>
     lhs = var_a * var_b
@@ -340,8 +366,7 @@ def rep_apply(alpha: float, a: float, b: float, rep: RepLabel,
     with the taps (-i)^k J_k(R) e^{-i k beta}, and the window grows by the
     Bessel half-width on each side.
     """
-    if rep.sector.delta != state.sector.delta:
-        raise ValueError("representation sector must match the state sector")
+    _require_same_sector(rep.sector, state.sector)
     coeffs = state.coeffs
     if alpha != 0.0:
         coeffs = coeffs * np.exp(-1j * (state.indices + state.sector.delta) * alpha)
@@ -366,7 +391,6 @@ def ground_state(params: Params, sector: Sector):
     Returns (n_star, energy, degenerate); at delta = 1/2 the two candidates
     coincide in energy and the flag is set (n_star reported as 0).
     """
-    d = sector.delta
     e0 = energy(0, params, sector)
     e1 = energy(-1, params, sector)
     if abs(e0 - e1) < 1e-15 * max(abs(e0), 1.0):
@@ -378,30 +402,25 @@ def delta_from_flux(charge: float, flux: float):
     """Sector and interference shift of a threaded flux line (hbar = 1):
     delta = frac(q Phi / 2 pi), Delta theta = q Phi."""
     shift = charge * flux
-    delta = (shift / (2.0 * math.pi)) % 1.0
-    return delta, shift
+    return _fold(shift / (2.0 * math.pi)), shift
+
+
+def _reflected(state: CircleState, coeffs: np.ndarray) -> CircleState:
+    """The reversed window coeffs in the conjugate sector delta' = (1 -
+    delta) mod 1: index n goes to -n - k, k = delta + delta' (1, or 0 where
+    delta' = 0), so that -(n + delta) = (-n - k) + delta'."""
+    sector = Sector(_fold(1.0 - state.sector.delta))
+    k = round(state.sector.delta + sector.delta)
+    return CircleState(sector, -state.n_hi - k, coeffs)
 
 
 def time_reversal(state: CircleState) -> CircleState:
-    """Complex conjugation: maps the sector to (1 - delta) mod 1.
-
-    conj(e_{n,delta}) = e_{-n-1, 1-delta} for delta != 0 and e_{-n, 0} at
-    delta = 0, so coefficients are conjugated and the window reversed with
-    the matching index relabeling.
-    """
-    d = state.sector.delta
-    conj = np.conj(state.coeffs[::-1])
-    if d == 0.0:
-        return CircleState(Sector(0.0), -state.n_hi, conj)
-    new_sector = Sector(1.0 - d)
-    return CircleState(new_sector, -state.n_hi - 1, conj)
+    """Complex conjugation: conj(e_{n,delta}) = e_{-n-1, 1-delta} for
+    delta != 0 and e_{-n, 0} at delta = 0 (see `_reflected`)."""
+    return _reflected(state, np.conj(state.coeffs[::-1]))
 
 
 def parity(state: CircleState) -> CircleState:
     """Reflection: eigenvalues (n + delta) -> -(n + delta), same relabeling
     as time reversal but without conjugation."""
-    d = state.sector.delta
-    rev = state.coeffs[::-1].copy()
-    if d == 0.0:
-        return CircleState(Sector(0.0), -state.n_hi, rev)
-    return CircleState(Sector(1.0 - d), -state.n_hi - 1, rev)
+    return _reflected(state, state.coeffs[::-1].copy())

@@ -8,6 +8,7 @@ covers (mod 2 pi q) and the universal cover (no reduction).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -91,50 +92,44 @@ def compose(g2: GroupElement, g1: GroupElement) -> GroupElement:
     return GroupElement(alpha, complex(t), g2.mode, g2.cover_q)
 
 
+def _image(g: GroupElement, phi, p):
+    """`act` before the angle is reduced mod 2 pi; phi and p may be complex
+    (for the complex-step derivative)."""
+    phi = phi + g.alpha
+    trig = cmath if isinstance(phi, complex) else math
+    return phi, p + g.a * trig.sin(phi) - g.b * trig.cos(phi)
+
+
 def act(g: GroupElement, s: PhaseSpacePoint) -> PhaseSpacePoint:
     """(phi, p) -> (phi + alpha mod 2 pi, p + a sin(phi+alpha) - b cos(phi+alpha))."""
-    phi = s.phi + g.alpha
-    p = s.p_phi + g.a * math.sin(phi) - g.b * math.cos(phi)
-    return PhaseSpacePoint(phi, p)
+    return PhaseSpacePoint(*_image(g, s.phi, s.p_phi))
 
 
 def solve_transporter(s1: PhaseSpacePoint, s2: PhaseSpacePoint) -> GroupElement:
     """A group element carrying s1 to s2 (transitivity witness).
 
-    alpha = phi2 - phi1; the momentum offset is absorbed by a alone when
-    |sin phi2| is away from zero, by b alone otherwise -- the two branches
-    cover the whole circle.
+    alpha = phi2 - phi1; the momentum offset is absorbed by a alone where
+    |sin phi2| >= |cos phi2|, by b alone otherwise, so the translation is
+    at most sqrt(2) |p2 - p1|.
     """
     alpha = (s2.phi - s1.phi) % (2.0 * math.pi)
     dp = s2.p_phi - s1.p_phi
-    sin2 = math.sin(s2.phi)
-    if abs(sin2) > 1e-8:
+    sin2, cos2 = math.sin(s2.phi), math.cos(s2.phi)
+    if abs(sin2) >= abs(cos2):
         return GroupElement(alpha, complex(dp / sin2, 0.0))
-    return GroupElement(alpha, complex(0.0, -dp / math.cos(s2.phi)))
+    return GroupElement(alpha, complex(0.0, -dp / cos2))
 
 
 def symplectic_residual(g: GroupElement, s: PhaseSpacePoint,
-                        step: float = 1e-6) -> float:
-    """|det J - 1| of the action's Jacobian at s, by central differences."""
-    def image(phi, p):
-        # unwrapped copy of `act`: same derivatives, no mod-2pi rounding
-        shifted = phi + g.alpha
-        return shifted, p + g.a * math.sin(shifted) - g.b * math.cos(shifted)
-
-    phi, p = s.phi, s.p_phi
-    # evaluate at exactly representable offsets so the denominators are exact
-    phi_p, phi_m = phi + step, phi - step
-    p_p, p_m = p + step, p - step
-    fpp, gpp = image(phi_p, p)
-    fpm, gpm = image(phi_m, p)
-    dphi_dphi = (fpp - fpm) / (phi_p - phi_m)
-    dp_dphi = (gpp - gpm) / (phi_p - phi_m)
-    f2p, g2p = image(phi, p_p)
-    f2m, g2m = image(phi, p_m)
-    dphi_dp = (f2p - f2m) / (p_p - p_m)
-    dp_dp = (g2p - g2m) / (p_p - p_m)
-    det = dphi_dphi * dp_dp - dphi_dp * dp_dphi
-    return abs(det - 1.0)
+                        step: float = 1e-30) -> float:
+    """|det J - 1| of the action's Jacobian at s by complex step, Im f(x +
+    i step) / step (Squire and Trapp, SIAM Rev. 40, 1998): no difference is
+    taken, so J carries rounding error only."""
+    dphi_dphi, dp_dphi = (v.imag / step
+                          for v in _image(g, complex(s.phi, step), s.p_phi))
+    dphi_dp, dp_dp = (v.imag / step
+                      for v in _image(g, s.phi, complex(s.p_phi, step)))
+    return abs(dphi_dphi * dp_dp - dphi_dp * dp_dphi - 1.0)
 
 
 def induced_fields(s: PhaseSpacePoint, step: float = 1e-6):

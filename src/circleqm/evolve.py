@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circleqm.circlespace import CircleState, Params, Sector, operator_coeffs
+from circleqm.circlespace import (CircleState, Params, Sector, _centred, _dots,
+                                  _require_same_sector, operator_coeffs)
 from circleqm.mincs import MinUncParams, min_state
 from circleqm.specfun import ThetaNome, theta
 from circleqm.zakcs import PhasePoint
@@ -82,16 +83,10 @@ def propagate(spec: EvolutionSpec, state: CircleState) -> CircleState:
     """Diagonal spectral evolution; exactly unitary, composes additively in
     t, and conjugates cleanly for t < 0.  Raises ValueError where a phase
     reaches 2^52 rad (see `_phases`)."""
-    if state.sector.delta != spec.sector.delta:
-        raise ValueError("state sector must match the evolution sector")
+    _require_same_sector(state.sector, spec.sector)
     freq = state.indices + spec.sector.delta
     phases = _phases(spec.params, spec.t, freq)
     return CircleState(state.sector, state.n_lo, state.coeffs * phases)
-
-
-def _row_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re (a_i, b_i) for each row pair."""
-    return np.einsum("ij,ij->i", a.conj(), b).real
 
 
 def moment_series(params: Params, state: CircleState, times) -> np.ndarray:
@@ -100,10 +95,12 @@ def moment_series(params: Params, state: CircleState, times) -> np.ndarray:
 
     times is a 1-D sequence.  Row i holds <C>, <S>, <L>, Var C, Var S,
     Var L and the fidelity to `state` at times[i] (the moments are
-    expectation values when `state` is normalized).  Agrees with
-    `propagate`, `apply_operator`, `inner` and `fidelity` per time to about
-    1e-13.  Raises ValueError for non-finite times or where a phase reaches
-    2^52 rad (see `_phases`).
+    expectation values when `state` is normalized).  The variances are
+    those of the centred rows (`circlespace._centred`), with L applied as
+    (n - n_c) + (n_c + delta) about the window centre n_c so that a large
+    <L> does not cancel.  Agrees with `propagate` and `apply_operator` per
+    time to about 1e-13.  Raises ValueError for non-finite times or where a
+    phase reaches 2^52 rad (see `_phases`).
     """
     t = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(t)):
@@ -111,17 +108,17 @@ def moment_series(params: Params, state: CircleState, times) -> np.ndarray:
     freq = state.indices + state.sector.delta
     # row i is the window propagated to t[i]
     psi = state.coeffs * _phases(params, t[:, None], freq)
-    c_psi, s_psi, l_psi = (operator_coeffs(op, psi, freq) for op in "CSL")
-    # C and S widen the window by one index a side: columns 1:-1 are the
-    # part of C psi and S psi on psi's window
-    mean_c = _row_inner(psi, c_psi[:, 1:-1])
-    mean_s = _row_inner(psi, s_psi[:, 1:-1])
-    mean_l = _row_inner(psi, l_psi)
-    var_c = _row_inner(c_psi, c_psi) - mean_c ** 2
-    var_s = _row_inner(s_psi, s_psi) - mean_s ** 2
-    var_l = _row_inner(l_psi, l_psi) - mean_l ** 2
-    fid = np.abs(psi @ state.coeffs.conj()) / (
-        state.norm() * np.sqrt(_row_inner(psi, psi)))
+    # C and S widen the window by one index a side
+    wide = np.zeros((t.size, freq.size + 2), dtype=complex)
+    wide[:, 1:-1] = psi
+    mean_c, dc = _centred(wide, operator_coeffs("C", psi, freq))
+    mean_s, ds = _centred(wide, operator_coeffs("S", psi, freq))
+    n_c = (state.n_lo + state.n_hi) // 2
+    mean_dn, dl = _centred(psi, operator_coeffs("L", psi, state.indices - n_c))
+    norm_sq = _dots(psi, psi).real
+    mean_l = mean_dn + (n_c + state.sector.delta) * norm_sq
+    var_c, var_s, var_l = (_dots(d, d).real for d in (dc, ds, dl))
+    fid = np.abs(psi @ state.coeffs.conj()) / (state.norm() * np.sqrt(norm_sq))
     return np.column_stack((mean_c, mean_s, mean_l, var_c, var_s, var_l, fid))
 
 
@@ -143,6 +140,10 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     because the complex time enters both uniformly.  A nome too close to
     the unit circle for the chosen face raises ValueError (the series'
     term budget).
+
+    Valid range eps omega eta >= 1e-8: the faces agree to 2e-10 relative at
+    1e-6 and 7e-9 at 1e-8.  Below about 3e-9 the series face raises
+    ValueError, and below about 1e-10 (sooner at larger t) so does "auto".
     """
     if spec.eta <= 0:
         raise ValueError("kernel evaluation needs eta > 0 (|q| < 1)")
@@ -185,8 +186,7 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out,
     summed by one matmul per chunk of points), whose temporaries are
     capped at 2^16 elements, so memory stays at a few grid-sized arrays.
     """
-    if state.sector.delta != spec.sector.delta:
-        raise ValueError("state sector must match the evolution sector")
+    _require_same_sector(state.sector, spec.sector)
     if spec.eta <= 0:
         raise ValueError("kernel application needs eta > 0")
     eps_w_eta = spec.params.epsilon * spec.params.omega * spec.eta
@@ -230,8 +230,7 @@ def evolve_min(spec: EvolutionSpec, params: MinUncParams,
     """Closed-form evolution of the minimal-uncertainty family: the phase
     splits into the delta^2 piece, the quadratic m^2 piece and a drift of
     the angle by eps delta omega t, dressing the Bessel coefficients."""
-    if params.delta0 != spec.sector.delta:
-        raise ValueError("state sector must match the evolution sector")
+    _require_same_sector(params.sector, spec.sector)
     eps, delta = spec.params.epsilon, spec.sector.delta
     wt = spec.params.omega * spec.t
     base = min_state(params, window_tol)

@@ -17,12 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circleqm.circlespace import (
-    CircleState,
-    Sector,
-    _centred_report,
-    _windows,
-)
+from circleqm.circlespace import (CircleState, Sector, _centred_report,
+                                  _require_same_sector, _windows)
 from circleqm.zakcs import PhasePoint, WZParams, w_state
 
 __all__ = [
@@ -65,43 +61,37 @@ class LadderContext:
         return WZParams(self.epsilon, self.sector)
 
 
-def _check_sector(ctx: LadderContext, state: CircleState) -> None:
-    if state.sector.delta != ctx.sector.delta:
-        raise ValueError("state sector must match the ladder context")
+def _diagonal(ctx: LadderContext, state: CircleState, weights,
+              shift: int = 0) -> CircleState:
+    """c_n e_{n} -> weights(n + delta) c_n e_{n+shift}, for a state in the
+    context's sector."""
+    _require_same_sector(state.sector, ctx.sector)
+    freq = state.indices + ctx.sector.delta
+    return CircleState(state.sector, state.n_lo + shift,
+                       state.coeffs * weights(freq))
 
 
 def apply_B(ctx: LadderContext, state: CircleState) -> CircleState:
     """Lowering: c_n e_{n} -> c_n e^{eps(n + delta - 1/2)} e_{n-1}."""
-    _check_sector(ctx, state)
-    eps, delta = ctx.epsilon, ctx.sector.delta
-    weights = np.exp(eps * (state.indices + delta - 0.5))
-    return CircleState(state.sector, state.n_lo - 1, state.coeffs * weights)
+    return _diagonal(ctx, state, lambda f: np.exp(ctx.epsilon * (f - 0.5)), -1)
 
 
 def apply_Bdag(ctx: LadderContext, state: CircleState) -> CircleState:
     """Raising: c_n e_{n} -> c_n e^{eps(n + delta + 1/2)} e_{n+1}."""
-    _check_sector(ctx, state)
-    eps, delta = ctx.epsilon, ctx.sector.delta
-    weights = np.exp(eps * (state.indices + delta + 0.5))
-    return CircleState(state.sector, state.n_lo + 1, state.coeffs * weights)
+    return _diagonal(ctx, state, lambda f: np.exp(ctx.epsilon * (f + 0.5)), 1)
 
 
 def apply_complexifier(ctx: LadderContext, state: CircleState,
                        inverse: bool = False) -> CircleState:
     """Diagonal Gaussian smoothing e^{-eps L^2/2} (or its inverse)."""
-    _check_sector(ctx, state)
-    eps, delta = ctx.epsilon, ctx.sector.delta
     sign = 1.0 if inverse else -1.0
-    weights = np.exp(sign * eps * (state.indices + delta) ** 2 / 2.0)
-    return CircleState(state.sector, state.n_lo, state.coeffs * weights)
+    return _diagonal(ctx, state,
+                     lambda f: np.exp(sign * ctx.epsilon * f ** 2 / 2.0))
 
 
 def apply_number_op(ctx: LadderContext, state: CircleState) -> CircleState:
     """N = L + shift_constant; unbounded below, generically non-integer."""
-    _check_sector(ctx, state)
-    delta = ctx.sector.delta
-    eig = state.indices + delta + ctx.shift_constant
-    return CircleState(state.sector, state.n_lo, state.coeffs * eig)
+    return _diagonal(ctx, state, lambda f: f + ctx.shift_constant)
 
 
 def eigen_residual(ctx: LadderContext, z, window_tol: float = 1e-12) -> float:
@@ -147,7 +137,7 @@ def kj_report(ctx: LadderContext, z) -> KJReport:
     pt = z if isinstance(z, PhasePoint) else PhasePoint.from_z(complex(z))
     theta_ang, l_tilde = pt.theta, pt.l_tilde
     e2l = math.exp(2.0 * l_tilde)
-    spread = (math.exp(2.0 * ctx.epsilon) - 1.0) * e2l
+    spread = math.expm1(2.0 * ctx.epsilon) * e2l
     mean_k = 2.0 * math.cos(theta_ang) * math.exp(l_tilde)
     mean_j = -2.0 * math.sin(theta_ang) * math.exp(l_tilde)
     commutator = 2j * spread

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from circleqm.circlespace import CircleState, Sector
+from circleqm.circlespace import CircleState, Sector, _fold, _same_sector
 from circleqm.specfun import _bessel_half_width, bessel_j, g_ratio
 
 __all__ = [
@@ -62,7 +62,7 @@ class MinUncParams:
 
     @property
     def delta0(self) -> float:
-        return self.l_tilde % 1.0
+        return _fold(self.l_tilde)
 
     @property
     def n0(self) -> int:
@@ -175,8 +175,8 @@ class OverlapResult:
     """Closed-form overlap value plus a validity flag.
 
     valid means the value is the exact scalar product.  It is False only
-    for a fractional momentum difference (distinct sectors, a formal value
-    returned with allow_sector_mismatch), where no scalar product exists.
+    for distinct sectors (a formal value returned with
+    allow_sector_mismatch), where no scalar product exists.
     A negative square-root argument s^2 cos^2 - gamma^2 sin^2 is valid:
     the branch-free form is entire in it.
     """
@@ -196,10 +196,9 @@ def min_overlap(p2: MinUncParams, p1: MinUncParams,
     an entire function of num and den, so no square root or fractional
     power picks a branch.
 
-    Requires shared (gamma, s) and shared sector.  An integer momentum
-    difference identifies shared sectors even when frac(n + delta) differs
-    across n by representation noise; such differences are snapped to the
-    exact integer.  Genuinely different sectors are rejected unless
+    Requires shared (gamma, s) and shared sector (the rule of
+    `circlespace.Sector` on delta0); dl is then rounded to an exact
+    integer.  Different sectors are rejected unless
     allow_sector_mismatch is set, in which case the same form with a
     principal-branch fractional power is returned flagged invalid (there is
     no inner product between the spaces; the coefficient route is
@@ -208,21 +207,19 @@ def min_overlap(p2: MinUncParams, p1: MinUncParams,
     if (p2.gamma, p2.s) != (p1.gamma, p1.s):
         raise ValueError("overlap requires shared gamma and s")
     gamma, s = p1.gamma, p1.s
-    dl = p1.l_tilde - p2.l_tilde
-    if abs(dl - round(dl)) < 1e-9:
-        dl = float(round(dl))
-    elif not allow_sector_mismatch:
+    valid = _same_sector(p1.delta0, p2.delta0)
+    if not (valid or allow_sector_mismatch):
         raise ValueError(
             "states with different delta live in different Hilbert spaces "
             "(pass allow_sector_mismatch=True for the formal flagged value)")
+    dl = p1.l_tilde - p2.l_tilde
+    dl = float(round(dl)) if valid else dl
     half = 0.5 * (p1.alpha - p2.alpha)
     sh, ch = math.sin(half), math.cos(half)
     num = gamma * sh - s * ch
     den = gamma * sh + s * ch
     root_arg = s * s * ch * ch - gamma * gamma * sh * sh  # = -num den
     phase = np.exp(1j * (p2.alpha - p1.alpha) * (p1.l_tilde + p2.l_tilde) / 2.0)
-    # fractional dl means distinct sectors: formal value, never valid
-    valid = dl == round(dl)
 
     order = abs(dl)
     base = -1j * (num if dl >= 0 else den)

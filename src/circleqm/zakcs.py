@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circleqm.circlespace import CircleState, Sector
+from circleqm.circlespace import CircleState, Sector, _require_same_sector
 from circleqm.specfun import ThetaNome, theta, theta_derivs
 
 __all__ = [
@@ -249,8 +249,7 @@ class BargmannFunction:
 
 def bargmann_forward(params: WZParams, state: CircleState) -> BargmannFunction:
     """Unitary map to the holomorphic space: coefficients conj(b_n)."""
-    if state.sector.delta != params.delta:
-        raise ValueError("state sector must match the map's sector")
+    _require_same_sector(state.sector, params.sector)
     return BargmannFunction(params, state.n_lo, np.conj(state.coeffs))
 
 

@@ -31,7 +31,11 @@ from circleqm.circlespace import (
     time_reversal,
     uncertainty_report,
 )
+from circleqm.evolve import EvolutionSpec, evolve_min, kernel_apply, propagate
+from circleqm.ladder import LadderContext, apply_B
+from circleqm.mincs import MinUncParams, min_overlap, min_state
 from circleqm.specfun import bessel_j
+from circleqm.zakcs import WZParams, bargmann_forward
 
 RNG = np.random.default_rng(20260810)
 
@@ -185,6 +189,77 @@ class TestInner:
     def test_sector_mismatch_rejected(self):
         with pytest.raises(ValueError):
             inner(basis_state(0, Sector(0.1)), basis_state(0, Sector(0.2)))
+
+
+class TestSectorRule:
+    """One match rule, |delta1 - delta2| < 1e-9 without wrap-around, for
+    every function that takes states of one sector."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(delta=st.floats(0.0, 1.0, exclude_max=True),
+           n=st.integers(-10 ** 7, 10 ** 7), k=st.integers(-3, 3),
+           alpha=st.floats(0.0, 2 * math.pi), gamma=st.floats(-2.0, 2.0),
+           s=st.floats(0.05, 4.0))
+    @example(delta=0.3, n=0, k=1, alpha=1.0, gamma=0.1, s=0.5)
+    @example(delta=0.3, n=1, k=1, alpha=1.0, gamma=0.1, s=0.5)
+    @example(delta=1e-20, n=0, k=2, alpha=0.4, gamma=0.0, s=1.0)
+    @example(delta=0.7, n=-10 ** 7, k=-3, alpha=2.0, gamma=1.5, s=0.2)
+    def test_integer_shifts_share_one_space(self, delta, n, k, alpha, gamma,
+                                            s):
+        # states at l and l + k: alpha = 0 keeps the coefficient phases
+        # exact at |l| ~ 1e7, so inner and min_overlap can agree to 1e-12
+        p1 = MinUncParams(0.0, n + delta, gamma, s)
+        p2 = MinUncParams(0.0, p1.l_tilde + k, gamma, s)
+        s1, s2 = min_state(p1, 1e-15), min_state(p2, 1e-15)
+        if abs(p1.delta0 - p2.delta0) > 0.5:
+            # l + k rounded onto an integer: labels at both ends of [0, 1)
+            with pytest.raises(ValueError):
+                inner(s2, s1)
+            with pytest.raises(ValueError):
+                min_overlap(p2, p1)
+            return
+        ref = min_overlap(p2, p1)
+        assert ref.valid
+        assert abs(inner(s2, s1) - ref.value) < 1e-12
+        assert abs(fidelity(s2, s1) - abs(ref.value)) < 1e-12
+        # the reflections are involutions up to the ulp of 1 - (1 - delta)
+        psi = min_state(MinUncParams(alpha, p1.l_tilde, gamma, s))
+        for op in (time_reversal, parity):
+            assert abs(inner(psi, op(op(psi))) - psi.norm_sq()) < 1e-13
+        spec = EvolutionSpec(Params(1.0, 1.0), p1.sector, 0.5)
+        assert propagate(spec, s2).sector == s2.sector
+        assert evolve_min(spec, p2).sector == p2.sector
+
+    @pytest.mark.parametrize("call", [
+        lambda a, b: inner(basis_state(0, a), basis_state(0, b)),
+        lambda a, b: inner_quadrature(basis_state(0, a), basis_state(0, b)),
+        lambda a, b: rep_apply(0.1, 0.2, 0.3, RepLabel(1.0, a),
+                               basis_state(0, b)),
+        lambda a, b: propagate(EvolutionSpec(Params(1.0), a, 0.5),
+                               basis_state(0, b)),
+        lambda a, b: kernel_apply(EvolutionSpec(Params(1.0), a, 0.5, 1e-2),
+                                  basis_state(0, b), 0.0),
+        lambda a, b: evolve_min(EvolutionSpec(Params(1.0), a, 0.5),
+                                MinUncParams(0.0, 2.0 + b.delta, 0.5, 1.0)),
+        lambda a, b: apply_B(LadderContext(1.0, a), basis_state(0, b)),
+        lambda a, b: bargmann_forward(WZParams(1.0, a), basis_state(0, b)),
+        lambda a, b: min_overlap(MinUncParams(0.0, a.delta, 0.5, 1.0),
+                                 MinUncParams(0.0, 3.0 + b.delta, 0.5, 1.0)),
+    ], ids=["inner", "inner_quadrature", "rep_apply", "propagate",
+            "kernel_apply", "evolve_min", "apply_B", "bargmann_forward",
+            "min_overlap"])
+    @pytest.mark.parametrize("d1,d2", [(0.1, 0.2), (1.0 - 1e-12, 0.0)])
+    def test_every_owner_refuses_other_sectors(self, call, d1, d2):
+        # d1 = 1 - 1e-12 against 0: one space, but the windows are indexed
+        # one apart, so the pair is refused like any other
+        with pytest.raises(ValueError):
+            call(Sector(d1), Sector(d2))
+
+    def test_fold_maps_rounding_case_to_zero(self):
+        delta, shift = delta_from_flux(1.0, -1e-17)
+        assert (delta, shift) == (0.0, -1e-17)
+        assert Sector(delta).delta == 0.0
+        assert delta_from_flux(1.0, -1e-3)[0] == (-1e-3 / (2 * math.pi)) % 1.0
 
 
 class TestUncertaintyReport:

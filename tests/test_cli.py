@@ -299,6 +299,23 @@ class TestEvolve:
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
+    @pytest.mark.parametrize("l", [1e3, 1e5 + 0.3, 1e7, -1e7 + 0.7])
+    def test_momentum_moments_constant_at_large_l(self, capsys, tmp_path, l):
+        # H = (eps/2) L^2 commutes with L: <L> and Var L keep the closed
+        # forms at every t, however large <L> is
+        doc = {"family": "min", "alpha": 0.0, "l": l, "gamma": 0.5,
+               "s": 1.0, "epsilon": 1.0, "t_grid": [0.0, 0.5, 1.0, 3.0]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "evolve", str(cfg))
+        assert code == 0
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in out.splitlines()[1:]])
+        ref = mincs.min_expectations(mincs.MinUncParams(0.0, l, 0.5, 1.0))
+        assert np.all(np.abs(rows[:, 3] - ref.mean_l)
+                      <= 1e-12 * max(1.0, abs(ref.mean_l)))
+        assert np.all(np.abs(rows[:, 6] - ref.var_l) <= 1e-12 * ref.var_l)
+
     def test_single_zero_time_row_matches_state(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "min", "alpha": 0.0, "l": 0.0,

@@ -124,6 +124,15 @@ class TestTransporter:
             assert dphi < 1e-12
             assert abs(out.p_phi - s2.p_phi) < 1e-12
 
+    @pytest.mark.parametrize("phi2", [1e-7, math.pi - 1e-7, 2e-8])
+    def test_translation_bounded(self, phi2):
+        # the branch is chosen by the larger of |sin phi2| and |cos phi2|,
+        # so |t| <= sqrt(2) |dp| and the round trip stays at rounding level
+        s1, s2 = PhaseSpacePoint(1.0, 0.3), PhaseSpacePoint(phi2, 4.0)
+        g = solve_transporter(s1, s2)
+        assert abs(g.t) <= math.sqrt(2.0) * 3.7 * (1 + 1e-15)
+        assert abs(act(g, s1).p_phi - 4.0) < 1e-14
+
     def test_branch_at_sin_zero(self):
         # phi2 on the sin-zero line forces the b-branch
         s1 = PhaseSpacePoint(1.0, 0.3)
@@ -147,6 +156,14 @@ class TestSymplectic:
         worst = max(symplectic_residual(random_element(rng), random_point(rng))
                     for _ in range(100))
         assert worst < 1e-9
+
+    def test_complex_step_at_rounding_level(self):
+        # the complex-step Jacobian takes no difference, so the residual
+        # is rounding, not finite-difference noise of ~1e-9
+        rng = np.random.default_rng(37)
+        worst = max(symplectic_residual(random_element(rng), random_point(rng))
+                    for _ in range(2000))
+        assert worst < 1e-14
 
 
 class TestInducedFields:

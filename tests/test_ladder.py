@@ -179,6 +179,18 @@ class TestKJReport:
         assert abs(rep.var_k - mat.var_k) < 2e-15 * scale
         assert abs(rep.var_j - mat.var_j) < 2e-15 * scale
 
+    @pytest.mark.parametrize("eps", [1e-3, 0.01])
+    @pytest.mark.parametrize("l", [-2.0, 0.0, 1.5])
+    def test_spread_to_rounding(self, eps, l):
+        # (e^{2 eps} - 1) e^{2l} against 40-digit arithmetic: forming
+        # e^{2 eps} - 1 by subtraction loses digits as eps -> 0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.expm1(2 * mpmath.mpf(eps))
+                        * mpmath.exp(2 * mpmath.mpf(l)))
+        rep = kj_report(LadderContext(eps, Sector(0.0)), PhasePoint(0.3, l))
+        assert abs(rep.var_k - ref) <= 4e-16 * ref
+
     @pytest.mark.parametrize("theta_ang,l", [(0.0, 0.0), (1.2, 0.5),
                                              (4.0, -0.8), (3.14, 1.0)])
     def test_parameter_recovery(self, theta_ang, l):

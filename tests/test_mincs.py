@@ -93,6 +93,16 @@ class TestMinState:
             min_state(MinUncParams(0.0, 0.0, 0.5, s))
 
 
+    def test_tiny_negative_momentum_is_sector_zero(self):
+        # -1e-17 % 1.0 rounds to 1.0; the fold takes it to delta = 0
+        p = MinUncParams(0.1, -1e-17, 0.5, 1.0)
+        assert (p.delta0, p.n0, p.sector) == (0.0, 0, Sector(0.0))
+        st_neg = min_state(p)
+        st_zero = min_state(MinUncParams(0.1, 0.0, 0.5, 1.0))
+        assert st_neg.n_lo == st_zero.n_lo
+        assert np.array_equal(st_neg.coeffs, st_zero.coeffs)
+
+
 class TestMinExpectations:
     def test_alpha_zero_means(self):
         s = 1.3
