@@ -62,16 +62,32 @@ class Sector:
         if q is not None:
             if q < 1 or q != int(q):
                 raise ValueError("covering_order must be a positive integer")
-            p = self.delta * q
-            if abs(p - round(p)) > 1e-12:
+            # delta q in exact arithmetic: a double delta within rounding of
+            # p/q, |delta - p/q| <= 2^-53 p/q, is p to 2^-53 p, so p is
+            # the nearest integer while p < 2^51
+            x = Fraction(self.delta) * int(q)
+            p = round(x)
+            if p >= 2 ** 51:
+                raise ValueError(
+                    f"delta * covering_order = {float(x)} is past 2^51, "
+                    "where a double delta no longer fixes p = delta * q")
+            if abs(x - p) > max(1e-12, 2.0 ** -52 * p):
                 raise ValueError("delta * covering_order must be an integer")
-            if math.gcd(int(round(p)), int(q)) != 1:
+            if math.gcd(p, int(q)) != 1:
                 raise ValueError("delta = p/q must be in lowest terms")
 
     @classmethod
     def from_fraction(cls, p: int, q: int) -> "Sector":
-        frac = Fraction(p, q)
-        return cls(float(frac % 1), (frac % 1).denominator)
+        """The sector delta = p/q mod 1 with covering order its reduced
+        denominator; ValueError where that delta rounds to 1.0 or p is past
+        what a double delta resolves (see `__post_init__`)."""
+        frac = Fraction(p, q) % 1
+        delta = float(frac)
+        if delta == 1.0:
+            raise ValueError(
+                f"{p}/{q} mod 1 = {frac} does not round to a double below 1 "
+                f"at covering order {frac.denominator}")
+        return cls(delta, frac.denominator)
 
 
 # Sector labels closer than this name one Hilbert space (see `Sector`).
@@ -311,16 +327,22 @@ class UncertaintyReport:
     sigma: Optional[complex]
 
 
-def _centred_report(rows: np.ndarray, tol: float) -> UncertaintyReport:
+def _centred_report(rows: np.ndarray, tol: float,
+                    shifts=None) -> UncertaintyReport:
     """The variance inequality of a pair (A, B) from the coefficient rows
-    psi, A psi, B psi on one index range, psi normalized and A, B
-    self-adjoint; saturated means |lhs - rhs| < tol * lhs.
+    psi, A' psi, B' psi on one index range, psi normalized, A' = A - a0
+    and B' = B - b0 self-adjoint and (a0, b0) = shifts (none by default);
+    saturated means |lhs - rhs| < tol * lhs.
 
-    The entries are the Gram entries of the centred rows (see `_centred`),
-    so lhs >= rhs is the Cauchy-Schwarz inequality and holds to rounding.
+    The shifts are added back to the means only: the centred rows of A'
+    and A are the same vector.  The entries are the Gram entries of the
+    centred rows (see `_centred`), so lhs >= rhs is the Cauchy-Schwarz
+    inequality and holds to rounding.
     """
     means, centred = _centred(rows[0], rows[1:])
     mean_a, mean_b = means.tolist()
+    if shifts is not None:
+        mean_a, mean_b = mean_a + shifts[0], mean_b + shifts[1]
     var_a, var_b = _dots(centred, centred).real.tolist()
     ab = _dots(*centred)
     covariance = ab.real
@@ -341,14 +363,32 @@ def _centred_report(rows: np.ndarray, tol: float) -> UncertaintyReport:
 def uncertainty_report(a: str, b: str, state: CircleState) -> UncertaintyReport:
     """Evaluate the variance inequality for operators a, b on a normalized
     copy of `state`, from the centred vectors (see `_centred_report`);
-    saturated within 1e-10 relative."""
+    saturated within 1e-10 relative.
+
+    L is applied as (n - n_c) + (n_c + delta) about the window centre n_c,
+    as in `evolve.moment_series`, so that a large <L> does not cancel in
+    its centred row.
+    """
     psi = state.normalized()
-    rows = _windows(psi, apply_operator(a, psi), apply_operator(b, psi))
-    return _centred_report(rows, 1e-10)
+    n_c = (psi.n_lo + psi.n_hi) // 2
+    rows = _windows(psi, _about_centre(a, psi, n_c),
+                    _about_centre(b, psi, n_c))
+    shift = n_c + psi.sector.delta
+    return _centred_report(rows, 1e-10, (shift if a == "L" else 0.0,
+                                         shift if b == "L" else 0.0))
 
 
-# The translation taps are cut where the dropped |J_k|^2 sum to below this,
-# so that each dropped coefficient is below about 1e-16 of ||psi||.
+def _about_centre(which: str, psi: CircleState, n_c: int) -> CircleState:
+    """`apply_operator`, except that L is taken as L - (n_c + delta)."""
+    if which != "L":
+        return apply_operator(which, psi)
+    return CircleState(psi.sector, psi.n_lo,
+                       operator_coeffs("L", psi.coeffs, psi.indices - n_c))
+
+
+# The translation taps are cut where the dropped |J_k(R)|^2, bounded by
+# `_bessel_half_width`, sum to at most this (sum_k J_k(R)^2 = 1), so that
+# the dropped part of the image has norm at most 1e-16 ||psi||.
 _TAP_TAIL = 1e-32
 # (-i)^k by k mod 4, exact
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
@@ -363,8 +403,11 @@ def rep_apply(alpha: float, a: float, b: float, rep: RepLabel,
     translation multiplies pointwise by exp(-i rho (a cos phi + b sin phi))
     = exp(-i R cos(phi - beta)) with R e^{i beta} = rho (a + i b); by
     Jacobi-Anger (DLMF 10.12) that is the convolution of the coefficients
-    with the taps (-i)^k J_k(R) e^{-i k beta}, and the window grows by the
-    Bessel half-width on each side.
+    with the taps (-i)^k J_k(R) e^{-i k beta}, |k| <= h.  h is
+    `_bessel_half_width(R, _TAP_TAIL)`: the dropped taps carry at most
+    _TAP_TAIL of sum_k J_k(R)^2 = 1 by the DLMF 10.14.4 bound, so the image
+    is exact up to a part of norm at most 1e-16 ||psi||, and the window
+    grows by h (8 to 96 for R from 0.1 to 50) on each side.
     """
     _require_same_sector(rep.sector, state.sector)
     coeffs = state.coeffs

@@ -350,16 +350,47 @@ def theta_derivs(kind: int, zeta, nome, method: str = "auto"):
 # Bessel functions (scipy's Amos routines, validated)
 
 
-def _bessel_half_width(z_abs: float, tol: float) -> int:
-    """Half-width h of an order window k = -h..h that holds J_k(z) for
-    |z| = z_abs up to a discarded tail sum_{|k| > h} |J_k(z)|^2 below tol
-    (relative to the whole sum).
+def _bessel_half_width(z: complex, tol: float) -> int:
+    """Half-width h of the order window k = -h..h of J_k(z): the one rule
+    that sizes every Bessel window in the package.
 
-    Past |k| > |z| the orders decay super-exponentially; the margin
-    ceil(10 + 5 ln(1/tol)) over ceil(|z|) covers the turning region with
-    room to spare.
+    With a = |z|/2 and s = |Im z|, DLMF 10.14.4 bounds |J_k(z)| by
+    b_k = a^k e^s / k!, and |J_-k| = |J_k|.  h is the smallest order, from
+    max(0, floor(a) - 1) on, whose bounded tail 2 sum_{k>h} b_k^2 is at
+    most tol I0(2s).  As sum_k |J_k(z)|^2 = I0(2s), the window then drops
+    at most tol of that sum.  From the start order on, the ratio
+    b_{k+1}^2 / b_k^2 = (a/(k+1))^2 is below 1 and falls, so the tail is
+    at most 2 b_{h+1}^2 / (1 - r), r = (a/(h+2))^2.  The test is made in
+    logs, where e^{2s} cancels against I0(2s) = e^{2s} i0e(2s).  It is
+    monotone in h, so h is found by bisection: about log2(e^2 a) steps.
     """
-    return int(math.ceil(z_abs)) + int(math.ceil(10 + 5 * math.log(1.0 / tol)))
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError("a Bessel window needs a finite argument")
+    a = 0.5 * abs(z)
+    if a == 0.0:
+        return 0
+    log_a = math.log(a)
+    log_floor = math.log(0.5 * tol * special.i0e(2.0 * abs(z.imag)))
+
+    def too_wide_tail(h: int) -> bool:
+        k = h + 1
+        return (2.0 * (k * log_a - math.lgamma(k + 1.0))
+                - math.log1p(-(a / (k + 1)) ** 2) > log_floor)
+
+    lo = max(0, math.floor(a) - 1)
+    # upper end: by Stirling, k! > (k/e)^k, so at k = h + 1 >= e^2 a the
+    # scaled term a^k / k! is below e^{-k} and r < 1/2; the test holds
+    # once also 2k >= log 2 - log_floor
+    hi = max(lo, math.ceil(math.e ** 2 * a),
+             math.ceil(0.5 * (math.log(2.0) - log_floor)))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if too_wide_tail(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def bessel_i(nu: float, x: float):
@@ -470,23 +501,29 @@ def elliptic_suite(zeta: float, nome: ThetaNome) -> EllipticRecord:
 
 @dataclass(frozen=True)
 class GRatio:
-    """r1 = I1(x)/I0(x), r2 = I1(x)/(x I0(x)), g = 1 - r1^2 - r2."""
+    """r1 = I1(x)/I0(x), r2 = I1(x)/(x I0(x)), g = 1 - r1^2 - r2; floats
+    for a scalar x, arrays shaped like x otherwise."""
 
     r1: float
     r2: float
     g: float
 
 
-def g_ratio(x: float) -> GRatio:
-    """Ratio functions of the modified Bessel pair I1, I0.
+def g_ratio(x) -> GRatio:
+    """Ratio functions of the modified Bessel pair I1, I0, for a scalar or
+    an array x.
 
     r1 = i1e(x)/i0e(x): the exponentially scaled pair shares its
     prefactor, so the ratios never overflow.  Below |x| = 1e-8, r1 = x/2
     and r2 = 1/2 to double precision (the next terms are x^2/16 relative),
     which keeps r2 exact at x = 0 and at subnormal x.  r2 lies in (0, 1/2]
     for every finite x and g is even with g(x) -> 1/(2 x^2) as
-    |x| -> infinity.
+    |x| -> infinity.  An array gives the bits of the scalar calls.
     """
+    if not isinstance(x, (float, int)) and np.ndim(x):
+        return _g_ratio_array(np.asarray(x, dtype=float))
+    # the scalar route stays in floats: np.where on a 0-d array costs about
+    # ten times the whole scalar call
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("g_ratio requires a finite argument")
@@ -495,4 +532,14 @@ def g_ratio(x: float) -> GRatio:
     else:
         r1 = float(special.i1e(x) / special.i0e(x))
         r2 = r1 / x
+    return GRatio(r1=r1, r2=r2, g=1.0 - r1 * r1 - r2)
+
+
+def _g_ratio_array(x: np.ndarray) -> GRatio:
+    """`g_ratio` elementwise, the |x| < 1e-8 branch through np.where."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("g_ratio requires a finite argument")
+    tiny = np.abs(x) < 1e-8
+    r1 = np.where(tiny, 0.5 * x, special.i1e(x) / special.i0e(x))
+    r2 = np.where(tiny, 0.5, r1 / np.where(tiny, 1.0, x))
     return GRatio(r1=r1, r2=r2, g=1.0 - r1 * r1 - r2)

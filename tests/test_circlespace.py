@@ -6,6 +6,7 @@ against the Jacobi-Anger expansion for the translation action.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circleqm.circlespace import (
+    _TAP_TAIL,
     CircleState,
     Params,
     RepLabel,
@@ -33,8 +35,9 @@ from circleqm.circlespace import (
 )
 from circleqm.evolve import EvolutionSpec, evolve_min, kernel_apply, propagate
 from circleqm.ladder import LadderContext, apply_B
-from circleqm.mincs import MinUncParams, min_overlap, min_state
-from circleqm.specfun import bessel_j
+from circleqm.mincs import (MinUncParams, min_expectations, min_overlap,
+                            min_state)
+from circleqm.specfun import _bessel_half_width, bessel_j
 from circleqm.zakcs import WZParams, bargmann_forward
 
 RNG = np.random.default_rng(20260810)
@@ -65,6 +68,29 @@ class TestSector:
         s = Sector.from_fraction(1, 3)
         assert s.delta == pytest.approx(1 / 3)
         assert s.covering_order == 3
+
+
+    def test_from_fraction_rounding_to_one_names_cause(self):
+        # (1e20 - 1)/1e20 rounds to 1.0: no double below 1 is that sector
+        with pytest.raises(ValueError, match="does not round to a double"):
+            Sector.from_fraction(10 ** 20 - 1, 10 ** 20)
+
+    # lowest-terms fractions that the product delta * q in floats rejected
+    # as "not an integer": its error grows like q * 2^-53
+    @pytest.mark.parametrize("p,q", [(161552, 320993),
+                                     (54868258577, 95266734385),
+                                     (2093519990808989, 2583520488055446),
+                                     (1, 10 ** 20)])
+    def test_from_fraction_large_covering_order(self, p, q):
+        s = Sector.from_fraction(p, q)
+        assert s.delta == float(Fraction(p, q))
+        assert s.covering_order == q
+
+    def test_covering_order_past_double_resolution(self):
+        # past 2^51 the double delta no longer fixes p; this used to be
+        # refused as "not in lowest terms"
+        with pytest.raises(ValueError, match="2\\^51"):
+            Sector.from_fraction(291028859863088068, 2633996730456453621)
 
 
 class TestBasisState:
@@ -303,6 +329,17 @@ class TestUncertaintyReport:
         assert rep.lhs >= rep.rhs - 1e-12 * max(rep.lhs, rep.rhs, 1e-30)
 
 
+    @pytest.mark.parametrize("l", [1e3, 1e5 + 0.3, 1e7, -1e7 + 0.7])
+    def test_momentum_moments_at_large_l(self, l):
+        # L about the window centre: no large <L> cancels in var L
+        params = MinUncParams(0.0, l, 0.5, 1.0)
+        rep = uncertainty_report("C", "L", min_state(params, 1e-14))
+        ref = min_expectations(params)
+        assert abs(rep.var_b - ref.var_l) <= 1e-12 * ref.var_l
+        assert abs(rep.mean_b - ref.mean_l) <= 1e-12 * abs(ref.mean_l)
+        assert rep.saturated
+
+
 class TestRepApply:
     def test_full_turn_phase(self):
         delta = 0.37
@@ -357,6 +394,41 @@ class TestRepApply:
         expected = rotated.evaluate(phi) * np.exp(
             -1j * rho * (a * np.cos(phi) + b * np.sin(phi)))
         assert np.max(np.abs(out.evaluate(phi) - expected)) < 1e-10
+
+
+    @pytest.mark.parametrize("radius", [0.1, 0.3, 5.0, 50.0])
+    def test_dropped_taps_below_tap_tail(self, radius):
+        mpmath = pytest.importorskip("mpmath")
+        out = rep_apply(0.0, radius, 0.0, RepLabel(1.0, Sector(0.0)),
+                        basis_state(0, Sector(0.0)))
+        h = out.n_hi
+        assert out.n_lo == -h
+        with mpmath.workdps(30):
+            tail = 2 * mpmath.fsum(mpmath.besselj(k, radius) ** 2
+                                   for k in range(h + 1, h + 60))
+        assert tail <= _TAP_TAIL
+
+    @pytest.mark.parametrize("t1,t2", [(0.3, 5.0j), (2.0 - 1.0j, 3.0 + 4.0j),
+                                       (20.0, -12.0 + 25.0j)])
+    def test_chained_translations(self, t1, t2):
+        # translations commute: T(t2) T(t1) = T(t1 + t2), and each step
+        # widens the window by its own bound half-width only
+        rho, delta = 1.3, 0.2
+        rep = RepLabel(rho, Sector(delta))
+        psi = random_state(Sector(delta), n_lo=-10, width=21,
+                           rng=np.random.default_rng(3))
+        first = rep_apply(0.0, t1.real, t1.imag, rep, psi)
+        both = rep_apply(0.0, t2.real, t2.imag, rep, first)
+        t = t1 + t2
+        whole = rep_apply(0.0, t.real, t.imag, rep, psi)
+        lo = min(both.n_lo, whole.n_lo)
+        a, b = (np.pad(x.coeffs, (x.n_lo - lo, 0)) for x in (both, whole))
+        size = max(a.size, b.size)
+        diff = np.pad(a, (0, size - a.size)) - np.pad(b, (0, size - b.size))
+        assert np.max(np.abs(diff)) < 1e-10
+        grow = (_bessel_half_width(rho * abs(t1), _TAP_TAIL)
+                + _bessel_half_width(rho * abs(t2), _TAP_TAIL))
+        assert both.n_lo >= psi.n_lo - grow and both.n_hi <= psi.n_hi + grow
 
 
 class TestEnergy:

@@ -98,6 +98,18 @@ class TestTable:
         assert abs(rows[0.0][1] - 0.5) < 1e-12
         assert abs(rows[0.0][2] - 0.5) < 1e-12
 
+    def test_ratio_table_is_the_scalar_rows(self, capsys):
+        # one array call gives the bytes of a per-point loop
+        from circleqm.cli import _RATIO_TABLE_X, _fmt
+        from circleqm.specfun import g_ratio
+        xs = list(_RATIO_TABLE_X)
+        xs += [x for x in np.linspace(0.0, 20.0, 81) if x not in xs]
+        rows = [",".join(map(_fmt, (x, g_ratio(x).r1, g_ratio(x).r2,
+                                    g_ratio(x).g))) for x in xs]
+        code, out, _ = run(capsys, "table", "mincs-g")
+        assert code == 0
+        assert out == "\n".join(["x,i1_over_i0,i1_over_x_i0,g"] + rows) + "\n"
+
     def test_transition_rows_sum_to_one(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(

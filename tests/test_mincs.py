@@ -69,6 +69,26 @@ class TestMinState:
         rhs = np.exp(1j * 2 * math.pi * params.delta0) * st.evaluate(phi)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
+    # pure-imaginary sigma up to |sigma| = 700, where I0(2s) is past the
+    # double range, real sigma, and generic complex ones
+    @pytest.mark.parametrize("sigma", [0.5 - 1j, 3 - 4j, 20 - 30j, 0.05j,
+                                       50.0, 700.0, 30j, -700j, 700j,
+                                       400 - 400j])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-15])
+    def test_discarded_tail_below_window_tol(self, sigma, tol):
+        # the window drops sum_{|k|>h} |J_k(sigma)|^2 / I0(2s) <= tol^2, so
+        # the dropped part has norm at most tol
+        mpmath = pytest.importorskip("mpmath")
+        st = min_state(MinUncParams(0.3, 0.0, sigma.real, -sigma.imag), tol)
+        h = st.n_hi
+        assert st.n_lo == -h
+        with mpmath.workdps(30):
+            z = mpmath.mpc(sigma.real, sigma.imag)
+            tail = 2 * mpmath.fsum(abs(mpmath.besselj(k, z)) ** 2
+                                   for k in range(h + 1, h + 60))
+            tail /= mpmath.besseli(0, 2 * abs(sigma.imag))
+        assert tail <= tol * tol
+
     def test_rejects_bad_window_tol(self):
         with pytest.raises(ValueError):
             min_state(MinUncParams(0, 0, 0, 1), window_tol=0.0)

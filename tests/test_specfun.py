@@ -15,6 +15,7 @@ from scipy import integrate, special
 
 from circleqm.specfun import (
     _BLOCK_WORK,
+    _bessel_half_width,
     ThetaNome,
     bessel_i,
     bessel_j,
@@ -440,3 +441,46 @@ class TestGRatio:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             g_ratio(math.nan)
+
+    def test_array_gives_the_scalar_bits(self):
+        xs = [0.0, 1e-9, -1e-9, 5e-324, 1e-8, 0.1, -3.0, 2.0, 20.0, 700.0]
+        rec = g_ratio(np.array(xs))
+        for i, x in enumerate(xs):
+            one = g_ratio(x)
+            assert type(one.r1) is float and type(one.g) is float
+            assert (rec.r1[i], rec.r2[i], rec.g[i]) == (one.r1, one.r2, one.g)
+
+    def test_array_keeps_shape_and_rejects_nonfinite(self):
+        rec = g_ratio(np.linspace(0.0, 3.0, 6).reshape(2, 3))
+        assert rec.r1.shape == rec.r2.shape == rec.g.shape == (2, 3)
+        with pytest.raises(ValueError):
+            g_ratio(np.array([1.0, math.inf]))
+
+
+class TestBesselHalfWidth:
+    """`_bessel_half_width` sizes every Bessel window from the DLMF 10.14.4
+    bound; the true tails it leaves are checked against mpmath in
+    test_mincs.py (min_state) and test_circlespace.py (rep_apply taps)."""
+
+    # the bound's half-widths as tabulated when the rule was adopted; the
+    # +-2 covers the choice of h (tail past h or from h), while a margin
+    # added on top of the bound fails
+    @pytest.mark.parametrize("z,tol,expected", [
+        (0.5 - 1j, 1e-14, 9), (3 - 4j, 1e-14, 17), (20 - 30j, 1e-14, 63),
+        (0.3, 1e-32, 11), (5.0, 1e-32, 27), (50.0, 1e-32, 97)])
+    def test_pinned_half_widths(self, z, tol, expected):
+        assert abs(_bessel_half_width(z, tol) - expected) <= 2
+
+    def test_conjugate_and_sign_symmetric(self):
+        for z in (0.5 - 1j, 20 - 30j, 7.0, 300j):
+            h = _bessel_half_width(z, 1e-20)
+            assert h == _bessel_half_width(z.conjugate(), 1e-20)
+            assert h == _bessel_half_width(-z, 1e-20)
+
+    def test_zero_argument_is_one_order(self):
+        assert _bessel_half_width(0j, 1e-32) == 0
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_rejects_nonfinite(self, z):
+        with pytest.raises(ValueError):
+            _bessel_half_width(z, 1e-12)
