@@ -69,7 +69,6 @@ class TestSector:
         assert s.delta == pytest.approx(1 / 3)
         assert s.covering_order == 3
 
-
     def test_from_fraction_rounding_to_one_names_cause(self):
         # (1e20 - 1)/1e20 rounds to 1.0: no double below 1 is that sector
         with pytest.raises(ValueError, match="does not round to a double"):
@@ -328,7 +327,6 @@ class TestUncertaintyReport:
         rep = uncertainty_report("C", "L", psi)
         assert rep.lhs >= rep.rhs - 1e-12 * max(rep.lhs, rep.rhs, 1e-30)
 
-
     @pytest.mark.parametrize("l", [1e3, 1e5 + 0.3, 1e7, -1e7 + 0.7])
     def test_momentum_moments_at_large_l(self, l):
         # L about the window centre: no large <L> cancels in var L
@@ -394,7 +392,6 @@ class TestRepApply:
         expected = rotated.evaluate(phi) * np.exp(
             -1j * rho * (a * np.cos(phi) + b * np.sin(phi)))
         assert np.max(np.abs(out.evaluate(phi) - expected)) < 1e-10
-
 
     @pytest.mark.parametrize("radius", [0.1, 0.3, 5.0, 50.0])
     def test_dropped_taps_below_tap_tail(self, radius):
