@@ -285,17 +285,17 @@ def inner(state2: CircleState, state1: CircleState) -> complex:
     return complex(np.vdot(a, b))
 
 
-def inner_quadrature(state2: CircleState, state1: CircleState,
-                     n_nodes: Optional[int] = None) -> complex:
+def inner_quadrature(state2: CircleState, state1: CircleState) -> complex:
     """Scalar product by trapezoidal quadrature of conj(psi2) psi1 / 2 pi.
 
     The integrand is an exactly 2 pi periodic trigonometric polynomial even
     for delta != 0, so the uniform rule with more nodes than twice the
-    bandwidth is exact; serves as the independent oracle for `inner`.
+    bandwidth is exact: it takes 4 w + 16 nodes for a common window w
+    indices wide.  Serves as the independent oracle for `inner`.
     """
     _require_same_sector(state2.sector, state1.sector)
     width = max(state2.n_hi, state1.n_hi) - min(state2.n_lo, state1.n_lo) + 1
-    m = n_nodes or (4 * width + 16)
+    m = 4 * width + 16
     phi = np.arange(m) * (2.0 * math.pi / m)
     vals = np.conj(state2.evaluate(phi)) * state1.evaluate(phi)
     return complex(np.mean(vals))

@@ -120,19 +120,24 @@ def solve_transporter(s1: PhaseSpacePoint, s2: PhaseSpacePoint) -> GroupElement:
     return GroupElement(alpha, complex(0.0, -dp / cos2))
 
 
-def symplectic_residual(g: GroupElement, s: PhaseSpacePoint,
-                        step: float = 1e-30) -> float:
+_COMPLEX_STEP = 1e-30  # no difference is taken, so a tiny step loses nothing
+_FIELD_STEP = 1e-6  # ~ eps^(1/3): central-difference truncation ~ rounding
+_BRACKET_STEP = 1e-5  # as _FIELD_STEP, for the caller's two functions
+
+
+def symplectic_residual(g: GroupElement, s: PhaseSpacePoint) -> float:
     """|det J - 1| of the action's Jacobian at s by complex step, Im f(x +
-    i step) / step (Squire and Trapp, SIAM Rev. 40, 1998): no difference is
+    i h) / h (Squire and Trapp, SIAM Rev. 40, 1998): no difference is
     taken, so J carries rounding error only."""
-    dphi_dphi, dp_dphi = (v.imag / step
-                          for v in _image(g, complex(s.phi, step), s.p_phi))
-    dphi_dp, dp_dp = (v.imag / step
-                      for v in _image(g, s.phi, complex(s.p_phi, step)))
+    h = _COMPLEX_STEP
+    dphi_dphi, dp_dphi = (v.imag / h
+                          for v in _image(g, complex(s.phi, h), s.p_phi))
+    dphi_dp, dp_dp = (v.imag / h
+                      for v in _image(g, s.phi, complex(s.p_phi, h)))
     return abs(dphi_dphi * dp_dp - dphi_dp * dp_dphi - 1.0)
 
 
-def induced_fields(s: PhaseSpacePoint, step: float = 1e-6):
+def induced_fields(s: PhaseSpacePoint):
     """Vector fields induced at s by the three one-parameter subgroups.
 
     Convention: the field pulls functions back along exp(-A gamma), so each
@@ -145,18 +150,18 @@ def induced_fields(s: PhaseSpacePoint, step: float = 1e-6):
     for name, make in (("X1", lambda g: GroupElement(0.0, complex(g, 0.0))),
                        ("X2", lambda g: GroupElement(0.0, complex(0.0, g))),
                        ("L", lambda g: GroupElement(g, 0j, "universal"))):
-        plus = act(make(step), s)
-        minus = act(make(-step), s)
+        plus = act(make(_FIELD_STEP), s)
+        minus = act(make(-_FIELD_STEP), s)
         dphi = (((plus.phi - minus.phi) + math.pi) % (2.0 * math.pi)
-                - math.pi) / (2 * step)
-        dp = (plus.p_phi - minus.p_phi) / (2 * step)
+                - math.pi) / (2 * _FIELD_STEP)
+        dp = (plus.p_phi - minus.p_phi) / (2 * _FIELD_STEP)
         out[name] = (-dphi, -dp)
     return out
 
 
-def poisson_bracket(f, g, s: PhaseSpacePoint, step: float = 1e-5) -> float:
+def poisson_bracket(f, g, s: PhaseSpacePoint) -> float:
     """{f, g} = d_phi f d_p g - d_p f d_phi g by central differences."""
-    phi, p = s.phi, s.p_phi
+    phi, p, step = s.phi, s.p_phi, _BRACKET_STEP
     df_dphi = (f(phi + step, p) - f(phi - step, p)) / (2 * step)
     df_dp = (f(phi, p + step) - f(phi, p - step)) / (2 * step)
     dg_dphi = (g(phi + step, p) - g(phi - step, p)) / (2 * step)

@@ -125,6 +125,15 @@ def moment_series(params: Params, state: CircleState, times) -> np.ndarray:
 # kernel form -> theta method: the spectral series is theta's direct sum,
 # the Gaussian-prefactor face its tau -> -1/tau transform
 _KERNEL_METHODS = {"series": "direct", "gaussian": "transform", "auto": "auto"}
+_MIN_DAMPING = 1e-8  # least eps omega eta: there the faces agree to 7e-9
+
+
+def _damping(spec: EvolutionSpec) -> float:
+    """eps omega eta, refused with ValueError below the kernel's range."""
+    damping = spec.params.epsilon * spec.params.omega * spec.eta
+    if not damping >= _MIN_DAMPING:
+        raise ValueError(f"the kernel needs eps omega eta >= 1e-8, got {damping:g}")
+    return damping
 
 
 def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
@@ -142,13 +151,9 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     term budget).
 
     Valid range eps omega eta >= 1e-8: the faces agree to 2e-10 relative at
-    1e-6 and 7e-9 at 1e-8.  Below about 3e-9 the series face raises
-    ValueError, and below about 1e-10 (sooner at larger t) so does "auto".
+    1e-6 and 7e-9 at 1e-8.  Below it the kernel raises ValueError.
     """
-    if spec.eta <= 0:
-        raise ValueError("kernel evaluation needs eta > 0 (|q| < 1)")
-    if spec.t == 0 and spec.eta == 0:
-        raise ValueError("kernel undefined at t = eta = 0")
+    _damping(spec)
     if form not in _KERNEL_METHODS:
         raise ValueError(f"unknown kernel form {form!r}")
     scalar = np.isscalar(dphi)
@@ -169,16 +174,15 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     return complex(vals[0]) if scalar else vals
 
 
-def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out,
-                 n_nodes: int = 0):
+def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
     """Apply the kernel to a band-limited state by trapezoidal quadrature.
 
-    The node count must exceed the kernel's effective bandwidth
+    The node count exceeds twice the kernel's effective bandwidth
     ~ sqrt(80/(eps omega eta)) (the damping exp(-eps (n+delta)^2 omega
-    eta/2) is what truncates the spectral sum), otherwise aliasing wrecks
-    the convolution; the default handles that automatically.  The result
-    carries the eta-bias exp(-eps (n+delta)^2 omega eta / 2) on each
-    coefficient relative to `propagate`.
+    eta/2) is what truncates the spectral sum) plus the state's width, so
+    no aliasing reaches the convolution.  The result carries the eta-bias
+    exp(-eps (n+delta)^2 omega eta / 2) on each coefficient relative to
+    `propagate`.  Below eps omega eta = 1e-8 it raises ValueError.
 
     The kernel is sampled on (output angle x node) grids of about 400,000
     points per call at most.  On either face, large grids take the blocked
@@ -187,12 +191,8 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out,
     capped at 2^16 elements, so memory stays at a few grid-sized arrays.
     """
     _require_same_sector(state.sector, spec.sector)
-    if spec.eta <= 0:
-        raise ValueError("kernel application needs eta > 0")
-    eps_w_eta = spec.params.epsilon * spec.params.omega * spec.eta
-    bandwidth = int(math.ceil(math.sqrt(80.0 / eps_w_eta)))
-    width = state.n_hi - state.n_lo + 1
-    m = max(n_nodes, 2 * (bandwidth + width) + 16)
+    bandwidth = int(math.ceil(math.sqrt(80.0 / _damping(spec))))
+    m = 2 * (bandwidth + state.n_hi - state.n_lo + 1) + 16
     phi_nodes = np.arange(m) * (2.0 * math.pi / m)
     psi_nodes = state.evaluate(phi_nodes)
     phi_out_arr = np.atleast_1d(np.asarray(phi_out, dtype=float))

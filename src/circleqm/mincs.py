@@ -274,7 +274,10 @@ def completeness_residual(m1: int, m2: int, s: float, gamma: float,
     return complex(float(np.sum(np.abs(window) ** 2)) - 1.0)
 
 
-def dbt_divergence(n: int, gamma_max: float, nodes_per_panel: int = 12) -> float:
+_DBT_NODES = 12  # Gauss nodes per pi-wide panel: 30 move n = 0, 5 by < 1e-14
+
+
+def dbt_divergence(n: int, gamma_max: float) -> float:
     """int_0^Gamma J_n^2(x) dx by Gauss-Legendre panels of width pi.
 
     The integrand oscillates with period about pi and mean ~ 1/(pi x), so
@@ -288,7 +291,7 @@ def dbt_divergence(n: int, gamma_max: float, nodes_per_panel: int = 12) -> float
         return 0.0
     edges = np.arange(0.0, gamma_max, math.pi)
     edges = np.append(edges, gamma_max)
-    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(_DBT_NODES)
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)

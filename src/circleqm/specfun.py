@@ -67,12 +67,11 @@ class ThetaNome:
             raise ValueError("nome must be finite")
         if abs(q) >= 1.0:
             raise ValueError(f"|q| must be < 1, got |q| = {abs(q)}")
-        if abs(q) > 0.0:
-            tau = complex(self.tau)
-            if tau.imag <= 0.0:
-                raise ValueError("Im(tau) must be positive")
-            if abs(cmath.exp(1j * math.pi * tau) - q) > 1e-12 * max(abs(q), 1e-300):
-                raise ValueError("q and tau are inconsistent")
+        tau = complex(self.tau)
+        if not tau.imag > 0.0:
+            raise ValueError("Im(tau) must be positive")
+        if abs(cmath.exp(1j * math.pi * tau) - q) > 1e-12 * max(abs(q), 1e-300):
+            raise ValueError("q and tau are inconsistent")
 
     @classmethod
     def from_q(cls, q) -> "ThetaNome":
@@ -88,15 +87,11 @@ class ThetaNome:
 
     @property
     def log_q(self) -> complex:
-        """Principal log of the nome, i*pi*tau."""
-        if self.q == 0:
+        """Principal log of the nome, i*pi*tau: finite wherever tau is, even
+        once q underflows to 0; -inf only at tau = i inf (`from_q(0)`)."""
+        if math.isinf(complex(self.tau).imag):
             return complex(-math.inf, 0.0)
         return 1j * math.pi * self.tau
-
-
-def _check_kind(kind: int) -> None:
-    if kind not in (2, 3, 4):
-        raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
 
 
 def _n_cutoff(a: float, b: float) -> int:
@@ -149,7 +144,7 @@ def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool,
     z = zeta.reshape(-1)
     off = np.reshape(offset, -1) if np.ndim(offset) else offset
 
-    if lq.real == -math.inf:  # q = 0: only the leading term survives
+    if lq.real == -math.inf:  # tau = i inf: only the leading term survives
         v = np.zeros(zeta.shape, dtype=complex)
         if kind in (3, 4):
             v += np.exp(offset)
@@ -278,7 +273,8 @@ def _theta_transformed(kind: int, zeta: np.ndarray, nome: ThetaNome,
 
 def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
                     want_derivs: bool):
-    _check_kind(kind)
+    if kind not in (2, 3, 4):
+        raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
     if not isinstance(nome, ThetaNome):
         nome = ThetaNome.from_q(nome)
     scalar = np.isscalar(zeta) or (isinstance(zeta, np.ndarray) and zeta.ndim == 0)

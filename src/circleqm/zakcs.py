@@ -117,13 +117,11 @@ def zak_periodize(params: WZParams, z, phi):
     # winding sum: Gaussians at phi + 2 pi n, phases e^{-i 2 pi n delta}
     n_max = 3 + int(math.ceil((abs(z) + math.sqrt(80.0 * eps) + np.max(np.abs(phi)))
                               / (2.0 * math.pi)))
-    series = np.zeros(phi.shape, dtype=complex)
+    n = np.arange(-n_max, n_max + 1)
+    x = phi[..., None] + 2.0 * math.pi * n
     amp = cmath.exp(-(abs(z) ** 2 + z * z) / (4.0 * eps))
-    for n in range(-n_max, n_max + 1):
-        x = phi + 2.0 * math.pi * n
-        series += (cmath.exp(-2j * math.pi * n * delta)
-                   * np.exp(-x * x / (2.0 * eps) + z * x / eps))
-    series = pref * amp * series
+    series = pref * amp * (np.exp(-x * x / (2.0 * eps) + z * x / eps)
+                           @ np.exp(-2j * math.pi * n * delta))
 
     nome = ThetaNome.from_q(math.exp(-2.0 * math.pi ** 2 / eps))
     zeta = 1j * math.pi * (phi - z + 1j * eps * delta) / eps
@@ -138,37 +136,34 @@ def zak_periodize(params: WZParams, z, phi):
 
 def zak_small_nome(params: WZParams, z, phi):
     """The same periodized state written with the nome e^{-eps/2} (the
-    modular partner of the winding-sum form)."""
+    modular partner of the winding-sum form): a multiple of w_z."""
     eps, delta = params.epsilon, params.delta
     z = _as_point(z).z
-    phi = np.asarray(phi, dtype=float)
-    nome = ThetaNome.from_q(math.exp(-0.5 * eps))
     pref = ((2.0 * math.pi) ** -0.5 * (eps / math.pi) ** 0.25
             * cmath.exp(-(abs(z) ** 2 - z * z) / (4.0 * eps))
-            * cmath.exp(-eps * delta ** 2 / 2.0))
-    vals = pref * np.exp(1j * (phi - z) * delta) * theta(
-        3, (phi - z + 1j * eps * delta) / 2.0, nome)
-    return vals if vals.shape else complex(vals)
+            * cmath.exp(-eps * delta ** 2 / 2.0 - 1j * z * delta))
+    return pref * w_value(params, z, phi)
+
+
+def _window(eps: float, delta: float, l_tilde, tol: float) -> np.ndarray:
+    """Index window of w_z at momentum l_tilde (a row per label for an
+    array): centre round((l - eps delta)/eps), the magnitude peak, and
+    half-width ceil(sqrt(2 ln(1/tol)/eps)) + 5 (Gaussian decay)."""
+    center = np.rint((np.asarray(l_tilde) - eps * delta) / eps)
+    if not np.all(np.isfinite(center)):
+        raise ValueError("the label's momentum must be finite")
+    half = int(math.ceil(math.sqrt(2.0 * math.log(1.0 / tol) / eps))) + 5
+    return center.astype(np.int64)[..., None] + np.arange(-half, half + 1)
 
 
 def w_state(params: WZParams, z, window_tol: float = 1e-12) -> CircleState:
-    """Coefficient window of the holomorphic (unnormalized) family member.
-
-    c_m = exp(-eps(m^2/2 + m delta)) exp(-i m z); the window is centered at
-    the magnitude peak m* = round((l - eps delta)/eps) with half-width
-    ceil(sqrt(2 ln(1/tol)/eps)) + 5 (Gaussian coefficient decay).
-    """
+    """Coefficient window of the holomorphic (unnormalized) family member:
+    c_m = f_{m,delta}(z) over the window of `_window`."""
     if not 0.0 < window_tol < 1.0:
         raise ValueError("window_tol must lie in (0, 1)")
-    eps, delta = params.epsilon, params.delta
-    zc = _as_point(z).z
-    l_tilde = zc.imag
-    center = int(round((l_tilde - eps * delta) / eps))
-    half = int(math.ceil(math.sqrt(2.0 * math.log(1.0 / window_tol) / eps))) + 5
-    ms = np.arange(center - half, center + half + 1)
-    log_c = -eps * (ms.astype(float) ** 2 / 2.0 + ms * delta) - 1j * ms * zc
-    coeffs = np.exp(log_c)
-    return CircleState(params.sector, int(ms[0]), coeffs)
+    pt = _as_point(z)
+    ms = _window(params.epsilon, params.delta, pt.l_tilde, window_tol)
+    return CircleState(params.sector, int(ms[0]), fn_basis(params, ms, pt))
 
 
 def w_value(params: WZParams, z, phi, method: str = "auto"):
@@ -216,12 +211,16 @@ def w_overlap(params: WZParams, z1, z2) -> complex:
         3, (np.conj(z1c) - z2c + 2j * eps * delta) / 2.0, nome))
 
 
-def fn_basis(params: WZParams, n: int, z) -> complex:
+def fn_basis(params: WZParams, n, z):
     """Orthonormal basis f_{n,delta}(z) = exp(-eps(n^2/2 + n delta))
-    exp(-i n z) of the holomorphic-function space."""
+    exp(-i n z) of the holomorphic-function space, the one place it is
+    computed.  n is an integer or an integer array; an array of complex
+    labels z (this module's callers) broadcasts against n."""
     eps, delta = params.epsilon, params.delta
-    zc = _as_point(z).z
-    return cmath.exp(-eps * (n * n / 2.0 + n * delta) - 1j * n * zc)
+    zc = z if isinstance(z, np.ndarray) else _as_point(z).z
+    n = np.asarray(n, dtype=float)
+    vals = np.exp(-eps * (n * n / 2.0 + n * delta) - 1j * n * zc)
+    return vals if vals.shape else complex(vals)
 
 
 @dataclass(frozen=True)
@@ -237,11 +236,8 @@ class BargmannFunction:
     coeffs: np.ndarray
 
     def evaluate(self, z) -> complex:
-        zc = _as_point(z).z
-        return complex(sum(
-            c * fn_basis(self.params, n, zc)
-            for n, c in zip(range(self.n_lo, self.n_lo + self.coeffs.size),
-                            self.coeffs)))
+        n = np.arange(self.n_lo, self.n_lo + self.coeffs.size)
+        return complex(self.coeffs @ fn_basis(self.params, n, z))
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
@@ -397,9 +393,11 @@ class WZCompletenessResiduals:
     weighted: complex
 
 
+_WZ_NODES = 80  # Gauss nodes: the radial Gaussians integrate to rounding
+
+
 def completeness_residual_wz(m1: int, m2: int, params: WZParams,
-                             l_cut: float = 8.0,
-                             n_nodes: int = 80) -> WZCompletenessResiduals:
+                             l_cut: float = 8.0) -> WZCompletenessResiduals:
     """Resolve the identity over the family, truncating the momentum
     integral at +- l_cut sqrt(eps) around the matrix element's center.
 
@@ -413,10 +411,9 @@ def completeness_residual_wz(m1: int, m2: int, params: WZParams,
     if m1 != m2:
         return WZCompletenessResiduals(0j, 0j)
     eps, delta = params.epsilon, params.delta
-    m = m1
-    x_gl, w_gl = np.polynomial.legendre.leggauss(n_nodes)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(_WZ_NODES)
 
-    center = eps * (m + delta)
+    center = eps * (m1 + delta)
     half_width = l_cut * math.sqrt(eps)
     l_nodes = center + half_width * x_gl
     wts = half_width * w_gl
@@ -427,18 +424,16 @@ def completeness_residual_wz(m1: int, m2: int, params: WZParams,
     gauss = float(np.sum(wts * gauss_integrand)) - 1.0
 
     # theta-weighted normalized form: weight e^{-y^2/eps} theta3[iy, e^-eps]
-    # /sqrt(eps pi) times N_z^2 |f_m|^2.  The theta weight comes from the
-    # closed form but the normalizer from the coefficient sum, so their
-    # cancellation is itself under test.
-    nome = ThetaNome.from_q(math.exp(-eps))
-    weighted_integrand = np.empty(n_nodes)
-    for i, l_t in enumerate(l_nodes):
-        y = l_t - eps * delta
-        t3 = theta(3, 1j * y, nome).real
-        z_i = PhasePoint(0.0, l_t)
-        norm_sq = w_state(params, z_i, window_tol=1e-15).norm_sq()
-        f_m_sq = math.exp(-eps * m * m - 2.0 * eps * m * delta + 2.0 * m * l_t)
-        weighted_integrand[i] = (math.exp(-y * y / eps) / math.sqrt(eps * math.pi)
-                                 * t3 * f_m_sq / norm_sq)
+    # /sqrt(eps pi) times N_z^2 |f_m|^2 at z = i l.  The theta weight comes
+    # from the closed form but the normalizer from the coefficient sum over
+    # each node's w_state window, so their cancellation is itself under test.
+    y = l_nodes - eps * delta
+    t3 = theta(3, 1j * y, ThetaNome.from_q(math.exp(-eps))).real
+    labels = 1j * l_nodes[:, None]
+    rows = fn_basis(params, _window(eps, delta, l_nodes, 1e-15), labels)
+    norm_sq = np.sum(np.abs(rows) ** 2, axis=1)
+    f_m_sq = np.abs(fn_basis(params, m1, labels[:, 0])) ** 2
+    weighted_integrand = (np.exp(-y * y / eps) / math.sqrt(eps * math.pi)
+                          * t3 * f_m_sq / norm_sq)
     weighted = float(np.sum(wts * weighted_integrand)) - 1.0
     return WZCompletenessResiduals(complex(gauss), complex(weighted))

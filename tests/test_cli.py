@@ -369,6 +369,16 @@ class TestKernel:
         assert "eta" in err
 
 
+    def test_eta_below_kernel_range_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1.0, "delta": 0.0, "t": 0.7,
+                                   "eta": 5e-9}))
+        code, out, err = run(capsys, "kernel", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and "eps omega eta" in err
+
+
 class TestDeterminism:
     def test_identical_config_identical_bytes(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

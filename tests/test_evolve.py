@@ -167,6 +167,33 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel(spec, 0.3)
 
+    def test_refuses_below_documented_range(self):
+        # eps omega eta = 5e-9 < 1e-8: kernel and kernel_apply raise before
+        # any sampling; the series face alone would start to fail near 3e-9
+        sector = Sector(0.3)
+        spec = EvolutionSpec(Params(2.0, 0.5), sector, 0.7, eta=5e-9)
+        psi = CircleState(sector, -1, np.array([0.3, 0.8, -0.4j]))
+        for call in (lambda: kernel(spec, 0.4),
+                     lambda: kernel(spec, np.zeros(3), form="series"),
+                     lambda: kernel_apply(spec, psi, 1.1)):
+            with pytest.raises(ValueError, match="eps omega eta"):
+                call()
+
+    @pytest.mark.parametrize("form", ["auto", "series", "gaussian"])
+    def test_finite_at_range_edge(self, form):
+        spec = EvolutionSpec(Params(1.0, 1.0), Sector(0.3), 0.7, eta=1e-8)
+        vals = kernel(spec, np.linspace(-math.pi, math.pi, 5), form=form)
+        assert np.all(np.isfinite(vals))
+
+    def test_apply_at_range_edge(self):
+        sector = Sector(0.3)
+        psi = CircleState(sector, -1, np.array([0.3, 0.8, -0.4j])).normalized()
+        spec = EvolutionSpec(Params(1.0, 1.0), sector, 12.0, eta=1e-8)
+        bias = np.exp(-0.5 * spec.eta * (psi.indices + sector.delta) ** 2)
+        ref = CircleState(sector, psi.n_lo,
+                          propagate(spec, psi).coeffs * bias).evaluate(1.1)
+        assert abs(kernel_apply(spec, psi, 1.1) - ref) < 1e-10
+
     def test_gaussian_face_term_budget(self):
         # eta = 1e-12 puts the reciprocal nome within 2e-11 of the unit
         # circle: about 1.4M terms, past the series' budget

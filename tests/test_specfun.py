@@ -44,10 +44,37 @@ class TestThetaNome:
         with pytest.raises(ValueError):
             ThetaNome(0.5, 2j)
 
+    def test_zero_q_needs_underflowing_tau(self):
+        # q = 0 goes with tau = i inf or a tau whose q underflows, not 2i
+        with pytest.raises(ValueError):
+            ThetaNome(0j, 2j)
+        assert ThetaNome(0j, 238j).log_q == 1j * math.pi * 238j
+
 
 class TestTheta:
     def test_zero_nome_leading_term(self):
         assert theta(3, 0.0, ThetaNome.from_q(0.0)) == 1.0
+
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    @pytest.mark.parametrize("im_tau", [100.0, 236.0, 238.0, 300.0])
+    @pytest.mark.parametrize("half", [0.0, 0.5])
+    def test_underflowed_nome_keeps_tau(self, kind, im_tau, half):
+        # from Im tau ~ 237 on, q = e^{-pi Im tau} rounds to 0.0; the series
+        # must still run on tau.  Exponents reach pi Im tau ~ 940, whose
+        # rounding alone moves a term by ~1e-13 relative.
+        mpmath = pytest.importorskip("mpmath")
+        zeta = 1j * math.pi * im_tau * half
+        val = theta(kind, zeta, ThetaNome.from_tau(1j * im_tau))
+        with mpmath.workdps(40):
+            ms = [mpmath.mpf(m) + (mpmath.mpf(1) / 2 if kind == 2 else 0)
+                  for m in range(-6, 6)]
+            terms = [(-1) ** (m % 2 if kind == 4 else 0)
+                     * mpmath.exp(1j * mpmath.pi * 1j * im_tau * mm ** 2
+                                  + 2j * mm * mpmath.mpc(0, zeta.imag))
+                     for m, mm in zip(range(-6, 6), ms)]
+            ref = complex(mpmath.fsum(terms))
+            largest = float(max(abs(t) for t in terms))
+        assert abs(val - ref) <= 1e-12 * largest
 
     def test_period_pi(self):
         nome = ThetaNome.from_q(0.17)

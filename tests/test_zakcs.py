@@ -36,6 +36,38 @@ from circleqm.zakcs import (
 )
 
 
+def _w_state_inline(params, z, window_tol):
+    """n_lo and coefficients of w_z with the window rule and the basis
+    formula written out in place."""
+    eps, delta = params.epsilon, params.delta
+    zc = PhasePoint.from_z(z).z
+    center = int(round((zc.imag - eps * delta) / eps))
+    half = int(math.ceil(math.sqrt(2.0 * math.log(1.0 / window_tol) / eps))) + 5
+    ms = np.arange(center - half, center + half + 1)
+    log_c = -eps * (ms.astype(float) ** 2 / 2.0 + ms * delta) - 1j * ms * zc
+    return int(ms[0]), np.exp(log_c)
+
+
+def _weighted_residual_by_node(m, params):
+    """The weighted completeness residual at l_cut = 8 node by node: one
+    w_state norm and one scalar theta call per Gauss-Legendre node."""
+    eps, delta = params.epsilon, params.delta
+    x_gl, w_gl = np.polynomial.legendre.leggauss(80)
+    center, half_width = eps * (m + delta), 8.0 * math.sqrt(eps)
+    nome = ThetaNome.from_q(math.exp(-eps))
+    integrand = np.empty(x_gl.size)
+    for i, x in enumerate(x_gl):
+        l_t = center + half_width * x
+        y = l_t - eps * delta
+        t3 = theta(3, 1j * y, nome).real
+        norm_sq = w_state(params, PhasePoint(0.0, l_t),
+                          window_tol=1e-15).norm_sq()
+        f_m_sq = math.exp(-eps * m * m - 2.0 * eps * m * delta + 2.0 * m * l_t)
+        integrand[i] = (math.exp(-y * y / eps) / math.sqrt(eps * math.pi)
+                        * t3 * f_m_sq / norm_sq)
+    return float(np.sum(half_width * w_gl * integrand)) - 1.0
+
+
 class TestGaussianCS:
     def test_origin_value(self):
         assert gaussian_cs(1.0, 0j, 0.0) == pytest.approx(math.pi ** -0.25)
@@ -106,6 +138,22 @@ class TestZakPeriodize:
         scale = np.max(np.abs(series))
         assert np.max(np.abs(series - closed)) < 1e-10 * scale
 
+    @pytest.mark.parametrize("eps,delta,z", [
+        (1.0, 0.0, 0j), (1.0, 0.25, 1.0 + 0.5j), (0.5, 0.6, 2.0 - 0.7j),
+        (2.0, 0.1, 0.3 + 1.2j), (0.05, 0.9, 5.0 + 0.2j)])
+    def test_series_matches_winding_loop(self, eps, delta, z):
+        # the winding sum is the line state summed over its 2 pi copies
+        params = WZParams(eps, Sector(delta))
+        phi = np.linspace(-math.pi, 3 * math.pi, 24)
+        series, _ = zak_periodize(params, z, phi)
+        n_max = 3 + int(math.ceil((abs(PhasePoint.from_z(z).z)
+                                   + math.sqrt(80.0 * eps) + 3 * math.pi)
+                                  / (2.0 * math.pi)))
+        ref = sum(cmath.exp(-2j * math.pi * n * delta)
+                  * gaussian_cs(eps, z, phi + 2.0 * math.pi * n)
+                  for n in range(-n_max, n_max + 1))
+        assert np.max(np.abs(series - ref)) < 1e-14 * np.max(np.abs(ref))
+
     def test_small_nome_face_matches(self):
         params = WZParams(1.0, Sector(0.3))
         z = 0.8 + 0.6j
@@ -144,6 +192,23 @@ class TestWState:
         st = w_state(params, PhasePoint(0.4, l), window_tol=1e-14)
         assert st.norm_sq() == pytest.approx(
             w_norm_sq(params, PhasePoint(0.4, l)), rel=1e-10)
+
+    def test_coefficients_match_inline_formula(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            params = WZParams(10 ** rng.uniform(-2, 0.5),
+                              Sector(rng.uniform(0, 1)))
+            z = complex(rng.uniform(-7, 7), rng.uniform(-3, 3))
+            tol = 10 ** rng.uniform(-15, -3)
+            st = w_state(params, z, window_tol=tol)
+            n_lo, coeffs = _w_state_inline(params, z, tol)
+            assert st.n_lo == n_lo
+            assert np.array_equal(st.coeffs, coeffs)
+
+    @pytest.mark.parametrize("l", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_momentum(self, l):
+        with pytest.raises(ValueError):
+            w_state(WZParams(1.0, Sector(0.0)), PhasePoint(0.0, l))
 
     def test_closed_form_two_theta_routes(self):
         params = WZParams(1.0, Sector(0.2))
@@ -266,6 +331,18 @@ class TestWOverlap:
         ref = fn_basis(params, m, z1)
         assert abs(total - ref) < 1e-6 * max(abs(ref), 1.0)
 
+    @pytest.mark.parametrize("z", [0.4 + 0.2j, PhasePoint(5.5, -2.0),
+                                   9.0 - 1.5j])
+    def test_basis_array_matches_scalar_calls(self, z):
+        params = WZParams(0.3, Sector(0.45))
+        n = np.arange(-40, 41)
+        vals = fn_basis(params, n, z)
+        zc = z.z if isinstance(z, PhasePoint) else PhasePoint.from_z(z).z
+        for k, v in zip(n.tolist(), vals):
+            ref = cmath.exp(-0.3 * (k * k / 2.0 + k * 0.45) - 1j * k * zc)
+            assert abs(v - ref) <= 1e-15 * abs(ref)
+            assert abs(fn_basis(params, k, z) - ref) <= 1e-15 * abs(ref)
+
     def test_holomorphy_cauchy_riemann(self):
         params = WZParams(1.0, Sector(0.3))
         h = 1e-5
@@ -301,6 +378,17 @@ class TestBargmannMap:
         back = bargmann_inverse(bargmann_forward(params, state))
         assert back.n_lo == state.n_lo
         assert np.max(np.abs(back.coeffs - state.coeffs)) < 1e-12
+
+    def test_evaluate_matches_term_sum(self):
+        params = WZParams(0.6, Sector(0.35))
+        rng = np.random.default_rng(12)
+        c = rng.normal(size=21) + 1j * rng.normal(size=21)
+        bf = BargmannFunction(params, -10, c)
+        for z in (PhasePoint(0.9, 0.5), 2.0 - 1.5j, PhasePoint(4.0, 3.0)):
+            terms = [ck * fn_basis(params, n, z)
+                     for n, ck in zip(range(-10, 11), c)]
+            ref = sum(terms)
+            assert abs(bf.evaluate(z) - ref) < 1e-14 * sum(map(abs, terms))
 
     def test_evaluation_is_overlap_with_family(self):
         params = WZParams(1.0, Sector(0.4))
@@ -499,6 +587,15 @@ class TestCompleteness:
         params = WZParams(1.0, Sector(0.2))
         res = completeness_residual_wz(0, 0, params, l_cut=8.0)
         assert abs(res.gauss - res.weighted) < 1e-8
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.3, 1.0, 2.0])
+    def test_weighted_matches_node_loop(self, eps):
+        for delta in (0.0, 0.37, 0.9):
+            for m in (-3, 0, 2):
+                params = WZParams(eps, Sector(delta))
+                res = completeness_residual_wz(m, m, params)
+                ref = _weighted_residual_by_node(m, params)
+                assert abs(res.weighted - ref) <= 1e-15
 
     def test_rejects_bad_cut(self):
         with pytest.raises(ValueError):
