@@ -172,9 +172,6 @@ class CircleState:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm_sq() - 1.0) < tol
-
     def normalized(self) -> "CircleState":
         return CircleState(self.sector, self.n_lo, self.coeffs / self.norm())
 

@@ -22,7 +22,7 @@ from circleqm.circlespace import (CircleState, Params, Sector, _centred, _dots,
                                   _require_same_sector, operator_coeffs)
 from circleqm.mincs import MinUncParams, min_state
 from circleqm.specfun import ThetaNome, theta
-from circleqm.zakcs import PhasePoint
+from circleqm.zakcs import WZParams, _w_theta
 
 __all__ = [
     "EvolutionSpec",
@@ -209,31 +209,19 @@ def evolve_w(spec: EvolutionSpec, z):
     """Closed-form evolution of the holomorphic family: the nome acquires
     the phase e^{-i eps omega t/2} and the theta argument drifts by
     eps delta omega t.  Returns a callable on phi."""
-    eps, delta = spec.params.epsilon, spec.sector.delta
+    params = WZParams(spec.params.epsilon, spec.sector)
     wt = spec.params.omega * spec.t
-    zc = z.z if isinstance(z, PhasePoint) else complex(z)
-    nome = ThetaNome.from_q(cmath.exp(-0.5 * eps * (1.0 + 1j * wt)))
-    pref = cmath.exp(-0.5j * eps * delta * delta * wt)
-
-    def value(phi):
-        phi = np.asarray(phi, dtype=float)
-        vals = (pref * np.exp(1j * phi * delta)
-                * theta(3, (phi - zc - eps * delta * wt + 1j * eps * delta) / 2.0,
-                        nome))
-        return vals if vals.shape else complex(vals)
-
-    return value
+    return lambda phi: _w_theta(params, z, phi, wt)
 
 
-def evolve_min(spec: EvolutionSpec, params: MinUncParams,
-               window_tol: float = 1e-12) -> CircleState:
+def evolve_min(spec: EvolutionSpec, params: MinUncParams) -> CircleState:
     """Closed-form evolution of the minimal-uncertainty family: the phase
     splits into the delta^2 piece, the quadratic m^2 piece and a drift of
     the angle by eps delta omega t, dressing the Bessel coefficients."""
     _require_same_sector(params.sector, spec.sector)
     eps, delta = spec.params.epsilon, spec.sector.delta
     wt = spec.params.omega * spec.t
-    base = min_state(params, window_tol)
+    base = min_state(params)
     ms = base.indices.astype(float)
     # strip the alpha phases off to expose the bare Bessel coefficients,
     # then dress them with the printed three-factor phase

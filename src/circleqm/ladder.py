@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circleqm.circlespace import (CircleState, Sector, _centred_report,
+from circleqm.circlespace import (CircleState, _centred_report,
                                   _require_same_sector, _windows)
-from circleqm.zakcs import PhasePoint, WZParams, w_state
+from circleqm.zakcs import WZParams, _as_point, w_state
 
 __all__ = [
     "LadderContext",
@@ -35,18 +35,13 @@ __all__ = [
     "qdeform_residual",
 ]
 
+_KJ_WINDOW_TOL = 1e-15  # w_state window of kj_matrix_elements
+
 
 @dataclass(frozen=True)
-class LadderContext:
-    """Stiffness and sector, with the derived deformation parameter
-    q = e^{-2 eps} and the number-operator shift (1/2 eps) ln(2 sinh eps)."""
-
-    epsilon: float
-    sector: Sector
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+class LadderContext(WZParams):
+    """Stiffness and sector (a `WZParams`), with the derived deformation
+    parameter q = e^{-2 eps} and the shift (1/2 eps) ln(2 sinh eps) of N."""
 
     @property
     def q_def(self) -> float:
@@ -55,10 +50,6 @@ class LadderContext:
     @property
     def shift_constant(self) -> float:
         return math.log(2.0 * math.sinh(self.epsilon)) / (2.0 * self.epsilon)
-
-    @property
-    def wz(self) -> WZParams:
-        return WZParams(self.epsilon, self.sector)
 
 
 def _diagonal(ctx: LadderContext, state: CircleState, weights,
@@ -94,15 +85,15 @@ def apply_number_op(ctx: LadderContext, state: CircleState) -> CircleState:
     return _diagonal(ctx, state, lambda f: f + ctx.shift_constant)
 
 
-def eigen_residual(ctx: LadderContext, z, window_tol: float = 1e-12) -> float:
-    """||B w_z - e^{-iz} w_z|| / ||w_z|| on the truncated window.
+def eigen_residual(ctx: LadderContext, z) -> float:
+    """||B w_z - e^{-iz} w_z|| / ||w_z|| on `w_state`'s default window.
 
     The finite window necessarily breaks the eigen-relation at its two edge
     rows, which are excluded; on the interior the residual reflects only the
     coefficient recursion, not the truncation.
     """
-    w = w_state(ctx.wz, z, window_tol)
-    eta = cmath.exp(-1j * (z.z if isinstance(z, PhasePoint) else complex(z)))
+    w = w_state(ctx, z)
+    eta = cmath.exp(-1j * _as_point(z).z)
     bw = apply_B(ctx, w)
     # interior indices of the union window: drop the two edge rows
     lo, hi = w.n_lo, w.n_hi - 1
@@ -134,7 +125,7 @@ class KJReport:
 
 def kj_report(ctx: LadderContext, z) -> KJReport:
     """Evaluate the closed forms at the phase point z = theta + i l."""
-    pt = z if isinstance(z, PhasePoint) else PhasePoint.from_z(complex(z))
+    pt = _as_point(z)
     theta_ang, l_tilde = pt.theta, pt.l_tilde
     e2l = math.exp(2.0 * l_tilde)
     spread = math.expm1(2.0 * ctx.epsilon) * e2l
@@ -175,11 +166,10 @@ def pair_stats(ctx: LadderContext, state: CircleState) -> KJReport:
     )
 
 
-def kj_matrix_elements(ctx: LadderContext, z,
-                       window_tol: float = 1e-15) -> KJReport:
+def kj_matrix_elements(ctx: LadderContext, z) -> KJReport:
     """K/J statistics of a truncated holomorphic family member -- the
     independent route for cross-checking `kj_report`'s closed forms."""
-    return pair_stats(ctx, w_state(ctx.wz, z, window_tol))
+    return pair_stats(ctx, w_state(ctx, z, _KJ_WINDOW_TOL))
 
 
 def qdeform_residual(ctx: LadderContext, n: int) -> float:

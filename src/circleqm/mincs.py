@@ -263,7 +263,8 @@ def completeness_residual(m1: int, m2: int, s: float, gamma: float,
 
     The angle average is done analytically (it kills m1 != m2 exactly);
     the diagonal leaves (1/I0(2s)) sum_n |J_{m-n}(sigma)|^2 - 1, which
-    decays to zero monotonically in n_cut.
+    decays to zero monotonically in n_cut.  `sector` is not read, since
+    the defect does not depend on delta; positional callers still pass it.
     """
     if n_cut < 0:
         raise ValueError("n_cut must be nonnegative")

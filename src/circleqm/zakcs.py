@@ -89,6 +89,48 @@ def _as_point(z) -> PhasePoint:
     return z if isinstance(z, PhasePoint) else PhasePoint.from_z(z)
 
 
+# The family's four theta closed forms, each (with its nome) written once.
+def _w_theta(params: WZParams, z, phi, wt: float):
+    """w_z evolved to omega t = wt, e^{-i eps delta^2 wt/2} e^{i phi delta}
+    theta3[(phi - z - eps delta wt + i eps delta)/2, e^{-eps (1 + i wt)/2}]."""
+    eps, delta = params.epsilon, params.delta
+    phi = np.asarray(phi, dtype=float)
+    nome = ThetaNome.from_q(cmath.exp(-0.5 * eps * (1.0 + 1j * wt)))
+    zeta = (phi - _as_point(z).z - eps * delta * wt + 1j * eps * delta) / 2.0
+    vals = (cmath.exp(-0.5j * eps * delta * delta * wt)
+            * np.exp(1j * phi * delta) * theta(3, zeta, nome))
+    return vals if vals.shape else complex(vals)
+
+
+def _kernel_theta(params: WZParams, z1c, z2c):
+    """Reproducing kernel theta3[(conj(z1) - z2 + 2 i eps delta)/2, e^{-eps}]
+    at complex labels (or arrays of them)."""
+    eps = params.epsilon
+    return theta(3, (np.conj(z1c) - z2c + 2j * eps * params.delta) / 2.0,
+                 ThetaNome.from_q(math.exp(-eps)))
+
+
+def _winding_theta(params: WZParams, dz):
+    """theta3[i pi (dz + i eps delta)/eps, e^{-2 pi^2/eps}] at dz = phi - z:
+    the winding sum's small-nome face."""
+    eps = params.epsilon
+    return theta(3, 1j * math.pi * (dz + 1j * eps * params.delta) / eps,
+                 ThetaNome.from_q(math.exp(-2.0 * math.pi ** 2 / eps)))
+
+
+def _norm_arg(params: WZParams, l_tilde: float):
+    """Argument pi (l - eps delta)/eps and nome e^{-pi^2/eps} of the
+    periodized normalizer, which also carries every expectation ratio."""
+    eps = params.epsilon
+    zeta = math.pi * (l_tilde - eps * params.delta) / eps
+    return zeta, ThetaNome.from_q(math.exp(-math.pi ** 2 / eps))
+
+
+def _periodized_norm(params: WZParams, l_tilde: float) -> float:
+    """theta3[pi (l - eps delta)/eps, e^{-pi^2/eps}]."""
+    return theta(3, *_norm_arg(params, l_tilde)).real
+
+
 def gaussian_cs(epsilon: float, z, xi):
     """The line coherent state (eps pi)^(-1/4) e^{-(|z|^2+z^2)/(4 eps)}
     e^{-xi^2/(2 eps) + z xi / eps}; normalized on the line, annihilated by
@@ -123,12 +165,11 @@ def zak_periodize(params: WZParams, z, phi):
     series = pref * amp * (np.exp(-x * x / (2.0 * eps) + z * x / eps)
                            @ np.exp(-2j * math.pi * n * delta))
 
-    nome = ThetaNome.from_q(math.exp(-2.0 * math.pi ** 2 / eps))
-    zeta = 1j * math.pi * (phi - z + 1j * eps * delta) / eps
+    dz = phi - z
     closed = (pref
               * np.exp(-(abs(z) ** 2 - z * z) / (4.0 * eps)
-                       - (phi - z) ** 2 / (2.0 * eps))
-              * theta(3, zeta, nome))
+                       - dz ** 2 / (2.0 * eps))
+              * _winding_theta(params, dz))
     if series.shape:
         return series, closed
     return complex(series), complex(closed)
@@ -166,25 +207,16 @@ def w_state(params: WZParams, z, window_tol: float = 1e-12) -> CircleState:
     return CircleState(params.sector, int(ms[0]), fn_basis(params, ms, pt))
 
 
-def w_value(params: WZParams, z, phi, method: str = "auto"):
+def w_value(params: WZParams, z, phi):
     """Closed form e^{i phi delta} theta3[(phi - z + i eps delta)/2,
-    e^{-eps/2}]; `method` selects the theta evaluation route so the two
-    printed faces of the formula can be compared."""
-    eps, delta = params.epsilon, params.delta
-    zc = _as_point(z).z
-    phi = np.asarray(phi, dtype=float)
-    nome = ThetaNome.from_q(math.exp(-0.5 * eps))
-    vals = np.exp(1j * phi * delta) * theta(
-        3, (phi - zc + 1j * eps * delta) / 2.0, nome, method=method)
-    return vals if vals.shape else complex(vals)
+    e^{-eps/2}]."""
+    return _w_theta(params, z, phi, 0.0)
 
 
 def w_norm_sq(params: WZParams, z) -> float:
-    """Squared norm theta3[i(l - eps delta), e^{-eps}]."""
-    eps, delta = params.epsilon, params.delta
-    y = _as_point(z).l_tilde - eps * delta
-    nome = ThetaNome.from_q(math.exp(-eps))
-    return theta(3, 1j * y, nome).real
+    """Squared norm theta3[i(l - eps delta), e^{-eps}] = K(z, z)."""
+    zc = _as_point(z).z
+    return _kernel_theta(params, zc, zc).real
 
 
 def norm_constant(params: WZParams, z) -> float:
@@ -195,20 +227,14 @@ def norm_constant(params: WZParams, z) -> float:
 def periodized_norm_constant(params: WZParams, z) -> float:
     """C_z = sqrt(2 pi / theta3[pi(l - eps delta)/eps, e^{-pi^2/eps}]),
     the normalizer of the periodized Gaussian itself."""
-    eps, delta = params.epsilon, params.delta
-    y = _as_point(z).l_tilde - eps * delta
-    nome = ThetaNome.from_q(math.exp(-math.pi ** 2 / eps))
-    return math.sqrt(2.0 * math.pi / theta(3, math.pi * y / eps, nome).real)
+    return math.sqrt(2.0 * math.pi
+                     / _periodized_norm(params, _as_point(z).l_tilde))
 
 
 def w_overlap(params: WZParams, z1, z2) -> complex:
     """Reproducing kernel K(z1, z2) = theta3[(conj(z1) - z2 + 2 i eps
     delta)/2, e^{-eps}] = (w_{z1}, w_{z2})."""
-    eps, delta = params.epsilon, params.delta
-    z1c, z2c = _as_point(z1).z, _as_point(z2).z
-    nome = ThetaNome.from_q(math.exp(-eps))
-    return complex(theta(
-        3, (np.conj(z1c) - z2c + 2j * eps * delta) / 2.0, nome))
+    return complex(_kernel_theta(params, _as_point(z1).z, _as_point(z2).z))
 
 
 def fn_basis(params: WZParams, n, z):
@@ -294,12 +320,10 @@ class WZExpectations:
 def w_expectations(params: WZParams, z) -> WZExpectations:
     """Evaluate every closed form through ratios of the fast small-nome
     theta series at zeta = pi (l - eps delta)/eps, q = e^{-pi^2/eps}."""
-    eps, delta = params.epsilon, params.delta
+    eps = params.epsilon
     pt = _as_point(z)
     theta_ang, l_tilde = pt.theta, pt.l_tilde
-    y = l_tilde - eps * delta
-    zeta = math.pi * y / eps
-    nome = ThetaNome.from_q(math.exp(-math.pi ** 2 / eps))
+    zeta, nome = _norm_arg(params, l_tilde)
     t3, d3, dd3 = theta_derivs(3, zeta, nome)
     t4, d4, _ = theta_derivs(4, zeta, nome)
     t3, d3, dd3 = t3.real, d3.real, dd3.real
@@ -325,7 +349,7 @@ def w_expectations(params: WZParams, z) -> WZExpectations:
     corr_cl_scaled = (math.pi / 2.0) * e4 * ca * ratio43 * (d4 / t4 - d3 / t3)
 
     q = nome.q.real
-    osc = 2.0 * math.pi * y / eps
+    osc = 2.0 * zeta
     leading = WZLeadingOrder(
         ratio43=1.0 - 4.0 * q * math.cos(osc),
         mean_l=l_tilde / eps
@@ -358,8 +382,7 @@ def transition_prob(m, params: WZParams, z):
         raise ValueError("m must be an integer or an integer array")
     eps, delta = params.epsilon, params.delta
     l_tilde = _as_point(z).l_tilde
-    nome = ThetaNome.from_q(math.exp(-math.pi ** 2 / eps))
-    norm = theta(3, math.pi * (l_tilde - eps * delta) / eps, nome).real
+    norm = _periodized_norm(params, l_tilde)
     prob = (math.sqrt(eps / math.pi)
             * np.exp(-(l_tilde - eps * (m + delta)) ** 2 / eps) / norm)
     return float(prob) if prob.ndim == 0 else prob
@@ -369,18 +392,17 @@ def density(params: WZParams, z, phi):
     """Angular probability density of the normalized periodized Gaussian:
     (2 pi / sqrt(eps pi)) e^{-(phi-theta)^2/eps} |theta3[i pi (phi - z +
     i eps delta)/eps, e^{-2 pi^2/eps}]|^2 / theta3[pi(l - eps delta)/eps,
-    e^{-pi^2/eps}]; integrates to 1 against dphi/2pi."""
-    eps, delta = params.epsilon, params.delta
+    e^{-pi^2/eps}]; integrates to 1 against dphi/2pi.  It is 2 pi-periodic:
+    phi - theta is reduced into [-pi, pi) first, since further out the
+    Gaussian underflows to 0 while the theta factor overflows."""
+    eps = params.epsilon
     pt = _as_point(z)
-    phi = np.asarray(phi, dtype=float)
-    num_nome = ThetaNome.from_q(math.exp(-2.0 * math.pi ** 2 / eps))
-    den_nome = ThetaNome.from_q(math.exp(-math.pi ** 2 / eps))
-    tvals = theta(3, 1j * math.pi * (phi - pt.z + 1j * eps * delta) / eps,
-                  num_nome)
-    den = theta(3, math.pi * (pt.l_tilde - eps * delta) / eps, den_nome).real
+    d = np.asarray(phi, dtype=float) - pt.theta
+    d = d - 2.0 * math.pi * np.floor((d + math.pi) / (2.0 * math.pi))
+    tvals = _winding_theta(params, d - 1j * pt.l_tilde)
     vals = (2.0 * math.pi / math.sqrt(eps * math.pi)
-            * np.exp(-(phi - pt.theta) ** 2 / eps)
-            * np.abs(tvals) ** 2 / den)
+            * np.exp(-d ** 2 / eps)
+            * np.abs(tvals) ** 2 / _periodized_norm(params, pt.l_tilde))
     return vals if vals.shape else float(vals)
 
 
@@ -424,15 +446,16 @@ def completeness_residual_wz(m1: int, m2: int, params: WZParams,
     gauss = float(np.sum(wts * gauss_integrand)) - 1.0
 
     # theta-weighted normalized form: weight e^{-y^2/eps} theta3[iy, e^-eps]
-    # /sqrt(eps pi) times N_z^2 |f_m|^2 at z = i l.  The theta weight comes
-    # from the closed form but the normalizer from the coefficient sum over
-    # each node's w_state window, so their cancellation is itself under test.
+    # /sqrt(eps pi) times N_z^2 |f_m|^2 at z = i l.  The theta weight is the
+    # kernel's closed-form diagonal but the normalizer the coefficient sum
+    # over each node's w_state window, so their cancellation is under test.
     y = l_nodes - eps * delta
-    t3 = theta(3, 1j * y, ThetaNome.from_q(math.exp(-eps))).real
-    labels = 1j * l_nodes[:, None]
-    rows = fn_basis(params, _window(eps, delta, l_nodes, 1e-15), labels)
+    z_nodes = 1j * l_nodes
+    t3 = _kernel_theta(params, z_nodes, z_nodes).real
+    rows = fn_basis(params, _window(eps, delta, l_nodes, 1e-15),
+                    z_nodes[:, None])
     norm_sq = np.sum(np.abs(rows) ** 2, axis=1)
-    f_m_sq = np.abs(fn_basis(params, m1, labels[:, 0])) ** 2
+    f_m_sq = np.abs(fn_basis(params, m1, z_nodes)) ** 2
     weighted_integrand = (np.exp(-y * y / eps) / math.sqrt(eps * math.pi)
                           * t3 * f_m_sq / norm_sq)
     weighted = float(np.sum(wts * weighted_integrand)) - 1.0

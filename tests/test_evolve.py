@@ -265,6 +265,29 @@ class TestEvolveW:
         ref = w_value(params, z, phi)
         assert np.max(np.abs(vals - ref)) < 1e-12 * np.max(np.abs(ref))
 
+    def test_zero_time_is_w_value_bitwise(self):
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            eps, delta = 10 ** rng.uniform(-2, 0.5), rng.uniform(0, 1)
+            z = PhasePoint(rng.uniform(0, 2 * math.pi), rng.uniform(-4, 4))
+            spec = EvolutionSpec(Params(eps, rng.uniform(0.5, 2)),
+                                 Sector(delta), 0.0)
+            phi = rng.uniform(0, 2 * math.pi, 7)
+            with np.errstate(all="ignore"):
+                vals = evolve_w(spec, z)(phi)
+                ref = w_value(WZParams(eps, Sector(delta)), z, phi)
+            assert np.array_equal(vals, ref, equal_nan=True)
+
+    def test_raw_label_reduced_like_phase_point(self):
+        # a complex label is taken modulo 2 pi in its real part, as by
+        # PhasePoint; the value moves only at rounding
+        spec = EvolutionSpec(Params(0.7, 1.0), Sector(0.3), 1.1)
+        phi = np.linspace(0, 2 * math.pi, 9)
+        raw = complex(0.4 + 6 * math.pi, 0.5)
+        a = evolve_w(spec, raw)(phi)
+        b = evolve_w(spec, PhasePoint(0.4, 0.5))(phi)
+        assert np.max(np.abs(a - b)) < 1e-13 * np.max(np.abs(b))
+
     @pytest.mark.parametrize("delta,wt", [(0.0, 1.0), (0.4, 1.0), (0.4, 2.7)])
     def test_matches_spectral_propagation(self, delta, wt):
         eps = 1.0

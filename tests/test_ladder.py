@@ -33,6 +33,20 @@ def random_state(sector, n_lo=-3, width=6, rng=RNG):
     return CircleState(sector, n_lo, c).normalized()
 
 
+class TestContext:
+    def test_is_wz_params(self):
+        ctx = LadderContext(0.8, Sector(0.3))
+        assert isinstance(ctx, WZParams)
+        assert (ctx.epsilon, ctx.delta) == (0.8, 0.3)
+        assert np.array_equal(w_state(ctx, PhasePoint(0.2, 0.4)).coeffs,
+                              w_state(WZParams(0.8, Sector(0.3)),
+                                      PhasePoint(0.2, 0.4)).coeffs)
+
+    def test_rejects_nonpositive_epsilon(self):
+        with pytest.raises(ValueError):
+            LadderContext(0.0, Sector(0.0))
+
+
 class TestShiftAction:
     def test_lowering_on_basis(self):
         ctx = LadderContext(1.0, Sector(0.0))

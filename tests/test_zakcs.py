@@ -68,6 +68,49 @@ def _weighted_residual_by_node(m, params):
     return float(np.sum(half_width * w_gl * integrand)) - 1.0
 
 
+def _closed_forms_inline(params, z, z2, phi, ms):
+    """The family's theta closed forms, each written out in place with its
+    own nome: w_z, the kernel and its diagonal, the periodized normalizer
+    and the two functions it divides, and the winding face of zak_periodize
+    (phi - theta in [-pi, pi))."""
+    eps, delta = params.epsilon, params.delta
+    y = z.l_tilde - eps * delta
+    w = np.exp(1j * phi * delta) * theta(
+        3, (phi - z.z + 1j * eps * delta) / 2.0,
+        ThetaNome.from_q(math.exp(-0.5 * eps)))
+    norm_sq = theta(3, 1j * y, ThetaNome.from_q(math.exp(-eps))).real
+    overlap = complex(theta(3, (np.conj(z.z) - z2.z + 2j * eps * delta) / 2.0,
+                            ThetaNome.from_q(math.exp(-eps))))
+    den = theta(3, math.pi * y / eps,
+                ThetaNome.from_q(math.exp(-math.pi ** 2 / eps))).real
+    c_z = math.sqrt(2.0 * math.pi / den)
+    probs = (math.sqrt(eps / math.pi)
+             * np.exp(-(z.l_tilde - eps * (ms + delta)) ** 2 / eps) / den)
+    winding = theta(3, 1j * math.pi * (phi - z.z + 1j * eps * delta) / eps,
+                    ThetaNome.from_q(math.exp(-2.0 * math.pi ** 2 / eps)))
+    dens = (2.0 * math.pi / math.sqrt(eps * math.pi)
+            * np.exp(-(phi - z.theta) ** 2 / eps) * np.abs(winding) ** 2 / den)
+    closed = ((eps * math.pi) ** -0.25
+              * np.exp(-(abs(z.z) ** 2 - z.z * z.z) / (4.0 * eps)
+                       - (phi - z.z) ** 2 / (2.0 * eps))
+              * winding)
+    return {"w_value": w, "w_norm_sq": norm_sq, "w_overlap": overlap,
+            "periodized_norm_constant": c_z, "transition_prob": probs,
+            "density": dens, "zak_periodize": closed}
+
+
+def _random_draws(n, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        eps = 10 ** rng.uniform(-2, 0.5)
+        params = WZParams(eps, Sector(rng.uniform(0, 1) if rng.uniform() < 0.7
+                                      else 0.0))
+        z = PhasePoint(rng.uniform(0, 2 * math.pi), rng.uniform(-6, 6))
+        z2 = PhasePoint(rng.uniform(0, 2 * math.pi), z.l_tilde + rng.normal())
+        phi = z.theta + rng.uniform(-math.pi, math.pi, 9)
+        yield params, z, z2, phi
+
+
 class TestGaussianCS:
     def test_origin_value(self):
         assert gaussian_cs(1.0, 0j, 0.0) == pytest.approx(math.pi ** -0.25)
@@ -211,12 +254,18 @@ class TestWState:
             w_state(WZParams(1.0, Sector(0.0)), PhasePoint(0.0, l))
 
     def test_closed_form_two_theta_routes(self):
+        # w_value's theta on both sides of tau -> -1/tau, at its own
+        # argument and nome
         params = WZParams(1.0, Sector(0.2))
         z = PhasePoint(0.7, 0.9)
         phi = np.linspace(0, 2 * math.pi, 17)
-        direct = w_value(params, z, phi, method="direct")
-        transformed = w_value(params, z, phi, method="transform")
+        zeta = (phi - z.z + 1j * params.epsilon * params.delta) / 2.0
+        nome = ThetaNome.from_q(math.exp(-0.5 * params.epsilon))
+        direct = theta(3, zeta, nome, method="direct")
+        transformed = theta(3, zeta, nome, method="transform")
         assert np.max(np.abs(direct - transformed)) < 1e-10 * np.max(np.abs(direct))
+        ref = np.exp(1j * phi * params.delta) * direct
+        assert np.max(np.abs(w_value(params, z, phi) - ref)) < 1e-10 * np.max(np.abs(ref))
 
     def test_coefficients_reproduce_closed_form(self):
         params = WZParams(0.9, Sector(0.4))
@@ -555,6 +604,32 @@ class TestDensity:
         scale = np.sum(np.abs(st.coeffs)) ** 2 / st.norm_sq()
         assert np.max(np.abs(vals - ref)) < 1e-12 * scale
 
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 1.0])
+    @pytest.mark.parametrize("turns", [1, 2, 4])
+    def test_periodic_beyond_one_turn(self, eps, turns):
+        # whole turns away the Gaussian underflows against the theta
+        # overflow (nan) unless phi - theta is first reduced into [-pi, pi)
+        params = WZParams(eps, Sector(0.3))
+        z = PhasePoint(0.5, 0.7)
+        st = w_state(params, z, window_tol=1e-15)
+        x = np.linspace(-math.pi, math.pi, 33)
+        for sign in (1, -1):
+            phi = z.theta + x + sign * 2.0 * math.pi * turns
+            vals = density(params, z, phi)
+            ref = np.abs(st.evaluate(phi)) ** 2 / st.norm_sq()
+            assert np.all(np.isfinite(vals))
+            assert np.max(np.abs(vals - ref)) < 1e-10 * np.max(ref)
+            assert np.max(np.abs(vals - density(params, z, z.theta + x))) \
+                < 1e-10 * np.max(ref)
+
+    @pytest.mark.parametrize("eps,turns,value", [(0.05, 1, 15.8533),
+                                                 (0.2, 2, 7.9267)])
+    def test_peak_whole_turns_away(self, eps, turns, value):
+        params = WZParams(eps, Sector(0.0))
+        z = PhasePoint(0.5, 0.0)
+        phi = z.theta + 2.0 * math.pi * turns
+        assert density(params, z, phi) == pytest.approx(value, abs=1e-4)
+
     def test_classical_limit_concentrates(self):
         z = PhasePoint(math.pi, 0.4)
         spreads = []
@@ -600,3 +675,43 @@ class TestCompleteness:
     def test_rejects_bad_cut(self):
         with pytest.raises(ValueError):
             completeness_residual_wz(0, 0, WZParams(1.0, Sector(0.0)), l_cut=0.0)
+
+
+class TestClosedFormOwners:
+    """Each theta closed form has one owner; the public functions built on
+    them give the bits of the formulas written out in place."""
+
+    def test_bit_identical_to_inline_formulas(self):
+        with np.errstate(all="ignore"):
+            for params, z, z2, phi in _random_draws(150, 2024):
+                eps, delta = params.epsilon, params.delta
+                ms = np.arange(-3, 4) + int(round((z.l_tilde - eps * delta) / eps))
+                ref = _closed_forms_inline(params, z, z2, phi, ms)
+                got = {"w_value": w_value(params, z, phi),
+                       "w_norm_sq": w_norm_sq(params, z),
+                       "w_overlap": w_overlap(params, z, z2),
+                       "periodized_norm_constant":
+                           periodized_norm_constant(params, z),
+                       "transition_prob": transition_prob(ms, params, z),
+                       "density": density(params, z, phi),
+                       "zak_periodize": zak_periodize(params, z, phi)[1]}
+                for name, value in got.items():
+                    assert np.array_equal(value, ref[name], equal_nan=True), name
+
+    def test_expectations_leading_oscillation(self):
+        # osc = 2 zeta at the normalizer's argument, as 2 pi (l - eps delta)/eps
+        for params, z, _, _ in _random_draws(50, 11):
+            eps = params.epsilon
+            y = z.l_tilde - params.delta * eps
+            q = math.exp(-math.pi ** 2 / eps)
+            e = w_expectations(params, z)
+            assert e.leading.ratio43 == 1.0 - 4.0 * q * math.cos(
+                2.0 * math.pi * y / eps)
+
+    def test_norm_sq_is_kernel_diagonal_bitwise(self):
+        with np.errstate(all="ignore"):
+            for params, z, _, _ in _random_draws(150, 5):
+                # nan on both sides past the double range (small eps)
+                assert np.array_equal(w_norm_sq(params, z),
+                                      w_overlap(params, z, z).real,
+                                      equal_nan=True)
