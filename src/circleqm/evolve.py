@@ -136,6 +136,19 @@ def _damping(spec: EvolutionSpec) -> float:
     return damping
 
 
+def _kernel_theta(spec: EvolutionSpec, dphi, method: str = "auto"):
+    """The kernel's constant exp(-i eps delta^2 T/2) and its theta factor
+    theta_3((dphi - eps delta T)/2 | exp(-i eps T/2)) at dphi, T = omega
+    (t - i eta): the kernel is their product times exp(i delta dphi).  The
+    theta factor is 2 pi-periodic in dphi."""
+    eps, delta = spec.params.epsilon, spec.sector.delta
+    T = spec.complex_time
+    nome = ThetaNome.from_q(cmath.exp(-0.5j * eps * T))
+    zeta = (dphi - eps * delta * T) / 2.0
+    return (cmath.exp(-0.5j * eps * delta * delta * T),
+            theta(3, zeta, nome, method=method))
+
+
 def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     """Propagator kernel at angle difference dphi.
 
@@ -163,13 +176,8 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     winding = np.floor((dphi_arr + math.pi) / (2.0 * math.pi))
     dphi_arr = dphi_arr - 2.0 * math.pi * winding
     winding_phase = np.exp(1j * 2.0 * math.pi * spec.sector.delta * winding)
-    eps, delta = spec.params.epsilon, spec.sector.delta
-    T = spec.complex_time
-    nome = ThetaNome.from_q(cmath.exp(-0.5j * eps * T))
-    zeta = (dphi_arr - eps * delta * T) / 2.0
-    vals = (cmath.exp(-0.5j * eps * delta * delta * T)
-            * np.exp(1j * delta * dphi_arr)
-            * theta(3, zeta, nome, method=_KERNEL_METHODS[form]))
+    const, theta_vals = _kernel_theta(spec, dphi_arr, _KERNEL_METHODS[form])
+    vals = const * np.exp(1j * spec.sector.delta * dphi_arr) * theta_vals
     vals = vals * winding_phase
     return complex(vals[0]) if scalar else vals
 
@@ -177,31 +185,53 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
 def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
     """Apply the kernel to a band-limited state by trapezoidal quadrature.
 
-    The node count exceeds twice the kernel's effective bandwidth
-    ~ sqrt(80/(eps omega eta)) (the damping exp(-eps (n+delta)^2 omega
-    eta/2) is what truncates the spectral sum) plus the state's width, so
-    no aliasing reaches the convolution.  The result carries the eta-bias
-    exp(-eps (n+delta)^2 omega eta / 2) on each coefficient relative to
-    `propagate`.  Below eps omega eta = 1e-8 it raises ValueError.
+    The result is (1/m) sum_j K(phi_out - phi_j) psi(phi_j) over the m
+    nodes phi_j = 2 pi j/m, and carries the eta-bias exp(-eps omega eta
+    (n+delta)^2 / 2) on each coefficient relative to `propagate`.  Below
+    eps omega eta = 1e-8 it raises ValueError.
 
-    The kernel is sampled on (output angle x node) grids of about 400,000
-    points per call at most.  On either face, large grids take the blocked
-    route of `specfun.theta` (terms in blocks of ~sqrt(terms), each block
-    summed by one matmul per chunk of points), whose temporaries are
-    capped at 2^16 elements, so memory stays at a few grid-sized arrays.
+    Node count.  The kernel is sum_n a_n exp(i (n+delta) dphi) with |a_n| =
+    exp(-eps omega eta (n+delta)^2 / 2), below exp(-40) once |n+delta| >
+    B = sqrt(80/(eps omega eta)).  The trapezoid rule is exact for
+    exp(i (k - n) phi) unless k - n is a nonzero multiple of m, so state
+    index k picks up only the alias partners n = k + s m, s != 0, each with
+    |n + delta| >= m - |k + delta|.  Taking
+
+        m = ceil(B) + ceil(max(|n_lo + delta|, |n_hi + delta|)) + 1
+
+    puts every partner of every window index past B, where the kernel has
+    damped it by exp(-40).  A window far from the origin therefore costs
+    more nodes: the cost grows with its distance from n = 0, not only with
+    its width and 1/eta.
+
+    Separable phases.  K(phi_i - phi_j) = C exp(i delta phi_i) exp(-i delta
+    phi_j) Theta(phi_i - phi_j), Theta the 2 pi-periodic theta factor of
+    `_kernel_theta`.  The node phase exp(-i delta phi_j) turns psi into its
+    periodic part sum_k c_k exp(i k phi_j), which is m times one inverse
+    FFT of the coefficients folded mod m; C exp(i delta phi_i) multiplies
+    the outputs.  Only Theta is sampled, on the (output angle x node) grid
+    with the differences reduced to [-pi, pi), in chunks of about 400,000
+    points, so the theta function stays the operator being integrated.
     """
     _require_same_sector(state.sector, spec.sector)
     bandwidth = int(math.ceil(math.sqrt(80.0 / _damping(spec))))
-    m = 2 * (bandwidth + state.n_hi - state.n_lo + 1) + 16
+    delta = spec.sector.delta
+    reach = max(abs(state.n_lo + delta), abs(state.n_hi + delta))
+    m = bandwidth + int(math.ceil(reach)) + 1
+    folded = np.zeros(m, dtype=complex)
+    np.add.at(folded, state.indices % m, state.coeffs)
+    # the periodic part at the nodes, over m: the 1/m of the rule
+    periodic = np.fft.ifft(folded)
     phi_nodes = np.arange(m) * (2.0 * math.pi / m)
-    psi_nodes = state.evaluate(phi_nodes)
     phi_out_arr = np.atleast_1d(np.asarray(phi_out, dtype=float))
     out = np.empty(phi_out_arr.shape, dtype=complex)
     chunk = max(1, 400_000 // m)
     for start in range(0, phi_out_arr.size, chunk):
-        block = phi_out_arr[start:start + chunk]
-        kvals = kernel(spec, block[:, None] - phi_nodes[None, :])
-        out[start:start + chunk] = kvals @ psi_nodes / m
+        dphi = phi_out_arr[start:start + chunk, None] - phi_nodes
+        dphi = dphi - 2.0 * math.pi * np.floor((dphi + math.pi) / (2.0 * math.pi))
+        const, theta_vals = _kernel_theta(spec, dphi)
+        out[start:start + chunk] = const * (theta_vals @ periodic)
+    out = out * np.exp(1j * delta * phi_out_arr)
     return complex(out[0]) if np.isscalar(phi_out) else out
 
 

@@ -134,10 +134,10 @@ def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool,
       derivative weights 2im and -4m^2 ride in the same matmul as extra
       rows of the scalar table.  The powers of w grow to at most
       exp(4 (nmax + 1) b), b = max |Im zeta|; past `_BLOCK_MAX_GROWTH` the
-      plain series is used instead.  (`evolve.kernel` reduces its angles
-      to [-pi, pi), which keeps b <= -Re(lq) on its series face, and on its
-      transformed face while eps omega t < 2 pi.)  A
-      result below about exp(-745 + _BLOCK_MAX_GROWTH) can flush to zero
+      plain series is used instead.  (`evolve.kernel` and `kernel_apply`
+      reduce their angles to [-pi, pi), which keeps b <= -Re(lq) on the
+      kernel's series face, and on its transformed face while eps omega
+      t < 2 pi.)  A result below about exp(-745 + _BLOCK_MAX_GROWTH) can flush to zero
       on this route.  The point axis is chunked so that no temporary holds
       more than `_BLOCK_CHUNK` elements.
     """
@@ -243,6 +243,19 @@ def _theta_blocks(m, s, z, off, lq, want_derivs):
 
 # Under tau -> -1/tau kind 3 maps to itself and kinds 2 and 4 swap.
 _MODULAR_PARTNER = {2: 4, 3: 3, 4: 2}
+# Most the transformed sum may cancel, in natural-log units: its rounding
+# error is ~1e-16 of its largest term, kept below ~1e-10 of the value.
+_LOG_MAX_CANCEL = math.log(1e6)
+
+
+def _log_peak(kind: int, lq: complex, b: np.ndarray) -> np.ndarray:
+    """Log of the largest |exp(m^2 lq + 2 m b)| over the series' indices m
+    (integers, half-integers for kind 2), b >= 0: m nearest b/a,
+    a = -Re(lq).  At most b^2/a, the peak `_n_cutoff` sizes the sum by."""
+    a = -lq.real
+    half = 0.5 if kind == 2 else 0.0
+    m = np.floor(b / a - half + 0.5) + half
+    return m * (2.0 * b - a * m)
 
 
 def _theta_transformed(kind: int, zeta: np.ndarray, nome: ThetaNome,
@@ -251,6 +264,15 @@ def _theta_transformed(kind: int, zeta: np.ndarray, nome: ThetaNome,
 
     theta_k(zeta|tau) = (-i tau)^(-1/2) exp(zeta^2/(i pi tau))
                         * theta_k'(zeta/tau | -1/tau).
+
+    Large Im tau with large Im zeta make the transformed terms, Gaussian
+    included, exceed the value by many orders: theta_3(25 pi i | 50 i)
+    came out 132.6 for 2.  Such points raise ValueError: those where the
+    largest transformed term exceeds 1e6 times both |value| and the largest
+    term of the direct series, the function's own scale (exceeding |value|
+    alone also happens where the value is small against that scale, near a
+    zero, and the direct series cancels as much there).  That takes Im tau
+    above about 19.5 (or |tau| below 1e-12); below it nothing is tested.
     """
     tau = nome.tau
     tau2 = -1.0 / tau
@@ -259,9 +281,25 @@ def _theta_transformed(kind: int, zeta: np.ndarray, nome: ThetaNome,
     c = 1.0 / (1j * math.pi * tau)
     # the Gaussian exp(c zeta^2) is fused into the series' exponents: apart
     # they under- and overflow together once |Im w| grows
-    g, g1, g2 = _theta_sum(_MODULAR_PARTNER[kind], w, lq2, want_derivs,
-                           offset=c * zeta * zeta)
+    offset = c * zeta * zeta
+    partner = _MODULAR_PARTNER[kind]
+    g, g1, g2 = _theta_sum(partner, w, lq2, want_derivs, offset=offset)
     pref = (-1j * tau) ** (-0.5)
+    # Over a continuous index both series peak at (Im zeta)^2 / (pi Im tau)
+    # in log (the exponents agree identically); the direct series' index
+    # lattice lowers its peak by at most pi Im tau / 4.  So only there can
+    # the transformed terms outgrow the direct ones by 1e6.
+    if math.pi * tau.imag / 4.0 - 0.5 * math.log(abs(tau)) > _LOG_MAX_CANCEL:
+        with np.errstate(divide="ignore"):
+            log_value = np.log(np.abs(g))
+        # logs relative to |pref|, which scales the value and terms alike
+        scale = np.maximum(log_value,
+                           _log_peak(kind, nome.log_q, np.abs(zeta.imag))
+                           + 0.5 * math.log(abs(tau)))
+        largest = offset.real + _log_peak(partner, lq2, np.abs(w.imag))
+        if np.any(largest - scale > _LOG_MAX_CANCEL):
+            raise ValueError("the transformed theta series cancels by more "
+                             "than 1e6 here; use method='direct'")
     v = pref * g
     if not want_derivs:
         return v, None, None

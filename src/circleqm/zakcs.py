@@ -150,10 +150,15 @@ def zak_periodize(params: WZParams, z, phi):
     copies and its theta closed form.
 
     Returns (series, closed) evaluated on phi; the two agree identically
-    through the imaginary-argument transformation of theta3.
+    through the imaginary-argument transformation of theta3.  Both are
+    quasi-periodic, f(phi + 2 pi k) = e^{2 pi i delta k} f(phi); the closed
+    face is evaluated at phi - theta reduced into [-pi, pi) and carries that
+    phase, since further out its Gaussian underflows to 0 while the theta
+    factor overflows.
     """
     eps, delta = params.epsilon, params.delta
-    z = _as_point(z).z
+    pt = _as_point(z)
+    z = pt.z
     phi = np.asarray(phi, dtype=float)
     pref = (eps * math.pi) ** -0.25
     # winding sum: Gaussians at phi + 2 pi n, phases e^{-i 2 pi n delta}
@@ -165,11 +170,13 @@ def zak_periodize(params: WZParams, z, phi):
     series = pref * amp * (np.exp(-x * x / (2.0 * eps) + z * x / eps)
                            @ np.exp(-2j * math.pi * n * delta))
 
-    dz = phi - z
+    turns = np.floor((phi - pt.theta + math.pi) / (2.0 * math.pi))
+    dz = phi - 2.0 * math.pi * turns - z
     closed = (pref
               * np.exp(-(abs(z) ** 2 - z * z) / (4.0 * eps)
                        - dz ** 2 / (2.0 * eps))
-              * _winding_theta(params, dz))
+              * _winding_theta(params, dz)
+              * np.exp(2j * math.pi * delta * turns))
     if series.shape:
         return series, closed
     return complex(series), complex(closed)

@@ -45,6 +45,18 @@ class TestVerify:
         assert any("transporter-round-trip" in line for line in out.splitlines())
 
 
+    def test_every_row_has_tenfold_headroom(self, capsys):
+        # each oracle's own error sits at least 10x inside its tolerance
+        code, out, _ = run(capsys, "verify", "all")
+        assert code == 0
+        rows = out.splitlines()[1:-1]
+        assert len(rows) == 25
+        for row in rows:
+            check_id = row.split(",")[1]
+            residual, tol = (float(x) for x in row.split(",")[-3:-1])
+            assert abs(residual) <= tol / 10, check_id
+
+
 class TestInProcess:
     def test_parser_built_once_and_left_unchanged(self):
         parser = _build_parser()

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleqm.circlespace import (
     CircleState,
@@ -17,6 +19,7 @@ from circleqm.circlespace import (
 )
 from circleqm.evolve import (
     EvolutionSpec,
+    _kernel_theta,
     evolve_min,
     evolve_w,
     kernel,
@@ -201,6 +204,27 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel(spec, 0.3, form="gaussian")
 
+    def test_gaussian_face_refuses_heavy_damping(self):
+        # eta = 300 leaves two spectral terms of size 1; the Gaussian face
+        # cancels terms of ~e^{34} to reach them (it was off by 4.4)
+        spec = EvolutionSpec(Params(1.0, 1.0), Sector(0.5), 0.7, eta=300.0)
+        with pytest.raises(ValueError, match="cancels"):
+            kernel(spec, 0.3, form="gaussian")
+        series = kernel(spec, 0.3, form="series")
+        assert kernel(spec, 0.3) == series
+        n = np.array([-1.0, 0.0])
+        ref = np.sum(np.exp(-0.5j * (n + 0.5) ** 2 * complex(0.7, -300.0)
+                            + 1j * (n + 0.5) * 0.3))
+        assert abs(series - ref) < 1e-14 * abs(ref)
+
+    def test_theta_factor_is_the_kernel_bitwise(self):
+        # kernel and kernel_apply share one closed form
+        spec = EvolutionSpec(Params(0.8, 1.3), Sector(0.35), 2.1, eta=1e-3)
+        dphi = np.linspace(-math.pi, math.pi, 17, endpoint=False)
+        const, theta_vals = _kernel_theta(spec, dphi)
+        vals = const * np.exp(1j * 0.35 * dphi) * theta_vals
+        assert np.array_equal(kernel(spec, dphi), vals)
+
     @pytest.mark.parametrize("eps,delta,wt", [
         (1.0, 0.3, 0.7), (0.5, 0.7, 2.0), (2.0, 0.2, 0.1), (1.0, 0.45, 12.0)])
     def test_faces_match_spectral_sum(self, eps, delta, wt):
@@ -237,6 +261,48 @@ class TestKernel:
         ref = CircleState(sector, psi.n_lo,
                           propagate(spec, psi).coeffs * bias).evaluate(phi_out)
         assert np.max(np.abs(via_kernel - ref)) < 1e-11
+
+    @staticmethod
+    def _apply_error(eps, eta, delta, t, n_lo, coeffs, phi_out):
+        """max |kernel_apply - eta-damped propagate| over phi_out, relative
+        to the state norm."""
+        sector = Sector(delta)
+        psi = CircleState(sector, n_lo, np.asarray(coeffs, dtype=complex))
+        spec = EvolutionSpec(Params(eps, 1.0), sector, t, eta=eta)
+        bias = np.exp(-0.5 * eps * eta * (psi.indices + delta) ** 2)
+        ref = CircleState(sector, n_lo,
+                          propagate(spec, psi).coeffs * bias).evaluate(phi_out)
+        return np.max(np.abs(kernel_apply(spec, psi, phi_out) - ref)) / psi.norm()
+
+    @pytest.mark.parametrize("n_lo", [400, -700])
+    @pytest.mark.parametrize("wt", [0.7, 12.0])
+    def test_window_far_from_origin_does_not_alias(self, n_lo, wt):
+        # the damped state is ~0 there; a node count sized by the width
+        # alone let an alias partner near n = 0 through (1.67 at n_lo = 400)
+        coeffs = [0.3 - 0.1j, 0.8 + 0.2j, -0.4 + 0.5j]
+        phi_out = np.linspace(0, 2 * math.pi, 7, endpoint=False)
+        err = self._apply_error(1.0, 1e-2, 0.25, wt, n_lo, coeffs, phi_out)
+        assert err < 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(-4.0, 0.0), st.floats(0.5, 2.0), st.floats(0.0, 0.999),
+           st.floats(math.log10(0.05), math.log10(20.0)),
+           st.integers(-500, 500),
+           st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                    min_size=1, max_size=30),
+           st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
+    def test_matches_damped_propagate_hypothesis(self, log_damping, eps, delta,
+                                                 log_t, n_lo, pairs, phi_out):
+        # eps omega eta over [1e-4, 1], any window within 500 of the origin
+        coeffs = [complex(re, im) for re, im in pairs]
+        if max(abs(c) for c in coeffs) < 1e-3:
+            return
+        eta, t = 10.0 ** log_damping / eps, 10.0 ** log_t
+        err = self._apply_error(eps, eta, delta, t, n_lo, coeffs,
+                                np.array(phi_out))
+        # both sides round the phase eps t (n+delta)^2/2 to ~1e-16 of
+        # itself, and the damping leaves at most (t/eta)/e of it in play
+        assert err < 1e-12 + 1e-15 * t / eta
 
     def test_delta_limit_convergence_sweep(self):
         # as t -> 0 (eta = t/100) the kernel approaches the reproducing

@@ -87,6 +87,52 @@ class TestTheta:
         b = theta(3, 0.3, nome, method="transform")
         assert abs(a - b) < 1e-12 * abs(a)
 
+    @pytest.mark.parametrize("im_tau", [50.0, 100.0])
+    def test_transform_refuses_cancellation(self, im_tau):
+        # at zeta = i pi Im tau / 2 the transformed terms reach e^{~40}
+        # against a value of 2: the series returned 132.6 at Im tau = 50
+        nome = ThetaNome.from_tau(1j * im_tau)
+        zeta = 0.5j * math.pi * im_tau
+        with pytest.raises(ValueError, match="cancels"):
+            theta(3, zeta, nome, method="transform")
+        with pytest.raises(ValueError, match="cancels"):
+            theta_derivs(3, zeta, nome, method="transform")
+        assert abs(theta(3, zeta, nome) - 2.0) < 1e-14
+
+    def test_transform_keeps_small_values_of_a_cancelling_direct_series(self):
+        # theta3(pi/2 | 0.05 i) = theta4(0) ~ 1.3e-6: every direct term is
+        # ~1 and the largest transformed one ~e^{-16}, so this is the
+        # transform's home ground, not a cancellation
+        mpmath = pytest.importorskip("mpmath")
+        nome = ThetaNome.from_tau(0.05j)
+        val = theta(3, math.pi / 2, nome, method="transform")
+        ref = complex(mpmath.jtheta(3, mpmath.pi / 2, mpmath.exp(-0.05 * mpmath.pi)))
+        assert abs(val - ref) < 1e-13 * abs(ref)
+
+    def test_transform_returns_only_accurate_values(self):
+        # either ValueError or agreement with the direct series to 1e-8 of
+        # the function's scale, the largest direct term (|Im zeta| up to
+        # pi Im tau / 2, the reduced strip)
+        raised = 0
+        for kind in (2, 3, 4):
+            for re_tau in (0.0, 0.4):
+                for im_tau in (0.05, 0.3, 1.0, 5.0, 20.0, 50.0):
+                    nome = ThetaNome.from_tau(complex(re_tau, im_tau))
+                    for x in (0.0, 1.1):
+                        for frac in (-0.5, -0.25, 0.0, 0.25, 0.5):
+                            zeta = complex(x, frac * math.pi * im_tau)
+                            ref = theta(kind, zeta, nome, method="direct")
+                            m = np.arange(-400, 401) + (0.5 if kind == 2 else 0.0)
+                            scale = np.max(np.exp(-math.pi * im_tau * m * m
+                                                  - 2.0 * m * zeta.imag))
+                            try:
+                                val = theta(kind, zeta, nome, method="transform")
+                            except ValueError:
+                                raised += 1
+                                continue
+                            assert abs(val - ref) < 1e-8 * max(abs(ref), scale)
+        assert 0 < raised < 60
+
     def test_theta4_small_nome_leading_terms(self):
         q = math.exp(-math.pi ** 2)
         assert abs(q - 5.2e-5) < 3e-7  # the nome driving the fast series

@@ -197,6 +197,24 @@ class TestZakPeriodize:
                   for n in range(-n_max, n_max + 1))
         assert np.max(np.abs(series - ref)) < 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("eps,delta", [(0.05, 0.0), (0.05, 0.37),
+                                           (0.2, 0.8), (1.0, 0.25)])
+    @pytest.mark.parametrize("turns", [-4, -2, -1, 1, 2, 4])
+    def test_closed_face_whole_turns_away(self, eps, delta, turns):
+        # the closed face reduces phi - theta by whole turns: further out
+        # its Gaussian underflowed against the theta factor (nan)
+        params = WZParams(eps, Sector(delta))
+        z = PhasePoint(0.5, 0.3)
+        phi = z.theta + 2.0 * math.pi * turns + np.array([-0.4, 0.0, 0.9, 3.1])
+        series, closed = zak_periodize(params, z, phi)
+        assert np.max(np.abs(closed - series)) < 1e-12 * np.max(np.abs(series))
+
+    def test_closed_face_two_turns_value(self):
+        params = WZParams(0.05, Sector(0.0))
+        series, closed = zak_periodize(params, 0.5 + 0j, 0.5 + 4.0 * math.pi)
+        assert abs(closed - series) < 1e-12 * abs(series)
+        assert closed == pytest.approx(1.5884371319, rel=1e-9)
+
     def test_small_nome_face_matches(self):
         params = WZParams(1.0, Sector(0.3))
         z = 0.8 + 0.6j
