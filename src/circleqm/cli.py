@@ -12,8 +12,8 @@ Exit codes: 0 ok, 1 a failed verify check, 2 a malformed configuration,
 with a `config error:` message on stderr and nothing on stdout.  Exit 2
 covers missing keys, non-finite numbers, values the library refuses (a
 ValueError), grids (`t_grid`, `theta_grid`, `l_grid`) that are not
-nonempty lists of finite numbers, and `evolve` times at which a phase
-eps omega t (n+delta)^2 / 2 reaches 2^52 rad.
+nonempty lists of finite numbers, and `evolve` and `kernel` times at
+which a phase eps omega t (n+delta)^2 / 2 reaches 2^52 rad.
 """
 
 from __future__ import annotations

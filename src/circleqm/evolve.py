@@ -21,8 +21,7 @@ import numpy as np
 from circleqm.circlespace import (CircleState, Params, Sector, _centred, _dots,
                                   _require_same_sector, operator_coeffs)
 from circleqm.mincs import MinUncParams, min_state
-from circleqm.specfun import ThetaNome, theta
-from circleqm.zakcs import WZParams, _w_theta
+from circleqm.zakcs import WZParams, _flow_theta, _require_phase, _w_theta
 
 __all__ = [
     "EvolutionSpec",
@@ -57,11 +56,6 @@ class EvolutionSpec:
         return self.params.omega * complex(self.t, -self.eta)
 
 
-# From a phase of 2^52 rad on, one ulp is at least 1 rad: the phase mod
-# 2 pi has no significant bits left.
-_PHASE_LIMIT = 2.0 ** 52
-
-
 def _phases(params: Params, t, freq: np.ndarray) -> np.ndarray:
     """exp(-i eps omega t (n+delta)^2 / 2) at the frequencies freq = n + delta.
 
@@ -73,9 +67,7 @@ def _phases(params: Params, t, freq: np.ndarray) -> np.ndarray:
     # differently, and at t ~ 20 the phase is ~1e4 rad, where that moves
     # results by ~3e-13
     arg = -1j * scale * freq * freq
-    if not np.max(np.abs(arg.imag)) < _PHASE_LIMIT:
-        raise ValueError("eps omega t (n+delta)^2 / 2 reaches 2^52 rad: the "
-                         "phase mod 2 pi has no significant bits")
+    _require_phase(np.max(np.abs(arg.imag)))
     return np.exp(arg)
 
 
@@ -140,13 +132,11 @@ def _kernel_theta(spec: EvolutionSpec, dphi, method: str = "auto"):
     """The kernel's constant exp(-i eps delta^2 T/2) and its theta factor
     theta_3((dphi - eps delta T)/2 | exp(-i eps T/2)) at dphi, T = omega
     (t - i eta): the kernel is their product times exp(i delta dphi).  The
-    theta factor is 2 pi-periodic in dphi."""
+    theta factor, `zakcs._flow_theta` at T, is 2 pi-periodic in dphi."""
     eps, delta = spec.params.epsilon, spec.sector.delta
     T = spec.complex_time
-    nome = ThetaNome.from_q(cmath.exp(-0.5j * eps * T))
-    zeta = (dphi - eps * delta * T) / 2.0
     return (cmath.exp(-0.5j * eps * delta * delta * T),
-            theta(3, zeta, nome, method=method))
+            _flow_theta(eps, delta, T, dphi, method))
 
 
 def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
@@ -157,11 +147,11 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     theta series directly; form "gaussian" evaluates its modular transform,
     a free-spreading Gaussian times theta_3 of the reciprocal nome (for
     eps omega t < 2 pi, exp(2 i pi^2 / (eps T))); "auto" leaves the choice
-    to `specfun.theta`, which takes the transform once |q| > exp(-pi) and
-    the reciprocal nome is smaller.  The two faces agree to rounding
-    because the complex time enters both uniformly.  A nome too close to
-    the unit circle for the chosen face raises ValueError (the series'
-    term budget).
+    to `specfun.theta`, which takes the transform where |tau| < 1.  The
+    two faces agree to rounding because the complex time enters both
+    uniformly.  A nome too close to the unit circle for the chosen face
+    (the series' term budget), or time phases of 2^52 rad over the series'
+    terms (`zakcs._flow_theta`), raise ValueError.
 
     Valid range eps omega eta >= 1e-8: the faces agree to 2e-10 relative at
     1e-6 and 7e-9 at 1e-8.  Below it the kernel raises ValueError.
@@ -236,26 +226,17 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
 
 
 def evolve_w(spec: EvolutionSpec, z):
-    """Closed-form evolution of the holomorphic family: the nome acquires
-    the phase e^{-i eps omega t/2} and the theta argument drifts by
-    eps delta omega t.  Returns a callable on phi."""
+    """Closed-form evolution of the holomorphic family (the nome turns by
+    e^{-i eps omega t/2}, the theta argument drifts by eps delta omega t):
+    a callable on phi, refusing time phases of 2^52 rad as `propagate`."""
     params = WZParams(spec.params.epsilon, spec.sector)
     wt = spec.params.omega * spec.t
     return lambda phi: _w_theta(params, z, phi, wt)
 
 
 def evolve_min(spec: EvolutionSpec, params: MinUncParams) -> CircleState:
-    """Closed-form evolution of the minimal-uncertainty family: the phase
-    splits into the delta^2 piece, the quadratic m^2 piece and a drift of
-    the angle by eps delta omega t, dressing the Bessel coefficients."""
-    _require_same_sector(params.sector, spec.sector)
-    eps, delta = spec.params.epsilon, spec.sector.delta
-    wt = spec.params.omega * spec.t
-    base = min_state(params)
-    ms = base.indices.astype(float)
-    # strip the alpha phases off to expose the bare Bessel coefficients,
-    # then dress them with the printed three-factor phase
-    phases = (cmath.exp(-0.5j * eps * delta * delta * wt)
-              * np.exp(-0.5j * eps * wt * ms * ms)
-              * np.exp(-1j * ms * eps * delta * wt))
-    return CircleState(base.sector, base.n_lo, base.coeffs * phases)
+    """Closed-form evolution of the minimal-uncertainty family: the Bessel
+    coefficients c_m times e^{-i eps delta^2 wt/2} (delta^2 piece), e^{-i eps
+    wt m^2/2} (quadratic) and e^{-i eps delta wt m} (angle drift), wt = omega
+    t: the spectral phase, so this is `propagate(spec, min_state(params))`."""
+    return propagate(spec, min_state(params))

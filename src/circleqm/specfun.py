@@ -32,9 +32,6 @@ __all__ = [
     "g_ratio",
 ]
 
-# Switch to the modular-transformed series once |q| exceeds exp(-pi); both
-# series then converge at the same (fast) rate at the crossover.
-_TRANSFORM_CUT = math.exp(-math.pi)
 # Truncation margin in natural-log units: terms below exp(-_LOG_MARGIN) times
 # the largest term cannot move the sum at double precision.
 _LOG_MARGIN = 40.0
@@ -321,11 +318,8 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
         raise ValueError("zeta must be finite")
 
     if method == "auto":
-        use_transform = False
-        if nome.q != 0 and abs(nome.q) > _TRANSFORM_CUT:
-            q2 = cmath.exp(1j * math.pi * (-1.0 / nome.tau))
-            use_transform = abs(q2) < abs(nome.q)
-        method = "transform" if use_transform else "direct"
+        # |tau| < 1 is |q(-1/tau)| < |q|, which also puts |q| above exp(-pi)
+        method = "transform" if abs(nome.tau) < 1.0 else "direct"
     if method == "transform":
         if nome.q == 0:
             raise ValueError("modular transform undefined at q = 0")
@@ -358,10 +352,10 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
         Nome with |q| < 1; bare complex values are wrapped via the principal
         log.
     method : {"auto", "direct", "transform"}
-        "auto" sums the series directly for small |q| and switches to the
-        tau -> -1/tau transformed series once |q| > exp(-pi) (when that
-        actually shrinks the nome).  The two routes agree to ~1e-15 relative
-        and are exposed separately so they can be cross-checked.
+        "auto" takes the tau -> -1/tau transformed series where |tau| < 1,
+        that is where the transform shrinks the nome (then |q| > exp(-pi)),
+        and the direct series elsewhere.  The two routes agree to ~1e-15
+        relative and are exposed separately so they can be cross-checked.
 
     Returns
     -------

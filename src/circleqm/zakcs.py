@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from circleqm.circlespace import CircleState, Sector, _require_same_sector
-from circleqm.specfun import ThetaNome, theta, theta_derivs
+from circleqm.specfun import _LOG_MARGIN, ThetaNome, theta, theta_derivs
 
 __all__ = [
     "PhasePoint",
@@ -89,30 +89,54 @@ def _as_point(z) -> PhasePoint:
     return z if isinstance(z, PhasePoint) else PhasePoint.from_z(z)
 
 
-# The family's four theta closed forms, each (with its nome) written once.
+_PHASE_LIMIT = 2.0 ** 52
+
+
+def _require_phase(largest) -> None:
+    """Refuse a time phase of 2^52 rad or more: one ulp there is >= 1 rad."""
+    if not largest < _PHASE_LIMIT:
+        raise ValueError("eps omega t (n+delta)^2 / 2 reaches 2^52 rad: the "
+                         "phase mod 2 pi has no significant bits")
+
+
+def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto"):
+    """theta3[(angle - eps delta T)/2, e^{-i eps T/2}] at complex time T.
+    ValueError once the phases eps Re T (n+delta)^2 / 2 reach 2^52 rad for
+    n up to the direct series' extent b/a + sqrt(40/a) (`_n_cutoff`'s),
+    a = -eps Im T/2, b = max |Im zeta|, as in `evolve.propagate`."""
+    zeta = (angle - eps * delta * T) / 2.0
+    if T.real != 0:
+        a = -0.5 * eps * T.imag
+        # a real angle (the propagator's) leaves Im zeta constant: no pass
+        b = (0.5 * abs(eps * delta * T.imag) if np.isrealobj(angle)
+             else float(np.abs(np.imag(zeta)).max(initial=0.0)))
+        extent = b / a + math.sqrt(_LOG_MARGIN / a) + abs(delta)
+        _require_phase(0.5 * eps * abs(T.real) * extent * extent)
+    return theta(3, zeta, ThetaNome.from_q(cmath.exp(-0.5j * eps * T)), method)
+
+
+# w_z and the kernel are the flow theta; the next two its -1/tau partners.
 def _w_theta(params: WZParams, z, phi, wt: float):
     """w_z evolved to omega t = wt, e^{-i eps delta^2 wt/2} e^{i phi delta}
-    theta3[(phi - z - eps delta wt + i eps delta)/2, e^{-eps (1 + i wt)/2}]."""
+    times the flow theta at T = wt - i and angle phi - z."""
     eps, delta = params.epsilon, params.delta
     phi = np.asarray(phi, dtype=float)
-    nome = ThetaNome.from_q(cmath.exp(-0.5 * eps * (1.0 + 1j * wt)))
-    zeta = (phi - _as_point(z).z - eps * delta * wt + 1j * eps * delta) / 2.0
     vals = (cmath.exp(-0.5j * eps * delta * delta * wt)
-            * np.exp(1j * phi * delta) * theta(3, zeta, nome))
+            * np.exp(1j * phi * delta)
+            * _flow_theta(eps, delta, complex(wt, -1.0), phi - _as_point(z).z))
     return vals if vals.shape else complex(vals)
 
 
 def _kernel_theta(params: WZParams, z1c, z2c):
     """Reproducing kernel theta3[(conj(z1) - z2 + 2 i eps delta)/2, e^{-eps}]
-    at complex labels (or arrays of them)."""
-    eps = params.epsilon
-    return theta(3, (np.conj(z1c) - z2c + 2j * eps * params.delta) / 2.0,
-                 ThetaNome.from_q(math.exp(-eps)))
+    at complex labels (or arrays of them): the flow theta at T = -2i."""
+    return _flow_theta(params.epsilon, params.delta, complex(0.0, -2.0),
+                       np.conj(z1c) - z2c)
 
 
 def _winding_theta(params: WZParams, dz):
-    """theta3[i pi (dz + i eps delta)/eps, e^{-2 pi^2/eps}] at dz = phi - z:
-    the winding sum's small-nome face."""
+    """theta3[i pi (dz + i eps delta)/eps, e^{-2 pi^2/eps}] at dz = phi - z,
+    the winding sum's face: the flow theta at T = -i after tau -> -1/tau."""
     eps = params.epsilon
     return theta(3, 1j * math.pi * (dz + 1j * eps * params.delta) / eps,
                  ThetaNome.from_q(math.exp(-2.0 * math.pi ** 2 / eps)))
@@ -120,7 +144,8 @@ def _winding_theta(params: WZParams, dz):
 
 def _norm_arg(params: WZParams, l_tilde: float):
     """Argument pi (l - eps delta)/eps and nome e^{-pi^2/eps} of the
-    periodized normalizer, which also carries every expectation ratio."""
+    periodized normalizer, which also carries every expectation ratio: the
+    tau -> -1/tau partner of the flow theta at T = -2i."""
     eps = params.epsilon
     zeta = math.pi * (l_tilde - eps * params.delta) / eps
     return zeta, ThetaNome.from_q(math.exp(-math.pi ** 2 / eps))

@@ -256,6 +256,7 @@ class TestGridValues:
                       "theta": 0.3, "l": 0.5, "t_grid": [None]}, "t_grid"),
         (["evolve"], {"family": "wz", "epsilon": 1.0, "delta": 0.2,
                       "theta": 0.3, "l": 0.5, "t_grid": [0.5, 1e300]}, "2^52"),
+        (["kernel"], {"t": 1e17, "eta": 0.01}, "2^52"),
     ])
     def test_rejected_grid_exits_two(self, capsys, tmp_path, argv, doc, word):
         cfg = tmp_path / "cfg.json"

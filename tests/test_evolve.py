@@ -403,7 +403,14 @@ class TestEvolveMin:
         spec = EvolutionSpec(Params(1.0, 1.0), p.sector, wt)
         out = evolve_min(spec, p)
         ref = propagate(spec, min_state(p))
-        assert np.max(np.abs(out.coeffs - ref.coeffs)) < 1e-12
+        assert out.n_lo == ref.n_lo
+        assert np.array_equal(out.coeffs, ref.coeffs)
+
+    def test_refuses_phase_past_2_52(self):
+        p = MinUncParams(0.9, 2.3, 0.5, 0.8)
+        spec = EvolutionSpec(Params(1.0, 1.0), p.sector, 1e16)
+        with pytest.raises(ValueError, match="2\\^52"):
+            evolve_min(spec, p)
 
     def test_momentum_constant_and_angle_disperses(self):
         # <L> is conserved; the angular distribution spreads at early times
@@ -423,3 +430,21 @@ class TestEvolveMin:
             mean_l.append(inner(psi, l_psi).real)
         assert all(b > a for a, b in zip(spread, spread[1:]))
         assert np.max(np.abs(np.diff(mean_l))) < 1e-12
+
+
+class TestPhaseLimit:
+    @pytest.mark.parametrize("call", ["kernel", "kernel_apply", "evolve_w"])
+    def test_theta_entry_points_refuse_phase_past_2_52(self, call):
+        # the kernel series' time phases eps omega t (n+delta)^2 / 2 pass
+        # 2^52 rad at t = 1e17, as propagate's do; these calls returned
+        # noise there, and still return values at t = 20
+        sector = Sector(0.3)
+        state = random_state(sector)
+        run = {"kernel": lambda spec: kernel(spec, 0.4),
+               "kernel_apply": lambda spec: kernel_apply(spec, state, 0.4),
+               "evolve_w": lambda spec: evolve_w(spec, 0.3 + 0.5j)(0.4)}[call]
+        spec = EvolutionSpec(Params(1.0, 1.0), sector, 20.0, eta=1e-2)
+        assert cmath.isfinite(run(spec))
+        spec = EvolutionSpec(Params(1.0, 1.0), sector, 1e17, eta=1e-2)
+        with pytest.raises(ValueError, match="2\\^52"):
+            run(spec)

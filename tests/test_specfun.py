@@ -99,6 +99,29 @@ class TestTheta:
             theta_derivs(3, zeta, nome, method="transform")
         assert abs(theta(3, zeta, nome) - 2.0) < 1e-14
 
+    def test_auto_takes_the_transform_inside_the_unit_tau_disk(self):
+        # the rule |q| > e^{-pi} and |q(-1/tau)| < |q|, written out, picks
+        # the same route as "auto" (|tau| < 1), also just off |tau| = 1 and
+        # Im tau = 1
+        re = np.linspace(-1.0, 1.0, 21)
+        im = np.concatenate([np.linspace(0.05, 3.0, 12),
+                             1.0 + np.array([-1e-9, 1e-9])])
+        angles = np.linspace(0.06, math.pi - 0.06, 25)
+        rim = np.outer(1.0 + np.array([-1e-9, 1e-9]), np.exp(1j * angles))
+        taus = np.concatenate([(re[:, None] + 1j * im).ravel(), rim.ravel()])
+        picked = set()
+        for tau in taus:
+            nome = ThetaNome.from_tau(tau)
+            q2 = cmath.exp(1j * math.pi * (-1.0 / nome.tau))
+            transform = (nome.q != 0 and abs(nome.q) > math.exp(-math.pi)
+                         and abs(q2) < abs(nome.q))
+            method = "transform" if transform else "direct"
+            picked.add(method)
+            zeta = np.array([0.3, 0.7 + 0.2j])
+            assert np.array_equal(theta(3, zeta, nome),
+                                  theta(3, zeta, nome, method=method)), tau
+        assert picked == {"direct", "transform"}
+
     def test_transform_keeps_small_values_of_a_cancelling_direct_series(self):
         # theta3(pi/2 | 0.05 i) = theta4(0) ~ 1.3e-6: every direct term is
         # ~1 and the largest transformed one ~e^{-16}, so this is the
