@@ -133,8 +133,8 @@ class Params:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not (0 < self.epsilon < math.inf and math.isfinite(self.omega)):
+            raise ValueError("epsilon must be positive and finite, omega finite")
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,11 @@ class CircleState:
         return CircleState(self.sector, self.n_lo, self.coeffs / self.norm())
 
     def evaluate(self, phi):
-        """psi(phi) = sum_n c_n exp(i (n + delta) phi), winding-exact."""
+        """psi(phi) = sum_n c_n exp(i (n + delta) phi), winding-exact.
+        Raises ValueError for a non-finite phi."""
         phi = np.asarray(phi, dtype=float)
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("phi must be finite")
         k = np.floor(phi / (2.0 * math.pi))
         phi0 = phi - 2.0 * math.pi * k
         freq = self.indices + self.sector.delta

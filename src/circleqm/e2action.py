@@ -57,6 +57,8 @@ class GroupElement:
                            _reduce_alpha(float(self.alpha), self.mode,
                                          self.cover_q))
         object.__setattr__(self, "t", complex(self.t))
+        if not (math.isfinite(self.alpha) and cmath.isfinite(self.t)):
+            raise ValueError("alpha and t must be finite")
 
     @property
     def a(self) -> float:
@@ -81,6 +83,8 @@ class PhaseSpacePoint:
     def __post_init__(self):
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
         object.__setattr__(self, "p_phi", float(self.p_phi))
+        if not (math.isfinite(self.phi) and math.isfinite(self.p_phi)):
+            raise ValueError("phi and p_phi must be finite")
 
 
 def compose(g2: GroupElement, g1: GroupElement) -> GroupElement:

@@ -149,9 +149,9 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     eps omega t < 2 pi, exp(2 i pi^2 / (eps T))); "auto" leaves the choice
     to `specfun.theta`, which takes the transform where |tau| < 1.  The
     two faces agree to rounding because the complex time enters both
-    uniformly.  A nome too close to the unit circle for the chosen face
-    (the series' term budget), or time phases of 2^52 rad over the series'
-    terms (`zakcs._flow_theta`), raise ValueError.
+    uniformly.  dphi is taken as given: theta reduces the drifting
+    argument by its period itself.  Time phases of 2^52 rad over the
+    series' terms (`zakcs._flow_theta`) raise ValueError.
 
     Valid range eps omega eta >= 1e-8: the faces agree to 2e-10 relative at
     1e-6 and 7e-9 at 1e-8.  Below it the kernel raises ValueError.
@@ -159,17 +159,10 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     _damping(spec)
     if form not in _KERNEL_METHODS:
         raise ValueError(f"unknown kernel form {form!r}")
-    scalar = np.isscalar(dphi)
     dphi_arr = np.atleast_1d(np.asarray(dphi, dtype=float))
-    # reduce by the kernel's quasi-periodicity K(dphi + 2 pi) =
-    # e^{i 2 pi delta} K(dphi): keeps the series arguments small
-    winding = np.floor((dphi_arr + math.pi) / (2.0 * math.pi))
-    dphi_arr = dphi_arr - 2.0 * math.pi * winding
-    winding_phase = np.exp(1j * 2.0 * math.pi * spec.sector.delta * winding)
     const, theta_vals = _kernel_theta(spec, dphi_arr, _KERNEL_METHODS[form])
     vals = const * np.exp(1j * spec.sector.delta * dphi_arr) * theta_vals
-    vals = vals * winding_phase
-    return complex(vals[0]) if scalar else vals
+    return complex(vals[0]) if np.isscalar(dphi) else vals
 
 
 def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
@@ -200,8 +193,8 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
     periodic part sum_k c_k exp(i k phi_j), which is m times one inverse
     FFT of the coefficients folded mod m; C exp(i delta phi_i) multiplies
     the outputs.  Only Theta is sampled, on the (output angle x node) grid
-    with the differences reduced to [-pi, pi), in chunks of about 400,000
-    points, so the theta function stays the operator being integrated.
+    in chunks of about 400,000 points, so the theta function stays the
+    operator being integrated.
     """
     _require_same_sector(state.sector, spec.sector)
     bandwidth = int(math.ceil(math.sqrt(80.0 / _damping(spec))))
@@ -218,7 +211,6 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
     chunk = max(1, 400_000 // m)
     for start in range(0, phi_out_arr.size, chunk):
         dphi = phi_out_arr[start:start + chunk, None] - phi_nodes
-        dphi = dphi - 2.0 * math.pi * np.floor((dphi + math.pi) / (2.0 * math.pi))
         const, theta_vals = _kernel_theta(spec, dphi)
         out[start:start + chunk] = const * (theta_vals @ periodic)
     out = out * np.exp(1j * delta * phi_out_arr)

@@ -49,12 +49,12 @@ class MinUncParams:
     s: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha) % (2.0 * math.pi))
-        for name in ("l_tilde", "gamma", "s"):
+        for name in ("alpha", "l_tilde", "gamma", "s"):
             v = float(getattr(self, name))
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
+        object.__setattr__(self, "alpha", self.alpha % (2.0 * math.pi))
 
     @property
     def sigma(self) -> complex:

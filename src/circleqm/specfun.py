@@ -131,12 +131,10 @@ def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool,
       derivative weights 2im and -4m^2 ride in the same matmul as extra
       rows of the scalar table.  The powers of w grow to at most
       exp(4 (nmax + 1) b), b = max |Im zeta|; past `_BLOCK_MAX_GROWTH` the
-      plain series is used instead.  (`evolve.kernel` and `kernel_apply`
-      reduce their angles to [-pi, pi), which keeps b <= -Re(lq) on the
-      kernel's series face, and on its transformed face while eps omega
-      t < 2 pi.)  A result below about exp(-745 + _BLOCK_MAX_GROWTH) can flush to zero
-      on this route.  The point axis is chunked so that no temporary holds
-      more than `_BLOCK_CHUNK` elements.
+      plain series is used instead.  A result below about
+      exp(-745 + _BLOCK_MAX_GROWTH) can flush to zero on this route.  The
+      point axis is chunked so that no temporary holds more than
+      `_BLOCK_CHUNK` elements.
     """
     z = zeta.reshape(-1)
     off = np.reshape(offset, -1) if np.ndim(offset) else offset
@@ -316,6 +314,10 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
     z = np.asarray(zeta, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("zeta must be finite")
+    # theta_3 and theta_4 have period pi, theta_2 2 pi (theta_2(zeta + pi) =
+    # -theta_2(zeta)); a reduced argument keeps every route's terms small
+    period = 2.0 * math.pi if kind == 2 else math.pi
+    z = z - period * np.rint(z.real / period)
 
     if method == "auto":
         # |tau| < 1 is |q(-1/tau)| < |q|, which also puts |q| above exp(-pi)
@@ -347,7 +349,10 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
     kind : int
         2, 3 or 4.
     zeta : complex or ndarray
-        Argument(s); must be finite.
+        Argument(s), any finite value.  Re zeta is first reduced by the
+        period, pi (2 pi for kind 2: theta_2(zeta + pi) = -theta_2(zeta)),
+        in double precision: the value is that at an argument moved by up
+        to ~2e-16 |Re zeta|; one within half a period keeps its bits.
     nome : ThetaNome or complex
         Nome with |q| < 1; bare complex values are wrapped via the principal
         log.
@@ -368,8 +373,8 @@ def theta_derivs(kind: int, zeta, nome, method: str = "auto"):
     """Theta value and first two derivatives with respect to zeta.
 
     Term-wise differentiated series (direct route) or the chain rule applied
-    to the modular-transformed representation.  Returns (value, d/dzeta,
-    d2/dzeta2).
+    to the modular-transformed representation, at zeta reduced by its
+    period as in `theta`.  Returns (value, d/dzeta, d2/dzeta2).
     """
     return _theta_dispatch(kind, zeta, nome, method, want_derivs=True)
 

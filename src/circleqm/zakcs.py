@@ -57,6 +57,8 @@ class PhasePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
+        if not math.isfinite(self.theta):
+            raise ValueError("the label's angle must be finite")
         object.__setattr__(self, "l_tilde", float(self.l_tilde))
 
     @property
@@ -77,8 +79,8 @@ class WZParams:
     sector: Sector
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
 
     @property
     def delta(self) -> float:
@@ -104,7 +106,9 @@ def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto"):
     ValueError once the phases eps Re T (n+delta)^2 / 2 reach 2^52 rad for
     n up to the direct series' extent b/a + sqrt(40/a) (`_n_cutoff`'s),
     a = -eps Im T/2, b = max |Im zeta|, as in `evolve.propagate`."""
-    zeta = (angle - eps * delta * T) / 2.0
+    # halved term by term (the same bits as (angle - eps delta T)/2): a
+    # complex division turns an infinite real angle into nan with a warning
+    zeta = angle / 2.0 - eps * delta * T / 2.0
     if T.real != 0:
         a = -0.5 * eps * T.imag
         # a real angle (the propagator's) leaves Im zeta constant: no pass

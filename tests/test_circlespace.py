@@ -119,6 +119,15 @@ class TestBoundaryCondition:
         rhs = np.exp(1j * 2 * math.pi * delta) * psi.evaluate(phi)
         assert np.max(np.abs(lhs - rhs)) < 5e-16 * np.max(np.abs(rhs))
 
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, phi):
+        # the whole-turn reduction returned nan + nan i
+        psi = random_state(Sector(0.3))
+        with pytest.raises(ValueError, match="phi"):
+            psi.evaluate(phi)
+        with pytest.raises(ValueError, match="phi"):
+            psi.evaluate(np.array([0.1, phi]))
+
     def test_qfold_covering_periodicity(self):
         sector = Sector.from_fraction(2, 5)
         psi = random_state(sector)
@@ -426,6 +435,15 @@ class TestRepApply:
         grow = (_bessel_half_width(rho * abs(t1), _TAP_TAIL)
                 + _bessel_half_width(rho * abs(t2), _TAP_TAIL))
         assert both.n_lo >= psi.n_lo - grow and both.n_hi <= psi.n_hi + grow
+
+
+class TestParams:
+    @pytest.mark.parametrize("eps,omega", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, -math.inf),
+        (1.0, math.nan)])
+    def test_rejects_non_finite_stiffness_or_frequency(self, eps, omega):
+        with pytest.raises(ValueError, match="epsilon"):
+            Params(eps, omega)
 
 
 class TestEnergy:

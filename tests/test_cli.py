@@ -382,6 +382,18 @@ class TestKernel:
         assert "eta" in err
 
 
+    def test_large_time_returns_samples(self, capsys, tmp_path):
+        # the flow theta's argument drifts by eps delta t/2 = 1.5e6 rad here;
+        # the kernel exited 2 with the term-budget message before theta
+        # reduced it by its period
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t": 1e7, "delta": 0.3, "eta": 0.01}))
+        code, out, err = run(capsys, "kernel", str(cfg))
+        assert code == 0 and err == ""
+        rows = np.array([[float(x) for x in line.split(",")]
+                         for line in out.splitlines()[1:]])
+        assert rows.shape == (64, 3) and np.all(np.isfinite(rows))
+
     def test_eta_below_kernel_range_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epsilon": 1.0, "delta": 0.0, "t": 0.7,

@@ -29,6 +29,25 @@ def random_point(rng=RNG):
     return PhaseSpacePoint(rng.uniform(0, 2 * math.pi), rng.uniform(-5, 5))
 
 
+class TestFiniteLabels:
+    # alpha % 2 pi and phi % 2 pi turned +-inf into nan, and act() then
+    # returned a nan point
+    @pytest.mark.parametrize("mode,cover_q", [("base", None), ("cover", 3),
+                                              ("universal", None)])
+    @pytest.mark.parametrize("alpha,t", [
+        (math.inf, 0j), (-math.inf, 0j), (math.nan, 0j),
+        (0.0, complex(math.inf, 0.0)), (0.0, complex(0.0, math.nan))])
+    def test_group_element_rejects_non_finite(self, mode, cover_q, alpha, t):
+        with pytest.raises(ValueError, match="finite"):
+            GroupElement(alpha, t, mode, cover_q)
+
+    @pytest.mark.parametrize("phi,p", [(math.inf, 0.1), (math.nan, 0.1),
+                                       (0.3, -math.inf)])
+    def test_point_rejects_non_finite(self, phi, p):
+        with pytest.raises(ValueError, match="finite"):
+            PhaseSpacePoint(phi, p)
+
+
 class TestCompose:
     def test_identity(self):
         g = random_element()

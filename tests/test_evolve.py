@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from circleqm.evolve import (
     propagate,
 )
 from circleqm.mincs import MinUncParams, min_state
-from circleqm.zakcs import PhasePoint, WZParams, w_state, w_value
+from circleqm.zakcs import PhasePoint, WZParams, fn_basis, w_state, w_value
 
 RNG = np.random.default_rng(99)
 
@@ -36,6 +37,21 @@ RNG = np.random.default_rng(99)
 def random_state(sector, n_lo=-2, width=5, rng=RNG):
     c = rng.normal(size=width) + 1j * rng.normal(size=width)
     return CircleState(sector, n_lo, c).normalized()
+
+
+def _flow_sum_mp(eps, delta, T, n_lo, coeffs, phi):
+    """sum_j c_j exp(-i eps f^2 T/2 + i f phi), f = n_lo + j + delta, at
+    each phi, summed in 30-digit arithmetic at the given doubles: the
+    spectral form of the kernel (c = 1, T = t - i eta) and of a propagated
+    state (T = t)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        T = mpmath.mpc(T.real, T.imag)
+        freq = [n_lo + j + mpmath.mpf(delta) for j in range(len(coeffs))]
+        return np.array([complex(mpmath.fsum(
+            mpmath.mpc(c.real, c.imag)
+            * mpmath.exp(-0.5j * eps * f * f * T + 1j * f * mpmath.mpf(x))
+            for c, f in zip(coeffs, freq))) for x in phi])
 
 
 class TestPropagate:
@@ -216,6 +232,40 @@ class TestKernel:
         ref = np.sum(np.exp(-0.5j * (n + 0.5) ** 2 * complex(0.7, -300.0)
                             + 1j * (n + 0.5) * 0.3))
         assert abs(series - ref) < 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("eps,delta,wt,eta", [
+        (1.0, 0.3, 0.7, 1e-2), (0.5, 0.7, 20.0, 1e-3), (2.0, 0.45, 3.0, 1e-1),
+        (0.8, 0.0, 0.05, 1e-3)])
+    def test_quasi_periodic_in_whole_turns(self, eps, delta, wt, eta):
+        # K(dphi + 2 pi k) = e^{2 pi i delta k} K(dphi) with dphi taken as
+        # given: theta reduces the argument.  Rounding dphi + 2 pi k moves
+        # dphi by ~1e-16 |2 pi k|; the difference stayed below 3.4e-15
+        # (1 + |k|) of sqrt(2 pi/(eps omega eta))
+        spec = EvolutionSpec(Params(eps, 1.0), Sector(delta), wt, eta=eta)
+        unit = math.sqrt(2 * math.pi / (eps * eta))
+        dphi = np.linspace(-math.pi, math.pi, 13)
+        for form in ("auto", "series", "gaussian"):
+            ref = kernel(spec, dphi, form=form)
+            for k in (1, -3, 10, -100, 1000, -1000):
+                vals = kernel(spec, dphi + 2 * math.pi * k, form=form)
+                err = np.max(np.abs(vals - cmath.exp(2j * math.pi * delta * k) * ref))
+                assert err < 4e-14 * (1 + abs(k)) * unit
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_refused(self, angle):
+        # theta's finiteness check refuses it, with no RuntimeWarning on
+        # the way (the whole-turn floor once made nan of it)
+        sector = Sector(0.3)
+        spec = EvolutionSpec(Params(1.0, 1.0), sector, 0.7, eta=1e-2)
+        psi = CircleState(sector, -1, np.array([0.3, 0.8, -0.4j]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: kernel(spec, angle),
+                         lambda: kernel(spec, np.array([0.2, angle]),
+                                        form="gaussian"),
+                         lambda: kernel_apply(spec, psi, angle)):
+                with pytest.raises(ValueError, match="finite"):
+                    call()
 
     def test_theta_factor_is_the_kernel_bitwise(self):
         # kernel and kernel_apply share one closed form
@@ -430,6 +480,51 @@ class TestEvolveMin:
             mean_l.append(inner(psi, l_psi).real)
         assert all(b > a for a, b in zip(spread, spread[1:]))
         assert np.max(np.abs(np.diff(mean_l))) < 1e-12
+
+
+class TestLargeTime:
+    """At eps = 1, delta = 0.3, eta = 1e-2 and t = 1e7 the flow theta's
+    argument (dphi - eps delta omega t)/2 lies 1.5e6 rad out; the kernel
+    raised the term-budget ValueError there.  Rounding eps delta omega t =
+    3e6 to double moves the argument by up to 2.3e-10, so the values carry
+    ~2e-10 of their scale (seen: 1.8e-10 for the kernel, 1.4e-10 for w_z,
+    4e-11 for kernel_apply in units of the kernel's scale); the bounds
+    leave about 10x."""
+
+    EPS, DELTA, ETA, T = 1.0, 0.3, 1e-2, 1e7
+    PHI = np.array([-3.0, -0.4, 0.9, 2.5])
+
+    def _spec(self):
+        return EvolutionSpec(Params(self.EPS, 1.0), Sector(self.DELTA),
+                             self.T, eta=self.ETA)
+
+    @pytest.mark.parametrize("form", ["auto", "series", "gaussian"])
+    def test_kernel_matches_spectral_sum(self, form):
+        half = int(math.ceil(math.sqrt(83.0 / (self.EPS * self.ETA)))) + 2
+        ref = _flow_sum_mp(self.EPS, self.DELTA, complex(self.T, -self.ETA),
+                           -half, np.ones(2 * half + 1, dtype=complex),
+                           self.PHI)
+        unit = math.sqrt(2 * math.pi / (self.EPS * self.ETA))
+        vals = kernel(self._spec(), self.PHI, form=form)
+        assert np.max(np.abs(vals - ref)) < 2e-9 * unit
+
+    def test_kernel_apply_matches_spectral_sum(self):
+        coeffs = np.array([0.3 - 0.1j, 0.8 + 0.2j, -0.4 + 0.5j])
+        psi = CircleState(Sector(self.DELTA), -1, coeffs)
+        ref = _flow_sum_mp(self.EPS, self.DELTA, complex(self.T, -self.ETA),
+                           -1, coeffs, self.PHI)
+        unit = math.sqrt(2 * math.pi / (self.EPS * self.ETA))
+        vals = kernel_apply(self._spec(), psi, self.PHI)
+        assert np.max(np.abs(vals - ref)) < 4e-10 * unit * psi.norm()
+
+    def test_evolve_w_matches_spectral_sum(self):
+        z = PhasePoint(1.2, 0.6)
+        n = np.arange(-40, 41)
+        coeffs = fn_basis(WZParams(self.EPS, Sector(self.DELTA)), n, z)
+        ref = _flow_sum_mp(self.EPS, self.DELTA, complex(self.T, 0.0),
+                           int(n[0]), coeffs, self.PHI)
+        vals = evolve_w(self._spec(), z)(self.PHI)
+        assert np.max(np.abs(vals - ref)) < 1.5e-9 * np.max(np.abs(ref))
 
 
 class TestPhaseLimit:

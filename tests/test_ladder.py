@@ -46,6 +46,12 @@ class TestContext:
         with pytest.raises(ValueError):
             LadderContext(0.0, Sector(0.0))
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_rejects_non_finite_epsilon(self, eps):
+        # LadderContext(inf, ...) gave var_k = inf
+        with pytest.raises(ValueError, match="epsilon"):
+            LadderContext(eps, Sector(0.0))
+
 
 class TestShiftAction:
     def test_lowering_on_basis(self):

@@ -107,6 +107,13 @@ class TestMinState:
                          (rep.covariance, e.cov_cl)]:
             assert got == pytest.approx(ref, rel=1e-8, abs=1e-8)
 
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_angle(self, alpha):
+        # the reduction mod 2 pi made alpha nan: min_expectations came out
+        # all nan
+        with pytest.raises(ValueError, match="alpha"):
+            MinUncParams(alpha, 0.0, 0.0, 1.0)
+
     @pytest.mark.parametrize("s", [800.0, -800.0])
     def test_beyond_double_range_raises_value_error(self, s):
         with pytest.raises(ValueError):

@@ -271,6 +271,35 @@ class TestWState:
         with pytest.raises(ValueError):
             w_state(WZParams(1.0, Sector(0.0)), PhasePoint(0.0, l))
 
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_angle(self, angle):
+        # the reduction mod 2 pi made the angle nan: w_expectations gave
+        # mean_c = nan
+        with pytest.raises(ValueError, match="angle"):
+            PhasePoint(angle, 0.1)
+        with pytest.raises(ValueError, match="angle"):
+            w_expectations(WZParams(1.0, Sector(0.2)), complex(angle, 0.1))
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_rejects_non_finite_stiffness(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            WZParams(eps, Sector(0.0))
+
+    @pytest.mark.parametrize("eps,delta,z", [
+        (1.0, 0.3, 0.5 + 0.4j), (0.3, 0.75, 2.0 + 3.0j), (2.5, 0.0, 5.0 - 1.5j)])
+    def test_quasi_periodic_in_whole_turns(self, eps, delta, z):
+        # w_value(phi + 2 pi k) = e^{2 pi i delta k} w_value(phi): theta
+        # reduces (phi - z + i eps delta)/2 by its period.  Rounding phi +
+        # 2 pi k moves phi by ~1e-16 |2 pi k|; the difference stayed below
+        # 3.6e-15 (1 + |k|) of max |w|.  Unreduced it was 8e-7 at k = 1e4.
+        params = WZParams(eps, Sector(delta))
+        phi = np.linspace(-math.pi, math.pi, 13)
+        ref = w_value(params, z, phi)
+        for k in (1, -7, 100, -1000, 10 ** 4, -10 ** 4):
+            vals = w_value(params, z, phi + 2 * math.pi * k)
+            err = np.max(np.abs(vals - cmath.exp(2j * math.pi * delta * k) * ref))
+            assert err < 4e-14 * (1 + abs(k)) * np.max(np.abs(ref))
+
     def test_closed_form_two_theta_routes(self):
         # w_value's theta on both sides of tau -> -1/tau, at its own
         # argument and nome
