@@ -58,7 +58,7 @@ print(f"  total probability over the window: {total:.10f}\n")
 
 k12 = w_overlap(params, z, PhasePoint(0.4, -0.3))
 print(f"reproducing kernel K(z1, z2) = {k12:.8f}")
-res = completeness_residual_wz(0, 0, params, l_cut=8.0)
+res = completeness_residual_wz(0, 0, params)
 print(f"identity-resolution defects: gaussian {abs(res.gauss):.2e}, "
       f"theta-weighted {abs(res.weighted):.2e}\n")
 

@@ -90,6 +90,15 @@ class Sector:
         return cls(delta, frac.denominator)
 
 
+def _finite_array(values, name: str) -> np.ndarray:
+    """values as a float array, ValueError naming `name` if any is not
+    finite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 # Sector labels closer than this name one Hilbert space (see `Sector`).
 _SECTOR_TOL = 1e-9
 
@@ -141,9 +150,11 @@ class Params:
 class CircleState:
     """Quasi-periodic wavefunction as a coefficient window over e_{n,delta}.
 
-    coeffs[j] multiplies e_{n_lo + j, delta}.  Evaluation reduces phi modulo
-    2 pi first and reattaches the winding phase exp(i 2 pi delta k), so the
-    boundary condition holds exactly by construction.
+    coeffs[j] multiplies e_{n_lo + j, delta}; n_lo is an integer (not a
+    boolean) with |n_lo| < 2^53, so that every n + delta is formed from an
+    exact n.  Evaluation reduces phi modulo 2 pi first and reattaches the
+    winding phase exp(i 2 pi delta k), so the boundary condition holds
+    exactly by construction.
     """
 
     sector: Sector
@@ -151,6 +162,12 @@ class CircleState:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if (isinstance(self.n_lo, bool)
+                or not isinstance(self.n_lo, (int, np.integer))
+                or not abs(int(self.n_lo)) < 2 ** 53):
+            raise ValueError(f"n_lo must be an integer with |n_lo| < 2^53, "
+                             f"got {self.n_lo!r}")
+        object.__setattr__(self, "n_lo", int(self.n_lo))
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficient window must be a nonempty 1-d array")
@@ -178,25 +195,13 @@ class CircleState:
     def evaluate(self, phi):
         """psi(phi) = sum_n c_n exp(i (n + delta) phi), winding-exact.
         Raises ValueError for a non-finite phi."""
-        phi = np.asarray(phi, dtype=float)
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("phi must be finite")
+        phi = _finite_array(phi, "phi")
         k = np.floor(phi / (2.0 * math.pi))
         phi0 = phi - 2.0 * math.pi * k
         freq = self.indices + self.sector.delta
         vals = np.exp(1j * np.multiply.outer(phi0, freq)) @ self.coeffs
         vals = vals * np.exp(1j * 2.0 * math.pi * self.sector.delta * k)
         return vals if vals.shape else complex(vals)
-
-    def trimmed(self, tol: float = 0.0) -> "CircleState":
-        """Drop zero (or sub-tol) coefficients at both window edges."""
-        mag = np.abs(self.coeffs)
-        keep = np.nonzero(mag > tol)[0]
-        if keep.size == 0:
-            return CircleState(self.sector, self.n_lo, self.coeffs[:1])
-        lo, hi = keep[0], keep[-1]
-        return CircleState(self.sector, self.n_lo + int(lo),
-                           self.coeffs[lo:hi + 1])
 
     def to_json(self) -> str:
         return json.dumps({
@@ -207,9 +212,14 @@ class CircleState:
 
     @classmethod
     def from_json(cls, text: str) -> "CircleState":
+        """The state of `to_json`'s document; n_lo may be written as an
+        integral float (3.0), and anything else non-integral is refused."""
         doc = json.loads(text)
         coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]])
-        return cls(Sector(float(doc["delta"])), int(doc["n_lo"]), coeffs)
+        n_lo = doc["n_lo"]
+        if isinstance(n_lo, float) and n_lo.is_integer():
+            n_lo = int(n_lo)
+        return cls(Sector(float(doc["delta"])), n_lo, coeffs)
 
 
 def basis_state(n: int, sector: Sector) -> CircleState:

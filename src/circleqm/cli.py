@@ -12,8 +12,9 @@ Exit codes: 0 ok, 1 a failed verify check, 2 a malformed configuration,
 with a `config error:` message on stderr and nothing on stdout.  Exit 2
 covers missing keys, non-finite numbers, values the library refuses (a
 ValueError), grids (`t_grid`, `theta_grid`, `l_grid`) that are not
-nonempty lists of finite numbers, and `evolve` and `kernel` times at
-which a phase eps omega t (n+delta)^2 / 2 reaches 2^52 rad.
+nonempty lists of finite numbers, counts (`n_points`, `density_points`)
+that are not integers >= 1, and `evolve` and `kernel` times at which a
+phase eps omega t (n+delta)^2 / 2 reaches 2^52 rad.
 """
 
 from __future__ import annotations
@@ -71,26 +72,36 @@ def _load_config(source) -> dict:
     return doc
 
 
-def _convert(val, what: str, kind=float):
+def _convert(val, what: str) -> float:
     try:
-        val = kind(val)
+        val = float(val)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what}: expected {kind.__name__}") from exc
+        raise ConfigError(f"{what}: expected float") from exc
     if not math.isfinite(val):
         raise ConfigError(f"{what}: expected a finite number")
     return val
 
 
-def _need(doc: dict, key: str, kind=float):
+def _need(doc: dict, key: str) -> float:
     if key not in doc:
         raise ConfigError(f"missing required key {key!r}")
-    return _convert(doc[key], f"key {key!r}", kind)
+    return _convert(doc[key], f"key {key!r}")
 
 
-def _get(doc: dict, key: str, default, kind=float):
+def _get(doc: dict, key: str, default: float) -> float:
     if key not in doc:
         return default
-    return _convert(doc[key], f"key {key!r}", kind)
+    return _convert(doc[key], f"key {key!r}")
+
+
+def _points(doc: dict, key: str, default: int) -> int:
+    """The sample count `key`: an integral number, not a boolean, >= 1."""
+    val = doc.get(key, default)
+    if isinstance(val, float) and val.is_integer():
+        val = int(val)
+    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        raise ConfigError(f"key {key!r} must be an integer >= 1")
+    return val
 
 
 def _grid(doc: dict, key: str, default=None) -> list:
@@ -303,7 +314,7 @@ def _check_wz_kernel_hermitian():
 
 def _check_wz_completeness():
     params = WZParams(1.0, Sector(0.0))
-    res = zakcs.completeness_residual_wz(0, 0, params, l_cut=8.0)
+    res = zakcs.completeness_residual_wz(0, 0, params)
     return max(abs(res.gauss), abs(res.weighted))
 
 
@@ -490,7 +501,7 @@ def _cmd_table(args) -> int:
         probs = zakcs.transition_prob(ms, params, z)
         lines = ["m,probability"] + [
             f"{m},{_fmt(p)}" for m, p in zip(ms.tolist(), probs.tolist())]
-    elif args.name == "kj":
+    else:  # "kj"; argparse's choices admit no other name
         eps = _get(doc, "epsilon", 1.0)
         delta = _get(doc, "delta", 0.0)
         thetas = _grid(doc, "theta_grid", [0.0, math.pi / 2, math.pi])
@@ -505,8 +516,6 @@ def _cmd_table(args) -> int:
                      _fmt(rep.var_k), _fmt(rep.var_j),
                      _fmt(rep.commutator_mean.imag),
                      "true" if rep.saturated else "false"]))
-    else:
-        raise ConfigError(f"unknown table {args.name!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -520,10 +529,12 @@ def _min_params_from(doc: dict) -> MinUncParams:
                         _need(doc, "gamma"), _need(doc, "s"))
 
 
-def _wz_from(doc: dict):
-    params = WZParams(_need(doc, "epsilon"), Sector(_need(doc, "delta")))
-    z = PhasePoint(_need(doc, "theta"), _need(doc, "l"))
-    return params, z
+def _wz_params_from(doc: dict) -> WZParams:
+    return WZParams(_need(doc, "epsilon"), Sector(_need(doc, "delta")))
+
+
+def _point_from(doc: dict) -> PhasePoint:
+    return PhasePoint(_need(doc, "theta"), _need(doc, "l"))
 
 
 def _record_to_strings(record: dict) -> dict:
@@ -563,11 +574,11 @@ def _cmd_state(args) -> int:
         record = dataclasses.asdict(
             mincs.min_expectations(_min_params_from(doc)))
     elif family == "wz":
-        params, z = _wz_from(doc)
+        params, z = _wz_params_from(doc), _point_from(doc)
         record = dataclasses.asdict(zakcs.w_expectations(params, z))
         record["leading_order"] = record.pop("leading")
         if args.density_out:
-            n = int(_get(doc, "density_points", 256, int))
+            n = _points(doc, "density_points", 256)
             phi = z.theta - math.pi + np.arange(n) * (2.0 * math.pi / n)
             vals = zakcs.density(params, z, phi)
             lines = ["phi,density"] + [
@@ -593,9 +604,8 @@ def _cmd_overlap(args) -> int:
                                 _min_params_from(first))
         record = {"value": res.value, "valid": res.valid}
     else:
-        params = WZParams(_need(doc, "epsilon"), Sector(_need(doc, "delta")))
-        z1 = PhasePoint(_need(first, "theta"), _need(first, "l"))
-        z2 = PhasePoint(_need(second, "theta"), _need(second, "l"))
+        params = _wz_params_from(doc)
+        z1, z2 = _point_from(first), _point_from(second)
         record = {"value": zakcs.w_overlap(params, z1, z2)}
     _emit(_render(record, args.format), args.out)
     return 0
@@ -606,8 +616,8 @@ def _state_for_family(doc: dict) -> circlespace.CircleState:
     if family == "min":
         return mincs.min_state(_min_params_from(doc), window_tol=1e-14)
     if family == "wz":
-        params, z = _wz_from(doc)
-        return zakcs.w_state(params, z, window_tol=1e-14)
+        return zakcs.w_state(_wz_params_from(doc), _point_from(doc),
+                             window_tol=1e-14)
     if "coeffs" in doc:
         # raw coefficient window {delta, n_lo, coeffs: [[re, im], ...]}
         try:
@@ -634,12 +644,9 @@ def _cmd_kernel(args) -> int:
     doc = _load_config(args.config)
     params = Params(_get(doc, "epsilon", 1.0), _get(doc, "omega", 1.0))
     sector = Sector(_get(doc, "delta", 0.0))
-    t = _need(doc, "t")
-    eta = _need(doc, "eta")
-    if eta <= 0:
-        raise ConfigError("key 'eta' must be positive")
-    spec = evolve.EvolutionSpec(params, sector, t, eta=eta)
-    n = int(_get(doc, "n_points", 64, int))
+    spec = evolve.EvolutionSpec(params, sector, _need(doc, "t"),
+                                eta=_need(doc, "eta"))
+    n = _points(doc, "n_points", 64)
     dphi = -math.pi + np.arange(n) * (2.0 * math.pi / n)
     vals = evolve.kernel(spec, dphi)
     lines = ["dphi,re_k,im_k"] + [

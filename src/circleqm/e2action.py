@@ -69,8 +69,8 @@ class GroupElement:
         return self.t.imag
 
 
-def identity(mode: str = "base", cover_q: Optional[int] = None) -> GroupElement:
-    return GroupElement(0.0, 0j, mode, cover_q)
+def identity() -> GroupElement:
+    return GroupElement(0.0, 0j)
 
 
 @dataclass(frozen=True)

@@ -91,14 +91,20 @@ class ThetaNome:
         return 1j * math.pi * self.tau
 
 
-def _n_cutoff(a: float, b: float) -> int:
-    """Smallest n beyond which |q|^(n^2) exp(2 n b) is negligible.
+def _extent(a: float, b: float) -> float:
+    """Index b/a + sqrt(margin/a) past which |q|^(n^2) exp(2 n b) is
+    negligible.
 
     a = -Re(log q) > 0, b = max |Im zeta|.  Terms peak at n ~ b/a with log
-    magnitude b^2/a; everything beyond b/a + sqrt(margin/a) is at least
+    magnitude b^2/a; everything beyond this extent is at least
     exp(-margin) below the peak.
     """
-    n = int(math.ceil(b / a + math.sqrt(_LOG_MARGIN / a))) + 2
+    return b / a + math.sqrt(_LOG_MARGIN / a)
+
+
+def _n_cutoff(a: float, b: float) -> int:
+    """Term count of the series: `_extent` rounded up, plus two."""
+    n = int(math.ceil(_extent(a, b))) + 2
     if n > _MAX_TERMS:
         raise ValueError("theta series truncation exceeds term budget; "
                          "nome too close to the unit circle")
@@ -108,7 +114,7 @@ def _n_cutoff(a: float, b: float) -> int:
 def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool,
                offset=0.0):
     """Series for exp(offset) * theta and (optionally) its first two
-    zeta-derivatives.
+    zeta-derivatives, which always take the plain series.
 
     The terms are s_m exp(offset + m^2 lq + 2 i m zeta), m over the
     integers (kinds 3, 4; s_m = (-1)^m for kind 4) or the half-integers
@@ -119,8 +125,8 @@ def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool,
 
     The route is picked from the work, (term count) x (points):
 
-    * below `_BLOCK_WORK` (every scalar call, and small arrays), one exp per
-      (term, sign, point), the plain series;
+    * below `_BLOCK_WORK` (every scalar call, and small arrays), and for
+      the derivatives, one exp per (term, sign, point), the plain series;
     * from `_BLOCK_WORK` on, the terms go in blocks of R ~ sqrt(terms)
       consecutive indices, m = m_first + R b + k (see `_theta_blocks`).
       With w = exp(+-2i zeta), each term is
@@ -128,13 +134,11 @@ def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool,
       c_m = s_m exp((m^2 - m_first^2) lq) a scalar with |c_m| <= 1, so the
       sum over k is one (block x k) @ (k x point) matmul and each point and
       sign costs two exps and O(R) products instead of O(terms) exps.  The
-      derivative weights 2im and -4m^2 ride in the same matmul as extra
-      rows of the scalar table.  The powers of w grow to at most
-      exp(4 (nmax + 1) b), b = max |Im zeta|; past `_BLOCK_MAX_GROWTH` the
-      plain series is used instead.  A result below about
-      exp(-745 + _BLOCK_MAX_GROWTH) can flush to zero on this route.  The
-      point axis is chunked so that no temporary holds more than
-      `_BLOCK_CHUNK` elements.
+      powers of w grow to at most exp(4 (nmax + 1) b), b = max |Im zeta|;
+      past `_BLOCK_MAX_GROWTH` the plain series is used instead.  A result
+      below about exp(-745 + _BLOCK_MAX_GROWTH) can flush to zero on this
+      route.  The point axis is chunked so that no temporary holds more
+      than `_BLOCK_CHUNK` elements.
     """
     z = zeta.reshape(-1)
     off = np.reshape(offset, -1) if np.ndim(offset) else offset
@@ -157,10 +161,11 @@ def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool,
     if kind != 2:
         s[0] = 0.5  # m = 0 is its own +- partner
 
-    plain = ((nmax + 1) * z.size < _BLOCK_WORK
-             or 4 * (nmax + 1) * b > _BLOCK_MAX_GROWTH)
-    sums = (_theta_terms if plain else _theta_blocks)(m, s, z, off, lq,
-                                                      want_derivs)
+    if (want_derivs or (nmax + 1) * z.size < _BLOCK_WORK
+            or 4 * (nmax + 1) * b > _BLOCK_MAX_GROWTH):
+        sums = _theta_terms(m, s, z, off, lq, want_derivs)
+    else:
+        sums = [_theta_blocks(m, s, z, off, lq)]
     if want_derivs:
         return tuple(x.reshape(zeta.shape) for x in sums)
     return sums[0].reshape(zeta.shape), None, None
@@ -200,12 +205,10 @@ def _powers(w: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _theta_blocks(m, s, z, off, lq, want_derivs):
+def _theta_blocks(m, s, z, off, lq):
     """Blocked route of `_theta_sum` (see there): sum_m s_m exp(off + m^2 lq
-    +- 2 i m z) as a baby-step/giant-step polynomial in w = exp(+-2i z).
-
-    Returns [value] or [value, d1, d2], each flat like z.
-    """
+    +- 2 i m z) as a baby-step/giant-step polynomial in w = exp(+-2i z),
+    flat like z."""
     n_terms = m.size
     r = math.isqrt(n_terms - 1) + 1  # ceil(sqrt(n_terms))
     nb = -(-n_terms // r)
@@ -213,13 +216,10 @@ def _theta_blocks(m, s, z, off, lq, want_derivs):
     sw = np.zeros(nb * r)
     sw[:n_terms] = s
     table = sw.reshape(nb, r) * np.exp((mm * mm - m[0] * m[0]) * lq)
-    if want_derivs:
-        table = np.concatenate([table, 2j * mm * table, -4.0 * mm * mm * table])
 
     off = np.broadcast_to(off, z.shape)
-    n_sums = 3 if want_derivs else 1
-    out = [np.empty(z.size, dtype=complex) for _ in range(n_sums)]
-    chunk = max(1, _BLOCK_CHUNK // (2 * max(table.shape[0], r)))
+    out = np.empty(z.size, dtype=complex)
+    chunk = max(1, _BLOCK_CHUNK // (2 * max(nb, r)))
     for start in range(0, z.size, chunk):
         stop = min(start + chunk, z.size)
         c = stop - start
@@ -229,10 +229,8 @@ def _theta_blocks(m, s, z, off, lq, want_derivs):
                       + m[0] * iz)
         baby = _powers(np.exp(iz), r)             # w^k
         giant = _powers(baby[-1] * baby[1], nb)   # w^(r b)
-        inner = table @ baby
-        for i, parity in enumerate(_PARITY[:n_sums]):
-            both = head * np.einsum("ij,ij->j", giant, inner[i * nb:(i + 1) * nb])
-            out[i][start:stop] = both[:c] + parity * both[c:]
+        both = head * np.einsum("ij,ij->j", giant, table @ baby)
+        out[start:stop] = both[:c] + both[c:]
     return out
 
 
@@ -323,8 +321,10 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
         # |tau| < 1 is |q(-1/tau)| < |q|, which also puts |q| above exp(-pi)
         method = "transform" if abs(nome.tau) < 1.0 else "direct"
     if method == "transform":
-        if nome.q == 0:
-            raise ValueError("modular transform undefined at q = 0")
+        # only tau = i inf (`from_q(0)`) has no -1/tau; an underflowed q
+        # with a finite tau transforms like any other
+        if math.isinf(nome.tau.imag):
+            raise ValueError("modular transform undefined at tau = i inf")
         v, d1, d2 = _theta_transformed(kind, z, nome, want_derivs)
     elif method == "direct":
         v, d1, d2 = _theta_sum(kind, z, nome.log_q, want_derivs)
@@ -374,7 +374,8 @@ def theta_derivs(kind: int, zeta, nome, method: str = "auto"):
 
     Term-wise differentiated series (direct route) or the chain rule applied
     to the modular-transformed representation, at zeta reduced by its
-    period as in `theta`.  Returns (value, d/dzeta, d2/dzeta2).
+    period as in `theta`.  The plain series is summed at any array size,
+    one exp per term and point.  Returns (value, d/dzeta, d2/dzeta2).
     """
     return _theta_dispatch(kind, zeta, nome, method, want_derivs=True)
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circleqm.circlespace import CircleState, Sector, _require_same_sector
-from circleqm.specfun import _LOG_MARGIN, ThetaNome, theta, theta_derivs
+from circleqm.circlespace import (CircleState, Sector, _finite_array,
+                                  _require_same_sector)
+from circleqm.specfun import ThetaNome, _extent, theta, theta_derivs
 
 __all__ = [
     "PhasePoint",
@@ -104,8 +105,8 @@ def _require_phase(largest) -> None:
 def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto"):
     """theta3[(angle - eps delta T)/2, e^{-i eps T/2}] at complex time T.
     ValueError once the phases eps Re T (n+delta)^2 / 2 reach 2^52 rad for
-    n up to the direct series' extent b/a + sqrt(40/a) (`_n_cutoff`'s),
-    a = -eps Im T/2, b = max |Im zeta|, as in `evolve.propagate`."""
+    n up to the direct series' `specfun._extent`, a = -eps Im T/2 and
+    b = max |Im zeta|, as in `evolve.propagate`."""
     # halved term by term (the same bits as (angle - eps delta T)/2): a
     # complex division turns an infinite real angle into nan with a warning
     zeta = angle / 2.0 - eps * delta * T / 2.0
@@ -114,7 +115,7 @@ def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto"):
         # a real angle (the propagator's) leaves Im zeta constant: no pass
         b = (0.5 * abs(eps * delta * T.imag) if np.isrealobj(angle)
              else float(np.abs(np.imag(zeta)).max(initial=0.0)))
-        extent = b / a + math.sqrt(_LOG_MARGIN / a) + abs(delta)
+        extent = _extent(a, b) + abs(delta)
         _require_phase(0.5 * eps * abs(T.real) * extent * extent)
     return theta(3, zeta, ThetaNome.from_q(cmath.exp(-0.5j * eps * T)), method)
 
@@ -124,7 +125,7 @@ def _w_theta(params: WZParams, z, phi, wt: float):
     """w_z evolved to omega t = wt, e^{-i eps delta^2 wt/2} e^{i phi delta}
     times the flow theta at T = wt - i and angle phi - z."""
     eps, delta = params.epsilon, params.delta
-    phi = np.asarray(phi, dtype=float)
+    phi = _finite_array(phi, "phi")
     vals = (cmath.exp(-0.5j * eps * delta * delta * wt)
             * np.exp(1j * phi * delta)
             * _flow_theta(eps, delta, complex(wt, -1.0), phi - _as_point(z).z))
@@ -163,11 +164,11 @@ def _periodized_norm(params: WZParams, l_tilde: float) -> float:
 def gaussian_cs(epsilon: float, z, xi):
     """The line coherent state (eps pi)^(-1/4) e^{-(|z|^2+z^2)/(4 eps)}
     e^{-xi^2/(2 eps) + z xi / eps}; normalized on the line, annihilated by
-    Q + i eps P with eigenvalue z."""
+    Q + i eps P with eigenvalue z.  A non-finite xi raises ValueError."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     z = _as_point(z).z
-    xi = np.asarray(xi, dtype=float)
+    xi = _finite_array(xi, "xi")
     pref = (epsilon * math.pi) ** -0.25 * np.exp(
         -(abs(z) ** 2 + z * z) / (4.0 * epsilon))
     vals = pref * np.exp(-xi ** 2 / (2.0 * epsilon) + z * xi / epsilon)
@@ -183,12 +184,12 @@ def zak_periodize(params: WZParams, z, phi):
     quasi-periodic, f(phi + 2 pi k) = e^{2 pi i delta k} f(phi); the closed
     face is evaluated at phi - theta reduced into [-pi, pi) and carries that
     phase, since further out its Gaussian underflows to 0 while the theta
-    factor overflows.
+    factor overflows.  A non-finite phi raises ValueError.
     """
     eps, delta = params.epsilon, params.delta
     pt = _as_point(z)
     z = pt.z
-    phi = np.asarray(phi, dtype=float)
+    phi = _finite_array(phi, "phi")
     pref = (eps * math.pi) ** -0.25
     # winding sum: Gaussians at phi + 2 pi n, phases e^{-i 2 pi n delta}
     n_max = 3 + int(math.ceil((abs(z) + math.sqrt(80.0 * eps) + np.max(np.abs(phi)))
@@ -245,7 +246,7 @@ def w_state(params: WZParams, z, window_tol: float = 1e-12) -> CircleState:
 
 def w_value(params: WZParams, z, phi):
     """Closed form e^{i phi delta} theta3[(phi - z + i eps delta)/2,
-    e^{-eps/2}]."""
+    e^{-eps/2}]; a non-finite phi raises ValueError."""
     return _w_theta(params, z, phi, 0.0)
 
 
@@ -430,10 +431,11 @@ def density(params: WZParams, z, phi):
     i eps delta)/eps, e^{-2 pi^2/eps}]|^2 / theta3[pi(l - eps delta)/eps,
     e^{-pi^2/eps}]; integrates to 1 against dphi/2pi.  It is 2 pi-periodic:
     phi - theta is reduced into [-pi, pi) first, since further out the
-    Gaussian underflows to 0 while the theta factor overflows."""
+    Gaussian underflows to 0 while the theta factor overflows.  A
+    non-finite phi raises ValueError."""
     eps = params.epsilon
     pt = _as_point(z)
-    d = np.asarray(phi, dtype=float) - pt.theta
+    d = _finite_array(phi, "phi") - pt.theta
     d = d - 2.0 * math.pi * np.floor((d + math.pi) / (2.0 * math.pi))
     tvals = _winding_theta(params, d - 1j * pt.l_tilde)
     vals = (2.0 * math.pi / math.sqrt(eps * math.pi)
@@ -452,27 +454,26 @@ class WZCompletenessResiduals:
 
 
 _WZ_NODES = 80  # Gauss nodes: the radial Gaussians integrate to rounding
+_WZ_L_CUT = 8.0  # momentum cut in sqrt(eps): the Gaussian tail is e^-64
 
 
-def completeness_residual_wz(m1: int, m2: int, params: WZParams,
-                             l_cut: float = 8.0) -> WZCompletenessResiduals:
+def completeness_residual_wz(m1: int, m2: int,
+                             params: WZParams) -> WZCompletenessResiduals:
     """Resolve the identity over the family, truncating the momentum
-    integral at +- l_cut sqrt(eps) around the matrix element's center.
+    integral at +- 8 sqrt(eps) around the matrix element's center.
 
     The angle integral is done analytically (it kills m1 != m2 exactly);
     the remaining radial integrals are Gauss-Legendre.  The weighted form
     evaluates the theta weight and the state normalizer separately, so
     their cancellation is part of what is being checked.
     """
-    if l_cut <= 0:
-        raise ValueError("l_cut must be positive")
     if m1 != m2:
         return WZCompletenessResiduals(0j, 0j)
     eps, delta = params.epsilon, params.delta
     x_gl, w_gl = np.polynomial.legendre.leggauss(_WZ_NODES)
 
     center = eps * (m1 + delta)
-    half_width = l_cut * math.sqrt(eps)
+    half_width = _WZ_L_CUT * math.sqrt(eps)
     l_nodes = center + half_width * x_gl
     wts = half_width * w_gl
 

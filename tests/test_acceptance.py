@@ -193,7 +193,7 @@ def test_criterion_8_completeness():
     s, gamma, m = 1.0, 0.0, 1
     n_cut = abs(m) + math.ceil(abs(complex(gamma, -s))) + 20
     min_res = abs(completeness_residual(m, m, s, gamma, Sector(0.0), n_cut))
-    wz = completeness_residual_wz(0, 0, WZParams(1.0, Sector(0.0)), l_cut=8.0)
+    wz = completeness_residual_wz(0, 0, WZParams(1.0, Sector(0.0)))
     rng = np.random.default_rng(10)
     worst_sum = 0.0
     for _ in range(10):

@@ -539,3 +539,38 @@ class TestSerialization:
     def test_fidelity_self(self):
         psi = random_state(Sector(0.1))
         assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestRefusals:
+    """Labels and windows each constructor refuses with ValueError."""
+
+    @pytest.mark.parametrize("make,word", [
+        (lambda: Sector(0.5, 2.5), "covering_order"),
+        (lambda: Sector(0.5, 0), "covering_order"),
+        (lambda: RepLabel(0.0, Sector(0.0)), "rho"),
+        (lambda: CircleState(Sector(0.0), 0, []), "nonempty"),
+        (lambda: CircleState(Sector(0.0), 0, [[1.0]]), "nonempty"),
+        (lambda: CircleState(Sector(0.0), 0, [1.0, math.nan]), "finite"),
+        (lambda: CircleState(Sector(0.0), 0, [math.inf]), "finite"),
+        # a fractional n_lo shifted every frequency: evaluate used 2.95 and
+        # 3.95 here
+        (lambda: CircleState(Sector(0.25), 2.7, [1, 1j]), "n_lo"),
+        (lambda: CircleState(Sector(0.25), True, [1]), "n_lo"),
+        (lambda: CircleState(Sector(0.25), 2 ** 53, [1]), "n_lo"),
+        (lambda: CircleState.from_json(
+            '{"delta": 0.25, "n_lo": 2.7, "coeffs": [[1, 0]]}'), "n_lo"),
+        (lambda: CircleState.from_json(
+            '{"delta": 0.25, "n_lo": true, "coeffs": [[1, 0]]}'), "n_lo"),
+    ], ids=["cover-fraction", "cover-zero", "rho-zero", "empty", "2-d",
+            "nan-coeff", "inf-coeff", "n_lo-fraction", "n_lo-bool",
+            "n_lo-2^53", "json-fraction", "json-bool"])
+    def test_refused(self, make, word):
+        with pytest.raises(ValueError, match=word):
+            make()
+
+    def test_integral_n_lo_stored_as_int(self):
+        st_ = CircleState.from_json(
+            '{"delta": 0.25, "n_lo": 3.0, "coeffs": [[1, 0]]}')
+        assert st_.n_lo == 3 and type(st_.n_lo) is int
+        st_ = CircleState(Sector(0.0), np.int64(-4), [1.0])
+        assert st_.n_lo == -4 and type(st_.n_lo) is int

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, report contents."""
 
+import io
 import json
 import math
 import os
@@ -257,6 +258,27 @@ class TestGridValues:
         (["evolve"], {"family": "wz", "epsilon": 1.0, "delta": 0.2,
                       "theta": 0.3, "l": 0.5, "t_grid": [0.5, 1e300]}, "2^52"),
         (["kernel"], {"t": 1e17, "eta": 0.01}, "2^52"),
+        # integer keys: 0 raised ZeroDivisionError, a negative count printed
+        # the header only, a fraction or a boolean was truncated
+        (["kernel"], {"t": 0.5, "eta": 0.01, "n_points": 0}, "n_points"),
+        (["kernel"], {"t": 0.5, "eta": 0.01, "n_points": -3}, "n_points"),
+        (["kernel"], {"t": 0.5, "eta": 0.01, "n_points": 4.9}, "n_points"),
+        (["kernel"], {"t": 0.5, "eta": 0.01, "n_points": True}, "n_points"),
+        (["state", "--density-out", os.devnull],
+         {"family": "wz", "epsilon": 1.0, "delta": 0.2, "theta": 0.3,
+          "l": 0.5, "density_points": 0}, "density_points"),
+        (["state", "--density-out", os.devnull],
+         {"family": "wz", "epsilon": 1.0, "delta": 0.2, "theta": 0.3,
+          "l": 0.5, "density_points": -2}, "density_points"),
+        (["state", "--density-out", os.devnull],
+         {"family": "wz", "epsilon": 1.0, "delta": 0.2, "theta": 0.3,
+          "l": 0.5, "density_points": 2.5}, "density_points"),
+        (["evolve"], {"delta": 0.2, "n_lo": 2.7, "coeffs": [[1.0, 0.0]],
+                      "t_grid": [0.5]}, "n_lo"),
+        (["evolve"], {"delta": 0.2, "n_lo": True, "coeffs": [[1.0, 0.0]],
+                      "t_grid": [0.5]}, "n_lo"),
+        (["evolve"], {"delta": 0.2, "n_lo": 1e300, "coeffs": [[1.0, 0.0]],
+                      "t_grid": [0.5]}, "n_lo"),
     ])
     def test_rejected_grid_exits_two(self, capsys, tmp_path, argv, doc, word):
         cfg = tmp_path / "cfg.json"
@@ -266,6 +288,58 @@ class TestGridValues:
         assert out == ""
         assert err.startswith("config error:")
         assert word in err
+
+
+class TestConfigDocuments:
+    WZ = {"family": "wz", "epsilon": 0.7, "delta": 0.2, "theta": 0.9, "l": 0.4}
+
+    @pytest.mark.parametrize("argv,text,word", [
+        (["state"], "[1, 2, 3]", "JSON object"),
+        (["overlap"], json.dumps({"family": "raw"}), "family"),
+        (["overlap"], json.dumps({"family": "wz", "first": 3, "second": {}}),
+         "objects"),
+        (["evolve"], json.dumps({"delta": 0.2, "n_lo": 0, "coeffs": [[1.0]],
+                                 "t_grid": [0.5]}), "malformed state"),
+        (["evolve"], json.dumps({"t_grid": [0.5]}), "family"),
+    ], ids=["root-list", "overlap-family", "overlap-first", "raw-coeff",
+            "evolve-no-state"])
+    def test_rejected_document_exits_two(self, capsys, tmp_path, argv, text,
+                                         word):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, *argv, str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:")
+        assert word in err
+
+    def test_unreadable_path_exits_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "state", str(tmp_path / "missing.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: cannot read config")
+
+    def test_stdin_reads_like_a_file(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.WZ))
+        _, from_file, _ = run(capsys, "state", str(cfg))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(self.WZ)))
+        code, from_stdin, _ = run(capsys, "state", "-")
+        assert code == 0
+        assert from_stdin == from_file
+
+    def test_wz_csv_flattens_leading_order(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.WZ))
+        _, out, _ = run(capsys, "state", str(cfg))
+        record = json.loads(out)
+        code, out, _ = run(capsys, "state", str(cfg), "--format", "csv")
+        assert code == 0
+        rows = dict(line.split(",") for line in out.splitlines()[1:])
+        nested = record.pop("leading_order")
+        assert nested
+        assert rows == {**record, **{f"leading_order.{k}": v
+                                     for k, v in nested.items()}}
 
 
 def _per_t_rows(state, params, t_grid):
@@ -372,6 +446,15 @@ class TestKernel:
         assert code == 0
         assert out.splitlines()[0] == "dphi,re_k,im_k"
         assert len(out.splitlines()) == 17
+
+    def test_integral_float_count_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t": 0.7, "eta": 1e-3, "n_points": 16}))
+        _, ref, _ = run(capsys, "kernel", str(cfg))
+        cfg.write_text(json.dumps({"t": 0.7, "eta": 1e-3, "n_points": 16.0}))
+        code, out, _ = run(capsys, "kernel", str(cfg))
+        assert code == 0
+        assert out == ref and len(out.splitlines()) == 17
 
     def test_nonpositive_eta_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

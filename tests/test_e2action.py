@@ -83,6 +83,13 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose(GroupElement(0.0, 0j, "universal"), GroupElement(0.0, 0j))
 
+    @pytest.mark.parametrize("mode,cover_q,word", [
+        ("cover", None, "covering order"), ("cover", 0, "covering order"),
+        ("fold", None, "covering mode")])
+    def test_bad_covering_rejected(self, mode, cover_q, word):
+        with pytest.raises(ValueError, match=word):
+            GroupElement(1.0, 0j, mode, cover_q)
+
     def test_inverse(self):
         g = random_element()
         ginv = GroupElement(-g.alpha, -np.exp(-1j * g.alpha) * g.t)

@@ -186,6 +186,18 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel(spec, 0.3)
 
+    @pytest.mark.parametrize("make,word", [
+        (lambda: EvolutionSpec(Params(1.0), Sector(0.0), math.inf), "time"),
+        (lambda: EvolutionSpec(Params(1.0), Sector(0.0), math.nan), "time"),
+        (lambda: EvolutionSpec(Params(1.0), Sector(0.0), 0.5, eta=-1e-3),
+         "eta"),
+        (lambda: kernel(EvolutionSpec(Params(1.0), Sector(0.0), 0.5, eta=1e-3),
+                        0.3, form="spectral"), "kernel form"),
+    ], ids=["t-inf", "t-nan", "eta-negative", "unknown-form"])
+    def test_rejects_bad_spec_or_form(self, make, word):
+        with pytest.raises(ValueError, match=word):
+            make()
+
     def test_refuses_below_documented_range(self):
         # eps omega eta = 5e-9 < 1e-8: kernel and kernel_apply raise before
         # any sampling; the series face alone would start to fail near 3e-9
@@ -214,8 +226,9 @@ class TestKernel:
         assert abs(kernel_apply(spec, psi, 1.1) - ref) < 1e-10
 
     def test_gaussian_face_term_budget(self):
-        # eta = 1e-12 puts the reciprocal nome within 2e-11 of the unit
-        # circle: about 1.4M terms, past the series' budget
+        # eta = 1e-12 would put the reciprocal nome within 2e-11 of the unit
+        # circle, past the series' term budget; the kernel's eps omega eta
+        # >= 1e-8 floor (`_damping`) refuses it before any series is sized
         spec = EvolutionSpec(Params(1.0, 1.0), Sector(0.0), 1.0, eta=1e-12)
         with pytest.raises(ValueError):
             kernel(spec, 0.3, form="gaussian")

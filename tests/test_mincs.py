@@ -36,7 +36,6 @@ def explicit_psi(params, phi):
 class TestMinState:
     def test_sigma_zero_is_basis_state(self):
         st = min_state(MinUncParams(0.0, 3.0, 0.0, 0.0))
-        st = st.trimmed(1e-300)
         assert st.n_lo == 3
         assert st.coeffs.size == 1
         assert st.coeffs[0] == pytest.approx(1.0)
@@ -302,6 +301,28 @@ class TestMinOverlap:
     def test_mismatched_sigma_rejected(self):
         with pytest.raises(ValueError):
             min_overlap(MinUncParams(0, 1, 0, 1), MinUncParams(0, 0, 0, 2))
+
+    @pytest.mark.parametrize("dl", [0, 1, -2])
+    def test_zero_sigma_against_coefficient_oracle(self, dl):
+        # s = gamma = 0 leaves basis states, and the root r = 0: the closed
+        # form takes its I_n(2r)/r^n -> 1/n! limit
+        p1 = MinUncParams(0.7, 1.3 + dl, 0.0, 0.0)
+        p2 = MinUncParams(2.1, 1.3, 0.0, 0.0)
+        res = min_overlap(p2, p1)
+        assert res.valid
+        assert abs(res.value - self.coefficient_overlap(p2, p1)) < 1e-15
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call,word", [
+        (lambda: saturation_gap(MinUncParams(0, 0, 0, 1), "CS"), "pair"),
+        (lambda: completeness_residual(0, 0, 1.0, 0.0, Sector(0.0), -1),
+         "n_cut"),
+        (lambda: dbt_divergence(0, -1.0), "gamma_max"),
+    ], ids=["pair", "n_cut", "gamma_max"])
+    def test_refused(self, call, word):
+        with pytest.raises(ValueError, match=word):
+            call()
 
 
 class TestSumRule:

@@ -46,6 +46,12 @@ class TestThetaNome:
         with pytest.raises(ValueError):
             ThetaNome(0.5, 2j)
 
+    def test_rejects_non_finite_q_and_lower_half_plane_tau(self):
+        with pytest.raises(ValueError, match="finite"):
+            ThetaNome.from_q(math.nan)
+        with pytest.raises(ValueError, match="Im\\(tau\\)"):
+            ThetaNome(0.5, complex(0.3, -1.0))
+
     def test_zero_q_needs_underflowing_tau(self):
         # q = 0 goes with tau = i inf or a tau whose q underflows, not 2i
         with pytest.raises(ValueError):
@@ -56,6 +62,16 @@ class TestThetaNome:
 class TestTheta:
     def test_zero_nome_leading_term(self):
         assert theta(3, 0.0, ThetaNome.from_q(0.0)) == 1.0
+
+    @pytest.mark.parametrize("tau", [40j, 300j, 1000j, 0.3 + 300j])
+    def test_transform_needs_only_a_finite_tau(self, tau):
+        # from Im tau ~ 237 on q underflows to 0, but the transform reads
+        # only tau; tau = i inf (from_q(0)) alone has no -1/tau
+        nome = ThetaNome.from_tau(tau)
+        direct = theta(3, 0.1, nome, method="direct")
+        assert abs(theta(3, 0.1, nome, method="transform") - direct) <= 1e-15
+        with pytest.raises(ValueError, match="tau = i inf"):
+            theta(3, 0.1, ThetaNome.from_q(0.0), method="transform")
 
     @pytest.mark.parametrize("kind", [2, 3, 4])
     @pytest.mark.parametrize("im_tau", [100.0, 236.0, 238.0, 300.0])
@@ -234,6 +250,14 @@ class TestTheta:
         with pytest.raises(ValueError):
             theta(3, 0.0, 1.5)
 
+    def test_rejects_unknown_method_and_overlong_series(self):
+        nome = ThetaNome.from_q(0.2)
+        with pytest.raises(ValueError, match="unknown method"):
+            theta(3, 0.0, nome, method="fast")
+        # a = pi 1e-12: the direct series would need ~3.6e6 terms
+        with pytest.raises(ValueError, match="term budget"):
+            theta(3, 0.1, ThetaNome.from_tau(1e-12j), method="direct")
+
 
 class TestThetaDerivs:
     def test_theta3_even_first_deriv_zero(self):
@@ -282,9 +306,10 @@ def _abs_terms(kind, z, nome, order):
 
 
 class TestThetaAgainstMpmath:
-    """Both summation routes (a scalar call sums term by term, an array of
-    _BLOCK_WORK points goes through the blocked route) against
-    mpmath.jtheta, at a generic point, at the kind's zero and next to it."""
+    """Both summation routes (a scalar call sums term by term, the values
+    of an array of _BLOCK_WORK points go through the blocked route, its
+    derivatives through the plain series) against mpmath.jtheta, at a
+    generic point, at the kind's zero and next to it."""
 
     @pytest.mark.parametrize("kind", [2, 3, 4])
     @pytest.mark.parametrize("q", [0.3 * cmath.exp(0.4j),
@@ -349,8 +374,9 @@ class TestThetaPeriodReduction:
             refs = [complex(mpmath.jtheta(kind, mz, mq, order))
                     for order in range(3)]
         scale = [_abs_terms(kind, zeta, nome, order) for order in range(3)]
-        # a scalar sums term by term, _BLOCK_WORK copies take the blocked
-        # route; "transform" sums the tau -> -1/tau series
+        # a scalar sums term by term, the values of _BLOCK_WORK copies take
+        # the blocked route and their derivatives the plain series;
+        # "transform" sums the tau -> -1/tau series
         points = np.full(_BLOCK_WORK, zeta)
         for method in ("direct", "transform"):
             got = [theta(kind, zeta, nome, method=method),

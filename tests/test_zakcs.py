@@ -6,12 +6,15 @@ sums, and quadrature on the explicit wavefunctions.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from circleqm.circlespace import CircleState, Sector, apply_operator, basis_state, inner
+from circleqm.circlespace import (CircleState, Params, Sector, apply_operator,
+                                  basis_state, inner)
+from circleqm.evolve import EvolutionSpec, evolve_w
 from circleqm.specfun import ThetaNome, theta
 from circleqm.zakcs import (
     BargmannFunction,
@@ -701,13 +704,13 @@ class TestCompleteness:
                                              (-2, 2.0, 0.6)])
     def test_diagonal_residuals_small(self, m, eps, delta):
         params = WZParams(eps, Sector(delta))
-        res = completeness_residual_wz(m, m, params, l_cut=8.0)
+        res = completeness_residual_wz(m, m, params)
         assert abs(res.gauss) < 1e-6
         assert abs(res.weighted) < 1e-6
 
     def test_two_forms_agree(self):
         params = WZParams(1.0, Sector(0.2))
-        res = completeness_residual_wz(0, 0, params, l_cut=8.0)
+        res = completeness_residual_wz(0, 0, params)
         assert abs(res.gauss - res.weighted) < 1e-8
 
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.3, 1.0, 2.0])
@@ -718,10 +721,6 @@ class TestCompleteness:
                 res = completeness_residual_wz(m, m, params)
                 ref = _weighted_residual_by_node(m, params)
                 assert abs(res.weighted - ref) <= 1e-15
-
-    def test_rejects_bad_cut(self):
-        with pytest.raises(ValueError):
-            completeness_residual_wz(0, 0, WZParams(1.0, Sector(0.0)), l_cut=0.0)
 
 
 class TestClosedFormOwners:
@@ -762,3 +761,36 @@ class TestClosedFormOwners:
                 assert np.array_equal(w_norm_sq(params, z),
                                       w_overlap(params, z, z).real,
                                       equal_nan=True)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call,word", [
+        (lambda: gaussian_cs(0.0, 0.5j, 0.1), "epsilon"),
+        (lambda: gaussian_cs(-1.0, 0.5j, 0.1), "epsilon"),
+        (lambda: w_state(WZParams(1.0, Sector(0.0)), 0.5j, window_tol=0.0),
+         "window_tol"),
+        (lambda: w_state(WZParams(1.0, Sector(0.0)), 0.5j, window_tol=1.0),
+         "window_tol"),
+    ], ids=["eps-zero", "eps-negative", "tol-zero", "tol-one"])
+    def test_refused(self, call, word):
+        with pytest.raises(ValueError, match=word):
+            call()
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_refused_without_warning(self, angle):
+        # each call gave a RuntimeWarning at phi = inf, and zak_periodize an
+        # OverflowError from its winding count
+        params = WZParams(1.0, Sector(0.3))
+        z = 0.5 + 0.4j
+        evolved = evolve_w(EvolutionSpec(Params(1.0), Sector(0.3), 0.7), z)
+        calls = [("phi", lambda: density(params, z, angle)),
+                 ("phi", lambda: w_value(params, z, angle)),
+                 ("phi", lambda: zak_small_nome(params, z, angle)),
+                 ("phi", lambda: evolved(np.array([0.2, angle]))),
+                 ("phi", lambda: zak_periodize(params, z, angle)),
+                 ("xi", lambda: gaussian_cs(1.0, z, angle))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, call in calls:
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    call()
