@@ -67,7 +67,7 @@ print(f"  {{p, sin}} = {poisson_bracket(f_mom, f_sin, pt):+.8f} "
 print(f"  {{cos, sin}} = {poisson_bracket(f_cos, f_sin, pt):+.8f}")
 
 print("\nalmost effective: a full turn acts trivially on every point")
-center = GroupElement(2 * math.pi, 0j, mode="universal")
+center = GroupElement(2 * math.pi, 0j, cover_q=None)
 moved = act(center, s)
 print(f"  (phi, p) -> ({moved.phi:.12f}, {moved.p_phi:.12f}) "
       f"from ({s.phi}, {s.p_phi})")

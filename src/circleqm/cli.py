@@ -13,8 +13,8 @@ with a `config error:` message on stderr and nothing on stdout.  Exit 2
 covers missing keys, non-finite numbers, values the library refuses (a
 ValueError), grids (`t_grid`, `theta_grid`, `l_grid`) that are not
 nonempty lists of finite numbers, counts (`n_points`, `density_points`)
-that are not integers >= 1, and `evolve` and `kernel` times at which a
-phase eps omega t (n+delta)^2 / 2 reaches 2^52 rad.
+that are not integers in [1, 2^20], and `evolve` and `kernel` times at
+which a phase eps omega t (n+delta)^2 / 2 reaches 2^52 rad.
 """
 
 from __future__ import annotations
@@ -94,13 +94,18 @@ def _get(doc: dict, key: str, default: float) -> float:
     return _convert(doc[key], f"key {key!r}")
 
 
+_MAX_POINTS = 2 ** 20
+
+
 def _points(doc: dict, key: str, default: int) -> int:
-    """The sample count `key`: an integral number, not a boolean, >= 1."""
+    """The sample count `key`: an integral number, not a boolean, in
+    [1, 2^20]."""
     val = doc.get(key, default)
     if isinstance(val, float) and val.is_integer():
         val = int(val)
-    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-        raise ConfigError(f"key {key!r} must be an integer >= 1")
+    if (isinstance(val, bool) or not isinstance(val, int)
+            or not 1 <= val <= _MAX_POINTS):
+        raise ConfigError(f"key {key!r} must be an integer in [1, 2^20]")
     return val
 
 
@@ -123,8 +128,8 @@ def _theta_transform_residual(kind, partner, im_taus, zetas, floor):
     worst = 0.0
     for im_tau in im_taus:
         tau = 1j * im_tau
-        nome = specfun.ThetaNome.from_tau(tau)
-        nome2 = specfun.ThetaNome.from_tau(-1.0 / tau)
+        nome = specfun.ThetaNome(tau)
+        nome2 = specfun.ThetaNome(-1.0 / tau)
         for z in zetas:
             lhs = specfun.theta(kind, z, nome, method="direct")
             rhs = ((-1j * tau) ** -0.5
@@ -321,7 +326,7 @@ def _check_wz_completeness():
 def _check_wz_variance_sum():
     params = WZParams(1.0, Sector(0.2))
     e = zakcs.w_expectations(params, PhasePoint(0.5, 0.3))
-    nome = specfun.ThetaNome.from_q(math.exp(-math.pi ** 2))
+    nome = specfun.ThetaNome(1j * math.pi)
     zeta = math.pi * (0.3 - 0.2)
     ratio = (specfun.theta(4, zeta, nome) / specfun.theta(3, zeta, nome)).real
     return abs(e.var_sum - (1.0 - math.exp(-0.5) * ratio ** 2))

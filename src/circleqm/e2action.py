@@ -2,8 +2,8 @@
 
 Group elements (alpha, t = a + i b) compose by rotating the translation
 part; they act on points s = (phi, p_phi) symplectically and transitively.
-Covering modes distinguish the base group (alpha mod 2 pi), the q-fold
-covers (mod 2 pi q) and the universal cover (no reduction).
+One covering order picks the group: E(2) itself (alpha mod 2 pi), its
+q-fold covers (mod 2 pi q) or the universal cover (no reduction).
 """
 
 from __future__ import annotations
@@ -27,35 +27,30 @@ __all__ = [
     "poisson_bracket",
 ]
 
-_MODES = ("base", "cover", "universal")
-
-
-def _reduce_alpha(alpha: float, mode: str, cover_q: Optional[int]) -> float:
-    if mode == "base":
-        return alpha % (2.0 * math.pi)
-    if mode == "cover":
-        if not cover_q or cover_q < 1:
-            raise ValueError("cover mode needs a positive covering order")
-        return alpha % (2.0 * math.pi * cover_q)
-    if mode == "universal":
-        return alpha
-    raise ValueError(f"covering mode must be one of {_MODES}")
-
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Rotation parameter alpha (reduced per covering mode) and complex
-    translation t = a + i b."""
+    """Rotation parameter alpha and complex translation t = a + i b of the
+    group covering E(2) cover_q times.
+
+    cover_q = 1 is E(2) itself (alpha reduced mod 2 pi), an integer
+    q >= 2 the q-fold cover (mod 2 pi q) and None the universal cover
+    (alpha as given).
+    """
 
     alpha: float
     t: complex
-    mode: str = "base"
-    cover_q: Optional[int] = None
+    cover_q: Optional[int] = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha",
-                           _reduce_alpha(float(self.alpha), self.mode,
-                                         self.cover_q))
+        alpha, q = float(self.alpha), self.cover_q
+        if q is not None:
+            if (isinstance(q, bool) or not isinstance(q, (int, np.integer))
+                    or q < 1):
+                raise ValueError("the covering order must be an integer "
+                                 f">= 1 or None, got {q!r}")
+            alpha %= 2.0 * math.pi * q
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "t", complex(self.t))
         if not (math.isfinite(self.alpha) and cmath.isfinite(self.t)):
             raise ValueError("alpha and t must be finite")
@@ -88,12 +83,13 @@ class PhaseSpacePoint:
 
 
 def compose(g2: GroupElement, g1: GroupElement) -> GroupElement:
-    """g2 after g1: (alpha1 + alpha2, t2 + e^{i alpha2} t1)."""
-    if g2.mode != g1.mode or g2.cover_q != g1.cover_q:
-        raise ValueError("covering modes must match")
+    """g2 after g1: (alpha1 + alpha2, t2 + e^{i alpha2} t1), in the group
+    both belong to; different covering orders raise ValueError."""
+    if g2.cover_q != g1.cover_q:
+        raise ValueError("covering orders must match")
     alpha = g1.alpha + g2.alpha
     t = g2.t + np.exp(1j * g2.alpha) * g1.t
-    return GroupElement(alpha, complex(t), g2.mode, g2.cover_q)
+    return GroupElement(alpha, complex(t), g2.cover_q)
 
 
 def _image(g: GroupElement, phi, p):
@@ -153,7 +149,7 @@ def induced_fields(s: PhaseSpacePoint):
     out = {}
     for name, make in (("X1", lambda g: GroupElement(0.0, complex(g, 0.0))),
                        ("X2", lambda g: GroupElement(0.0, complex(0.0, g))),
-                       ("L", lambda g: GroupElement(g, 0j, "universal"))):
+                       ("L", lambda g: GroupElement(g, 0j, None))):
         plus = act(make(_FIELD_STEP), s)
         minus = act(make(-_FIELD_STEP), s)
         dphi = (((plus.phi - minus.phi) + math.pi) % (2.0 * math.pi)

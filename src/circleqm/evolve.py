@@ -132,11 +132,15 @@ def _kernel_theta(spec: EvolutionSpec, dphi, method: str = "auto"):
     """The kernel's constant exp(-i eps delta^2 T/2) and its theta factor
     theta_3((dphi - eps delta T)/2 | exp(-i eps T/2)) at dphi, T = omega
     (t - i eta): the kernel is their product times exp(i delta dphi).  The
-    theta factor, `zakcs._flow_theta` at T, is 2 pi-periodic in dphi."""
+    theta factor, `zakcs._flow_theta` at T, is 2 pi-periodic in dphi.  It
+    grows as fast as the constant's modulus exp(-eps omega eta delta^2/2)
+    decays, so that modulus is fused into it and the constant returned is
+    the phase exp(-i eps delta^2 Re T/2): both stay in range at any eta."""
     eps, delta = spec.params.epsilon, spec.sector.delta
     T = spec.complex_time
-    return (cmath.exp(-0.5j * eps * delta * delta * T),
-            _flow_theta(eps, delta, T, dphi, method))
+    return (cmath.exp(-0.5j * eps * delta * delta * T.real),
+            _flow_theta(eps, delta, T, dphi, method,
+                        0.5 * eps * delta * delta * T.imag))
 
 
 def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
@@ -153,8 +157,11 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     argument by its period itself.  Time phases of 2^52 rad over the
     series' terms (`zakcs._flow_theta`) raise ValueError.
 
-    Valid range eps omega eta >= 1e-8: the faces agree to 2e-10 relative at
-    1e-6 and 7e-9 at 1e-8.  Below it the kernel raises ValueError.
+    Valid range eps omega eta >= 1e-8, with no upper bound: the nome is
+    built from its tau and the constant's modulus is fused into the theta
+    series (`_kernel_theta`), so neither leaves double range apart from
+    the other.  The faces agree to 2e-10 relative at 1e-6 and 7e-9 at
+    1e-8.  Below it the kernel raises ValueError.
     """
     _damping(spec)
     if form not in _KERNEL_METHODS:

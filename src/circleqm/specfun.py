@@ -44,51 +44,51 @@ _BLOCK_WORK = 1024
 _BLOCK_CHUNK = 1 << 16
 # Bound on the log magnitude of the blocked route's powers of exp(+-2i zeta).
 _BLOCK_MAX_GROWTH = 300.0
+# |Re zeta| / period from which theta refuses its argument.
+_TURN_LIMIT = 2.0 ** 52
 
 
 @dataclass(frozen=True)
 class ThetaNome:
-    """Nome q and half-period ratio tau, mutually consistent via q = exp(i pi tau).
+    """A nome held as its half-period ratio tau, q = exp(i pi tau).
 
-    Requires |q| < 1 strictly (equivalently Im tau > 0).  Powers q^w are
-    evaluated as exp(w * i*pi*tau), which fixes the branch of fractional
-    powers once and for all.
+    Requires Im tau > 0 and a finite Re tau; tau = i inf stands for q = 0.
+    The nome is its tau: powers q^w are evaluated as exp(w * i*pi*tau),
+    which fixes the branch of fractional powers, and tau keeps its bits
+    where q underflows.  The library builds its nomes from tau; `from_q`
+    is the one conversion from a nome value.
     """
 
-    q: complex
     tau: complex
 
     def __post_init__(self):
-        q = complex(self.q)
-        if not (math.isfinite(q.real) and math.isfinite(q.imag)):
-            raise ValueError("nome must be finite")
-        if abs(q) >= 1.0:
-            raise ValueError(f"|q| must be < 1, got |q| = {abs(q)}")
         tau = complex(self.tau)
-        if not tau.imag > 0.0:
-            raise ValueError("Im(tau) must be positive")
-        if abs(cmath.exp(1j * math.pi * tau) - q) > 1e-12 * max(abs(q), 1e-300):
-            raise ValueError("q and tau are inconsistent")
+        if not (tau.imag > 0.0 and math.isfinite(tau.real)):
+            raise ValueError("Im(tau) must be positive and Re(tau) finite")
+        object.__setattr__(self, "tau", tau)
 
     @classmethod
     def from_q(cls, q) -> "ThetaNome":
+        """The nome of a value q, |q| < 1, through the principal log."""
         q = complex(q)
+        if not abs(q) < 1.0:
+            raise ValueError(f"the nome must be finite with |q| < 1, got {q}")
         if q == 0:
-            return cls(0j, complex(0.0, math.inf))
-        return cls(q, cmath.log(q) / (1j * math.pi))
-
-    @classmethod
-    def from_tau(cls, tau) -> "ThetaNome":
-        tau = complex(tau)
-        return cls(cmath.exp(1j * math.pi * tau), tau)
+            return cls(complex(0.0, math.inf))
+        return cls(cmath.log(q) / (1j * math.pi))
 
     @property
     def log_q(self) -> complex:
         """Principal log of the nome, i*pi*tau: finite wherever tau is, even
         once q underflows to 0; -inf only at tau = i inf (`from_q(0)`)."""
-        if math.isinf(complex(self.tau).imag):
+        if math.isinf(self.tau.imag):
             return complex(-math.inf, 0.0)
         return 1j * math.pi * self.tau
+
+    @property
+    def q(self) -> complex:
+        """The nome value exp(i pi tau); 0 once it underflows."""
+        return cmath.exp(self.log_q)
 
 
 def _extent(a: float, b: float) -> float:
@@ -252,8 +252,9 @@ def _log_peak(kind: int, lq: complex, b: np.ndarray) -> np.ndarray:
 
 
 def _theta_transformed(kind: int, zeta: np.ndarray, nome: ThetaNome,
-                       want_derivs: bool):
-    """Modular-transformed evaluation: small-nome series at -1/tau.
+                       want_derivs: bool, offset):
+    """Modular-transformed evaluation of exp(offset) * theta: small-nome
+    series at -1/tau, `offset` fused into its exponents as in `_theta_sum`.
 
     theta_k(zeta|tau) = (-i tau)^(-1/2) exp(zeta^2/(i pi tau))
                         * theta_k'(zeta/tau | -1/tau).
@@ -274,9 +275,9 @@ def _theta_transformed(kind: int, zeta: np.ndarray, nome: ThetaNome,
     c = 1.0 / (1j * math.pi * tau)
     # the Gaussian exp(c zeta^2) is fused into the series' exponents: apart
     # they under- and overflow together once |Im w| grows
-    offset = c * zeta * zeta
+    gauss = c * zeta * zeta
     partner = _MODULAR_PARTNER[kind]
-    g, g1, g2 = _theta_sum(partner, w, lq2, want_derivs, offset=offset)
+    g, g1, g2 = _theta_sum(partner, w, lq2, want_derivs, offset=gauss + offset)
     pref = (-1j * tau) ** (-0.5)
     # Over a continuous index both series peak at (Im zeta)^2 / (pi Im tau)
     # in log (the exponents agree identically); the direct series' index
@@ -284,12 +285,13 @@ def _theta_transformed(kind: int, zeta: np.ndarray, nome: ThetaNome,
     # the transformed terms outgrow the direct ones by 1e6.
     if math.pi * tau.imag / 4.0 - 0.5 * math.log(abs(tau)) > _LOG_MAX_CANCEL:
         with np.errstate(divide="ignore"):
-            log_value = np.log(np.abs(g))
-        # logs relative to |pref|, which scales the value and terms alike
+            log_value = np.log(np.abs(g)) - offset.real
+        # logs relative to |pref| exp(offset), which scales the value and
+        # terms alike
         scale = np.maximum(log_value,
                            _log_peak(kind, nome.log_q, np.abs(zeta.imag))
                            + 0.5 * math.log(abs(tau)))
-        largest = offset.real + _log_peak(partner, lq2, np.abs(w.imag))
+        largest = gauss.real + _log_peak(partner, lq2, np.abs(w.imag))
         if np.any(largest - scale > _LOG_MAX_CANCEL):
             raise ValueError("the transformed theta series cancels by more "
                              "than 1e6 here; use method='direct'")
@@ -303,19 +305,24 @@ def _theta_transformed(kind: int, zeta: np.ndarray, nome: ThetaNome,
 
 
 def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
-                    want_derivs: bool):
+                    want_derivs: bool, offset=0.0):
+    """`theta` or `theta_derivs` times exp(offset), a scalar fused into the
+    series' exponents (`_theta_sum`)."""
     if kind not in (2, 3, 4):
         raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
     if not isinstance(nome, ThetaNome):
         nome = ThetaNome.from_q(nome)
     scalar = np.isscalar(zeta) or (isinstance(zeta, np.ndarray) and zeta.ndim == 0)
     z = np.asarray(zeta, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("zeta must be finite")
     # theta_3 and theta_4 have period pi, theta_2 2 pi (theta_2(zeta + pi) =
     # -theta_2(zeta)); a reduced argument keeps every route's terms small
     period = 2.0 * math.pi if kind == 2 else math.pi
-    z = z - period * np.rint(z.real / period)
+    turns = z.real / period
+    # .all() and abs(): np.all and np.abs cost microseconds on a scalar
+    if not (np.isfinite(z.imag).all() and (abs(turns) < _TURN_LIMIT).all()):
+        raise ValueError("zeta must be finite, with |Re zeta| below 2^52 "
+                         "periods (one ulp is a period or more there)")
+    z = z - period * np.rint(turns)
 
     if method == "auto":
         # |tau| < 1 is |q(-1/tau)| < |q|, which also puts |q| above exp(-pi)
@@ -325,9 +332,9 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
         # with a finite tau transforms like any other
         if math.isinf(nome.tau.imag):
             raise ValueError("modular transform undefined at tau = i inf")
-        v, d1, d2 = _theta_transformed(kind, z, nome, want_derivs)
+        v, d1, d2 = _theta_transformed(kind, z, nome, want_derivs, offset)
     elif method == "direct":
-        v, d1, d2 = _theta_sum(kind, z, nome.log_q, want_derivs)
+        v, d1, d2 = _theta_sum(kind, z, nome.log_q, want_derivs, offset)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -349,13 +356,14 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
     kind : int
         2, 3 or 4.
     zeta : complex or ndarray
-        Argument(s), any finite value.  Re zeta is first reduced by the
-        period, pi (2 pi for kind 2: theta_2(zeta + pi) = -theta_2(zeta)),
-        in double precision: the value is that at an argument moved by up
-        to ~2e-16 |Re zeta|; one within half a period keeps its bits.
+        Argument(s), finite, with |Re zeta| below 2^52 periods (else
+        ValueError).  Re zeta is first reduced by the period, pi (2 pi for
+        kind 2: theta_2(zeta + pi) = -theta_2(zeta)), in double precision:
+        the value is that at an argument moved by up to ~2e-16 |Re zeta|;
+        one within half a period keeps its bits.
     nome : ThetaNome or complex
-        Nome with |q| < 1; bare complex values are wrapped via the principal
-        log.
+        The nome, held as its tau; a bare complex q, |q| < 1, is wrapped
+        by `ThetaNome.from_q` (the principal log).
     method : {"auto", "direct", "transform"}
         "auto" takes the tau -> -1/tau transformed series where |tau| < 1,
         that is where the transform shrinks the nome (then |q| > exp(-pi)),

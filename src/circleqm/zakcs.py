@@ -20,7 +20,8 @@ import numpy as np
 
 from circleqm.circlespace import (CircleState, Sector, _finite_array,
                                   _require_same_sector)
-from circleqm.specfun import ThetaNome, _extent, theta, theta_derivs
+from circleqm.specfun import (ThetaNome, _extent, _theta_dispatch, theta,
+                              theta_derivs)
 
 __all__ = [
     "PhasePoint",
@@ -102,8 +103,15 @@ def _require_phase(largest) -> None:
                          "phase mod 2 pi has no significant bits")
 
 
-def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto"):
-    """theta3[(angle - eps delta T)/2, e^{-i eps T/2}] at complex time T.
+def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto",
+                offset=0.0):
+    """theta3[(angle - eps delta T)/2, e^{-i eps T/2}] at complex time T,
+    times exp(offset) fused into the series' exponents.
+
+    The nome is built from tau = -eps T / 2 pi, never from its value, so
+    it keeps its bits where e^{-i eps T/2} is subnormal or 0: Im tau =
+    -eps Im T / 2 pi, and Re tau is -eps Re T / 2 pi reduced into (-1, 1]
+    by libm's trig, the T^2 step (tau -> tau + 2) the principal log takes.
     ValueError once the phases eps Re T (n+delta)^2 / 2 reach 2^52 rad for
     n up to the direct series' `specfun._extent`, a = -eps Im T/2 and
     b = max |Im zeta|, as in `evolve.propagate`."""
@@ -117,7 +125,9 @@ def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto"):
              else float(np.abs(np.imag(zeta)).max(initial=0.0)))
         extent = _extent(a, b) + abs(delta)
         _require_phase(0.5 * eps * abs(T.real) * extent * extent)
-    return theta(3, zeta, ThetaNome.from_q(cmath.exp(-0.5j * eps * T)), method)
+    tau = complex(cmath.phase(cmath.exp(-0.5j * eps * T.real)) / math.pi,
+                  -eps * T.imag / (2.0 * math.pi))
+    return _theta_dispatch(3, zeta, ThetaNome(tau), method, False, offset)
 
 
 # w_z and the kernel are the flow theta; the next two its -1/tau partners.
@@ -144,7 +154,7 @@ def _winding_theta(params: WZParams, dz):
     the winding sum's face: the flow theta at T = -i after tau -> -1/tau."""
     eps = params.epsilon
     return theta(3, 1j * math.pi * (dz + 1j * eps * params.delta) / eps,
-                 ThetaNome.from_q(math.exp(-2.0 * math.pi ** 2 / eps)))
+                 ThetaNome(2j * math.pi / eps))
 
 
 def _norm_arg(params: WZParams, l_tilde: float):
@@ -153,7 +163,7 @@ def _norm_arg(params: WZParams, l_tilde: float):
     tau -> -1/tau partner of the flow theta at T = -2i."""
     eps = params.epsilon
     zeta = math.pi * (l_tilde - eps * params.delta) / eps
-    return zeta, ThetaNome.from_q(math.exp(-math.pi ** 2 / eps))
+    return zeta, ThetaNome(1j * math.pi / eps)
 
 
 def _periodized_norm(params: WZParams, l_tilde: float) -> float:
@@ -385,7 +395,7 @@ def w_expectations(params: WZParams, z) -> WZExpectations:
     var_l_scaled = eps / 2.0 + (math.pi ** 2 / 4.0) * (dd3 / t3 - (d3 / t3) ** 2)
     corr_cl_scaled = (math.pi / 2.0) * e4 * ca * ratio43 * (d4 / t4 - d3 / t3)
 
-    q = nome.q.real
+    q = math.exp(-math.pi ** 2 / eps)
     osc = 2.0 * zeta
     leading = WZLeadingOrder(
         ratio43=1.0 - 4.0 * q * math.cos(osc),

@@ -144,8 +144,8 @@ def test_criterion_7_theta_identity_web():
     # imaginary-argument transformation of theta3
     for im_tau in (0.5, 1.0, 2.0, 5.0):
         tau = 1j * im_tau
-        nome = ThetaNome.from_tau(tau)
-        nome2 = ThetaNome.from_tau(-1.0 / tau)
+        nome = ThetaNome(tau)
+        nome2 = ThetaNome(-1.0 / tau)
         for re_z in np.linspace(-math.pi, math.pi, 5):
             for im_z in np.linspace(-2.0, 2.0, 5):
                 z = complex(re_z, im_z)
@@ -157,8 +157,8 @@ def test_criterion_7_theta_identity_web():
     # the kind-2 to kind-4 partner transformation
     for im_tau in (0.6, 1.0, 3.0):
         tau = 1j * im_tau
-        nome = ThetaNome.from_tau(tau)
-        nome2 = ThetaNome.from_tau(-1.0 / tau)
+        nome = ThetaNome(tau)
+        nome2 = ThetaNome(-1.0 / tau)
         for z in (0.0, 0.4, 1.0 + 0.5j, -0.9 + 1.2j):
             lhs = theta(2, z, nome, method="direct")
             rhs = ((-1j * tau) ** -0.5

@@ -279,6 +279,14 @@ class TestGridValues:
                       "t_grid": [0.5]}, "n_lo"),
         (["evolve"], {"delta": 0.2, "n_lo": 1e300, "coeffs": [[1.0, 0.0]],
                       "t_grid": [0.5]}, "n_lo"),
+        # counts past 2^20: 2^63 printed the header only (np.arange(2**63)
+        # is empty), and larger grids would be allocated whole
+        (["kernel"], {"t": 0.5, "eta": 0.01, "n_points": 2 ** 63}, "n_points"),
+        (["kernel"], {"t": 0.5, "eta": 0.01, "n_points": 2 ** 20 + 1},
+         "n_points"),
+        (["state", "--density-out", os.devnull],
+         {"family": "wz", "epsilon": 1.0, "delta": 0.2, "theta": 0.3,
+          "l": 0.5, "density_points": 2 ** 63}, "density_points"),
     ])
     def test_rejected_grid_exits_two(self, capsys, tmp_path, argv, doc, word):
         cfg = tmp_path / "cfg.json"
@@ -476,6 +484,24 @@ class TestKernel:
         rows = np.array([[float(x) for x in line.split(",")]
                          for line in out.splitlines()[1:]])
         assert rows.shape == (64, 3) and np.all(np.isfinite(rows))
+
+    def test_large_damping_prints_the_spectral_sum(self, capsys, tmp_path):
+        # e^{-eps omega eta/2} = e^{-800} is 0 in double: 3.8e-282 came
+        # back for the sum's 3.35e-4
+        mpmath = pytest.importorskip("mpmath")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t": 0, "eta": 1600, "delta": 0.9}))
+        code, out, _ = run(capsys, "kernel", str(cfg))
+        assert code == 0
+        rows = np.array([[float(x) for x in line.split(",")]
+                         for line in out.splitlines()[1:]])
+        with mpmath.workdps(40):
+            ref = np.array([complex(mpmath.fsum(
+                mpmath.exp(-800 * (n + mpmath.mpf(0.9)) ** 2
+                           + 1j * (n + mpmath.mpf(0.9)) * mpmath.mpf(x))
+                for n in range(-6, 6))) for x in rows[:, 0]])
+        got = rows[:, 1] + 1j * rows[:, 2]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_eta_below_kernel_range_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

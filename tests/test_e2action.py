@@ -32,14 +32,14 @@ def random_point(rng=RNG):
 class TestFiniteLabels:
     # alpha % 2 pi and phi % 2 pi turned +-inf into nan, and act() then
     # returned a nan point
-    @pytest.mark.parametrize("mode,cover_q", [("base", None), ("cover", 3),
-                                              ("universal", None)])
+    @pytest.mark.parametrize("group,cover_q", [("base", 1), ("cover", 3),
+                                               ("universal", None)])
     @pytest.mark.parametrize("alpha,t", [
         (math.inf, 0j), (-math.inf, 0j), (math.nan, 0j),
         (0.0, complex(math.inf, 0.0)), (0.0, complex(0.0, math.nan))])
-    def test_group_element_rejects_non_finite(self, mode, cover_q, alpha, t):
+    def test_group_element_rejects_non_finite(self, group, cover_q, alpha, t):
         with pytest.raises(ValueError, match="finite"):
-            GroupElement(alpha, t, mode, cover_q)
+            GroupElement(alpha, t, cover_q)
 
     @pytest.mark.parametrize("phi,p", [(math.inf, 0.1), (math.nan, 0.1),
                                        (0.3, -math.inf)])
@@ -65,7 +65,7 @@ class TestCompose:
             assert abs(lhs.t - rhs.t) < 1e-13
 
     def test_universal_cover_no_reduction(self):
-        g = GroupElement(3 * math.pi, 0j, mode="universal")
+        g = GroupElement(3 * math.pi, 0j, cover_q=None)
         h = compose(g, g)
         assert h.alpha == pytest.approx(6 * math.pi)
 
@@ -74,21 +74,29 @@ class TestCompose:
         assert g.alpha == pytest.approx(math.pi)
 
     def test_qfold_cover_mode(self):
-        g = GroupElement(5 * math.pi, 0j, mode="cover", cover_q=3)
+        g = GroupElement(5 * math.pi, 0j, cover_q=3)
         assert g.alpha == pytest.approx(5 * math.pi)
         h = compose(g, g)
         assert h.alpha == pytest.approx(10 * math.pi - 6 * math.pi)
 
     def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            compose(GroupElement(0.0, 0j, "universal"), GroupElement(0.0, 0j))
+        with pytest.raises(ValueError, match="covering orders"):
+            compose(GroupElement(0.0, 0j, None), GroupElement(0.0, 0j))
+        with pytest.raises(ValueError, match="covering orders"):
+            compose(GroupElement(0.0, 0j, 2), GroupElement(0.0, 0j, 3))
 
-    @pytest.mark.parametrize("mode,cover_q,word", [
-        ("cover", None, "covering order"), ("cover", 0, "covering order"),
-        ("fold", None, "covering mode")])
-    def test_bad_covering_rejected(self, mode, cover_q, word):
-        with pytest.raises(ValueError, match=word):
-            GroupElement(1.0, 0j, mode, cover_q)
+    def test_base_group_spelled_either_way_composes(self):
+        # a default element and one given cover_q=1 are both in E(2); two
+        # covering fields used to make compose refuse the pair
+        h = compose(GroupElement(4.0, 1j), GroupElement(3.0, 0.5, cover_q=1))
+        assert h.cover_q == 1
+        assert h.alpha == (3.0 + 4.0) % (2 * math.pi)
+        assert GroupElement(7.0, 0j, np.int64(2)).alpha == 7.0
+
+    @pytest.mark.parametrize("cover_q", [0, -2, 2.5, True, "3"])
+    def test_bad_covering_rejected(self, cover_q):
+        with pytest.raises(ValueError, match="covering order"):
+            GroupElement(1.0, 0j, cover_q)
 
     def test_inverse(self):
         g = random_element()
@@ -106,7 +114,7 @@ class TestAct:
         assert out.p_phi == pytest.approx(s.p_phi)
 
     def test_full_rotation_in_center(self):
-        g = GroupElement(2 * math.pi, 0j, mode="universal")
+        g = GroupElement(2 * math.pi, 0j, cover_q=None)
         for _ in range(10):
             s = random_point()
             out = act(g, s)

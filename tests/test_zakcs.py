@@ -10,11 +10,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from circleqm.circlespace import (CircleState, Params, Sector, apply_operator,
                                   basis_state, inner)
-from circleqm.evolve import EvolutionSpec, evolve_w
+from circleqm.evolve import EvolutionSpec, evolve_w, kernel, kernel_apply
 from circleqm.specfun import ThetaNome, theta
 from circleqm.zakcs import (
     BargmannFunction,
@@ -57,7 +59,7 @@ def _weighted_residual_by_node(m, params):
     eps, delta = params.epsilon, params.delta
     x_gl, w_gl = np.polynomial.legendre.leggauss(80)
     center, half_width = eps * (m + delta), 8.0 * math.sqrt(eps)
-    nome = ThetaNome.from_q(math.exp(-eps))
+    nome = ThetaNome(1j * eps / math.pi)  # q = e^{-eps}
     integrand = np.empty(x_gl.size)
     for i, x in enumerate(x_gl):
         l_t = center + half_width * x
@@ -73,24 +75,23 @@ def _weighted_residual_by_node(m, params):
 
 def _closed_forms_inline(params, z, z2, phi, ms):
     """The family's theta closed forms, each written out in place with its
-    own nome: w_z, the kernel and its diagonal, the periodized normalizer
-    and the two functions it divides, and the winding face of zak_periodize
-    (phi - theta in [-pi, pi))."""
+    own nome, built from tau (q = e^{i pi tau}): w_z, the kernel and its
+    diagonal, the periodized normalizer and the two functions it divides,
+    and the winding face of zak_periodize (phi - theta in [-pi, pi))."""
     eps, delta = params.epsilon, params.delta
     y = z.l_tilde - eps * delta
     w = np.exp(1j * phi * delta) * theta(
         3, (phi - z.z + 1j * eps * delta) / 2.0,
-        ThetaNome.from_q(math.exp(-0.5 * eps)))
-    norm_sq = theta(3, 1j * y, ThetaNome.from_q(math.exp(-eps))).real
+        ThetaNome(1j * eps / (2.0 * math.pi)))
+    norm_sq = theta(3, 1j * y, ThetaNome(1j * eps / math.pi)).real
     overlap = complex(theta(3, (np.conj(z.z) - z2.z + 2j * eps * delta) / 2.0,
-                            ThetaNome.from_q(math.exp(-eps))))
-    den = theta(3, math.pi * y / eps,
-                ThetaNome.from_q(math.exp(-math.pi ** 2 / eps))).real
+                            ThetaNome(1j * eps / math.pi)))
+    den = theta(3, math.pi * y / eps, ThetaNome(1j * math.pi / eps)).real
     c_z = math.sqrt(2.0 * math.pi / den)
     probs = (math.sqrt(eps / math.pi)
              * np.exp(-(z.l_tilde - eps * (ms + delta)) ** 2 / eps) / den)
     winding = theta(3, 1j * math.pi * (phi - z.z + 1j * eps * delta) / eps,
-                    ThetaNome.from_q(math.exp(-2.0 * math.pi ** 2 / eps)))
+                    ThetaNome(2j * math.pi / eps))
     dens = (2.0 * math.pi / math.sqrt(eps * math.pi)
             * np.exp(-(phi - z.theta) ** 2 / eps) * np.abs(winding) ** 2 / den)
     closed = ((eps * math.pi) ** -0.25
@@ -794,3 +795,178 @@ class TestRefusals:
             for name, call in calls:
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     call()
+
+    def test_angle_past_2_52_periods_refused(self):
+        # theta's argument (phi - z + i eps delta)/2 is 5e16 here, past 2^52
+        # periods, where one ulp is more than a period
+        with pytest.raises(ValueError, match="2\\^52 periods"):
+            w_value(WZParams(1.0, Sector(0.3)), 0.5 + 0.4j, 1e17)
+
+
+def _exp_sums_mp(exponents, weights=None):
+    """sum_n w_n exp(E_n) and sum_n |w_n exp(E_n)| in 40-digit arithmetic;
+    exponents and weights are mpmath numbers."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        terms = [mpmath.exp(e) for e in exponents]
+        if weights is not None:
+            terms = [w * t for w, t in zip(weights, terms)]
+        return mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+
+
+def _in_range(scale):
+    return 1e-290 < scale < 1e290
+
+
+class TestUnderflowingNomes:
+    """Bands where a nome built from its value would be subnormal or 0 in
+    double: e^{-eps} (w_norm_sq, w_overlap), e^{-eps/2} (w_value),
+    e^{-eps omega eta/2} (the propagator kernel) and e^{-pi^2/eps} (the
+    periodized normalizer).  Each value is held to a 40-digit coefficient
+    or spectral sum at 1e-12 of the sum of its terms' moduli (of max|K|
+    times sum |c| for kernel_apply), on draws whose exact value lies in
+    double range.  The Gaussian kernel face is a transformed series that
+    may cancel by 1e6 before it refuses: it either raises ValueError or
+    holds 1e-8."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(band=st.sampled_from(["norm", "value", "kernel", "normalizer"]),
+           delta=st.floats(0.0, 1.0, exclude_max=True),
+           u=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    @example(band="kernel", delta=0.9, u=[1 / 3, 1 / 3, 2 / 26, 0.5])
+    @example(band="norm", delta=0.9, u=[1.0, 0.5, 0.5, 0.5])
+    @example(band="value", delta=0.5, u=[0.5, 0.5, 0.5, 0.5])
+    def test_against_40_digit_sums(self, band, delta, u):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            getattr(self, "_check_" + band)(mpmath, delta, *u)
+
+    @staticmethod
+    def _check_norm(mp, delta, u0, u1, u2, u3):
+        eps = 700.0 + 60.0 * u0
+        params = WZParams(eps, Sector(delta))
+        z1 = PhasePoint(2 * math.pi * u1, 40.0 * u2 - 20.0)
+        z2 = PhasePoint(2 * math.pi * u3, 20.0 - 40.0 * u1)
+        center = round((z1.l_tilde - eps * delta) / eps)
+        ns = range(center - 5, center + 6)
+        dz = mp.mpc(z1.z).conjugate() - mp.mpc(z2.z)
+        norm, _ = _exp_sums_mp(-eps * (n * n + 2 * n * mp.mpf(delta))
+                               + 2 * n * mp.mpf(z1.l_tilde) for n in ns)
+        overlap, scale = _exp_sums_mp(-eps * (n * n + 2 * n * mp.mpf(delta))
+                                      + 1j * n * dz for n in ns)
+        assume(_in_range(norm) and _in_range(scale))
+        assert abs(w_norm_sq(params, z1) - norm) <= 1e-12 * norm
+        assert abs(w_overlap(params, z1, z2) - overlap) <= 1e-12 * scale
+
+    @staticmethod
+    def _check_value(mp, delta, u0, u1, u2, u3):
+        eps = 1400.0 + 120.0 * u0
+        params = WZParams(eps, Sector(delta))
+        z = PhasePoint(2 * math.pi * u1, 40.0 * u2 - 20.0)
+        phi = math.pi * (2.0 * u3 - 1.0)
+        center = round((z.l_tilde - eps * delta) / eps)
+        value, scale = _exp_sums_mp(
+            -eps * (n * n / mp.mpf(2) + n * mp.mpf(delta))
+            + 1j * n * (mp.mpf(phi) - mp.mpc(z.z)) + 1j * mp.mpf(phi * delta)
+            for n in range(center - 5, center + 6))
+        assume(_in_range(scale))
+        assert abs(w_value(params, z, phi) - value) <= 1e-12 * scale
+
+    @staticmethod
+    def _check_kernel(mp, delta, u0, u1, u2, u3):
+        eps, omega = 0.5 + 1.5 * u0, 0.5 + 1.5 * u1
+        eta = (1400.0 + 2600.0 * u2) / (eps * omega)
+        spec = EvolutionSpec(Params(eps, omega), Sector(delta),
+                             10.0 * u3 - 5.0, eta=eta)
+        T = mp.mpf(omega) * mp.mpc(spec.t, -eta)
+        freqs = [n + mp.mpf(delta) for n in range(-6, 6)]
+        dphi = np.linspace(-math.pi, math.pi, 9)
+        ref = np.array([complex(_exp_sums_mp(
+            -0.5j * eps * T * f * f + 1j * f * mp.mpf(x) for f in freqs)[0])
+            for x in dphi])
+        k_max = float(np.max(np.abs(ref)))
+        assume(_in_range(k_max))
+        for form in ("series", "auto"):
+            err = np.max(np.abs(kernel(spec, dphi, form=form) - ref))
+            assert err <= 1e-12 * k_max, form
+        try:
+            gauss = kernel(spec, dphi, form="gaussian")
+        except ValueError as exc:
+            assert "cancels" in str(exc)
+        else:
+            assert np.max(np.abs(gauss - ref)) <= 1e-8 * k_max
+        coeffs = np.array([0.3 - 0.1j, 0.8 + 0.2j, -0.4 + 0.5j, 0.2j])
+        state = CircleState(Sector(delta), -2, coeffs)
+        phi = np.linspace(0.0, 2 * math.pi, 4, endpoint=False)
+        applied = np.array([complex(_exp_sums_mp(
+            (-0.5j * eps * T * f * f + 1j * f * mp.mpf(x)
+             for f in freqs[4:8]),
+            [mp.mpc(c.real, c.imag) for c in coeffs])[0]) for x in phi])
+        err = np.max(np.abs(kernel_apply(spec, state, phi) - applied))
+        assert err <= 1e-12 * k_max * np.sum(np.abs(coeffs))
+
+    @staticmethod
+    def _check_normalizer(mp, delta, u0, u1, u2, u3):
+        eps = 1e-3 * 30.0 ** u0
+        params = WZParams(eps, Sector(delta))
+        z = PhasePoint(2 * math.pi * u2, 40.0 * u1 - 20.0)
+        center = round((z.l_tilde - eps * delta) / eps)
+        half = math.ceil(math.sqrt(100.0 / eps))
+        freqs = [m + mp.mpf(delta) for m in range(center - half,
+                                                  center + half + 1)]
+        # P_m = g_m / sum g, g_m = e^{-(l - eps(m + delta))^2/eps}; the
+        # normalizer theta3[pi (l - eps delta)/eps, e^{-pi^2/eps}] is
+        # sqrt(eps/pi) sum g (Poisson)
+        gauss = [-(mp.mpf(z.l_tilde) - eps * f) ** 2 / eps for f in freqs]
+        s0, _ = _exp_sums_mp(gauss)
+        s1, _ = _exp_sums_mp(gauss, freqs)
+        s2, _ = _exp_sums_mp(gauss, [f * f for f in freqs])
+        ms = np.arange(center - 3, center + 4)
+        probs = [float(mp.exp(gauss[half + k]) / s0) for k in range(-3, 4)]
+        got = transition_prob(ms, params, z)
+        assert np.all(np.abs(got - probs) <= 1e-12 * np.array(probs))
+        c_z = float(mp.sqrt(2 * mp.pi / (mp.sqrt(eps / mp.pi) * s0)))
+        assert abs(periodized_norm_constant(params, z) - c_z) <= 1e-12 * c_z
+        e = w_expectations(params, z)
+        mean_l = float(s1 / s0)
+        var_l_scaled = float(eps * eps * (s2 / s0 - (s1 / s0) ** 2))
+        assert abs(e.mean_l - mean_l) <= 1e-12 * max(abs(mean_l), 1.0)
+        assert abs(e.var_l_scaled - var_l_scaled) <= 1e-12 * var_l_scaled
+
+
+class TestUnderflowingNomePoints:
+    """Points of the bands above: e^{-eps} is subnormal from eps ~ 708
+    and 0 from ~745, e^{-eps/2} and e^{-eps omega eta/2} from twice
+    that."""
+
+    @pytest.mark.parametrize("eps", [720.0, 744.0, 746.0, 800.0])
+    @pytest.mark.parametrize("delta", [0.5, 0.9])
+    def test_norm_and_overlap_at_the_origin(self, eps, delta):
+        # at eps = 800, delta = 0.9 the value is 8.9e277; 1.0 came back
+        mpmath = pytest.importorskip("mpmath")
+        d = mpmath.mpf(delta)
+        ref, _ = _exp_sums_mp(-eps * (n * n + 2 * n * d) for n in range(-3, 3))
+        ref = float(ref)
+        params = WZParams(eps, Sector(delta))
+        assert abs(w_norm_sq(params, 0j) - ref) <= 1e-13 * ref
+        assert abs(w_overlap(params, 0j, 0j) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("eps", [1450.0, 1600.0])
+    def test_w_value_at_the_origin(self, eps):
+        # at delta = 1/2 the terms n = 0 and n = -1 are 1 each
+        value = w_value(WZParams(eps, Sector(0.5)), 0j, 0.0)
+        assert abs(value - 2.0) <= 1e-15
+
+    @pytest.mark.parametrize("delta", [0.5, 0.9])
+    @pytest.mark.parametrize("eta", [1430.0, 1600.0, 3000.0])
+    def test_kernel_at_large_damping(self, delta, eta):
+        spec = EvolutionSpec(Params(1.0, 1.0), Sector(delta), 0.0, eta=eta)
+        dphi = np.linspace(-math.pi, math.pi, 9)
+        mpmath = pytest.importorskip("mpmath")
+        freqs = [n + mpmath.mpf(delta) for n in range(-6, 6)]
+        ref = np.array([complex(_exp_sums_mp(
+            -0.5 * eta * f * f + 1j * f * mpmath.mpf(x) for f in freqs)[0])
+            for x in dphi])
+        for form in ("series", "auto"):
+            err = np.max(np.abs(kernel(spec, dphi, form=form) - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), form
