@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circleqm import evolve
 from circleqm.circlespace import (
     CircleState,
     Params,
@@ -366,6 +367,76 @@ class TestKernel:
         # both sides round the phase eps t (n+delta)^2/2 to ~1e-16 of
         # itself, and the damping leaves at most (t/eta)/e of it in play
         assert err < 1e-12 + 1e-15 * t / eta
+
+    @staticmethod
+    def _node_count(spec, psi):
+        """kernel_apply's documented m: ceil(sqrt(80/(eps omega eta))) +
+        ceil(max |n + delta| over the window) + 1."""
+        eps_omega_eta = spec.params.epsilon * spec.params.omega * spec.eta
+        delta = spec.sector.delta
+        reach = max(abs(psi.n_lo + delta), abs(psi.n_hi + delta))
+        return (int(math.ceil(math.sqrt(80.0 / eps_omega_eta)))
+                + int(math.ceil(reach)) + 1)
+
+    @pytest.mark.parametrize("eps,delta,wt,eta,n_lo,width", [
+        (1.0, 0.3, 0.7, 1e-2, -2, 5),      # Gaussian face
+        (0.5, 0.7, 20.0, 2e-3, -3, 9),     # series face, |q| = 0.9995
+        (1.0, 0.25, 12.0, 1e-2, 400, 3),   # series face, |q| = 0.995, far window
+        (2.0, 0.45, 3.0, 1e-1, -10, 21),
+        (1.3, 0.0, 0.05, 5e-2, 0, 1)])
+    def test_weights_are_the_rotated_trapezoid_rule(self, eps, delta, wt, eta,
+                                                    n_lo, width):
+        # output phi is (1/m) sum_j K(phi - phi_j) psi(phi_j) over the nodes
+        # phi_j = phi + 2 pi j/m, summed here from kernel and evaluate
+        sector = Sector(delta)
+        psi = random_state(sector, n_lo=n_lo, width=width,
+                           rng=np.random.default_rng(width))
+        spec = EvolutionSpec(Params(eps, 1.0), sector, wt, eta=eta)
+        m = self._node_count(spec, psi)
+        phi_out = np.array([-3.0, 0.4, 2.9, 7.5])
+        vals = kernel_apply(spec, psi, phi_out)
+        for phi, val in zip(phi_out, vals):
+            nodes = phi + np.arange(m) * (2.0 * math.pi / m)
+            ref = np.mean(kernel(spec, phi - nodes) * psi.evaluate(nodes))
+            assert abs(val - ref) < 1e-13 * psi.norm()
+
+    def test_one_theta_sample_set_per_call(self, monkeypatch):
+        # the theta factor is sampled on m angles once per call, however
+        # many outputs, and an output does not depend on the others' bits
+        sector = Sector(0.35)
+        psi = random_state(sector, n_lo=-4, width=11,
+                           rng=np.random.default_rng(3))
+        spec = EvolutionSpec(Params(0.8, 1.0), sector, 2.1, eta=1e-3)
+        m = self._node_count(spec, psi)
+        sizes = []
+
+        def counted(spec_, dphi, *args):
+            sizes.append(np.size(dphi))
+            return _kernel_theta(spec_, dphi, *args)
+
+        monkeypatch.setattr(evolve, "_kernel_theta", counted)
+        phi_out = np.random.default_rng(4).uniform(-20.0, 20.0, 64)
+        single = kernel_apply(spec, psi, phi_out[5])
+        assert sizes == [m]
+        batch = kernel_apply(spec, psi, phi_out)
+        assert sizes == [m, m]
+        assert single == batch[5]
+        for i, phi in enumerate(phi_out):
+            assert kernel_apply(spec, psi, phi) == batch[i]
+            assert kernel_apply(spec, psi, phi_out[i:i + 1])[0] == batch[i]
+
+    def test_far_output_angles_match_spectral_sum(self):
+        # the theta factor is sampled at -2 pi j/m whatever the outputs, so
+        # a far output angle costs only the rounding of its own phases:
+        # 1.2e-9 here, against 2.9e-8 for a theta sampled at phi - phi_j
+        sector = Sector(0.3)
+        coeffs = np.array([0.3 - 0.1j, 0.8 + 0.2j, -0.4 + 0.5j, 0.1, -0.6j])
+        psi = CircleState(sector, -1, coeffs)
+        spec = EvolutionSpec(Params(1.0, 1.0), sector, 4.0, eta=1e-4)
+        phi_out = np.array([1e6 + 0.3, -3e7])
+        ref = _flow_sum_mp(1.0, 0.3, complex(4.0, -1e-4), -1, coeffs, phi_out)
+        err = np.max(np.abs(kernel_apply(spec, psi, phi_out) - ref))
+        assert err < 1.2e-8 * psi.norm()
 
     def test_delta_limit_convergence_sweep(self):
         # as t -> 0 (eta = t/100) the kernel approaches the reproducing
