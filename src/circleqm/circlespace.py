@@ -194,12 +194,18 @@ class CircleState:
 
     def evaluate(self, phi):
         """psi(phi) = sum_n c_n exp(i (n + delta) phi), winding-exact.
-        Raises ValueError for a non-finite phi."""
+        Summed by einsum, whose bits for an output do not depend on the
+        call's other angles (a matmul's do): a scalar call gives the bits
+        of the same angle in a batch.  Raises ValueError for a non-finite
+        phi."""
         phi = _finite_array(phi, "phi")
         k = np.floor(phi / (2.0 * math.pi))
         phi0 = phi - 2.0 * math.pi * k
         freq = self.indices + self.sector.delta
-        vals = np.exp(1j * np.multiply.outer(phi0, freq)) @ self.coeffs
+        # a scalar angle is summed as a row too: einsum reduces a lone
+        # vector in another order
+        waves = np.exp(1j * np.multiply.outer(np.atleast_1d(phi0), freq))
+        vals = np.einsum("...j,j->...", waves, self.coeffs).reshape(phi.shape)
         vals = vals * np.exp(1j * 2.0 * math.pi * self.sector.delta * k)
         return vals if vals.shape else complex(vals)
 

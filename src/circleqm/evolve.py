@@ -214,7 +214,8 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
         out_i = C sum_k c_k Theta_k exp(i (k+delta) phi_i),
         Theta_k = (1/m) sum_j Theta(-2 pi j/m) exp(2 pi i k j/m),
 
-    Theta_k one inverse FFT of the m samples, read at k mod m.  Theta is
+    Theta_k one inverse FFT of the m samples, read at k mod m: the outputs
+    are `CircleState.evaluate` of the window C c_k Theta_k.  Theta is
     sampled once per call, on m points, so the theta function stays the
     operator being integrated.  The cost is one m-point theta evaluation
     plus O(m log m + outputs x width), where a quadrature sampling K on the
@@ -227,14 +228,8 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
     reach = max(abs(state.n_lo + delta), abs(state.n_hi + delta))
     m = bandwidth + int(math.ceil(reach)) + 1
     const, samples = _kernel_theta(spec, np.arange(m) * (-2.0 * math.pi / m))
-    weighted = state.coeffs * np.fft.ifft(samples)[state.indices % m]
-    # winding-exact as `CircleState.evaluate`, summed by einsum, whose bits
-    # for an output do not depend on the call's other outputs (a matmul's do)
-    turns = np.floor(phi / (2.0 * math.pi))
-    waves = np.exp(1j * np.multiply.outer(phi - 2.0 * math.pi * turns,
-                                          state.indices + delta))
-    vals = (const * np.einsum("...j,j->...", waves, weighted)
-            * np.exp(2j * math.pi * delta * turns))
+    weighted = const * state.coeffs * np.fft.ifft(samples)[state.indices % m]
+    vals = CircleState(state.sector, state.n_lo, weighted).evaluate(phi)
     return complex(vals[0]) if np.isscalar(phi_out) else vals
 
 

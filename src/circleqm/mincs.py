@@ -89,14 +89,18 @@ def min_state(params: MinUncParams, window_tol: float = 1e-12) -> CircleState:
     """Coefficient window of the minimal-uncertainty state.
 
     c_m = exp(-i (m + delta) alpha) J_{m-n0}(sigma) / sqrt(I0(2s)) for
-    |m - n0| <= h, h = `_bessel_half_width(sigma, window_tol^2)`.  By the
-    DLMF 10.14.4 bound |J_k(sigma)| <= |sigma/2|^|k| e^|s| / |k|! and the
-    sum rule sum_k |J_k(sigma)|^2 = I0(2s), the discarded sum_{|m-n0|>h}
-    |c_m|^2 is at most window_tol^2 (so at most window_tol): the dropped
-    part of the state has norm at most window_tol, which bounds what it
-    can add to an inner product or a moment taken on the window.  h is the
-    smallest order for which the bounded tail meets that (13 at sigma =
-    0.5 - i and 74 at sigma = 20 - 30i for window_tol = 1e-14).
+    |m - n0| <= h, h = `_bessel_half_width(sigma, window_tol^2)`.  That
+    rule bounds |J_k(sigma)| by the smaller of the DLMF 10.14.4 bound
+    |sigma/2|^|k| e^|s| / |k|! and I_|k|(|sigma|); with the sum rule
+    sum_k |J_k(sigma)|^2 = I0(2s), the discarded sum_{|m-n0|>h} |c_m|^2 is
+    at most window_tol^2 (so at most window_tol): the dropped part of the
+    state has norm at most window_tol, which bounds what it can add to an
+    inner product or a moment taken on the window.  h is the smallest order
+    for which a bounded tail meets that (13 at sigma = 0.5 - i and 55 at
+    sigma = 20 - 30i for window_tol = 1e-14).  At large |s| the I_k bound
+    keeps the window near the state's own width, about sqrt(|sigma|) times
+    a log factor: 146 orders a side at sigma = -400i for window_tol = 1e-12,
+    where the DLMF bound alone needs 569.
     """
     if not 0.0 < window_tol < 1.0:
         raise ValueError("window_tol must lie in (0, 1)")
@@ -275,7 +279,9 @@ def completeness_residual(m1: int, m2: int, s: float, gamma: float,
     return complex(float(np.sum(np.abs(window) ** 2)) - 1.0)
 
 
-_DBT_NODES = 12  # Gauss nodes per pi-wide panel: 30 move n = 0, 5 by < 1e-14
+# Gauss-Legendre nodes and weights per pi-wide panel, built once: 12 nodes
+# (30 move n = 0, 5 by < 1e-14)
+_DBT_NODES = np.polynomial.legendre.leggauss(12)
 
 
 def dbt_divergence(n: int, gamma_max: float) -> float:
@@ -292,7 +298,7 @@ def dbt_divergence(n: int, gamma_max: float) -> float:
         return 0.0
     edges = np.arange(0.0, gamma_max, math.pi)
     edges = np.append(edges, gamma_max)
-    x_gl, w_gl = np.polynomial.legendre.leggauss(_DBT_NODES)
+    x_gl, w_gl = _DBT_NODES
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)

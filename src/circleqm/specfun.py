@@ -118,17 +118,19 @@ def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool,
 
     The terms are s_m exp(offset + m^2 lq + 2 i m zeta), m over the
     integers (kinds 3, 4; s_m = (-1)^m for kind 4) or the half-integers
-    (kind 2), summed as pairs +-m for m >= 0 up to the `_n_cutoff` bound.
-    `offset` (scalar or shaped like zeta) is fused into the exponents, so a
-    prefactor that decays as fast as the series grows never overflows
-    separately from it.
+    (kind 2), |m| up to the `_n_cutoff` bound.  `offset` (scalar or shaped
+    like zeta) is fused into the exponents, so a prefactor that decays as
+    fast as the series grows never overflows separately from it.
 
-    The route is picked from the work, (term count) x (points):
+    The route is picked from the work, (term count) x (points), the term
+    count taken as the nmax + 1 indices m >= 0:
 
     * below `_BLOCK_WORK` (every scalar call, and small arrays), and for
-      the derivatives, one exp per (term, sign, point), the plain series;
-    * from `_BLOCK_WORK` on, the terms go in blocks of R ~ sqrt(terms)
-      consecutive indices, m = m_first + R b + k (see `_theta_blocks`).
+      the derivatives, one exp per (signed term, point), the plain series
+      (`_theta_terms`);
+    * from `_BLOCK_WORK` on, the terms m >= 0 go in blocks of R ~ sqrt(terms)
+      consecutive indices, m = m_first + R b + k (see `_theta_blocks`),
+      each with its partner -m.
       With w = exp(+-2i zeta), each term is
       exp(offset + m_first^2 lq +- 2i m_first zeta) * c_m * w^(R b) * w^k,
       c_m = s_m exp((m^2 - m_first^2) lq) a scalar with |c_m| <= 1, so the
@@ -152,44 +154,42 @@ def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool,
         return v, None, None
 
     a = -lq.real
-    b = float(np.abs(z.imag).max()) if z.size else 0.0
+    b = float(abs(z.imag).max()) if z.size else 0.0
     nmax = _n_cutoff(a, b)
-    m = np.arange(0.5 if kind == 2 else 0.0, nmax + 1)
-    s = np.ones(nmax + 1)
-    if kind == 4:
-        s[1::2] = -1.0
-    if kind != 2:
-        s[0] = 0.5  # m = 0 is its own +- partner
-
+    half = 0.5 if kind == 2 else 0.0
     if (want_derivs or (nmax + 1) * z.size < _BLOCK_WORK
             or 4 * (nmax + 1) * b > _BLOCK_MAX_GROWTH):
-        sums = _theta_terms(m, s, z, off, lq, want_derivs)
+        sums = _theta_terms(kind, np.arange(-nmax - half, nmax + 1), z, off,
+                            lq, want_derivs)
     else:
+        m = np.arange(half, nmax + 1)
+        s = np.ones(nmax + 1)
+        if kind == 4:
+            s[1::2] = -1.0
+        if kind != 2:
+            s[0] = 0.5  # m = 0 is its own +- partner
         sums = [_theta_blocks(m, s, z, off, lq)]
     if want_derivs:
         return tuple(x.reshape(zeta.shape) for x in sums)
     return sums[0].reshape(zeta.shape), None, None
 
 
-# The -m terms enter the first derivative with the opposite sign.
-_PARITY = (1.0, -1.0, 1.0)
-
-
-def _theta_terms(m, s, z, off, lq, want_derivs):
-    """Plain route of `_theta_sum` (see there): one exp per (term, sign,
-    point).  Returns [value] or [value, d1, d2], each flat like z."""
-    weights = [s, 2j * m * s, -4.0 * m * m * s] if want_derivs else [s]
-    out = [np.empty(z.size, dtype=complex) for _ in weights]
-    e0 = (m * m * lq)[:, None]
+def _theta_terms(kind, m, z, off, lq, want_derivs):
+    """Plain route of `_theta_sum` (see there): one exp per (term, point)
+    over the signed indices m, the point axis split so that no temporary
+    holds more than `_BLOCK_CHUNK` elements.  Returns [value] or [value,
+    d1, d2], each flat like z."""
     chunk = max(1, _BLOCK_CHUNK // m.size)
-    for start in range(0, z.size, chunk):
-        stop = min(start + chunk, z.size)
-        e = e0 + (off[start:stop] if np.ndim(off) else off)
-        phase = 2j * np.multiply.outer(m, z[start:stop])
-        ep, em = np.exp(e + phase), np.exp(e - phase)
-        for i, (wt, parity) in enumerate(zip(weights, _PARITY)):
-            out[i][start:stop] = wt @ (ep + em if parity > 0 else ep - em)
-    return out
+    if z.size > chunk:
+        off = np.broadcast_to(off, z.shape)
+        parts = [_theta_terms(kind, m, z[i:i + chunk], off[i:i + chunk], lq,
+                              want_derivs) for i in range(0, z.size, chunk)]
+        return [np.concatenate(col) for col in zip(*parts)]
+    s = (-1.0) ** m if kind == 4 else np.ones(m.size)
+    terms = np.exp((m * m * lq)[:, None] + off + 2j * np.multiply.outer(m, z))
+    if not want_derivs:
+        return [s @ terms]
+    return [s @ terms, (2j * m * s) @ terms, (-4.0 * m * m * s) @ terms]
 
 
 def _powers(w: np.ndarray, n: int) -> np.ndarray:
@@ -312,14 +312,14 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
         raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
     if not isinstance(nome, ThetaNome):
         nome = ThetaNome.from_q(nome)
-    scalar = np.isscalar(zeta) or (isinstance(zeta, np.ndarray) and zeta.ndim == 0)
     z = np.asarray(zeta, dtype=complex)
     # theta_3 and theta_4 have period pi, theta_2 2 pi (theta_2(zeta + pi) =
     # -theta_2(zeta)); a reduced argument keeps every route's terms small
     period = 2.0 * math.pi if kind == 2 else math.pi
     turns = z.real / period
-    # .all() and abs(): np.all and np.abs cost microseconds on a scalar
-    if not (np.isfinite(z.imag).all() and (abs(turns) < _TURN_LIMIT).all()):
+    # one .all() and abs(): np.all, np.abs and each .all() cost microseconds
+    # on a scalar
+    if not (np.isfinite(z.imag) & (abs(turns) < _TURN_LIMIT)).all():
         raise ValueError("zeta must be finite, with |Re zeta| below 2^52 "
                          "periods (one ulp is a period or more there)")
     z = z - period * np.rint(turns)
@@ -338,7 +338,7 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    if scalar:
+    if z.ndim == 0:
         v = complex(v)
         if want_derivs:
             return v, complex(d1), complex(d2)
@@ -396,29 +396,58 @@ def _bessel_half_width(z: complex, tol: float) -> int:
     """Half-width h of the order window k = -h..h of J_k(z): the one rule
     that sizes every Bessel window in the package.
 
-    With a = |z|/2 and s = |Im z|, DLMF 10.14.4 bounds |J_k(z)| by
-    b_k = a^k e^s / k!, and |J_-k| = |J_k|.  h is the smallest order, from
-    max(0, floor(a) - 1) on, whose bounded tail 2 sum_{k>h} b_k^2 is at
-    most tol I0(2s).  As sum_k |J_k(z)|^2 = I0(2s), the window then drops
-    at most tol of that sum.  From the start order on, the ratio
-    b_{k+1}^2 / b_k^2 = (a/(k+1))^2 is below 1 and falls, so the tail is
-    at most 2 b_{h+1}^2 / (1 - r), r = (a/(h+2))^2.  The test is made in
-    logs, where e^{2s} cancels against I0(2s) = e^{2s} i0e(2s).  It is
-    monotone in h, so h is found by bisection: about log2(e^2 a) steps.
+    h is the smallest order whose discarded tail 2 sum_{k>h} |J_k(z)|^2
+    (|J_-k| = |J_k|) is bounded by tol I0(2s), s = |Im z|.  As sum_k
+    |J_k(z)|^2 = I0(2s), the window then drops at most tol of that sum.  Two
+    bounds on |J_k(z)| size the tail, and h is the smaller of their
+    half-widths:
+
+    * DLMF 10.14.4, |J_k(z)| <= b_k = a^k e^s / k!, a = |z|/2.  From the
+      order max(0, floor(a) - 1) on, b_{k+1}^2 / b_k^2 = (a/(k+1))^2 is
+      below 1 and falls, so the tail is at most 2 b_{h+1}^2 / (1 - r),
+      r = (a/(h+2))^2.  Tight where |Re z| dominates: it is the only bound
+      that counts for a real argument.
+    * |J_k(z)| <= I_k(x), x = |z|, term by term from the power series.
+      Amos (Math. Comp. 28, 1974) bounds the ratio I_{j+1}(x)/I_j(x) by
+      R_j = x / (j + 1/2 + sqrt((j + 1/2)^2 + x^2)) = exp(-g(j + 1/2)),
+      g(t) = asinh(t/x), falling in j.  Hence the tail is at most
+      2 I_{h+1}(x)^2 / (1 - R_{h+1}^2), and as g is concave its midpoint
+      values exceed its cell means, so log(I_{h+1}(x)/I0(x)) <= -sum_{j<=h}
+      g(j + 1/2) <= -F(h+1), F(v) = v g(v) - sqrt(v^2 + x^2) + x.  Tight
+      where |Im z| dominates: there I_k(x) falls like a Gaussian of width
+      sqrt(x), whereas b_k passes below tol only far beyond it.
+
+    Each test is made in logs, where e^{2s} cancels against I0(2s) = e^{2s}
+    i0e(2s) and I0(x) = e^x i0e(x).  Both are monotone in h: h is found by
+    bisection for the DLMF bound (about log2(e^2 a) steps), then, only if
+    the I_k bound already holds one order lower, by bisection below it.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("a Bessel window needs a finite argument")
-    a = 0.5 * abs(z)
+    x = abs(z)
+    a = 0.5 * x
     if a == 0.0:
         return 0
+    s = abs(z.imag)
     log_a = math.log(a)
-    log_floor = math.log(0.5 * tol * special.i0e(2.0 * abs(z.imag)))
+    log_floor = math.log(0.5 * tol * special.i0e(2.0 * s))
 
-    def too_wide_tail(h: int) -> bool:
+    def dlmf_too_wide(h: int) -> bool:
         k = h + 1
         return (2.0 * (k * log_a - math.lgamma(k + 1.0))
                 - math.log1p(-(a / (k + 1)) ** 2) > log_floor)
+
+    # log(I0(x) / e^s), with x - s formed without cancellation
+    log_i0 = z.real * z.real / (x + s) + math.log(special.i0e(x))
+
+    def ik_too_wide(h: int) -> bool:
+        v = h + 1.0
+        # F(v), with sqrt(v^2 + x^2) - x written as v^2 / (hypot + x)
+        f = v * math.asinh(v / x) - v * v / (math.hypot(v, x) + x)
+        return (2.0 * (log_i0 - f)
+                - math.log(-math.expm1(-2.0 * math.asinh((v + 0.5) / x)))
+                > log_floor)
 
     lo = max(0, math.floor(a) - 1)
     # upper end: by Stirling, k! > (k/e)^k, so at k = h + 1 >= e^2 a the
@@ -428,7 +457,16 @@ def _bessel_half_width(z: complex, tol: float) -> int:
              math.ceil(0.5 * (math.log(2.0) - log_floor)))
     while lo < hi:
         mid = (lo + hi) // 2
-        if too_wide_tail(mid):
+        if dlmf_too_wide(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo == 0 or ik_too_wide(lo - 1):
+        return lo
+    lo, hi = 0, lo - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ik_too_wide(mid):
             lo = mid + 1
         else:
             hi = mid

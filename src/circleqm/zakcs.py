@@ -366,15 +366,20 @@ class WZExpectations:
 
 def w_expectations(params: WZParams, z) -> WZExpectations:
     """Evaluate every closed form through ratios of the fast small-nome
-    theta series at zeta = pi (l - eps delta)/eps, q = e^{-pi^2/eps}."""
+    theta series at zeta = pi (l - eps delta)/eps, q = e^{-pi^2/eps}.
+
+    theta_4 and its derivative are read off theta_3 at zeta + pi/2
+    (theta_4(zeta) = theta_3(zeta + pi/2)), so one two-point
+    `theta_derivs` call gives every theta value the record needs."""
     eps = params.epsilon
     pt = _as_point(z)
     theta_ang, l_tilde = pt.theta, pt.l_tilde
     zeta, nome = _norm_arg(params, l_tilde)
-    t3, d3, dd3 = theta_derivs(3, zeta, nome)
-    t4, d4, _ = theta_derivs(4, zeta, nome)
-    t3, d3, dd3 = t3.real, d3.real, dd3.real
-    t4, d4 = t4.real, d4.real
+    vals, d1, d2 = theta_derivs(3, np.array([zeta, zeta + 0.5 * math.pi]),
+                                nome)
+    t3, t4 = vals.real
+    d3, d4 = d1.real
+    dd3 = d2[0].real
     ratio43 = t4 / t3
     ca, sa = math.cos(theta_ang), math.sin(theta_ang)
     e4 = math.exp(-eps / 4.0)
@@ -463,7 +468,9 @@ class WZCompletenessResiduals:
     weighted: complex
 
 
-_WZ_NODES = 80  # Gauss nodes: the radial Gaussians integrate to rounding
+# Gauss-Legendre nodes and weights, built once: 80 integrate the radial
+# Gaussians to rounding
+_WZ_NODES = np.polynomial.legendre.leggauss(80)
 _WZ_L_CUT = 8.0  # momentum cut in sqrt(eps): the Gaussian tail is e^-64
 
 
@@ -480,7 +487,7 @@ def completeness_residual_wz(m1: int, m2: int,
     if m1 != m2:
         return WZCompletenessResiduals(0j, 0j)
     eps, delta = params.epsilon, params.delta
-    x_gl, w_gl = np.polynomial.legendre.leggauss(_WZ_NODES)
+    x_gl, w_gl = _WZ_NODES
 
     center = eps * (m1 + delta)
     half_width = _WZ_L_CUT * math.sqrt(eps)

@@ -128,6 +128,20 @@ class TestBoundaryCondition:
         with pytest.raises(ValueError, match="phi"):
             psi.evaluate(np.array([0.1, phi]))
 
+    def test_single_angle_calls_match_batch_bits(self):
+        # the sum over the window is an einsum: an output's bits do not
+        # depend on the other angles of the call (a matmul's did)
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            psi = random_state(Sector(rng.uniform(0, 1)),
+                               n_lo=int(rng.integers(-50, 50)),
+                               width=int(rng.integers(1, 80)), rng=rng)
+            phi = rng.uniform(-30.0, 30.0, 64)
+            batch = psi.evaluate(phi)
+            for i, angle in enumerate(phi):
+                assert psi.evaluate(angle) == batch[i]
+                assert psi.evaluate(phi[i:i + 1])[0] == batch[i]
+
     def test_qfold_covering_periodicity(self):
         sector = Sector.from_fraction(2, 5)
         psi = random_state(sector)

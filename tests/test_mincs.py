@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from circleqm import mincs
 from circleqm.circlespace import Sector, apply_operator, inner, uncertainty_report
 from circleqm.mincs import (
     MinUncParams,
@@ -87,6 +88,25 @@ class TestMinState:
                                    for k in range(h + 1, h + 60))
             tail /= mpmath.besseli(0, 2 * abs(sigma.imag))
         assert tail <= tol * tol
+
+    # large |Im sigma|: the I_k(|sigma|) bound sets h, about a quarter of
+    # the DLMF 10.14.4 half-width (569, 433, 160 and 71 here)
+    @pytest.mark.parametrize("sigma,expected", [
+        (-400j, 146), (10 - 300j, 127), (0.5 - 100j, 74), (20 - 30j, 51)])
+    def test_large_imaginary_part_windows(self, sigma, expected):
+        mpmath = pytest.importorskip("mpmath")
+        st = min_state(MinUncParams(0.3, 0.0, sigma.real, -sigma.imag), 1e-12)
+        h = st.n_hi
+        assert (st.n_lo, h) == (-expected, expected)
+        # the orders past h + 8 sqrt|sigma| + 60 are below e^-60 of those
+        # at h, and the terms fall from h on
+        with mpmath.workdps(30):
+            z = mpmath.mpc(sigma.real, sigma.imag)
+            stop = h + int(8 * math.sqrt(abs(sigma))) + 60
+            tail = 2 * mpmath.fsum(abs(mpmath.besselj(k, z)) ** 2
+                                   for k in range(h + 1, stop))
+            tail /= mpmath.besseli(0, 2 * abs(sigma.imag))
+        assert tail <= 1e-24
 
     def test_rejects_bad_window_tol(self):
         with pytest.raises(ValueError):
@@ -368,6 +388,22 @@ class TestCompleteness:
 class TestDivergence:
     def test_zero_upper_limit(self):
         assert dbt_divergence(0, 0.0) == 0.0
+
+    def test_gauss_nodes_built_once(self, monkeypatch):
+        # the 12 panel nodes are a module constant with leggauss's bits:
+        # with leggauss refusing, the integrals keep the values they had
+        # when the nodes were built per call
+        x_gl, w_gl = np.polynomial.legendre.leggauss(12)
+        assert np.array_equal(mincs._DBT_NODES[0], x_gl)
+        assert np.array_equal(mincs._DBT_NODES[1], w_gl)
+
+        def refuse(*args):
+            raise AssertionError("leggauss called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        assert dbt_divergence(0, 10.0) == 1.5712664612634117
+        assert dbt_divergence(2, 100.0) == 1.461834836514127
+        assert dbt_divergence(5, 1000.0) == 1.906551494010173
 
     def test_small_interval_vs_quad(self):
         ref, _ = integrate.quad(lambda x: special.j0(x) ** 2, 0, math.pi)

@@ -637,15 +637,17 @@ class TestGRatio:
 
 
 class TestBesselHalfWidth:
-    """`_bessel_half_width` sizes every Bessel window from the DLMF 10.14.4
-    bound; the true tails it leaves are checked against mpmath in
-    test_mincs.py (min_state) and test_circlespace.py (rep_apply taps)."""
+    """`_bessel_half_width` sizes every Bessel window from the smaller of
+    the DLMF 10.14.4 and the I_k(|z|) half-widths; the true tails it leaves
+    are checked against mpmath here, in test_mincs.py (min_state) and in
+    test_circlespace.py (rep_apply taps)."""
 
-    # the bound's half-widths as tabulated when the rule was adopted; the
-    # +-2 covers the choice of h (tail past h or from h), while a margin
-    # added on top of the bound fails
+    # the real arguments' half-widths as tabulated when the DLMF rule was
+    # adopted, the complex ones at the I_k bound (9, 17 and 63 under the
+    # DLMF bound alone); the +-2 covers the choice of h (tail past h or from
+    # h), while a margin added on top of the bound fails
     @pytest.mark.parametrize("z,tol,expected", [
-        (0.5 - 1j, 1e-14, 9), (3 - 4j, 1e-14, 17), (20 - 30j, 1e-14, 63),
+        (0.5 - 1j, 1e-14, 8), (3 - 4j, 1e-14, 15), (20 - 30j, 1e-14, 40),
         (0.3, 1e-32, 11), (5.0, 1e-32, 27), (50.0, 1e-32, 97)])
     def test_pinned_half_widths(self, z, tol, expected):
         assert abs(_bessel_half_width(z, tol) - expected) <= 2
@@ -655,6 +657,22 @@ class TestBesselHalfWidth:
             h = _bessel_half_width(z, 1e-20)
             assert h == _bessel_half_width(z.conjugate(), 1e-20)
             assert h == _bessel_half_width(-z, 1e-20)
+
+    def test_true_tail_below_tol(self):
+        # random arguments across both bounds' regimes: the discarded
+        # 2 sum_{k>h} |J_k(z)|^2 stays below tol I0(2s)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(16)
+        for _ in range(12):
+            z = complex(*(rng.uniform(-1.0, 1.0, 2) * 10 ** rng.uniform(-1, 2.5)))
+            tol = 10.0 ** rng.uniform(-30, -6)
+            h = _bessel_half_width(z, tol)
+            with mpmath.workdps(30):
+                zm = mpmath.mpc(z.real, z.imag)
+                stop = h + int(8 * math.sqrt(abs(z))) + 60
+                tail = 2 * mpmath.fsum(abs(mpmath.besselj(k, zm)) ** 2
+                                       for k in range(h + 1, stop))
+                assert tail <= tol * mpmath.besseli(0, 2 * abs(z.imag))
 
     def test_zero_argument_is_one_order(self):
         assert _bessel_half_width(0j, 1e-32) == 0

@@ -14,10 +14,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from circleqm import zakcs
 from circleqm.circlespace import (CircleState, Params, Sector, apply_operator,
                                   basis_state, inner)
 from circleqm.evolve import EvolutionSpec, evolve_w, kernel, kernel_apply
-from circleqm.specfun import ThetaNome, theta
+from circleqm.specfun import ThetaNome, theta, theta_derivs
 from circleqm.zakcs import (
     BargmannFunction,
     PhasePoint,
@@ -501,7 +502,50 @@ class TestBargmannMap:
         assert abs(bf.evaluate(z) - ref) < 1e-12 * max(abs(ref), 1.0)
 
 
+def _two_call_theta(kind, zetas, nome):
+    """theta_derivs' two-point call in w_expectations, answered as theta_3
+    and theta_4 at the first point, one scalar call each."""
+    zeta = zetas[0]
+    t3, d3, dd3 = theta_derivs(3, zeta, nome)
+    t4, d4, dd4 = theta_derivs(4, zeta, nome)
+    return np.array([t3, t4]), np.array([d3, d4]), np.array([dd3, dd4])
+
+
 class TestWExpectations:
+    def test_one_theta_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return theta_derivs(*args)
+
+        monkeypatch.setattr(zakcs, "theta_derivs", counted)
+        w_expectations(WZParams(0.3, Sector(0.37)), PhasePoint(1.1, -0.4))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.3, 1.0, 2.0])
+    def test_matches_two_call_form(self, eps, monkeypatch):
+        # theta_4(zeta) read as theta_3(zeta + pi/2) moves the record by
+        # rounding only: within 1e-15 of max(1, |value|) (the variances
+        # and the correlation are differences of O(1) terms), and the
+        # leading-order record, which takes no theta call, keeps its bits
+        fields = ("mean_u", "mean_udag", "mean_c", "mean_s", "mean_l",
+                  "mean_c2", "mean_s2", "var_c", "var_s", "var_l_scaled",
+                  "corr_cl_scaled")
+        for delta in (0.0, 0.37, 0.9):
+            params = WZParams(eps, Sector(delta))
+            for l in (-3.0, -1.7, -0.4, 0.0, 0.9, 2.2, 3.0):
+                for theta_ang in (0.0, 1.1, 4.0):
+                    z = PhasePoint(theta_ang, l)
+                    rec = w_expectations(params, z)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(zakcs, "theta_derivs", _two_call_theta)
+                        ref = w_expectations(params, z)
+                    assert rec.leading == ref.leading
+                    for name in fields:
+                        got, want = getattr(rec, name), getattr(ref, name)
+                        assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
     def test_u_squared_magnitude(self):
         # |<U^2>| = e^-eps independent of z, via coefficient matrix elements
         for eps, z in [(1.0, PhasePoint(0.4, 0.9)), (0.5, PhasePoint(2.0, -0.7))]:
@@ -722,6 +766,26 @@ class TestCompleteness:
                 res = completeness_residual_wz(m, m, params)
                 ref = _weighted_residual_by_node(m, params)
                 assert abs(res.weighted - ref) <= 1e-15
+
+
+    def test_gauss_nodes_built_once(self, monkeypatch):
+        # the 80 nodes are a module constant with leggauss's bits: with
+        # leggauss refusing, the residuals keep the values they had
+        x_gl, w_gl = np.polynomial.legendre.leggauss(80)
+        assert np.array_equal(zakcs._WZ_NODES[0], x_gl)
+        assert np.array_equal(zakcs._WZ_NODES[1], w_gl)
+        cases = [(0, WZParams(0.05, Sector(0.0))),
+                 (2, WZParams(0.3, Sector(0.37))),
+                 (-1, WZParams(1.0, Sector(0.9))),
+                 (3, WZParams(2.0, Sector(0.5)))]
+        before = [completeness_residual_wz(m, m, p) for m, p in cases]
+
+        def refuse(*args):
+            raise AssertionError("leggauss called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        after = [completeness_residual_wz(m, m, p) for m, p in cases]
+        assert after == before
 
 
 class TestClosedFormOwners:
