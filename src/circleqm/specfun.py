@@ -143,7 +143,7 @@ def _theta_sum(kind: int, zeta: np.ndarray, lq: complex, want_derivs: bool,
       than `_BLOCK_CHUNK` elements.
     """
     z = zeta.reshape(-1)
-    off = np.reshape(offset, -1) if np.ndim(offset) else offset
+    off = offset.reshape(-1) if isinstance(offset, np.ndarray) else offset
 
     if lq.real == -math.inf:  # tau = i inf: only the leading term survives
         v = np.zeros(zeta.shape, dtype=complex)
@@ -185,7 +185,7 @@ def _theta_terms(kind, m, z, off, lq, want_derivs):
         parts = [_theta_terms(kind, m, z[i:i + chunk], off[i:i + chunk], lq,
                               want_derivs) for i in range(0, z.size, chunk)]
         return [np.concatenate(col) for col in zip(*parts)]
-    s = (-1.0) ** m if kind == 4 else np.ones(m.size)
+    s = (-1.0 if kind == 4 else 1.0) ** m
     terms = np.exp((m * m * lq)[:, None] + off + 2j * np.multiply.outer(m, z))
     if not want_derivs:
         return [s @ terms]
@@ -455,18 +455,18 @@ def _bessel_half_width(z: complex, tol: float) -> int:
     # once also 2k >= log 2 - log_floor
     hi = max(lo, math.ceil(math.e ** 2 * a),
              math.ceil(0.5 * (math.log(2.0) - log_floor)))
+    h = _first_passing(dlmf_too_wide, lo, hi)
+    if h == 0 or ik_too_wide(h - 1):
+        return h
+    return _first_passing(ik_too_wide, 0, h - 1)
+
+
+def _first_passing(too_wide, lo: int, hi: int) -> int:
+    """Smallest h in [lo, hi] with not too_wide(h), by bisection; too_wide
+    is monotone and false at hi."""
     while lo < hi:
         mid = (lo + hi) // 2
-        if dlmf_too_wide(mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo == 0 or ik_too_wide(lo - 1):
-        return lo
-    lo, hi = 0, lo - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ik_too_wide(mid):
+        if too_wide(mid):
             lo = mid + 1
         else:
             hi = mid
