@@ -643,7 +643,7 @@ class TestBesselHalfWidth:
     test_circlespace.py (rep_apply taps)."""
 
     # the real arguments' half-widths as tabulated when the DLMF rule was
-    # adopted, the complex ones at the I_k bound (9, 17 and 63 under the
+    # adopted, the complex ones at the I_k bound (8, 16 and 62 under the
     # DLMF bound alone); the +-2 covers the choice of h (tail past h or from
     # h), while a margin added on top of the bound fails
     @pytest.mark.parametrize("z,tol,expected", [
@@ -664,7 +664,8 @@ class TestBesselHalfWidth:
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(16)
         for _ in range(12):
-            z = complex(*(rng.uniform(-1.0, 1.0, 2) * 10 ** rng.uniform(-1, 2.5)))
+            z = complex(*(rng.uniform(-1.0, 1.0, 2)
+                          * 10 ** rng.uniform(-1, 2.5)))
             tol = 10.0 ** rng.uniform(-30, -6)
             h = _bessel_half_width(z, tol)
             with mpmath.workdps(30):

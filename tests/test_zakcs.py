@@ -767,7 +767,6 @@ class TestCompleteness:
                 ref = _weighted_residual_by_node(m, params)
                 assert abs(res.weighted - ref) <= 1e-15
 
-
     def test_gauss_nodes_built_once(self, monkeypatch):
         # the 80 nodes are a module constant with leggauss's bits: with
         # leggauss refusing, the residuals keep the values they had
