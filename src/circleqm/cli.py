@@ -1,7 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: it parses and validates the arguments, calls
+the library and formats its results.
 
-Subcommands: `verify` runs per-module invariant suites and exits nonzero on
-any failure; `table` reproduces the reference ratio table and the
+Subcommands: `verify` prints the rows of `circleqm.verify.run` as CSV
+(`--tol` replaces every tolerance) and exits nonzero on any failure;
+`table` reproduces the reference ratio table and the
 transition/ladder records; `state`, `overlap`, `evolve` and `kernel` emit
 JSON or CSV reports for a configuration document (positional path or "-"
 for stdin).  Output is deterministic: identical configuration yields
@@ -28,7 +30,7 @@ import sys
 
 import numpy as np
 
-from circleqm import circlespace, e2action, evolve, ladder, mincs, specfun, zakcs
+from circleqm import circlespace, evolve, ladder, mincs, specfun, verify, zakcs
 from circleqm.circlespace import Params, Sector
 from circleqm.mincs import MinUncParams
 from circleqm.zakcs import PhasePoint, WZParams
@@ -121,363 +123,18 @@ def _grid(doc: dict, key: str, default=None) -> list:
 # verify
 
 
-def _theta_transform_residual(kind, partner, im_taus, zetas, floor):
-    """Worst relative defect of theta_kind(z | tau) = (-i tau)^(-1/2)
-    exp(z^2 / (i pi tau)) theta_partner(z / tau | -1/tau), both sides
-    summed directly, at tau = i im_tau; |lhs| is floored at `floor`."""
-    worst = 0.0
-    for im_tau in im_taus:
-        tau = 1j * im_tau
-        nome = specfun.ThetaNome(tau)
-        nome2 = specfun.ThetaNome(-1.0 / tau)
-        for z in zetas:
-            lhs = specfun.theta(kind, z, nome, method="direct")
-            rhs = ((-1j * tau) ** -0.5
-                   * np.exp(z * z / (1j * math.pi * tau))
-                   * specfun.theta(partner, z / tau, nome2, method="direct"))
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), floor))
-    return worst
-
-
-def _check_theta_modular():
-    zetas = [complex(re_z, im_z) for re_z in np.linspace(-math.pi, math.pi, 4)
-             for im_z in np.linspace(-2.0, 2.0, 4)]
-    return _theta_transform_residual(3, 3, (0.5, 1.0, 2.0, 5.0), zetas, 0.0)
-
-
-def _check_theta_two_four():
-    return _theta_transform_residual(2, 4, (0.6, 1.0, 3.0),
-                                     (0.0, 0.4, 1.0 + 0.5j, -0.9 + 1.2j), 1e-3)
-
-
-def _check_elliptic_identities():
-    worst = 0.0
-    for q in (0.1, math.exp(-1.0), 0.5):
-        nome = specfun.ThetaNome.from_q(q)
-        for zeta in (0.15, 0.4, 0.9):
-            rec = specfun.elliptic_suite(zeta, nome)
-            v3, d3, dd3 = specfun.theta_derivs(3, zeta, nome)
-            v4, d4, _ = specfun.theta_derivs(4, zeta, nome)
-            two_k_pi = 2.0 * rec.K / math.pi
-            r1 = abs((v4 / v3).real - math.sqrt(rec.kprime) / rec.dn)
-            r2 = abs((d4 / v4).real - two_k_pi * rec.Z)
-            rhs = (d4 / v4).real - two_k_pi * rec.k ** 2 * rec.cn * rec.sn / rec.dn
-            r3 = abs((d3 / v3).real - rhs)
-            second = (dd3 / v3 - (d3 / v3) ** 2).real
-            ref = (4.0 * rec.K ** 2 / math.pi ** 2) * (
-                rec.kprime ** 2 / rec.dn ** 2 - rec.E / rec.K)
-            r4 = abs(second - ref) / max(abs(ref), 1.0)
-            worst = max(worst, r1, r2, r3, r4)
-    return worst
-
-
-def _check_bessel_sum_rule():
-    worst = 0.0
-    for x in (0.5, 1.5, 3.0, 7.0):
-        # orders 0..h: the bound leaves a tail below 1e-32, far under the
-        # rounding this check measures
-        h = specfun._bessel_half_width(x, 1e-32)
-        sq = np.abs(specfun.bessel_j(np.arange(h + 1), x)) ** 2
-        worst = max(worst, abs(sq[0] + 2 * np.sum(sq[1:]) - 1.0))
-    return worst
-
-
-def _check_ratio_bound():
-    r2 = specfun.g_ratio(np.array([1e-4, 0.1, 0.9, 4.0, 25.0, 300.0])).r2
-    return float(max(0.0, np.max(r2) - 0.5, -np.min(r2)))
-
-
-def _check_e2_homomorphism():
-    rng = np.random.default_rng(123)
-    worst = 0.0
-    for _ in range(400):
-        g2 = e2action.GroupElement(rng.uniform(-6, 6),
-                                   complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
-        g1 = e2action.GroupElement(rng.uniform(-6, 6),
-                                   complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
-        s = e2action.PhaseSpacePoint(rng.uniform(0, 2 * math.pi),
-                                     rng.uniform(-5, 5))
-        a = e2action.act(e2action.compose(g2, g1), s)
-        b = e2action.act(g2, e2action.act(g1, s))
-        dphi = abs((a.phi - b.phi + math.pi) % (2 * math.pi) - math.pi)
-        worst = max(worst, dphi, abs(a.p_phi - b.p_phi))
-    return worst
-
-
-def _check_e2_transporter():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(200):
-        s1 = e2action.PhaseSpacePoint(rng.uniform(0, 2 * math.pi),
-                                      rng.uniform(-5, 5))
-        s2 = e2action.PhaseSpacePoint(rng.uniform(0, 2 * math.pi),
-                                      rng.uniform(-5, 5))
-        out = e2action.act(e2action.solve_transporter(s1, s2), s1)
-        dphi = abs((out.phi - s2.phi + math.pi) % (2 * math.pi) - math.pi)
-        worst = max(worst, dphi, abs(out.p_phi - s2.p_phi))
-    return worst
-
-
-def _check_e2_symplectic():
-    rng = np.random.default_rng(9)
-    worst = 0.0
-    for _ in range(60):
-        g = e2action.GroupElement(rng.uniform(-6, 6),
-                                  complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
-        s = e2action.PhaseSpacePoint(rng.uniform(0, 2 * math.pi),
-                                     rng.uniform(-5, 5))
-        worst = max(worst, e2action.symplectic_residual(g, s))
-    return worst
-
-
-def _check_min_saturation():
-    worst = 0.0
-    for s in (0.3, 1.0, 3.0):
-        for gamma in (0.0, 1.0):
-            for delta in (0.0, 0.3):
-                lhs, rhs = mincs.saturation_gap(
-                    MinUncParams(0.0, delta, gamma, s), "CL")
-                worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-30))
-                lhs, rhs = mincs.saturation_gap(
-                    MinUncParams(math.pi / 2, delta, gamma, s), "SL")
-                worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-30))
-    return worst
-
-
-def _check_min_gap_positive():
-    min_gap = math.inf
-    for s in (0.3, 1.0, 3.0):
-        for gamma in (0.0, 1.0):
-            for delta in (0.0, 0.3):
-                lhs, rhs = mincs.saturation_gap(
-                    MinUncParams(0.7, delta, gamma, s), "CL")
-                min_gap = min(min_gap, lhs - rhs)
-    return max(0.0, 1e-6 - min_gap)
-
-
-def _check_min_vs_quadrature():
-    params = MinUncParams(0.7, 1.3, 0.8, 1.2)
-    e = mincs.min_expectations(params)
-    psi = mincs.min_state(params, window_tol=1e-14).normalized()
-    c_psi = circlespace.apply_operator("C", psi)
-    l_psi = circlespace.apply_operator("L", psi)
-    s_psi = circlespace.apply_operator("S", psi)
-    return max(
-        abs(circlespace.inner(psi, c_psi).real - e.mean_c),
-        abs(circlespace.inner(psi, s_psi).real - e.mean_s),
-        abs(circlespace.inner(psi, l_psi).real - e.mean_l),
-        abs(circlespace.inner(c_psi, c_psi).real - e.mean_c2),
-        abs(circlespace.inner(l_psi, l_psi).real - e.mean_l2),
-    )
-
-
-def _check_min_sum_rule():
-    worst = 0.0
-    for sigma in (0.5 + 0j, 3.0 - 1.0j, 1.0 - 2.0j, 6.0 + 4.0j):
-        worst = max(worst, mincs.sum_rule_residual(sigma))
-    return worst
-
-
-def _check_min_completeness():
-    s, gamma, m = 1.0, 0.0, 1
-    n_cut = abs(m) + math.ceil(abs(complex(gamma, -s))) + 20
-    return abs(mincs.completeness_residual(m, m, s, gamma, Sector(0.0), n_cut))
-
-
-def _check_divergence_slope():
-    inc = mincs.dbt_divergence(0, 1e3) - mincs.dbt_divergence(0, 1e2)
-    return abs(inc * math.pi / math.log(10.0) - 1.0)
-
-
-def _check_wz_periodization():
-    params = WZParams(1.0, Sector(0.25))
-    phi = np.linspace(-math.pi, 3 * math.pi, 16)
-    series, closed = zakcs.zak_periodize(params, 1.0 + 0.5j, phi)
-    return float(np.max(np.abs(series - closed)) / np.max(np.abs(series)))
-
-
-def _check_wz_norm():
-    params = WZParams(1.0, Sector(0.2))
-    z = PhasePoint(0.4, 1.3)
-    st = zakcs.w_state(params, z, window_tol=1e-14)
-    ref = zakcs.w_norm_sq(params, z)
-    return abs(st.norm_sq() - ref) / ref
-
-
-def _check_wz_kernel_hermitian():
-    params = WZParams(0.8, Sector(0.4))
-    rng = np.random.default_rng(2)
-    worst = 0.0
-    for _ in range(6):
-        z1 = PhasePoint(rng.uniform(0, 6.28), rng.uniform(-2, 2))
-        z2 = PhasePoint(rng.uniform(0, 6.28), rng.uniform(-2, 2))
-        k12 = zakcs.w_overlap(params, z1, z2)
-        k21 = zakcs.w_overlap(params, z2, z1)
-        worst = max(worst, abs(k21 - np.conj(k12)) / max(abs(k12), 1.0))
-    return worst
-
-
-def _check_wz_completeness():
-    params = WZParams(1.0, Sector(0.0))
-    res = zakcs.completeness_residual_wz(0, 0, params)
-    return max(abs(res.gauss), abs(res.weighted))
-
-
-def _check_wz_variance_sum():
-    params = WZParams(1.0, Sector(0.2))
-    e = zakcs.w_expectations(params, PhasePoint(0.5, 0.3))
-    nome = specfun.ThetaNome(1j * math.pi)
-    zeta = math.pi * (0.3 - 0.2)
-    ratio = (specfun.theta(4, zeta, nome) / specfun.theta(3, zeta, nome)).real
-    return abs(e.var_sum - (1.0 - math.exp(-0.5) * ratio ** 2))
-
-
-def _check_ladder_eigen():
-    worst = 0.0
-    for eps, z in ((0.5, 0j), (0.5, 1 + 0.5j), (1.0, 2j), (1.0, 1 + 0.5j)):
-        for delta in (0.0, 0.4):
-            ctx = ladder.LadderContext(eps, Sector(delta))
-            worst = max(worst, ladder.eigen_residual(ctx, PhasePoint.from_z(z)))
-    return worst
-
-
-def _check_ladder_kj():
-    worst = 0.0
-    for eps, z in ((0.5, 0j), (1.0, 1 + 0.5j), (1.0, 2j)):
-        ctx = ladder.LadderContext(eps, Sector(0.0))
-        rep = ladder.kj_report(ctx, PhasePoint.from_z(z))
-        lhs = rep.var_k * rep.var_j
-        rhs = rep.covariance ** 2 + 0.25 * abs(rep.commutator_mean) ** 2
-        worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-30))
-        mat = ladder.kj_matrix_elements(ctx, PhasePoint.from_z(z))
-        scale = max(abs(rep.var_k), 1.0)
-        worst = max(worst, abs(rep.var_k - mat.var_k) / scale)
-    return worst
-
-
-def _check_ladder_qdeform():
-    worst = 0.0
-    for eps, delta, n in ((1.0, 0.0, 0), (0.5, 0.3, 2), (2.0, 0.7, -1)):
-        ctx = ladder.LadderContext(eps, Sector(delta))
-        worst = max(worst, ladder.qdeform_residual(ctx, n))
-    return worst
-
-
-def _check_evolve_revival():
-    spec = evolve.EvolutionSpec(Params(1.0, 1.0), Sector(0.0), 4 * math.pi)
-    rng = np.random.default_rng(1)
-    c = rng.normal(size=11) + 1j * rng.normal(size=11)
-    psi = circlespace.CircleState(Sector(0.0), -5, c).normalized()
-    return 1.0 - circlespace.fidelity(psi, evolve.propagate(spec, psi))
-
-
-def _check_evolve_kernel_faces():
-    spec = evolve.EvolutionSpec(Params(1.0, 1.0), Sector(0.3), 0.7, eta=1e-6)
-    dphi = np.linspace(-math.pi, math.pi, 7)
-    a = evolve.kernel(spec, dphi, form="series")
-    b = evolve.kernel(spec, dphi, form="gaussian")
-    return float(np.max(np.abs(a - b)) / np.max(np.abs(a)))
-
-
-def _check_evolve_kernel_vs_spectral():
-    sector = Sector(0.2)
-    psi = circlespace.CircleState(
-        sector, -1, np.array([0.3 - 0.1j, 0.8 + 0.2j, -0.4 + 0.5j])).normalized()
-    spec = evolve.EvolutionSpec(Params(1.0, 1.0), sector, 0.9, eta=1e-6)
-    phi_out = np.linspace(0, 2 * math.pi, 4, endpoint=False)
-    via_kernel = evolve.kernel_apply(spec, psi, phi_out)
-    # the kernel's eta-bias exp(-eps omega eta (n+delta)^2 / 2) (eps = omega
-    # = 1 here), folded into the reference so that the residual measures
-    # the kernel alone
-    bias = np.exp(-0.5 * spec.eta * (psi.indices + sector.delta) ** 2)
-    damped = evolve.propagate(spec, psi).coeffs * bias
-    ref = circlespace.CircleState(sector, psi.n_lo, damped).evaluate(phi_out)
-    return float(np.max(np.abs(via_kernel - ref)))
-
-
-# (check id, identity slug, callable, tolerance)
-_VERIFY_SUITES = {
-    "specfun": [
-        ("theta-imaginary-transformation", "theta3 vs transformed series",
-         _check_theta_modular, 1e-12),
-        ("theta-two-to-four-transformation", "theta2 vs transformed theta4",
-         _check_theta_two_four, 1e-12),
-        ("elliptic-identity-web", "theta ratios vs elliptic suite",
-         _check_elliptic_identities, 1e-9),
-        ("bessel-squared-sum", "sum of squared J equals one",
-         _check_bessel_sum_rule, 1e-12),
-        ("bessel-ratio-bound", "I1/(x I0) within (0, 1/2]",
-         _check_ratio_bound, 1e-15),
-    ],
-    "e2": [
-        ("group-action-homomorphism", "act respects composition",
-         _check_e2_homomorphism, 1e-12),
-        ("transporter-round-trip", "transitivity witness lands on target",
-         _check_e2_transporter, 1e-12),
-        ("symplectic-determinant", "unit Jacobian determinant",
-         _check_e2_symplectic, 1e-9),
-    ],
-    "mincs": [
-        ("saturation-both-pairs", "variance inequality saturates at the "
-         "aligned angles", _check_min_saturation, 1e-10),
-        ("nonminimal-gap", "strictly positive gap off the aligned angles",
-         _check_min_gap_positive, 1e-12),
-        ("moments-vs-quadrature", "closed moments vs coefficient quadrature",
-         _check_min_vs_quadrature, 1e-8),
-        ("bessel-sum-rule", "squared-J sum equals I0(2s)",
-         _check_min_sum_rule, 1e-10),
-        ("completeness-residual", "identity resolution at documented cutoff",
-         _check_min_completeness, 1e-6),
-        ("group-average-divergence", "log slope of the flat average",
-         _check_divergence_slope, 0.05),
-    ],
-    "zakcs": [
-        ("periodization-two-faces", "winding sum vs theta closed form",
-         _check_wz_periodization, 1e-10),
-        ("norm-vs-theta", "coefficient norm vs theta value",
-         _check_wz_norm, 1e-10),
-        ("kernel-hermitian", "reproducing kernel conjugate symmetry",
-         _check_wz_kernel_hermitian, 1e-12),
-        ("completeness-both-forms", "identity resolution, both measures",
-         _check_wz_completeness, 1e-6),
-        ("variance-sum-identity", "var C + var S closes in the theta ratio",
-         _check_wz_variance_sum, 1e-12),
-    ],
-    "ladder": [
-        ("eigen-residual", "holomorphic states are lowering eigenvectors",
-         _check_ladder_eigen, 1e-10),
-        ("quadrature-pair-saturation", "K/J product equals commutator bound",
-         _check_ladder_kj, 1e-12),
-        ("qdeformed-algebra", "A Adag - q Adag A = q^-N on the basis",
-         _check_ladder_qdeform, 1e-12),
-    ],
-    "evolve": [
-        ("full-revival", "fidelity restored after the revival period",
-         _check_evolve_revival, 1e-12),
-        ("kernel-two-faces", "spectral vs Gaussian-prefactor kernel",
-         _check_evolve_kernel_faces, 1e-9),
-        ("kernel-vs-spectral", "kernel quadrature matches propagation",
-         _check_evolve_kernel_vs_spectral, 1e-11),
-    ],
-}
-
-
 def _cmd_verify(args) -> int:
-    suites = list(_VERIFY_SUITES) if args.suite == "all" else [args.suite]
+    rows = verify.run(verify.SUITES if args.suite == "all" else [args.suite])
     lines = ["suite,check_id,identity,residual,tolerance,pass"]
     n_fail = 0
-    for suite in suites:
-        for check_id, identity, fn, tol in _VERIFY_SUITES[suite]:
-            if args.tol is not None:
-                tol = args.tol
-            residual = float(fn())
-            ok = residual < tol
-            n_fail += 0 if ok else 1
-            lines.append(",".join([suite, check_id, f"\"{identity}\"",
-                                   _fmt(residual), _fmt(tol),
-                                   "pass" if ok else "FAIL"]))
-    lines.append(f"# {n_fail} failing of "
-                 f"{sum(len(_VERIFY_SUITES[s]) for s in suites)} checks")
+    for row in rows:
+        tol = row.tolerance if args.tol is None else args.tol
+        ok = row.residual < tol
+        n_fail += 0 if ok else 1
+        lines.append(",".join([row.suite, row.check_id, f"\"{row.identity}\"",
+                               _fmt(row.residual), _fmt(tol),
+                               "pass" if ok else "FAIL"]))
+    lines.append(f"# {n_fail} failing of {len(rows)} checks")
     _emit("\n".join(lines) + "\n", args.out)
     return 1 if n_fail else 0
 
@@ -677,8 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run invariant suites and report residuals")
-    p.add_argument("suite", choices=("all", "specfun", "mincs", "zakcs",
-                                     "ladder", "evolve", "e2"))
+    p.add_argument("suite", choices=("all", *verify.SUITES))
     p.add_argument("--tol", type=float, default=None,
                    help="override every check tolerance")
 

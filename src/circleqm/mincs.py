@@ -183,19 +183,17 @@ def saturation_gap(params: MinUncParams, pair: str = "CL"):
 class OverlapResult:
     """Closed-form overlap value plus a validity flag.
 
-    valid means the value is the exact scalar product.  It is False only
-    for distinct sectors (a formal value returned with
-    allow_sector_mismatch), where no scalar product exists.
-    A negative square-root argument s^2 cos^2 - gamma^2 sin^2 is valid:
-    the branch-free form is entire in it.
+    valid means the value is the exact scalar product, and it is True for
+    every value `min_overlap` returns: states of distinct sectors raise
+    instead.  A negative square-root argument s^2 cos^2 - gamma^2 sin^2 is
+    valid: the branch-free form is entire in it.
     """
 
     value: complex
     valid: bool
 
 
-def min_overlap(p2: MinUncParams, p1: MinUncParams,
-                allow_sector_mismatch: bool = False) -> OverlapResult:
+def min_overlap(p2: MinUncParams, p1: MinUncParams) -> OverlapResult:
     """Closed-form scalar product (psi_{p2}, psi_{p1}).
 
     With dl = l1 - l2, num = gamma sin h - s cos h, den = gamma sin h +
@@ -207,22 +205,16 @@ def min_overlap(p2: MinUncParams, p1: MinUncParams,
 
     Requires shared (gamma, s) and shared sector (the rule of
     `circlespace.Sector` on delta0); dl is then rounded to an exact
-    integer.  Different sectors are rejected unless
-    allow_sector_mismatch is set, in which case the same form with a
-    principal-branch fractional power is returned flagged invalid (there is
-    no inner product between the spaces; the coefficient route is
-    authoritative wherever it exists).
+    integer.  Different sectors raise `ValueError`: there is no scalar
+    product between the spaces.
     """
     if (p2.gamma, p2.s) != (p1.gamma, p1.s):
         raise ValueError("overlap requires shared gamma and s")
     gamma, s = p1.gamma, p1.s
-    valid = _same_sector(p1.delta0, p2.delta0)
-    if not (valid or allow_sector_mismatch):
+    if not _same_sector(p1.delta0, p2.delta0):
         raise ValueError(
-            "states with different delta live in different Hilbert spaces "
-            "(pass allow_sector_mismatch=True for the formal flagged value)")
-    dl = p1.l_tilde - p2.l_tilde
-    dl = float(round(dl)) if valid else dl
+            "states with different delta live in different Hilbert spaces")
+    dl = float(round(p1.l_tilde - p2.l_tilde))
     half = 0.5 * (p1.alpha - p2.alpha)
     sh, ch = math.sin(half), math.cos(half)
     num = gamma * sh - s * ch
@@ -242,7 +234,7 @@ def min_overlap(p2: MinUncParams, p1: MinUncParams,
     else:
         bess = special.ive(order, 2.0 * r) * ratio / r ** order
     value = phase * base ** order * bess
-    return OverlapResult(complex(value), bool(valid))
+    return OverlapResult(complex(value), True)
 
 
 def sum_rule_residual(sigma: complex) -> float:

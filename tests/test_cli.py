@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, report contents."""
 
+import contextlib
 import io
 import json
 import math
@@ -11,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circleqm import circlespace, evolve, mincs, zakcs
+from circleqm import circlespace, evolve, mincs, verify, zakcs
 from circleqm.circlespace import Params, Sector
-from circleqm.cli import _build_parser, _check_bessel_sum_rule, main
+from circleqm.cli import _build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -37,7 +38,8 @@ class TestVerify:
         assert "FAIL" in out
 
     def test_bessel_sum_rule_headroom(self):
-        assert _check_bessel_sum_rule() < 1e-13
+        rows = {row.check_id: row for row in verify.run(["specfun"])}
+        assert rows["bessel-squared-sum"].residual < 1e-13
 
     def test_rows_carry_identity_and_tolerance(self, capsys):
         _, out, _ = run(capsys, "verify", "e2")
@@ -45,17 +47,32 @@ class TestVerify:
         assert header == "suite,check_id,identity,residual,tolerance,pass"
         assert any("transporter-round-trip" in line for line in out.splitlines())
 
-
-    def test_every_row_has_tenfold_headroom(self, capsys):
+    def test_every_row_has_tenfold_headroom(self):
         # each oracle's own error sits at least 10x inside its tolerance
-        code, out, _ = run(capsys, "verify", "all")
-        assert code == 0
-        rows = out.splitlines()[1:-1]
+        rows = verify.run(verify.SUITES)
         assert len(rows) == 25
         for row in rows:
-            check_id = row.split(",")[1]
-            residual, tol = (float(x) for x in row.split(",")[-3:-1])
-            assert abs(residual) <= tol / 10, check_id
+            assert abs(row.residual) <= row.tolerance / 10, row.check_id
+
+    @pytest.mark.parametrize("suite", ("all",) + verify.SUITES)
+    def test_prints_the_library_rows(self, capsys, suite):
+        # the command prints verify.run's rows at 17 digits; --tol changes
+        # only the tolerance and pass columns
+        rows = verify.run(verify.SUITES if suite == "all" else [suite])
+        for extra, override in (([], None), (["--tol", "1e-30"], 1e-30)):
+            expected = ["suite,check_id,identity,residual,tolerance,pass"]
+            n_fail = 0
+            for row in rows:
+                tol = row.tolerance if override is None else override
+                ok = row.residual < tol
+                n_fail += not ok
+                expected.append(f'{row.suite},{row.check_id},"{row.identity}",'
+                                f'{row.residual:.17g},{tol:.17g},'
+                                + ("pass" if ok else "FAIL"))
+            expected.append(f"# {n_fail} failing of {len(rows)} checks")
+            code, out, _ = run(capsys, "verify", suite, *extra)
+            assert out.splitlines() == expected
+            assert code == (1 if n_fail else 0)
 
 
 class TestInProcess:
@@ -79,22 +96,28 @@ class TestInProcess:
         calls = [["state", str(cfg)], ["state", "--format", "xml", str(cfg)],
                  ["verify", "specfun", "--tol", "1e-3"],
                  ["kernel", str(kcfg), "--tol", "1e-3"], ["state", str(cfg)]]
-        codes = []
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-        for argv in calls:
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:   # argparse usage error
-                code = exc.code
-            captured = capsys.readouterr()
-            fresh = subprocess.run([sys.executable, "-m", "circleqm.cli", *argv],
-                                   capture_output=True, text=True, env=env,
-                                   timeout=120)
-            assert (code, captured.out, captured.err) == (
-                fresh.returncode, fresh.stdout, fresh.stderr), argv
-            codes.append(code)
+        with contextlib.ExitStack() as stack:
+            # the fresh processes run while the in-process calls do
+            procs = [stack.enter_context(subprocess.Popen(
+                [sys.executable, "-m", "circleqm.cli", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env)) for argv in calls]
+            stack.callback(lambda: [proc.kill() for proc in procs])
+            in_process = []
+            for argv in calls:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:   # argparse usage error
+                    code = exc.code
+                captured = capsys.readouterr()
+                in_process.append((code, captured.out, captured.err))
+            for argv, proc, mine in zip(calls, procs, in_process):
+                stdout, stderr = proc.communicate(timeout=120)
+                assert mine == (proc.returncode, stdout, stderr), argv
+        codes = [code for code, _, _ in in_process]
         assert codes == [0, 2, 0, 2, 0] and captured.out
 
 

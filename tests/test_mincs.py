@@ -299,11 +299,6 @@ class TestMinOverlap:
         with pytest.raises(ValueError):
             min_overlap(MinUncParams(0, 0.5, 0, 1), MinUncParams(0, 0.2, 0, 1))
 
-    def test_mismatched_sector_formal_value_flagged(self):
-        res = min_overlap(MinUncParams(0, 0.5, 0, 1), MinUncParams(0, 0.2, 0, 1),
-                          allow_sector_mismatch=True)
-        assert not res.valid
-
     def test_integer_shift_at_fractional_sector(self):
         # frac(n + delta) drifts by an ulp across n; the integer momentum
         # difference must still be recognized as a shared sector
