@@ -22,6 +22,7 @@ from circleqm.circlespace import (CircleState, Params, Sector, _centred, _dots,
                                   _finite_array, _require_same_sector,
                                   operator_coeffs)
 from circleqm.mincs import MinUncParams, min_state
+from circleqm.specfun import _Nodes
 from circleqm.zakcs import WZParams, _flow_theta, _require_phase, _w_theta
 
 __all__ = [
@@ -118,7 +119,7 @@ def moment_series(params: Params, state: CircleState, times) -> np.ndarray:
 # kernel form -> theta method: the spectral series is theta's direct sum,
 # the Gaussian-prefactor face its tau -> -1/tau transform
 _KERNEL_METHODS = {"series": "direct", "gaussian": "transform", "auto": "auto"}
-_MIN_DAMPING = 1e-8  # least eps omega eta: there the faces agree to 7e-9
+_MIN_DAMPING = 1e-8  # least eps omega eta: there the faces agree to 4e-9
 
 
 def _damping(spec: EvolutionSpec) -> float:
@@ -152,24 +153,29 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     theta series directly; form "gaussian" evaluates its modular transform,
     a free-spreading Gaussian times theta_3 of the reciprocal nome (for
     eps omega t < 2 pi, exp(2 i pi^2 / (eps T))); "auto" leaves the choice
-    to `specfun.theta`, which takes the transform where |tau| < 1.  The
-    two faces agree to rounding because the complex time enters both
-    uniformly.  dphi is taken as given: theta reduces the drifting
-    argument by its period itself.  Time phases of 2^52 rad over the
-    series' terms (`zakcs._flow_theta`) raise ValueError.
+    to `specfun.theta`, which reduces tau = -eps T / 2 pi to the
+    fundamental domain and sums a handful of terms there, however close
+    both faces' nomes are to the unit circle.  The two faces agree to
+    rounding because the complex time enters both uniformly.  dphi is
+    taken as given: theta reduces the drifting argument itself.  Time
+    phases of 2^52 rad over the series' terms (`zakcs._flow_theta`) raise
+    ValueError.
 
     Valid range eps omega eta >= 1e-8, with no upper bound: the nome is
     built from its tau and the constant's modulus is fused into the theta
     series (`_kernel_theta`), so neither leaves double range apart from
-    the other.  The faces agree to 2e-10 relative at 1e-6 and 7e-9 at
-    1e-8.  Below it the kernel raises ValueError.
+    the other.  On 16 angles, delta in {0, 0.3, 0.7} and omega t in {0.3,
+    0.7, 2}, the faces agree to 3.9e-11 relative at 1e-6 and 3.6e-9 at
+    1e-8; "auto" stays within 5e-15 of max|theta| of 40-digit sums over
+    [1e-8, 5e-5] (eight random draws).  Below 1e-8 the kernel raises
+    ValueError.
 
     The Gaussian face is for small eps omega eta.  As the damping grows its
     transformed series cancels, by up to 1e6 before `specfun.theta`
     refuses it with ValueError.  Against a 40-digit spectral sum on 16
-    angles at eps = omega = 1, t = 0, it is off by 4.6e-13, 1.3e-12 and
-    1.8e-10 of max|K| at eps omega eta = 1430, 1600 and 3000 for delta =
-    0.9; for delta = 0.5 by 2.6e-11 at 100, and it refuses from 200.  Forms
+    angles at eps = omega = 1, t = 0, it is off by 5.0e-13, 1.4e-12 and
+    7.9e-10 of max|K| at eps omega eta = 1430, 1600 and 3000 for delta =
+    0.9; for delta = 0.5 by 4.4e-12 at 100, and it refuses from 200.  Forms
     "series" and "auto" stay within 1e-13 at all of these points.
     """
     _damping(spec)
@@ -220,6 +226,13 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
     operator being integrated.  The cost is one m-point theta evaluation
     plus O(m log m + outputs x width), where a quadrature sampling K on the
     (output x node) grid pays outputs x m points of theta series work.
+    The theta evaluation takes `specfun.theta`'s reduced route: after the
+    SL(2, Z) move of tau, a handful of terms a point by Horner's rule,
+    where the series at tau or at -1/tau took 250-650 terms a point once
+    eps omega eta is near 1e-4.  The nodes are passed as `specfun._Nodes`,
+    which the route takes at their exact angles -2 pi j/m; rounding them to
+    doubles first moved Theta_k by ~1e-13 at eps omega eta = 1e-6, about
+    30 times the quadrature's error at the exact nodes.
     """
     _require_same_sector(state.sector, spec.sector)
     phi = np.atleast_1d(_finite_array(phi_out, "phi_out"))
@@ -227,7 +240,7 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
     delta = spec.sector.delta
     reach = max(abs(state.n_lo + delta), abs(state.n_hi + delta))
     m = bandwidth + int(math.ceil(reach)) + 1
-    const, samples = _kernel_theta(spec, np.arange(m) * (-2.0 * math.pi / m))
+    const, samples = _kernel_theta(spec, _Nodes(m))
     weighted = const * state.coeffs * np.fft.ifft(samples)[state.indices % m]
     vals = CircleState(state.sector, state.n_lo, weighted).evaluate(phi)
     return complex(vals[0]) if np.isscalar(phi_out) else vals

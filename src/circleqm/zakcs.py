@@ -20,8 +20,8 @@ import numpy as np
 
 from circleqm.circlespace import (CircleState, Sector, _finite_array,
                                   _require_same_sector)
-from circleqm.specfun import (ThetaNome, _extent, _theta_dispatch, theta,
-                              theta_derivs)
+from circleqm.specfun import (ThetaNome, _extent, _Nodes, _theta_dispatch,
+                              theta, theta_derivs)
 
 __all__ = [
     "PhasePoint",
@@ -106,7 +106,8 @@ def _require_phase(largest) -> None:
 def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto",
                 offset=0.0):
     """theta3[(angle - eps delta T)/2, e^{-i eps T/2}] at complex time T,
-    times exp(offset) fused into the series' exponents.
+    times exp(offset) fused into the series' exponents.  angle is an array,
+    or `specfun._Nodes(m)` for the m angles -2 pi j/m held exactly.
 
     The nome is built from tau = -eps T / 2 pi, never from its value, so
     it keeps its bits where e^{-i eps T/2} is subnormal or 0: Im tau =
@@ -114,20 +115,34 @@ def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto",
     by libm's trig, the T^2 step (tau -> tau + 2) the principal log takes.
     ValueError once the phases eps Re T (n+delta)^2 / 2 reach 2^52 rad for
     n up to the direct series' `specfun._extent`, a = -eps Im T/2 and
-    b = max |Im zeta|, as in `evolve.propagate`."""
-    # halved term by term (the same bits as (angle - eps delta T)/2): a
-    # complex division turns an infinite real angle into nan with a warning
-    zeta = angle / 2.0 - eps * delta * T / 2.0
+    b = max |Im zeta|, as in `evolve.propagate`, and where the value is
+    not a finite double."""
+    nodes = isinstance(angle, _Nodes)
+    if nodes:
+        zeta = angle._replace(zeta0=-(eps * delta * T / 2.0))
+    else:
+        # halved term by term (the same bits as (angle - eps delta T)/2): a
+        # complex division turns an infinite real angle into nan with a
+        # warning
+        zeta = angle / 2.0 - eps * delta * T / 2.0
     if T.real != 0:
         a = -0.5 * eps * T.imag
         # a real angle (the propagator's) leaves Im zeta constant: no pass
-        b = (0.5 * abs(eps * delta * T.imag) if np.isrealobj(angle)
+        b = (0.5 * abs(eps * delta * T.imag) if nodes or np.isrealobj(angle)
              else float(np.abs(np.imag(zeta)).max(initial=0.0)))
         extent = _extent(a, b) + abs(delta)
         _require_phase(0.5 * eps * abs(T.real) * extent * extent)
     tau = complex(cmath.phase(cmath.exp(-0.5j * eps * T.real)) / math.pi,
                   -eps * T.imag / (2.0 * math.pi))
-    return _theta_dispatch(3, zeta, ThetaNome(tau), method, False, offset)
+    # out of range the series over- or underflows term by term, with
+    # warnings; the result then is not finite and is refused whole
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        vals = _theta_dispatch(3, zeta, ThetaNome(tau), method, False, offset)
+    if not (cmath.isfinite(vals) if isinstance(vals, complex)
+            else np.isfinite(vals).all()):
+        raise ValueError("the flow theta is not a finite double here: its "
+                         "value leaves double range")
+    return vals
 
 
 # w_z and the kernel are the flow theta; the next two its -1/tau partners.
@@ -256,18 +271,22 @@ def w_state(params: WZParams, z, window_tol: float = 1e-12) -> CircleState:
 
 def w_value(params: WZParams, z, phi):
     """Closed form e^{i phi delta} theta3[(phi - z + i eps delta)/2,
-    e^{-eps/2}]; a non-finite phi raises ValueError."""
+    e^{-eps/2}]; a non-finite phi, or a value past double range, raises
+    ValueError."""
     return _w_theta(params, z, phi, 0.0)
 
 
 def w_norm_sq(params: WZParams, z) -> float:
-    """Squared norm theta3[i(l - eps delta), e^{-eps}] = K(z, z)."""
+    """Squared norm theta3[i(l - eps delta), e^{-eps}] = K(z, z);
+    ValueError where it is past double range (about e^709: eps = 0.01,
+    l = 3 gives e^900)."""
     zc = _as_point(z).z
     return _kernel_theta(params, zc, zc).real
 
 
 def norm_constant(params: WZParams, z) -> float:
-    """N_z = (w_z, w_z)^(-1/2), the holomorphic-family normalizer."""
+    """N_z = (w_z, w_z)^(-1/2), the holomorphic-family normalizer;
+    ValueError where (w_z, w_z) is past double range."""
     return w_norm_sq(params, z) ** -0.5
 
 
@@ -280,7 +299,8 @@ def periodized_norm_constant(params: WZParams, z) -> float:
 
 def w_overlap(params: WZParams, z1, z2) -> complex:
     """Reproducing kernel K(z1, z2) = theta3[(conj(z1) - z2 + 2 i eps
-    delta)/2, e^{-eps}] = (w_{z1}, w_{z2})."""
+    delta)/2, e^{-eps}] = (w_{z1}, w_{z2}); ValueError where it is past
+    double range."""
     return complex(_kernel_theta(params, _as_point(z1).z, _as_point(z2).z))
 
 

@@ -30,6 +30,7 @@ from circleqm.evolve import (
     propagate,
 )
 from circleqm.mincs import MinUncParams, min_state
+from circleqm.specfun import _Nodes
 from circleqm.zakcs import PhasePoint, WZParams, fn_basis, w_state, w_value
 
 RNG = np.random.default_rng(99)
@@ -158,6 +159,18 @@ class TestKernel:
         a = kernel(spec, 0.4, form="series")
         b = kernel(spec, 0.4, form="gaussian")
         assert abs(a - b) < 1e-9 * abs(a)
+
+    @pytest.mark.parametrize("wt", [0.7, 5.3])
+    def test_series_face_reduces_its_phases(self, wt):
+        # 17,889 terms at eps omega eta = 1e-6: rounded as products, the
+        # phases m^2 pi Re tau put the series face 4.2e-11 of max|K| off
+        # the reduced route (itself within 1e-14 of 40-digit sums); reduced
+        # mod 2 pi first, 2e-13
+        spec = EvolutionSpec(Params(1.0, 1.0), Sector(0.3), wt, eta=1e-6)
+        dphi = np.linspace(-math.pi, math.pi, 7)
+        ref = kernel(spec, dphi)
+        err = np.max(np.abs(kernel(spec, dphi, form="series") - ref))
+        assert err < 2e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("eps,delta,wt", [
         (1.0, 0.0, 0.5), (1.0, 0.3, 0.7), (0.5, 0.7, 2.0), (2.0, 0.2, 1.1)])
@@ -292,9 +305,10 @@ class TestKernel:
     @pytest.mark.parametrize("eps,delta,wt", [
         (1.0, 0.3, 0.7), (0.5, 0.7, 2.0), (2.0, 0.2, 0.1), (1.0, 0.45, 12.0)])
     def test_faces_match_spectral_sum(self, eps, delta, wt):
-        # 64 samples take the blocked theta route, single angles the plain
-        # series; the reference sums the spectral series term by term with
-        # the quadratic phase reduced mod 2 pi in extended precision
+        # 64 samples take Horner's rule in the reduced theta, single angles
+        # the plain series; the reference sums the spectral series term by
+        # term with the quadratic phase reduced mod 2 pi in extended
+        # precision
         eta = 1e-4
         spec = EvolutionSpec(Params(eps, 1.0), Sector(delta), wt, eta=eta)
         dphi = -math.pi + np.arange(64) * (2.0 * math.pi / 64)
@@ -399,6 +413,24 @@ class TestKernel:
             nodes = phi + np.arange(m) * (2.0 * math.pi / m)
             ref = np.mean(kernel(spec, phi - nodes) * psi.evaluate(nodes))
             assert abs(val - ref) < 1e-13 * psi.norm()
+
+    @pytest.mark.parametrize("t,delta", [(0.9, 0.2), (3.3, 0.7)])
+    def test_theta_samples_sit_on_the_exact_nodes(self, t, delta):
+        # the m samples are theta at the exact angles -2 pi j/m, so their
+        # inverse FFT gives the kernel's Fourier coefficients exp(-i eps T
+        # (k^2 + 2 k delta)/2) (times the fused modulus) to rounding; with
+        # the angles rounded to doubles first they were off by ~1e-13 at
+        # eps omega eta = 1e-6
+        eta = 1e-6
+        spec = EvolutionSpec(Params(1.0, 1.0), Sector(delta), t, eta=eta)
+        m = int(math.ceil(math.sqrt(80.0 / eta))) + 3
+        const, samples = _kernel_theta(spec, _Nodes(m))
+        coeffs = np.fft.ifft(samples)
+        big_t = complex(t, -eta)
+        k = np.arange(-3, 4)
+        exact = np.exp(0.5 * delta * delta * big_t.imag
+                       - 0.5j * big_t * (k * k + 2 * k * delta))
+        assert np.max(np.abs(coeffs[k % m] - exact)) < 2e-14
 
     def test_one_theta_sample_set_per_call(self, monkeypatch):
         # the theta factor is sampled on m angles once per call, however

@@ -8,6 +8,7 @@ against the theta-ratio identity web.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from circleqm.specfun import (
-    _BLOCK_WORK,
     _bessel_half_width,
+    _reduce_tau,
     ThetaNome,
     bessel_i,
     bessel_j,
@@ -116,28 +117,40 @@ class TestTheta:
             theta_derivs(3, zeta, nome, method="transform")
         assert abs(theta(3, zeta, nome) - 2.0) < 1e-14
 
-    def test_auto_takes_the_transform_inside_the_unit_tau_disk(self):
-        # the rule |q| > e^{-pi} and |q(-1/tau)| < |q|, written out, picks
-        # the same route as "auto" (|tau| < 1), also just off |tau| = 1 and
-        # Im tau = 1
+    def test_auto_reduces_tau_to_the_fundamental_domain(self):
+        # "auto" sums the direct series where tau is in the fundamental
+        # domain or a translation takes it there, takes S alone at Re tau =
+        # 0, and otherwise the move of the walk, whose tau' has Im tau' >=
+        # sqrt(3)/2 and whose value matches the direct series; also just
+        # off |tau| = 1 and Im tau = 1
         re = np.linspace(-1.0, 1.0, 21)
         im = np.concatenate([np.linspace(0.05, 3.0, 12),
                              1.0 + np.array([-1e-9, 1e-9])])
         angles = np.linspace(0.06, math.pi - 0.06, 25)
         rim = np.outer(1.0 + np.array([-1e-9, 1e-9]), np.exp(1j * angles))
         taus = np.concatenate([(re[:, None] + 1j * im).ravel(), rim.ravel()])
+        zeta = np.array([0.3, 0.7 + 0.2j])
         picked = set()
         for tau in taus:
             nome = ThetaNome(tau)
-            q2 = cmath.exp(1j * math.pi * (-1.0 / nome.tau))
-            transform = (nome.q != 0 and abs(nome.q) > math.exp(-math.pi)
-                         and abs(q2) < abs(nome.q))
-            method = "transform" if transform else "direct"
+            auto = theta(3, zeta, nome)
+            if tau.real == 0.0:
+                method = "transform" if tau.imag < 1.0 else "direct"
+            elif abs(tau.real) <= 0.5 and abs(tau) >= 1.0:
+                method = "direct"
+            else:
+                mod = _reduce_tau(complex(tau), 3)
+                method = "direct" if mod is None else "reduced"
             picked.add(method)
-            zeta = np.array([0.3, 0.7 + 0.2j])
-            assert np.array_equal(theta(3, zeta, nome),
-                                  theta(3, zeta, nome, method=method)), tau
-        assert picked == {"direct", "transform"}
+            if method != "reduced":
+                assert np.array_equal(auto, theta(3, zeta, nome,
+                                                  method=method)), tau
+                continue
+            assert mod.tau.imag >= math.sqrt(3.0) / 2.0 - 1e-15, tau
+            direct = theta(3, zeta, nome, method="direct")
+            assert np.max(np.abs(auto - direct)) < 1e-13 * _abs_terms(
+                3, 0.7 + 0.2j, nome, 0), tau
+        assert picked == {"direct", "transform", "reduced"}
 
     def test_transform_keeps_small_values_of_a_cancelling_direct_series(self):
         # theta3(pi/2 | 0.05 i) = theta4(0) ~ 1.3e-6: every direct term is
@@ -317,10 +330,15 @@ def _abs_terms(kind, z, nome, order):
                         * np.exp((m * m * lq).real - 2.0 * m * z.imag)))
 
 
+# points of the array calls below: enough for Horner's rule wherever the
+# series is short
+_ARRAY = 1024
+
+
 class TestThetaAgainstMpmath:
-    """Both summation routes (a scalar call sums term by term, the values
-    of an array of _BLOCK_WORK points go through the blocked route, its
-    derivatives through the plain series) against mpmath.jtheta, at a
+    """Every summation route (a scalar call sums term by term, the values
+    of an array of _ARRAY points take Horner's rule where the series is
+    short, its derivatives the plain series) against mpmath.jtheta, at a
     generic point, at the kind's zero and next to it."""
 
     @pytest.mark.parametrize("kind", [2, 3, 4])
@@ -341,9 +359,9 @@ class TestThetaAgainstMpmath:
                                            mq, order))
                      for order in range(3)] for p in pts]
         rng = np.random.default_rng(kind)
-        big = (rng.uniform(-math.pi, math.pi, _BLOCK_WORK)
-               + 0.25j * half_tau.imag * rng.uniform(-1, 1, _BLOCK_WORK))
-        idx = [5, _BLOCK_WORK // 2, _BLOCK_WORK - 3]
+        big = (rng.uniform(-math.pi, math.pi, _ARRAY)
+               + 0.25j * half_tau.imag * rng.uniform(-1, 1, _ARRAY))
+        idx = [5, _ARRAY // 2, _ARRAY - 3]
         big[idx] = pts
         for method in ("direct", "auto"):
             big_vals = theta(kind, big, nome, method=method)
@@ -386,10 +404,10 @@ class TestThetaPeriodReduction:
             refs = [complex(mpmath.jtheta(kind, mz, mq, order))
                     for order in range(3)]
         scale = [_abs_terms(kind, zeta, nome, order) for order in range(3)]
-        # a scalar sums term by term, the values of _BLOCK_WORK copies take
-        # the blocked route and their derivatives the plain series;
-        # "transform" sums the tau -> -1/tau series
-        points = np.full(_BLOCK_WORK, zeta)
+        # a scalar sums term by term, the values of _ARRAY copies take
+        # Horner's rule where the series is short and their derivatives the
+        # plain series; "transform" sums the tau -> -1/tau series
+        points = np.full(_ARRAY, zeta)
         for method in ("direct", "transform"):
             got = [theta(kind, zeta, nome, method=method),
                    theta(kind, points, nome, method=method)[-1]]
@@ -402,6 +420,222 @@ class TestThetaPeriodReduction:
                 for order in range(3):
                     assert (abs(triple[order] - refs[order])
                             < 3e-10 * scale[order])
+
+
+# -- the modular reduction of tau -------------------------------------------
+
+_FIXED_BITS = 160
+
+
+def _mpmath():
+    return pytest.importorskip("mpmath")
+
+
+def _fixed(z):
+    nint, scale = _mpmath().nint, 2 ** _FIXED_BITS
+    return int(nint(z.real * scale)), int(nint(z.imag * scale))
+
+
+def _half_series(term, step, q2):
+    """sum_n t_n in fixed point, t_{n+1} = t_n u_n, u_{n+1} = u_n q2, until
+    the terms fall below 2^-140 past the peak."""
+    tr, ti = term
+    ur, ui = step
+    qr, qi = q2
+    sr = si = 0
+    bits, tiny, unit = _FIXED_BITS, 1 << 20, 1 << _FIXED_BITS
+    while True:
+        sr += tr
+        si += ti
+        tr, ti = (tr * ur - ti * ui) >> bits, (tr * ui + ti * ur) >> bits
+        ur, ui = (ur * qr - ui * qi) >> bits, (ur * qi + ui * qr) >> bits
+        if (-tiny < tr < tiny and -tiny < ti < tiny
+                and abs(ur) + abs(ui) < unit):
+            return sr, si
+
+
+def _theta_fixed_point(kind, zeta, tau):
+    """theta_kind(zeta | tau) at the double zeta and tau, every term of the
+    series summed in 160-bit fixed point from 55-digit mpmath values of q^2,
+    the first term and the first ratio: 40 digits and more, at any |q| < 1
+    (mpmath.jtheta refuses |q| > 1 - 1e-7 and takes 0.4 s a point at
+    Im tau = 8e-6)."""
+    mpmath = _mpmath()
+    with mpmath.workdps(55):
+        lq = 1j * mpmath.pi * mpmath.mpc(tau.real, tau.imag)
+        z = mpmath.mpc(zeta.real, zeta.imag)
+        q2 = _fixed(mpmath.exp(2 * lq))
+        sign = -1 if kind == 4 else 1
+        total = [0, 0]
+        for side in (1, -1):
+            # m from m0 up (side 1) or down (side -1), m0 = 1/2 for kind 2;
+            # for kinds 3 and 4 the down side starts at |m| = 1
+            m0 = mpmath.mpf(0.5) if kind == 2 else (0 if side == 1 else 1)
+            term = (mpmath.exp(m0 * m0 * lq + 2j * side * m0 * z)
+                    * (sign if m0 == 1 else 1))
+            step = mpmath.exp((2 * m0 + 1) * lq + 2j * side * z) * sign
+            part = _half_series(_fixed(term), _fixed(step), q2)
+            total[0] += part[0]
+            total[1] += part[1]
+        return complex(total[0] / 2 ** _FIXED_BITS,
+                       total[1] / 2 ** _FIXED_BITS)
+
+
+def _gauss_multiplier(kind, gamma, nu2):
+    """exp(i pi/4) G(nu) / sqrt(c), nu = nu2/2: by Poisson summation over
+    the residues of the index mod c, theta_kind(zeta|tau) = (-i c w)^(-1/2)
+    exp(-i c zeta^2/(pi w)) sum_nu G(nu) q'^(nu^2) exp(2 i nu zeta/w), with
+    the Gauss sums G(nu) = exp(-i pi a nu^2/c) sum_r exp(i pi (-d r^2 + 2 nu
+    r)/c) ((-1)^r more for kind 4; r odd up to 2c and 4c in place of c
+    for kind 2).  Every phase numerator is an exact integer mod 8c."""
+    a, _, c, d = gamma
+    if kind == 2:
+        r = np.arange(1, 2 * c, 2, dtype=np.int64)
+        num = -d * r * r + 2 * nu2 * r
+    else:
+        r = np.arange(c, dtype=np.int64)
+        num = -4 * d * r * r + 4 * nu2 * r + (4 * c * r if kind == 4 else 0)
+    total = np.sum(np.exp(1j * math.pi * (num % (8 * c)) / (4 * c)))
+    pre = cmath.exp(-1j * math.pi * ((a * nu2 * nu2) % (8 * c)) / (4 * c))
+    return cmath.exp(0.25j * math.pi) * pre * total / math.sqrt(c)
+
+
+def _walk_taus():
+    """Im tau from 1.6e-9 to 1 against Re tau over (-1, 1], and tau within
+    1e-9 of every p/q in (-1, 1], q <= 64 (the kernel's revival times)."""
+    rng = np.random.default_rng(18)
+    taus = [complex(x, y) for y in np.geomspace(1.6e-9, 1.0, 9)
+            for x in np.concatenate([rng.uniform(-1.0, 1.0, 10),
+                                     [-0.5 + 1e-12, 0.5, 1.0]])]
+    ims = (1.6e-9, 4e-10, 1e-9)
+    for q in range(1, 65):
+        for p in range(-q + 1, q + 1):
+            if math.gcd(p, q) == 1:
+                shift = (0.0, 5e-10, -5e-10)[(p + q) % 3]
+                taus.append(complex(p / q + shift, ims[(p * q) % 3]))
+    return taus
+
+
+class TestModularReduction:
+    """`_reduce_tau`'s walk in S and T and the "auto" route built on it."""
+
+    def test_walk_lands_in_the_fundamental_domain_exactly(self):
+        for tau in _walk_taus():
+            mod = _reduce_tau(tau, 3)
+            if mod is None:  # a translation alone: tau - n is in the domain
+                n = round(tau.real)
+                assert abs(tau.real - n) <= 0.5 and abs(tau - n) >= 1.0
+                continue
+            a, b, c, d = mod.gamma
+            assert a * d - b * c == 1 and c >= 1, tau
+            x, y = Fraction(tau.real), Fraction(tau.imag)
+            den = (c * x + d) ** 2 + (c * y) ** 2
+            re = ((a * x + b) * (c * x + d) + a * c * y * y) / den
+            im = y / den
+            assert abs(re) <= Fraction(1, 2) and re * re + im * im >= 1, tau
+            # gamma tau, w = c tau + d and c w, each correctly rounded
+            assert mod.tau == complex(float(re), float(im)), tau
+            assert mod.w == complex(float(c * x + d), float(c * y)), tau
+            assert mod.cw == complex(float(c * (c * x + d)),
+                                     float(c * c * y)), tau
+
+    def test_multiplier_is_an_eighth_root_times_w_to_the_minus_half(self):
+        # theta_kind(zeta|tau) = exp(i pi eighth/4) w^(-1/2) exp(-i c
+        # zeta^2/(pi w)) theta_partner(zeta/w | gamma tau): the Gauss sums
+        # of the Poisson form must equal exp(i pi eighth/4) times the
+        # partner's signs, on the partner's lattice of nu
+        for tau in _walk_taus()[::4]:
+            for kind in (2, 3, 4):
+                mod = _reduce_tau(tau, kind)
+                if mod is None:
+                    continue
+                a, b, c, d = mod.gamma
+                half = {3: c * d, 4: c * (d + 1), 2: d * (c + 1)}[kind] % 2
+                assert (half == 1) == (mod.partner == 2), (tau, kind)
+                unit = cmath.exp(0.25j * math.pi * mod.eighth)
+                for nu2 in (half, half + 2, half - 4):
+                    sign = (-1) ** (nu2 // 2) if mod.partner == 4 else 1
+                    got = _gauss_multiplier(kind, mod.gamma, nu2)
+                    assert abs(got - sign * unit) < 1e-9, (tau, kind, nu2)
+
+    def test_walk_refuses_a_tau_beyond_its_integer_range(self):
+        # sqrt(2) - 1 has no good rational approximations, so c passes 2^25
+        # before Im tau' reaches sqrt(3)/2; 0.3 is 3/10 to 1e-17, so c = 10
+        # takes tau' there at once
+        with pytest.raises(ValueError, match="unit circle"):
+            theta(3, 0.1, ThetaNome(complex(math.sqrt(2.0) - 1.0, 1e-20)))
+        assert _reduce_tau(complex(0.3, 1e-17), 3).gamma[2] == 10
+
+    def test_fixed_point_oracle_matches_jtheta(self):
+        mpmath = _mpmath()
+        for kind in (2, 3, 4):
+            for tau, zeta in ((0.3 + 1e-3j, 0.7 + 0.01j),
+                              (-0.41 + 2e-2j, -1.1 - 0.05j)):
+                with mpmath.workdps(40):
+                    ref = complex(mpmath.jtheta(
+                        kind, mpmath.mpc(zeta.real, zeta.imag),
+                        mpmath.exp(1j * mpmath.pi
+                                   * mpmath.mpc(tau.real, tau.imag))))
+                assert abs(_theta_fixed_point(kind, zeta, tau) - ref) <= (
+                    1e-15 * abs(ref))
+
+    @staticmethod
+    def _auto_error(kind, log_damping, log_t, delta, eps, dphi):
+        """max |auto - oracle| / max |oracle| over the kernel's theta
+        arguments (dphi - eps delta T)/2 at T = t - i eta, eps eta =
+        10^log_damping, tau as `zakcs._flow_theta` forms it; the samples
+        are the given angles and the largest |theta| on a 512-point grid."""
+        t, damping = 10.0 ** log_t, 10.0 ** log_damping
+        big_t = complex(t, -damping / eps)
+        tau = complex(cmath.phase(cmath.exp(-0.5j * eps * t)) / math.pi,
+                      damping / (2.0 * math.pi))
+        nome = ThetaNome(tau)
+        grid = np.linspace(-math.pi, math.pi, 512, endpoint=False)
+        peak = grid[np.argmax(np.abs(theta(
+            kind, grid / 2.0 - eps * delta * big_t / 2.0, nome)))]
+        zeta = np.append(dphi, peak) / 2.0 - eps * delta * big_t / 2.0
+        got = theta(kind, zeta, nome)
+        ref = np.array([_theta_fixed_point(kind, z, tau) for z in zeta])
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("t", [15.3, 17.6, 19.9])
+    def test_lattice_shift_keeps_a_drifted_argument_exact(self, t):
+        # eps = 2, delta = 0.99, eps omega eta = 1e-6: Re zeta drifts to
+        # -20 and c is 600-2300, so c Re zeta rounded once puts s off by
+        # ~1e-12 (the value by 5e-13 to 2e-12); shifted exactly, 2e-15
+        assert self._auto_error(3, -6.0, math.log10(t), 0.99, 2.0,
+                                [1.0]) < 2e-14
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([2, 3, 4]),
+           st.floats(math.log10(5e-5), math.log10(2e-2)),
+           st.floats(math.log10(0.05), math.log10(20.0)),
+           st.floats(0.0, 0.999), st.floats(0.5, 2.0),
+           st.lists(st.floats(-math.pi, math.pi), min_size=2, max_size=2))
+    @example(3, math.log10(5e-5), math.log10(20.0), 0.99, 2.0, [0.5, -2.0])
+    def test_auto_matches_oracle_in_the_kernel_box(self, kind, log_damping,
+                                                   log_t, delta, eps, dphi):
+        # eps omega eta in [5e-5, 2e-2], t in [0.05, 20]: 1.8e-14 at most
+        # over 60 scratch draws of three points, where the tau -> -1/tau
+        # rule was off by up to 1.7e-12
+        err = self._auto_error(kind, log_damping, log_t, delta, eps, dphi)
+        assert err < 1e-12
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.sampled_from([2, 3, 4]),
+           st.floats(-8.0, math.log10(5e-5)),
+           st.floats(math.log10(0.05), math.log10(20.0)),
+           st.floats(0.0, 0.999), st.floats(0.5, 2.0),
+           st.lists(st.floats(-math.pi, math.pi), max_size=1))
+    @example(3, -8.0, math.log10(20.0), 0.99, 2.0, [])
+    def test_auto_matches_oracle_below_the_kernel_box(self, kind,
+                                                      log_damping, log_t,
+                                                      delta, eps, dphi):
+        # down to eps omega eta = 1e-8, where q is within 5e-9 of the
+        # unit circle; at t = 20, delta = 0.99 the argument drifts to Re
+        # zeta = -20, whose rounding c amplifies unless the shift is exact
+        err = self._auto_error(kind, log_damping, log_t, delta, eps, dphi)
+        assert err < 1e-11
 
 
 class TestBesselI:

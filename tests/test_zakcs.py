@@ -687,8 +687,8 @@ class TestDensity:
 
     def test_small_eps_tail_finite(self):
         # far from theta, exp(-2 i n zeta) overflowed before its q^(n^2)
-        # weight was applied; the full grid is large enough for the blocked
-        # theta route, whose powers of exp(2 i zeta) would overflow here
+        # weight was applied; the full grid is large enough for Horner's
+        # rule, whose powers of exp(2 i zeta) would overflow here
         params = WZParams(0.04, Sector(0.3))
         z = PhasePoint(0.0, 0.5)
         phi = np.concatenate([[2.5, 3.0], np.linspace(-math.pi, math.pi, 2048)])
@@ -792,21 +792,34 @@ class TestClosedFormOwners:
     them give the bits of the formulas written out in place."""
 
     def test_bit_identical_to_inline_formulas(self):
+        # the flow theta's three owners raise ValueError where the inline
+        # value leaves double range, and give its bits everywhere else
+        flow = {"w_value", "w_norm_sq", "w_overlap"}
+        refused = 0
         with np.errstate(all="ignore"):
             for params, z, z2, phi in _random_draws(150, 2024):
                 eps, delta = params.epsilon, params.delta
                 ms = np.arange(-3, 4) + int(round((z.l_tilde - eps * delta) / eps))
                 ref = _closed_forms_inline(params, z, z2, phi, ms)
-                got = {"w_value": w_value(params, z, phi),
-                       "w_norm_sq": w_norm_sq(params, z),
-                       "w_overlap": w_overlap(params, z, z2),
-                       "periodized_norm_constant":
-                           periodized_norm_constant(params, z),
-                       "transition_prob": transition_prob(ms, params, z),
-                       "density": density(params, z, phi),
-                       "zak_periodize": zak_periodize(params, z, phi)[1]}
-                for name, value in got.items():
-                    assert np.array_equal(value, ref[name], equal_nan=True), name
+                calls = {"w_value": lambda: w_value(params, z, phi),
+                         "w_norm_sq": lambda: w_norm_sq(params, z),
+                         "w_overlap": lambda: w_overlap(params, z, z2),
+                         "periodized_norm_constant":
+                             lambda: periodized_norm_constant(params, z),
+                         "transition_prob":
+                             lambda: transition_prob(ms, params, z),
+                         "density": lambda: density(params, z, phi),
+                         "zak_periodize":
+                             lambda: zak_periodize(params, z, phi)[1]}
+                for name, call in calls.items():
+                    if name in flow and not np.all(np.isfinite(ref[name])):
+                        refused += 1
+                        with pytest.raises(ValueError, match="finite double"):
+                            call()
+                        continue
+                    assert np.array_equal(call(), ref[name],
+                                          equal_nan=True), name
+        assert refused > 0
 
     def test_expectations_leading_oscillation(self):
         # osc = 2 zeta at the normalizer's argument, as 2 pi (l - eps delta)/eps
@@ -819,12 +832,15 @@ class TestClosedFormOwners:
                 2.0 * math.pi * y / eps)
 
     def test_norm_sq_is_kernel_diagonal_bitwise(self):
-        with np.errstate(all="ignore"):
-            for params, z, _, _ in _random_draws(150, 5):
-                # nan on both sides past the double range (small eps)
-                assert np.array_equal(w_norm_sq(params, z),
-                                      w_overlap(params, z, z).real,
-                                      equal_nan=True)
+        for params, z, _, _ in _random_draws(150, 5):
+            # both refuse past the double range (small eps)
+            try:
+                norm_sq = w_norm_sq(params, z)
+            except ValueError:
+                with pytest.raises(ValueError, match="finite double"):
+                    w_overlap(params, z, z)
+                continue
+            assert norm_sq == w_overlap(params, z, z).real
 
 
 class TestRefusals:
@@ -858,6 +874,22 @@ class TestRefusals:
             for name, call in calls:
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: w_norm_sq(WZParams(760.0, Sector(0.99)), 0.0),
+        lambda: w_value(WZParams(1500.0, Sector(0.99)), 0.0, 0.0),
+        lambda: w_norm_sq(WZParams(0.01, Sector(0.3)), 0.5 + 3j),
+        lambda: norm_constant(WZParams(0.01, Sector(0.3)), 0.5 + 3j),
+        lambda: w_overlap(WZParams(0.01, Sector(0.3)), 0.5 + 3j, 0.5 + 3j),
+    ], ids=["norm-eps-760", "value-eps-1500", "norm-eps-0.01",
+            "normalizer-eps-0.01", "overlap-eps-0.01"])
+    def test_value_past_double_range_refused(self, call):
+        # about e^745 at eps = 760 and e^900 at eps = 0.01, l = 3: each
+        # returned inf or nan with only a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite double"):
+                call()
 
     def test_angle_past_2_52_periods_refused(self):
         # theta's argument (phi - z + i eps delta)/2 is 5e16 here, past 2^52
