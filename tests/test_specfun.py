@@ -502,16 +502,17 @@ def _gauss_multiplier(kind, gamma, nu2):
 
 def _walk_taus():
     """Im tau from 1.6e-9 to 1 against Re tau over (-1, 1], and tau within
-    1e-9 of every p/q in (-1, 1], q <= 64 (the kernel's revival times)."""
+    1e-9 of every p/q in (-1, 1], q <= 64 (the kernel's revival times):
+    Re tau within 4e-10, Im tau 4e-10 to 9e-10."""
     rng = np.random.default_rng(18)
     taus = [complex(x, y) for y in np.geomspace(1.6e-9, 1.0, 9)
             for x in np.concatenate([rng.uniform(-1.0, 1.0, 10),
                                      [-0.5 + 1e-12, 0.5, 1.0]])]
-    ims = (1.6e-9, 4e-10, 1e-9)
+    ims = (9e-10, 4e-10, 6e-10)
     for q in range(1, 65):
         for p in range(-q + 1, q + 1):
             if math.gcd(p, q) == 1:
-                shift = (0.0, 5e-10, -5e-10)[(p + q) % 3]
+                shift = (0.0, 4e-10, -4e-10)[(p + q) % 3]
                 taus.append(complex(p / q + shift, ims[(p * q) % 3]))
     return taus
 
@@ -616,7 +617,7 @@ class TestModularReduction:
     def test_auto_matches_oracle_in_the_kernel_box(self, kind, log_damping,
                                                    log_t, delta, eps, dphi):
         # eps omega eta in [5e-5, 2e-2], t in [0.05, 20]: 1.8e-14 at most
-        # over 60 scratch draws of three points, where the tau -> -1/tau
+        # over 60 random draws of three points, where the tau -> -1/tau
         # rule was off by up to 1.7e-12
         err = self._auto_error(kind, log_damping, log_t, delta, eps, dphi)
         assert err < 1e-12
