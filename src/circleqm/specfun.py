@@ -161,11 +161,7 @@ def _theta_sum(kind: int, zeta: np.ndarray, tau: complex, want_derivs: bool,
     a = -lq.real
     b = float(abs(z.imag).max()) if z.size else 0.0
     nmax = _n_cutoff(a, b)
-    if (want_derivs or (nmax + 1) * z.size < _HORNER_WORK
-            or nmax >= _HORNER_TERMS
-            or 2 * (nmax + 1) * b > _HORNER_MAX_LOG
-            or not (abs(off.real).max() if isinstance(off, np.ndarray)
-                    else abs(off.real)) < _HORNER_MAX_LOG):
+    if want_derivs or not _horner_fits(nmax, z.size, b, off):
         m = np.arange(-nmax - (0.5 if kind == 2 else 0.0), nmax + 1)
         sq = m * m * lq
         if nmax >= _HORNER_TERMS and tau.real != 0.0:
@@ -178,6 +174,15 @@ def _theta_sum(kind: int, zeta: np.ndarray, tau: complex, want_derivs: bool,
     if want_derivs:
         return tuple(x.reshape(zeta.shape) for x in sums)
     return sums[0].reshape(zeta.shape), None, None
+
+
+def _horner_fits(nmax: int, size: int, b: float, off) -> bool:
+    """Whether Horner's route takes nmax + 1 indices m >= 0 on `size`
+    points, b = max |Im zeta|, offset `off` (see `_theta_sum`)."""
+    return ((nmax + 1) * size >= _HORNER_WORK and nmax < _HORNER_TERMS
+            and 2 * (nmax + 1) * b <= _HORNER_MAX_LOG
+            and (abs(off.real).max() if isinstance(off, np.ndarray)
+                 else abs(off.real)) < _HORNER_MAX_LOG)
 
 
 def _reduced_square_exponents(m: np.ndarray, sq: np.ndarray,
@@ -254,6 +259,9 @@ _MODULAR_PARTNER = {2: 4, 3: 3, 4: 2}
 # error is ~1e-16 of its largest term, kept below ~1e-10 of the value.
 _LOG_MAX_CANCEL = math.log(1e6)
 _S = (0, -1, 1, 0)  # tau -> -1/tau
+# Largest Im tau' at which the reduced route sums its series apart from
+# the Gaussian (`_theta_squares`).
+_SEPARATE_IM = 16.0
 # Largest c the reduction takes: its integer phases stay exact in doubles.
 _MAX_C = 2 ** 25
 # pi - math.pi, the tail of pi past the double
@@ -395,8 +403,8 @@ def _log_peak(kind: int, lq: complex, b: np.ndarray) -> np.ndarray:
 def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
                    want_derivs: bool, offset):
     """exp(offset) * theta by the move `mod`: the short series at gamma
-    tau, with `offset` and the Gaussian fused into its exponents as in
-    `_theta_sum`.
+    tau, with `offset` and the Gaussian fused into its exponents (by
+    `_theta_sum` under S, by `_theta_squares` otherwise).
 
     Except under gamma = S, zeta is taken to s = c zeta - k pi, k pi/c the
     lattice point nearest Re zeta (`_shifted`).  As gamma tau +
@@ -408,7 +416,9 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
             * theta_partner(s/(c w) + pi (k a mod 2c)/c | gamma tau),
 
     p = (a k^2 + [partner = 4] c k) mod 2c.  |Re s| <= pi/2 and c w =
-    1/(a/c - gamma tau), so each factor stays O(1) however small w is.  The
+    1/(a/c - gamma tau), so the phases stay O(1) however small w is (the
+    Gaussian's modulus and the series' terms can still each reach
+    exp(+-pi Im tau'), see `_theta_squares`).  The
     value moves by c times any error in Re zeta, so s is formed from the
     double zeta itself, to within about an ulp, never from a rounded
     reduced argument, and `_Nodes` are taken at their exact nodes.  Under
@@ -430,22 +440,21 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
     if mod.gamma == _S:
         s = zeta
         u = s / mod.cw
-        gauss = ct * s * s
+        # the Gaussian exp(ct s^2) is fused into the series' exponents:
+        # apart they under- and overflow together once |Im u| grows
+        g, g1, g2 = _theta_sum(mod.partner, u, mod.tau, want_derivs,
+                               offset=ct * s * s + offset)
     else:
         k, s = _shifted(zeta, c)
-        u = s / mod.cw
-        gauss = ct * s * s
         # the integers j = k a and p = k j (+ c k) mod 2c, every product
         # below 2^53
         k = k.astype(np.int64) % (2 * c)
         j = k * (a % (2 * c)) % (2 * c)
         p = k * (j + c if mod.partner == 4 else j) % (2 * c)
-        gauss = gauss + (1j * math.pi / c) * p
-        u = u + (math.pi / c) * j
-    # the Gaussian exp(ct s^2) is fused into the series' exponents: apart
-    # they under- and overflow together once |Im u| grows
-    g, g1, g2 = _theta_sum(mod.partner, u, mod.tau, want_derivs,
-                           offset=gauss + offset)
+        u = s / mod.cw + (math.pi / c) * j
+        g, g1, g2 = _theta_squares(mod, s, u, j,
+                                   offset + (1j * math.pi / c) * p,
+                                   want_derivs)
     # (-i w)^(-1/2) = exp(i pi/4) w^(-1/2)
     pref = (-1j * mod.w) ** (-0.5)
     if mod.eighth != 1:
@@ -464,8 +473,9 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
         scale = np.maximum(log_value,
                            _log_peak(kind, nome.log_q, np.abs(im))
                            + 0.5 * log_w)
-        largest = gauss.real + _log_peak(mod.partner, 1j * math.pi * mod.tau,
-                                         np.abs(u.imag))
+        largest = ((ct * s * s).real
+                   + _log_peak(mod.partner, 1j * math.pi * mod.tau,
+                               np.abs(u.imag)))
         if np.any(largest - scale > _LOG_MAX_CANCEL):
             raise ValueError("the transformed theta series cancels by more "
                              "than 1e6 here; use method='direct'")
@@ -477,6 +487,55 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
     d2 = pref * ((2.0 * ct * c * c + 4.0 * ct * ct * c * c * s * s) * g
                  + 4.0 * ct * c * s * g1 / mod.w + g2 / mod.w / mod.w)
     return v, d1, d2
+
+
+def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
+    """The series of `_theta_modular` off S: exp(off) exp(-i s^2/(pi c w))
+    theta_partner(u | gamma tau), u = s/(c w) + pi j/c, and its first two
+    u-derivatives.
+
+    As gamma tau = a/c - 1/(c w), term m of the product is s_m exp(off -
+    i (s - pi m)^2/(pi c w) + i pi (a m^2 + 2 m j)/c): one square and an
+    integer phase.  Apart, the Gaussian and the term's m^2 lq and 2 i m u
+    each reach about pi Im tau' and cancel to O(1) in the largest terms,
+    which near a revival (Im tau' = 6e4 at eps omega t = 2 pi, eps omega
+    eta = 1e-4) cost 8e-12.  Where Im tau' <= `_SEPARATE_IM` the pieces
+    stay below ~4 pi, and Horner's rule sums the series apart from the
+    Gaussian, two exps a point; otherwise each term is summed as its
+    square, one exp per term and point, in chunks of `_CHUNK` elements."""
+    a, c, partner = mod.gamma[0], mod.gamma[2], mod.partner
+    shape = u.shape
+    s, u, j, off = s.reshape(-1), u.reshape(-1), j.reshape(-1), off.reshape(-1)
+    b = float(abs(u.imag).max()) if u.size else 0.0
+    lq = 1j * math.pi * mod.tau
+    n = math.ceil(_extent(-lq.real, b))
+    if not want_derivs and mod.tau.imag <= _SEPARATE_IM:
+        gauss = s * s / (1j * math.pi * mod.cw) + off
+        if _horner_fits(n, u.size, b, gauss):
+            return (_theta_horner(partner, n, u, gauss, lq).reshape(shape),
+                    None, None)
+    if want_derivs:
+        n += 2  # the margin `_n_cutoff` leaves for the weights m^2
+    m = np.arange(-n - (0.5 if partner == 2 else 0.0), n + 1)
+    twice = (2 * m).astype(np.int64)
+    sign = (-1.0) ** (twice // 2) if partner == 4 else np.ones(m.size)
+    # the phases' numerators a (2m)^2 + 4 (2m) j over 4c, exact mod 8c
+    quad = (a % (8 * c)) * twice * twice % (8 * c)
+    alpha = -1j / (math.pi * mod.cw)
+    chunk = max(1, _CHUNK // m.size)
+    sums = [np.empty(u.size, dtype=complex) for _ in range(3 if want_derivs
+                                                             else 1)]
+    for i in range(0, u.size, chunk):
+        part = slice(i, i + chunk)
+        num = (quad[:, None] + 4 * np.multiply.outer(twice, j[part])) % (8 * c)
+        terms = np.exp(alpha * (s[part] - math.pi * m[:, None]) ** 2
+                       + (1j * math.pi / (4 * c)) * num + off[part])
+        sums[0][part] = sign @ terms
+        if want_derivs:
+            sums[1][part] = (2j * m * sign) @ terms
+            sums[2][part] = (-4.0 * m * m * sign) @ terms
+    out = [x.reshape(shape) for x in sums]
+    return (out[0], out[1], out[2]) if want_derivs else (out[0], None, None)
 
 
 def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
@@ -583,8 +642,8 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
         nearest it
         (see `_theta_modular`).  Against sums to 40 digits and more at the
         same double (zeta, tau), on the propagator kernel's arguments, this
-        is within 1.8e-14 of max|theta| for eps omega eta in [5e-5, 2e-2]
-        (60 random draws of three points) and 4.6e-15 down to 1e-8 (8
+        is within 4.0e-15 of max|theta| for eps omega eta in [5e-5, 2e-2]
+        (60 random draws of three points) and 3.2e-15 down to 1e-8 (8
         draws); the tau -> -1/tau rule it replaces was off by up to
         1.7e-12 in the same draws.  Where tau is already in the
         domain, or a translation takes it there, "auto" sums the direct

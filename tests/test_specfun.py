@@ -599,6 +599,21 @@ class TestModularReduction:
         ref = np.array([_theta_fixed_point(kind, z, tau) for z in zeta])
         return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("re_tau", [-1.0, 0.5, 2.0 / 3.0, -0.25])
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    def test_revival_sums_each_term_as_one_square(self, kind, re_tau):
+        # tau at a rational plus 1.6e-5 i (eps omega eta = 1e-4 at a
+        # revival time): Im tau' reaches 6e4, and the Gaussian and the
+        # series' exponents, apart, cancelled from ~1e5 to O(1) (8e-12 at
+        # tau = -1 + 1.6e-5 i); as one square, 1e-15
+        tau = complex(re_tau, 1e-4 / (2.0 * math.pi))
+        nome = ThetaNome(tau)
+        grid = np.linspace(-math.pi, math.pi, 512, endpoint=False) / 2.0
+        vals = theta(kind, grid, nome)
+        idx = [int(np.argmax(np.abs(vals))), 100, 311]
+        ref = np.array([_theta_fixed_point(kind, grid[i], tau) for i in idx])
+        assert np.max(np.abs(vals[idx] - ref)) < 2e-14 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("t", [15.3, 17.6, 19.9])
     def test_lattice_shift_keeps_a_drifted_argument_exact(self, t):
         # eps = 2, delta = 0.99, eps omega eta = 1e-6: Re zeta drifts to
@@ -616,7 +631,7 @@ class TestModularReduction:
     @example(3, math.log10(5e-5), math.log10(20.0), 0.99, 2.0, [0.5, -2.0])
     def test_auto_matches_oracle_in_the_kernel_box(self, kind, log_damping,
                                                    log_t, delta, eps, dphi):
-        # eps omega eta in [5e-5, 2e-2], t in [0.05, 20]: 1.8e-14 at most
+        # eps omega eta in [5e-5, 2e-2], t in [0.05, 20]: 4.0e-15 at most
         # over 60 random draws of three points, where the tau -> -1/tau
         # rule was off by up to 1.7e-12
         err = self._auto_error(kind, log_damping, log_t, delta, eps, dphi)
