@@ -386,8 +386,9 @@ def _shifted(zeta, c: int):
     k0, s0 = _lattice_shift(zeta.zeta0.real, c)
     cj = c * np.arange(zeta.size, dtype=float)
     k = np.rint(cj / zeta.size)
-    s_re = (cj - k * zeta.size) * (-math.pi / zeta.size) + s0
-    return k0 - k, s_re + 1j * (c * zeta.zeta0.imag)
+    s = (cj - k * zeta.size) * (-math.pi / zeta.size) + complex(
+        s0, c * zeta.zeta0.imag)
+    return k0 - k, s
 
 
 def _log_peak(kind: int, lq: complex, b: np.ndarray) -> np.ndarray:
@@ -557,9 +558,10 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
     else:
         zeta = z = np.asarray(zeta, dtype=complex)
         turns = z.real / period
-        # one .all() and abs(): np.all, np.abs and each .all() cost
-        # microseconds on a scalar
-        finite = (np.isfinite(z.imag) & (abs(turns) < _TURN_LIMIT)).all()
+        # nan or inf past the range (np.all and np.abs cost microseconds
+        # on a scalar, their methods and abs() less)
+        peak = abs(turns).max(initial=0.0)
+        finite = peak < _TURN_LIMIT and np.isfinite(z.imag).all()
     if not finite:
         raise ValueError("zeta must be finite, with |Re zeta| below 2^52 "
                          "periods (one ulp is a period or more there)")
@@ -590,7 +592,7 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
     # the argument reduced by its period
     shift = mod is not None and mod.gamma != _S
     if shift:
-        reach = abs(z.real) if nodes else abs(z.real).max(initial=0.0)
+        reach = abs(z.real) if nodes else peak * period
         shift = mod.gamma[2] * reach < _SHIFT_LIMIT
     if not shift:
         if nodes:

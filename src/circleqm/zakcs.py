@@ -119,7 +119,7 @@ def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto",
     not a finite double."""
     nodes = isinstance(angle, _Nodes)
     if nodes:
-        zeta = angle._replace(zeta0=-(eps * delta * T / 2.0))
+        zeta = _Nodes(angle.size, -(eps * delta * T / 2.0))
     else:
         # halved term by term (the same bits as (angle - eps delta T)/2): a
         # complex division turns an infinite real angle into nan with a
