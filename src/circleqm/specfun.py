@@ -501,7 +501,7 @@ def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
     each reach about pi Im tau' and cancel to O(1) in the largest terms,
     which near a revival (Im tau' = 6e4 at eps omega t = 2 pi, eps omega
     eta = 1e-4) cost 8e-12.  Where Im tau' <= `_SEPARATE_IM` the pieces
-    stay below ~4 pi, and Horner's rule sums the series apart from the
+    stay below ~16 pi, and Horner's rule sums the series apart from the
     Gaussian, two exps a point; otherwise each term is summed as its
     square, one exp per term and point, in chunks of `_CHUNK` elements."""
     a, c, partner = mod.gamma[0], mod.gamma[2], mod.partner
@@ -509,7 +509,7 @@ def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
     s, u, j, off = s.reshape(-1), u.reshape(-1), j.reshape(-1), off.reshape(-1)
     b = float(abs(u.imag).max()) if u.size else 0.0
     lq = 1j * math.pi * mod.tau
-    n = math.ceil(_extent(-lq.real, b))
+    n = _n_cutoff(-lq.real, b) - 2  # the extent, with the term budget
     if not want_derivs and mod.tau.imag <= _SEPARATE_IM:
         gauss = s * s / (1j * math.pi * mod.cw) + off
         if _horner_fits(n, u.size, b, gauss):
