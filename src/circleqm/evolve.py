@@ -172,11 +172,13 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
 
     The Gaussian face is for small eps omega eta.  As the damping grows its
     transformed series cancels, by up to 1e6 before `specfun.theta`
-    refuses it with ValueError.  Against a 40-digit spectral sum on 16
-    angles at eps = omega = 1, t = 0, it is off by 5.0e-13, 1.4e-12 and
-    7.9e-10 of max|K| at eps omega eta = 1430, 1600 and 3000 for delta =
-    0.9; for delta = 0.5 by 4.4e-12 at 100, and it refuses from 200.  Forms
-    "series" and "auto" stay within 1e-13 at all of these points.
+    refuses it with ValueError; a value that passes is good to about 5e-9
+    of theta's scale (`specfun._LOG_MAX_CANCEL`).  Against a 40-digit
+    spectral sum on 16 angles at eps = omega = 1, t = 0, it is off by
+    5.0e-13, 1.4e-12 and 7.9e-10 of max|K| at eps omega eta = 1430, 1600
+    and 3000 for delta = 0.9; for delta = 0.5 by 4.4e-12 at 100, and it
+    refuses from 200.  Forms "series" and "auto" stay within 1e-13 at all
+    of these points.
     """
     _damping(spec)
     if form not in _KERNEL_METHODS:

@@ -15,9 +15,15 @@ Theta's "auto" route walks tau into the fundamental domain in S and T,
 exactly in integers, as Labrande ("Computing Jacobi's theta in quasi-linear
 time", Math. Comp. 87, 2018) and FLINT's acb_modular_theta do: there
 |q| <= exp(-pi sqrt(3)/2) = 0.066, so a handful of terms suffice however
-close the given nome is to the unit circle.  The move's large phases are
-cancelled exactly, in integers, before anything is rounded (see
-`_theta_modular`), so no double-double arithmetic is needed.
+close the given nome is to the unit circle.  The walk (`_reduce_tau`) is
+the one rule of that route: a tau already in the domain keeps its direct
+series, and on the imaginary axis S alone reaches Im tau' >= 1.  The
+move's large phases are cancelled exactly, in integers, before anything
+is rounded (see `_theta_modular`), so no double-double arithmetic is
+needed.  Every route sums its series in `_theta_sum`, which picks plain
+terms or Horner's rule, except a move off S that leaves Im tau' above 16
+(`_theta_squares`).  A value or derivative past double range raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -65,37 +71,35 @@ _TURN_LIMIT = 2.0 ** 52
 class ThetaNome:
     """A nome held as its half-period ratio tau, q = exp(i pi tau).
 
-    Requires Im tau > 0 and a finite Re tau; tau = i inf stands for q = 0.
-    The nome is its tau: powers q^w are evaluated as exp(w * i*pi*tau),
-    which fixes the branch of fractional powers, and tau keeps its bits
-    where q underflows.  The library builds its nomes from tau; `from_q`
-    is the one conversion from a nome value.
+    Requires a finite tau with Im tau > 0.  The nome is its tau: powers q^w
+    are evaluated as exp(w * i*pi*tau), which fixes the branch of
+    fractional powers, and tau keeps its bits where q underflows.  The
+    library builds its nomes from tau; `from_q` is the one conversion from
+    a nome value.
     """
 
     tau: complex
 
     def __post_init__(self):
         tau = complex(self.tau)
-        if not (tau.imag > 0.0 and math.isfinite(tau.real)):
-            raise ValueError("Im(tau) must be positive and Re(tau) finite")
+        if not (tau.imag > 0.0 and cmath.isfinite(tau)):
+            raise ValueError("Im(tau) must be positive, and Re(tau) and "
+                             "Im(tau) finite")
         object.__setattr__(self, "tau", tau)
 
     @classmethod
     def from_q(cls, q) -> "ThetaNome":
-        """The nome of a value q, |q| < 1, through the principal log."""
+        """The nome of a value q, 0 < |q| < 1, through the principal log."""
         q = complex(q)
-        if not abs(q) < 1.0:
-            raise ValueError(f"the nome must be finite with |q| < 1, got {q}")
-        if q == 0:
-            return cls(complex(0.0, math.inf))
+        if not 0.0 < abs(q) < 1.0:
+            raise ValueError(f"the nome must be finite with 0 < |q| < 1, "
+                             f"got {q}")
         return cls(cmath.log(q) / (1j * math.pi))
 
     @property
     def log_q(self) -> complex:
-        """Principal log of the nome, i*pi*tau: finite wherever tau is, even
-        once q underflows to 0; -inf only at tau = i inf (`from_q(0)`)."""
-        if math.isinf(self.tau.imag):
-            return complex(-math.inf, 0.0)
+        """Principal log of the nome, i*pi*tau: finite even once q
+        underflows to 0."""
         return 1j * math.pi * self.tau
 
     @property
@@ -116,12 +120,15 @@ def _extent(a: float, b: float) -> float:
 
 
 def _n_cutoff(a: float, b: float) -> int:
-    """Term count of the series: `_extent` rounded up, plus two."""
-    n = int(math.ceil(_extent(a, b))) + 2
-    if n > _MAX_TERMS:
+    """Term count of the series: `_extent` rounded up, plus two.  Past the
+    term budget, and for the non-finite b of a non-finite Im zeta,
+    ValueError."""
+    extent = _extent(a, b)
+    if not extent <= _MAX_TERMS - 2:
         raise ValueError("theta series truncation exceeds term budget; "
-                         "nome too close to the unit circle")
-    return n
+                         "zeta not finite or nome too close to the unit "
+                         "circle")
+    return int(math.ceil(extent)) + 2
 
 
 def _theta_sum(kind: int, zeta: np.ndarray, tau: complex, want_derivs: bool,
@@ -131,9 +138,10 @@ def _theta_sum(kind: int, zeta: np.ndarray, tau: complex, want_derivs: bool,
 
     The terms are s_m exp(offset + m^2 lq + 2 i m zeta), lq = i pi tau, m
     over the integers (kinds 3, 4; s_m = (-1)^m for kind 4) or the
-    half-integers (kind 2), |m| up to the `_n_cutoff` bound.  `offset` (scalar or shaped
-    like zeta) is fused into the exponents, so a prefactor that decays as
-    fast as the series grows never overflows separately from it.
+    half-integers (kind 2), |m| up to the `_n_cutoff` bound.  `offset`
+    (scalar or shaped like zeta) is fused into the exponents, so a
+    prefactor that decays as fast as the series grows never overflows
+    separately from it: the modular route passes its Gaussian that way.
 
     The route is picked from the work, (term count) x (points), the term
     count taken as the nmax + 1 indices m >= 0:
@@ -148,15 +156,6 @@ def _theta_sum(kind: int, zeta: np.ndarray, tau: complex, want_derivs: bool,
     """
     z = zeta.reshape(-1)
     off = offset.reshape(-1) if isinstance(offset, np.ndarray) else offset
-
-    if math.isinf(tau.imag):  # tau = i inf: only the leading term survives
-        v = np.zeros(zeta.shape, dtype=complex)
-        if kind in (3, 4):
-            v += np.exp(offset)
-        if want_derivs:
-            return v, np.zeros_like(v), np.zeros_like(v)
-        return v, None, None
-
     lq = 1j * math.pi * tau
     a = -lq.real
     b = float(abs(z.imag).max()) if z.size else 0.0
@@ -255,12 +254,17 @@ def _theta_horner(kind, nmax, z, off, lq):
 
 # Under tau -> -1/tau kind 3 maps to itself and kinds 2 and 4 swap.
 _MODULAR_PARTNER = {2: 4, 3: 3, 4: 2}
-# Most the transformed sum may cancel, in natural-log units: its rounding
-# error is ~1e-16 of its largest term, kept below ~1e-10 of the value.
+# Most the transformed sum's largest term may exceed the function's scale,
+# in natural-log units.  The rounding error grows with the terms' count and
+# the size of their exponents, not the largest term alone: under S it was
+# up to 2.6e-9 of the scale over 17,620 returned points with Im tau in
+# [17, 236] (theta_3(10 pi i | 20 i) = 2 comes out 1.8e-9 off), so values
+# that pass are good to about 5e-9 of the scale.
 _LOG_MAX_CANCEL = math.log(1e6)
 _S = (0, -1, 1, 0)  # tau -> -1/tau
-# Largest Im tau' at which the reduced route sums its series apart from
-# the Gaussian (`_theta_squares`).
+# Largest Im tau' at which a move off S sums its series by `_theta_sum`,
+# apart from the Gaussian; past it each term is one square
+# (`_theta_squares`).
 _SEPARATE_IM = 16.0
 # Largest c the reduction takes: its integer phases stay exact in doubles.
 _MAX_C = 2 ** 25
@@ -312,7 +316,15 @@ def _reduce_tau(tau: complex, kind: int) -> _Modular | None:
     tau' that S inverts is the automorphy factor +-w, so the sum of their
     args is arg w up to a multiple of pi, and that multiple, read off in
     double, fixes `eighth`.  ValueError where c would pass 2^25 (Im tau
-    below about 1e-15)."""
+    below about 1e-15).
+
+    Two answers come before the walk: None for a tau already in the
+    domain, and at Re tau = 0 (the holomorphic family's nomes) `_s_move`,
+    which reaches Im tau' = 1/Im tau with tau' = -1.0 / tau rounded once."""
+    if abs(tau.real) <= 0.5 and abs(tau) >= 1.0:
+        return None
+    if tau.real == 0.0:
+        return _s_move(tau, kind)
     x_num, x_den = tau.real.as_integer_ratio()
     y_num, y_den = tau.imag.as_integer_ratio()
     scale = max(x_den, y_den)
@@ -404,8 +416,10 @@ def _log_peak(kind: int, lq: complex, b: np.ndarray) -> np.ndarray:
 def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
                    want_derivs: bool, offset):
     """exp(offset) * theta by the move `mod`: the short series at gamma
-    tau, with `offset` and the Gaussian fused into its exponents (by
-    `_theta_sum` under S, by `_theta_squares` otherwise).
+    tau, with `offset` and the Gaussian fused into its exponents, summed by
+    `_theta_sum` (plain or Horner, by its own rule) under S and wherever
+    Im tau' <= `_SEPARATE_IM`, and as completed squares (`_theta_squares`)
+    past it.
 
     Except under gamma = S, zeta is taken to s = c zeta - k pi, k pi/c the
     lattice point nearest Re zeta (`_shifted`).  As gamma tau +
@@ -439,12 +453,7 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
     a, _, c, _ = mod.gamma
     ct = 1.0 / (1j * math.pi * mod.cw)
     if mod.gamma == _S:
-        s = zeta
-        u = s / mod.cw
-        # the Gaussian exp(ct s^2) is fused into the series' exponents:
-        # apart they under- and overflow together once |Im u| grows
-        g, g1, g2 = _theta_sum(mod.partner, u, mod.tau, want_derivs,
-                               offset=ct * s * s + offset)
+        s, u, off = zeta, zeta / mod.cw, offset
     else:
         k, s = _shifted(zeta, c)
         # the integers j = k a and p = k j (+ c k) mod 2c, every product
@@ -453,9 +462,14 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
         j = k * (a % (2 * c)) % (2 * c)
         p = k * (j + c if mod.partner == 4 else j) % (2 * c)
         u = s / mod.cw + (math.pi / c) * j
-        g, g1, g2 = _theta_squares(mod, s, u, j,
-                                   offset + (1j * math.pi / c) * p,
-                                   want_derivs)
+        off = offset + (1j * math.pi / c) * p
+    if mod.gamma == _S or mod.tau.imag <= _SEPARATE_IM:
+        # the Gaussian exp(ct s^2) is fused into the series' exponents:
+        # apart they under- and overflow together once |Im u| grows
+        g, g1, g2 = _theta_sum(mod.partner, u, mod.tau, want_derivs,
+                               offset=ct * s * s + off)
+    else:
+        g, g1, g2 = _theta_squares(mod, s, u, j, off, want_derivs)
     # (-i w)^(-1/2) = exp(i pi/4) w^(-1/2)
     pref = (-1j * mod.w) ** (-0.5)
     if mod.eighth != 1:
@@ -466,8 +480,7 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
     # the transformed terms outgrow the direct ones by 1e6.
     log_w = math.log(abs(mod.w))
     if math.pi * nome.tau.imag / 4.0 - 0.5 * log_w > _LOG_MAX_CANCEL:
-        with np.errstate(divide="ignore"):
-            log_value = np.log(np.abs(g)) - offset.real
+        log_value = np.log(np.abs(g)) - offset.real
         # logs relative to |pref| exp(offset), which scales the value and
         # terms alike
         im = zeta.zeta0.imag if isinstance(zeta, _Nodes) else zeta.imag
@@ -491,32 +504,26 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
 
 
 def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
-    """The series of `_theta_modular` off S: exp(off) exp(-i s^2/(pi c w))
-    theta_partner(u | gamma tau), u = s/(c w) + pi j/c, and its first two
-    u-derivatives.
+    """The series of `_theta_modular` off S past Im tau' = `_SEPARATE_IM`:
+    exp(off) exp(-i s^2/(pi c w)) theta_partner(u | gamma tau), u = s/(c w)
+    + pi j/c, and its first two u-derivatives.
 
     As gamma tau = a/c - 1/(c w), term m of the product is s_m exp(off -
     i (s - pi m)^2/(pi c w) + i pi (a m^2 + 2 m j)/c): one square and an
-    integer phase.  Apart, the Gaussian and the term's m^2 lq and 2 i m u
-    each reach about pi Im tau' and cancel to O(1) in the largest terms,
-    which near a revival (Im tau' = 6e4 at eps omega t = 2 pi, eps omega
-    eta = 1e-4) cost 8e-12.  Where Im tau' <= `_SEPARATE_IM` the pieces
-    stay below ~16 pi, and Horner's rule sums the series apart from the
-    Gaussian, two exps a point; otherwise each term is summed as its
-    square, one exp per term and point, in chunks of `_CHUNK` elements."""
+    integer phase, summed one exp per term and point, in chunks of
+    `_CHUNK` elements.  Apart, the Gaussian and the term's m^2 lq and
+    2 i m u each reach about pi Im tau' and cancel to O(1) in the largest
+    terms, which near a revival (Im tau' = 6e4 at eps omega t = 2 pi,
+    eps omega eta = 1e-4) cost 8e-12; up to `_SEPARATE_IM` they stay below
+    ~16 pi, and `_theta_sum` takes the series with the Gaussian in its
+    offset."""
     a, c, partner = mod.gamma[0], mod.gamma[2], mod.partner
     shape = u.shape
     s, u, j, off = s.reshape(-1), u.reshape(-1), j.reshape(-1), off.reshape(-1)
     b = float(abs(u.imag).max()) if u.size else 0.0
-    lq = 1j * math.pi * mod.tau
-    n = _n_cutoff(-lq.real, b) - 2  # the extent, with the term budget
-    if not want_derivs and mod.tau.imag <= _SEPARATE_IM:
-        gauss = s * s / (1j * math.pi * mod.cw) + off
-        if _horner_fits(n, u.size, b, gauss):
-            return (_theta_horner(partner, n, u, gauss, lq).reshape(shape),
-                    None, None)
-    if want_derivs:
-        n += 2  # the margin `_n_cutoff` leaves for the weights m^2
+    # the extent, in the term budget; the derivatives keep the margin
+    # `_n_cutoff` leaves for their weights m^2
+    n = _n_cutoff(math.pi * mod.tau.imag, b) - (0 if want_derivs else 2)
     m = np.arange(-n - (0.5 if partner == 2 else 0.0), n + 1)
     twice = (2 * m).astype(np.int64)
     sign = (-1.0) ** (twice // 2) if partner == 4 else np.ones(m.size)
@@ -542,7 +549,9 @@ def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
 def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
                     want_derivs: bool, offset=0.0):
     """`theta` or `theta_derivs` times exp(offset), a scalar fused into the
-    series' exponents (`_theta_sum`); zeta may be `_Nodes`."""
+    series' exponents (`_theta_sum`); zeta may be `_Nodes`.  The one owner
+    of the route (`_reduce_tau` under "auto") and of the range refusal: a
+    value or derivative that is not a finite double raises ValueError."""
     if kind not in (2, 3, 4):
         raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
     if not isinstance(nome, ThetaNome):
@@ -553,35 +562,23 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
     nodes = isinstance(zeta, _Nodes)
     if nodes:
         z = complex(zeta.zeta0)
-        finite = (math.isfinite(z.imag)
-                  and abs(z.real) / period + 1.0 < _TURN_LIMIT)
+        finite = abs(z.real) / period + 1.0 < _TURN_LIMIT
     else:
         zeta = z = np.asarray(zeta, dtype=complex)
         turns = z.real / period
         # nan or inf past the range (np.all and np.abs cost microseconds
-        # on a scalar, their methods and abs() less)
+        # on a scalar, their methods and abs() less); `_n_cutoff` refuses
+        # a non-finite Im zeta
         peak = abs(turns).max(initial=0.0)
-        finite = peak < _TURN_LIMIT and np.isfinite(z.imag).all()
+        finite = peak < _TURN_LIMIT
     if not finite:
         raise ValueError("zeta must be finite, with |Re zeta| below 2^52 "
                          "periods (one ulp is a period or more there)")
 
-    tau = nome.tau
     if method == "auto":
-        if tau.real == 0.0:
-            # the holomorphic family's nomes: S alone reaches Im tau >= 1
-            mod = _s_move(tau, kind) if tau.imag < 1.0 else None
-        elif math.isinf(tau.imag) or (abs(tau.real) <= 0.5
-                                      and abs(tau) >= 1.0):
-            mod = None
-        else:
-            mod = _reduce_tau(tau, kind)
+        mod = _reduce_tau(nome.tau, kind)
     elif method == "transform":
-        # only tau = i inf (`from_q(0)`) has no -1/tau; an underflowed q
-        # with a finite tau transforms like any other
-        if math.isinf(tau.imag):
-            raise ValueError("modular transform undefined at tau = i inf")
-        mod = _s_move(tau, kind)
+        mod = _s_move(nome.tau, kind)
     elif method == "direct":
         mod = None
     else:
@@ -599,20 +596,28 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
             z = zeta.points()
             turns = z.real / period
         zeta = z - period * np.rint(turns)
-    if mod is None:
-        v, d1, d2 = _theta_sum(kind, zeta, nome.tau, want_derivs, offset)
-    else:
-        v, d1, d2 = _theta_modular(kind, zeta, nome, mod, want_derivs,
-                                   offset)
-
+    # out of range the series over- or underflows term by term; the result
+    # then is not finite and is refused whole
+    with np.errstate(all="ignore"):
+        if mod is None:
+            v, d1, d2 = _theta_sum(kind, zeta, nome.tau, want_derivs, offset)
+        else:
+            v, d1, d2 = _theta_modular(kind, zeta, nome, mod, want_derivs,
+                                       offset)
     if np.ndim(v) == 0:
         v = complex(v)
         if want_derivs:
-            return v, complex(d1), complex(d2)
-        return v
-    if want_derivs:
-        return v, d1, d2
-    return v
+            d1, d2 = complex(d1), complex(d2)
+        finite = cmath.isfinite(v) and (not want_derivs or (
+            cmath.isfinite(d1) and cmath.isfinite(d2)))
+    else:
+        # one isfinite over the three outputs: each call costs ~1 us
+        finite = np.isfinite(np.concatenate((v, d1, d2)) if want_derivs
+                             else v).all()
+    if not finite:
+        raise ValueError("theta is not a finite double here: its value or "
+                         "a derivative leaves double range")
+    return (v, d1, d2) if want_derivs else v
 
 
 def theta(kind: int, zeta, nome, method: str = "auto"):
@@ -641,22 +646,22 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
         an eighth root of unity times w^(-1/2) exp(-i c zeta^2/(pi w))
         theta'(zeta/w | gamma tau), w = c tau + d correctly rounded from
         the double tau and zeta first moved to the lattice point k pi/c
-        nearest it
-        (see `_theta_modular`).  Against sums to 40 digits and more at the
-        same double (zeta, tau), on the propagator kernel's arguments, this
-        is within 4.0e-15 of max|theta| for eps omega eta in [5e-5, 2e-2]
-        (60 random draws of three points) and 3.2e-15 down to 1e-8 (8
-        draws); the tau -> -1/tau rule it replaces was off by up to
-        1.7e-12 in the same draws.  Where tau is already in the
-        domain, or a translation takes it there, "auto" sums the direct
-        series; at Re tau = 0 it takes S alone, below Im tau = 1.  Forced,
-        "direct" sums the series at tau and "transform" always takes S, the
-        tau -> -1/tau series, so each can be cross-checked against the
-        other.
+        nearest it (see `_theta_modular`).  Against sums to 40 digits and
+        more at the same double (zeta, tau), on the propagator kernel's
+        arguments, this is within 4.0e-15 of max|theta| for eps omega eta
+        in [5e-5, 2e-2] (60 random draws of three points) and 3.2e-15
+        down to 1e-8 (8 draws); the tau -> -1/tau rule it replaces was off
+        by up to 1.7e-12 in the same draws.  The walk alone picks the
+        move: for a tau already in the domain, or one a translation takes
+        there, it leaves the direct series, and at Re tau = 0 below
+        Im tau = 1 it is S alone.  Forced, "direct" sums the series at tau
+        and "transform" always takes S, the tau -> -1/tau series, so each
+        can be cross-checked against the other.
 
     Returns
     -------
     complex or ndarray
+        Finite doubles: a value past double range raises ValueError.
     """
     return _theta_dispatch(kind, zeta, nome, method, want_derivs=False)
 
@@ -667,7 +672,8 @@ def theta_derivs(kind: int, zeta, nome, method: str = "auto"):
     Term-wise differentiated series (direct route) or the chain rule applied
     to the modular representation (`_theta_modular`), on the routes of
     `theta`.  The plain series is summed at any array size, one exp per
-    term and point.  Returns (value, d/dzeta, d2/dzeta2).
+    term and point.  Returns (value, d/dzeta, d2/dzeta2); ValueError where
+    one of them is not a finite double.
     """
     return _theta_dispatch(kind, zeta, nome, method, want_derivs=True)
 

@@ -134,15 +134,7 @@ def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto",
         _require_phase(0.5 * eps * abs(T.real) * extent * extent)
     tau = complex(cmath.phase(cmath.exp(-0.5j * eps * T.real)) / math.pi,
                   -eps * T.imag / (2.0 * math.pi))
-    # out of range the series over- or underflows term by term, with
-    # warnings; the result then is not finite and is refused whole
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        vals = _theta_dispatch(3, zeta, ThetaNome(tau), method, False, offset)
-    if not (cmath.isfinite(vals) if isinstance(vals, complex)
-            else np.isfinite(vals).all()):
-        raise ValueError("the flow theta is not a finite double here: its "
-                         "value leaves double range")
-    return vals
+    return _theta_dispatch(3, zeta, ThetaNome(tau), method, False, offset)
 
 
 # w_z and the kernel are the flow theta; the next two its -1/tau partners.

@@ -19,6 +19,7 @@ from scipy import integrate, special
 from circleqm.specfun import (
     _bessel_half_width,
     _reduce_tau,
+    _s_move,
     ThetaNome,
     bessel_i,
     bessel_j,
@@ -52,26 +53,32 @@ class TestThetaNome:
             ThetaNome(complex(math.inf, 1.0))
 
     def test_zero_q_needs_underflowing_tau(self):
-        # q = 0 is tau = i inf, or a finite tau whose q underflows and
-        # which the nome keeps
-        assert ThetaNome.from_q(0.0).log_q == -math.inf
+        # q = 0 has no tau: only a finite tau whose q underflows reaches it,
+        # and the nome keeps that tau
+        with pytest.raises(ValueError, match="0 < \\|q\\|"):
+            ThetaNome.from_q(0.0)
+        with pytest.raises(ValueError, match="finite"):
+            ThetaNome(complex(0.0, math.inf))
         nome = ThetaNome(238j)
         assert nome.q == 0 and nome.log_q == 1j * math.pi * 238j
 
 
 class TestTheta:
     def test_zero_nome_leading_term(self):
-        assert theta(3, 0.0, ThetaNome.from_q(0.0)) == 1.0
+        # q = e^{-1000 pi} underflows to 0; each kind is its leading term
+        nome = ThetaNome(1000j)
+        assert nome.q == 0
+        assert theta(3, 0.0, nome) == 1.0
+        assert theta(4, 0.3, nome) == 1.0
+        assert theta(2, 0.0, nome) == 0.0
 
     @pytest.mark.parametrize("tau", [40j, 300j, 1000j, 0.3 + 300j])
     def test_transform_needs_only_a_finite_tau(self, tau):
         # from Im tau ~ 237 on q underflows to 0, but the transform reads
-        # only tau; tau = i inf (from_q(0)) alone has no -1/tau
+        # only tau, which every nome holds finite
         nome = ThetaNome(tau)
         direct = theta(3, 0.1, nome, method="direct")
         assert abs(theta(3, 0.1, nome, method="transform") - direct) <= 1e-15
-        with pytest.raises(ValueError, match="tau = i inf"):
-            theta(3, 0.1, ThetaNome.from_q(0.0), method="transform")
 
     @pytest.mark.parametrize("kind", [2, 3, 4])
     @pytest.mark.parametrize("im_tau", [100.0, 236.0, 238.0, 300.0])
@@ -163,9 +170,10 @@ class TestTheta:
         assert abs(val - ref) < 1e-13 * abs(ref)
 
     def test_transform_returns_only_accurate_values(self):
-        # either ValueError or agreement with the direct series to 1e-8 of
+        # either ValueError or agreement with the direct series to 5e-9 of
         # the function's scale, the largest direct term (|Im zeta| up to
-        # pi Im tau / 2, the reduced strip)
+        # pi Im tau / 2, the reduced strip): the bound `_LOG_MAX_CANCEL`
+        # states for S's guard
         raised = 0
         for kind in (2, 3, 4):
             for re_tau in (0.0, 0.4):
@@ -183,8 +191,12 @@ class TestTheta:
                             except ValueError:
                                 raised += 1
                                 continue
-                            assert abs(val - ref) < 1e-8 * max(abs(ref), scale)
+                            assert abs(val - ref) < 5e-9 * max(abs(ref), scale)
         assert 0 < raised < 60
+        # the guard weighs the largest transformed term, not their sum:
+        # theta_3(10 pi i | 20 i) = 2 passes it and comes out 1.8e-9 off
+        val = theta(3, 10j * math.pi, ThetaNome(20j), method="transform")
+        assert abs(val - 2.0) < 5e-9 * 2.0
 
     def test_theta4_small_nome_leading_terms(self):
         q = math.exp(-math.pi ** 2)
@@ -275,6 +287,25 @@ class TestTheta:
             with pytest.raises(ValueError, match="2\\^52 periods"):
                 theta(kind, np.array([0.3, -zeta]), nome, method=method)
 
+    @pytest.mark.parametrize("method", ["auto", "direct", "transform"])
+    @pytest.mark.parametrize("im", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_imaginary_argument(self, method, im):
+        for nome in (ThetaNome(2j), ThetaNome(0.5j), ThetaNome(0.3 + 0.01j)):
+            for zeta in (complex(0.3, im), np.array([0.3, complex(0.1, im)])):
+                with pytest.raises(ValueError, match="zeta not finite"):
+                    theta(3, zeta, nome, method=method)
+                with pytest.raises(ValueError, match="zeta not finite"):
+                    theta_derivs(4, zeta, nome, method=method)
+
+    @pytest.mark.parametrize("call", [theta, theta_derivs])
+    def test_value_past_double_range_refused(self, call):
+        # theta_3(30 i | 0.01 i) ~ e^{~900}: refused, not inf with a warning
+        # (every route, scalar and array)
+        for method in ("auto", "direct", "transform"):
+            for zeta in (30j, np.array([0.1, 30j])):
+                with pytest.raises(ValueError, match="finite double"):
+                    call(3, zeta, ThetaNome(0.01j), method=method)
+
     def test_rejects_unknown_method_and_overlong_series(self):
         nome = ThetaNome.from_q(0.2)
         with pytest.raises(ValueError, match="unknown method"):
@@ -344,8 +375,11 @@ class TestThetaAgainstMpmath:
     @pytest.mark.parametrize("kind", [2, 3, 4])
     @pytest.mark.parametrize("q", [0.3 * cmath.exp(0.4j),
                                    0.99 * cmath.exp(-1.1j),
-                                   0.9999 * cmath.exp(0.7j)],
-                             ids=["abs_q=0.3", "abs_q=0.99", "abs_q=0.9999"])
+                                   0.9999 * cmath.exp(0.7j),
+                                   cmath.exp(1j * math.pi * (0.5 + 1j / 60)),
+                                   cmath.exp(1j * math.pi * (0.5 + 1j / 68))],
+                             ids=["abs_q=0.3", "abs_q=0.99", "abs_q=0.9999",
+                                  "tau=1/2+i/60", "tau=1/2+i/68"])
     def test_routes_match_jtheta(self, kind, q):
         mpmath = pytest.importorskip("mpmath")
         nome = ThetaNome.from_q(q)
@@ -539,6 +573,21 @@ class TestModularReduction:
             assert mod.w == complex(float(c * x + d), float(c * y)), tau
             assert mod.cw == complex(float(c * (c * x + d)),
                                      float(c * c * y)), tau
+
+    def test_walk_answers_in_the_domain_and_on_the_imaginary_axis(self):
+        # before its loop the walk answers None for a tau in the domain (its
+        # edges included) and, at Re tau = 0 below Im tau = 1, S's own
+        # record, tau' = -1.0 / tau rounded once
+        for tau in (0.5 + 1j, -0.5 + 1j, 0.3 + 0.96j, 1j, 2j, 0.1 + 5j):
+            assert _reduce_tau(tau, 3) is None, tau
+        for tau in (0.999j, 0.5j, 1e-3j, 1e-9j):
+            for kind in (2, 3, 4):
+                assert _reduce_tau(tau, kind) == _s_move(tau, kind), tau
+        # the pair straddling the completed squares' threshold
+        # (`test_routes_match_jtheta`): c = 2, Im tau' = 15 and 17
+        for den, im in ((60, 15.0), (68, 17.0)):
+            mod = _reduce_tau(complex(0.5, 1.0 / den), 3)
+            assert mod.gamma[2] == 2 and abs(mod.tau.imag - im) < 1e-12
 
     def test_multiplier_is_an_eighth_root_times_w_to_the_minus_half(self):
         # theta_kind(zeta|tau) = exp(i pi eighth/4) w^(-1/2) exp(-i c

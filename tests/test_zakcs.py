@@ -78,30 +78,41 @@ def _closed_forms_inline(params, z, z2, phi, ms):
     """The family's theta closed forms, each written out in place with its
     own nome, built from tau (q = e^{i pi tau}): w_z, the kernel and its
     diagonal, the periodized normalizer and the two functions it divides,
-    and the winding face of zak_periodize (phi - theta in [-pi, pi))."""
+    and the winding face of zak_periodize (phi - theta in [-pi, pi)).
+    Each is a callable, so that one whose theta refuses leaves the rest."""
     eps, delta = params.epsilon, params.delta
     y = z.l_tilde - eps * delta
-    w = np.exp(1j * phi * delta) * theta(
-        3, (phi - z.z + 1j * eps * delta) / 2.0,
-        ThetaNome(1j * eps / (2.0 * math.pi)))
-    norm_sq = theta(3, 1j * y, ThetaNome(1j * eps / math.pi)).real
-    overlap = complex(theta(3, (np.conj(z.z) - z2.z + 2j * eps * delta) / 2.0,
-                            ThetaNome(1j * eps / math.pi)))
-    den = theta(3, math.pi * y / eps, ThetaNome(1j * math.pi / eps)).real
-    c_z = math.sqrt(2.0 * math.pi / den)
-    probs = (math.sqrt(eps / math.pi)
-             * np.exp(-(z.l_tilde - eps * (ms + delta)) ** 2 / eps) / den)
-    winding = theta(3, 1j * math.pi * (phi - z.z + 1j * eps * delta) / eps,
-                    ThetaNome(2j * math.pi / eps))
-    dens = (2.0 * math.pi / math.sqrt(eps * math.pi)
-            * np.exp(-(phi - z.theta) ** 2 / eps) * np.abs(winding) ** 2 / den)
-    closed = ((eps * math.pi) ** -0.25
-              * np.exp(-(abs(z.z) ** 2 - z.z * z.z) / (4.0 * eps)
-                       - (phi - z.z) ** 2 / (2.0 * eps))
-              * winding)
-    return {"w_value": w, "w_norm_sq": norm_sq, "w_overlap": overlap,
-            "periodized_norm_constant": c_z, "transition_prob": probs,
-            "density": dens, "zak_periodize": closed}
+
+    def den():
+        return theta(3, math.pi * y / eps, ThetaNome(1j * math.pi / eps)).real
+
+    def winding():
+        return theta(3, 1j * math.pi * (phi - z.z + 1j * eps * delta) / eps,
+                     ThetaNome(2j * math.pi / eps))
+
+    return {
+        "w_value": lambda: np.exp(1j * phi * delta) * theta(
+            3, (phi - z.z + 1j * eps * delta) / 2.0,
+            ThetaNome(1j * eps / (2.0 * math.pi))),
+        "w_norm_sq": lambda: theta(3, 1j * y,
+                                   ThetaNome(1j * eps / math.pi)).real,
+        "w_overlap": lambda: complex(theta(
+            3, (np.conj(z.z) - z2.z + 2j * eps * delta) / 2.0,
+            ThetaNome(1j * eps / math.pi))),
+        "periodized_norm_constant": lambda: math.sqrt(2.0 * math.pi / den()),
+        "transition_prob": lambda: (
+            math.sqrt(eps / math.pi)
+            * np.exp(-(z.l_tilde - eps * (ms + delta)) ** 2 / eps) / den()),
+        "density": lambda: (
+            2.0 * math.pi / math.sqrt(eps * math.pi)
+            * np.exp(-(phi - z.theta) ** 2 / eps) * np.abs(winding()) ** 2
+            / den()),
+        "zak_periodize": lambda: (
+            (eps * math.pi) ** -0.25
+            * np.exp(-(abs(z.z) ** 2 - z.z * z.z) / (4.0 * eps)
+                     - (phi - z.z) ** 2 / (2.0 * eps))
+            * winding()),
+    }
 
 
 def _random_draws(n, seed):
@@ -792,15 +803,14 @@ class TestClosedFormOwners:
     them give the bits of the formulas written out in place."""
 
     def test_bit_identical_to_inline_formulas(self):
-        # the flow theta's three owners raise ValueError where the inline
-        # value leaves double range, and give its bits everywhere else
-        flow = {"w_value", "w_norm_sq", "w_overlap"}
-        refused = 0
+        # every owner raises ValueError where its inline theta refuses a
+        # value past double range, and gives the inline bits everywhere else
+        refused = set()
         with np.errstate(all="ignore"):
             for params, z, z2, phi in _random_draws(150, 2024):
                 eps, delta = params.epsilon, params.delta
                 ms = np.arange(-3, 4) + int(round((z.l_tilde - eps * delta) / eps))
-                ref = _closed_forms_inline(params, z, z2, phi, ms)
+                inline = _closed_forms_inline(params, z, z2, phi, ms)
                 calls = {"w_value": lambda: w_value(params, z, phi),
                          "w_norm_sq": lambda: w_norm_sq(params, z),
                          "w_overlap": lambda: w_overlap(params, z, z2),
@@ -812,14 +822,16 @@ class TestClosedFormOwners:
                          "zak_periodize":
                              lambda: zak_periodize(params, z, phi)[1]}
                 for name, call in calls.items():
-                    if name in flow and not np.all(np.isfinite(ref[name])):
-                        refused += 1
+                    try:
+                        ref = inline[name]()
+                    except ValueError as exc:
+                        assert "finite double" in str(exc), name
+                        refused.add(name)
                         with pytest.raises(ValueError, match="finite double"):
                             call()
                         continue
-                    assert np.array_equal(call(), ref[name],
-                                          equal_nan=True), name
-        assert refused > 0
+                    assert np.array_equal(call(), ref, equal_nan=True), name
+        assert {"w_value", "w_norm_sq", "w_overlap"} <= refused
 
     def test_expectations_leading_oscillation(self):
         # osc = 2 zeta at the normalizer's argument, as 2 pi (l - eps delta)/eps
