@@ -71,20 +71,21 @@ _TURN_LIMIT = 2.0 ** 52
 class ThetaNome:
     """A nome held as its half-period ratio tau, q = exp(i pi tau).
 
-    Requires a finite tau with Im tau > 0.  The nome is its tau: powers q^w
-    are evaluated as exp(w * i*pi*tau), which fixes the branch of
-    fractional powers, and tau keeps its bits where q underflows.  The
-    library builds its nomes from tau; `from_q` is the one conversion from
-    a nome value.
+    Requires a finite tau with Im tau >= 2^-1022, a normal double, so that
+    Im gamma tau <= 1/Im tau is finite for every modular move gamma.  The
+    nome is its tau: powers q^w are evaluated as exp(w * i*pi*tau), which
+    fixes the branch of fractional powers, and tau keeps its bits where q
+    underflows.  The library builds its nomes from tau; `from_q` is the one
+    conversion from a nome value.
     """
 
     tau: complex
 
     def __post_init__(self):
         tau = complex(self.tau)
-        if not (tau.imag > 0.0 and cmath.isfinite(tau)):
-            raise ValueError("Im(tau) must be positive, and Re(tau) and "
-                             "Im(tau) finite")
+        if not (tau.imag >= 2.0 ** -1022 and cmath.isfinite(tau)):
+            raise ValueError("Im(tau) must be at least 2^-1022, and Re(tau) "
+                             "and Im(tau) finite")
         object.__setattr__(self, "tau", tau)
 
     @classmethod
@@ -312,26 +313,25 @@ def _reduce_tau(tau: complex, kind: int) -> _Modular | None:
     tau' (T^-n) and, while |u| < |v|, takes (u, v) to (-v, u) (S).  T^n
     turns theta_2 by exp(i pi n/4) and for odd n swaps theta_3 and
     theta_4; S swaps theta_2 and theta_4 and brings (-i tau')^(-1/2) =
-    exp(i pi/4) |tau'|^(-1/2) exp(-i arg(tau')/2).  The product of the
-    tau' that S inverts is the automorphy factor +-w, so the sum of their
-    args is arg w up to a multiple of pi, and that multiple, read off in
-    double, fixes `eighth`.  ValueError where c would pass 2^25 (Im tau
+    exp(i pi/4) |tau'|^(-1/2) exp(-i arg(tau')/2).  Each S turns v = M (c
+    tau + d) counterclockwise by arg tau' in (0, pi), from v = M, so the
+    args sum to arg v in [0, 2 pi) plus 2 pi for each S that passes the
+    positive real axis, from Im v = c Y < 0 to Im u = a Y >= 0; against
+    the principal w^(-1/2) that count and the sign of the last c fix
+    `eighth`, in integers.  ValueError where c would pass 2^25 (Im tau
     below about 1e-15).
 
-    Two answers come before the walk: None for a tau already in the
-    domain, and at Re tau = 0 (the holomorphic family's nomes) `_s_move`,
-    which reaches Im tau' = 1/Im tau with tau' = -1.0 / tau rounded once."""
-    if abs(tau.real) <= 0.5 and abs(tau) >= 1.0:
-        return None
-    if tau.real == 0.0:
-        return _s_move(tau, kind)
+    A tau in the domain takes no S and gives None.  At Re tau = 0 below
+    |tau| = 1 the walk is S alone, the record of `_s_move`: tau' = i/Im tau
+    correctly rounded, the same double as -1.0 / tau."""
     x_num, x_den = tau.real.as_integer_ratio()
     y_num, y_den = tau.imag.as_integer_ratio()
     scale = max(x_den, y_den)
     ux, uy = x_num * (scale // x_den), y_num * (scale // y_den)
+    im_uv = scale * uy  # Im(u conj v) = M^2 Im tau, as det gamma = 1
     vx, vy = scale, 0
     a, b, c, d = 1, 0, 0, 1
-    eighth, arg_sum = 0, 0.0
+    eighth = 0
     while True:
         vv = vx * vx + vy * vy
         n = (2 * (ux * vx + uy * vy) + vv) // (2 * vv)
@@ -343,24 +343,23 @@ def _reduce_tau(tau: complex, kind: int) -> _Modular | None:
                 kind = 7 - kind
         if ux * ux + uy * uy >= vv:
             break
-        arg_sum += math.atan2(uy * vx - ux * vy, ux * vx + uy * vy)
+        # S brings exp(i pi/4); past the positive real axis also exp(-i pi)
+        eighth += 5 if c < 0 <= a else 1
         ux, uy, vx, vy = -vx, -vy, ux, uy
         a, b, c, d = -c, -d, a, b
-        eighth += 1
         kind = _MODULAR_PARTNER[kind]
     if c == 0:
         return None
     if c < 0:
         a, b, c, d, ux, uy, vx, vy = -a, -b, -c, -d, -ux, -uy, -vx, -vy
+        eighth += 6  # w = -v: arg w = arg v - pi, a factor exp(-i pi/2)
     if c > _MAX_C:
         raise ValueError("theta needs the modular move of a tau this close "
                          "to the real axis; nome too close to the unit circle")
-    vv = vx * vx + vy * vy
-    w = complex(vx / scale, vy / scale)
-    turns = round((cmath.phase(w) - arg_sum) / math.pi)
-    tau_red = complex((ux * vx + uy * vy) / vv, (uy * vx - ux * vy) / vv)
-    return _Modular((a, b, c, d), w, complex(c * vx / scale, c * vy / scale),
-                    tau_red, kind, (eighth + 2 * turns) % 8)
+    tau_red = complex((ux * vx + uy * vy) / vv, im_uv / vv)
+    return _Modular((a, b, c, d), complex(vx / scale, vy / scale),
+                    complex(c * vx / scale, c * vy / scale), tau_red, kind,
+                    eighth % 8)
 
 
 class _Nodes(NamedTuple):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,16 +74,25 @@ class PhasePoint:
         return cls(z.real, z.imag)
 
 
+_EPS_RANGE = (2.0 * math.pi * 2.0 ** -1022, 0.5 * sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class WZParams:
-    """Stiffness epsilon > 0 plus the boundary-condition sector."""
+    """Stiffness epsilon > 0 plus the boundary-condition sector.
+
+    epsilon must lie in `_EPS_RANGE`, [2 pi 2^-1022, max double / 2], about
+    [1.4e-307, 9e307]: the family's nomes have Im tau = eps/2 pi, 2 eps/2
+    pi, pi/eps or 2 pi/eps, each a finite double >= 2^-1022 as `ThetaNome`
+    requires."""
 
     epsilon: float
     sector: Sector
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        if not _EPS_RANGE[0] <= self.epsilon <= _EPS_RANGE[1]:
+            raise ValueError("epsilon must lie in [2 pi 2^-1022, max double "
+                             "/ 2], about [1.4e-307, 9e307]")
 
     @property
     def delta(self) -> float:

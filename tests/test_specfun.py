@@ -52,6 +52,14 @@ class TestThetaNome:
         with pytest.raises(ValueError, match="Re\\(tau\\)"):
             ThetaNome(complex(math.inf, 1.0))
 
+    def test_im_tau_is_a_normal_double(self):
+        # Im gamma tau <= 1/Im tau: a subnormal Im tau has modular images
+        # past double range, so the nome refuses it
+        for im in (math.nextafter(2.0 ** -1022, 0.0), 1e-309, 5e-324):
+            with pytest.raises(ValueError, match="2\\^-1022"):
+                ThetaNome(complex(0.0, im))
+        assert ThetaNome(complex(0.5, 2.0 ** -1022)).tau.imag == 2.0 ** -1022
+
     def test_zero_q_needs_underflowing_tau(self):
         # q = 0 has no tau: only a finite tau whose q underflows reaches it,
         # and the nome keeps that tau
@@ -575,19 +583,36 @@ class TestModularReduction:
                                      float(c * c * y)), tau
 
     def test_walk_answers_in_the_domain_and_on_the_imaginary_axis(self):
-        # before its loop the walk answers None for a tau in the domain (its
-        # edges included) and, at Re tau = 0 below Im tau = 1, S's own
-        # record, tau' = -1.0 / tau rounded once
+        # the walk answers None for a tau in the domain (its edges
+        # included) and, at Re tau = 0 below Im tau = 1, takes S alone:
+        # gamma = S, w = c w = tau, tau' = i/Im tau correctly rounded,
+        # eighth 1 and the S partner, the record "transform" uses too
         for tau in (0.5 + 1j, -0.5 + 1j, 0.3 + 0.96j, 1j, 2j, 0.1 + 5j):
             assert _reduce_tau(tau, 3) is None, tau
-        for tau in (0.999j, 0.5j, 1e-3j, 1e-9j):
-            for kind in (2, 3, 4):
-                assert _reduce_tau(tau, kind) == _s_move(tau, kind), tau
+        for tau in (0.999j, 0.5j, 0.3j, 1e-3j, 1e-9j, 3e-15j):
+            for kind, partner in ((2, 4), (3, 3), (4, 2)):
+                mod = _reduce_tau(tau, kind)
+                assert mod == ((0, -1, 1, 0), tau, tau,
+                               complex(0.0, 1.0 / tau.imag), partner, 1), tau
+                assert mod == _s_move(tau, kind), tau
         # the pair straddling the completed squares' threshold
         # (`test_routes_match_jtheta`): c = 2, Im tau' = 15 and 17
         for den, im in ((60, 15.0), (68, 17.0)):
             mod = _reduce_tau(complex(0.5, 1.0 / den), 3)
             assert mod.gamma[2] == 2 and abs(mod.tau.imag - im) < 1e-12
+
+    @pytest.mark.parametrize("im", [1e-200, 1e-300, 1e-307, 2.0 ** -1022])
+    def test_walk_near_the_real_axis_past_double_range_products(self, im):
+        # with Im tau < 1e-277 the walk's integer products pass double
+        # range (its arg tau' once overflowed converting them); at Re tau =
+        # 0 and 1/2 the move stays small, and theta_3(0 | r + i y) is its
+        # Gauss sum over y^(1/2), the rest exp(-pi/(4 y)) = 0:
+        # y^(-1/2) at r = 0, (1 + i)/(2 y^(1/2)) at r = 1/2
+        for re, c, value in ((0.0, 1, 1.0), (0.5, 2, (1 + 1j) / 2)):
+            tau = complex(re, im)
+            assert _reduce_tau(tau, 3).gamma[2] == c
+            got = theta(3, 0.0, ThetaNome(tau)) * math.sqrt(im)
+            assert abs(got - value) <= 1e-15 * abs(value), (tau, got)
 
     def test_multiplier_is_an_eighth_root_times_w_to_the_minus_half(self):
         # theta_kind(zeta|tau) = exp(i pi eighth/4) w^(-1/2) exp(-i c

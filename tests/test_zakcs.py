@@ -301,6 +301,21 @@ class TestWState:
         with pytest.raises(ValueError, match="epsilon"):
             WZParams(eps, Sector(0.0))
 
+    def test_stiffness_keeps_every_nome_a_normal_double(self):
+        # the family's nomes have Im tau = eps/2 pi, 2 eps/2 pi, pi/eps and
+        # 2 pi/eps; outside _EPS_RANGE one left double range or fell below
+        # 2^-1022, and the refusal named that internal tau
+        lo, hi = zakcs._EPS_RANGE
+        for eps in (math.nextafter(lo, 0.0), 1e-308, 5e-324, 0.0, -1.0,
+                    math.nextafter(hi, math.inf)):
+            with pytest.raises(ValueError, match="epsilon"):
+                WZParams(eps, Sector(0.25))
+        for eps in (lo, hi):
+            params = WZParams(eps, Sector(0.25))
+            z = PhasePoint(0.3, 0.25 * eps)
+            assert math.isfinite(w_norm_sq(params, z))
+            assert math.isfinite(periodized_norm_constant(params, z))
+
     @pytest.mark.parametrize("eps,delta,z", [
         (1.0, 0.3, 0.5 + 0.4j), (0.3, 0.75, 2.0 + 3.0j), (2.5, 0.0, 5.0 - 1.5j)])
     def test_quasi_periodic_in_whole_turns(self, eps, delta, z):
