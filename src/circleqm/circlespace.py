@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from circleqm.specfun import _bessel_half_width, bessel_j
+from circleqm.specfun import _bessel_half_width, _bessel_window
 
 __all__ = [
     "Sector",
@@ -94,7 +94,7 @@ def _finite_array(values, name: str) -> np.ndarray:
     """values as a float array, ValueError naming `name` if any is not
     finite."""
     arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -171,7 +171,7 @@ class CircleState:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficient window must be a nonempty 1-d array")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
@@ -377,29 +377,35 @@ def _centred_report(rows: np.ndarray, tol: float,
 
 
 def uncertainty_report(a: str, b: str, state: CircleState) -> UncertaintyReport:
-    """Evaluate the variance inequality for operators a, b on a normalized
-    copy of `state`, from the centred vectors (see `_centred_report`);
-    saturated within 1e-10 relative.
+    """Evaluate the variance inequality for operators a, b on the normalized
+    window psi = c / ||c|| of `state`, from the centred vectors (see
+    `_centred_report`); saturated within 1e-10 relative.  A zero state
+    raises ValueError.
 
-    L is applied as (n - n_c) + (n_c + delta) about the window centre n_c,
-    as in `evolve.moment_series`, so that a large <L> does not cancel in
-    its centred row.
+    The rows psi, A psi and B psi are written by `operator_coeffs` into one
+    zero-padded array over their common index range.  L is applied as
+    (n - n_c) + (n_c + delta) about the window centre n_c, as in
+    `evolve.moment_series`, so that a large <L> does not cancel in its
+    centred row.
     """
-    psi = state.normalized()
-    n_c = (psi.n_lo + psi.n_hi) // 2
-    rows = _windows(psi, _about_centre(a, psi, n_c),
-                    _about_centre(b, psi, n_c))
-    shift = n_c + psi.sector.delta
+    norm = state.norm()
+    if norm == 0.0:
+        raise ValueError("the uncertainty report needs a nonzero state")
+    psi = state.coeffs / norm
+    n_c = (state.n_lo + state.n_hi) // 2
+    pad = 1 if "C" in (a, b) or "S" in (a, b) else 0
+    rows = np.zeros((3, psi.size + 2 * pad), dtype=complex)
+    rows[0, pad:pad + psi.size] = psi
+    for row, which in zip(rows[1:], (a, b)):
+        if which in ("C", "S"):
+            row[:] = operator_coeffs(which, psi, None)
+        else:
+            freq = (state.indices - n_c if which == "L"
+                    else state.indices + state.sector.delta)
+            row[pad:pad + psi.size] = operator_coeffs(which, psi, freq)
+    shift = n_c + state.sector.delta
     return _centred_report(rows, 1e-10, (shift if a == "L" else 0.0,
                                          shift if b == "L" else 0.0))
-
-
-def _about_centre(which: str, psi: CircleState, n_c: int) -> CircleState:
-    """`apply_operator`, except that L is taken as L - (n_c + delta)."""
-    if which != "L":
-        return apply_operator(which, psi)
-    return CircleState(psi.sector, psi.n_lo,
-                       operator_coeffs("L", psi.coeffs, psi.indices - n_c))
 
 
 # The translation taps are cut where the dropped |J_k(R)|^2, bounded by
@@ -419,7 +425,8 @@ def rep_apply(alpha: float, a: float, b: float, rep: RepLabel,
     translation multiplies pointwise by exp(-i rho (a cos phi + b sin phi))
     = exp(-i R cos(phi - beta)) with R e^{i beta} = rho (a + i b); by
     Jacobi-Anger (DLMF 10.12) that is the convolution of the coefficients
-    with the taps (-i)^k J_k(R) e^{-i k beta}, |k| <= h.  h is
+    with the taps (-i)^k J_k(R) e^{-i k beta}, |k| <= h, J taken over 0..h
+    and mirrored (`specfun._bessel_window`).  h is
     `_bessel_half_width(R, _TAP_TAIL)`: the dropped taps carry at most
     _TAP_TAIL of sum_k J_k(R)^2 = 1 by the DLMF 10.14.4 bound, so the image
     is exact up to a part of norm at most 1e-16 ||psi||, and the window
@@ -434,7 +441,7 @@ def rep_apply(alpha: float, a: float, b: float, rep: RepLabel,
         return CircleState(state.sector, state.n_lo, coeffs)
     half = _bessel_half_width(radius, _TAP_TAIL)
     k = np.arange(-half, half + 1)
-    taps = (_MINUS_I_POWERS[k % 4] * bessel_j(k, radius)
+    taps = (_MINUS_I_POWERS[k % 4] * _bessel_window(radius, half)
             * np.exp(-1j * k * math.atan2(b, a)))
     return CircleState(state.sector, state.n_lo - half, np.convolve(coeffs, taps))
 

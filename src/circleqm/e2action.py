@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+# Covering orders are clamped here before 2 pi q is formed: 2 pi 2^1023 is
+# inf, and an int past double range gives inf rather than OverflowError.
+_COVER_CLAMP = 2 ** 1023
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Rotation parameter alpha and complex translation t = a + i b of the
@@ -35,25 +40,33 @@ class GroupElement:
 
     cover_q = 1 is E(2) itself (alpha reduced mod 2 pi), an integer
     q >= 2 the q-fold cover (mod 2 pi q) and None the universal cover
-    (alpha as given).
+    (alpha as given).  A covering order whose period 2 pi q is not a finite
+    double, a non-integer one, and a non-finite alpha or t raise
+    ValueError.  The fields are validated and set once, in `__init__`.
     """
 
     alpha: float
     t: complex
     cover_q: Optional[int] = 1
 
-    def __post_init__(self):
-        alpha, q = float(self.alpha), self.cover_q
-        if q is not None:
-            if (isinstance(q, bool) or not isinstance(q, (int, np.integer))
-                    or q < 1):
+    def __init__(self, alpha: float, t: complex, cover_q: Optional[int] = 1):
+        alpha, t = float(alpha), complex(t)
+        if cover_q is not None:
+            if (isinstance(cover_q, bool)
+                    or not isinstance(cover_q, (int, np.integer))
+                    or cover_q < 1):
                 raise ValueError("the covering order must be an integer "
-                                 f">= 1 or None, got {q!r}")
-            alpha %= 2.0 * math.pi * q
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "t", complex(self.t))
-        if not (math.isfinite(self.alpha) and cmath.isfinite(self.t)):
+                                 f">= 1 or None, got {cover_q!r}")
+            period = 2.0 * math.pi * min(cover_q, _COVER_CLAMP)
+            if not math.isfinite(period):
+                raise ValueError("the covering order is too large: 2 pi q "
+                                 "is not a finite double")
+            alpha %= period
+        if not (math.isfinite(alpha) and cmath.isfinite(t)):
             raise ValueError("alpha and t must be finite")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "cover_q", cover_q)
 
     @property
     def a(self) -> float:
@@ -70,16 +83,18 @@ def identity() -> GroupElement:
 
 @dataclass(frozen=True)
 class PhaseSpacePoint:
-    """Point (phi mod 2 pi, p_phi) of the cylinder."""
+    """Point (phi mod 2 pi, p_phi) of the cylinder; a non-finite phi or
+    p_phi raises ValueError."""
 
     phi: float
     p_phi: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
-        object.__setattr__(self, "p_phi", float(self.p_phi))
-        if not (math.isfinite(self.phi) and math.isfinite(self.p_phi)):
+    def __init__(self, phi: float, p_phi: float):
+        phi, p_phi = float(phi) % (2.0 * math.pi), float(p_phi)
+        if not (math.isfinite(phi) and math.isfinite(p_phi)):
             raise ValueError("phi and p_phi must be finite")
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "p_phi", p_phi)
 
 
 def compose(g2: GroupElement, g1: GroupElement) -> GroupElement:
@@ -87,9 +102,8 @@ def compose(g2: GroupElement, g1: GroupElement) -> GroupElement:
     both belong to; different covering orders raise ValueError."""
     if g2.cover_q != g1.cover_q:
         raise ValueError("covering orders must match")
-    alpha = g1.alpha + g2.alpha
-    t = g2.t + np.exp(1j * g2.alpha) * g1.t
-    return GroupElement(alpha, complex(t), g2.cover_q)
+    return GroupElement(g1.alpha + g2.alpha,
+                        g2.t + cmath.exp(1j * g2.alpha) * g1.t, g2.cover_q)
 
 
 def _image(g: GroupElement, phi, p):

@@ -97,7 +97,7 @@ def moment_series(params: Params, state: CircleState, times) -> np.ndarray:
     phase reaches 2^52 rad (see `_phases`).
     """
     t = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("time must be finite")
     freq = state.indices + state.sector.delta
     # row i is the window propagated to t[i]

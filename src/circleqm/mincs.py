@@ -18,7 +18,8 @@ import numpy as np
 from scipy import special
 
 from circleqm.circlespace import CircleState, Sector, _fold, _same_sector
-from circleqm.specfun import _bessel_half_width, bessel_j, g_ratio
+from circleqm.specfun import (_bessel_half_width, _bessel_window, bessel_j,
+                               g_ratio)
 
 __all__ = [
     "MinUncParams",
@@ -73,16 +74,23 @@ class MinUncParams:
         return Sector(self.delta0)
 
 
-def _normalized_window(sigma: complex, ks) -> np.ndarray:
-    """J_k(sigma) / sqrt(I0(2s)), s = -Im sigma, for the integer orders ks.
+def _normalized_window(sigma: complex, half: int) -> np.ndarray:
+    """J_k(sigma) / sqrt(I0(2s)), s = -Im sigma, for the orders k =
+    -half..half (one `bessel_j` call, see `_bessel_window`)."""
+    return _bessel_window(sigma, half) * _inv_sqrt_i0(sigma)
+
+
+def _inv_sqrt_i0(sigma: complex) -> float:
+    """1 / sqrt(I0(2s)), s = -Im sigma, the normalization of a window of
+    J_k(sigma).
 
     Both J_k(sigma) and sqrt(I0(2s)) = exp(|s|) sqrt(ive(0, 2|s|)) grow like
-    exp(|s|); the ratio is formed as J_k(sigma) exp(-|s|) / sqrt(ive(0, 2|s|))
-    so neither exponential is formed on its own.  bessel_j raises
-    ValueError once J itself overflows, past |s| of about 709.
+    exp(|s|); the factor is formed as exp(-|s|) / sqrt(ive(0, 2|s|)) so
+    neither exponential is formed on its own.  bessel_j raises ValueError
+    once J itself overflows, past |s| of about 709.
     """
     s = abs(sigma.imag)
-    return bessel_j(ks, sigma) * (math.exp(-s) / math.sqrt(special.ive(0, 2.0 * s)))
+    return math.exp(-s) / math.sqrt(special.ive(0, 2.0 * s))
 
 
 def min_state(params: MinUncParams, window_tol: float = 1e-12) -> CircleState:
@@ -105,9 +113,8 @@ def min_state(params: MinUncParams, window_tol: float = 1e-12) -> CircleState:
     if not 0.0 < window_tol < 1.0:
         raise ValueError("window_tol must lie in (0, 1)")
     half = _bessel_half_width(params.sigma, window_tol * window_tol)
-    ks = np.arange(-half, half + 1)
-    ms = params.n0 + ks
-    coeffs = (_normalized_window(params.sigma, ks)
+    ms = params.n0 + np.arange(-half, half + 1)
+    coeffs = (_normalized_window(params.sigma, half)
               * np.exp(-1j * (ms + params.delta0) * params.alpha))
     return CircleState(params.sector, int(ms[0]), coeffs)
 
@@ -249,7 +256,7 @@ def sum_rule_residual(sigma: complex) -> float:
     """
     sigma = complex(sigma)
     half = _bessel_half_width(sigma, 1e-14)
-    window = _normalized_window(sigma, np.arange(-half, half + 1))
+    window = _normalized_window(sigma, half)
     return abs(float(np.sum(np.abs(window) ** 2)) - 1.0)
 
 
@@ -266,8 +273,9 @@ def completeness_residual(m1: int, m2: int, s: float, gamma: float,
         raise ValueError("n_cut must be nonnegative")
     if m1 != m2:
         return 0j
-    window = _normalized_window(complex(gamma, -s),
-                                m1 - np.arange(-n_cut, n_cut + 1))
+    sigma = complex(gamma, -s)
+    window = (bessel_j(m1 - np.arange(-n_cut, n_cut + 1), sigma)
+              * _inv_sqrt_i0(sigma))
     return complex(float(np.sum(np.abs(window) ** 2)) - 1.0)
 
 

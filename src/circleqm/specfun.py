@@ -795,15 +795,29 @@ def bessel_j(n, z):
     about 709 overflows).
     """
     order = np.asarray(n, dtype=float)
-    if not np.all(np.isfinite(order)) or np.any(order != np.round(order)):
+    if not np.isfinite(order).all() or (order != np.round(order)).any():
         raise ValueError("bessel_j takes an integer order")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("bessel_j requires a finite argument")
     val = special.jv(order, z)
-    if not np.all(np.isfinite(val)):
+    if not np.isfinite(val).all():
         raise ValueError(f"J_n(z) at z = {z} is not a finite double")
     return complex(val) if order.ndim == 0 else val
+
+
+def _bessel_window(z: complex, half: int) -> np.ndarray:
+    """J_k(z) for the orders k = -half..half from one `bessel_j` call over
+    0..half, the negative orders mirrored by J_{-k}(z) = (-1)^k J_k(z)
+    (DLMF 10.4.1).  scipy's `jv` reflects a negative integer order by the
+    same negation, so the values are those of `bessel_j` over the whole
+    window."""
+    out = np.empty(2 * half + 1, dtype=complex)
+    out[half:] = bessel_j(np.arange(half + 1), z)
+    out[:half] = out[:half:-1]
+    odd = out[(half + 1) % 2:half:2]
+    np.negative(odd, out=odd)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +920,7 @@ def g_ratio(x) -> GRatio:
 
 def _g_ratio_array(x: np.ndarray) -> GRatio:
     """`g_ratio` elementwise, the |x| < 1e-8 branch through np.where."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("g_ratio requires a finite argument")
     tiny = np.abs(x) < 1e-8
     r1 = np.where(tiny, 0.5 * x, special.i1e(x) / special.i0e(x))

@@ -255,7 +255,7 @@ def _window(eps: float, delta: float, l_tilde, tol: float) -> np.ndarray:
     array): centre round((l - eps delta)/eps), the magnitude peak, and
     half-width ceil(sqrt(2 ln(1/tol)/eps)) + 5 (Gaussian decay)."""
     center = np.rint((np.asarray(l_tilde) - eps * delta) / eps)
-    if not np.all(np.isfinite(center)):
+    if not np.isfinite(center).all():
         raise ValueError("the label's momentum must be finite")
     half = int(math.ceil(math.sqrt(2.0 * math.log(1.0 / tol) / eps))) + 5
     return center.astype(np.int64)[..., None] + np.arange(-half, half + 1)
@@ -457,8 +457,14 @@ def transition_prob(m, params: WZParams, z):
     eps, delta = params.epsilon, params.delta
     l_tilde = _as_point(z).l_tilde
     norm = _periodized_norm(params, l_tilde)
-    prob = (math.sqrt(eps / math.pi)
-            * np.exp(-(l_tilde - eps * (m + delta)) ** 2 / eps) / norm)
+    with np.errstate(over="ignore"):
+        x = l_tilde - eps * (m + delta)
+        expo = x ** 2 / eps
+        # x^2 overflows past |x| = 1.3e154 while x^2/eps need not (eps
+        # above 2.4e305): there it is (x/sqrt(eps))^2; an inf left over is
+        # an exponent past any double's, where the Gaussian is 0
+        expo = np.where(np.isinf(expo), (x / math.sqrt(eps)) ** 2, expo)
+    prob = math.sqrt(eps / math.pi) * np.exp(-expo) / norm
     return float(prob) if prob.ndim == 0 else prob
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from circleqm.circlespace import (
     _TAP_TAIL,
+    _centred_report,
     CircleState,
     Params,
     RepLabel,
@@ -361,6 +362,46 @@ class TestUncertaintyReport:
         assert rep.saturated
 
 
+    @staticmethod
+    def _report_through_states(a, b, state):
+        # the report as built from validated intermediate states: the
+        # normalized copy, its images and one zero-padded window of the three
+        psi = state.normalized()
+        n_c = (psi.n_lo + psi.n_hi) // 2
+        images = [CircleState(psi.sector, psi.n_lo, operator_coeffs(
+            "L", psi.coeffs, psi.indices - n_c)) if w == "L"
+            else apply_operator(w, psi) for w in (a, b)]
+        lo = min(s.n_lo for s in (psi, *images))
+        hi = max(s.n_hi for s in (psi, *images))
+        rows = np.zeros((3, hi - lo + 1), dtype=complex)
+        for row, s in zip(rows, (psi, *images)):
+            row[s.n_lo - lo:s.n_hi - lo + 1] = s.coeffs
+        shift = n_c + psi.sector.delta
+        return _centred_report(rows, 1e-10, (shift if a == "L" else 0.0,
+                                             shift if b == "L" else 0.0))
+
+    @pytest.mark.parametrize("a", ["C", "S", "L", "L2"])
+    @pytest.mark.parametrize("b", ["C", "S", "L", "L2"])
+    def test_matches_report_through_states(self, a, b):
+        rng = np.random.default_rng(2020)
+        for _ in range(40):
+            width = int(rng.integers(1, 30))
+            state = CircleState(
+                Sector(rng.uniform(0, 1)), int(rng.integers(-300, 300)),
+                rng.normal(size=width) + 1j * rng.normal(size=width))
+            assert (repr(uncertainty_report(a, b, state))
+                    == repr(self._report_through_states(a, b, state)))
+
+    def test_zero_state_refused(self):
+        zero = CircleState(Sector(0.2), 3, np.zeros(4))
+        with pytest.raises(ValueError, match="nonzero"):
+            uncertainty_report("C", "L", zero)
+
+    def test_unknown_operator_refused(self):
+        with pytest.raises(ValueError, match="operator"):
+            uncertainty_report("C", "X", basis_state(0, Sector(0.0)))
+
+
 class TestRepApply:
     def test_full_turn_phase(self):
         delta = 0.37
@@ -427,6 +468,28 @@ class TestRepApply:
             tail = 2 * mpmath.fsum(mpmath.besselj(k, radius) ** 2
                                    for k in range(h + 1, h + 60))
         assert tail <= _TAP_TAIL
+
+    def test_taps_match_full_order_window(self):
+        # the taps from one J call over 0..h mirrored give the bits of the
+        # taps built from J over -h..h
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            delta, rho = rng.uniform(0, 1), rng.uniform(0.5, 2.0)
+            alpha = rng.uniform(-math.pi, math.pi)
+            radius = math.exp(rng.uniform(math.log(0.1), math.log(50.0)))
+            beta = rng.uniform(0, 2 * math.pi)
+            a, b = radius / rho * math.cos(beta), radius / rho * math.sin(beta)
+            psi = random_state(Sector(delta), n_lo=int(rng.integers(-50, 50)),
+                               width=int(rng.integers(1, 40)), rng=rng)
+            out = rep_apply(alpha, a, b, RepLabel(rho, Sector(delta)), psi)
+            coeffs = psi.coeffs * np.exp(-1j * (psi.indices + delta) * alpha)
+            r = rho * math.hypot(a, b)
+            half = _bessel_half_width(r, _TAP_TAIL)
+            k = np.arange(-half, half + 1)
+            taps = (np.array([1.0, -1j, -1.0, 1j])[k % 4] * bessel_j(k, r)
+                    * np.exp(-1j * k * math.atan2(b, a)))
+            assert out.n_lo == psi.n_lo - half
+            assert out.coeffs.tobytes() == np.convolve(coeffs, taps).tobytes()
 
     @pytest.mark.parametrize("t1,t2", [(0.3, 5.0j), (2.0 - 1.0j, 3.0 + 4.0j),
                                        (20.0, -12.0 + 25.0j)])

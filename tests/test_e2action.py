@@ -1,5 +1,6 @@
 """Group law, symplectic action, transitivity and induced vector fields."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -104,6 +105,69 @@ class TestCompose:
         h = compose(ginv, g)
         assert h.alpha % (2 * math.pi) == pytest.approx(0.0, abs=1e-13)
         assert abs(h.t) < 1e-13
+
+
+class TestRecordContract:
+    # the records validate in one hand-written __init__ and keep the
+    # generated dataclass behaviour
+    def test_fields_and_default(self):
+        assert [f.name for f in dataclasses.fields(GroupElement)] == [
+            "alpha", "t", "cover_q"]
+        assert dataclasses.fields(GroupElement)[2].default == 1
+        assert [f.name for f in dataclasses.fields(PhaseSpacePoint)] == [
+            "phi", "p_phi"]
+        g = GroupElement(1.0, 2)
+        assert (g.alpha, g.t, g.cover_q) == (1.0, 2 + 0j, 1)
+        assert type(g.alpha) is float and type(g.t) is complex
+
+    def test_eq_hash_and_repr(self):
+        g, h = GroupElement(1.0, 2j), GroupElement(1.0 + 2 * math.pi, 2j)
+        assert g == h and hash(g) == hash(h)
+        assert g != GroupElement(1.0, 2j, None)
+        assert repr(g) == "GroupElement(alpha=1.0, t=2j, cover_q=1)"
+        s = PhaseSpacePoint(7.0, 3)
+        assert s == PhaseSpacePoint(7.0 - 2 * math.pi, 3.0)
+        assert hash(s) == hash(PhaseSpacePoint(7.0 - 2 * math.pi, 3.0))
+        assert repr(s) == f"PhaseSpacePoint(phi={7.0 - 2 * math.pi!r}, p_phi=3.0)"
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            GroupElement(1.0, 2j).alpha = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PhaseSpacePoint(1.0, 2.0).p_phi = 0.0
+
+    def test_replace_validates(self):
+        g = dataclasses.replace(GroupElement(1.0, 2j), alpha=7.0)
+        assert g == GroupElement(7.0, 2j)
+        assert dataclasses.replace(g, cover_q=None) == GroupElement(
+            7.0 - 2 * math.pi, 2j, None)
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(PhaseSpacePoint(1.0, 2.0), p_phi=math.nan)
+
+    def test_numpy_integer_accepted_bool_refused(self):
+        g = GroupElement(7.0, 0j, np.int64(2))
+        assert g.cover_q == 2 and g.alpha == 7.0
+        with pytest.raises(ValueError, match="covering order"):
+            GroupElement(7.0, 0j, False)
+
+    @pytest.mark.parametrize("cover_q", [10 ** 400, 10 ** 308, 2 ** 1023])
+    def test_unrepresentable_cover_refused(self, cover_q):
+        # 2 pi q past double range used to raise OverflowError, or blame a
+        # finite alpha after (-1.0) % inf
+        with pytest.raises(ValueError, match="covering order"):
+            GroupElement(-1.0, 0j, cover_q)
+
+    def test_largest_cover_accepted(self):
+        q = int(np.finfo(float).max / (2 * math.pi)) // 2
+        assert GroupElement(5.0, 0j, q).alpha == 5.0
+
+    def test_compose_bits_match_numpy_exp(self):
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            g2, g1 = random_element(rng), random_element(rng)
+            t = g2.t + complex(np.exp(1j * g2.alpha)) * g1.t
+            h = compose(g2, g1)
+            assert h == GroupElement(g1.alpha + g2.alpha, t)
 
 
 class TestAct:

@@ -23,7 +23,7 @@ from circleqm.mincs import (
     saturation_gap,
     sum_rule_residual,
 )
-from circleqm.specfun import bessel_i
+from circleqm.specfun import _bessel_half_width, bessel_i, bessel_j
 
 
 def explicit_psi(params, phi):
@@ -338,6 +338,38 @@ class TestRefusals:
     def test_refused(self, call, word):
         with pytest.raises(ValueError, match=word):
             call()
+
+
+class TestWindowOrders:
+    # min_state and sum_rule_residual take J over -h..h from one call over
+    # 0..h; the bits are those of J over the whole window
+    @staticmethod
+    def _normalized(sigma, half):
+        s = abs(sigma.imag)
+        return (bessel_j(np.arange(-half, half + 1), sigma)
+                * (math.exp(-s) / math.sqrt(special.ive(0, 2.0 * s))))
+
+    def test_min_state_bits(self):
+        rng = np.random.default_rng(2003)
+        for _ in range(200):
+            params = MinUncParams(rng.uniform(-4, 4), rng.uniform(-50, 50),
+                                  rng.normal() * 5, rng.normal() * 20)
+            tol = 10.0 ** rng.uniform(-14, -3)
+            st = min_state(params, tol)
+            half = (st.coeffs.size - 1) // 2
+            ms = params.n0 + np.arange(-half, half + 1)
+            ref = (self._normalized(params.sigma, half)
+                   * np.exp(-1j * (ms + params.delta0) * params.alpha))
+            assert st.n_lo == ms[0]
+            assert st.coeffs.tobytes() == ref.tobytes()
+
+    def test_sum_rule_bits(self):
+        rng = np.random.default_rng(2004)
+        for _ in range(200):
+            sigma = complex(rng.normal() * 10, rng.normal() * 30)
+            window = self._normalized(sigma, _bessel_half_width(sigma, 1e-14))
+            ref = abs(float(np.sum(np.abs(window) ** 2)) - 1.0)
+            assert sum_rule_residual(sigma) == ref
 
 
 class TestSumRule:

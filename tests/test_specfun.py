@@ -18,6 +18,7 @@ from scipy import integrate, special
 
 from circleqm.specfun import (
     _bessel_half_width,
+    _bessel_window,
     _reduce_tau,
     _s_move,
     ThetaNome,
@@ -833,6 +834,24 @@ class TestBesselJ:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             bessel_j(0, complex(math.inf, 0))
+
+    @pytest.mark.parametrize("half", [0, 1, 2])
+    @pytest.mark.parametrize("z", [0.0, 0.4, -2.7, 13.0, 1.0 + 2.0j,
+                                   -3.0 + 0.5j, 8.0 - 4.0j, -0.2j])
+    def test_window_matches_full_orders(self, half, z):
+        ks = np.arange(-half, half + 1)
+        np.testing.assert_array_equal(_bessel_window(z, half),
+                                      bessel_j(ks, z))
+
+    def test_window_matches_full_orders_at_random(self):
+        rng = np.random.default_rng(20)
+        for i in range(300):
+            half = int(rng.integers(0, 120))
+            scale = rng.choice([0.1, 1.0, 10.0, 60.0])
+            z = complex(rng.normal() * scale,
+                        0.0 if i % 2 else rng.normal() * scale)
+            np.testing.assert_array_equal(
+                _bessel_window(z, half), bessel_j(np.arange(-half, half + 1), z))
 
 
 class TestEllipticSuite:

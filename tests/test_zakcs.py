@@ -688,6 +688,36 @@ class TestTransitionProb:
         assert isinstance(transition_prob(int(ms[0]), params, z), float)
         assert np.all(np.abs(probs - ref) <= 1e-15 * ref)
 
+    def test_top_of_eps_range_without_overflow(self):
+        # (l - eps (m + delta))^2 overflowed to inf with a warning here
+        eps = 8.98e307
+        probs = transition_prob(np.array([0, 1]), WZParams(eps, Sector(0.25)),
+                                PhasePoint(0.3, 0.25 * eps))
+        assert probs[0] == pytest.approx(1.0, abs=1e-12) and probs[1] == 0.0
+
+    def test_overflowing_square_with_finite_exponent(self):
+        # at m = 0 the offset x = -eps delta = -3e154 squares past double
+        # range, while x^2 / eps = 90 does not: the weight is e^-90, and the
+        # neighbours' are 0, so P(0) = 1 (an inf square made it 0)
+        eps = 1e307
+        probs = transition_prob(np.array([-1, 0, 1]),
+                                WZParams(eps, Sector(3e-153)),
+                                PhasePoint(0.3, 0.0))
+        assert probs[1] == pytest.approx(1.0, abs=1e-12)
+        assert probs[0] == probs[2] == 0.0
+
+    def test_in_range_bits_unchanged(self):
+        rng = np.random.default_rng(2005)
+        for _ in range(200):
+            eps = 10.0 ** rng.uniform(-2, 2)
+            params = WZParams(eps, Sector(rng.uniform(0, 1)))
+            z = PhasePoint(rng.uniform(-3, 3), rng.uniform(-20, 20))
+            ms = np.arange(-40, 41)
+            norm = zakcs._periodized_norm(params, z.l_tilde)
+            ref = (math.sqrt(eps / math.pi) * np.exp(
+                -(z.l_tilde - eps * (ms + params.delta)) ** 2 / eps) / norm)
+            assert transition_prob(ms, params, z).tobytes() == ref.tobytes()
+
     def test_array_form_rejects_non_integer_m(self):
         with pytest.raises(ValueError):
             transition_prob(np.array([0.5, 1.5]), WZParams(1.0, Sector(0.0)),
