@@ -52,8 +52,10 @@ class GroupElement:
     def __init__(self, alpha: float, t: complex, cover_q: Optional[int] = 1):
         alpha, t = float(alpha), complex(t)
         if cover_q is not None:
-            if (isinstance(cover_q, bool)
-                    or not isinstance(cover_q, (int, np.integer))
+            # a plain int skips the two isinstance checks
+            if (type(cover_q) is not int
+                    and (isinstance(cover_q, bool)
+                         or not isinstance(cover_q, (int, np.integer)))
                     or cover_q < 1):
                 raise ValueError("the covering order must be an integer "
                                  f">= 1 or None, got {cover_q!r}")
@@ -111,7 +113,7 @@ def _image(g: GroupElement, phi, p):
     (for the complex-step derivative)."""
     phi = phi + g.alpha
     trig = cmath if isinstance(phi, complex) else math
-    return phi, p + g.a * trig.sin(phi) - g.b * trig.cos(phi)
+    return phi, p + g.t.real * trig.sin(phi) - g.t.imag * trig.cos(phi)
 
 
 def act(g: GroupElement, s: PhaseSpacePoint) -> PhaseSpacePoint:

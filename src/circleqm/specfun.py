@@ -795,7 +795,7 @@ def bessel_j(n, z):
     about 709 overflows).
     """
     order = np.asarray(n, dtype=float)
-    if not np.isfinite(order).all() or (order != np.round(order)).any():
+    if not np.isfinite(order).all() or (order % 1.0).any():
         raise ValueError("bessel_j takes an integer order")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
