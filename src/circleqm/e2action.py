@@ -52,10 +52,8 @@ class GroupElement:
     def __init__(self, alpha: float, t: complex, cover_q: Optional[int] = 1):
         alpha, t = float(alpha), complex(t)
         if cover_q is not None:
-            # a plain int skips the two isinstance checks
-            if (type(cover_q) is not int
-                    and (isinstance(cover_q, bool)
-                         or not isinstance(cover_q, (int, np.integer)))
+            if (isinstance(cover_q, bool)
+                    or not isinstance(cover_q, (int, np.integer))
                     or cover_q < 1):
                 raise ValueError("the covering order must be an integer "
                                  f">= 1 or None, got {cover_q!r}")
