@@ -103,11 +103,11 @@ def _finite_array(values, name: str) -> np.ndarray:
 _SECTOR_TOL = 1e-9
 
 
-def _fold(x: float) -> float:
-    """x mod 1 in [0, 1), taking the rounding case x % 1.0 == 1.0 (tiny
-    negative x) to 0."""
-    f = x % 1.0
-    return 0.0 if f == 1.0 else f
+def _fold(x: float, period: float = 1.0) -> float:
+    """x mod period in [0, period), taking the rounding case x % period ==
+    period (tiny negative x) to 0."""
+    f = x % period
+    return 0.0 if f == period else f
 
 
 def _same_sector(delta1: float, delta2: float) -> bool:

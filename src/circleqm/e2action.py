@@ -15,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from circleqm.circlespace import _fold
+
 __all__ = [
     "GroupElement",
     "PhaseSpacePoint",
@@ -38,9 +40,9 @@ class GroupElement:
     """Rotation parameter alpha and complex translation t = a + i b of the
     group covering E(2) cover_q times.
 
-    cover_q = 1 is E(2) itself (alpha reduced mod 2 pi), an integer
-    q >= 2 the q-fold cover (mod 2 pi q) and None the universal cover
-    (alpha as given).  A covering order whose period 2 pi q is not a finite
+    cover_q = 1 is E(2) itself (alpha reduced mod 2 pi into [0, 2 pi)), an
+    integer q >= 2 the q-fold cover (mod 2 pi q) and None the universal
+    cover (alpha as given).  A covering order whose period 2 pi q is not a finite
     double, a non-integer one, and a non-finite alpha or t raise
     ValueError.  The fields are validated and set once, in `__init__`.
     """
@@ -61,7 +63,7 @@ class GroupElement:
             if not math.isfinite(period):
                 raise ValueError("the covering order is too large: 2 pi q "
                                  "is not a finite double")
-            alpha %= period
+            alpha = _fold(alpha, period)
         if not (math.isfinite(alpha) and cmath.isfinite(t)):
             raise ValueError("alpha and t must be finite")
         object.__setattr__(self, "alpha", alpha)
@@ -83,14 +85,14 @@ def identity() -> GroupElement:
 
 @dataclass(frozen=True)
 class PhaseSpacePoint:
-    """Point (phi mod 2 pi, p_phi) of the cylinder; a non-finite phi or
-    p_phi raises ValueError."""
+    """Point (phi mod 2 pi in [0, 2 pi), p_phi) of the cylinder; a
+    non-finite phi or p_phi raises ValueError."""
 
     phi: float
     p_phi: float
 
     def __init__(self, phi: float, p_phi: float):
-        phi, p_phi = float(phi) % (2.0 * math.pi), float(p_phi)
+        phi, p_phi = _fold(float(phi), 2.0 * math.pi), float(p_phi)
         if not (math.isfinite(phi) and math.isfinite(p_phi)):
             raise ValueError("phi and p_phi must be finite")
         object.__setattr__(self, "phi", phi)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,10 @@ __all__ = [
 ]
 
 _KJ_WINDOW_TOL = 1e-15  # w_state window of kj_matrix_elements
+_LOG_MAX = math.log(sys.float_info.max)
+# Largest 2l for kj_report: e^{2l} stays below max double / e^2, so the
+# means' squared modulus 4 e^{2l} is finite too.
+_LOG_E2L_MAX = _LOG_MAX - 2.0
 
 
 @dataclass(frozen=True)
@@ -124,11 +129,21 @@ class KJReport:
 
 
 def kj_report(ctx: LadderContext, z) -> KJReport:
-    """Evaluate the closed forms at the phase point z = theta + i l."""
+    """Evaluate the closed forms at the phase point z = theta + i l.
+
+    ValueError where the record leaves double range: where e^{2l}, the
+    spread (e^{2 eps} - 1) e^{2l} or the squared moduli of the means and
+    the commutator, 4 e^{2l} and 4 spread^2, are not finite doubles (e^{2l}
+    is kept below max double / e^2)."""
     pt = _as_point(z)
     theta_ang, l_tilde = pt.theta, pt.l_tilde
-    e2l = math.exp(2.0 * l_tilde)
-    spread = math.expm1(2.0 * ctx.epsilon) * e2l
+    spread = math.inf
+    if 2.0 * l_tilde < _LOG_E2L_MAX and 2.0 * ctx.epsilon < _LOG_MAX:
+        spread = math.expm1(2.0 * ctx.epsilon) * math.exp(2.0 * l_tilde)
+    if not math.isfinite(4.0 * spread * spread):
+        raise ValueError("the K/J record is not a finite double here: "
+                         "e^{2l} (e^{2 eps} - 1) or its square leaves "
+                         "double range")
     mean_k = 2.0 * math.cos(theta_ang) * math.exp(l_tilde)
     mean_j = -2.0 * math.sin(theta_ang) * math.exp(l_tilde)
     commutator = 2j * spread

@@ -55,7 +55,7 @@ class MinUncParams:
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
-        object.__setattr__(self, "alpha", self.alpha % (2.0 * math.pi))
+        object.__setattr__(self, "alpha", _fold(self.alpha, 2.0 * math.pi))
 
     @property
     def sigma(self) -> complex:

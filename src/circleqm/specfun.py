@@ -149,7 +149,11 @@ def _theta_sum(kind: int, zeta: np.ndarray, tau: complex, want_derivs: bool,
 
     * below `_HORNER_WORK` (every scalar call, and small arrays), for the
       derivatives, and past `_HORNER_TERMS` terms, one exp per (signed term,
-      point), the plain series (`_theta_terms`);
+      point), the plain series (`_theta_terms`).  What tau leaves alone,
+      the indices, their squares, 2i m, the signs and the derivative
+      weights, is the `_term_plan` of (kind, nmax); a call forms only
+      m^2 lq, its phases reduced past `_HORNER_TERMS`
+      (`_reduced_square_exponents`);
     * otherwise Horner's rule in w = exp(2i zeta) and 1/w (`_theta_horner`):
       two exps and O(terms) products a point.  It takes exp(offset) apart
       from the series, so it is used only while |Re offset| and the powers'
@@ -159,21 +163,67 @@ def _theta_sum(kind: int, zeta: np.ndarray, tau: complex, want_derivs: bool,
     off = offset.reshape(-1) if isinstance(offset, np.ndarray) else offset
     lq = 1j * math.pi * tau
     a = -lq.real
-    b = float(abs(z.imag).max()) if z.size else 0.0
+    b = float(_peak(zeta.imag))
     nmax = _n_cutoff(a, b)
     if want_derivs or not _horner_fits(nmax, z.size, b, off):
-        m = np.arange(-nmax - (0.5 if kind == 2 else 0.0), nmax + 1)
-        sq = m * m * lq
+        plan = (_term_plan if nmax <= _PLAN_TERMS
+                else _term_plan.__wrapped__)(kind, nmax)
+        sq = plan.m2 * lq
         if nmax >= _HORNER_TERMS and tau.real != 0.0:
-            sq = _reduced_square_exponents(m, sq, tau)
-        sums = _theta_terms(kind, m, sq, z, off, want_derivs)
+            sq = _reduced_square_exponents(plan.m, sq, tau)
+        sums = _theta_terms(plan, sq, z, off, want_derivs)
     else:
         # Horner's route needs no margin past the extent: nothing else is
         # summed there
         sums = [_theta_horner(kind, math.ceil(_extent(a, b)), z, off, lq)]
     if want_derivs:
-        return tuple(x.reshape(zeta.shape) for x in sums)
+        v, d1, d2 = sums
+        return (v.reshape(zeta.shape), d1.reshape(zeta.shape),
+                d2.reshape(zeta.shape))
     return sums[0].reshape(zeta.shape), None, None
+
+
+def _peak(x):
+    """max |x| over an array, 0 if it is empty; |x| of a scalar or 0-d
+    array, which needs no reduction (one costs microseconds, even over one
+    element)."""
+    x = abs(x)
+    if isinstance(x, np.ndarray):
+        return np.maximum.reduce(x, axis=None, initial=0.0)
+    return x
+
+
+class _Plan(NamedTuple):
+    """The tau-free arrays of the plain series at one kind and nmax, all
+    read-only: the signed indices m, m^2 and 2i m as columns, the signs
+    s_m and the derivative weights 2i m s_m and -4 m^2 s_m."""
+
+    m: np.ndarray
+    m2: np.ndarray
+    two_im: np.ndarray
+    sign: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+
+
+# Plans are cached up to this nmax, so a long series never stays in
+# memory: 3 kinds x 33 term counts of at most 6 KiB each.
+_PLAN_TERMS = 32
+
+
+@functools.lru_cache(maxsize=3 * (_PLAN_TERMS + 1))
+def _term_plan(kind: int, nmax: int) -> _Plan:
+    """The `_Plan` of m over -nmax..nmax, or the half-integers from
+    -nmax - 1/2 to nmax + 1/2 for kind 2 (see `_theta_sum`)."""
+    m = np.arange(-nmax - (0.5 if kind == 2 else 0.0), nmax + 1)
+    s = (-1.0 if kind == 4 else 1.0) ** m
+    # cast to complex once, as the series' products would on each call
+    plan = _Plan(m, (m * m).astype(complex)[:, None], (2j * m)[:, None],
+                 s.astype(complex), 2j * m * s,
+                 (-4.0 * m * m * s).astype(complex))
+    for x in plan:
+        x.flags.writeable = False
+    return plan
 
 
 def _horner_fits(nmax: int, size: int, b: float, off) -> bool:
@@ -181,14 +231,13 @@ def _horner_fits(nmax: int, size: int, b: float, off) -> bool:
     points, b = max |Im zeta|, offset `off` (see `_theta_sum`)."""
     return ((nmax + 1) * size >= _HORNER_WORK and nmax < _HORNER_TERMS
             and 2 * (nmax + 1) * b <= _HORNER_MAX_LOG
-            and (abs(off.real).max() if isinstance(off, np.ndarray)
-                 else abs(off.real)) < _HORNER_MAX_LOG)
+            and _peak(off.real) < _HORNER_MAX_LOG)
 
 
 def _reduced_square_exponents(m: np.ndarray, sq: np.ndarray,
                               tau: complex) -> np.ndarray:
-    """The exponents sq = m^2 i pi tau with their phases m^2 pi Re tau
-    reduced mod 2 pi before they are rounded.
+    """The exponents sq = m^2 i pi tau, a column, with their phases
+    m^2 pi Re tau reduced mod 2 pi before they are rounded.
 
     Past `_HORNER_TERMS` terms the phases reach far beyond 2 pi, and one
     rounding of the product moves them by up to ~4e-9 rad (m ~ 3000,
@@ -204,25 +253,25 @@ def _reduced_square_exponents(m: np.ndarray, sq: np.ndarray,
         turns += np.fmod(m4 * head, 2.0)
         rest -= head
     turns += np.fmod(m4 * rest, 2.0)
-    return sq.real + 1j * (math.pi * np.fmod(turns, 2.0))
+    return sq.real + 1j * (math.pi * np.fmod(turns, 2.0))[:, None]
 
 
-def _theta_terms(kind, m, sq, z, off, want_derivs):
+def _theta_terms(plan: _Plan, sq, z, off, want_derivs):
     """Plain route of `_theta_sum` (see there): one exp per (term, point)
-    over the signed indices m, with exponents m^2 lq = sq, the point axis
-    split so that no temporary holds more than `_CHUNK` elements.  Returns
-    [value] or [value, d1, d2], each flat like z."""
-    chunk = max(1, _CHUNK // m.size)
+    over the plan's signed indices, with exponents m^2 lq = sq (a column),
+    the point axis split so that no temporary holds more than `_CHUNK`
+    elements.  Returns [value] or [value, d1, d2], each flat like z."""
+    chunk = max(1, _CHUNK // plan.m.size)
     if z.size > chunk:
         off = np.broadcast_to(off, z.shape)
-        parts = [_theta_terms(kind, m, sq, z[i:i + chunk], off[i:i + chunk],
+        parts = [_theta_terms(plan, sq, z[i:i + chunk], off[i:i + chunk],
                               want_derivs) for i in range(0, z.size, chunk)]
         return [np.concatenate(col) for col in zip(*parts)]
-    s = (-1.0 if kind == 4 else 1.0) ** m
-    terms = np.exp(sq[:, None] + off + 2j * np.multiply.outer(m, z))
+    terms = np.exp(sq + off + plan.two_im * z)
+    # the dot method: the BLAS product of `@`, at half its call cost
     if not want_derivs:
-        return [s @ terms]
-    return [s @ terms, (2j * m * s) @ terms, (-4.0 * m * m * s) @ terms]
+        return [plan.sign.dot(terms)]
+    return [plan.sign.dot(terms), plan.d1.dot(terms), plan.d2.dot(terms)]
 
 
 def _theta_horner(kind, nmax, z, off, lq):
@@ -284,7 +333,10 @@ class _Modular(NamedTuple):
 
     w = c tau + d, tau_red = gamma tau and w^(-1/2) on the principal branch
     (Im w > 0).  w, c w and tau_red are correctly rounded from the double
-    tau, except for gamma = S, where tau_red is -1.0 / tau."""
+    tau, except for gamma = S, where tau_red is -1.0 / tau.  The factors
+    that depend on tau alone follow (`_move`): ct = 1/(i pi c w), pref =
+    exp(i pi eighth/4) w^(-1/2), log|w| and whether the S guard of
+    `_theta_modular` tests this tau."""
 
     gamma: tuple
     w: complex
@@ -292,13 +344,34 @@ class _Modular(NamedTuple):
     tau: complex
     partner: int
     eighth: int
+    ct: complex
+    pref: complex
+    log_w: float
+    guard: bool
+
+
+def _move(tau: complex, gamma: tuple, w: complex, cw: complex,
+          tau_red: complex, partner: int, eighth: int) -> _Modular:
+    """The `_Modular` record of gamma at tau, its factors formed once."""
+    # (-i w)^(-1/2) = exp(i pi/4) w^(-1/2)
+    pref = (-1j * w) ** (-0.5)
+    if eighth != 1:
+        pref = pref * cmath.exp(0.25j * math.pi * (eighth - 1))
+    # Over a continuous index both series peak at (Im zeta)^2 / (pi Im tau)
+    # in log (the exponents agree identically); the direct series' index
+    # lattice lowers its peak by at most pi Im tau / 4.  So only there can
+    # the transformed terms outgrow the direct ones by 1e6.
+    log_w = math.log(abs(w))
+    guard = math.pi * tau.imag / 4.0 - 0.5 * log_w > _LOG_MAX_CANCEL
+    return _Modular(gamma, w, cw, tau_red, partner, eighth,
+                    1.0 / (1j * math.pi * cw), pref, log_w, guard)
 
 
 @functools.lru_cache(maxsize=256)
 def _s_move(tau: complex, kind: int) -> _Modular:
     """gamma = S: theta_k(zeta|tau) = (-i tau)^(-1/2) exp(zeta^2/(i pi tau))
     theta_k'(zeta/tau | -1/tau), (-i tau)^(-1/2) = exp(i pi/4) tau^(-1/2)."""
-    return _Modular(_S, tau, tau, -1.0 / tau, _MODULAR_PARTNER[kind], 1)
+    return _move(tau, _S, tau, tau, -1.0 / tau, _MODULAR_PARTNER[kind], 1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -357,9 +430,9 @@ def _reduce_tau(tau: complex, kind: int) -> _Modular | None:
         raise ValueError("theta needs the modular move of a tau this close "
                          "to the real axis; nome too close to the unit circle")
     tau_red = complex((ux * vx + uy * vy) / vv, im_uv / vv)
-    return _Modular((a, b, c, d), complex(vx / scale, vy / scale),
-                    complex(c * vx / scale, c * vy / scale), tau_red, kind,
-                    eighth % 8)
+    return _move(tau, (a, b, c, d), complex(vx / scale, vy / scale),
+                 complex(c * vx / scale, c * vy / scale), tau_red, kind,
+                 eighth % 8)
 
 
 class _Nodes(NamedTuple):
@@ -450,7 +523,7 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
     about 19.5 under S); below it nothing is tested.
     """
     a, _, c, _ = mod.gamma
-    ct = 1.0 / (1j * math.pi * mod.cw)
+    ct, pref = mod.ct, mod.pref
     if mod.gamma == _S:
         s, u, off = zeta, zeta / mod.cw, offset
     else:
@@ -469,23 +542,14 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
                                offset=ct * s * s + off)
     else:
         g, g1, g2 = _theta_squares(mod, s, u, j, off, want_derivs)
-    # (-i w)^(-1/2) = exp(i pi/4) w^(-1/2)
-    pref = (-1j * mod.w) ** (-0.5)
-    if mod.eighth != 1:
-        pref = pref * cmath.exp(0.25j * math.pi * (mod.eighth - 1))
-    # Over a continuous index both series peak at (Im zeta)^2 / (pi Im tau)
-    # in log (the exponents agree identically); the direct series' index
-    # lattice lowers its peak by at most pi Im tau / 4.  So only there can
-    # the transformed terms outgrow the direct ones by 1e6.
-    log_w = math.log(abs(mod.w))
-    if math.pi * nome.tau.imag / 4.0 - 0.5 * log_w > _LOG_MAX_CANCEL:
+    if mod.guard:
         log_value = np.log(np.abs(g)) - offset.real
         # logs relative to |pref| exp(offset), which scales the value and
         # terms alike
         im = zeta.zeta0.imag if isinstance(zeta, _Nodes) else zeta.imag
         scale = np.maximum(log_value,
                            _log_peak(kind, nome.log_q, np.abs(im))
-                           + 0.5 * log_w)
+                           + 0.5 * mod.log_w)
         largest = ((ct * s * s).real
                    + _log_peak(mod.partner, 1j * math.pi * mod.tau,
                                np.abs(u.imag)))
@@ -519,7 +583,7 @@ def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
     a, c, partner = mod.gamma[0], mod.gamma[2], mod.partner
     shape = u.shape
     s, u, j, off = s.reshape(-1), u.reshape(-1), j.reshape(-1), off.reshape(-1)
-    b = float(abs(u.imag).max()) if u.size else 0.0
+    b = float(_peak(u.imag))
     # the extent, in the term budget; the derivatives keep the margin
     # `_n_cutoff` leaves for their weights m^2
     n = _n_cutoff(math.pi * mod.tau.imag, b) - (0 if want_derivs else 2)
@@ -550,7 +614,15 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
     """`theta` or `theta_derivs` times exp(offset), a scalar fused into the
     series' exponents (`_theta_sum`); zeta may be `_Nodes`.  The one owner
     of the route (`_reduce_tau` under "auto") and of the range refusal: a
-    value or derivative that is not a finite double raises ValueError."""
+    value or derivative that is not a finite double raises ValueError.
+
+    Most calls take a scalar or a few points, so the fixed cost of a call
+    is kept to few NumPy calls: a scalar zeta travels as a NumPy scalar,
+    each peak (of |Re zeta| / period here, of |Im zeta| in the series) is
+    one reduction, none for a scalar (`_peak`), the series runs under one
+    floating-point state set per call (`_theta_route`), and what depends
+    on tau alone comes cached, with the move (`_Modular`) or the terms'
+    plan (`_term_plan`)."""
     if kind not in (2, 3, 4):
         raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
     if not isinstance(nome, ThetaNome):
@@ -563,12 +635,13 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
         z = complex(zeta.zeta0)
         finite = abs(z.real) / period + 1.0 < _TURN_LIMIT
     else:
-        zeta = z = np.asarray(zeta, dtype=complex)
+        # a scalar as a NumPy scalar: its arithmetic skips the array
+        # machinery
+        zeta = z = np.asarray(zeta, dtype=complex)[()]
         turns = z.real / period
-        # nan or inf past the range (np.all and np.abs cost microseconds
-        # on a scalar, their methods and abs() less); `_n_cutoff` refuses
-        # a non-finite Im zeta
-        peak = abs(turns).max(initial=0.0)
+        # nan or inf past the range; `_n_cutoff` refuses a non-finite Im
+        # zeta
+        peak = _peak(turns)
         finite = peak < _TURN_LIMIT
     if not finite:
         raise ValueError("zeta must be finite, with |Re zeta| below 2^52 "
@@ -595,15 +668,8 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
             z = zeta.points()
             turns = z.real / period
         zeta = z - period * np.rint(turns)
-    # out of range the series over- or underflows term by term; the result
-    # then is not finite and is refused whole
-    with np.errstate(all="ignore"):
-        if mod is None:
-            v, d1, d2 = _theta_sum(kind, zeta, nome.tau, want_derivs, offset)
-        else:
-            v, d1, d2 = _theta_modular(kind, zeta, nome, mod, want_derivs,
-                                       offset)
-    if np.ndim(v) == 0:
+    v, d1, d2 = _theta_route(kind, zeta, nome, mod, want_derivs, offset)
+    if v.ndim == 0:
         v = complex(v)
         if want_derivs:
             d1, d2 = complex(d1), complex(d2)
@@ -617,6 +683,19 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
         raise ValueError("theta is not a finite double here: its value or "
                          "a derivative leaves double range")
     return (v, d1, d2) if want_derivs else v
+
+
+@np.errstate(all="ignore")
+def _theta_route(kind: int, zeta, nome: ThetaNome, mod: _Modular | None,
+                 want_derivs: bool, offset):
+    """The series of `_theta_dispatch` at the move `mod`, or the direct one
+    (None), with every floating-point warning off: out of range the series
+    over- or underflows term by term, and the dispatch refuses the result
+    whole.  The decorator sets the error state per call, so threads do not
+    share it, and costs less than a `with` block."""
+    if mod is None:
+        return _theta_sum(kind, zeta, nome.tau, want_derivs, offset)
+    return _theta_modular(kind, zeta, nome, mod, want_derivs, offset)
 
 
 def theta(kind: int, zeta, nome, method: str = "auto"):
@@ -797,23 +876,30 @@ def bessel_j(n, z):
     order = np.asarray(n, dtype=float)
     if not np.isfinite(order).all() or (order % 1.0).any():
         raise ValueError("bessel_j takes an integer order")
+    val = _jv(order, z)
+    return complex(val) if order.ndim == 0 else val
+
+
+def _jv(order: np.ndarray, z) -> np.ndarray:
+    """`bessel_j` at float orders known to be integers: the argument and
+    value checks without the order checks."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("bessel_j requires a finite argument")
     val = special.jv(order, z)
     if not np.isfinite(val).all():
         raise ValueError(f"J_n(z) at z = {z} is not a finite double")
-    return complex(val) if order.ndim == 0 else val
+    return val
 
 
 def _bessel_window(z: complex, half: int) -> np.ndarray:
     """J_k(z) for the orders k = -half..half from one `bessel_j` call over
-    0..half, the negative orders mirrored by J_{-k}(z) = (-1)^k J_k(z)
-    (DLMF 10.4.1).  scipy's `jv` reflects a negative integer order by the
-    same negation, so the values are those of `bessel_j` over the whole
-    window."""
+    0..half (`_jv`: its own integer orders need no check), the negative
+    orders mirrored by J_{-k}(z) = (-1)^k J_k(z) (DLMF 10.4.1).  scipy's
+    `jv` reflects a negative integer order by the same negation, so the
+    values are those of `bessel_j` over the whole window."""
     out = np.empty(2 * half + 1, dtype=complex)
-    out[half:] = bessel_j(np.arange(half + 1), z)
+    out[half:] = _jv(np.arange(half + 1.0), z)
     out[:half] = out[:half:-1]
     odd = out[(half + 1) % 2:half:2]
     np.negative(odd, out=odd)

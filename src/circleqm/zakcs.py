@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circleqm.circlespace import (CircleState, Sector, _finite_array,
+from circleqm.circlespace import (CircleState, Sector, _finite_array, _fold,
                                   _require_same_sector)
 from circleqm.specfun import (ThetaNome, _extent, _Nodes, _theta_dispatch,
                               theta, theta_derivs)
@@ -59,7 +59,8 @@ class PhasePoint:
     l_tilde: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
+        object.__setattr__(self, "theta",
+                           _fold(float(self.theta), 2.0 * math.pi))
         if not math.isfinite(self.theta):
             raise ValueError("the label's angle must be finite")
         object.__setattr__(self, "l_tilde", float(self.l_tilde))

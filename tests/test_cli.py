@@ -271,6 +271,25 @@ class TestConfigValues:
         assert word in err
 
 
+class TestKJRange:
+    @pytest.mark.parametrize("doc", [
+        # an OverflowError traceback and exit 1
+        {"epsilon": 1.0, "delta": 0.3, "theta_grid": [0.0],
+         "l_grid": [360.0]},
+        # inf printed for var_k, var_j and the commutator, exit 0
+        {"epsilon": 100.76144908265663, "delta": 0.2513955956006695,
+         "theta_grid": [4.349168623261793], "l_grid": [256.39213088114764]},
+    ])
+    def test_out_of_range_record_exits_two(self, capsys, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "table", "kj", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and "finite double" in err
+        assert len(err.splitlines()) == 1
+
+
 class TestGridValues:
     @pytest.mark.parametrize("argv,doc,word", [
         (["table", "kj"], {"theta_grid": ["nan"]}, "theta_grid"),

@@ -161,6 +161,20 @@ class TestRecordContract:
         q = int(np.finfo(float).max / (2 * math.pi)) // 2
         assert GroupElement(5.0, 0j, q).alpha == 5.0
 
+    @pytest.mark.parametrize("cover_q", [1, 3, None])
+    def test_angle_endpoint_folds_to_zero(self, cover_q):
+        # -1e-17 % 2 pi q rounds up to 2 pi q itself, the excluded end of
+        # [0, 2 pi q): it is the identity rotation
+        g = GroupElement(-1e-17, 0j, cover_q)
+        if cover_q is None:
+            assert g.alpha == -1e-17
+        else:
+            assert g.alpha == 0.0 and g == GroupElement(0.0, 0j, cover_q)
+        assert GroupElement(-1e-10, 0j).alpha == 2 * math.pi - 1e-10
+        assert PhaseSpacePoint(-1e-17, 0.0).phi == 0.0
+        assert PhaseSpacePoint(-1e-17, 0.0) == PhaseSpacePoint(0.0, 0.0)
+        assert PhaseSpacePoint(-1e-10, 0.0).phi == 2 * math.pi - 1e-10
+
     def test_compose_bits_match_numpy_exp(self):
         rng = np.random.default_rng(23)
         for _ in range(2000):

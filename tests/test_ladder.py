@@ -211,6 +211,31 @@ class TestKJReport:
         rep = kj_report(LadderContext(eps, Sector(0.0)), PhasePoint(0.3, l))
         assert abs(rep.var_k - ref) <= 4e-16 * ref
 
+    @pytest.mark.parametrize("eps,delta,theta_ang,l", [
+        # e^{2l} overflowed math.exp with an OverflowError
+        (1.0, 0.3, 0.0, 360.0),
+        # the spread overflowed to inf and the record was returned
+        (100.76144908265663, 0.2513955956006695, 4.349168623261793,
+         256.39213088114764),
+        # expm1(2 eps) overflowed with an OverflowError
+        (400.0, 0.0, 0.0, 0.0),
+        # e^{2l} finite, but the means' squared modulus past double range
+        (1e-200, 0.0, 0.0, 354.5),
+    ])
+    def test_out_of_range_record_refused(self, eps, delta, theta_ang, l):
+        with pytest.raises(ValueError, match="not a finite double"):
+            kj_report(LadderContext(eps, Sector(delta)),
+                      PhasePoint(theta_ang, l))
+
+    @pytest.mark.parametrize("eps,l", [(1.0, 175.0), (100.0, 75.0),
+                                       (354.0, -200.0), (1e-200, 350.0)])
+    def test_record_finite_up_to_the_refusal(self, eps, l):
+        rep = kj_report(LadderContext(eps, Sector(0.0)), PhasePoint(0.3, l))
+        values = (rep.mean_k, rep.mean_j, rep.var_k, rep.var_j,
+                  rep.commutator_mean.imag, rep.l_recovered)
+        assert all(math.isfinite(v) for v in values), values
+        assert rep.saturated
+
     @pytest.mark.parametrize("theta_ang,l", [(0.0, 0.0), (1.2, 0.5),
                                              (4.0, -0.8), (3.14, 1.0)])
     def test_parameter_recovery(self, theta_ang, l):

@@ -339,6 +339,12 @@ class TestRefusals:
         with pytest.raises(ValueError, match=word):
             call()
 
+    def test_alpha_endpoint_folds_to_zero(self):
+        # -1e-17 % 2 pi rounds up to 2 pi, the excluded end of [0, 2 pi)
+        assert MinUncParams(-1e-17, 0.0, 0.0, 1.0).alpha == 0.0
+        assert (MinUncParams(-1e-10, 0.0, 0.0, 1.0).alpha
+                == 2 * math.pi - 1e-10)
+
 
 class TestWindowOrders:
     # min_state and sum_rule_residual take J over -h..h from one call over

@@ -8,6 +8,7 @@ against the theta-ratio identity web.
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +17,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from circleqm import specfun
 from circleqm.specfun import (
+    _PLAN_TERMS,
     _bessel_half_width,
     _bessel_window,
+    _Nodes,
     _reduce_tau,
     _s_move,
+    _term_plan,
+    _theta_dispatch,
     ThetaNome,
     bessel_i,
     bessel_j,
@@ -593,8 +599,9 @@ class TestModularReduction:
         for tau in (0.999j, 0.5j, 0.3j, 1e-3j, 1e-9j, 3e-15j):
             for kind, partner in ((2, 4), (3, 3), (4, 2)):
                 mod = _reduce_tau(tau, kind)
-                assert mod == ((0, -1, 1, 0), tau, tau,
-                               complex(0.0, 1.0 / tau.imag), partner, 1), tau
+                assert mod[:6] == ((0, -1, 1, 0), tau, tau,
+                                   complex(0.0, 1.0 / tau.imag), partner,
+                                   1), tau
                 assert mod == _s_move(tau, kind), tau
         # the pair straddling the completed squares' threshold
         # (`test_routes_match_jtheta`): c = 2, Im tau' = 15 and 17
@@ -727,6 +734,89 @@ class TestModularReduction:
         # zeta = -20, whose rounding c amplifies unless the shift is exact
         err = self._auto_error(kind, log_damping, log_t, delta, eps, dphi)
         assert err < 1e-11
+
+
+def _profiled_calls(call):
+    """(Python-level calls into specfun, C-level calls made from its
+    frames) of one call, after a first one has warmed the caches."""
+    call()
+    counts = {"call": 0, "c_call": 0}
+
+    def hook(frame, event, arg):
+        if event in counts and frame.f_code.co_filename == specfun.__file__:
+            counts[event] += 1
+
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return counts["call"], counts["c_call"]
+
+
+class TestPerCallFloor:
+    """theta's fixed cost per call: what a call does besides its series."""
+
+    @pytest.mark.parametrize("tau,zeta,derivs,expected", [
+        (1.6j, 0.3 + 0.2j, False, (9, 15)),  # a scalar, direct series
+        (0.05j, 0.3 + 0.2j, False, (10, 15)),  # a scalar under S
+        (0.05j, np.array([0.3 + 0.2j, 0.1 - 0.05j]), True, (9, 22)),
+        (0.31 + 0.0007j, _Nodes(1, 0.37 + 0.01j), False, (11, 19)),
+    ], ids=["scalar-direct", "scalar-S", "two-point-derivs", "reduced-node"])
+    def test_call_counts_pinned(self, tau, zeta, derivs, expected):
+        # Python-level calls into specfun and C-level calls from it (NumPy
+        # ufuncs are not seen): work added to every call shows here
+        # first; lower the pin when a call gets cheaper
+        nome = ThetaNome(tau)
+        assert _profiled_calls(lambda: _theta_dispatch(
+            3, zeta, nome, "auto", derivs)) == expected
+
+    @pytest.mark.parametrize("tau", [30j, 0.03j, 0.5 + 1e-3j])
+    def test_callers_error_state_kept(self, tau):
+        # far terms underflow on the direct route, under S and past Im
+        # tau' = 16 off S, which raises under the caller's state unless
+        # theta sets its own for the series alone
+        nome = ThetaNome(tau)
+        expected = theta(3, 0.1, nome)
+        before = np.geterr()
+        with np.errstate(all="raise"):
+            inside = np.geterr()
+            got = theta(3, 0.1, nome)
+            values = theta_derivs(3, np.array([0.1, 0.2j]), nome)
+            assert np.geterr() == inside
+        assert np.geterr() == before
+        assert got == expected and cmath.isfinite(got)
+        assert all(np.isfinite(v).all() for v in values)
+
+    @pytest.mark.parametrize("tau", [30j, 0.03j, 0.5 + 1e-3j])
+    def test_series_alone_raises_under_that_state(self, tau):
+        # so the case above is not vacuous
+        nome = ThetaNome(tau)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            specfun._theta_route.__wrapped__(
+                3, np.float64(0.1) + 0j, nome, _reduce_tau(nome.tau, 3),
+                False, 0.0)
+
+    def test_term_plans_read_only_and_keyed_without_tau(self):
+        _term_plan.cache_clear()
+        # 40 nomes on the imaginary axis, each taking the direct series
+        # with the same term count: one plan serves them all
+        for im in np.linspace(1.0, 1.05, 40):
+            theta(3, 0.2, ThetaNome(complex(0.0, im)))
+        info = _term_plan.cache_info()
+        assert info.currsize == 1 and info.hits == 39, info
+        plan = _term_plan(3, 5)
+        for array in plan:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+        # a long series builds its plan on each call and keeps none
+        _term_plan.cache_clear()
+        theta(3, 0.2, ThetaNome(0.01j), method="direct")
+        assert _term_plan.cache_info().currsize == 0
+        theta(3, 0.2, ThetaNome(1.6j))
+        assert _term_plan.cache_info().currsize == 1
+        assert _PLAN_TERMS < 38  # the long series' nmax
 
 
 class TestBesselI:

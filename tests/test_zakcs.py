@@ -913,6 +913,12 @@ class TestRefusals:
         with pytest.raises(ValueError, match=word):
             call()
 
+    def test_label_angle_endpoint_folds_to_zero(self):
+        # -1e-17 % 2 pi rounds up to 2 pi, the excluded end of [0, 2 pi)
+        assert PhasePoint(-1e-17, 0.0).theta == 0.0
+        assert PhasePoint(-1e-17, 0.0) == PhasePoint(0.0, 0.0)
+        assert PhasePoint(-1e-10, 0.0).theta == 2 * math.pi - 1e-10
+
     @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
     def test_non_finite_angle_refused_without_warning(self, angle):
         # each call gave a RuntimeWarning at phi = inf, and zak_periodize an
