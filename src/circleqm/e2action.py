@@ -15,8 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from circleqm.circlespace import _fold
-
 __all__ = [
     "GroupElement",
     "PhaseSpacePoint",
@@ -63,7 +61,11 @@ class GroupElement:
             if not math.isfinite(period):
                 raise ValueError("the covering order is too large: 2 pi q "
                                  "is not a finite double")
-            alpha = _fold(alpha, period)
+            alpha %= period
+            # a tiny negative alpha rounds up to the period itself, the
+            # excluded end (`circlespace._fold`, inline on this hot path)
+            if alpha == period:
+                alpha = 0.0
         if not (math.isfinite(alpha) and cmath.isfinite(t)):
             raise ValueError("alpha and t must be finite")
         object.__setattr__(self, "alpha", alpha)
@@ -92,7 +94,10 @@ class PhaseSpacePoint:
     p_phi: float
 
     def __init__(self, phi: float, p_phi: float):
-        phi, p_phi = _fold(float(phi), 2.0 * math.pi), float(p_phi)
+        turn = 2.0 * math.pi
+        phi, p_phi = float(phi) % turn, float(p_phi)
+        if phi == turn:  # the rounding case of a tiny negative phi
+            phi = 0.0
         if not (math.isfinite(phi) and math.isfinite(p_phi)):
             raise ValueError("phi and p_phi must be finite")
         object.__setattr__(self, "phi", phi)
