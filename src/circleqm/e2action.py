@@ -40,8 +40,8 @@ class GroupElement:
 
     cover_q = 1 is E(2) itself (alpha reduced mod 2 pi into [0, 2 pi)), an
     integer q >= 2 the q-fold cover (mod 2 pi q) and None the universal
-    cover (alpha as given).  A covering order whose period 2 pi q is not a finite
-    double, a non-integer one, and a non-finite alpha or t raise
+    cover (alpha as given).  A covering order whose period 2 pi q is not a
+    finite double, a non-integer one, and a non-finite alpha or t raise
     ValueError.  The fields are validated and set once, in `__init__`.
     """
 
