@@ -198,15 +198,9 @@ class CircleState:
         call's other angles (a matmul's do): a scalar call gives the bits
         of the same angle in a batch.  Raises ValueError for a non-finite
         phi."""
-        phi = _finite_array(phi, "phi")
-        k = np.floor(phi / (2.0 * math.pi))
-        phi0 = phi - 2.0 * math.pi * k
-        freq = self.indices + self.sector.delta
-        # a scalar angle is summed as a row too: einsum reduces a lone
-        # vector in another order
-        waves = np.exp(1j * np.multiply.outer(np.atleast_1d(phi0), freq))
-        vals = np.einsum("...j,j->...", waves, self.coeffs).reshape(phi.shape)
-        vals = vals * np.exp(1j * 2.0 * math.pi * self.sector.delta * k)
+        vals = _evaluate(_finite_array(phi, "phi"),
+                         self.indices + self.sector.delta, self.coeffs,
+                         self.sector.delta)
         return vals if vals.shape else complex(vals)
 
     def to_json(self) -> str:
@@ -226,6 +220,20 @@ class CircleState:
         if isinstance(n_lo, float) and n_lo.is_integer():
             n_lo = int(n_lo)
         return cls(Sector(float(doc["delta"])), n_lo, coeffs)
+
+
+def _evaluate(phi: np.ndarray, freq: np.ndarray, coeffs: np.ndarray,
+              delta: float) -> np.ndarray:
+    """sum_j coeffs[j] exp(i freq[j] phi) at finite angles phi, freq = n +
+    delta over a window: `CircleState.evaluate` without the checks, shaped
+    like phi."""
+    k = np.floor(phi / (2.0 * math.pi))
+    phi0 = phi - 2.0 * math.pi * k
+    # a scalar angle is summed as a row too: einsum reduces a lone vector
+    # in another order
+    waves = np.exp(1j * np.multiply.outer(np.atleast_1d(phi0), freq))
+    vals = np.einsum("...j,j->...", waves, coeffs).reshape(phi.shape)
+    return vals * np.exp(1j * 2.0 * math.pi * delta * k)
 
 
 def basis_state(n: int, sector: Sector) -> CircleState:

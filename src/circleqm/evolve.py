@@ -12,6 +12,7 @@ of the two coherent-state families are provided alongside.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from circleqm.circlespace import (CircleState, Params, Sector, _centred, _dots,
-                                  _finite_array, _require_same_sector,
-                                  operator_coeffs)
+                                  _evaluate, _finite_array,
+                                  _require_same_sector, operator_coeffs)
 from circleqm.mincs import MinUncParams, min_state
 from circleqm.specfun import _Nodes
 from circleqm.zakcs import WZParams, _flow_theta, _require_phase, _w_theta
@@ -122,6 +123,26 @@ _KERNEL_METHODS = {"series": "direct", "gaussian": "transform", "auto": "auto"}
 _MIN_DAMPING = 1e-8  # least eps omega eta: there the faces agree to 4e-9
 
 
+def _smooth_lengths(limit: int) -> list:
+    """The lengths up to limit with no prime factor above 7, ascending."""
+    lengths = [1]
+    for p in (2, 3, 5, 7):
+        more = []
+        for x in lengths:
+            while x <= limit:
+                more.append(x)
+                x *= p
+        lengths = more
+    return sorted(lengths)
+
+
+# kernel_apply's node counts, FFT lengths numpy factors into radices 2 to 7
+# (a large prime factor cost up to 4.6x as much: 1009 nodes against 1024),
+# up to the power of two past its largest bound, 2 B + 1 at the least damping
+_NODE_COUNTS = _smooth_lengths(
+    1 << (2 * math.ceil(math.sqrt(80.0 / _MIN_DAMPING)) + 1).bit_length())
+
+
 def _damping(spec: EvolutionSpec) -> float:
     """eps omega eta, refused with ValueError below the kernel's range."""
     damping = spec.params.epsilon * spec.params.omega * spec.eta
@@ -204,14 +225,18 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
     nodes, rotated or not, is exact for exp(i (k - n) phi) unless k - n is
     a nonzero multiple of m, so state index k picks up only the alias
     partners n = k + s m, s != 0, each with |n + delta| >= m - |k + delta|.
-    Taking
+    With R = max(|n_lo + delta|, |n_hi + delta|), m is the least length
+    with no prime factor above 7 (an FFT length numpy factors into small
+    radices) at or above
 
-        m = ceil(B) + ceil(max(|n_lo + delta|, |n_hi + delta|)) + 1
+        ceil(B) + min(ceil(R), ceil(B)) + 1,
 
-    puts every partner of every window index past B, where the kernel has
-    damped it by exp(-40).  A window far from the origin therefore costs
-    more nodes: the cost grows with its distance from n = 0, not only with
-    its width and 1/eta.
+    which puts every alias partner of every window index with |k + delta|
+    <= ceil(B) past B, where the kernel has damped it by exp(-40); a larger
+    m only moves the partners further out.  The indices past ceil(B), in a
+    window far from n = 0, take Theta_k = 0: their own a_k is already below
+    exp(-40).  So m is at most 2 ceil(B) + 1 rounded up to such a length,
+    however far the window sits.
 
     One convolution.  K(dphi) = C exp(i delta dphi) Theta(dphi), Theta the
     2 pi-periodic theta factor of `_kernel_theta`, and psi(phi) = sum_k c_k
@@ -238,13 +263,19 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
     """
     _require_same_sector(state.sector, spec.sector)
     phi = np.atleast_1d(_finite_array(phi_out, "phi_out"))
-    bandwidth = int(math.ceil(math.sqrt(80.0 / _damping(spec))))
+    band = int(math.ceil(math.sqrt(80.0 / _damping(spec))))
     delta = spec.sector.delta
-    reach = max(abs(state.n_lo + delta), abs(state.n_hi + delta))
-    m = bandwidth + int(math.ceil(reach)) + 1
+    reach = int(math.ceil(max(abs(state.n_lo + delta),
+                              abs(state.n_hi + delta))))
+    m = _NODE_COUNTS[bisect.bisect_left(_NODE_COUNTS,
+                                        band + min(reach, band) + 1)]
     const, samples = _kernel_theta(spec, _Nodes(m))
-    weighted = const * state.coeffs * np.fft.ifft(samples)[state.indices % m]
-    vals = CircleState(state.sector, state.n_lo, weighted).evaluate(phi)
+    indices = state.indices
+    freq = indices + delta
+    theta_k = np.fft.ifft(samples)[indices % m]
+    if reach > band:
+        theta_k[np.abs(freq) > band] = 0.0
+    vals = _evaluate(phi, freq, const * state.coeffs * theta_k, delta)
     return complex(vals[0]) if np.isscalar(phi_out) else vals
 
 

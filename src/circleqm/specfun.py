@@ -281,25 +281,36 @@ def _theta_horner(kind, nmax, z, off, lq):
     h = exp(2i m0 zeta), w = exp(2i zeta), the series is exp(offset) *
     (h P(w) + P(1/w) / h), P(x) = sum_j c_j x^j, c_j = s_m exp(m^2 lq)
     (halved at m = 0, which is its own +- partner)."""
+    c = _horner_coeffs(kind, nmax, lq)
+    n = z.size
+    # w and 1/w side by side, each written in place
+    x = np.empty(2 * n, dtype=complex)
+    if kind == 2:
+        h = np.exp(1j * z)
+        np.multiply(h, h, out=x[:n])
+    else:
+        np.exp(2j * z, out=x[:n])
+    np.divide(1.0, x[:n], out=x[n:])
+    p = c[-1] * x + c[-2] if len(c) > 1 else np.full(x.shape, c[0])
+    for cj in c[-3::-1]:
+        p *= x
+        p += cj
+    if kind == 2:
+        return np.exp(off) * (h * p[:n] + p[n:] / h)
+    return np.exp(off) * (p[:n] + p[n:])
+
+
+@functools.lru_cache(maxsize=64)
+def _horner_coeffs(kind: int, nmax: int, lq: complex) -> tuple:
+    """The c_j of `_theta_horner` at one tau and term count, which
+    `evolve.kernel_apply` and `evolve.kernel` at one time share."""
     half = 0.5 if kind == 2 else 0.0
     c = [cmath.exp((half + j) ** 2 * lq) for j in range(int(nmax - half) + 1)]
     if kind == 4:
         c[1::2] = [-cj for cj in c[1::2]]
-    if kind == 2:
-        h = np.exp(1j * z)
-        w = h * h
-    else:
+    if kind != 2:
         c[0] = 0.5
-        w = np.exp(2j * z)
-    x = np.concatenate([w, 1.0 / w])
-    p = np.full(x.shape, c[-1])
-    for cj in c[-2::-1]:
-        p *= x
-        p += cj
-    n = z.size
-    if kind == 2:
-        return np.exp(off) * (h * p[:n] + p[n:] / h)
-    return np.exp(off) * (p[:n] + p[n:])
+    return tuple(c)
 
 
 # Under tau -> -1/tau kind 3 maps to itself and kinds 2 and 4 swap.
@@ -396,43 +407,50 @@ def _reduce_tau(tau: complex, kind: int) -> _Modular | None:
 
     A tau in the domain takes no S and gives None.  At Re tau = 0 below
     |tau| = 1 the walk is S alone, the record of `_s_move`: tau' = i/Im tau
-    correctly rounded, the same double as -1.0 / tau."""
+    correctly rounded, the same double as -1.0 / tau.
+
+    The walk carries only |u|^2, |v|^2 and u.v, two big-integer products a
+    step: T^-n takes them to |u|^2 - n (2 u.v - n |v|^2), |v|^2 and u.v -
+    n |v|^2, and S to |v|^2, |u|^2 and -u.v.  v = c M tau + d M is formed
+    once, from the last gamma."""
     x_num, x_den = tau.real.as_integer_ratio()
     y_num, y_den = tau.imag.as_integer_ratio()
     scale = max(x_den, y_den)
-    ux, uy = x_num * (scale // x_den), y_num * (scale // y_den)
-    im_uv = scale * uy  # Im(u conj v) = M^2 Im tau, as det gamma = 1
-    vx, vy = scale, 0
+    x, y = x_num * (scale // x_den), y_num * (scale // y_den)
+    im_uv = scale * y  # Im(u conj v) = M^2 Im tau, as det gamma = 1
+    uu, vv, uv = x * x + y * y, scale * scale, x * scale
     a, b, c, d = 1, 0, 0, 1
     eighth = 0
     while True:
-        vv = vx * vx + vy * vy
-        n = (2 * (ux * vx + uy * vy) + vv) // (2 * vv)
+        n = (2 * uv + vv) // (2 * vv)
         if n:
-            ux, uy, a, b = ux - n * vx, uy - n * vy, a - n * c, b - n * d
+            n_vv = n * vv
+            uu -= n * (2 * uv - n_vv)
+            uv -= n_vv
+            a, b = a - n * c, b - n * d
             if kind == 2:
                 eighth += n
             elif n % 2:
                 kind = 7 - kind
-        if ux * ux + uy * uy >= vv:
+        if uu >= vv:
             break
         # S brings exp(i pi/4); past the positive real axis also exp(-i pi)
         eighth += 5 if c < 0 <= a else 1
-        ux, uy, vx, vy = -vx, -vy, ux, uy
+        uu, vv, uv = vv, uu, -uv
         a, b, c, d = -c, -d, a, b
         kind = _MODULAR_PARTNER[kind]
     if c == 0:
         return None
     if c < 0:
-        a, b, c, d, ux, uy, vx, vy = -a, -b, -c, -d, -ux, -uy, -vx, -vy
+        a, b, c, d = -a, -b, -c, -d
         eighth += 6  # w = -v: arg w = arg v - pi, a factor exp(-i pi/2)
     if c > _MAX_C:
         raise ValueError("theta needs the modular move of a tau this close "
                          "to the real axis; nome too close to the unit circle")
-    tau_red = complex((ux * vx + uy * vy) / vv, im_uv / vv)
+    vx, vy = c * x + d * scale, c * y
     return _move(tau, (a, b, c, d), complex(vx / scale, vy / scale),
-                 complex(c * vx / scale, c * vy / scale), tau_red, kind,
-                 eighth % 8)
+                 complex(c * vx / scale, c * vy / scale),
+                 complex(uv / vv, im_uv / vv), kind, eighth % 8)
 
 
 class _Nodes(NamedTuple):
@@ -447,32 +465,52 @@ class _Nodes(NamedTuple):
         return angles / 2.0 + self.zeta0
 
 
-def _lattice_shift(x, c: int):
-    """k = rint(c x / pi) and c x - k pi for a real x (or array), |k| <
-    2^29, the second within about an ulp of pi/2 of its exact value: pi/c
-    is split into a 24-bit head, whose products with k are exact and
-    differ from x by less than a factor 2, and a tail; c x - k pi =
-    c ((x - k head) - k tail)."""
+def _lattice_phases(k: np.ndarray, a: int, c: int, partner: int):
+    """The phases (pi/c) j and (i pi/c) p of `_theta_modular`, j = k a mod
+    2c and p = k (j + [partner = 4] c) mod 2c, for int64 k, |k| < 2^29,
+    and a = a mod 2c: every product is below 2^57."""
+    j = k * a % (2 * c)
+    p = k * (j + c if partner == 4 else j) % (2 * c)
+    return (math.pi / c) * j, (1j * math.pi / c) * p
+
+
+def _shifted(zeta, a: int, c: int, partner: int):
+    """k mod 2c, as int64 in [-2c, 2c), s = c zeta - k pi, k = rint(c Re
+    zeta / pi), and the phases of k (`_lattice_phases`, a = a mod 2c), for
+    an array or `_Nodes`.
+
+    Re s is within about an ulp of pi/2 of its exact value: pi/c is split
+    into a 24-bit head, whose products with |k| < 2^29 are exact, and a
+    tail, and c Re zeta - k pi = c ((Re zeta - k head) - k tail).  The
+    nodes' zeta0 takes that shift and their -c pi j/size the integer
+    nearest -c j/size, so each point keeps its exact node.  Their k =
+    k0 - rint(c j/size) takes at most c + 1 values; below size, the phases
+    are formed on those and gathered."""
     head = float(np.float32(math.pi / c))
     tail = (math.pi - c * head + _PI_TAIL) / c
-    k = np.rint(x * (c / math.pi))
-    return k, c * (x - k * head - k * tail)
-
-
-def _shifted(zeta, c: int):
-    """k = rint(c Re zeta / pi) and s = c zeta - k pi, k as integer
-    doubles, for an array or `_Nodes`.  The nodes' zeta0 takes
-    `_lattice_shift` and their -c pi j/size the integer nearest -c j/size,
-    so each point keeps its exact node."""
     if not isinstance(zeta, _Nodes):
-        k, s_re = _lattice_shift(zeta.real, c)
-        return k, s_re + 1j * (c * zeta.imag)
-    k0, s0 = _lattice_shift(zeta.zeta0.real, c)
-    cj = c * np.arange(zeta.size, dtype=float)
-    k = np.rint(cj / zeta.size)
-    s = (cj - k * zeta.size) * (-math.pi / zeta.size) + complex(
+        x = zeta.real
+        k = np.rint(x * (c / math.pi))
+        s = c * (x - k * head - k * tail) + 1j * (c * zeta.imag)
+        k = k.astype(np.int64) % (2 * c)
+        return (k, s) + _lattice_phases(k, a, c, partner)
+    x = zeta.zeta0.real
+    # round() ties to even, as np.rint
+    k0 = round(x * (c / math.pi))
+    s0 = c * (x - k0 * head - k0 * tail)
+    # c j, exact: arange forms start + j step
+    cj = np.arange(0.0, c * zeta.size, c)
+    kj = np.rint(cj / zeta.size)
+    s = (cj - kj * zeta.size) * (-math.pi / zeta.size) + complex(
         s0, c * zeta.zeta0.imag)
-    return k0 - k, s
+    kj = kj.astype(np.int64)
+    # kj <= c, so k stays within [-2c, 2c)
+    k = k0 % (2 * c) - kj
+    if c < zeta.size:
+        phase_u, phase_off = _lattice_phases(
+            k0 % (2 * c) - np.arange(c + 1), a, c, partner)
+        return k, s, phase_u[kj], phase_off[kj]
+    return (k, s) + _lattice_phases(k, a, c, partner)
 
 
 def _log_peak(kind: int, lq: complex, b: np.ndarray) -> np.ndarray:
@@ -527,21 +565,18 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
     if mod.gamma == _S:
         s, u, off = zeta, zeta / mod.cw, offset
     else:
-        k, s = _shifted(zeta, c)
-        # the integers j = k a and p = k j (+ c k) mod 2c, every product
-        # below 2^53
-        k = k.astype(np.int64) % (2 * c)
-        j = k * (a % (2 * c)) % (2 * c)
-        p = k * (j + c if mod.partner == 4 else j) % (2 * c)
-        u = s / mod.cw + (math.pi / c) * j
-        off = offset + (1j * math.pi / c) * p
+        k, s, phase_u, phase_off = _shifted(zeta, a % (2 * c), c,
+                                            mod.partner)
+        u = s / mod.cw + phase_u
+        off = offset + phase_off
     if mod.gamma == _S or mod.tau.imag <= _SEPARATE_IM:
         # the Gaussian exp(ct s^2) is fused into the series' exponents:
         # apart they under- and overflow together once |Im u| grows
         g, g1, g2 = _theta_sum(mod.partner, u, mod.tau, want_derivs,
                                offset=ct * s * s + off)
     else:
-        g, g1, g2 = _theta_squares(mod, s, u, j, off, want_derivs)
+        g, g1, g2 = _theta_squares(mod, s, u, k * (a % (2 * c)) % (2 * c),
+                                   off, want_derivs)
     if mod.guard:
         log_value = np.log(np.abs(g)) - offset.real
         # logs relative to |pref| exp(offset), which scales the value and

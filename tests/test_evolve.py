@@ -41,6 +41,14 @@ def random_state(sector, n_lo=-2, width=5, rng=RNG):
     return CircleState(sector, n_lo, c).normalized()
 
 
+def _seven_smooth(n):
+    """Whether n has no prime factor above 7."""
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 def _flow_sum_mp(eps, delta, T, n_lo, coeffs, phi):
     """sum_j c_j exp(-i eps f^2 T/2 + i f phi), f = n_lo + j + delta, at
     each phi, summed in 30-digit arithmetic at the given doubles: the
@@ -362,6 +370,77 @@ class TestKernel:
         err = self._apply_error(1.0, 1e-2, 0.25, wt, n_lo, coeffs, phi_out)
         assert err < 1e-12
 
+    @staticmethod
+    def _counted_nodes(monkeypatch):
+        """The node counts of the `_kernel_theta` calls made from here on."""
+        sizes = []
+
+        def counted(spec_, dphi, *args):
+            sizes.append(np.size(dphi))
+            return _kernel_theta(spec_, dphi, *args)
+
+        monkeypatch.setattr(evolve, "_kernel_theta", counted)
+        return sizes
+
+    @pytest.mark.parametrize("n_lo,width,eta", [
+        (-3, 9, 1e-3), (0, 1, 2e-3), (-12, 21, 1e-4), (5, 4, 7e-3),
+        (400, 3, 1e-2), (-700, 3, 1e-2), (10 ** 6, 5, 1e-4), (2 ** 40, 3, 1e-4)])
+    def test_node_count_is_least_seven_smooth_at_the_bound(self, monkeypatch,
+                                                           n_lo, width, eta):
+        sector = Sector(0.3)
+        psi = random_state(sector, n_lo=n_lo, width=width,
+                           rng=np.random.default_rng(width))
+        spec = EvolutionSpec(Params(1.0, 1.0), sector, 2.0, eta=eta)
+        sizes = self._counted_nodes(monkeypatch)
+        kernel_apply(spec, psi, 0.5)
+        # far windows (the last four) are capped at 2 ceil(B) + 1, rounded up
+        assert sizes == [self._node_count(spec, psi)]
+
+    @pytest.mark.parametrize("eps,delta,wt,eta,n_lo,width", [
+        (1.0, 0.3, 0.7, 1e-2, -2, 5),
+        (0.5, 0.7, 20.0, 2e-3, -3, 9),
+        (1.3, 0.1, 4.0, 1e-3, -12, 21),
+        (2.0, 0.45, 3.0, 1e-4, 1, 11)])
+    def test_matches_theta_samples_at_the_bound(self, eps, delta, wt, eta,
+                                                n_lo, width):
+        # the smooth node count moves outputs only by the quadrature's
+        # own error: against the same theta samples and inverse FFT at the
+        # unrounded bound m0, within 1e-14 of sum |c|
+        sector = Sector(delta)
+        psi = random_state(sector, n_lo=n_lo, width=width,
+                           rng=np.random.default_rng(width))
+        spec = EvolutionSpec(Params(eps, 1.0), sector, wt, eta=eta)
+        reach = int(math.ceil(max(abs(psi.n_lo + delta),
+                                  abs(psi.n_hi + delta))))
+        m0 = self._band(spec) + reach + 1
+        assert m0 != self._node_count(spec, psi)
+        const, samples = _kernel_theta(spec, _Nodes(m0))
+        ref = CircleState(sector, n_lo, const * psi.coeffs
+                          * np.fft.ifft(samples)[psi.indices % m0])
+        phi_out = np.array([-3.0, 0.4, 2.9, 7.5])
+        err = np.max(np.abs(kernel_apply(spec, psi, phi_out)
+                            - ref.evaluate(phi_out)))
+        assert err < 1e-14 * np.sum(np.abs(psi.coeffs))
+
+    @pytest.mark.parametrize("wt", [0.7, 12.0])
+    def test_far_window_matches_damped_propagate(self, wt):
+        # at n_lo = 1e6 the node count was ~1e6 (0.74 s a call) for outputs
+        # below 1e-16; the cap keeps it at the kernel's own band
+        coeffs = [0.3 - 0.1j, 0.8 + 0.2j, -0.4 + 0.5j]
+        phi_out = np.linspace(0, 2 * math.pi, 7, endpoint=False)
+        err = self._apply_error(1.0, 1e-4, 0.25, wt, 10 ** 6, coeffs, phi_out)
+        assert err < 1e-12
+
+    def test_window_at_two_to_the_forty_is_zero(self):
+        # CircleState allows |n_lo| up to 2^53; there the node count once
+        # grew with n_lo itself
+        sector = Sector(0.25)
+        psi = random_state(sector, n_lo=2 ** 40, width=4,
+                           rng=np.random.default_rng(5))
+        spec = EvolutionSpec(Params(1.0, 1.0), sector, 3.0, eta=1e-4)
+        vals = kernel_apply(spec, psi, np.array([0.0, 1.0, -2.5]))
+        assert np.max(np.abs(vals)) <= math.exp(-40) * np.sum(np.abs(psi.coeffs))
+
     @settings(max_examples=80, deadline=None)
     @given(st.floats(-4.0, 0.0), st.floats(0.5, 2.0), st.floats(0.0, 0.999),
            st.floats(math.log10(0.05), math.log10(20.0)),
@@ -383,14 +462,25 @@ class TestKernel:
         assert err < 1e-12 + 1e-15 * t / eta
 
     @staticmethod
-    def _node_count(spec, psi):
-        """kernel_apply's documented m: ceil(sqrt(80/(eps omega eta))) +
-        ceil(max |n + delta| over the window) + 1."""
+    def _band(spec):
+        """ceil(B), B = sqrt(80/(eps omega eta)): past it the kernel's
+        coefficients are below exp(-40)."""
         eps_omega_eta = spec.params.epsilon * spec.params.omega * spec.eta
+        return int(math.ceil(math.sqrt(80.0 / eps_omega_eta)))
+
+    @classmethod
+    def _node_count(cls, spec, psi):
+        """kernel_apply's documented m: the least length with no prime
+        factor above 7 at or above ceil(B) + min(ceil(R), ceil(B)) + 1, R =
+        max |n + delta| over the window."""
         delta = spec.sector.delta
-        reach = max(abs(psi.n_lo + delta), abs(psi.n_hi + delta))
-        return (int(math.ceil(math.sqrt(80.0 / eps_omega_eta)))
-                + int(math.ceil(reach)) + 1)
+        band = cls._band(spec)
+        reach = int(math.ceil(max(abs(psi.n_lo + delta),
+                                  abs(psi.n_hi + delta))))
+        m = band + min(reach, band) + 1
+        while not _seven_smooth(m):
+            m += 1
+        return m
 
     @pytest.mark.parametrize("eps,delta,wt,eta,n_lo,width", [
         (1.0, 0.3, 0.7, 1e-2, -2, 5),      # Gaussian face
@@ -407,11 +497,15 @@ class TestKernel:
                            rng=np.random.default_rng(width))
         spec = EvolutionSpec(Params(eps, 1.0), sector, wt, eta=eta)
         m = self._node_count(spec, psi)
+        # window indices past ceil(B) are dropped (their kernel coefficient
+        # is below exp(-40)); the rule integrates the rest
+        kept = CircleState(sector, n_lo, np.where(
+            np.abs(psi.indices + delta) <= self._band(spec), psi.coeffs, 0.0))
         phi_out = np.array([-3.0, 0.4, 2.9, 7.5])
         vals = kernel_apply(spec, psi, phi_out)
         for phi, val in zip(phi_out, vals):
             nodes = phi + np.arange(m) * (2.0 * math.pi / m)
-            ref = np.mean(kernel(spec, phi - nodes) * psi.evaluate(nodes))
+            ref = np.mean(kernel(spec, phi - nodes) * kept.evaluate(nodes))
             assert abs(val - ref) < 1e-13 * psi.norm()
 
     @pytest.mark.parametrize("t,delta", [(0.9, 0.2), (3.3, 0.7)])
@@ -440,13 +534,7 @@ class TestKernel:
                            rng=np.random.default_rng(3))
         spec = EvolutionSpec(Params(0.8, 1.0), sector, 2.1, eta=1e-3)
         m = self._node_count(spec, psi)
-        sizes = []
-
-        def counted(spec_, dphi, *args):
-            sizes.append(np.size(dphi))
-            return _kernel_theta(spec_, dphi, *args)
-
-        monkeypatch.setattr(evolve, "_kernel_theta", counted)
+        sizes = self._counted_nodes(monkeypatch)
         phi_out = np.random.default_rng(4).uniform(-20.0, 20.0, 64)
         single = kernel_apply(spec, psi, phi_out[5])
         assert sizes == [m]

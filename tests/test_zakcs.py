@@ -231,6 +231,17 @@ class TestZakPeriodize:
         assert abs(closed - series) < 1e-12 * abs(series)
         assert closed == pytest.approx(1.5884371319, rel=1e-9)
 
+    def test_winding_face_finite_at_large_label_momentum(self):
+        # the label's factor exp(-(|z|^2 + z^2)/(4 eps)) underflowed where
+        # the copies nearest theta overflowed, and the winding face was nan
+        eps = 0.02312150689040271
+        params = WZParams(eps, Sector(0.31675833970975287))
+        z = PhasePoint(5.947309146654682, 3.525093415019491)
+        series, closed = zak_periodize(params, z, 0.3)
+        assert abs(series - closed) < 1e-12 * abs(closed)
+        assert abs(gaussian_cs(eps, z, z.theta)) == pytest.approx(
+            (eps * math.pi) ** -0.25, rel=1e-15)
+
     def test_small_nome_face_matches(self):
         params = WZParams(1.0, Sector(0.3))
         z = 0.8 + 0.6j
