@@ -231,7 +231,7 @@ def _evaluate(phi: np.ndarray, freq: np.ndarray, coeffs: np.ndarray,
     phi0 = phi - 2.0 * math.pi * k
     # a scalar angle is summed as a row too: einsum reduces a lone vector
     # in another order
-    waves = np.exp(1j * np.multiply.outer(np.atleast_1d(phi0), freq))
+    waves = np.exp(1j * (np.atleast_1d(phi0)[..., None] * freq))
     vals = np.einsum("...j,j->...", waves, coeffs).reshape(phi.shape)
     return vals * np.exp(1j * 2.0 * math.pi * delta * k)
 

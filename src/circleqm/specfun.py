@@ -474,26 +474,28 @@ def _lattice_phases(k: np.ndarray, a: int, c: int, partner: int):
     return (math.pi / c) * j, (1j * math.pi / c) * p
 
 
-def _shifted(zeta, a: int, c: int, partner: int):
-    """k mod 2c, as int64 in [-2c, 2c), s = c zeta - k pi, k = rint(c Re
-    zeta / pi), and the phases of k (`_lattice_phases`, a = a mod 2c), for
-    an array or `_Nodes`.
+@functools.lru_cache(maxsize=256)
+def _pi_split(c: int) -> tuple:
+    """pi/c as a 24-bit head and a tail (`_shifted`)."""
+    head = float(np.float32(math.pi / c))
+    return head, (math.pi - c * head + _PI_TAIL) / c
+
+
+def _shifted(zeta, c: int):
+    """k mod 2c, as int64 in [-2c, 2c), and s = c zeta - k pi, k = rint(c
+    Re zeta / pi), for an array or `_Nodes`.
 
     Re s is within about an ulp of pi/2 of its exact value: pi/c is split
     into a 24-bit head, whose products with |k| < 2^29 are exact, and a
-    tail, and c Re zeta - k pi = c ((Re zeta - k head) - k tail).  The
-    nodes' zeta0 takes that shift and their -c pi j/size the integer
-    nearest -c j/size, so each point keeps its exact node.  Their k =
-    k0 - rint(c j/size) takes at most c + 1 values; below size, the phases
-    are formed on those and gathered."""
-    head = float(np.float32(math.pi / c))
-    tail = (math.pi - c * head + _PI_TAIL) / c
+    tail (`_pi_split`), and c Re zeta - k pi = c ((Re zeta - k head) - k
+    tail).  The nodes' zeta0 takes that shift and their -c pi j/size the
+    integer nearest -c j/size, so each point keeps its exact node."""
+    head, tail = _pi_split(c)
     if not isinstance(zeta, _Nodes):
         x = zeta.real
         k = np.rint(x * (c / math.pi))
         s = c * (x - k * head - k * tail) + 1j * (c * zeta.imag)
-        k = k.astype(np.int64) % (2 * c)
-        return (k, s) + _lattice_phases(k, a, c, partner)
+        return k.astype(np.int64) % (2 * c), s
     x = zeta.zeta0.real
     # round() ties to even, as np.rint
     k0 = round(x * (c / math.pi))
@@ -503,14 +505,8 @@ def _shifted(zeta, a: int, c: int, partner: int):
     kj = np.rint(cj / zeta.size)
     s = (cj - kj * zeta.size) * (-math.pi / zeta.size) + complex(
         s0, c * zeta.zeta0.imag)
-    kj = kj.astype(np.int64)
-    # kj <= c, so k stays within [-2c, 2c)
-    k = k0 % (2 * c) - kj
-    if c < zeta.size:
-        phase_u, phase_off = _lattice_phases(
-            k0 % (2 * c) - np.arange(c + 1), a, c, partner)
-        return k, s, phase_u[kj], phase_off[kj]
-    return (k, s) + _lattice_phases(k, a, c, partner)
+    # rint(c j/size) <= c, so k stays within [-2c, 2c)
+    return k0 % (2 * c) - kj.astype(np.int64), s
 
 
 def _log_peak(kind: int, lq: complex, b: np.ndarray) -> np.ndarray:
@@ -565,8 +561,8 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
     if mod.gamma == _S:
         s, u, off = zeta, zeta / mod.cw, offset
     else:
-        k, s, phase_u, phase_off = _shifted(zeta, a % (2 * c), c,
-                                            mod.partner)
+        k, s = _shifted(zeta, c)
+        phase_u, phase_off = _lattice_phases(k, a % (2 * c), c, mod.partner)
         u = s / mod.cw + phase_u
         off = offset + phase_off
     if mod.gamma == _S or mod.tau.imag <= _SEPARATE_IM:
