@@ -465,15 +465,6 @@ class _Nodes(NamedTuple):
         return angles / 2.0 + self.zeta0
 
 
-def _lattice_phases(k: np.ndarray, a: int, c: int, partner: int):
-    """The phases (pi/c) j and (i pi/c) p of `_theta_modular`, j = k a mod
-    2c and p = k (j + [partner = 4] c) mod 2c, for int64 k, |k| < 2^29,
-    and a = a mod 2c: every product is below 2^57."""
-    j = k * a % (2 * c)
-    p = k * (j + c if partner == 4 else j) % (2 * c)
-    return (math.pi / c) * j, (1j * math.pi / c) * p
-
-
 @functools.lru_cache(maxsize=256)
 def _pi_split(c: int) -> tuple:
     """pi/c as a 24-bit head and a tail (`_shifted`)."""
@@ -562,17 +553,19 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
         s, u, off = zeta, zeta / mod.cw, offset
     else:
         k, s = _shifted(zeta, c)
-        phase_u, phase_off = _lattice_phases(k, a % (2 * c), c, mod.partner)
-        u = s / mod.cw + phase_u
-        off = offset + phase_off
+        # the integers j = k a and p = k j (+ c k) mod 2c, every product
+        # below 2^53
+        j = k * (a % (2 * c)) % (2 * c)
+        p = k * (j + c if mod.partner == 4 else j) % (2 * c)
+        u = s / mod.cw + (math.pi / c) * j
+        off = offset + (1j * math.pi / c) * p
     if mod.gamma == _S or mod.tau.imag <= _SEPARATE_IM:
         # the Gaussian exp(ct s^2) is fused into the series' exponents:
         # apart they under- and overflow together once |Im u| grows
         g, g1, g2 = _theta_sum(mod.partner, u, mod.tau, want_derivs,
                                offset=ct * s * s + off)
     else:
-        g, g1, g2 = _theta_squares(mod, s, u, k * (a % (2 * c)) % (2 * c),
-                                   off, want_derivs)
+        g, g1, g2 = _theta_squares(mod, s, u, j, off, want_derivs)
     if mod.guard:
         log_value = np.log(np.abs(g)) - offset.real
         # logs relative to |pref| exp(offset), which scales the value and

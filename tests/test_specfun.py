@@ -761,7 +761,7 @@ class TestPerCallFloor:
         (1.6j, 0.3 + 0.2j, False, (9, 15)),  # a scalar, direct series
         (0.05j, 0.3 + 0.2j, False, (10, 15)),  # a scalar under S
         (0.05j, np.array([0.3 + 0.2j, 0.1 - 0.05j]), True, (9, 22)),
-        (0.31 + 0.0007j, _Nodes(1, 0.37 + 0.01j), False, (11, 20)),
+        (0.31 + 0.0007j, _Nodes(1, 0.37 + 0.01j), False, (10, 20)),
     ], ids=["scalar-direct", "scalar-S", "two-point-derivs", "reduced-node"])
     def test_call_counts_pinned(self, tau, zeta, derivs, expected):
         # Python-level calls into specfun and C-level calls from it (NumPy
