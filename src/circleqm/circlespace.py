@@ -161,19 +161,22 @@ class CircleState:
     n_lo: int
     coeffs: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if (isinstance(self.n_lo, bool)
-                or not isinstance(self.n_lo, (int, np.integer))
-                or not abs(int(self.n_lo)) < 2 ** 53):
+    def __init__(self, sector: Sector, n_lo: int, coeffs: np.ndarray):
+        if (type(n_lo) is not int
+                and (isinstance(n_lo, bool)
+                     or not isinstance(n_lo, (int, np.integer)))
+                or not abs(int(n_lo)) < 2 ** 53):
             raise ValueError(f"n_lo must be an integer with |n_lo| < 2^53, "
-                             f"got {self.n_lo!r}")
-        object.__setattr__(self, "n_lo", int(self.n_lo))
-        c = np.asarray(self.coeffs, dtype=complex)
+                             f"got {n_lo!r}")
+        c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficient window must be a nonempty 1-d array")
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
+        d = self.__dict__
+        d["sector"] = sector
+        d["n_lo"] = int(n_lo)
+        d["coeffs"] = c
 
     @property
     def n_hi(self) -> int:
@@ -190,7 +193,14 @@ class CircleState:
         return math.sqrt(self.norm_sq())
 
     def normalized(self) -> "CircleState":
-        return CircleState(self.sector, self.n_lo, self.coeffs / self.norm())
+        """The state over its norm; ValueError, with no warning, where the
+        norm is 0 or past double range."""
+        with np.errstate(over="ignore"):
+            norm = self.norm()
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"the state's norm is {norm}: only a positive "
+                             "finite norm can be divided out")
+        return CircleState(self.sector, self.n_lo, self.coeffs / norm)
 
     def evaluate(self, phi):
         """psi(phi) = sum_n c_n exp(i (n + delta) phi), winding-exact.

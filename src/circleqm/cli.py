@@ -6,9 +6,11 @@ Subcommands: `verify` prints the rows of `circleqm.verify.run` as CSV
 `table` reproduces the reference ratio table and the
 transition/ladder records; `state`, `overlap`, `evolve` and `kernel` emit
 JSON or CSV reports for a configuration document (positional path or "-"
-for stdin).  Output is deterministic: identical configuration yields
-identical bytes (floats printed with 17 significant digits, JSON numbers
-as decimal strings).
+for stdin).  Output is deterministic at a fixed BLAS thread count:
+identical configuration yields identical bytes (floats printed with 17
+significant digits, JSON numbers as decimal strings).  theta's plain
+series sums with `ndarray.dot`, which OpenBLAS splits across threads, so
+its last bits can move with the thread count.
 
 Exit codes: 0 ok, 1 a failed verify check, 2 a malformed configuration,
 with a `config error:` message on stderr and nothing on stdout.  Exit 2

@@ -4,6 +4,16 @@ Group elements (alpha, t = a + i b) compose by rotating the translation
 part; they act on points s = (phi, p_phi) symplectically and transitively.
 One covering order picks the group: E(2) itself (alpha mod 2 pi), its
 q-fold covers (mod 2 pi q) or the universal cover (no reduction).
+
+The records are built the way every validated record of the package is
+(`specfun.ThetaNome`, `zakcs.PhasePoint`, `mincs.MinUncParams`,
+`circlespace.CircleState`): a frozen dataclass whose hand-written
+`__init__` validates its arguments on one path and writes each field once
+into the instance `__dict__`.  The generated eq, hash, repr and the pickle,
+copy and `dataclasses.replace` support are kept, and assigning a field
+still raises FrozenInstanceError.  A builtin int covering order (1 or
+any q >= 2) is recognized by `type(q) is int`, which no bool passes; only
+other types go through the bool and integer tests.
 """
 
 from __future__ import annotations
@@ -28,8 +38,9 @@ __all__ = [
 ]
 
 
-# Covering orders are clamped here before 2 pi q is formed: 2 pi 2^1023 is
-# inf, and an int past double range gives inf rather than OverflowError.
+_TWO_PI = 2.0 * math.pi
+# From this covering order on, 2 pi q is taken as inf without being formed:
+# 2 pi 2^1023 is inf, and an int past double range raises OverflowError.
 _COVER_CLAMP = 2 ** 1023
 
 
@@ -52,12 +63,14 @@ class GroupElement:
     def __init__(self, alpha: float, t: complex, cover_q: Optional[int] = 1):
         alpha, t = float(alpha), complex(t)
         if cover_q is not None:
-            if (isinstance(cover_q, bool)
-                    or not isinstance(cover_q, (int, np.integer))
+            # a builtin int (1 or any q >= 2) skips the type tests
+            if (type(cover_q) is not int
+                    and (isinstance(cover_q, bool)
+                         or not isinstance(cover_q, (int, np.integer)))
                     or cover_q < 1):
                 raise ValueError("the covering order must be an integer "
                                  f">= 1 or None, got {cover_q!r}")
-            period = 2.0 * math.pi * min(cover_q, _COVER_CLAMP)
+            period = _TWO_PI * cover_q if cover_q < _COVER_CLAMP else math.inf
             if not math.isfinite(period):
                 raise ValueError("the covering order is too large: 2 pi q "
                                  "is not a finite double")
@@ -68,9 +81,10 @@ class GroupElement:
                 alpha = 0.0
         if not (math.isfinite(alpha) and cmath.isfinite(t)):
             raise ValueError("alpha and t must be finite")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "cover_q", cover_q)
+        d = self.__dict__
+        d["alpha"] = alpha
+        d["t"] = t
+        d["cover_q"] = cover_q
 
     @property
     def a(self) -> float:
@@ -94,14 +108,14 @@ class PhaseSpacePoint:
     p_phi: float
 
     def __init__(self, phi: float, p_phi: float):
-        turn = 2.0 * math.pi
-        phi, p_phi = float(phi) % turn, float(p_phi)
-        if phi == turn:  # the rounding case of a tiny negative phi
+        phi, p_phi = float(phi) % _TWO_PI, float(p_phi)
+        if phi == _TWO_PI:  # the rounding case of a tiny negative phi
             phi = 0.0
         if not (math.isfinite(phi) and math.isfinite(p_phi)):
             raise ValueError("phi and p_phi must be finite")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "p_phi", p_phi)
+        d = self.__dict__
+        d["phi"] = phi
+        d["p_phi"] = p_phi
 
 
 def compose(g2: GroupElement, g1: GroupElement) -> GroupElement:
@@ -113,12 +127,12 @@ def compose(g2: GroupElement, g1: GroupElement) -> GroupElement:
                         g2.t + cmath.exp(1j * g2.alpha) * g1.t, g2.cover_q)
 
 
-def _image(g: GroupElement, phi, p):
-    """`act` before the angle is reduced mod 2 pi; phi and p may be complex
-    (for the complex-step derivative)."""
+def _image(g: GroupElement, phi, p, trig=math):
+    """`act` before the angle is reduced mod 2 pi; with trig = cmath, phi
+    and p may be complex (for the complex-step derivative)."""
     phi = phi + g.alpha
-    trig = cmath if isinstance(phi, complex) else math
-    return phi, p + g.t.real * trig.sin(phi) - g.t.imag * trig.cos(phi)
+    t = g.t
+    return phi, p + t.real * trig.sin(phi) - t.imag * trig.cos(phi)
 
 
 def act(g: GroupElement, s: PhaseSpacePoint) -> PhaseSpacePoint:
@@ -133,7 +147,7 @@ def solve_transporter(s1: PhaseSpacePoint, s2: PhaseSpacePoint) -> GroupElement:
     |sin phi2| >= |cos phi2|, by b alone otherwise, so the translation is
     at most sqrt(2) |p2 - p1|.
     """
-    alpha = (s2.phi - s1.phi) % (2.0 * math.pi)
+    alpha = (s2.phi - s1.phi) % _TWO_PI
     dp = s2.p_phi - s1.p_phi
     sin2, cos2 = math.sin(s2.phi), math.cos(s2.phi)
     if abs(sin2) >= abs(cos2):
@@ -151,10 +165,11 @@ def symplectic_residual(g: GroupElement, s: PhaseSpacePoint) -> float:
     i h) / h (Squire and Trapp, SIAM Rev. 40, 1998): no difference is
     taken, so J carries rounding error only."""
     h = _COMPLEX_STEP
-    dphi_dphi, dp_dphi = (v.imag / h
-                          for v in _image(g, complex(s.phi, h), s.p_phi))
-    dphi_dp, dp_dp = (v.imag / h
-                      for v in _image(g, s.phi, complex(s.p_phi, h)))
+    # the momentum step leaves the angle real: its image takes math's trig
+    phi, p = _image(g, complex(s.phi, h), s.p_phi, cmath)
+    dphi_dphi, dp_dphi = phi.imag / h, p.imag / h
+    phi, p = _image(g, s.phi, complex(s.p_phi, h))
+    dphi_dp, dp_dp = phi.imag / h, p.imag / h
     return abs(dphi_dphi * dp_dp - dphi_dp * dp_dphi - 1.0)
 
 

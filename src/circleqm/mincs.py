@@ -49,13 +49,14 @@ class MinUncParams:
     gamma: float
     s: float
 
-    def __post_init__(self):
-        for name in ("alpha", "l_tilde", "gamma", "s"):
-            v = float(getattr(self, name))
+    def __init__(self, alpha: float, l_tilde: float, gamma: float, s: float):
+        d = self.__dict__
+        for name, v in (("alpha", alpha), ("l_tilde", l_tilde),
+                        ("gamma", gamma), ("s", s)):
+            v = float(v)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "alpha", _fold(self.alpha, 2.0 * math.pi))
+            d[name] = _fold(v, 2.0 * math.pi) if name == "alpha" else v
 
     @property
     def sigma(self) -> complex:

@@ -81,12 +81,12 @@ class ThetaNome:
 
     tau: complex
 
-    def __post_init__(self):
-        tau = complex(self.tau)
+    def __init__(self, tau: complex):
+        tau = complex(tau)
         if not (tau.imag >= 2.0 ** -1022 and cmath.isfinite(tau)):
             raise ValueError("Im(tau) must be at least 2^-1022, and Re(tau) "
                              "and Im(tau) finite")
-        object.__setattr__(self, "tau", tau)
+        self.__dict__["tau"] = tau
 
     @classmethod
     def from_q(cls, q) -> "ThetaNome":
@@ -824,44 +824,39 @@ def _bessel_half_width(z: complex, tol: float) -> int:
     s = abs(z.imag)
     log_a = math.log(a)
     log_floor = math.log(0.5 * tol * special.i0e(2.0 * s))
-
-    def dlmf_too_wide(h: int) -> bool:
-        k = h + 1
-        return (2.0 * (k * log_a - math.lgamma(k + 1.0))
-                - math.log1p(-(a / (k + 1)) ** 2) > log_floor)
-
-    # log(I0(x) / e^s), with x - s formed without cancellation
-    log_i0 = z.real * z.real / (x + s) + math.log(special.i0e(x))
-
-    def ik_too_wide(h: int) -> bool:
-        v = h + 1.0
-        # F(v), with sqrt(v^2 + x^2) - x written as v^2 / (hypot + x)
-        f = v * math.asinh(v / x) - v * v / (math.hypot(v, x) + x)
-        return (2.0 * (log_i0 - f)
-                - math.log(-math.expm1(-2.0 * math.asinh((v + 0.5) / x)))
-                > log_floor)
-
+    # the two bisections are written out: closures cost a call a step
     lo = max(0, math.floor(a) - 1)
     # upper end: by Stirling, k! > (k/e)^k, so at k = h + 1 >= e^2 a the
     # scaled term a^k / k! is below e^{-k} and r < 1/2; the test holds
     # once also 2k >= log 2 - log_floor
     hi = max(lo, math.ceil(math.e ** 2 * a),
              math.ceil(0.5 * (math.log(2.0) - log_floor)))
-    h = _first_passing(dlmf_too_wide, lo, hi)
-    if h == 0 or ik_too_wide(h - 1):
-        return h
-    return _first_passing(ik_too_wide, 0, h - 1)
-
-
-def _first_passing(too_wide, lo: int, hi: int) -> int:
-    """Smallest h in [lo, hi] with not too_wide(h), by bisection; too_wide
-    is monotone and false at hi."""
-    while lo < hi:
+    while lo < hi:  # is the DLMF bound's window too wide at h = mid?
         mid = (lo + hi) // 2
-        if too_wide(mid):
+        k = mid + 1
+        if (2.0 * (k * log_a - math.lgamma(k + 1.0))
+                - math.log1p(-(a / (k + 1)) ** 2) > log_floor):
             lo = mid + 1
         else:
             hi = mid
+    if lo == 0:
+        return 0
+    # log(I0(x) / e^s), with x - s formed without cancellation
+    log_i0 = z.real * z.real / (x + s) + math.log(special.i0e(x))
+    # h - 1 is tested first, then [0, h - 1] bisected if the I_k bound
+    # holds there
+    hi, lo, mid = lo, 0, lo - 1
+    while lo < hi:  # is the I_k bound's window too wide at h = mid?
+        v = mid + 1.0
+        # F(v), with sqrt(v^2 + x^2) - x written as v^2 / (hypot + x)
+        f = v * math.asinh(v / x) - v * v / (math.hypot(v, x) + x)
+        if (2.0 * (log_i0 - f)
+                - math.log(-math.expm1(-2.0 * math.asinh((v + 0.5) / x)))
+                > log_floor):
+            lo = mid + 1
+        else:
+            hi = mid
+        mid = (lo + hi) // 2
     return lo
 
 

@@ -58,12 +58,13 @@ class PhasePoint:
     theta: float
     l_tilde: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta",
-                           _fold(float(self.theta), 2.0 * math.pi))
-        if not math.isfinite(self.theta):
+    def __init__(self, theta: float, l_tilde: float):
+        theta = _fold(float(theta), 2.0 * math.pi)
+        if not math.isfinite(theta):
             raise ValueError("the label's angle must be finite")
-        object.__setattr__(self, "l_tilde", float(self.l_tilde))
+        d = self.__dict__
+        d["theta"] = theta
+        d["l_tilde"] = float(l_tilde)
 
     @property
     def z(self) -> complex:

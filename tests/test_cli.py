@@ -478,6 +478,19 @@ class TestEvolve:
         assert row[0] == 0.0
         assert row[-1] == pytest.approx(1.0, abs=1e-12)  # fidelity
 
+    def test_state_norm_past_double_range_exits_two(self, capsys, tmp_path):
+        # w_state's norm is inf here (ROADMAP item 1): rows of zeros with
+        # fidelity nan used to print, with exit 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "wz", "epsilon": 0.01,
+                                   "delta": 0.3, "theta": 0.5, "l": 3.0,
+                                   "t_grid": [0.0, 1.0]}))
+        code, out, err = run(capsys, "evolve", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and "norm" in err
+        assert len(err.splitlines()) == 1
+
     def test_missing_t_grid_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "min", "alpha": 0.0, "l": 0.0,

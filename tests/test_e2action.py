@@ -1,5 +1,6 @@
 """Group law, symplectic action, transitivity and induced vector fields."""
 
+import cmath
 import dataclasses
 import math
 
@@ -182,6 +183,71 @@ class TestRecordContract:
             t = g2.t + complex(np.exp(1j * g2.alpha)) * g1.t
             h = compose(g2, g1)
             assert h == GroupElement(g1.alpha + g2.alpha, t)
+
+
+def _bits(x):
+    """Every bit of a float or complex, signed zeros included."""
+    return tuple(float(v).hex() for v in (complex(x).real, complex(x).imag))
+
+
+def _folded(x, period):
+    x %= period
+    return 0.0 if x == period else x
+
+
+class TestWrittenOutFormulas:
+    # each action gives, bit for bit, its formula evaluated in the same
+    # order of float operations
+    TURN = 2.0 * math.pi
+
+    def draws(self, seed, n=1500):
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            cover_q = (1, 3, None)[i % 3]
+            g1, g2 = (GroupElement(rng.uniform(-9, 9),
+                                   complex(*rng.uniform(-3, 3, 2)), cover_q)
+                      for _ in range(2))
+            yield g1, g2, random_point(rng), random_point(rng)
+
+    def test_act(self):
+        for g, _, s, _ in self.draws(41):
+            phi = s.phi + g.alpha
+            p = s.p_phi + g.t.real * math.sin(phi) - g.t.imag * math.cos(phi)
+            out = act(g, s)
+            assert _bits(out.phi) == _bits(_folded(phi, self.TURN))
+            assert _bits(out.p_phi) == _bits(p)
+
+    def test_compose(self):
+        for g1, g2, _, _ in self.draws(43):
+            alpha = g1.alpha + g2.alpha
+            if g1.cover_q is not None:
+                alpha = _folded(alpha, self.TURN * g1.cover_q)
+            t = g2.t + cmath.exp(1j * g2.alpha) * g1.t
+            h = compose(g2, g1)
+            assert _bits(h.alpha) == _bits(alpha) and _bits(h.t) == _bits(t)
+            assert h.cover_q == g1.cover_q
+
+    def test_solve_transporter(self):
+        for _, _, s1, s2 in self.draws(47):
+            alpha = (s2.phi - s1.phi) % self.TURN
+            dp = s2.p_phi - s1.p_phi
+            sin2, cos2 = math.sin(s2.phi), math.cos(s2.phi)
+            t = (complex(dp / sin2, 0.0) if abs(sin2) >= abs(cos2)
+                 else complex(0.0, -dp / cos2))
+            g = solve_transporter(s1, s2)
+            assert _bits(g.alpha) == _bits(_folded(alpha, self.TURN))
+            assert _bits(g.t) == _bits(t) and g.cover_q == 1
+
+    def test_symplectic_residual(self):
+        h = 1e-30
+        for g, _, s, _ in self.draws(53):
+            a, b = g.t.real, g.t.imag
+            z = complex(s.phi, h) + g.alpha
+            dp_dphi = (s.p_phi + a * cmath.sin(z) - b * cmath.cos(z)).imag / h
+            x = s.phi + g.alpha
+            w = complex(s.p_phi, h) + a * math.sin(x) - b * math.cos(x)
+            det = z.imag / h * (w.imag / h) - x.imag / h * dp_dphi
+            assert _bits(symplectic_residual(g, s)) == _bits(abs(det - 1.0))
 
 
 class TestAct:

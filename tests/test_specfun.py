@@ -1108,6 +1108,39 @@ class TestBesselHalfWidth:
                                        for k in range(h + 1, stop))
                 assert tail <= tol * mpmath.besseli(0, 2 * abs(z.imag))
 
+    @staticmethod
+    def _scanned(z, tol):
+        """The smaller of the two bounds' half-widths, each the first order
+        whose test passes in a linear scan (the docstring's tests)."""
+        x, s = abs(z), abs(z.imag)
+        a = 0.5 * x
+        log_floor = math.log(0.5 * tol * special.i0e(2.0 * s))
+        h = max(0, math.floor(a) - 1)
+        while (2.0 * ((h + 1) * math.log(a) - math.lgamma(h + 2.0))
+               - math.log1p(-(a / (h + 2)) ** 2) > log_floor):
+            h += 1
+        log_i0 = z.real * z.real / (x + s) + math.log(special.i0e(x))
+        for j in range(h):
+            v = j + 1.0
+            f = v * math.asinh(v / x) - v * v / (math.hypot(v, x) + x)
+            if (2.0 * (log_i0 - f) - math.log(-math.expm1(
+                    -2.0 * math.asinh((v + 0.5) / x))) <= log_floor):
+                return j
+        return h
+
+    def test_bisections_find_the_first_passing_order(self):
+        # rep_apply's real R over the benchmark's [0.1, 50] and the min
+        # family's sigma = gamma - i s at the windows' tolerances
+        rng = np.random.default_rng(29)
+        cases = [(complex(10 ** rng.uniform(-1, math.log10(50))), 1e-32)
+                 for _ in range(1000)]
+        cases += [(complex(rng.uniform(-50, 50),
+                           -rng.choice([-1, 1]) * 10 ** rng.uniform(-0.3, 1.7)),
+                   float(rng.choice([1e-14, 1e-24, 1e-30, 1e-32])))
+                  for _ in range(1000)]
+        for z, tol in cases:
+            assert _bessel_half_width(z, tol) == self._scanned(z, tol), z
+
     def test_zero_argument_is_one_order(self):
         assert _bessel_half_width(0j, 1e-32) == 0
 
