@@ -95,7 +95,9 @@ class TestCompose:
         assert h.alpha == (3.0 + 4.0) % (2 * math.pi)
         assert GroupElement(7.0, 0j, np.int64(2)).alpha == 7.0
 
-    @pytest.mark.parametrize("cover_q", [0, -2, 2.5, True, "3"])
+    @pytest.mark.parametrize("cover_q", [
+        0, -1, -2, 2.5, 2.0, True, np.bool_(True), np.float64(3.0),
+        np.int64(0), "3"])
     def test_bad_covering_rejected(self, cover_q):
         with pytest.raises(ValueError, match="covering order"):
             GroupElement(1.0, 0j, cover_q)
@@ -148,6 +150,9 @@ class TestRecordContract:
     def test_numpy_integer_accepted_bool_refused(self):
         g = GroupElement(7.0, 0j, np.int64(2))
         assert g.cover_q == 2 and g.alpha == 7.0
+        g = GroupElement(-0.5, 2j, np.int64(3))
+        assert g.alpha == (-0.5) % (6.0 * math.pi) and g.t == 2j
+        assert GroupElement(-0.5, 2j, None).alpha == -0.5
         with pytest.raises(ValueError, match="covering order"):
             GroupElement(7.0, 0j, False)
 

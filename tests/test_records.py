@@ -87,43 +87,11 @@ def test_eq_and_hash_survive_the_clones(make):
         assert twin == record and hash(twin) == hash(record)
 
 
-class TestGroupElement:
-    @pytest.mark.parametrize("cover_q", [
-        True, False, np.bool_(True), 2.0, np.float64(3.0), 0, -1,
-        np.int64(0), "3", 10 ** 400, 2 ** 1023])
-    def test_covering_order_refused(self, cover_q):
-        with pytest.raises(ValueError, match="covering order"):
-            GroupElement(1.0, 0j, cover_q)
-
-    @pytest.mark.parametrize("cover_q", [None, 1, 2, np.int64(3),
-                                         np.uint8(4)])
-    def test_covering_order_accepted(self, cover_q):
-        g = GroupElement(-0.5, 2j, cover_q)
-        assert g.cover_q is cover_q
-        if cover_q is None:
-            assert g.alpha == -0.5
-        else:
-            assert g.alpha == (-0.5) % (2.0 * math.pi * int(cover_q))
-
-    @pytest.mark.parametrize("alpha,t", [
-        (math.inf, 0j), (math.nan, 0j), (0.0, complex(math.nan, 0.0)),
-        (0.0, complex(0.0, -math.inf))])
-    def test_non_finite_refused(self, alpha, t):
-        for cover_q in (1, 2, None):
-            with pytest.raises(ValueError, match="finite"):
-                GroupElement(alpha, t, cover_q)
-
-    def test_tiny_negative_angles_fold_to_zero(self):
-        assert GroupElement(-1e-300, 0j).alpha == 0.0
-        assert GroupElement(-1e-17, 0j, 2).alpha == 0.0
-        assert PhaseSpacePoint(-1e-300, 1.0).phi == 0.0
-
-
-class TestOtherRecords:
+class TestRefusals:
     @pytest.mark.parametrize("tau,word", [
         (complex(0.0, -1.0), "Im\\(tau\\)"), (0.5, "Im\\(tau\\)"),
-        (complex(0.0, 5e-324), "2\\^-1022"), (complex(math.nan, 1.0), "finite"),
-        (complex(1.0, math.inf), "finite")])
+        (complex(0.0, 5e-324), "2\\^-1022"),
+        (complex(math.nan, 1.0), "finite"), (complex(1.0, math.inf), "finite")])
     def test_nome_refusals(self, tau, word):
         with pytest.raises(ValueError, match=word):
             ThetaNome(tau)
