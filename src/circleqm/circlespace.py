@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -45,49 +44,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Sector:
-    """Boundary-condition label delta in [0, 1), optionally with the covering
-    order q when delta = p/q in lowest terms.  Labels with |delta1 -
+    """Boundary-condition label delta in [0, 1).  Labels with |delta1 -
     delta2| < 1e-9 are one Hilbert space (frac(l) of momenta an integer
     apart differs by up to 9.3e-10 at |l| = 1e7); there is no wrap-around,
     as labels near 1 and near 0 index their windows one apart.  Every
     function that pairs two sectors raises ValueError for any other pair."""
 
     delta: float
-    covering_order: Optional[int] = None
 
     def __post_init__(self):
         if not (0.0 <= self.delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-        q = self.covering_order
-        if q is not None:
-            if q < 1 or q != int(q):
-                raise ValueError("covering_order must be a positive integer")
-            # delta q in exact arithmetic: a double delta within rounding of
-            # p/q, |delta - p/q| <= 2^-53 p/q, is p to 2^-53 p, so p is
-            # the nearest integer while p < 2^51
-            x = Fraction(self.delta) * int(q)
-            p = round(x)
-            if p >= 2 ** 51:
-                raise ValueError(
-                    f"delta * covering_order = {float(x)} is past 2^51, "
-                    "where a double delta no longer fixes p = delta * q")
-            if abs(x - p) > max(1e-12, 2.0 ** -52 * p):
-                raise ValueError("delta * covering_order must be an integer")
-            if math.gcd(p, int(q)) != 1:
-                raise ValueError("delta = p/q must be in lowest terms")
-
-    @classmethod
-    def from_fraction(cls, p: int, q: int) -> "Sector":
-        """The sector delta = p/q mod 1 with covering order its reduced
-        denominator; ValueError where that delta rounds to 1.0 or p is past
-        what a double delta resolves (see `__post_init__`)."""
-        frac = Fraction(p, q) % 1
-        delta = float(frac)
-        if delta == 1.0:
-            raise ValueError(
-                f"{p}/{q} mod 1 = {frac} does not round to a double below 1 "
-                f"at covering order {frac.denominator}")
-        return cls(delta, frac.denominator)
 
 
 def _finite_array(values, name: str) -> np.ndarray:
@@ -97,6 +64,18 @@ def _finite_array(values, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def _require_index(n, name: str) -> int:
+    """n as an int: ValueError naming `name` unless n is a builtin or NumPy
+    integer, not a boolean, with |n| < 2^53, so that every n + delta is
+    formed from an exact n."""
+    if (type(n) is not int
+            and (isinstance(n, bool) or not isinstance(n, (int, np.integer)))
+            or not abs(int(n)) < 2 ** 53):
+        raise ValueError(f"{name} must be an integer with |{name}| < 2^53, "
+                         f"got {n!r}")
+    return int(n)
 
 
 # Sector labels closer than this name one Hilbert space (see `Sector`).
@@ -162,12 +141,7 @@ class CircleState:
     coeffs: np.ndarray = field(repr=False)
 
     def __init__(self, sector: Sector, n_lo: int, coeffs: np.ndarray):
-        if (type(n_lo) is not int
-                and (isinstance(n_lo, bool)
-                     or not isinstance(n_lo, (int, np.integer)))
-                or not abs(int(n_lo)) < 2 ** 53):
-            raise ValueError(f"n_lo must be an integer with |n_lo| < 2^53, "
-                             f"got {n_lo!r}")
+        n_lo = _require_index(n_lo, "n_lo")
         c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficient window must be a nonempty 1-d array")
@@ -175,7 +149,7 @@ class CircleState:
             raise ValueError("coefficients must be finite")
         d = self.__dict__
         d["sector"] = sector
-        d["n_lo"] = int(n_lo)
+        d["n_lo"] = n_lo
         d["coeffs"] = c
 
     @property
@@ -247,8 +221,9 @@ def _evaluate(phi: np.ndarray, freq: np.ndarray, coeffs: np.ndarray,
 
 
 def basis_state(n: int, sector: Sector) -> CircleState:
-    """The basis element e_{n,delta}: a single unit coefficient."""
-    return CircleState(sector, int(n), np.array([1.0 + 0j]))
+    """The basis element e_{n,delta}: a single unit coefficient.  n is an
+    integer index (ValueError otherwise, as for `CircleState`'s n_lo)."""
+    return CircleState(sector, _require_index(n, "n"), np.array([1.0 + 0j]))
 
 
 _OPERATOR_TAGS = ("C", "S", "L", "L2")

@@ -5,15 +5,19 @@ part; they act on points s = (phi, p_phi) symplectically and transitively.
 One covering order picks the group: E(2) itself (alpha mod 2 pi), its
 q-fold covers (mod 2 pi q) or the universal cover (no reduction).
 
-The records are built the way every validated record of the package is
-(`specfun.ThetaNome`, `zakcs.PhasePoint`, `mincs.MinUncParams`,
-`circlespace.CircleState`): a frozen dataclass whose hand-written
-`__init__` validates its arguments on one path and writes each field once
-into the instance `__dict__`.  The generated eq, hash, repr and the pickle,
-copy and `dataclasses.replace` support are kept, and assigning a field
-still raises FrozenInstanceError.  A builtin int covering order (1 or
-any q >= 2) is recognized by `type(q) is int`, which no bool passes; only
-other types go through the bool and integer tests.
+The records are built the way the package's records that convert their
+arguments are (`specfun.ThetaNome`, `zakcs.PhasePoint`,
+`mincs.MinUncParams`, `circlespace.CircleState`): a frozen dataclass whose
+hand-written `__init__` validates its arguments on one path and writes
+each field once into the instance `__dict__`; the generated eq, hash,
+repr and the pickle, copy and `dataclasses.replace` support are kept, and
+assigning a field still raises FrozenInstanceError.  The records that
+store their arguments as given (`circlespace.Sector`, `RepLabel` and
+`Params`, `zakcs.WZParams`, `evolve.EvolutionSpec`) keep the generated
+`__init__` and only check them, in `__post_init__`.  A builtin int
+covering order (1 or any q >= 2) is recognized by `type(q) is int`, which
+no bool passes; only other types go through the bool and integer tests,
+and a NumPy order is stored as an int.
 """
 
 from __future__ import annotations
@@ -70,6 +74,9 @@ class GroupElement:
                     or cover_q < 1):
                 raise ValueError("the covering order must be an integer "
                                  f">= 1 or None, got {cover_q!r}")
+            if type(cover_q) is not int:
+                # a NumPy order is stored as an int, so alpha stays a float
+                cover_q = int(cover_q)
             period = _TWO_PI * cover_q if cover_q < _COVER_CLAMP else math.inf
             if not math.isfinite(period):
                 raise ValueError("the covering order is too large: 2 pi q "

@@ -207,7 +207,7 @@ def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
     dphi_arr = np.atleast_1d(np.asarray(dphi, dtype=float))
     const, theta_vals = _kernel_theta(spec, dphi_arr, _KERNEL_METHODS[form])
     vals = const * np.exp(1j * spec.sector.delta * dphi_arr) * theta_vals
-    return complex(vals[0]) if np.isscalar(dphi) else vals
+    return complex(vals[0]) if np.ndim(dphi) == 0 else vals
 
 
 def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
@@ -276,7 +276,7 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
     if reach > band:
         theta_k[np.abs(freq) > band] = 0.0
     vals = _evaluate(phi, freq, const * state.coeffs * theta_k, delta)
-    return complex(vals[0]) if np.isscalar(phi_out) else vals
+    return complex(vals[0]) if np.ndim(phi_out) == 0 else vals
 
 
 def evolve_w(spec: EvolutionSpec, z):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from circleqm.circlespace import CircleState, Sector, _fold, _same_sector
+from circleqm.circlespace import (CircleState, Sector, _fold, _require_index,
+                                  _same_sector)
 from circleqm.specfun import (_bessel_half_width, _bessel_window, bessel_j,
                                g_ratio)
 
@@ -292,7 +293,9 @@ def dbt_divergence(n: int, gamma_max: float) -> float:
     the integral grows like log(Gamma)/pi without bound: increments between
     decades approach log(10)/pi, which is the numerical demonstration that
     a flat group-average of these states cannot resolve the identity.
+    n is an integer order (ValueError otherwise).
     """
+    n = _require_index(n, "n")
     if gamma_max < 0:
         raise ValueError("gamma_max must be nonnegative")
     if gamma_max == 0:

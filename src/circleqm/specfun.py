@@ -346,8 +346,9 @@ class _Modular(NamedTuple):
     (Im w > 0).  w, c w and tau_red are correctly rounded from the double
     tau, except for gamma = S, where tau_red is -1.0 / tau.  The factors
     that depend on tau alone follow (`_move`): ct = 1/(i pi c w), pref =
-    exp(i pi eighth/4) w^(-1/2), log|w| and whether the S guard of
-    `_theta_modular` tests this tau."""
+    exp(i pi eighth/4) w^(-1/2), log|w|, whether the S guard of
+    `_theta_modular` tests this tau, and pi/c as a 24-bit head and a tail
+    (`_shifted`)."""
 
     gamma: tuple
     w: complex
@@ -359,6 +360,8 @@ class _Modular(NamedTuple):
     pref: complex
     log_w: float
     guard: bool
+    pi_head: float
+    pi_tail: float
 
 
 def _move(tau: complex, gamma: tuple, w: complex, cw: complex,
@@ -374,11 +377,13 @@ def _move(tau: complex, gamma: tuple, w: complex, cw: complex,
     # the transformed terms outgrow the direct ones by 1e6.
     log_w = math.log(abs(w))
     guard = math.pi * tau.imag / 4.0 - 0.5 * log_w > _LOG_MAX_CANCEL
+    c = gamma[2]
+    head = float(np.float32(math.pi / c))
     return _Modular(gamma, w, cw, tau_red, partner, eighth,
-                    1.0 / (1j * math.pi * cw), pref, log_w, guard)
+                    1.0 / (1j * math.pi * cw), pref, log_w, guard,
+                    head, (math.pi - c * head + _PI_TAIL) / c)
 
 
-@functools.lru_cache(maxsize=256)
 def _s_move(tau: complex, kind: int) -> _Modular:
     """gamma = S: theta_k(zeta|tau) = (-i tau)^(-1/2) exp(zeta^2/(i pi tau))
     theta_k'(zeta/tau | -1/tau), (-i tau)^(-1/2) = exp(i pi/4) tau^(-1/2)."""
@@ -465,23 +470,16 @@ class _Nodes(NamedTuple):
         return angles / 2.0 + self.zeta0
 
 
-@functools.lru_cache(maxsize=256)
-def _pi_split(c: int) -> tuple:
-    """pi/c as a 24-bit head and a tail (`_shifted`)."""
-    head = float(np.float32(math.pi / c))
-    return head, (math.pi - c * head + _PI_TAIL) / c
-
-
-def _shifted(zeta, c: int):
+def _shifted(zeta, mod: _Modular):
     """k mod 2c, as int64 in [-2c, 2c), and s = c zeta - k pi, k = rint(c
-    Re zeta / pi), for an array or `_Nodes`.
+    Re zeta / pi), for an array or `_Nodes`, c that of the move `mod`.
 
     Re s is within about an ulp of pi/2 of its exact value: pi/c is split
     into a 24-bit head, whose products with |k| < 2^29 are exact, and a
-    tail (`_pi_split`), and c Re zeta - k pi = c ((Re zeta - k head) - k
+    tail (`_Modular`), and c Re zeta - k pi = c ((Re zeta - k head) - k
     tail).  The nodes' zeta0 takes that shift and their -c pi j/size the
     integer nearest -c j/size, so each point keeps its exact node."""
-    head, tail = _pi_split(c)
+    c, head, tail = mod.gamma[2], mod.pi_head, mod.pi_tail
     if not isinstance(zeta, _Nodes):
         x = zeta.real
         k = np.rint(x * (c / math.pi))
@@ -552,7 +550,7 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
     if mod.gamma == _S:
         s, u, off = zeta, zeta / mod.cw, offset
     else:
-        k, s = _shifted(zeta, c)
+        k, s = _shifted(zeta, mod)
         # the integers j = k a and p = k j (+ c k) mod 2c, every product
         # below 2^53
         j = k * (a % (2 * c)) % (2 * c)
@@ -718,7 +716,13 @@ def _theta_route(kind: int, zeta, nome: ThetaNome, mod: _Modular | None,
     whole.  The decorator sets the error state per call, so threads do not
     share it, and costs less than a `with` block."""
     if mod is None:
-        return _theta_sum(kind, zeta, nome.tau, want_derivs, offset)
+        # the series at tau reduced, exactly, by theta's period in tau, 2
+        # (8 for kind 2), so that m^2 pi Re tau is not rounded at large
+        # |Re tau|; a tau within half a period keeps its bits
+        tau, half = nome.tau, 4.0 if kind == 2 else 1.0
+        if not -half <= tau.real <= half:
+            tau = complex(math.remainder(tau.real, 2.0 * half), tau.imag)
+        return _theta_sum(kind, zeta, tau, want_derivs, offset)
     return _theta_modular(kind, zeta, nome, mod, want_derivs, offset)
 
 
@@ -756,9 +760,11 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
         by up to 1.7e-12 in the same draws.  The walk alone picks the
         move: for a tau already in the domain, or one a translation takes
         there, it leaves the direct series, and at Re tau = 0 below
-        Im tau = 1 it is S alone.  Forced, "direct" sums the series at tau
-        and "transform" always takes S, the tau -> -1/tau series, so each
-        can be cross-checked against the other.
+        Im tau = 1 it is S alone.  Forced, "direct" sums the series and
+        "transform" always takes S, the tau -> -1/tau series, so each can
+        be cross-checked against the other.  The direct series is summed
+        at Re tau reduced, exactly, by theta's period in tau, 2 (8 for
+        kind 2), so a large |Re tau| costs no precision.
 
     Returns
     -------
@@ -768,16 +774,16 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
     return _theta_dispatch(kind, zeta, nome, method, want_derivs=False)
 
 
-def theta_derivs(kind: int, zeta, nome, method: str = "auto"):
+def theta_derivs(kind: int, zeta, nome):
     """Theta value and first two derivatives with respect to zeta.
 
     Term-wise differentiated series (direct route) or the chain rule applied
-    to the modular representation (`_theta_modular`), on the routes of
-    `theta`.  The plain series is summed at any array size, one exp per
+    to the modular representation (`_theta_modular`), on the "auto" route
+    of `theta`.  The plain series is summed at any array size, one exp per
     term and point.  Returns (value, d/dzeta, d2/dzeta2); ValueError where
     one of them is not a finite double.
     """
-    return _theta_dispatch(kind, zeta, nome, method, want_derivs=True)
+    return _theta_dispatch(kind, zeta, nome, "auto", want_derivs=True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from circleqm.circlespace import (CircleState, Sector, _finite_array, _fold,
-                                  _require_same_sector)
+                                  _require_index, _require_same_sector)
 from circleqm.specfun import (ThetaNome, _extent, _Nodes, _theta_dispatch,
                               theta, theta_derivs)
 
@@ -516,8 +516,10 @@ def completeness_residual_wz(m1: int, m2: int,
     The angle integral is done analytically (it kills m1 != m2 exactly);
     the remaining radial integrals are Gauss-Legendre.  The weighted form
     evaluates the theta weight and the state normalizer separately, so
-    their cancellation is part of what is being checked.
+    their cancellation is part of what is being checked.  m1 and m2 are
+    integer indices (ValueError otherwise).
     """
+    m1, m2 = _require_index(m1, "m1"), _require_index(m2, "m2")
     if m1 != m2:
         return WZCompletenessResiduals(0j, 0j)
     eps, delta = params.epsilon, params.delta

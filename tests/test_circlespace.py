@@ -6,7 +6,6 @@ against the Jacobi-Anger expansion for the translation action.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,11 +34,11 @@ from circleqm.circlespace import (
     uncertainty_report,
 )
 from circleqm.evolve import EvolutionSpec, evolve_min, kernel_apply, propagate
-from circleqm.ladder import LadderContext, apply_B
-from circleqm.mincs import (MinUncParams, min_expectations, min_overlap,
-                            min_state)
+from circleqm.ladder import LadderContext, apply_B, qdeform_residual
+from circleqm.mincs import (MinUncParams, dbt_divergence, min_expectations,
+                            min_overlap, min_state)
 from circleqm.specfun import _bessel_half_width, bessel_j
-from circleqm.zakcs import WZParams, bargmann_forward
+from circleqm.zakcs import WZParams, bargmann_forward, completeness_residual_wz
 
 RNG = np.random.default_rng(20260810)
 
@@ -57,40 +56,6 @@ class TestSector:
             Sector(1.0)
         with pytest.raises(ValueError):
             Sector(-0.1)
-
-    def test_covering_order(self):
-        Sector(0.25, 4)
-        with pytest.raises(ValueError):
-            Sector(0.25, 8)  # not lowest terms
-        with pytest.raises(ValueError):
-            Sector(0.3, 7)  # 0.3 * 7 not an integer
-
-    def test_from_fraction(self):
-        s = Sector.from_fraction(1, 3)
-        assert s.delta == pytest.approx(1 / 3)
-        assert s.covering_order == 3
-
-    def test_from_fraction_rounding_to_one_names_cause(self):
-        # (1e20 - 1)/1e20 rounds to 1.0: no double below 1 is that sector
-        with pytest.raises(ValueError, match="does not round to a double"):
-            Sector.from_fraction(10 ** 20 - 1, 10 ** 20)
-
-    # lowest-terms fractions that the product delta * q in floats rejected
-    # as "not an integer": its error grows like q * 2^-53
-    @pytest.mark.parametrize("p,q", [(161552, 320993),
-                                     (54868258577, 95266734385),
-                                     (2093519990808989, 2583520488055446),
-                                     (1, 10 ** 20)])
-    def test_from_fraction_large_covering_order(self, p, q):
-        s = Sector.from_fraction(p, q)
-        assert s.delta == float(Fraction(p, q))
-        assert s.covering_order == q
-
-    def test_covering_order_past_double_resolution(self):
-        # past 2^51 the double delta no longer fixes p; this used to be
-        # refused as "not in lowest terms"
-        with pytest.raises(ValueError, match="2\\^51"):
-            Sector.from_fraction(291028859863088068, 2633996730456453621)
 
 
 class TestBasisState:
@@ -144,10 +109,10 @@ class TestBoundaryCondition:
                 assert psi.evaluate(phi[i:i + 1])[0] == batch[i]
 
     def test_qfold_covering_periodicity(self):
-        sector = Sector.from_fraction(2, 5)
-        psi = random_state(sector)
+        # delta = 2/5 has covering order q = 5
+        psi = random_state(Sector(0.4))
         phi = np.linspace(0, 2, 9)
-        lhs = psi.evaluate(phi + 2 * math.pi * sector.covering_order)
+        lhs = psi.evaluate(phi + 2 * math.pi * 5)
         rhs = psi.evaluate(phi)
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
@@ -622,8 +587,6 @@ class TestRefusals:
     """Labels and windows each constructor refuses with ValueError."""
 
     @pytest.mark.parametrize("make,word", [
-        (lambda: Sector(0.5, 2.5), "covering_order"),
-        (lambda: Sector(0.5, 0), "covering_order"),
         (lambda: RepLabel(0.0, Sector(0.0)), "rho"),
         (lambda: CircleState(Sector(0.0), 0, []), "nonempty"),
         (lambda: CircleState(Sector(0.0), 0, [[1.0]]), "nonempty"),
@@ -638,9 +601,23 @@ class TestRefusals:
             '{"delta": 0.25, "n_lo": 2.7, "coeffs": [[1, 0]]}'), "n_lo"),
         (lambda: CircleState.from_json(
             '{"delta": 0.25, "n_lo": true, "coeffs": [[1, 0]]}'), "n_lo"),
-    ], ids=["cover-fraction", "cover-zero", "rho-zero", "empty", "2-d",
+        # non-integer indices: basis_state(2.7) built e_2, qdeform_residual
+        # took n = 2 on one side and 2.7 on the other, dbt_divergence
+        # integrated J_{1/2}^2
+        (lambda: basis_state(2.7, Sector(0.25)), "^n must be an integer"),
+        (lambda: basis_state(np.True_, Sector(0.25)), "^n must be an integer"),
+        (lambda: qdeform_residual(LadderContext(0.5, Sector(0.25)), 2.7),
+         "^n must be an integer"),
+        (lambda: dbt_divergence(0.5, 10.0), "^n must be an integer"),
+        (lambda: completeness_residual_wz(
+            0.5, 0.5, WZParams(0.5, Sector(0.25))), "^m1 must be an integer"),
+        (lambda: completeness_residual_wz(
+            0, True, WZParams(0.5, Sector(0.25))), "^m2 must be an integer"),
+    ], ids=["rho-zero", "empty", "2-d",
             "nan-coeff", "inf-coeff", "n_lo-fraction", "n_lo-bool",
-            "n_lo-2^53", "json-fraction", "json-bool"])
+            "n_lo-2^53", "json-fraction", "json-bool", "basis-fraction",
+            "basis-bool", "qdeform-fraction", "dbt-fraction", "wz-m1-fraction",
+            "wz-m2-bool"])
     def test_refused(self, make, word):
         with pytest.raises(ValueError, match=word):
             make()

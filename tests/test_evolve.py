@@ -86,8 +86,8 @@ class TestPropagate:
         assert fidelity(psi, out) > 1 - 1e-12
 
     def test_rational_sector_revival_up_to_phase(self):
-        sector = Sector.from_fraction(2, 5)
-        q = sector.covering_order
+        # delta = 2/5 has covering order q = 5
+        sector, q = Sector(0.4), 5
         spec = EvolutionSpec(Params(1.0, 1.0), sector, 4 * math.pi * q * q)
         psi = random_state(sector, n_lo=-6, width=13)
         out = propagate(spec, psi)
@@ -301,6 +301,20 @@ class TestKernel:
                          lambda: kernel_apply(spec, psi, angle)):
                 with pytest.raises(ValueError, match="finite"):
                     call()
+
+    def test_zero_dimensional_angle_gives_a_scalar(self):
+        # a 0-d array is a scalar, as for `CircleState.evaluate` and
+        # `w_value`; kernel and kernel_apply returned shape (1,) for it
+        sector = Sector(0.3)
+        spec = EvolutionSpec(Params(1.0, 1.0), sector, 0.7, eta=1e-2)
+        psi = CircleState(sector, -1, np.array([0.3, 0.8, -0.4j]))
+        params = WZParams(1.0, sector)
+        for call in (lambda x: kernel(spec, x),
+                     lambda x: kernel_apply(spec, psi, x),
+                     psi.evaluate,
+                     lambda x: w_value(params, 0.5 + 0.2j, x)):
+            got = call(np.array(0.4))
+            assert type(got) is complex and got == call(0.4)
 
     def test_theta_factor_is_the_kernel_bitwise(self):
         # kernel and kernel_apply share one closed form

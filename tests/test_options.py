@@ -13,7 +13,7 @@ import inspect
 
 MODULES = ("circlespace", "e2action", "evolve", "ladder", "mincs", "specfun",
            "verify", "zakcs")
-SETTABLE = 11
+SETTABLE = 9
 
 
 def _defaulted(fn):

@@ -87,6 +87,13 @@ def test_eq_and_hash_survive_the_clones(make):
         assert twin == record and hash(twin) == hash(record)
 
 
+def test_numpy_covering_order_stored_as_int():
+    # alpha took the type of 2 pi q, an np.float64, from an np.int64 q
+    record = HASHABLE["group-numpy-cover"]()
+    assert type(record.alpha) is float and type(record.cover_q) is int
+    assert repr(record) == repr(GroupElement(7.0, 1j, 3))
+
+
 class TestRefusals:
     @pytest.mark.parametrize("tau,word", [
         (complex(0.0, -1.0), "Im\\(tau\\)"), (0.5, "Im\\(tau\\)"),

@@ -136,7 +136,7 @@ class TestTheta:
         with pytest.raises(ValueError, match="cancels"):
             theta(3, zeta, nome, method="transform")
         with pytest.raises(ValueError, match="cancels"):
-            theta_derivs(3, zeta, nome, method="transform")
+            _theta_dispatch(3, zeta, nome, "transform", True)
         assert abs(theta(3, zeta, nome) - 2.0) < 1e-14
 
     def test_auto_reduces_tau_to_the_fundamental_domain(self):
@@ -310,16 +310,17 @@ class TestTheta:
                 with pytest.raises(ValueError, match="zeta not finite"):
                     theta(3, zeta, nome, method=method)
                 with pytest.raises(ValueError, match="zeta not finite"):
-                    theta_derivs(4, zeta, nome, method=method)
+                    _theta_dispatch(4, zeta, nome, method, True)
 
-    @pytest.mark.parametrize("call", [theta, theta_derivs])
-    def test_value_past_double_range_refused(self, call):
+    @pytest.mark.parametrize("derivs", [False, True],
+                             ids=["theta", "theta_derivs"])
+    def test_value_past_double_range_refused(self, derivs):
         # theta_3(30 i | 0.01 i) ~ e^{~900}: refused, not inf with a warning
         # (every route, scalar and array)
         for method in ("auto", "direct", "transform"):
             for zeta in (30j, np.array([0.1, 30j])):
                 with pytest.raises(ValueError, match="finite double"):
-                    call(3, zeta, ThetaNome(0.01j), method=method)
+                    _theta_dispatch(3, zeta, ThetaNome(0.01j), method, derivs)
 
     def test_rejects_unknown_method_and_overlong_series(self):
         nome = ThetaNome.from_q(0.2)
@@ -358,8 +359,8 @@ class TestThetaDerivs:
     def test_transform_route_derivs(self):
         nome = ThetaNome.from_q(0.5)
         z = 0.3 + 0.1j
-        va, d1a, d2a = theta_derivs(3, z, nome, method="direct")
-        vb, d1b, d2b = theta_derivs(3, z, nome, method="transform")
+        va, d1a, d2a = _theta_dispatch(3, z, nome, "direct", True)
+        vb, d1b, d2b = _theta_dispatch(3, z, nome, "transform", True)
         assert abs(va - vb) < 1e-12 * abs(va)
         assert abs(d1a - d1b) < 1e-11 * max(abs(d1a), 1.0)
         assert abs(d2a - d2b) < 1e-10 * max(abs(d2a), 1.0)
@@ -414,7 +415,7 @@ class TestThetaAgainstMpmath:
         big[idx] = pts
         for method in ("direct", "auto"):
             big_vals = theta(kind, big, nome, method=method)
-            big_derivs = theta_derivs(kind, big, nome, method=method)
+            big_derivs = _theta_dispatch(kind, big, nome, method, True)
             for i, p in enumerate(pts):
                 scale = [_abs_terms(kind, p, nome, order) for order in range(3)]
                 tol = 1e-12
@@ -422,7 +423,7 @@ class TestThetaAgainstMpmath:
                            - refs[i][0]) < tol * scale[0]
                 assert abs(big_vals[idx[i]] - refs[i][0]) < tol * scale[0]
                 for order, (small, ref) in enumerate(zip(
-                        theta_derivs(kind, p, nome, method=method), refs[i])):
+                        _theta_dispatch(kind, p, nome, method, True), refs[i])):
                     assert abs(small - ref) < tol * scale[order]
                     assert abs(big_derivs[order][idx[i]] - ref) < tol * scale[order]
 
@@ -460,15 +461,37 @@ class TestThetaPeriodReduction:
         for method in ("direct", "transform"):
             got = [theta(kind, zeta, nome, method=method),
                    theta(kind, points, nome, method=method)[-1]]
-            derivs = [theta_derivs(kind, zeta, nome, method=method),
-                      [d[-1] for d in theta_derivs(kind, points, nome,
-                                                   method=method)]]
+            derivs = [_theta_dispatch(kind, zeta, nome, method, True),
+                      [d[-1] for d in _theta_dispatch(kind, points, nome,
+                                                      method, True)]]
             for val in got:
                 assert abs(val - refs[0]) < 3e-10 * scale[0]
             for triple in derivs:
                 for order in range(3):
                     assert (abs(triple[order] - refs[order])
                             < 3e-10 * scale[order])
+
+
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    @pytest.mark.parametrize("re_tau", [1.2e5, 1e6, 2.0 ** 40, 1e12])
+    def test_large_real_tau_matches_series(self, kind, re_tau):
+        # the direct series, reached by "auto" through a translation alone,
+        # is summed at Re tau reduced by theta's period in tau (2, 8 for
+        # kind 2); at the given tau m^2 pi Re tau was rounded: 2.8e-12 off
+        # at 1.2e5 and 2.9e-5 at 1e12 for kind 3
+        mpmath = pytest.importorskip("mpmath")
+        zeta, tau = 0.1 + 0.2j, complex(re_tau, 1.0)
+        with mpmath.workdps(60):
+            lq = 1j * mpmath.pi * mpmath.mpc(tau.real, tau.imag)
+            mz = mpmath.mpc(zeta.real, zeta.imag)
+            half = mpmath.mpf(1) / 2 if kind == 2 else 0
+            ref = complex(mpmath.fsum(
+                (-1) ** (m % 2 if kind == 4 else 0)
+                * mpmath.exp((m + half) ** 2 * lq + 2j * (m + half) * mz)
+                for m in range(-12, 12)))
+        for method in ("auto", "direct"):
+            val = theta(kind, zeta, ThetaNome(tau), method=method)
+            assert abs(val - ref) < 1e-14 * abs(ref), method
 
 
 # -- the modular reduction of tau -------------------------------------------
