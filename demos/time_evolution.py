@@ -2,12 +2,14 @@
 
 Spectral phases are exact and revive completely at omega t = 4 pi (integer
 sector); the propagator kernel is a theta function of a complex nome with
-two modular faces -- a spectral series and a free-spreading Gaussian form
--- that agree to machine precision.  Coherent wavepackets disperse (no
-rigid rotation) and their evolution stays in closed form.
+two modular faces -- a spectral series and a free-spreading Gaussian form,
+written out here from theta's direct series -- that both agree with the
+library's kernel.  Coherent wavepackets disperse (no rigid rotation) and
+their evolution stays in closed form.
 Run: python demos/time_evolution.py
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -22,6 +24,7 @@ from circleqm.circlespace import (
 )
 from circleqm.evolve import EvolutionSpec, evolve_min, evolve_w, kernel, propagate
 from circleqm.mincs import MinUncParams
+from circleqm.specfun import ThetaNome, theta
 from circleqm.zakcs import PhasePoint, WZParams, w_state
 
 sector = Sector(0.0)
@@ -36,13 +39,24 @@ for wt in (0.0, math.pi, 2 * math.pi, 4 * math.pi):
     print(f"  omega t = {wt / math.pi:4.1f} pi: fidelity to initial "
           f"{fidelity(psi, propagate(spec, psi)):.12f}")
 
-print("\npropagator kernel, two modular faces at omega t = 0.7, eta = 1e-6:")
-spec = EvolutionSpec(params, Sector(0.3), 0.7, eta=1e-6)
+print("\npropagator kernel and its two modular faces at omega t = 0.7, "
+      "eta = 1e-6:")
+eps, delta = params.epsilon, 0.3
+spec = EvolutionSpec(params, Sector(delta), 0.7, eta=1e-6)
+T = spec.complex_time
+tau = -eps * T / (2 * math.pi)
 for dphi in (0.0, 0.4, 2.0):
-    a = kernel(spec, dphi, form="series")
-    b = kernel(spec, dphi, form="gaussian")
-    print(f"  dphi = {dphi:3.1f}: series {a:+.9f}")
-    print(f"             gaussian {b:+.9f}")
+    zeta = (dphi - eps * delta * T) / 2
+    const = cmath.exp(-0.5j * eps * delta * delta * T + 1j * delta * dphi)
+    # theta_3(zeta | tau) and, after tau -> -1/tau, the free-spreading
+    # Gaussian times theta_3 of the reciprocal nome
+    series = const * theta(3, zeta, ThetaNome(tau), method="direct")
+    gaussian = (const * (-1j * tau) ** -0.5
+                * cmath.exp(zeta * zeta / (1j * math.pi * tau))
+                * theta(3, zeta / tau, ThetaNome(-1 / tau), method="direct"))
+    print(f"  dphi = {dphi:3.1f}: kernel   {kernel(spec, dphi):+.9f}")
+    print(f"             series   {series:+.9f}")
+    print(f"             gaussian {gaussian:+.9f}")
 
 print("\na squeezed wavepacket disperses while <L> stays pinned:")
 p = MinUncParams(0.0, 0.0, 0.0, 1.5)

@@ -166,15 +166,21 @@ class CircleState:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def normalized(self) -> "CircleState":
-        """The state over its norm; ValueError, with no warning, where the
-        norm is 0 or past double range."""
+    def _finite_norm(self) -> float:
+        """The norm; ValueError, with no warning, where it is 0 or past
+        double range."""
         with np.errstate(over="ignore"):
             norm = self.norm()
         if not 0.0 < norm < math.inf:
             raise ValueError(f"the state's norm is {norm}: only a positive "
                              "finite norm can be divided out")
-        return CircleState(self.sector, self.n_lo, self.coeffs / norm)
+        return norm
+
+    def normalized(self) -> "CircleState":
+        """The state over its norm; ValueError, with no warning, where the
+        norm is 0 or past double range."""
+        return CircleState(self.sector, self.n_lo,
+                           self.coeffs / self._finite_norm())
 
     def evaluate(self, phi):
         """psi(phi) = sum_n c_n exp(i (n + delta) phi), winding-exact.
@@ -440,8 +446,9 @@ def rep_apply(alpha: float, a: float, b: float, rep: RepLabel,
 
 
 def energy(n: int, params: Params, sector: Sector) -> float:
-    """Spectrum E_n = (1/2) epsilon (n + delta)^2 in units hbar omega = 1."""
-    return 0.5 * params.epsilon * (n + sector.delta) ** 2
+    """Spectrum E_n = (1/2) epsilon (n + delta)^2 in units hbar omega = 1.
+    n is an integer index (ValueError otherwise, as for `basis_state`)."""
+    return 0.5 * params.epsilon * (_require_index(n, "n") + sector.delta) ** 2
 
 
 def ground_state(params: Params, sector: Sector):

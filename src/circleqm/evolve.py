@@ -6,8 +6,10 @@ function of complex nome exp(-i eps omega (t - i eta)/2) whose
 regularization eta > 0 is always explicit.  The kernel has two printed
 faces related by the imaginary-argument transformation -- a rapidly
 convergent Gaussian-prefactor form for small times and the plain spectral
-series -- and both are exposed for cross-checking.  Closed-form evolutions
-of the two coherent-state families are provided alongside.
+series; `kernel` evaluates neither as such, but the theta factor they
+share after an SL(2, Z) reduction of its tau, and `verify` checks it
+against both.  Closed-form evolutions of the two coherent-state families
+are provided alongside.
 """
 
 from __future__ import annotations
@@ -117,9 +119,6 @@ def moment_series(params: Params, state: CircleState, times) -> np.ndarray:
     return np.column_stack((mean_c, mean_s, mean_l, var_c, var_s, var_l, fid))
 
 
-# kernel form -> theta method: the spectral series is theta's direct sum,
-# the Gaussian-prefactor face its tau -> -1/tau transform
-_KERNEL_METHODS = {"series": "direct", "gaussian": "transform", "auto": "auto"}
 _MIN_DAMPING = 1e-8  # least eps omega eta: there the faces agree to 4e-9
 
 
@@ -151,7 +150,7 @@ def _damping(spec: EvolutionSpec) -> float:
     return damping
 
 
-def _kernel_theta(spec: EvolutionSpec, dphi, method: str = "auto"):
+def _kernel_theta(spec: EvolutionSpec, dphi):
     """The kernel's constant exp(-i eps delta^2 T/2) and its theta factor
     theta_3((dphi - eps delta T)/2 | exp(-i eps T/2)) at dphi, T = omega
     (t - i eta): the kernel is their product times exp(i delta dphi).  The
@@ -162,50 +161,38 @@ def _kernel_theta(spec: EvolutionSpec, dphi, method: str = "auto"):
     eps, delta = spec.params.epsilon, spec.sector.delta
     T = spec.complex_time
     return (cmath.exp(-0.5j * eps * delta * delta * T.real),
-            _flow_theta(eps, delta, T, dphi, method,
+            _flow_theta(eps, delta, T, dphi,
                         0.5 * eps * delta * delta * T.imag))
 
 
-def kernel(spec: EvolutionSpec, dphi, form: str = "auto"):
+def kernel(spec: EvolutionSpec, dphi):
     """Propagator kernel at angle difference dphi.
 
     The kernel is theta_3((dphi - eps delta T)/2 | nome exp(-i eps T/2)),
-    T = omega (t - i eta), times the delta phases.  form "series" sums that
-    theta series directly; form "gaussian" evaluates its modular transform,
-    a free-spreading Gaussian times theta_3 of the reciprocal nome (for
-    eps omega t < 2 pi, exp(2 i pi^2 / (eps T))); "auto" leaves the choice
-    to `specfun.theta`, which reduces tau = -eps T / 2 pi to the
-    fundamental domain and sums a handful of terms there, however close
-    both faces' nomes are to the unit circle.  The two faces agree to
-    rounding because the complex time enters both uniformly.  dphi is
-    taken as given: theta reduces the drifting argument itself.  Time
-    phases of 2^52 rad over the series' terms (`zakcs._flow_theta`) raise
-    ValueError.
+    T = omega (t - i eta), times the delta phases.  It has two printed
+    faces: the spectral series, and after tau -> -1/tau a free-spreading
+    Gaussian times theta_3 of the reciprocal nome (for eps omega t < 2 pi,
+    exp(2 i pi^2 / (eps T))).  Both nomes near the unit circle need
+    thousands of terms; `specfun.theta` instead reduces tau = -eps T / 2 pi
+    to the fundamental domain and sums a handful of terms there.  `verify`'s
+    `kernel-two-faces` checks this against both faces, each written out
+    from theta's direct series.  dphi is taken as given: theta reduces the
+    drifting argument itself.  Time phases of 2^52 rad over the series'
+    terms (`zakcs._flow_theta`) raise ValueError.
 
     Valid range eps omega eta >= 1e-8, with no upper bound: the nome is
     built from its tau and the constant's modulus is fused into the theta
     series (`_kernel_theta`), so neither leaves double range apart from
-    the other.  On 16 angles, delta in {0, 0.3, 0.7} and omega t in {0.3,
-    0.7, 2}, the faces agree to 3.9e-11 relative at 1e-6 and 3.6e-9 at
-    1e-8; "auto" stays within 5e-15 of max|theta| of 40-digit sums over
-    [1e-8, 5e-5] (eight random draws).  Below 1e-8 the kernel raises
-    ValueError.
-
-    The Gaussian face is for small eps omega eta.  As the damping grows its
-    transformed series cancels, by up to 1e6 before `specfun.theta`
-    refuses it with ValueError; a value that passes is good to about 5e-9
-    of theta's scale (`specfun._LOG_MAX_CANCEL`).  Against a 40-digit
-    spectral sum on 16 angles at eps = omega = 1, t = 0, it is off by
-    5.0e-13, 1.4e-12 and 7.9e-10 of max|K| at eps omega eta = 1430, 1600
-    and 3000 for delta = 0.9; for delta = 0.5 by 4.4e-12 at 100, and it
-    refuses from 200.  Forms "series" and "auto" stay within 1e-13 at all
-    of these points.
+    the other.  The theta factor stays within 5e-15 of max|theta| of
+    40-digit sums over eps omega eta in [1e-8, 5e-5] (eight random draws),
+    and the kernel within 1e-13 of max|K| of a 40-digit spectral sum on 16
+    angles at eps = omega = 1, t = 0 and eps omega eta = 1430, 1600 and
+    3000 (delta = 0.9) and 100 (delta = 0.5).  Below 1e-8 the kernel
+    raises ValueError.
     """
     _damping(spec)
-    if form not in _KERNEL_METHODS:
-        raise ValueError(f"unknown kernel form {form!r}")
     dphi_arr = np.atleast_1d(np.asarray(dphi, dtype=float))
-    const, theta_vals = _kernel_theta(spec, dphi_arr, _KERNEL_METHODS[form])
+    const, theta_vals = _kernel_theta(spec, dphi_arr)
     vals = const * np.exp(1j * spec.sector.delta * dphi_arr) * theta_vals
     return complex(vals[0]) if np.ndim(dphi) == 0 else vals
 

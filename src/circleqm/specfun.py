@@ -23,7 +23,8 @@ is rounded (see `_theta_modular`), so no double-double arithmetic is
 needed.  Every route sums its series in `_theta_sum`, which picks plain
 terms or Horner's rule, except a move off S that leaves Im tau' above 16
 (`_theta_squares`).  A value or derivative past double range raises
-ValueError.
+ValueError.  `theta(method="direct")` forces the series at the given tau:
+the reference the modular route is checked against.
 """
 
 from __future__ import annotations
@@ -281,7 +282,12 @@ def _theta_horner(kind, nmax, z, off, lq):
     h = exp(2i m0 zeta), w = exp(2i zeta), the series is exp(offset) *
     (h P(w) + P(1/w) / h), P(x) = sum_j c_j x^j, c_j = s_m exp(m^2 lq)
     (halved at m = 0, which is its own +- partner)."""
-    c = _horner_coeffs(kind, nmax, lq)
+    half = 0.5 if kind == 2 else 0.0
+    c = [cmath.exp((half + j) ** 2 * lq) for j in range(int(nmax - half) + 1)]
+    if kind == 4:
+        c[1::2] = [-cj for cj in c[1::2]]
+    if kind != 2:
+        c[0] = 0.5
     n = z.size
     # w and 1/w side by side, each written in place
     x = np.empty(2 * n, dtype=complex)
@@ -300,27 +306,14 @@ def _theta_horner(kind, nmax, z, off, lq):
     return np.exp(off) * (p[:n] + p[n:])
 
 
-@functools.lru_cache(maxsize=64)
-def _horner_coeffs(kind: int, nmax: int, lq: complex) -> tuple:
-    """The c_j of `_theta_horner` at one tau and term count, which
-    `evolve.kernel_apply` and `evolve.kernel` at one time share."""
-    half = 0.5 if kind == 2 else 0.0
-    c = [cmath.exp((half + j) ** 2 * lq) for j in range(int(nmax - half) + 1)]
-    if kind == 4:
-        c[1::2] = [-cj for cj in c[1::2]]
-    if kind != 2:
-        c[0] = 0.5
-    return tuple(c)
-
-
 # Under tau -> -1/tau kind 3 maps to itself and kinds 2 and 4 swap.
 _MODULAR_PARTNER = {2: 4, 3: 3, 4: 2}
 # Most the transformed sum's largest term may exceed the function's scale,
-# in natural-log units.  The rounding error grows with the terms' count and
-# the size of their exponents, not the largest term alone: under S it was
-# up to 2.6e-9 of the scale over 17,620 returned points with Im tau in
-# [17, 236] (theta_3(10 pi i | 20 i) = 2 comes out 1.8e-9 off), so values
-# that pass are good to about 5e-9 of the scale.
+# in natural-log units (the guard of `_theta_modular`).  The walk's moves
+# are tested only where |w| < ~1e-12, so Im tau < 1e-12 (see `_move`), and
+# there the excess stayed at most 1.0 over 2,196 tested draws with Im tau
+# in [3e-16, 1e-10] and zeta at and off the lattice points k pi/c.  The bound
+# that decides the test is not that sharp, so the test stays.
 _LOG_MAX_CANCEL = math.log(1e6)
 _S = (0, -1, 1, 0)  # tau -> -1/tau
 # Largest Im tau' at which a move off S sums its series by `_theta_sum`,
@@ -342,11 +335,11 @@ class _Modular(NamedTuple):
         theta_kind(zeta | tau) = exp(i pi eighth/4) w^(-1/2)
             * exp(-i c zeta^2 / (pi w)) * theta_partner(zeta/w | tau_red),
 
-    w = c tau + d, tau_red = gamma tau and w^(-1/2) on the principal branch
-    (Im w > 0).  w, c w and tau_red are correctly rounded from the double
-    tau, except for gamma = S, where tau_red is -1.0 / tau.  The factors
-    that depend on tau alone follow (`_move`): ct = 1/(i pi c w), pref =
-    exp(i pi eighth/4) w^(-1/2), log|w|, whether the S guard of
+    w = c tau + d, tau_red = gamma tau, w^(-1/2) on the principal branch
+    (Im w > 0) and `eighth` an integer mod 8 that `_reduce_tau` counts.
+    w, c w and tau_red are correctly rounded from the double tau.  The
+    factors that depend on tau alone follow (`_move`): ct = 1/(i pi c w),
+    pref = exp(i pi eighth/4) w^(-1/2), log|w|, whether the guard of
     `_theta_modular` tests this tau, and pi/c as a 24-bit head and a tail
     (`_shifted`)."""
 
@@ -355,7 +348,6 @@ class _Modular(NamedTuple):
     cw: complex
     tau: complex
     partner: int
-    eighth: int
     ct: complex
     pref: complex
     log_w: float
@@ -374,20 +366,15 @@ def _move(tau: complex, gamma: tuple, w: complex, cw: complex,
     # Over a continuous index both series peak at (Im zeta)^2 / (pi Im tau)
     # in log (the exponents agree identically); the direct series' index
     # lattice lowers its peak by at most pi Im tau / 4.  So only there can
-    # the transformed terms outgrow the direct ones by 1e6.
+    # the transformed terms outgrow the direct ones by 1e6: on the walk,
+    # where |w| < ~1e-12.
     log_w = math.log(abs(w))
     guard = math.pi * tau.imag / 4.0 - 0.5 * log_w > _LOG_MAX_CANCEL
     c = gamma[2]
     head = float(np.float32(math.pi / c))
-    return _Modular(gamma, w, cw, tau_red, partner, eighth,
+    return _Modular(gamma, w, cw, tau_red, partner,
                     1.0 / (1j * math.pi * cw), pref, log_w, guard,
                     head, (math.pi - c * head + _PI_TAIL) / c)
-
-
-def _s_move(tau: complex, kind: int) -> _Modular:
-    """gamma = S: theta_k(zeta|tau) = (-i tau)^(-1/2) exp(zeta^2/(i pi tau))
-    theta_k'(zeta/tau | -1/tau), (-i tau)^(-1/2) = exp(i pi/4) tau^(-1/2)."""
-    return _move(tau, _S, tau, tau, -1.0 / tau, _MODULAR_PARTNER[kind], 1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -411,8 +398,8 @@ def _reduce_tau(tau: complex, kind: int) -> _Modular | None:
     below about 1e-15).
 
     A tau in the domain takes no S and gives None.  At Re tau = 0 below
-    |tau| = 1 the walk is S alone, the record of `_s_move`: tau' = i/Im tau
-    correctly rounded, the same double as -1.0 / tau.
+    |tau| = 1 the walk is S alone, gamma = (0 -1; 1 0): w = c w = tau and
+    tau' = i/Im tau correctly rounded, the same double as -1.0 / tau.
 
     The walk carries only |u|^2, |v|^2 and u.v, two big-integer products a
     step: T^-n takes them to |u|^2 - n (2 u.v - n |v|^2), |v|^2 and u.v -
@@ -535,15 +522,16 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
     S, k = 0 and zeta is the argument theta reduced by its period (an
     array).
 
-    Large Im tau with large Im zeta make the transformed terms, Gaussian
-    included, exceed the value by many orders: theta_3(25 pi i | 50 i)
-    by S came out 132.6 for 2.  Such points raise ValueError: those where
-    the largest transformed term exceeds 1e6 times both |value| and the
+    A transformed series whose terms, Gaussian included, exceed the value
+    by many orders cancels: forced at Im tau = 50, S gave 132.6 for
+    theta_3(25 pi i | 50 i) = 2.  The guard raises ValueError where the
+    largest transformed term exceeds 1e6 times both |value| and the
     largest term of the direct series, the function's own scale (exceeding
     |value| alone also happens where the value is small against that
-    scale, near a zero, and the direct series cancels as much there).
-    That takes pi Im tau / 4 - log|w| / 2 above log 1e6 (Im tau above
-    about 19.5 under S); below it nothing is tested.
+    scale, near a zero, and the direct series cancels as much there).  It
+    tests only where pi Im tau / 4 - log|w| / 2 passes log 1e6, which on
+    the walk needs |w| < ~1e-12 and so Im tau < 1e-12; there it has not
+    fired (`_LOG_MAX_CANCEL`).
     """
     a, _, c, _ = mod.gamma
     ct, pref = mod.ct, mod.pref
@@ -577,7 +565,7 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
                                np.abs(u.imag)))
         if np.any(largest - scale > _LOG_MAX_CANCEL):
             raise ValueError("the transformed theta series cancels by more "
-                             "than 1e6 here; use method='direct'")
+                             "than 1e6 here")
     v = pref * g
     if not want_derivs:
         return v, None, None
@@ -596,12 +584,13 @@ def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
     As gamma tau = a/c - 1/(c w), term m of the product is s_m exp(off -
     i (s - pi m)^2/(pi c w) + i pi (a m^2 + 2 m j)/c): one square and an
     integer phase, summed one exp per term and point, in chunks of
-    `_CHUNK` elements.  Apart, the Gaussian and the term's m^2 lq and
-    2 i m u each reach about pi Im tau' and cancel to O(1) in the largest
-    terms, which near a revival (Im tau' = 6e4 at eps omega t = 2 pi,
-    eps omega eta = 1e-4) cost 8e-12; up to `_SEPARATE_IM` they stay below
-    ~16 pi, and `_theta_sum` takes the series with the Gaussian in its
-    offset."""
+    `_CHUNK` elements, over the indices, signs and derivative weights of
+    the partner's `_term_plan`.  Apart, the Gaussian and the term's m^2 lq
+    and 2 i m u each reach about pi Im tau' and cancel to O(1) in the
+    largest terms, which near a revival (Im tau' = 6e4 at eps omega t =
+    2 pi, eps omega eta = 1e-4) cost 8e-12; up to `_SEPARATE_IM` they stay
+    below ~16 pi, and `_theta_sum` takes the series with the Gaussian in
+    its offset."""
     a, c, partner = mod.gamma[0], mod.gamma[2], mod.partner
     shape = u.shape
     s, u, j, off = s.reshape(-1), u.reshape(-1), j.reshape(-1), off.reshape(-1)
@@ -609,26 +598,24 @@ def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
     # the extent, in the term budget; the derivatives keep the margin
     # `_n_cutoff` leaves for their weights m^2
     n = _n_cutoff(math.pi * mod.tau.imag, b) - (0 if want_derivs else 2)
-    m = np.arange(-n - (0.5 if partner == 2 else 0.0), n + 1)
-    twice = (2 * m).astype(np.int64)
-    sign = (-1.0) ** (twice // 2) if partner == 4 else np.ones(m.size)
+    plan = (_term_plan if n <= _PLAN_TERMS
+            else _term_plan.__wrapped__)(partner, n)
+    twice = (2 * plan.m).astype(np.int64)
     # the phases' numerators a (2m)^2 + 4 (2m) j over 4c, exact mod 8c
     quad = (a % (8 * c)) * twice * twice % (8 * c)
     alpha = -1j / (math.pi * mod.cw)
-    chunk = max(1, _CHUNK // m.size)
-    sums = [np.empty(u.size, dtype=complex) for _ in range(3 if want_derivs
-                                                             else 1)]
+    chunk = max(1, _CHUNK // plan.m.size)
+    weights = (plan.sign, plan.d1, plan.d2) if want_derivs else (plan.sign,)
+    sums = [np.empty(u.size, dtype=complex) for _ in weights]
     for i in range(0, u.size, chunk):
         part = slice(i, i + chunk)
         num = (quad[:, None] + 4 * np.multiply.outer(twice, j[part])) % (8 * c)
-        terms = np.exp(alpha * (s[part] - math.pi * m[:, None]) ** 2
+        terms = np.exp(alpha * (s[part] - math.pi * plan.m[:, None]) ** 2
                        + (1j * math.pi / (4 * c)) * num + off[part])
-        sums[0][part] = sign @ terms
-        if want_derivs:
-            sums[1][part] = (2j * m * sign) @ terms
-            sums[2][part] = (-4.0 * m * m * sign) @ terms
+        for total, weight in zip(sums, weights):
+            total[part] = weight.dot(terms)
     out = [x.reshape(shape) for x in sums]
-    return (out[0], out[1], out[2]) if want_derivs else (out[0], None, None)
+    return tuple(out) if want_derivs else (out[0], None, None)
 
 
 def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
@@ -669,14 +656,9 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
         raise ValueError("zeta must be finite, with |Re zeta| below 2^52 "
                          "periods (one ulp is a period or more there)")
 
-    if method == "auto":
-        mod = _reduce_tau(nome.tau, kind)
-    elif method == "transform":
-        mod = _s_move(nome.tau, kind)
-    elif method == "direct":
-        mod = None
-    else:
+    if method not in ("auto", "direct"):
         raise ValueError(f"unknown method {method!r}")
+    mod = _reduce_tau(nome.tau, kind) if method == "auto" else None
 
     # the lattice shift of a move other than S reduces the argument itself,
     # exactly, as long as its k stays below 2^29; every other route takes
@@ -735,7 +717,7 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
         2, 3 or 4.
     zeta : complex or ndarray
         Argument(s), finite, with |Re zeta| below 2^52 periods (else
-        ValueError).  The "direct" and "transform" routes first reduce Re
+        ValueError).  The direct series and the move S first reduce Re
         zeta by the period, pi (2 pi for kind 2: theta_2(zeta + pi) =
         -theta_2(zeta)), in double precision: the value is that at an
         argument moved by up to ~2e-16 |Re zeta|; one within half a period
@@ -744,7 +726,7 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
     nome : ThetaNome or complex
         The nome, held as its tau; a bare complex q, |q| < 1, is wrapped
         by `ThetaNome.from_q` (the principal log).
-    method : {"auto", "direct", "transform"}
+    method : {"auto", "direct"}
         "auto" reduces tau to the fundamental domain |Re tau'| <= 1/2,
         |tau'| >= 1, where |q'| <= 0.066 and a few terms suffice: a walk
         in S (tau -> -1/tau) and T (tau -> tau + 1), exact in integers,
@@ -760,11 +742,11 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
         by up to 1.7e-12 in the same draws.  The walk alone picks the
         move: for a tau already in the domain, or one a translation takes
         there, it leaves the direct series, and at Re tau = 0 below
-        Im tau = 1 it is S alone.  Forced, "direct" sums the series and
-        "transform" always takes S, the tau -> -1/tau series, so each can
-        be cross-checked against the other.  The direct series is summed
-        at Re tau reduced, exactly, by theta's period in tau, 2 (8 for
-        kind 2), so a large |Re tau| costs no precision.
+        Im tau = 1 it is S alone, the tau -> -1/tau series.  "direct"
+        forces the series at tau, the reference the modular route is
+        checked against.  The direct series is summed at Re tau reduced,
+        exactly, by theta's period in tau, 2 (8 for kind 2), so a large
+        |Re tau| costs no precision.  Any other method raises ValueError.
 
     Returns
     -------

@@ -115,8 +115,7 @@ def _require_phase(largest) -> None:
                          "phase mod 2 pi has no significant bits")
 
 
-def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto",
-                offset=0.0):
+def _flow_theta(eps: float, delta: float, T: complex, angle, offset=0.0):
     """theta3[(angle - eps delta T)/2, e^{-i eps T/2}] at complex time T,
     times exp(offset) fused into the series' exponents.  angle is an array,
     or `specfun._Nodes(m)` for the m angles -2 pi j/m held exactly.
@@ -146,7 +145,7 @@ def _flow_theta(eps: float, delta: float, T: complex, angle, method="auto",
         _require_phase(0.5 * eps * abs(T.real) * extent * extent)
     tau = complex(cmath.phase(cmath.exp(-0.5j * eps * T.real)) / math.pi,
                   -eps * T.imag / (2.0 * math.pi))
-    return _theta_dispatch(3, zeta, ThetaNome(tau), method, False, offset)
+    return _theta_dispatch(3, zeta, ThetaNome(tau), "auto", False, offset)
 
 
 # w_z and the kernel are the flow theta; the next two its -1/tau partners.
@@ -269,12 +268,14 @@ def _window(eps: float, delta: float, l_tilde, tol: float) -> np.ndarray:
 
 def w_state(params: WZParams, z, window_tol: float = 1e-12) -> CircleState:
     """Coefficient window of the holomorphic (unnormalized) family member:
-    c_m = f_{m,delta}(z) over the window of `_window`."""
+    c_m = f_{m,delta}(z) over the window of `_window`.  A coefficient past
+    double range raises `CircleState`'s ValueError, with no warning."""
     if not 0.0 < window_tol < 1.0:
         raise ValueError("window_tol must lie in (0, 1)")
     pt = _as_point(z)
     ms = _window(params.epsilon, params.delta, pt.l_tilde, window_tol)
-    return CircleState(params.sector, int(ms[0]), fn_basis(params, ms, pt))
+    with np.errstate(over="ignore"):
+        return CircleState(params.sector, int(ms[0]), fn_basis(params, ms, pt))
 
 
 def w_value(params: WZParams, z, phi):

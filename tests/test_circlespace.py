@@ -613,11 +613,14 @@ class TestRefusals:
             0.5, 0.5, WZParams(0.5, Sector(0.25))), "^m1 must be an integer"),
         (lambda: completeness_residual_wz(
             0, True, WZParams(0.5, Sector(0.25))), "^m2 must be an integer"),
+        # energy(2.5) returned 3.92, the level of no basis state
+        (lambda: energy(2.5, Params(1.0), Sector(0.3)),
+         "^n must be an integer"),
     ], ids=["rho-zero", "empty", "2-d",
             "nan-coeff", "inf-coeff", "n_lo-fraction", "n_lo-bool",
             "n_lo-2^53", "json-fraction", "json-bool", "basis-fraction",
             "basis-bool", "qdeform-fraction", "dbt-fraction", "wz-m1-fraction",
-            "wz-m2-bool"])
+            "wz-m2-bool", "energy-fraction"])
     def test_refused(self, make, word):
         with pytest.raises(ValueError, match=word):
             make()

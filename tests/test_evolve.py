@@ -30,7 +30,8 @@ from circleqm.evolve import (
     propagate,
 )
 from circleqm.mincs import MinUncParams, min_state
-from circleqm.specfun import _Nodes
+from circleqm.specfun import _S, _Nodes, _move, _theta_route, ThetaNome
+from circleqm.verify import _kernel_faces
 from circleqm.zakcs import PhasePoint, WZParams, fn_basis, w_state, w_value
 
 RNG = np.random.default_rng(99)
@@ -163,10 +164,12 @@ class TestMomentSeries:
 
 class TestKernel:
     def test_two_faces_agree_at_reference_point(self):
+        # the kernel against both printed faces, written out from theta's
+        # direct series (`verify._kernel_faces`)
         spec = EvolutionSpec(Params(1.0, 1.0), Sector(0.3), 0.7, eta=1e-6)
-        a = kernel(spec, 0.4, form="series")
-        b = kernel(spec, 0.4, form="gaussian")
-        assert abs(a - b) < 1e-9 * abs(a)
+        k = kernel(spec, 0.4)
+        for face in _kernel_faces(spec, 0.4):
+            assert abs(k - face) < 1e-9 * abs(k)
 
     @pytest.mark.parametrize("wt", [0.7, 5.3])
     def test_series_face_reduces_its_phases(self, wt):
@@ -177,7 +180,7 @@ class TestKernel:
         spec = EvolutionSpec(Params(1.0, 1.0), Sector(0.3), wt, eta=1e-6)
         dphi = np.linspace(-math.pi, math.pi, 7)
         ref = kernel(spec, dphi)
-        err = np.max(np.abs(kernel(spec, dphi, form="series") - ref))
+        err = np.max(np.abs(_kernel_faces(spec, dphi)[0] - ref))
         assert err < 2e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("eps,delta,wt", [
@@ -185,10 +188,10 @@ class TestKernel:
     def test_two_faces_agree_on_grid(self, eps, delta, wt):
         spec = EvolutionSpec(Params(eps, 1.0), Sector(delta), wt, eta=1e-6)
         dphi = np.linspace(-math.pi, math.pi, 9)
-        a = kernel(spec, dphi, form="series")
-        b = kernel(spec, dphi, form="gaussian")
-        scale = np.max(np.abs(a))
-        assert np.max(np.abs(a - b)) < 1e-9 * scale
+        k = kernel(spec, dphi)
+        scale = np.max(np.abs(k))
+        for face in _kernel_faces(spec, dphi):
+            assert np.max(np.abs(k - face)) < 1e-9 * scale
 
     def test_free_spreading_structure_at_small_time(self):
         # at delta = 0 and small t the kernel is the free Gaussian
@@ -208,16 +211,19 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel(spec, 0.3)
 
-    @pytest.mark.parametrize("make,word", [
-        (lambda: EvolutionSpec(Params(1.0), Sector(0.0), math.inf), "time"),
-        (lambda: EvolutionSpec(Params(1.0), Sector(0.0), math.nan), "time"),
+    @pytest.mark.parametrize("make,error,word", [
+        (lambda: EvolutionSpec(Params(1.0), Sector(0.0), math.inf),
+         ValueError, "time"),
+        (lambda: EvolutionSpec(Params(1.0), Sector(0.0), math.nan),
+         ValueError, "time"),
         (lambda: EvolutionSpec(Params(1.0), Sector(0.0), 0.5, eta=-1e-3),
-         "eta"),
+         ValueError, "eta"),
+        # the kernel has one form, the reduced theta: the face option is gone
         (lambda: kernel(EvolutionSpec(Params(1.0), Sector(0.0), 0.5, eta=1e-3),
-                        0.3, form="spectral"), "kernel form"),
+                        0.3, form="series"), TypeError, "form"),
     ], ids=["t-inf", "t-nan", "eta-negative", "unknown-form"])
-    def test_rejects_bad_spec_or_form(self, make, word):
-        with pytest.raises(ValueError, match=word):
+    def test_rejects_bad_spec_or_form(self, make, error, word):
+        with pytest.raises(error, match=word):
             make()
 
     def test_refuses_below_documented_range(self):
@@ -227,16 +233,23 @@ class TestKernel:
         spec = EvolutionSpec(Params(2.0, 0.5), sector, 0.7, eta=5e-9)
         psi = CircleState(sector, -1, np.array([0.3, 0.8, -0.4j]))
         for call in (lambda: kernel(spec, 0.4),
-                     lambda: kernel(spec, np.zeros(3), form="series"),
+                     lambda: kernel(spec, np.zeros(3)),
                      lambda: kernel_apply(spec, psi, 1.1)):
             with pytest.raises(ValueError, match="eps omega eta"):
                 call()
 
     @pytest.mark.parametrize("form", ["auto", "series", "gaussian"])
     def test_finite_at_range_edge(self, form):
+        # the kernel is finite at eps omega eta = 1e-8, and within 4.1e-12
+        # (series) and 1.3e-9 (Gaussian) of max|K| of each written-out face
         spec = EvolutionSpec(Params(1.0, 1.0), Sector(0.3), 0.7, eta=1e-8)
-        vals = kernel(spec, np.linspace(-math.pi, math.pi, 5), form=form)
+        dphi = np.linspace(-math.pi, math.pi, 5)
+        vals = kernel(spec, dphi)
         assert np.all(np.isfinite(vals))
+        if form != "auto":
+            face = _kernel_faces(spec, dphi)[form == "gaussian"]
+            bound = 4e-11 if form == "series" else 1.3e-8
+            assert np.max(np.abs(vals - face)) < bound * np.max(np.abs(vals))
 
     def test_apply_at_range_edge(self):
         sector = Sector(0.3)
@@ -252,17 +265,21 @@ class TestKernel:
         # circle, past the series' term budget; the kernel's eps omega eta
         # >= 1e-8 floor (`_damping`) refuses it before any series is sized
         spec = EvolutionSpec(Params(1.0, 1.0), Sector(0.0), 1.0, eta=1e-12)
-        with pytest.raises(ValueError):
-            kernel(spec, 0.3, form="gaussian")
+        with pytest.raises(ValueError, match="eps omega eta"):
+            kernel(spec, 0.3)
 
     def test_gaussian_face_refuses_heavy_damping(self):
-        # eta = 300 leaves two spectral terms of size 1; the Gaussian face
-        # cancels terms of ~e^{34} to reach them (it was off by 4.4)
+        # eta = 300 leaves two spectral terms of size 1; the Gaussian face,
+        # the move S at Im tau = 47.7, cancels terms of ~e^{34} to reach
+        # them (forced, it was off by 4.4), and its guard refuses it.  The
+        # walk keeps the direct series there, which the kernel sums.
         spec = EvolutionSpec(Params(1.0, 1.0), Sector(0.5), 0.7, eta=300.0)
+        tau = complex(-0.35 / math.pi, 150.0 / math.pi)
+        zeta = np.complex128(0.3 / 2.0 - 0.5 * complex(0.7, -300.0) / 2.0)
+        s_move = _move(tau, _S, tau, tau, -1.0 / tau, 3, 1)
         with pytest.raises(ValueError, match="cancels"):
-            kernel(spec, 0.3, form="gaussian")
-        series = kernel(spec, 0.3, form="series")
-        assert kernel(spec, 0.3) == series
+            _theta_route(3, zeta, ThetaNome(tau), s_move, False, 0.0)
+        series = kernel(spec, 0.3)
         n = np.array([-1.0, 0.0])
         ref = np.sum(np.exp(-0.5j * (n + 0.5) ** 2 * complex(0.7, -300.0)
                             + 1j * (n + 0.5) * 0.3))
@@ -279,12 +296,11 @@ class TestKernel:
         spec = EvolutionSpec(Params(eps, 1.0), Sector(delta), wt, eta=eta)
         unit = math.sqrt(2 * math.pi / (eps * eta))
         dphi = np.linspace(-math.pi, math.pi, 13)
-        for form in ("auto", "series", "gaussian"):
-            ref = kernel(spec, dphi, form=form)
-            for k in (1, -3, 10, -100, 1000, -1000):
-                vals = kernel(spec, dphi + 2 * math.pi * k, form=form)
-                err = np.max(np.abs(vals - cmath.exp(2j * math.pi * delta * k) * ref))
-                assert err < 4e-14 * (1 + abs(k)) * unit
+        ref = kernel(spec, dphi)
+        for k in (1, -3, 10, -100, 1000, -1000):
+            vals = kernel(spec, dphi + 2 * math.pi * k)
+            err = np.max(np.abs(vals - cmath.exp(2j * math.pi * delta * k) * ref))
+            assert err < 4e-14 * (1 + abs(k)) * unit
 
     @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
     def test_non_finite_angle_refused(self, angle):
@@ -296,8 +312,7 @@ class TestKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in (lambda: kernel(spec, angle),
-                         lambda: kernel(spec, np.array([0.2, angle]),
-                                        form="gaussian"),
+                         lambda: kernel(spec, np.array([0.2, angle])),
                          lambda: kernel_apply(spec, psi, angle)):
                 with pytest.raises(ValueError, match="finite"):
                     call()
@@ -330,7 +345,8 @@ class TestKernel:
         # 64 samples take Horner's rule in the reduced theta, single angles
         # the plain series; the reference sums the spectral series term by
         # term with the quadratic phase reduced mod 2 pi in extended
-        # precision
+        # precision.  The written-out faces `verify` checks the kernel
+        # against hold the same bound.
         eta = 1e-4
         spec = EvolutionSpec(Params(eps, 1.0), Sector(delta), wt, eta=eta)
         dphi = -math.pi + np.arange(64) * (2.0 * math.pi / 64)
@@ -341,11 +357,12 @@ class TestKernel:
         weights = np.exp(-0.5 * eps * eta * freq ** 2 - 1j * phase.astype(float))
         ref = np.exp(1j * np.outer(dphi, freq)) @ weights
         scale = np.max(np.abs(ref))
-        for form in ("series", "gaussian"):
-            vals = kernel(spec, dphi, form=form)
-            assert np.max(np.abs(vals - ref)) < 1e-10 * scale
-            for i in (0, 21, 40):
-                assert abs(kernel(spec, dphi[i], form=form) - ref[i]) < 1e-10 * scale
+        vals = kernel(spec, dphi)
+        assert np.max(np.abs(vals - ref)) < 1e-10 * scale
+        for i in (0, 21, 40):
+            assert abs(kernel(spec, dphi[i]) - ref[i]) < 1e-10 * scale
+        for face in _kernel_faces(spec, dphi):
+            assert np.max(np.abs(face - ref)) < 1e-10 * scale
 
     def test_quadrature_matches_propagate(self):
         eps, delta, wt, eta = 1.0, 0.2, 0.9, 1e-6
@@ -720,12 +737,18 @@ class TestLargeTime:
 
     @pytest.mark.parametrize("form", ["auto", "series", "gaussian"])
     def test_kernel_matches_spectral_sum(self, form):
+        # "auto" is the kernel, the others its written-out faces
+        # (`verify._kernel_faces`), which reduce tau and zeta by their
+        # periods as the kernel does
         half = int(math.ceil(math.sqrt(83.0 / (self.EPS * self.ETA)))) + 2
         ref = _flow_sum_mp(self.EPS, self.DELTA, complex(self.T, -self.ETA),
                            -half, np.ones(2 * half + 1, dtype=complex),
                            self.PHI)
         unit = math.sqrt(2 * math.pi / (self.EPS * self.ETA))
-        vals = kernel(self._spec(), self.PHI, form=form)
+        if form == "auto":
+            vals = kernel(self._spec(), self.PHI)
+        else:
+            vals = _kernel_faces(self._spec(), self.PHI)[form == "gaussian"]
         assert np.max(np.abs(vals - ref)) < 2e-9 * unit
 
     def test_kernel_apply_matches_spectral_sum(self):

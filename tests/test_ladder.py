@@ -141,6 +141,30 @@ class TestEigenRelation:
         ctx = LadderContext(eps, Sector(delta))
         assert eigen_residual(ctx, PhasePoint.from_z(z)) < 1e-10
 
+    @pytest.mark.parametrize("call", ["w_state", "kj_matrix_elements",
+                                      "eigen_residual"])
+    @pytest.mark.parametrize("eps,l_tilde,word", [
+        (0.05, 40.0, "coefficients must be finite"),
+        (40.0, 3000.0, "coefficients must be finite"),
+        (0.01, 3.0, "norm is inf")], ids=["eps-0.05", "eps-40", "eps-0.01"])
+    def test_out_of_range_window_refused_without_warning(self, eps, l_tilde,
+                                                         word, call):
+        # past e^709 the window's coefficients, or at (0.01, 3) its norm,
+        # leave double range: a ValueError, where numpy's overflow warning
+        # came first (an error under the suite's warning filter), and
+        # eigen_residual at (0.01, 3) returned nan.  w_state itself is
+        # finite there: only its norm overflows.
+        ctx = LadderContext(eps, Sector(0.3))
+        z = PhasePoint(0.5, l_tilde)
+        run = {"w_state": lambda: w_state(ctx, z),
+               "kj_matrix_elements": lambda: kj_matrix_elements(ctx, z),
+               "eigen_residual": lambda: eigen_residual(ctx, z)}[call]
+        if call == "w_state" and eps == 0.01:
+            assert np.isfinite(run().coeffs).all()
+            return
+        with pytest.raises(ValueError, match=word):
+            run()
+
     def test_coefficient_recursion(self):
         eps, delta = 0.8, 0.3
         params = WZParams(eps, Sector(delta))

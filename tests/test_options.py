@@ -13,7 +13,7 @@ import inspect
 
 MODULES = ("circlespace", "e2action", "evolve", "ladder", "mincs", "specfun",
            "verify", "zakcs")
-SETTABLE = 9
+SETTABLE = 8
 
 
 def _defaulted(fn):

@@ -23,10 +23,12 @@ from circleqm.specfun import (
     _bessel_half_width,
     _bessel_window,
     _Nodes,
+    _S,
+    _move,
     _reduce_tau,
-    _s_move,
     _term_plan,
     _theta_dispatch,
+    _theta_route,
     ThetaNome,
     bessel_i,
     bessel_j,
@@ -78,6 +80,27 @@ class TestThetaNome:
         assert nome.q == 0 and nome.log_q == 1j * math.pi * 238j
 
 
+def _route_nomes(route, nomes):
+    """The nomes and the method of a route: "transform" is "auto" at nomes
+    where the walk takes S alone; "auto" and "direct" take `nomes`."""
+    if route != "transform":
+        return nomes, route
+    nomes = (ThetaNome(0.5j), ThetaNome(0.05j))
+    assert all(_reduce_tau(n.tau, 3).gamma == _S for n in nomes)
+    return nomes, "auto"
+
+
+def _s_route(kind, zeta, tau, derivs=False):
+    """theta_kind at a zeta within a period of 0 by the move S at any tau:
+    the modular route handed S's record, which the walk itself takes only
+    at Re tau = 0 below Im tau = 1.  Its guard raises ValueError where the
+    transformed series cancels; the value is not checked for range."""
+    partner = {2: 4, 3: 3, 4: 2}[kind]
+    s_move = _move(tau, _S, tau, tau, -1.0 / tau, partner, 1)
+    return _theta_route(kind, np.complex128(zeta), ThetaNome(tau), s_move,
+                        derivs, 0.0)
+
+
 class TestTheta:
     def test_zero_nome_leading_term(self):
         # q = e^{-1000 pi} underflows to 0; each kind is its leading term
@@ -89,11 +112,17 @@ class TestTheta:
 
     @pytest.mark.parametrize("tau", [40j, 300j, 1000j, 0.3 + 300j])
     def test_transform_needs_only_a_finite_tau(self, tau):
-        # from Im tau ~ 237 on q underflows to 0, but the transform reads
-        # only tau, which every nome holds finite
-        nome = ThetaNome(tau)
-        direct = theta(3, 0.1, nome, method="direct")
-        assert abs(theta(3, 0.1, nome, method="transform") - direct) <= 1e-15
+        # the walk takes S from -1/tau back to tau; from Im tau ~ 237 on q
+        # underflows to 0, but the move reads only tau, which every nome
+        # holds finite.  Seen within 1.7e-16 of jtheta.
+        mpmath = pytest.importorskip("mpmath")
+        small = -1.0 / tau
+        mod = _reduce_tau(small, 3)
+        assert mod.gamma == _S and mod.tau == tau
+        with mpmath.workdps(40):
+            ref = complex(mpmath.jtheta(3, 0.1, mpmath.exp(
+                1j * mpmath.pi * mpmath.mpc(small.real, small.imag))))
+        assert abs(theta(3, 0.1, ThetaNome(small)) - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("kind", [2, 3, 4])
     @pytest.mark.parametrize("im_tau", [100.0, 236.0, 238.0, 300.0])
@@ -116,27 +145,32 @@ class TestTheta:
             largest = float(max(abs(t) for t in terms))
         assert abs(val - ref) <= 1e-12 * largest
 
+    def test_direct_vs_transform_tau_2i(self):
+        # at tau = 0.5 i the walk takes S, the series at -1/tau = 2 i
+        nome = ThetaNome(0.5j)
+        assert _reduce_tau(nome.tau, 3).tau == 2j
+        a = theta(3, 0.3, nome, method="direct")
+        b = theta(3, 0.3, nome)
+        assert abs(a - b) < 1e-12 * abs(a)
+
     def test_period_pi(self):
         nome = ThetaNome.from_q(0.17)
         for z in [0.0, 0.4, 1.3 + 0.2j, -2.0 + 1j]:
             assert abs(theta(3, z + math.pi, nome) - theta(3, z, nome)) < 1e-13
 
-    def test_direct_vs_transform_tau_2i(self):
-        nome = ThetaNome(2j)
-        a = theta(3, 0.3, nome, method="direct")
-        b = theta(3, 0.3, nome, method="transform")
-        assert abs(a - b) < 1e-12 * abs(a)
-
     @pytest.mark.parametrize("im_tau", [50.0, 100.0])
     def test_transform_refuses_cancellation(self, im_tau):
         # at zeta = i pi Im tau / 2 the transformed terms reach e^{~40}
-        # against a value of 2: the series returned 132.6 at Im tau = 50
-        nome = ThetaNome(1j * im_tau)
+        # against a value of 2: S's series returned 132.6 at Im tau = 50.
+        # The walk keeps the direct series there; handed the record of S,
+        # the modular route's guard refuses the point.
+        tau = 1j * im_tau
+        nome = ThetaNome(tau)
         zeta = 0.5j * math.pi * im_tau
-        with pytest.raises(ValueError, match="cancels"):
-            theta(3, zeta, nome, method="transform")
-        with pytest.raises(ValueError, match="cancels"):
-            _theta_dispatch(3, zeta, nome, "transform", True)
+        assert _reduce_tau(tau, 3) is None
+        for derivs in (False, True):
+            with pytest.raises(ValueError, match="cancels"):
+                _s_route(3, zeta, tau, derivs)
         assert abs(theta(3, zeta, nome) - 2.0) < 1e-14
 
     def test_auto_reduces_tau_to_the_fundamental_domain(self):
@@ -156,44 +190,47 @@ class TestTheta:
         for tau in taus:
             nome = ThetaNome(tau)
             auto = theta(3, zeta, nome)
+            mod = _reduce_tau(complex(tau), 3)
             if tau.real == 0.0:
-                method = "transform" if tau.imag < 1.0 else "direct"
+                method = "S" if tau.imag < 1.0 else "direct"
             elif abs(tau.real) <= 0.5 and abs(tau) >= 1.0:
                 method = "direct"
             else:
-                mod = _reduce_tau(complex(tau), 3)
                 method = "direct" if mod is None else "reduced"
             picked.add(method)
-            if method != "reduced":
-                assert np.array_equal(auto, theta(3, zeta, nome,
-                                                  method=method)), tau
+            if method == "direct":
+                assert mod is None and np.array_equal(
+                    auto, theta(3, zeta, nome, method=method)), tau
                 continue
+            assert method == "reduced" or mod.gamma == _S, tau
             assert mod.tau.imag >= math.sqrt(3.0) / 2.0 - 1e-15, tau
             direct = theta(3, zeta, nome, method="direct")
             assert np.max(np.abs(auto - direct)) < 1e-13 * _abs_terms(
                 3, 0.7 + 0.2j, nome, 0), tau
-        assert picked == {"direct", "transform", "reduced"}
+        assert picked == {"direct", "S", "reduced"}
 
     def test_transform_keeps_small_values_of_a_cancelling_direct_series(self):
         # theta3(pi/2 | 0.05 i) = theta4(0) ~ 1.3e-6: every direct term is
         # ~1 and the largest transformed one ~e^{-16}, so this is the
-        # transform's home ground, not a cancellation
+        # transform's home ground, not a cancellation; the walk takes S
         mpmath = pytest.importorskip("mpmath")
         nome = ThetaNome(0.05j)
-        val = theta(3, math.pi / 2, nome, method="transform")
+        assert _reduce_tau(nome.tau, 3).gamma == _S
+        val = theta(3, math.pi / 2, nome)
         ref = complex(mpmath.jtheta(3, mpmath.pi / 2, mpmath.exp(-0.05 * mpmath.pi)))
         assert abs(val - ref) < 1e-13 * abs(ref)
 
     def test_transform_returns_only_accurate_values(self):
-        # either ValueError or agreement with the direct series to 5e-9 of
-        # the function's scale, the largest direct term (|Im zeta| up to
-        # pi Im tau / 2, the reduced strip): the bound `_LOG_MAX_CANCEL`
-        # states for S's guard
+        # S's guard, handed S at any tau: either ValueError or agreement
+        # with the direct series to 5e-9 of the function's scale, the
+        # largest direct term (|Im zeta| up to pi Im tau / 2, the reduced
+        # strip): the bound `_LOG_MAX_CANCEL` states for the guard
         raised = 0
         for kind in (2, 3, 4):
             for re_tau in (0.0, 0.4):
                 for im_tau in (0.05, 0.3, 1.0, 5.0, 20.0, 50.0):
-                    nome = ThetaNome(complex(re_tau, im_tau))
+                    tau = complex(re_tau, im_tau)
+                    nome = ThetaNome(tau)
                     for x in (0.0, 1.1):
                         for frac in (-0.5, -0.25, 0.0, 0.25, 0.5):
                             zeta = complex(x, frac * math.pi * im_tau)
@@ -202,7 +239,7 @@ class TestTheta:
                             scale = np.max(np.exp(-math.pi * im_tau * m * m
                                                   - 2.0 * m * zeta.imag))
                             try:
-                                val = theta(kind, zeta, nome, method="transform")
+                                val = _s_route(kind, zeta, tau)[0]
                             except ValueError:
                                 raised += 1
                                 continue
@@ -210,7 +247,7 @@ class TestTheta:
         assert 0 < raised < 60
         # the guard weighs the largest transformed term, not their sum:
         # theta_3(10 pi i | 20 i) = 2 passes it and comes out 1.8e-9 off
-        val = theta(3, 10j * math.pi, ThetaNome(20j), method="transform")
+        val = _s_route(3, 10j * math.pi, 20j)[0]
         assert abs(val - 2.0) < 5e-9 * 2.0
 
     def test_theta4_small_nome_leading_terms(self):
@@ -296,7 +333,8 @@ class TestTheta:
         # argument had no significant bits and the value was meaningless
         period = 2 * math.pi if kind == 2 else math.pi
         zeta = 1.5 * 2.0 ** 52 * period + 0.1j
-        for nome in (ThetaNome(2j), ThetaNome(0.5j)):
+        nomes, method = _route_nomes(method, (ThetaNome(2j), ThetaNome(0.5j)))
+        for nome in nomes:
             with pytest.raises(ValueError, match="2\\^52 periods"):
                 theta(kind, zeta, nome, method=method)
             with pytest.raises(ValueError, match="2\\^52 periods"):
@@ -305,7 +343,9 @@ class TestTheta:
     @pytest.mark.parametrize("method", ["auto", "direct", "transform"])
     @pytest.mark.parametrize("im", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_imaginary_argument(self, method, im):
-        for nome in (ThetaNome(2j), ThetaNome(0.5j), ThetaNome(0.3 + 0.01j)):
+        nomes, method = _route_nomes(method, (
+            ThetaNome(2j), ThetaNome(0.5j), ThetaNome(0.3 + 0.01j)))
+        for nome in nomes:
             for zeta in (complex(0.3, im), np.array([0.3, complex(0.1, im)])):
                 with pytest.raises(ValueError, match="zeta not finite"):
                     theta(3, zeta, nome, method=method)
@@ -316,16 +356,18 @@ class TestTheta:
                              ids=["theta", "theta_derivs"])
     def test_value_past_double_range_refused(self, derivs):
         # theta_3(30 i | 0.01 i) ~ e^{~900}: refused, not inf with a warning
-        # (every route, scalar and array)
-        for method in ("auto", "direct", "transform"):
+        # (both routes, "auto" by S, scalar and array)
+        for method in ("auto", "direct"):
             for zeta in (30j, np.array([0.1, 30j])):
                 with pytest.raises(ValueError, match="finite double"):
                     _theta_dispatch(3, zeta, ThetaNome(0.01j), method, derivs)
 
     def test_rejects_unknown_method_and_overlong_series(self):
         nome = ThetaNome.from_q(0.2)
-        with pytest.raises(ValueError, match="unknown method"):
-            theta(3, 0.0, nome, method="fast")
+        # "transform", the forced move S, is gone: the walk picks S itself
+        for method in ("fast", "transform"):
+            with pytest.raises(ValueError, match="unknown method"):
+                theta(3, 0.0, nome, method=method)
         # a = pi 1e-12: the direct series would need ~3.6e6 terms
         with pytest.raises(ValueError, match="term budget"):
             theta(3, 0.1, ThetaNome(1e-12j), method="direct")
@@ -357,10 +399,12 @@ class TestThetaDerivs:
         assert abs(d2 - 8.0 * q) < 1e-12
 
     def test_transform_route_derivs(self):
+        # q = 1/2 is tau = 0.22 i, where the walk takes S
         nome = ThetaNome.from_q(0.5)
+        assert _reduce_tau(nome.tau, 3).gamma == _S
         z = 0.3 + 0.1j
         va, d1a, d2a = _theta_dispatch(3, z, nome, "direct", True)
-        vb, d1b, d2b = _theta_dispatch(3, z, nome, "transform", True)
+        vb, d1b, d2b = theta_derivs(3, z, nome)
         assert abs(va - vb) < 1e-12 * abs(va)
         assert abs(d1a - d1b) < 1e-11 * max(abs(d1a), 1.0)
         assert abs(d2a - d2b) < 1e-10 * max(abs(d2a), 1.0)
@@ -386,16 +430,18 @@ class TestThetaAgainstMpmath:
     """Every summation route (a scalar call sums term by term, the values
     of an array of _ARRAY points take Horner's rule where the series is
     short, its derivatives the plain series) against mpmath.jtheta, at a
-    generic point, at the kind's zero and next to it."""
+    generic point, at the kind's zero and next to it.  The real nome
+    exp(-0.4 pi) is tau = 0.4 i, where the walk takes S."""
 
     @pytest.mark.parametrize("kind", [2, 3, 4])
     @pytest.mark.parametrize("q", [0.3 * cmath.exp(0.4j),
                                    0.99 * cmath.exp(-1.1j),
                                    0.9999 * cmath.exp(0.7j),
                                    cmath.exp(1j * math.pi * (0.5 + 1j / 60)),
-                                   cmath.exp(1j * math.pi * (0.5 + 1j / 68))],
+                                   cmath.exp(1j * math.pi * (0.5 + 1j / 68)),
+                                   math.exp(-0.4 * math.pi)],
                              ids=["abs_q=0.3", "abs_q=0.99", "abs_q=0.9999",
-                                  "tau=1/2+i/60", "tau=1/2+i/68"])
+                                  "tau=1/2+i/60", "tau=1/2+i/68", "tau=0.4i"])
     def test_routes_match_jtheta(self, kind, q):
         mpmath = pytest.importorskip("mpmath")
         nome = ThetaNome.from_q(q)
@@ -438,6 +484,10 @@ class TestThetaPeriodReduction:
            st.floats(0.05, 3.0), st.sampled_from([-1.0, 1.0]),
            st.floats(-1.0, 5.0), st.floats(-0.5, 0.5))
     @example(3, 0.3, 0.05, 1.0, 5.0, 0.2)
+    # Re tau = 0 below Im tau = 1: the walk's S, for each kind
+    @example(2, 0.0, 0.3, -1.0, 4.0, 0.4)
+    @example(3, 0.0, 0.05, 1.0, 5.0, -0.3)
+    @example(4, 0.0, 0.7, 1.0, 2.5, 0.5)
     def test_large_real_argument_matches_jtheta(self, kind, re_tau, im_tau,
                                                 sign, log_re, im_frac):
         # |Re zeta| up to 1e5, |Im zeta| up to pi Im tau / 2.  Reducing a
@@ -456,9 +506,9 @@ class TestThetaPeriodReduction:
         scale = [_abs_terms(kind, zeta, nome, order) for order in range(3)]
         # a scalar sums term by term, the values of _ARRAY copies take
         # Horner's rule where the series is short and their derivatives the
-        # plain series; "transform" sums the tau -> -1/tau series
+        # plain series; "auto" takes the walk's move (S at Re tau = 0)
         points = np.full(_ARRAY, zeta)
-        for method in ("direct", "transform"):
+        for method in ("direct", "auto"):
             got = [theta(kind, zeta, nome, method=method),
                    theta(kind, points, nome, method=method)[-1]]
             derivs = [_theta_dispatch(kind, zeta, nome, method, True),
@@ -616,16 +666,17 @@ class TestModularReduction:
         # the walk answers None for a tau in the domain (its edges
         # included) and, at Re tau = 0 below Im tau = 1, takes S alone:
         # gamma = S, w = c w = tau, tau' = i/Im tau correctly rounded,
-        # eighth 1 and the S partner, the record "transform" uses too
+        # the S partner and the prefactor (-i tau)^(-1/2), eighth 1
         for tau in (0.5 + 1j, -0.5 + 1j, 0.3 + 0.96j, 1j, 2j, 0.1 + 5j):
             assert _reduce_tau(tau, 3) is None, tau
         for tau in (0.999j, 0.5j, 0.3j, 1e-3j, 1e-9j, 3e-15j):
             for kind, partner in ((2, 4), (3, 3), (4, 2)):
                 mod = _reduce_tau(tau, kind)
-                assert mod[:6] == ((0, -1, 1, 0), tau, tau,
-                                   complex(0.0, 1.0 / tau.imag), partner,
-                                   1), tau
-                assert mod == _s_move(tau, kind), tau
+                assert mod[:5] == ((0, -1, 1, 0), tau, tau,
+                                   complex(0.0, 1.0 / tau.imag), partner), tau
+                assert mod.pref == (-1j * tau) ** -0.5, tau
+                assert mod == _move(tau, _S, tau, tau, -1.0 / tau, partner,
+                                    1), tau
         # the pair straddling the completed squares' threshold
         # (`test_routes_match_jtheta`): c = 2, Im tau' = 15 and 17
         for den, im in ((60, 15.0), (68, 17.0)):
@@ -645,6 +696,48 @@ class TestModularReduction:
             got = theta(3, 0.0, ThetaNome(tau)) * math.sqrt(im)
             assert abs(got - value) <= 1e-15 * abs(value), (tau, got)
 
+    def test_guard_tested_below_im_tau_1e_12(self):
+        # the guard of `_theta_modular` tests a move only where |w| <
+        # ~1e-12, so the walk reaches it only below Im tau ~ 1e-12: here S
+        # (w = tau) and gamma = (-1 0; 2 -1) (w = 2 tau - 1).  It passes
+        # these values, each within 2.8e-16 of the Poisson sums
+        # P_h(zeta) = y^(-1/2) sum_n exp(-(zeta - (n + h) pi)^2 / (pi y)):
+        # theta_2 | iy is P_0 with signs (-1)^n, theta_3 | iy = P_0, and at
+        # tau = 1/2 + iy, where exp(i pi n^2 / 2) is 1 or i by parity,
+        # theta_3 = ((1 + i) P_0 + (1 - i) P_1/2) / 2 and theta_4 its
+        # conjugate weights
+        mpmath = _mpmath()
+        y = 1e-13
+        root = math.sqrt(y)
+
+        def poisson(z, half, signed=False):
+            with mpmath.workdps(40):
+                n0 = int(mpmath.nint(mpmath.mpf(z) / mpmath.pi))
+                return complex(sum(
+                    (-1) ** (n if signed else 0) * mpmath.exp(
+                        -(mpmath.mpf(z) - (n + mpmath.mpf(half)) * mpmath.pi)
+                        ** 2 / (mpmath.pi * y))
+                    for n in range(n0 - 3, n0 + 4)) / mpmath.sqrt(y))
+
+        cases = {(2, 0.0): lambda z: poisson(z, 0, True),
+                 (3, 0.0): lambda z: poisson(z, 0),
+                 (3, 0.5): lambda z: ((1 + 1j) * poisson(z, 0)
+                                      + (1 - 1j) * poisson(z, 0.5)) / 2,
+                 (4, 0.5): lambda z: ((1 - 1j) * poisson(z, 0)
+                                      + (1 + 1j) * poisson(z, 0.5)) / 2}
+        zetas = (0.0, 0.4 * root, -1.3 * root, math.pi / 2 + 0.7 * root,
+                 -math.pi / 2 - 0.2 * root)
+        for (kind, re), oracle in cases.items():
+            nome = ThetaNome(complex(re, y))
+            mod = _reduce_tau(nome.tau, kind)
+            assert mod.guard and mod.gamma == ((0, -1, 1, 0) if re == 0.0
+                                               else (-1, 0, 2, -1))
+            vals = theta(kind, np.array(zetas), nome)
+            for z, val in zip(zetas, vals):
+                ref = oracle(z)
+                assert abs(val - ref) <= 2e-15 * abs(ref), (kind, re, z)
+                assert theta(kind, z, nome) == val, (kind, re, z)
+
     def test_multiplier_is_an_eighth_root_times_w_to_the_minus_half(self):
         # theta_kind(zeta|tau) = exp(i pi eighth/4) w^(-1/2) exp(-i c
         # zeta^2/(pi w)) theta_partner(zeta/w | gamma tau): the Gauss sums
@@ -658,7 +751,8 @@ class TestModularReduction:
                 a, b, c, d = mod.gamma
                 half = {3: c * d, 4: c * (d + 1), 2: d * (c + 1)}[kind] % 2
                 assert (half == 1) == (mod.partner == 2), (tau, kind)
-                unit = cmath.exp(0.25j * math.pi * mod.eighth)
+                # exp(i pi eighth/4), read off the prefactor
+                unit = mod.pref * cmath.sqrt(mod.w)
                 for nu2 in (half, half + 2, half - 4):
                     sign = (-1) ** (nu2 // 2) if mod.partner == 4 else 1
                     got = _gauss_multiplier(kind, mod.gamma, nu2)

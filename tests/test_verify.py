@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from circleqm import mincs, verify
+from circleqm import evolve, mincs, verify
 from circleqm.cli import main
 
 
@@ -36,3 +36,16 @@ def test_nan_residual_is_reported_and_fails(monkeypatch, capsys):
     line = [ln for ln in capsys.readouterr().out.splitlines()
             if ",bessel-sum-rule," in ln][0]
     assert line.endswith(",nan,1e-10,FAIL")
+
+
+def test_kernel_faces_check_the_production_kernel(monkeypatch):
+    # kernel-two-faces writes both faces out from theta's direct series, so
+    # a kernel off by 1e-8 fails it (the row compared two kernel forms, and
+    # passed with both scaled)
+    real = evolve.kernel
+    monkeypatch.setattr(evolve, "kernel",
+                        lambda spec, dphi: real(spec, dphi) * (1 + 1e-8))
+    rows = {row.check_id: row for row in verify.run(["evolve"])}
+    row = rows["kernel-two-faces"]
+    assert not row.residual < row.tolerance
+    assert rows["full-revival"].residual < rows["full-revival"].tolerance

@@ -344,14 +344,14 @@ class TestWState:
 
     def test_closed_form_two_theta_routes(self):
         # w_value's theta on both sides of tau -> -1/tau, at its own
-        # argument and nome
+        # argument and nome: tau = i/(2 pi), where the walk takes S
         params = WZParams(1.0, Sector(0.2))
         z = PhasePoint(0.7, 0.9)
         phi = np.linspace(0, 2 * math.pi, 17)
         zeta = (phi - z.z + 1j * params.epsilon * params.delta) / 2.0
         nome = ThetaNome.from_q(math.exp(-0.5 * params.epsilon))
         direct = theta(3, zeta, nome, method="direct")
-        transformed = theta(3, zeta, nome, method="transform")
+        transformed = theta(3, zeta, nome)
         assert np.max(np.abs(direct - transformed)) < 1e-10 * np.max(np.abs(direct))
         ref = np.exp(1j * phi * params.delta) * direct
         assert np.max(np.abs(w_value(params, z, phi) - ref)) < 1e-10 * np.max(np.abs(ref))
@@ -994,9 +994,7 @@ class TestUnderflowingNomes:
     periodized normalizer).  Each value is held to a 40-digit coefficient
     or spectral sum at 1e-12 of the sum of its terms' moduli (of max|K|
     times sum |c| for kernel_apply), on draws whose exact value lies in
-    double range.  The Gaussian kernel face is a transformed series that
-    may cancel by 1e6 before it refuses: it either raises ValueError or
-    holds 1e-8."""
+    double range."""
 
     @settings(max_examples=60, deadline=None)
     @given(band=st.sampled_from(["norm", "value", "kernel", "normalizer"]),
@@ -1055,15 +1053,8 @@ class TestUnderflowingNomes:
             for x in dphi])
         k_max = float(np.max(np.abs(ref)))
         assume(_in_range(k_max))
-        for form in ("series", "auto"):
-            err = np.max(np.abs(kernel(spec, dphi, form=form) - ref))
-            assert err <= 1e-12 * k_max, form
-        try:
-            gauss = kernel(spec, dphi, form="gaussian")
-        except ValueError as exc:
-            assert "cancels" in str(exc)
-        else:
-            assert np.max(np.abs(gauss - ref)) <= 1e-8 * k_max
+        err = np.max(np.abs(kernel(spec, dphi) - ref))
+        assert err <= 1e-12 * k_max
         coeffs = np.array([0.3 - 0.1j, 0.8 + 0.2j, -0.4 + 0.5j, 0.2j])
         state = CircleState(Sector(delta), -2, coeffs)
         phi = np.linspace(0.0, 2 * math.pi, 4, endpoint=False)
@@ -1136,6 +1127,5 @@ class TestUnderflowingNomePoints:
         ref = np.array([complex(_exp_sums_mp(
             -0.5 * eta * f * f + 1j * f * mpmath.mpf(x) for f in freqs)[0])
             for x in dphi])
-        for form in ("series", "auto"):
-            err = np.max(np.abs(kernel(spec, dphi, form=form) - ref))
-            assert err <= 1e-12 * np.max(np.abs(ref)), form
+        err = np.max(np.abs(kernel(spec, dphi) - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref))
