@@ -19,9 +19,11 @@ close the given nome is to the unit circle.  The walk (`_reduce_tau`) is
 the one rule of that route: a tau already in the domain keeps its direct
 series, and on the imaginary axis S alone reaches Im tau' >= 1.  The
 move's large phases are cancelled exactly, in integers, before anything
-is rounded (see `_theta_modular`), so no double-double arithmetic is
-needed.  Every route sums its series in `_theta_sum`, which picks plain
-terms or Horner's rule, except a move off S that leaves Im tau' above 16
+is rounded (see `_theta_route`), so no double-double arithmetic is
+needed.  A call of little work on the direct series or under S, a scalar
+or a few points, sums in Python complex arithmetic (`_theta_lane`); every
+other call sums its series in `_theta_sum`, which picks plain terms or
+Horner's rule, except a move off S that leaves Im tau' above 16
 (`_theta_squares`).  A value or derivative past double range raises
 ValueError.  `theta(method="direct")` forces the series at the given tau:
 the reference the modular route is checked against.
@@ -62,6 +64,13 @@ _HORNER_TERMS = 24
 # Bound on the log magnitude of exp(offset) and of the powers of
 # exp(+-2i zeta) on Horner's route.
 _HORNER_MAX_LOG = 300.0
+# _theta_dispatch takes its scalar lane (`_theta_lane`) up to this much
+# work, counted as for _HORNER_WORK, where Python complex arithmetic beats
+# the array lane's fixed cost (measured, lane over array time: 0.3-0.45 for
+# a scalar, 0.85-0.96 at work 20-24 and 1.1-1.35 at 30-36; derivatives
+# alike).  It keeps the lane's nmax below _HORNER_TERMS, so that its
+# phases m^2 pi Re tau need no reduction, and its plans cached.
+_LANE_WORK = 24
 # Cap, in elements, on each temporary of the plain series (1 MiB complex).
 _CHUNK = 1 << 16
 # |Re zeta| / period from which theta refuses its argument.
@@ -166,7 +175,10 @@ def _theta_sum(kind: int, zeta: np.ndarray, tau: complex, want_derivs: bool,
     a = -lq.real
     b = float(_peak(zeta.imag))
     nmax = _n_cutoff(a, b)
-    if want_derivs or not _horner_fits(nmax, z.size, b, off):
+    horner = (not want_derivs and (nmax + 1) * z.size >= _HORNER_WORK
+              and nmax < _HORNER_TERMS and 2 * (nmax + 1) * b <= _HORNER_MAX_LOG
+              and _peak(off.real) < _HORNER_MAX_LOG)
+    if not horner:
         plan = (_term_plan if nmax <= _PLAN_TERMS
                 else _term_plan.__wrapped__)(kind, nmax)
         sq = plan.m2 * lq
@@ -227,12 +239,13 @@ def _term_plan(kind: int, nmax: int) -> _Plan:
     return plan
 
 
-def _horner_fits(nmax: int, size: int, b: float, off) -> bool:
-    """Whether Horner's route takes nmax + 1 indices m >= 0 on `size`
-    points, b = max |Im zeta|, offset `off` (see `_theta_sum`)."""
-    return ((nmax + 1) * size >= _HORNER_WORK and nmax < _HORNER_TERMS
-            and 2 * (nmax + 1) * b <= _HORNER_MAX_LOG
-            and _peak(off.real) < _HORNER_MAX_LOG)
+@functools.lru_cache(maxsize=3 * _LANE_WORK)
+def _lane_plan(kind: int, nmax: int) -> tuple:
+    """The `_term_plan` of the scalar lane: a row of Python complex numbers
+    per signed index m, (m^2, 2i m, s_m, 2i m s_m, -4 m^2 s_m)."""
+    plan = _term_plan(kind, nmax)
+    return tuple(zip(plan.m2.ravel().tolist(), plan.two_im.ravel().tolist(),
+                     plan.sign.tolist(), plan.d1.tolist(), plan.d2.tolist()))
 
 
 def _reduced_square_exponents(m: np.ndarray, sq: np.ndarray,
@@ -309,7 +322,7 @@ def _theta_horner(kind, nmax, z, off, lq):
 # Under tau -> -1/tau kind 3 maps to itself and kinds 2 and 4 swap.
 _MODULAR_PARTNER = {2: 4, 3: 3, 4: 2}
 # Most the transformed sum's largest term may exceed the function's scale,
-# in natural-log units (the guard of `_theta_modular`).  The walk's moves
+# in natural-log units (the guard of `_theta_route`).  The walk's moves
 # are tested only where |w| < ~1e-12, so Im tau < 1e-12 (see `_move`), and
 # there the excess stayed at most 1.0 over 2,196 tested draws with Im tau
 # in [3e-16, 1e-10] and zeta at and off the lattice points k pi/c.  The bound
@@ -340,7 +353,7 @@ class _Modular(NamedTuple):
     w, c w and tau_red are correctly rounded from the double tau.  The
     factors that depend on tau alone follow (`_move`): ct = 1/(i pi c w),
     pref = exp(i pi eighth/4) w^(-1/2), log|w|, whether the guard of
-    `_theta_modular` tests this tau, and pi/c as a 24-bit head and a tail
+    `_theta_route` tests this tau, and pi/c as a 24-bit head and a tail
     (`_shifted`)."""
 
     gamma: tuple
@@ -495,13 +508,19 @@ def _log_peak(kind: int, lq: complex, b: np.ndarray) -> np.ndarray:
     return m * (2.0 * b - a * m)
 
 
-def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
-                   want_derivs: bool, offset):
-    """exp(offset) * theta by the move `mod`: the short series at gamma
-    tau, with `offset` and the Gaussian fused into its exponents, summed by
-    `_theta_sum` (plain or Horner, by its own rule) under S and wherever
-    Im tau' <= `_SEPARATE_IM`, and as completed squares (`_theta_squares`)
-    past it.
+@np.errstate(all="ignore")
+def _theta_route(kind: int, zeta, nome: ThetaNome, mod: _Modular | None,
+                 want_derivs: bool, offset):
+    """The array lane of `_theta_dispatch`: exp(offset) * theta by the
+    direct series (mod None), at tau reduced by its period (`_direct_tau`),
+    or by the move `mod`: the short series at gamma tau, with `offset` and
+    the Gaussian fused into its exponents, summed by `_theta_sum` (plain or
+    Horner, by its own rule) under S and wherever Im tau' <=
+    `_SEPARATE_IM`, and as completed squares (`_theta_squares`) past it.
+    Every floating-point warning is off: out of range the series over- or
+    underflows term by term, and the dispatch refuses the result whole.
+    The decorator sets the error state per call, so threads do not share
+    it, and costs less than a `with` block.
 
     Except under gamma = S, zeta is taken to s = c zeta - k pi, k pi/c the
     lattice point nearest Re zeta (`_shifted`).  As gamma tau +
@@ -533,8 +552,10 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
     the walk needs |w| < ~1e-12 and so Im tau < 1e-12; there it has not
     fired (`_LOG_MAX_CANCEL`).
     """
+    if mod is None:
+        return _theta_sum(kind, zeta, _direct_tau(nome.tau, kind),
+                          want_derivs, offset)
     a, _, c, _ = mod.gamma
-    ct, pref = mod.ct, mod.pref
     if mod.gamma == _S:
         s, u, off = zeta, zeta / mod.cw, offset
     else:
@@ -549,7 +570,7 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
         # the Gaussian exp(ct s^2) is fused into the series' exponents:
         # apart they under- and overflow together once |Im u| grows
         g, g1, g2 = _theta_sum(mod.partner, u, mod.tau, want_derivs,
-                               offset=ct * s * s + off)
+                               offset=_fused_offset(mod, s, off))
     else:
         g, g1, g2 = _theta_squares(mod, s, u, j, off, want_derivs)
     if mod.guard:
@@ -560,24 +581,41 @@ def _theta_modular(kind: int, zeta, nome: ThetaNome, mod: _Modular,
         scale = np.maximum(log_value,
                            _log_peak(kind, nome.log_q, np.abs(im))
                            + 0.5 * mod.log_w)
-        largest = ((ct * s * s).real
+        largest = ((mod.ct * s * s).real
                    + _log_peak(mod.partner, 1j * math.pi * mod.tau,
                                np.abs(u.imag)))
         if np.any(largest - scale > _LOG_MAX_CANCEL):
             raise ValueError("the transformed theta series cancels by more "
                              "than 1e6 here")
+    return _chain(mod, s, g, g1, g2)
+
+
+# The move's arithmetic around the partner series, written once for both
+# lanes of `_theta_dispatch` (NumPy arrays and Python complex numbers).
+def _fused_offset(mod: _Modular, s, off):
+    """off plus the Gaussian's exponent ct s^2 = -i s^2/(pi c w), fused
+    into the partner series' exponents: apart they under- and overflow
+    together once |Im u| grows."""
+    return mod.ct * s * s + off
+
+
+def _chain(mod: _Modular, s, g, g1, g2):
+    """theta and its zeta-derivatives (None without g1, g2) from the
+    partner series g and its u-derivatives: the prefactor pref, and the
+    chain rule through ct s^2 (derivative 2 ct c s) and u (c/(c w) =
+    1/w)."""
+    pref, ct, c, w = mod.pref, mod.ct, mod.gamma[2], mod.w
     v = pref * g
-    if not want_derivs:
+    if g1 is None:
         return v, None, None
-    # d/dzeta: ct s^2 has derivative 2 ct c s, and u has c/(c w) = 1/w
-    d1 = pref * (2.0 * ct * c * s * g + g1 / mod.w)
+    d1 = pref * (2.0 * ct * c * s * g + g1 / w)
     d2 = pref * ((2.0 * ct * c * c + 4.0 * ct * ct * c * c * s * s) * g
-                 + 4.0 * ct * c * s * g1 / mod.w + g2 / mod.w / mod.w)
+                 + 4.0 * ct * c * s * g1 / w + g2 / w / w)
     return v, d1, d2
 
 
 def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
-    """The series of `_theta_modular` off S past Im tau' = `_SEPARATE_IM`:
+    """The series of `_theta_route` off S past Im tau' = `_SEPARATE_IM`:
     exp(off) exp(-i s^2/(pi c w)) theta_partner(u | gamma tau), u = s/(c w)
     + pi j/c, and its first two u-derivatives.
 
@@ -625,20 +663,35 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
     of the route (`_reduce_tau` under "auto") and of the range refusal: a
     value or derivative that is not a finite double raises ValueError.
 
-    Most calls take a scalar or a few points, so the fixed cost of a call
-    is kept to few NumPy calls: a scalar zeta travels as a NumPy scalar,
-    each peak (of |Re zeta| / period here, of |Im zeta| in the series) is
-    one reduction, none for a scalar (`_peak`), the series runs under one
-    floating-point state set per call (`_theta_route`), and what depends
-    on tau alone comes cached, with the move (`_Modular`) or the terms'
-    plan (`_term_plan`)."""
+    A call has two lanes, picked from the work it can see.  On the direct
+    route and under S, the only routes a point on the imaginary tau axis
+    takes, a number or an array of numbers whose (nmax + 1) x (points) is at
+    most `_LANE_WORK` runs in Python complex arithmetic from here to its
+    sum, with no NumPy call (`_theta_lane`): most calls take a scalar or
+    two points, and there NumPy's fixed cost per call outweighs the series.
+    Every other call, `_Nodes` included, takes the array lane, which keeps
+    its own fixed cost low: each peak (of |Re zeta| / period here, of
+    |Im zeta| in the series) is one reduction, the series runs under one
+    floating-point state set per call (`_theta_route`), and what depends on
+    tau alone comes cached, with the move (`_Modular`) or the terms' plan
+    (`_term_plan`).  The lanes share the route, the term count and the
+    move's arithmetic (`_fused_offset`, `_chain`); their sums differ by
+    rounding only."""
     if kind not in (2, 3, 4):
         raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
     if not isinstance(nome, ThetaNome):
         nome = ThetaNome.from_q(nome)
+    if method not in ("auto", "direct"):
+        raise ValueError(f"unknown method {method!r}")
+    mod = _reduce_tau(nome.tau, kind) if method == "auto" else None
     # theta_3 and theta_4 have period pi, theta_2 2 pi (theta_2(zeta + pi) =
     # -theta_2(zeta)); a reduced argument keeps every route's terms small
     period = 2.0 * math.pi if kind == 2 else math.pi
+    if mod is None or mod.gamma == _S and not mod.guard:
+        lane = _theta_lane(kind, zeta, nome.tau, mod, period, want_derivs,
+                           offset)
+        if lane is not None:
+            return lane
     nodes = isinstance(zeta, _Nodes)
     if nodes:
         z = complex(zeta.zeta0)
@@ -653,12 +706,7 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
         peak = _peak(turns)
         finite = peak < _TURN_LIMIT
     if not finite:
-        raise ValueError("zeta must be finite, with |Re zeta| below 2^52 "
-                         "periods (one ulp is a period or more there)")
-
-    if method not in ("auto", "direct"):
-        raise ValueError(f"unknown method {method!r}")
-    mod = _reduce_tau(nome.tau, kind) if method == "auto" else None
+        raise ValueError(_TURN_REFUSAL)
 
     # the lattice shift of a move other than S reduces the argument itself,
     # exactly, as long as its k stays below 2^29; every other route takes
@@ -684,28 +732,95 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
         finite = np.isfinite(np.concatenate((v, d1, d2)) if want_derivs
                              else v).all()
     if not finite:
-        raise ValueError("theta is not a finite double here: its value or "
-                         "a derivative leaves double range")
+        raise ValueError(_RANGE_REFUSAL)
     return (v, d1, d2) if want_derivs else v
 
 
-@np.errstate(all="ignore")
-def _theta_route(kind: int, zeta, nome: ThetaNome, mod: _Modular | None,
-                 want_derivs: bool, offset):
-    """The series of `_theta_dispatch` at the move `mod`, or the direct one
-    (None), with every floating-point warning off: out of range the series
-    over- or underflows term by term, and the dispatch refuses the result
-    whole.  The decorator sets the error state per call, so threads do not
-    share it, and costs less than a `with` block."""
+_TURN_REFUSAL = ("zeta must be finite, with |Re zeta| below 2^52 periods "
+                 "(one ulp is a period or more there)")
+_RANGE_REFUSAL = ("theta is not a finite double here: its value or a "
+                  "derivative leaves double range")
+
+
+def _theta_lane(kind: int, zeta, tau: complex, mod: _Modular | None,
+                period: float, want_derivs: bool, offset):
+    """The scalar lane of `_theta_dispatch` (see there) on the direct route
+    (mod None) or under S: the outputs, or None where zeta is not a number
+    or an array of numbers, or where its work passes `_LANE_WORK`.
+
+    Each point is reduced by the period, as on the array lane, and the
+    series is summed term by term with `cmath.exp`, over the rows of the
+    `_lane_plan`: one exp per (signed term, point), no BLAS `dot`, so the
+    bits depend on no thread count.  An exponent past double range raises
+    OverflowError in `cmath.exp`, refused here with the array lane's
+    ValueError."""
+    if isinstance(zeta, (complex, float, int)):
+        points, shape = (zeta,), ()
+    elif (isinstance(zeta, np.ndarray) and 0 < 4 * zeta.size <= _LANE_WORK
+          and zeta.dtype.kind in "iufc"):
+        # nmax + 1 >= 4: `_n_cutoff` adds 2 to an extent above 0
+        points, shape = zeta.ravel().tolist(), zeta.shape
+    else:
+        return None
     if mod is None:
-        # the series at tau reduced, exactly, by theta's period in tau, 2
-        # (8 for kind 2), so that m^2 pi Re tau is not rounded at large
-        # |Re tau|; a tau within half a period keeps its bits
-        tau, half = nome.tau, 4.0 if kind == 2 else 1.0
-        if not -half <= tau.real <= half:
-            tau = complex(math.remainder(tau.real, 2.0 * half), tau.imag)
-        return _theta_sum(kind, zeta, tau, want_derivs, offset)
-    return _theta_modular(kind, zeta, nome, mod, want_derivs, offset)
+        tau = _direct_tau(tau, kind)
+    else:
+        tau, kind = mod.tau, mod.partner
+    # (s, u, offset) a point: zeta reduced by the period, the series'
+    # argument and its offset, the Gaussian fused under S
+    args = []
+    b = 0.0  # max |Im u|; a nan stays, for `_n_cutoff` to refuse
+    for z in points:
+        z = complex(z)
+        turns = z.real / period
+        if not -_TURN_LIMIT < turns < _TURN_LIMIT:
+            raise ValueError(_TURN_REFUSAL)
+        s = z - period * round(turns)
+        u = s if mod is None else s / mod.cw
+        y = abs(u.imag)
+        if b == b and not y <= b:
+            b = y
+        args.append((s, u, offset if mod is None
+                     else _fused_offset(mod, s, offset)))
+    lq = 1j * math.pi * tau
+    nmax = _n_cutoff(-lq.real, b)
+    if (nmax + 1) * len(args) > _LANE_WORK:
+        return None
+    plan = _lane_plan(kind, nmax)
+    exp = cmath.exp
+    outs = []
+    try:
+        for s, u, off in args:
+            g = g1 = g2 = 0j
+            for m2, two_im, sign, w1, w2 in plan:
+                t = exp(m2 * lq + off + two_im * u)
+                g += sign * t
+                if want_derivs:
+                    g1 += w1 * t
+                    g2 += w2 * t
+            if mod is not None:
+                g, g1, g2 = _chain(mod, s, g, g1 if want_derivs else None, g2)
+            out = (g, g1, g2) if want_derivs else (g,)
+            if not all(map(cmath.isfinite, out)):
+                raise OverflowError  # a sum past range, as an exponent
+            outs.append(out)
+    except OverflowError:
+        raise ValueError(_RANGE_REFUSAL) from None
+    if not shape:
+        out = outs[0]
+    else:
+        out = tuple(np.array(outs).T.reshape((-1,) + shape))
+    return out if want_derivs else out[0]
+
+
+def _direct_tau(tau: complex, kind: int) -> complex:
+    """tau reduced, exactly, by theta's period in tau, 2 (8 for kind 2), so
+    that the direct series' m^2 pi Re tau is not rounded at large |Re tau|;
+    a tau within half a period keeps its bits."""
+    half = 4.0 if kind == 2 else 1.0
+    if not -half <= tau.real <= half:
+        tau = complex(math.remainder(tau.real, 2.0 * half), tau.imag)
+    return tau
 
 
 def theta(kind: int, zeta, nome, method: str = "auto"):
@@ -734,7 +849,7 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
         an eighth root of unity times w^(-1/2) exp(-i c zeta^2/(pi w))
         theta'(zeta/w | gamma tau), w = c tau + d correctly rounded from
         the double tau and zeta first moved to the lattice point k pi/c
-        nearest it (see `_theta_modular`).  Against sums to 40 digits and
+        nearest it (see `_theta_route`).  Against sums to 40 digits and
         more at the same double (zeta, tau), on the propagator kernel's
         arguments, this is within 4.0e-15 of max|theta| for eps omega eta
         in [5e-5, 2e-2] (60 random draws of three points) and 3.2e-15
@@ -748,6 +863,13 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
         exactly, by theta's period in tau, 2 (8 for kind 2), so a large
         |Re tau| costs no precision.  Any other method raises ValueError.
 
+    On the direct series and under S, a number, or an array whose points
+    times the series' nmax + 1 indices m >= 0 stay within `_LANE_WORK`
+    (24), is summed in Python complex arithmetic, with no NumPy call and
+    no BLAS `dot`; every other call is summed over NumPy arrays.  The two
+    lanes agree to rounding: within 4 u (1 + E) of the function's scale,
+    E the size of the largest exponent that counts (a hypothesis test).
+
     Returns
     -------
     complex or ndarray
@@ -760,9 +882,9 @@ def theta_derivs(kind: int, zeta, nome):
     """Theta value and first two derivatives with respect to zeta.
 
     Term-wise differentiated series (direct route) or the chain rule applied
-    to the modular representation (`_theta_modular`), on the "auto" route
-    of `theta`.  The plain series is summed at any array size, one exp per
-    term and point.  Returns (value, d/dzeta, d2/dzeta2); ValueError where
+    to the modular representation (`_theta_route`), on the "auto" route
+    and either lane of `theta`.  The plain series is summed at any array
+    size, one exp per term and point.  Returns (value, d/dzeta, d2/dzeta2); ValueError where
     one of them is not a finite double.
     """
     return _theta_dispatch(kind, zeta, nome, "auto", want_derivs=True)

@@ -37,7 +37,6 @@ __all__ = [
     "w_state",
     "w_value",
     "w_norm_sq",
-    "norm_constant",
     "periodized_norm_constant",
     "w_overlap",
     "fn_basis",
@@ -164,7 +163,7 @@ def _kernel_theta(params: WZParams, z1c, z2c):
     """Reproducing kernel theta3[(conj(z1) - z2 + 2 i eps delta)/2, e^{-eps}]
     at complex labels (or arrays of them): the flow theta at T = -2i."""
     return _flow_theta(params.epsilon, params.delta, complex(0.0, -2.0),
-                       np.conj(z1c) - z2c)
+                       z1c.conjugate() - z2c)
 
 
 def _winding_theta(params: WZParams, dz):
@@ -291,12 +290,6 @@ def w_norm_sq(params: WZParams, z) -> float:
     l = 3 gives e^900)."""
     zc = _as_point(z).z
     return _kernel_theta(params, zc, zc).real
-
-
-def norm_constant(params: WZParams, z) -> float:
-    """N_z = (w_z, w_z)^(-1/2), the holomorphic-family normalizer;
-    ValueError where (w_z, w_z) is past double range."""
-    return w_norm_sq(params, z) ** -0.5
 
 
 def periodized_norm_constant(params: WZParams, z) -> float:
@@ -456,20 +449,32 @@ def transition_prob(m, params: WZParams, z):
 
     m is an integer, giving a float, or an integer array, giving an array
     of probabilities shaped like m; either way the theta normalization is
-    evaluated once.  Non-integer m raises ValueError.
+    evaluated once, on theta's scalar lane (`specfun._theta_dispatch`).  A
+    builtin or NumPy integer below 2^63 in magnitude is computed in Python
+    floats, with no NumPy call; an array, or a larger integer, in NumPy.
+    Non-integer m raises ValueError.
     """
+    eps, delta = params.epsilon, params.delta
+    l_tilde = _as_point(z).l_tilde
+    if (type(m) is int or isinstance(m, np.integer)) and abs(m) < 2 ** 63:
+        x = l_tilde - eps * (int(m) + delta)
+        expo = x * x / eps
+        if expo == math.inf:
+            # x^2 overflows past |x| = 1.3e154 while x^2/eps need not (eps
+            # above 2.4e305): there it is (x/sqrt(eps))^2; an inf left over
+            # is an exponent past any double's, where the Gaussian is 0
+            y = x / math.sqrt(eps)
+            expo = y * y
+        return (math.sqrt(eps / math.pi) * math.exp(-expo)
+                / _periodized_norm(params, l_tilde))
     m = np.asarray(m)
     if m.dtype.kind not in "iu":
         raise ValueError("m must be an integer or an integer array")
-    eps, delta = params.epsilon, params.delta
-    l_tilde = _as_point(z).l_tilde
     norm = _periodized_norm(params, l_tilde)
     with np.errstate(over="ignore"):
         x = l_tilde - eps * (m + delta)
         expo = x ** 2 / eps
-        # x^2 overflows past |x| = 1.3e154 while x^2/eps need not (eps
-        # above 2.4e305): there it is (x/sqrt(eps))^2; an inf left over is
-        # an exponent past any double's, where the Gaussian is 0
+        # as for a scalar m
         expo = np.where(np.isinf(expo), (x / math.sqrt(eps)) ** 2, expo)
     prob = math.sqrt(eps / math.pi) * np.exp(-expo) / norm
     return float(prob) if prob.ndim == 0 else prob

@@ -8,8 +8,13 @@ against the theta-ratio identity web.
 
 import cmath
 import math
+import os
+import subprocess
 import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from circleqm import specfun
+from circleqm import specfun, zakcs
+from circleqm.circlespace import Sector
 from circleqm.specfun import (
     _PLAN_TERMS,
     _bessel_half_width,
@@ -697,7 +703,7 @@ class TestModularReduction:
             assert abs(got - value) <= 1e-15 * abs(value), (tau, got)
 
     def test_guard_tested_below_im_tau_1e_12(self):
-        # the guard of `_theta_modular` tests a move only where |w| <
+        # the guard of `_theta_route` tests a move only where |w| <
         # ~1e-12, so the walk reaches it only below Im tau ~ 1e-12: here S
         # (w = tau) and gamma = (-1 0; 2 -1) (w = 2 tau - 1).  It passes
         # these values, each within 2.8e-16 of the Poisson sums
@@ -871,13 +877,130 @@ def _profiled_calls(call):
     return counts["call"], counts["c_call"]
 
 
+def _lane_bound_terms(kind, zeta, y):
+    """Scale of theta and of its two zeta-derivatives on tau = i y, the
+    direct series' sums of |term|, |2m term| and |4m^2 term|, and a bound
+    on |exponent| over the terms within e^-40 of the largest, on the route
+    the walk takes there: the direct series for y >= 1, S below."""
+    half = 0.5 if kind == 2 else 0.0
+    b = abs(zeta.imag)
+    reach = b / (math.pi * y) + math.sqrt(50.0 / (math.pi * y)) + 3.0
+    m = np.arange(-math.ceil(reach), math.ceil(reach) + 1) + half
+    size = np.exp(-math.pi * y * m * m - 2.0 * m * zeta.imag)
+    scales = [size.sum(), (2.0 * abs(m) * size).sum(),
+              (4.0 * m * m * size).sum()]
+    spread = math.sqrt(40.0 / math.pi)
+    s = (math.pi if kind == 2 else 0.5 * math.pi) + b
+    if y >= 1.0:
+        top = b / (math.pi * y) + spread / math.sqrt(y) + half
+        return scales, math.pi * y * top * top + 2.0 * top * s
+    top = s / math.pi + spread * math.sqrt(y) + 0.5
+    return scales, (s + math.pi * top) ** 2 / (math.pi * y)
+
+
+class TestScalarLane:
+    """The scalar lane of `_theta_dispatch` against its array lane."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.booleans(), st.floats(-3.0, 3.0),
+           st.floats(-0.5, 0.5), st.floats(-20.0, 20.0), st.floats(-3.0, 3.0))
+    # terms past double range, on the direct route and under S: both lanes
+    # refuse, with no warning
+    @example(3, False, 3.0, 0.0, 0.1, 3000.0 / math.sqrt(1e3))
+    @example(4, True, 3.0, 0.2, 0.1, -3000.0 / math.sqrt(1e3))
+    @example(3, False, -3.0, 0.0, 0.3, 2.0 / math.sqrt(1e-3))
+    @example(2, True, -3.0, 0.0, 0.3, -2.0 / math.sqrt(1e-3))
+    def test_agrees_with_array_lane(self, kind, derivs, log_y, re_frac, re,
+                                    t):
+        # Re tau = 0 below y = 1 (S), |Re tau| <= 1/2 above (the direct
+        # series); Im zeta = t sqrt(y) keeps |theta| near exp(t^2/pi)
+        y = 10.0 ** log_y
+        tau = complex(re_frac if y >= 1.0 else 0.0, y)
+        zeta = complex(re, t * math.sqrt(y))
+        nome = ThetaNome(tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                lane = _theta_dispatch(kind, zeta, nome, "auto", derivs)
+            except ValueError as exc:
+                lane = exc
+            with mock.patch.object(specfun, "_LANE_WORK", 0):
+                try:
+                    arr = _theta_dispatch(kind, np.array([zeta]), nome,
+                                          "auto", derivs)
+                except ValueError as exc:
+                    arr = exc
+        if isinstance(arr, ValueError):
+            assert isinstance(lane, ValueError), (lane, arr)
+            assert str(lane) == str(arr)
+            return
+        assert not isinstance(lane, ValueError), lane
+        scales, big = _lane_bound_terms(kind, zeta, y)
+        outs = zip(lane, arr, scales) if derivs else [(lane, arr, scales[0])]
+        for got, ref, scale in outs:
+            assert isinstance(got, complex)
+            assert abs(got - ref[0]) <= 4 * 2.0 ** -53 * (1.0 + big) * scale
+
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    @pytest.mark.parametrize("tau", [1.6j, 0.3 + 2.0j, 0.05j])
+    def test_takes_no_numpy_call(self, kind, tau, monkeypatch):
+        # a number on the direct route or under S runs with `np` gone from
+        # specfun and zakcs, once its plan is cached
+        params = zakcs.WZParams(0.3, Sector(0.37))
+        point = zakcs.PhasePoint(1.1, -0.4)
+        nome = ThetaNome(tau)
+        calls = [lambda: theta(kind, 0.3 + 0.2j, nome),
+                 lambda: theta_derivs(kind, 0.3 + 0.2j, nome),
+                 lambda: zakcs.transition_prob(2, params, point),
+                 lambda: zakcs.w_norm_sq(params, point),
+                 lambda: zakcs.w_overlap(params, point, 0.2 + 0.5j)]
+        expected = [call() for call in calls]
+        monkeypatch.setattr(specfun, "np", None)
+        monkeypatch.setattr(zakcs, "np", None)
+        assert [call() for call in calls] == expected
+
+    def test_bits_independent_of_blas_threads(self):
+        # the lane sums with no BLAS dot: the same bytes at 1 and 2 threads
+        script = (
+            "from circleqm.specfun import ThetaNome, theta, theta_derivs\n"
+            "from circleqm.circlespace import Sector\n"
+            "from circleqm import zakcs\n"
+            "out = []\n"
+            "for tau in (1.6j, 0.05j, 0.3 + 2j, 3e-3j):\n"
+            "    for kind in (2, 3, 4):\n"
+            "        out.append(theta(kind, 0.3 + 0.2j, ThetaNome(tau)))\n"
+            "        out.extend(theta_derivs(kind, 1.1 - 0.1j,\n"
+            "                                ThetaNome(tau)))\n"
+            "for eps in (0.05, 0.3, 2.0, 40.0):\n"
+            "    params = zakcs.WZParams(eps, Sector(0.37))\n"
+            "    z = zakcs.PhasePoint(1.1, 0.4 * eps)\n"
+            "    out.append(zakcs.w_norm_sq(params, z))\n"
+            "    out.extend(zakcs.transition_prob(m, params, z)\n"
+            "               for m in (-1, 0, 1))\n"
+            "print([complex(x).real.hex() + complex(x).imag.hex()\n"
+            "       for x in out])\n")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(Path(specfun.__file__).parent.parent)]
+                + [p for p in [env.get("PYTHONPATH")] if p])
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, timeout=120, check=True).stdout)
+        assert outputs[0] == outputs[1] and outputs[0].count("p") > 100
+
+
 class TestPerCallFloor:
     """theta's fixed cost per call: what a call does besides its series."""
 
     @pytest.mark.parametrize("tau,zeta,derivs,expected", [
-        (1.6j, 0.3 + 0.2j, False, (9, 15)),  # a scalar, direct series
-        (0.05j, 0.3 + 0.2j, False, (10, 15)),  # a scalar under S
-        (0.05j, np.array([0.3 + 0.2j, 0.1 - 0.05j]), True, (9, 22)),
+        # the scalar lane: one cmath.exp per term and point (11, 7 and
+        # 2 x 7 here) is a C-level call, where np.exp was not seen
+        (1.6j, 0.3 + 0.2j, False, (5, 21)),  # a scalar, direct series
+        (0.05j, 0.3 + 0.2j, False, (6, 17)),  # a scalar under S
+        (0.05j, np.array([0.3 + 0.2j, 0.1 - 0.05j]), True, (8, 34)),
         (0.31 + 0.0007j, _Nodes(1, 0.37 + 0.01j), False, (10, 20)),
     ], ids=["scalar-direct", "scalar-S", "two-point-derivs", "reduced-node"])
     def test_call_counts_pinned(self, tau, zeta, derivs, expected):
@@ -917,9 +1040,11 @@ class TestPerCallFloor:
     def test_term_plans_read_only_and_keyed_without_tau(self):
         _term_plan.cache_clear()
         # 40 nomes on the imaginary axis, each taking the direct series
-        # with the same term count: one plan serves them all
+        # with the same term count: one plan serves them all (eight points
+        # take the array lane, which reads the plan itself)
+        zeta = np.full(8, 0.2)
         for im in np.linspace(1.0, 1.05, 40):
-            theta(3, 0.2, ThetaNome(complex(0.0, im)))
+            theta(3, zeta, ThetaNome(complex(0.0, im)))
         info = _term_plan.cache_info()
         assert info.currsize == 1 and info.hits == 39, info
         plan = _term_plan(3, 5)
@@ -929,9 +1054,9 @@ class TestPerCallFloor:
                 array[...] = 0
         # a long series builds its plan on each call and keeps none
         _term_plan.cache_clear()
-        theta(3, 0.2, ThetaNome(0.01j), method="direct")
+        theta(3, zeta, ThetaNome(0.01j), method="direct")
         assert _term_plan.cache_info().currsize == 0
-        theta(3, 0.2, ThetaNome(1.6j))
+        theta(3, zeta, ThetaNome(1.6j))
         assert _term_plan.cache_info().currsize == 1
         assert _PLAN_TERMS < 38  # the long series' nmax
 

@@ -29,7 +29,6 @@ from circleqm.zakcs import (
     density,
     fn_basis,
     gaussian_cs,
-    norm_constant,
     periodized_norm_constant,
     transition_prob,
     w_expectations,
@@ -383,7 +382,7 @@ class TestWState:
         _, u_vals = zak_periodize(params, z, phi)
         w_vals = w_value(params, z, phi)
         n_u = periodized_norm_constant(params, z)
-        n_w = norm_constant(params, z)
+        n_w = w_norm_sq(params, z) ** -0.5
         ratio = np.abs(n_u * u_vals) / np.abs(n_w * w_vals)
         assert np.max(np.abs(ratio - 1.0)) < 1e-10
 
@@ -953,10 +952,9 @@ class TestRefusals:
         lambda: w_norm_sq(WZParams(760.0, Sector(0.99)), 0.0),
         lambda: w_value(WZParams(1500.0, Sector(0.99)), 0.0, 0.0),
         lambda: w_norm_sq(WZParams(0.01, Sector(0.3)), 0.5 + 3j),
-        lambda: norm_constant(WZParams(0.01, Sector(0.3)), 0.5 + 3j),
         lambda: w_overlap(WZParams(0.01, Sector(0.3)), 0.5 + 3j, 0.5 + 3j),
     ], ids=["norm-eps-760", "value-eps-1500", "norm-eps-0.01",
-            "normalizer-eps-0.01", "overlap-eps-0.01"])
+            "overlap-eps-0.01"])
     def test_value_past_double_range_refused(self, call):
         # about e^745 at eps = 760 and e^900 at eps = 0.01, l = 3: each
         # returned inf or nan with only a RuntimeWarning
