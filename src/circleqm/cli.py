@@ -2,9 +2,9 @@
 the library and formats its results.
 
 Subcommands: `verify` prints the rows of `circleqm.verify.run` as CSV
-(`--tol` replaces every tolerance) and exits nonzero on any failure;
-`table` reproduces the reference ratio table and the
-transition/ladder records; `state`, `overlap`, `evolve` and `kernel` emit
+(`--tol`, a finite positive number, replaces every tolerance) and exits
+nonzero on any failure; `table` reproduces the reference ratio table and
+the transition/ladder records; `state`, `overlap`, `evolve` and `kernel` emit
 JSON or CSV reports for a configuration document (positional path or "-"
 for stdin).  Output is deterministic at a fixed BLAS thread count:
 identical configuration yields identical bytes (floats printed with 17
@@ -21,8 +21,9 @@ with a `config error:` message on stderr and nothing on stdout.  Exit 2
 covers missing keys, non-finite numbers, values the library refuses (a
 ValueError), grids (`t_grid`, `theta_grid`, `l_grid`) that are not
 nonempty lists of finite numbers, counts (`n_points`, `density_points`)
-that are not integers in [1, 2^20], and `evolve` and `kernel` times at
-which a phase eps omega t (n+delta)^2 / 2 reaches 2^52 rad.
+that are not integers in [1, 2^20], `evolve` and `kernel` times at which
+a phase eps omega t (n+delta)^2 / 2 reaches 2^52 rad, and a `--tol` that
+is not a finite positive number.
 """
 
 from __future__ import annotations
@@ -130,6 +131,9 @@ def _grid(doc: dict, key: str, default=None) -> list:
 
 
 def _cmd_verify(args) -> int:
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        # inf would pass every row and nan fail every one
+        raise ConfigError("--tol must be a finite positive number")
     rows = verify.run(verify.SUITES if args.suite == "all" else [args.suite])
     lines = ["suite,check_id,identity,residual,tolerance,pass"]
     n_fail = 0

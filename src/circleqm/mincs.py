@@ -11,16 +11,16 @@ ratios I1/I0.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from circleqm.circlespace import (CircleState, Sector, _fold, _require_index,
                                   _same_sector)
-from circleqm.specfun import (_bessel_half_width, _bessel_window, bessel_j,
-                               g_ratio)
+from circleqm.specfun import (_bessel_half_width, _bessel_window, _special,
+                               bessel_j, g_ratio)
 
 __all__ = [
     "MinUncParams",
@@ -92,7 +92,7 @@ def _inv_sqrt_i0(sigma: complex) -> float:
     once J itself overflows, past |s| of about 709.
     """
     s = abs(sigma.imag)
-    return math.exp(-s) / math.sqrt(special.ive(0, 2.0 * s))
+    return math.exp(-s) / math.sqrt(_special().ive(0, 2.0 * s))
 
 
 def min_state(params: MinUncParams, window_tol: float = 1e-12) -> CircleState:
@@ -236,12 +236,12 @@ def min_overlap(p2: MinUncParams, p1: MinUncParams) -> OverlapResult:
     r = cmath.sqrt(root_arg)
     # I_n(2r) / I0(2|s|) through the scaled ive: Re r <= |s|, so the
     # exponential never exceeds 1
-    ratio = (math.exp(2.0 * r.real - 2.0 * abs(s))
-             / special.ive(0, 2.0 * abs(s)))
+    ive = _special().ive
+    ratio = math.exp(2.0 * r.real - 2.0 * abs(s)) / ive(0, 2.0 * abs(s))
     if r == 0:
         bess = ratio / math.gamma(order + 1.0)   # I_n(2r) / r^n -> 1/n!
     else:
-        bess = special.ive(order, 2.0 * r) * ratio / r ** order
+        bess = ive(order, 2.0 * r) * ratio / r ** order
     value = phase * base ** order * bess
     return OverlapResult(complex(value), True)
 
@@ -281,9 +281,12 @@ def completeness_residual(m1: int, m2: int, s: float, gamma: float,
     return complex(float(np.sum(np.abs(window) ** 2)) - 1.0)
 
 
-# Gauss-Legendre nodes and weights per pi-wide panel, built once: 12 nodes
-# (30 move n = 0, 5 by < 1e-14)
-_DBT_NODES = np.polynomial.legendre.leggauss(12)
+@functools.cache
+def _dbt_nodes() -> tuple:
+    """Gauss-Legendre nodes and weights per pi-wide panel, built on first
+    use (numpy.polynomial is not imported before): 12 nodes (30 move
+    n = 0, 5 by < 1e-14)."""
+    return np.polynomial.legendre.leggauss(12)
 
 
 def dbt_divergence(n: int, gamma_max: float) -> float:
@@ -302,10 +305,10 @@ def dbt_divergence(n: int, gamma_max: float) -> float:
         return 0.0
     edges = np.arange(0.0, gamma_max, math.pi)
     edges = np.append(edges, gamma_max)
-    x_gl, w_gl = _DBT_NODES
+    x_gl, w_gl = _dbt_nodes()
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     pts = mid[:, None] + half[:, None] * x_gl[None, :]
-    vals = special.jv(n, pts) ** 2
+    vals = _special().jv(n, pts) ** 2
     return float(np.sum(half[:, None] * w_gl[None, :] * vals))

@@ -27,6 +27,11 @@ Horner's rule, except a move off S that leaves Im tau' above 16
 (`_theta_squares`).  A value or derivative past double range raises
 ValueError.  `theta(method="direct")` forces the series at the given tau:
 the reference the modular route is checked against.
+
+scipy.special is reached only through the cached accessor `_special`,
+which imports it on the first Bessel, elliptic or I1/I0 ratio call (here
+or in `mincs`): importing circleqm or its CLI loads no scipy, and theta
+and the holomorphic family never do.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "ThetaNome",
@@ -894,6 +898,16 @@ def theta_derivs(kind: int, zeta, nome):
 # Bessel functions (scipy's Amos routines, validated)
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported on the first call: its import is about half
+    the start-up of `import circleqm.cli`.  A cached call costs about 65 ns
+    more than a module global, where an import statement in the function
+    body would cost about 0.8 us more."""
+    from scipy import special
+    return special
+
+
 def _bessel_half_width(z: complex, tol: float) -> int:
     """Half-width h of the order window k = -h..h of J_k(z): the one rule
     that sizes every Bessel window in the package.
@@ -933,7 +947,7 @@ def _bessel_half_width(z: complex, tol: float) -> int:
         return 0
     s = abs(z.imag)
     log_a = math.log(a)
-    log_floor = math.log(0.5 * tol * special.i0e(2.0 * s))
+    log_floor = math.log(0.5 * tol * _special().i0e(2.0 * s))
     # the two bisections are written out: closures cost a call a step
     lo = max(0, math.floor(a) - 1)
     # upper end: by Stirling, k! > (k/e)^k, so at k = h + 1 >= e^2 a the
@@ -952,7 +966,7 @@ def _bessel_half_width(z: complex, tol: float) -> int:
     if lo == 0:
         return 0
     # log(I0(x) / e^s), with x - s formed without cancellation
-    log_i0 = z.real * z.real / (x + s) + math.log(special.i0e(x))
+    log_i0 = z.real * z.real / (x + s) + math.log(_special().i0e(x))
     # h - 1 is tested first, then [0, h - 1] bisected if the I_k bound
     # holds there
     hi, lo, mid = lo, 0, lo - 1
@@ -984,7 +998,7 @@ def bessel_i(nu: float, x: float):
     x = float(x)
     if not (math.isfinite(nu) and math.isfinite(x)):
         raise ValueError("bessel_i requires finite order and argument")
-    val = float(special.iv(nu, abs(x)))
+    val = float(_special().iv(nu, abs(x)))
     if not math.isfinite(val):
         raise ValueError(f"I_{nu}({abs(x)}) is not a finite double")
     if x >= 0:
@@ -1015,7 +1029,7 @@ def _jv(order: np.ndarray, z) -> np.ndarray:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("bessel_j requires a finite argument")
-    val = special.jv(order, z)
+    val = _special().jv(order, z)
     if not np.isfinite(val).all():
         raise ValueError(f"J_n(z) at z = {z} is not a finite double")
     return val
@@ -1085,6 +1099,7 @@ def elliptic_suite(zeta: float, nome: ThetaNome) -> EllipticRecord:
     u = t3 * t3 * u_zeta
     m = k * k
 
+    special = _special()
     sn, cn, dn, ph = special.ellipj(u, m)
     E = float(special.ellipe(m))
     E_u = float(special.ellipeinc(ph, m))
@@ -1128,6 +1143,7 @@ def g_ratio(x) -> GRatio:
     if abs(x) < 1e-8:
         r1, r2 = 0.5 * x, 0.5
     else:
+        special = _special()
         r1 = float(special.i1e(x) / special.i0e(x))
         r2 = r1 / x
     return GRatio(r1=r1, r2=r2, g=1.0 - r1 * r1 - r2)
@@ -1138,6 +1154,7 @@ def _g_ratio_array(x: np.ndarray) -> GRatio:
     if not np.isfinite(x).all():
         raise ValueError("g_ratio requires a finite argument")
     tiny = np.abs(x) < 1e-8
+    special = _special()
     r1 = np.where(tiny, 0.5 * x, special.i1e(x) / special.i0e(x))
     r2 = np.where(tiny, 0.5, r1 / np.where(tiny, 1.0, x))
     return GRatio(r1=r1, r2=r2, g=1.0 - r1 * r1 - r2)

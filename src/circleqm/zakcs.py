@@ -13,6 +13,7 @@ theta ratios of the fast (small-nome) series.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -508,9 +509,14 @@ class WZCompletenessResiduals:
     weighted: complex
 
 
-# Gauss-Legendre nodes and weights, built once: 80 integrate the radial
-# Gaussians to rounding
-_WZ_NODES = np.polynomial.legendre.leggauss(80)
+@functools.cache
+def _wz_nodes() -> tuple:
+    """Gauss-Legendre nodes and weights, built on first use (numpy.polynomial
+    is not imported before): 80 integrate the radial Gaussians to
+    rounding."""
+    return np.polynomial.legendre.leggauss(80)
+
+
 _WZ_L_CUT = 8.0  # momentum cut in sqrt(eps): the Gaussian tail is e^-64
 
 
@@ -529,7 +535,7 @@ def completeness_residual_wz(m1: int, m2: int,
     if m1 != m2:
         return WZCompletenessResiduals(0j, 0j)
     eps, delta = params.epsilon, params.delta
-    x_gl, w_gl = _WZ_NODES
+    x_gl, w_gl = _wz_nodes()
 
     center = eps * (m1 + delta)
     half_width = _WZ_L_CUT * math.sqrt(eps)

@@ -37,6 +37,14 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0", "-1e-3",
+                                     "1e400"])
+    def test_tolerance_must_be_finite_positive(self, capsys, tol):
+        # inf would pass every row and nan fail every one
+        code, out, err = run(capsys, "verify", "specfun", f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_bessel_sum_rule_headroom(self):
         rows = {row.check_id: row for row in verify.run(["specfun"])}
         assert rows["bessel-squared-sum"].residual < 1e-13
@@ -119,6 +127,66 @@ class TestInProcess:
                 assert mine == (proc.returncode, stdout, stderr), argv
         codes = [code for code, _, _ in in_process]
         assert codes == [0, 2, 0, 2, 0] and captured.out
+
+
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+if sys.argv[1] == "preload":
+    import scipy.special
+
+def heavy():
+    return [m for m in ("scipy", "numpy.polynomial") if m in sys.modules]
+
+loaded = []
+import circleqm
+loaded.append(heavy())
+from circleqm import cli
+loaded.append(heavy())
+sys.stdin = io.StringIO(json.dumps({"t": 0.5, "eta": 1e-3, "n_points": 8}))
+kernel = io.StringIO()
+with contextlib.redirect_stdout(kernel):
+    code = cli.main(["kernel", "-"])
+loaded.append(heavy())
+
+import numpy as np
+from circleqm import mincs, specfun
+j = specfun.bessel_j(np.arange(-3, 4), 1.5 - 0.7j)
+j2 = specfun.bessel_j(2, 0.3 + 0.1j)
+g = specfun.g_ratio(2.5)
+ga = specfun.g_ratio(np.array([0.0, 1e-9, 0.7, 30.0]))
+state = mincs.min_state(mincs.MinUncParams(0.4, 1.3, 0.8, 1.7))
+ell = specfun.elliptic_suite(0.3, specfun.ThetaNome.from_q(0.1))
+values = ([j.tobytes().hex(), j2.real.hex(), j2.imag.hex(), state.n_lo,
+           state.coeffs.tobytes().hex()]
+          + [float(v).hex() for v in (g.r1, g.r2, g.g)]
+          + [v.tobytes().hex() for v in (ga.r1, ga.r2, ga.g)]
+          + [float(v).hex() for v in vars(ell).values()])
+print(json.dumps({"loaded": loaded, "code": code, "kernel": kernel.getvalue(),
+                  "values": values, "special": "scipy.special" in sys.modules}))
+"""
+
+
+class TestStartup:
+    def test_scipy_special_loaded_on_first_use(self):
+        # a fresh import of the package or the CLI, and a kernel call,
+        # import no scipy and no numpy.polynomial; the first Bessel or
+        # elliptic call loads scipy.special and computes the bits of a
+        # process that imported it first
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        runs = {}
+        for mode in ("fresh", "preload"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _STARTUP_SCRIPT, mode], env=env,
+                capture_output=True, text=True, timeout=120, check=True)
+            runs[mode] = json.loads(proc.stdout)
+        fresh, preload = runs["fresh"], runs["preload"]
+        assert fresh["loaded"] == [[], [], []]
+        assert fresh["code"] == 0 and fresh["kernel"].count("\n") == 9
+        assert fresh["special"] and preload["loaded"][0]
+        assert fresh["kernel"] == preload["kernel"]
+        assert fresh["values"] == preload["values"]
 
 
 class TestTable:

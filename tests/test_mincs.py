@@ -423,12 +423,12 @@ class TestDivergence:
         assert dbt_divergence(0, 0.0) == 0.0
 
     def test_gauss_nodes_built_once(self, monkeypatch):
-        # the 12 panel nodes are a module constant with leggauss's bits:
-        # with leggauss refusing, the integrals keep the values they had
-        # when the nodes were built per call
+        # the 12 panel nodes are built on first use and cached, with
+        # leggauss's bits: with leggauss refusing, the integrals keep the
+        # values they had when the nodes were built per call
         x_gl, w_gl = np.polynomial.legendre.leggauss(12)
-        assert np.array_equal(mincs._DBT_NODES[0], x_gl)
-        assert np.array_equal(mincs._DBT_NODES[1], w_gl)
+        assert np.array_equal(mincs._dbt_nodes()[0], x_gl)
+        assert np.array_equal(mincs._dbt_nodes()[1], w_gl)
 
         def refuse(*args):
             raise AssertionError("leggauss called")

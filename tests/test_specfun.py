@@ -861,20 +861,21 @@ class TestModularReduction:
 
 def _profiled_calls(call):
     """(Python-level calls into specfun, C-level calls made from its
-    frames) of one call, after a first one has warmed the caches."""
+    frames other than `cmath.exp`, calls of `cmath.exp`) of one call,
+    after a first one has warmed the caches."""
     call()
-    counts = {"call": 0, "c_call": 0}
+    counts = {"call": 0, "c_call": 0, "exp": 0}
 
     def hook(frame, event, arg):
         if event in counts and frame.f_code.co_filename == specfun.__file__:
-            counts[event] += 1
+            counts["exp" if arg is cmath.exp else event] += 1
 
     sys.setprofile(hook)
     try:
         call()
     finally:
         sys.setprofile(None)
-    return counts["call"], counts["c_call"]
+    return counts["call"], counts["c_call"], counts["exp"]
 
 
 def _lane_bound_terms(kind, zeta, y):
@@ -996,17 +997,20 @@ class TestPerCallFloor:
     """theta's fixed cost per call: what a call does besides its series."""
 
     @pytest.mark.parametrize("tau,zeta,derivs,expected", [
-        # the scalar lane: one cmath.exp per term and point (11, 7 and
-        # 2 x 7 here) is a C-level call, where np.exp was not seen
-        (1.6j, 0.3 + 0.2j, False, (5, 21)),  # a scalar, direct series
-        (0.05j, 0.3 + 0.2j, False, (6, 17)),  # a scalar under S
-        (0.05j, np.array([0.3 + 0.2j, 0.1 - 0.05j]), True, (8, 34)),
-        (0.31 + 0.0007j, _Nodes(1, 0.37 + 0.01j), False, (10, 20)),
+        # the scalar lane's cmath.exp calls, one per signed term and
+        # point, are pinned apart from the other C-level calls, so that a
+        # term more or fewer does not read as fixed cost; the array lane's
+        # np.exp ufunc is not seen
+        (1.6j, 0.3 + 0.2j, False, (5, 10, 11 * 1)),  # a scalar, direct
+        (0.05j, 0.3 + 0.2j, False, (6, 10, 7 * 1)),  # a scalar under S
+        (0.05j, np.array([0.3 + 0.2j, 0.1 - 0.05j]), True, (8, 20, 7 * 2)),
+        (0.31 + 0.0007j, _Nodes(1, 0.37 + 0.01j), False, (10, 20, 0)),
     ], ids=["scalar-direct", "scalar-S", "two-point-derivs", "reduced-node"])
     def test_call_counts_pinned(self, tau, zeta, derivs, expected):
-        # Python-level calls into specfun and C-level calls from it (NumPy
-        # ufuncs are not seen): work added to every call shows here
-        # first; lower the pin when a call gets cheaper
+        # Python-level calls into specfun, C-level calls from it other
+        # than cmath.exp (NumPy ufuncs are not seen) and cmath.exp calls:
+        # work added to every call shows in the first two; lower the pin
+        # when a call gets cheaper
         nome = ThetaNome(tau)
         assert _profiled_calls(lambda: _theta_dispatch(
             3, zeta, nome, "auto", derivs)) == expected

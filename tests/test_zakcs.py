@@ -834,11 +834,12 @@ class TestCompleteness:
                 assert abs(res.weighted - ref) <= 1e-15
 
     def test_gauss_nodes_built_once(self, monkeypatch):
-        # the 80 nodes are a module constant with leggauss's bits: with
-        # leggauss refusing, the residuals keep the values they had
+        # the 80 nodes are built on first use and cached, with leggauss's
+        # bits: with leggauss refusing, the residuals keep the values they
+        # had
         x_gl, w_gl = np.polynomial.legendre.leggauss(80)
-        assert np.array_equal(zakcs._WZ_NODES[0], x_gl)
-        assert np.array_equal(zakcs._WZ_NODES[1], w_gl)
+        assert np.array_equal(zakcs._wz_nodes()[0], x_gl)
+        assert np.array_equal(zakcs._wz_nodes()[1], w_gl)
         cases = [(0, WZParams(0.05, Sector(0.0))),
                  (2, WZParams(0.3, Sector(0.37))),
                  (-1, WZParams(1.0, Sector(0.9))),
