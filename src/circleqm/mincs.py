@@ -284,7 +284,7 @@ def completeness_residual(m1: int, m2: int, s: float, gamma: float,
 @functools.cache
 def _dbt_nodes() -> tuple:
     """Gauss-Legendre nodes and weights per pi-wide panel, built on first
-    use (numpy.polynomial is not imported before): 12 nodes (30 move
+    use so that no start-up imports numpy.polynomial: 12 nodes (30 move
     n = 0, 5 by < 1e-14)."""
     return np.polynomial.legendre.leggauss(12)
 

@@ -511,9 +511,9 @@ class WZCompletenessResiduals:
 
 @functools.cache
 def _wz_nodes() -> tuple:
-    """Gauss-Legendre nodes and weights, built on first use (numpy.polynomial
-    is not imported before): 80 integrate the radial Gaussians to
-    rounding."""
+    """Gauss-Legendre nodes and weights, built on first use so that no
+    start-up imports numpy.polynomial or solves the 80-node eigenproblem:
+    80 integrate the radial Gaussians to rounding."""
     return np.polynomial.legendre.leggauss(80)
 
 
