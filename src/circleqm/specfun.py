@@ -17,13 +17,15 @@ time", Math. Comp. 87, 2018) and FLINT's acb_modular_theta do: there
 |q| <= exp(-pi sqrt(3)/2) = 0.066, so a handful of terms suffice however
 close the given nome is to the unit circle.  The walk (`_reduce_tau`) is
 the one rule of that route: a tau already in the domain keeps its direct
-series, and on the imaginary axis S alone reaches Im tau' >= 1.  The
-move's large phases are cancelled exactly, in integers, before anything
-is rounded (see `_theta_route`), so no double-double arithmetic is
-needed.  A call of little work on the direct series or under S, a scalar
-or a few points, sums in Python complex arithmetic (`_theta_lane`); every
-other call sums its series in `_theta_sum`, which picks plain terms or
-Horner's rule, except a move off S that leaves Im tau' above 16
+series, and on the imaginary axis S alone reaches Im tau' >= 1.  Every
+move, S included, takes one rule: its large phases are cancelled exactly,
+in integers, before anything is rounded (see `_theta_route`), so no
+double-double arithmetic is needed, and its terms sum to at most 1.239
+times the direct series' in absolute value, so it cancels no more than
+the direct series does.  A number on the direct series or under S sums in
+Python complex arithmetic (`_theta_lane`); every other call sums its series
+in `_theta_sum`, which picks plain terms or Horner's rule, except a move
+that leaves Im tau' above 16, which sums one square per term
 (`_theta_squares`).  A value or derivative past double range raises
 ValueError.  `theta(method="direct")` forces the series at the given tau:
 the reference the modular route is checked against.
@@ -245,11 +247,12 @@ def _term_plan(kind: int, nmax: int) -> _Plan:
 
 @functools.lru_cache(maxsize=3 * _LANE_WORK)
 def _lane_plan(kind: int, nmax: int) -> tuple:
-    """The `_term_plan` of the scalar lane: a row of Python complex numbers
-    per signed index m, (m^2, 2i m, s_m, 2i m s_m, -4 m^2 s_m)."""
+    """The `_term_plan` of the scalar lane: a row of Python numbers per
+    signed index m, (m^2, 2i m, pi m, s_m, 2i m s_m, -4 m^2 s_m)."""
     plan = _term_plan(kind, nmax)
     return tuple(zip(plan.m2.ravel().tolist(), plan.two_im.ravel().tolist(),
-                     plan.sign.tolist(), plan.d1.tolist(), plan.d2.tolist()))
+                     (math.pi * plan.m).tolist(), plan.sign.tolist(),
+                     plan.d1.tolist(), plan.d2.tolist()))
 
 
 def _reduced_square_exponents(m: np.ndarray, sq: np.ndarray,
@@ -325,16 +328,9 @@ def _theta_horner(kind, nmax, z, off, lq):
 
 # Under tau -> -1/tau kind 3 maps to itself and kinds 2 and 4 swap.
 _MODULAR_PARTNER = {2: 4, 3: 3, 4: 2}
-# Most the transformed sum's largest term may exceed the function's scale,
-# in natural-log units (the guard of `_theta_route`).  The walk's moves
-# are tested only where |w| < ~1e-12, so Im tau < 1e-12 (see `_move`), and
-# there the excess stayed at most 1.0 over 2,196 tested draws with Im tau
-# in [3e-16, 1e-10] and zeta at and off the lattice points k pi/c.  The bound
-# that decides the test is not that sharp, so the test stays.
-_LOG_MAX_CANCEL = math.log(1e6)
 _S = (0, -1, 1, 0)  # tau -> -1/tau
-# Largest Im tau' at which a move off S sums its series by `_theta_sum`,
-# apart from the Gaussian; past it each term is one square
+# Largest Im tau' at which a move sums its series by `_theta_sum`, with the
+# Gaussian fused into the exponents; past it each term is one square
 # (`_theta_squares`).
 _SEPARATE_IM = 16.0
 # Largest c the reduction takes: its integer phases stay exact in doubles.
@@ -356,9 +352,8 @@ class _Modular(NamedTuple):
     (Im w > 0) and `eighth` an integer mod 8 that `_reduce_tau` counts.
     w, c w and tau_red are correctly rounded from the double tau.  The
     factors that depend on tau alone follow (`_move`): ct = 1/(i pi c w),
-    pref = exp(i pi eighth/4) w^(-1/2), log|w|, whether the guard of
-    `_theta_route` tests this tau, and pi/c as a 24-bit head and a tail
-    (`_shifted`)."""
+    pref = exp(i pi eighth/4) w^(-1/2), and pi/c as a 24-bit head and a
+    tail (`_shifted`)."""
 
     gamma: tuple
     w: complex
@@ -367,8 +362,6 @@ class _Modular(NamedTuple):
     partner: int
     ct: complex
     pref: complex
-    log_w: float
-    guard: bool
     pi_head: float
     pi_tail: float
 
@@ -380,18 +373,11 @@ def _move(tau: complex, gamma: tuple, w: complex, cw: complex,
     pref = (-1j * w) ** (-0.5)
     if eighth != 1:
         pref = pref * cmath.exp(0.25j * math.pi * (eighth - 1))
-    # Over a continuous index both series peak at (Im zeta)^2 / (pi Im tau)
-    # in log (the exponents agree identically); the direct series' index
-    # lattice lowers its peak by at most pi Im tau / 4.  So only there can
-    # the transformed terms outgrow the direct ones by 1e6: on the walk,
-    # where |w| < ~1e-12.
-    log_w = math.log(abs(w))
-    guard = math.pi * tau.imag / 4.0 - 0.5 * log_w > _LOG_MAX_CANCEL
     c = gamma[2]
     head = float(np.float32(math.pi / c))
     return _Modular(gamma, w, cw, tau_red, partner,
-                    1.0 / (1j * math.pi * cw), pref, log_w, guard,
-                    head, (math.pi - c * head + _PI_TAIL) / c)
+                    1.0 / (1j * math.pi * cw), pref, head,
+                    (math.pi - c * head + _PI_TAIL) / c)
 
 
 @functools.lru_cache(maxsize=256)
@@ -502,16 +488,6 @@ def _shifted(zeta, mod: _Modular):
     return k0 % (2 * c) - kj.astype(np.int64), s
 
 
-def _log_peak(kind: int, lq: complex, b: np.ndarray) -> np.ndarray:
-    """Log of the largest |exp(m^2 lq + 2 m b)| over the series' indices m
-    (integers, half-integers for kind 2), b >= 0: m nearest b/a,
-    a = -Re(lq).  At most b^2/a, the peak `_n_cutoff` sizes the sum by."""
-    a = -lq.real
-    half = 0.5 if kind == 2 else 0.0
-    m = np.floor(b / a - half + 0.5) + half
-    return m * (2.0 * b - a * m)
-
-
 @np.errstate(all="ignore")
 def _theta_route(kind: int, zeta, nome: ThetaNome, mod: _Modular | None,
                  want_derivs: bool, offset):
@@ -519,17 +495,17 @@ def _theta_route(kind: int, zeta, nome: ThetaNome, mod: _Modular | None,
     direct series (mod None), at tau reduced by its period (`_direct_tau`),
     or by the move `mod`: the short series at gamma tau, with `offset` and
     the Gaussian fused into its exponents, summed by `_theta_sum` (plain or
-    Horner, by its own rule) under S and wherever Im tau' <=
-    `_SEPARATE_IM`, and as completed squares (`_theta_squares`) past it.
-    Every floating-point warning is off: out of range the series over- or
-    underflows term by term, and the dispatch refuses the result whole.
-    The decorator sets the error state per call, so threads do not share
-    it, and costs less than a `with` block.
+    Horner, by its own rule) wherever Im tau' <= `_SEPARATE_IM`, and as
+    completed squares (`_theta_squares`) past it.  Every floating-point
+    warning is off: out of range the series over- or underflows term by
+    term, and the dispatch refuses the result whole.  The decorator sets
+    the error state per call, so threads do not share it, and costs less
+    than a `with` block.
 
-    Except under gamma = S, zeta is taken to s = c zeta - k pi, k pi/c the
-    lattice point nearest Re zeta (`_shifted`).  As gamma tau +
-    1/(c w) = a/c, theta_partner's quasi-period in gamma tau then turns the
-    large phases of the Gaussian into an integer one:
+    zeta is taken to s = c zeta - k pi, k pi/c the lattice point nearest Re
+    zeta (`_shifted`).  As gamma tau + 1/(c w) = a/c, theta_partner's
+    quasi-period in gamma tau then turns the large phases of the Gaussian
+    into an integer one:
 
         theta_kind(zeta|tau) = exp(i pi eighth/4) w^(-1/2) exp(i pi p/c)
             * exp(-i s^2/(pi c w))
@@ -538,80 +514,51 @@ def _theta_route(kind: int, zeta, nome: ThetaNome, mod: _Modular | None,
     p = (a k^2 + [partner = 4] c k) mod 2c.  |Re s| <= pi/2 and c w =
     1/(a/c - gamma tau), so the phases stay O(1) however small w is (the
     Gaussian's modulus and the series' terms can still each reach
-    exp(+-pi Im tau'), see `_theta_squares`).  The
-    value moves by c times any error in Re zeta, so s is formed from the
-    double zeta itself, to within about an ulp, never from a rounded
-    reduced argument, and `_Nodes` are taken at their exact nodes.  Under
-    S, k = 0 and zeta is the argument theta reduced by its period (an
-    array).
+    exp(+-pi Im tau'), see `_theta_squares`).  The value moves by c times
+    any error in Re zeta, so s is formed from the double zeta itself, to
+    within about an ulp, never from a rounded reduced argument, and
+    `_Nodes` are taken at their exact nodes.  Under S, a = 0 and c = 1, so
+    k a = 0 and p = k mod 2 for partner 4: theta_2's sign under zeta ->
+    zeta + pi.
 
-    A transformed series whose terms, Gaussian included, exceed the value
-    by many orders cancels: forced at Im tau = 50, S gave 132.6 for
-    theta_3(25 pi i | 50 i) = 2.  The guard raises ValueError where the
-    largest transformed term exceeds 1e6 times both |value| and the
-    largest term of the direct series, the function's own scale (exceeding
-    |value| alone also happens where the value is small against that
-    scale, near a zero, and the direct series cancels as much there).  It
-    tests only where pi Im tau / 4 - log|w| / 2 passes log 1e6, which on
-    the walk needs |w| < ~1e-12 and so Im tau < 1e-12; there it has not
-    fired (`_LOG_MAX_CANCEL`).
+    A move cancels no more than the direct series does.  |pref| times the
+    sum of the transformed terms' moduli, Gaussian included, is at most
+    C = theta_3(0|i sqrt(3)/2) / theta_4(0|i) = 1.239 times the sum of
+    the direct series' term moduli at the same zeta, because:
+
+    1. over a continuous index both term moduli are Gaussians with the
+       same peak, exp((Im zeta)^2 / (pi Im tau)) (the exponents agree
+       identically);
+    2. on the walk Im tau' >= sqrt(3)/2, so the transformed terms sum to
+       at most theta_3(0|i Im tau') <= 1.132 times that peak, and |pref| =
+       |w|^(-1/2) <= (c Im tau)^(-1/2);
+    3. a move is taken only where Im tau < 1, and there, by Poisson
+       summation, the direct terms sum to at least theta_4(0|i)
+       (Im tau)^(-1/2) times the peak.
     """
     if mod is None:
         return _theta_sum(kind, zeta, _direct_tau(nome.tau, kind),
                           want_derivs, offset)
     a, _, c, _ = mod.gamma
-    if mod.gamma == _S:
-        s, u, off = zeta, zeta / mod.cw, offset
-    else:
-        k, s = _shifted(zeta, mod)
-        # the integers j = k a and p = k j (+ c k) mod 2c, every product
-        # below 2^53
-        j = k * (a % (2 * c)) % (2 * c)
-        p = k * (j + c if mod.partner == 4 else j) % (2 * c)
-        u = s / mod.cw + (math.pi / c) * j
-        off = offset + (1j * math.pi / c) * p
-    if mod.gamma == _S or mod.tau.imag <= _SEPARATE_IM:
-        # the Gaussian exp(ct s^2) is fused into the series' exponents:
-        # apart they under- and overflow together once |Im u| grows
-        g, g1, g2 = _theta_sum(mod.partner, u, mod.tau, want_derivs,
-                               offset=_fused_offset(mod, s, off))
-    else:
-        g, g1, g2 = _theta_squares(mod, s, u, j, off, want_derivs)
-    if mod.guard:
-        log_value = np.log(np.abs(g)) - offset.real
-        # logs relative to |pref| exp(offset), which scales the value and
-        # terms alike
-        im = zeta.zeta0.imag if isinstance(zeta, _Nodes) else zeta.imag
-        scale = np.maximum(log_value,
-                           _log_peak(kind, nome.log_q, np.abs(im))
-                           + 0.5 * mod.log_w)
-        largest = ((mod.ct * s * s).real
-                   + _log_peak(mod.partner, 1j * math.pi * mod.tau,
-                               np.abs(u.imag)))
-        if np.any(largest - scale > _LOG_MAX_CANCEL):
-            raise ValueError("the transformed theta series cancels by more "
-                             "than 1e6 here")
-    return _chain(mod, s, g, g1, g2)
-
-
-# The move's arithmetic around the partner series, written once for both
-# lanes of `_theta_dispatch` (NumPy arrays and Python complex numbers).
-def _fused_offset(mod: _Modular, s, off):
-    """off plus the Gaussian's exponent ct s^2 = -i s^2/(pi c w), fused
-    into the partner series' exponents: apart they under- and overflow
-    together once |Im u| grows."""
-    return mod.ct * s * s + off
-
-
-def _chain(mod: _Modular, s, g, g1, g2):
-    """theta and its zeta-derivatives (None without g1, g2) from the
-    partner series g and its u-derivatives: the prefactor pref, and the
-    chain rule through ct s^2 (derivative 2 ct c s) and u (c/(c w) =
-    1/w)."""
-    pref, ct, c, w = mod.pref, mod.ct, mod.gamma[2], mod.w
+    k, s = _shifted(zeta, mod)
+    # the integers j = k a and p = k j (+ c k) mod 2c, every product below
+    # 2^53
+    j = k * (a % (2 * c)) % (2 * c)
+    p = k * (j + c if mod.partner == 4 else j) % (2 * c)
+    u = s / mod.cw + (math.pi / c) * j
+    off = offset + (1j * math.pi / c) * p
+    if mod.tau.imag > _SEPARATE_IM:
+        return _theta_squares(mod, s, u, j, off, want_derivs)
+    # the Gaussian exp(ct s^2) is fused into the series' exponents: apart
+    # they under- and overflow together once |Im u| grows
+    pref, ct, w = mod.pref, mod.ct, mod.w
+    g, g1, g2 = _theta_sum(mod.partner, u, mod.tau, want_derivs,
+                           offset=ct * s * s + off)
     v = pref * g
     if g1 is None:
         return v, None, None
+    # the chain rule through ct s^2 (derivative 2 ct c s) and u (c/(c w) =
+    # 1/w)
     d1 = pref * (2.0 * ct * c * s * g + g1 / w)
     d2 = pref * ((2.0 * ct * c * c + 4.0 * ct * ct * c * c * s * s) * g
                  + 4.0 * ct * c * s * g1 / w + g2 / w / w)
@@ -619,26 +566,29 @@ def _chain(mod: _Modular, s, g, g1, g2):
 
 
 def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
-    """The series of `_theta_route` off S past Im tau' = `_SEPARATE_IM`:
-    exp(off) exp(-i s^2/(pi c w)) theta_partner(u | gamma tau), u = s/(c w)
-    + pi j/c, and its first two u-derivatives.
+    """`_theta_route`'s move past Im tau' = `_SEPARATE_IM`: pref exp(off)
+    exp(-i s^2/(pi c w)) theta_partner(u | gamma tau), u = s/(c w) + pi
+    j/c, and its first two zeta-derivatives (None without want_derivs).
 
     As gamma tau = a/c - 1/(c w), term m of the product is s_m exp(off -
     i (s - pi m)^2/(pi c w) + i pi (a m^2 + 2 m j)/c): one square and an
     integer phase, summed one exp per term and point, in chunks of
-    `_CHUNK` elements, over the indices, signs and derivative weights of
-    the partner's `_term_plan`.  Apart, the Gaussian and the term's m^2 lq
-    and 2 i m u each reach about pi Im tau' and cancel to O(1) in the
-    largest terms, which near a revival (Im tau' = 6e4 at eps omega t =
-    2 pi, eps omega eta = 1e-4) cost 8e-12; up to `_SEPARATE_IM` they stay
-    below ~16 pi, and `_theta_sum` takes the series with the Gaussian in
-    its offset."""
+    `_CHUNK` elements, over the indices and signs of the partner's
+    `_term_plan`.  Apart, the Gaussian and the term's m^2 lq and 2 i m u
+    each reach about pi Im tau' and cancel to O(1) in the largest terms,
+    which near a revival (Im tau' = 6e4 at eps omega t = 2 pi, eps omega
+    eta = 1e-4) cost 8e-12; up to `_SEPARATE_IM` they stay below ~16 pi,
+    and `_theta_sum` takes the series with the Gaussian in its offset.
+    For the same reason each term carries its own zeta-derivatives, e =
+    2 c ct (s - pi m) and e^2 + 2 c^2 ct times the term, ct = -i/(pi c
+    w): the chain rule through the Gaussian and the series apart cancelled
+    from ~1/Im tau to the derivative's scale."""
     a, c, partner = mod.gamma[0], mod.gamma[2], mod.partner
     shape = u.shape
     s, u, j, off = s.reshape(-1), u.reshape(-1), j.reshape(-1), off.reshape(-1)
     b = float(_peak(u.imag))
     # the extent, in the term budget; the derivatives keep the margin
-    # `_n_cutoff` leaves for their weights m^2
+    # `_n_cutoff` leaves for their weights
     n = _n_cutoff(math.pi * mod.tau.imag, b) - (0 if want_derivs else 2)
     plan = (_term_plan if n <= _PLAN_TERMS
             else _term_plan.__wrapped__)(partner, n)
@@ -646,17 +596,22 @@ def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
     # the phases' numerators a (2m)^2 + 4 (2m) j over 4c, exact mod 8c
     quad = (a % (8 * c)) * twice * twice % (8 * c)
     alpha = -1j / (math.pi * mod.cw)
+    slope = 2 * c * alpha
     chunk = max(1, _CHUNK // plan.m.size)
-    weights = (plan.sign, plan.d1, plan.d2) if want_derivs else (plan.sign,)
-    sums = [np.empty(u.size, dtype=complex) for _ in weights]
+    sums = [np.empty(u.size, dtype=complex)
+            for _ in range(3 if want_derivs else 1)]
     for i in range(0, u.size, chunk):
         part = slice(i, i + chunk)
         num = (quad[:, None] + 4 * np.multiply.outer(twice, j[part])) % (8 * c)
-        terms = np.exp(alpha * (s[part] - math.pi * plan.m[:, None]) ** 2
-                       + (1j * math.pi / (4 * c)) * num + off[part])
-        for total, weight in zip(sums, weights):
-            total[part] = weight.dot(terms)
-    out = [x.reshape(shape) for x in sums]
+        d = s[part] - math.pi * plan.m[:, None]
+        terms = np.exp(alpha * d ** 2 + (1j * math.pi / (4 * c)) * num
+                       + off[part])
+        sums[0][part] = plan.sign.dot(terms)
+        if want_derivs:
+            e = slope * d
+            sums[1][part] = plan.sign.dot(e * terms)
+            sums[2][part] = plan.sign.dot((e * e + slope * c) * terms)
+    out = [mod.pref * x.reshape(shape) for x in sums]
     return tuple(out) if want_derivs else (out[0], None, None)
 
 
@@ -667,20 +622,18 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
     of the route (`_reduce_tau` under "auto") and of the range refusal: a
     value or derivative that is not a finite double raises ValueError.
 
-    A call has two lanes, picked from the work it can see.  On the direct
-    route and under S, the only routes a point on the imaginary tau axis
-    takes, a number or an array of numbers whose (nmax + 1) x (points) is at
-    most `_LANE_WORK` runs in Python complex arithmetic from here to its
-    sum, with no NumPy call (`_theta_lane`): most calls take a scalar or
-    two points, and there NumPy's fixed cost per call outweighs the series.
-    Every other call, `_Nodes` included, takes the array lane, which keeps
-    its own fixed cost low: each peak (of |Re zeta| / period here, of
-    |Im zeta| in the series) is one reduction, the series runs under one
-    floating-point state set per call (`_theta_route`), and what depends on
-    tau alone comes cached, with the move (`_Modular`) or the terms' plan
-    (`_term_plan`).  The lanes share the route, the term count and the
-    move's arithmetic (`_fused_offset`, `_chain`); their sums differ by
-    rounding only."""
+    A call has two lanes, picked from its input.  On the direct route and
+    under S, the routes a point on the imaginary tau axis takes, a number
+    whose nmax + 1 terms are at most `_LANE_WORK` runs in Python complex
+    arithmetic from here to its sum, with no NumPy call (`_theta_lane`):
+    most calls take a scalar, and there NumPy's fixed cost per call
+    outweighs the series.  Every other call, arrays and `_Nodes` included,
+    takes the array lane, which keeps its own fixed cost low: each peak (of
+    |Re zeta| / period here, of |Im zeta| in the series) is one reduction,
+    the series runs under one floating-point state set per call
+    (`_theta_route`), and what depends on tau alone comes cached, with the
+    move (`_Modular`) or the terms' plan (`_term_plan`).  The lanes share
+    the route and the lattice shift; their sums differ by rounding only."""
     if kind not in (2, 3, 4):
         raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
     if not isinstance(nome, ThetaNome):
@@ -691,7 +644,7 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
     # theta_3 and theta_4 have period pi, theta_2 2 pi (theta_2(zeta + pi) =
     # -theta_2(zeta)); a reduced argument keeps every route's terms small
     period = 2.0 * math.pi if kind == 2 else math.pi
-    if mod is None or mod.gamma == _S and not mod.guard:
+    if mod is None or mod.gamma == _S:
         lane = _theta_lane(kind, zeta, nome.tau, mod, period, want_derivs,
                            offset)
         if lane is not None:
@@ -712,10 +665,10 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
     if not finite:
         raise ValueError(_TURN_REFUSAL)
 
-    # the lattice shift of a move other than S reduces the argument itself,
-    # exactly, as long as its k stays below 2^29; every other route takes
-    # the argument reduced by its period
-    shift = mod is not None and mod.gamma != _S
+    # a move's lattice shift reduces the argument itself, exactly, as long
+    # as its k stays below 2^29; past it, and on the direct series, the
+    # argument is reduced by its period
+    shift = mod is not None
     if shift:
         reach = abs(z.real) if nodes else peak * period
         shift = mod.gamma[2] * reach < _SHIFT_LIMIT
@@ -750,71 +703,68 @@ def _theta_lane(kind: int, zeta, tau: complex, mod: _Modular | None,
                 period: float, want_derivs: bool, offset):
     """The scalar lane of `_theta_dispatch` (see there) on the direct route
     (mod None) or under S: the outputs, or None where zeta is not a number
-    or an array of numbers, or where its work passes `_LANE_WORK`.
+    or where its nmax + 1 terms pass `_LANE_WORK`.
 
-    Each point is reduced by the period, as on the array lane, and the
+    On the direct route zeta is reduced by the period, as on the array
+    lane.  Under S it is shifted to s = zeta - k pi as `_shifted` does with
+    c = 1, an odd k puts theta_2's sign in the offset as i pi, and each
+    term is one square, exp(ct (s - pi m)^2 + offset), with its own
+    zeta-derivatives, at every Im tau', as `_theta_squares` forms it.  The
     series is summed term by term with `cmath.exp`, over the rows of the
-    `_lane_plan`: one exp per (signed term, point), no BLAS `dot`, so the
-    bits depend on no thread count.  An exponent past double range raises
+    `_lane_plan`: one exp per signed term, no BLAS `dot`, so the bits
+    depend on no thread count.  An exponent past double range raises
     OverflowError in `cmath.exp`, refused here with the array lane's
     ValueError."""
-    if isinstance(zeta, (complex, float, int)):
-        points, shape = (zeta,), ()
-    elif (isinstance(zeta, np.ndarray) and 0 < 4 * zeta.size <= _LANE_WORK
-          and zeta.dtype.kind in "iufc"):
-        # nmax + 1 >= 4: `_n_cutoff` adds 2 to an extent above 0
-        points, shape = zeta.ravel().tolist(), zeta.shape
-    else:
+    if not isinstance(zeta, (complex, float, int)):
         return None
+    z = complex(zeta)
+    turns = z.real / period
+    if not -_TURN_LIMIT < turns < _TURN_LIMIT:
+        raise ValueError(_TURN_REFUSAL)
+    if mod is None or not abs(turns) * period < _SHIFT_LIMIT:
+        z -= period * round(turns)
     if mod is None:
         tau = _direct_tau(tau, kind)
+        u = z
     else:
+        k = round(z.real * (1 / math.pi))
+        s = complex(z.real - k * mod.pi_head - k * mod.pi_tail, z.imag)
+        u = s / mod.cw
+        ct = mod.ct
+        slope = 2.0 * ct
         tau, kind = mod.tau, mod.partner
-    # (s, u, offset) a point: zeta reduced by the period, the series'
-    # argument and its offset, the Gaussian fused under S
-    args = []
-    b = 0.0  # max |Im u|; a nan stays, for `_n_cutoff` to refuse
-    for z in points:
-        z = complex(z)
-        turns = z.real / period
-        if not -_TURN_LIMIT < turns < _TURN_LIMIT:
-            raise ValueError(_TURN_REFUSAL)
-        s = z - period * round(turns)
-        u = s if mod is None else s / mod.cw
-        y = abs(u.imag)
-        if b == b and not y <= b:
-            b = y
-        args.append((s, u, offset if mod is None
-                     else _fused_offset(mod, s, offset)))
+        if kind == 4 and k % 2:
+            offset += 1j * math.pi
     lq = 1j * math.pi * tau
-    nmax = _n_cutoff(-lq.real, b)
-    if (nmax + 1) * len(args) > _LANE_WORK:
+    # `_n_cutoff` refuses a non-finite Im u
+    nmax = _n_cutoff(-lq.real, abs(u.imag))
+    if nmax + 1 > _LANE_WORK:
         return None
     plan = _lane_plan(kind, nmax)
     exp = cmath.exp
-    outs = []
+    g = g1 = g2 = 0j
     try:
-        for s, u, off in args:
-            g = g1 = g2 = 0j
-            for m2, two_im, sign, w1, w2 in plan:
-                t = exp(m2 * lq + off + two_im * u)
-                g += sign * t
+        for m2, two_im, pi_m, sign, w1, w2 in plan:
+            if mod is None:
+                t = exp(m2 * lq + offset + two_im * u)
+            else:
+                d = s - pi_m
+                t = exp(ct * (d * d) + offset)
                 if want_derivs:
-                    g1 += w1 * t
-                    g2 += w2 * t
-            if mod is not None:
-                g, g1, g2 = _chain(mod, s, g, g1 if want_derivs else None, g2)
-            out = (g, g1, g2) if want_derivs else (g,)
-            if not all(map(cmath.isfinite, out)):
-                raise OverflowError  # a sum past range, as an exponent
-            outs.append(out)
+                    e = slope * d
+                    w1, w2 = sign * e, sign * (e * e + slope)
+            g += sign * t
+            if want_derivs:
+                g1 += w1 * t
+                g2 += w2 * t
+        if mod is not None:
+            g, g1, g2 = mod.pref * g, mod.pref * g1, mod.pref * g2
+        out = (g, g1, g2) if want_derivs else (g,)
+        if not all(map(cmath.isfinite, out)):
+            raise OverflowError  # a sum past range, as an exponent
     except OverflowError:
         raise ValueError(_RANGE_REFUSAL) from None
-    if not shape:
-        out = outs[0]
-    else:
-        out = tuple(np.array(outs).T.reshape((-1,) + shape))
-    return out if want_derivs else out[0]
+    return out if want_derivs else g
 
 
 def _direct_tau(tau: complex, kind: int) -> complex:
@@ -836,12 +786,12 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
         2, 3 or 4.
     zeta : complex or ndarray
         Argument(s), finite, with |Re zeta| below 2^52 periods (else
-        ValueError).  The direct series and the move S first reduce Re
-        zeta by the period, pi (2 pi for kind 2: theta_2(zeta + pi) =
-        -theta_2(zeta)), in double precision: the value is that at an
-        argument moved by up to ~2e-16 |Re zeta|; one within half a period
-        keeps its bits.  The reduced route below shifts the double zeta
-        itself, exactly, while c |Re zeta| < 2^29.
+        ValueError).  The direct series first reduces Re zeta by the
+        period, pi (2 pi for kind 2: theta_2(zeta + pi) = -theta_2(zeta)),
+        in double precision: the value is that at an argument moved by up
+        to ~2e-16 |Re zeta|; one within half a period keeps its bits.  The
+        reduced route below shifts the double zeta itself, exactly, while
+        c |Re zeta| < 2^29, and reduces it by the period past that.
     nome : ThetaNome or complex
         The nome, held as its tau; a bare complex q, |q| < 1, is wrapped
         by `ThetaNome.from_q` (the principal log).
@@ -867,12 +817,17 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
         exactly, by theta's period in tau, 2 (8 for kind 2), so a large
         |Re tau| costs no precision.  Any other method raises ValueError.
 
-    On the direct series and under S, a number, or an array whose points
-    times the series' nmax + 1 indices m >= 0 stay within `_LANE_WORK`
-    (24), is summed in Python complex arithmetic, with no NumPy call and
-    no BLAS `dot`; every other call is summed over NumPy arrays.  The two
+    On the direct series and under S, a number whose series' nmax + 1
+    indices m >= 0 stay within `_LANE_WORK` (24) is summed in Python
+    complex arithmetic, with no NumPy call and no BLAS `dot`; every other
+    call, every array included, is summed over NumPy arrays.  The two
     lanes agree to rounding: within 4 u (1 + E) of the function's scale,
     E the size of the largest exponent that counts (a hypothesis test).
+    Both stay within 8 u (1 + kappa) of the sum of the direct series' term
+    moduli, kappa the condition number of the point in zeta and tau, and
+    within 32 u (1 + kappa) on the array lane's fused series of a move,
+    Im tau' <= 16 (a hypothesis test against 40-digit values, Im tau from
+    1e-13 to 1e3).
 
     Returns
     -------

@@ -392,17 +392,16 @@ def w_expectations(params: WZParams, z) -> WZExpectations:
     theta series at zeta = pi (l - eps delta)/eps, q = e^{-pi^2/eps}.
 
     theta_4 and its derivative are read off theta_3 at zeta + pi/2
-    (theta_4(zeta) = theta_3(zeta + pi/2)), so one two-point
-    `theta_derivs` call gives every theta value the record needs."""
+    (theta_4(zeta) = theta_3(zeta + pi/2)), so two scalar `theta_derivs`
+    calls of one kind, on theta's scalar lane, give every theta value the
+    record needs."""
     eps = params.epsilon
     pt = _as_point(z)
     theta_ang, l_tilde = pt.theta, pt.l_tilde
     zeta, nome = _norm_arg(params, l_tilde)
-    vals, d1, d2 = theta_derivs(3, np.array([zeta, zeta + 0.5 * math.pi]),
-                                nome)
-    t3, t4 = vals.real
-    d3, d4 = d1.real
-    dd3 = d2[0].real
+    t3, d3, dd3 = theta_derivs(3, zeta, nome)
+    t4, d4, _ = theta_derivs(3, zeta + 0.5 * math.pi, nome)
+    t3, t4, d3, d4, dd3 = t3.real, t4.real, d3.real, d4.real, dd3.real
     ratio43 = t4 / t3
     ca, sa = math.cos(theta_ang), math.sin(theta_ang)
     e4 = math.exp(-eps / 4.0)

@@ -14,7 +14,6 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,9 +31,9 @@ from circleqm.specfun import (
     _S,
     _move,
     _reduce_tau,
+    _shifted,
     _term_plan,
     _theta_dispatch,
-    _theta_route,
     ThetaNome,
     bessel_i,
     bessel_j,
@@ -96,17 +95,6 @@ def _route_nomes(route, nomes):
     return nomes, "auto"
 
 
-def _s_route(kind, zeta, tau, derivs=False):
-    """theta_kind at a zeta within a period of 0 by the move S at any tau:
-    the modular route handed S's record, which the walk itself takes only
-    at Re tau = 0 below Im tau = 1.  Its guard raises ValueError where the
-    transformed series cancels; the value is not checked for range."""
-    partner = {2: 4, 3: 3, 4: 2}[kind]
-    s_move = _move(tau, _S, tau, tau, -1.0 / tau, partner, 1)
-    return _theta_route(kind, np.complex128(zeta), ThetaNome(tau), s_move,
-                        derivs, 0.0)
-
-
 class TestTheta:
     def test_zero_nome_leading_term(self):
         # q = e^{-1000 pi} underflows to 0; each kind is its leading term
@@ -164,21 +152,6 @@ class TestTheta:
         for z in [0.0, 0.4, 1.3 + 0.2j, -2.0 + 1j]:
             assert abs(theta(3, z + math.pi, nome) - theta(3, z, nome)) < 1e-13
 
-    @pytest.mark.parametrize("im_tau", [50.0, 100.0])
-    def test_transform_refuses_cancellation(self, im_tau):
-        # at zeta = i pi Im tau / 2 the transformed terms reach e^{~40}
-        # against a value of 2: S's series returned 132.6 at Im tau = 50.
-        # The walk keeps the direct series there; handed the record of S,
-        # the modular route's guard refuses the point.
-        tau = 1j * im_tau
-        nome = ThetaNome(tau)
-        zeta = 0.5j * math.pi * im_tau
-        assert _reduce_tau(tau, 3) is None
-        for derivs in (False, True):
-            with pytest.raises(ValueError, match="cancels"):
-                _s_route(3, zeta, tau, derivs)
-        assert abs(theta(3, zeta, nome) - 2.0) < 1e-14
-
     def test_auto_reduces_tau_to_the_fundamental_domain(self):
         # "auto" sums the direct series where tau is in the fundamental
         # domain or a translation takes it there, takes S alone at Re tau =
@@ -225,36 +198,6 @@ class TestTheta:
         val = theta(3, math.pi / 2, nome)
         ref = complex(mpmath.jtheta(3, mpmath.pi / 2, mpmath.exp(-0.05 * mpmath.pi)))
         assert abs(val - ref) < 1e-13 * abs(ref)
-
-    def test_transform_returns_only_accurate_values(self):
-        # S's guard, handed S at any tau: either ValueError or agreement
-        # with the direct series to 5e-9 of the function's scale, the
-        # largest direct term (|Im zeta| up to pi Im tau / 2, the reduced
-        # strip): the bound `_LOG_MAX_CANCEL` states for the guard
-        raised = 0
-        for kind in (2, 3, 4):
-            for re_tau in (0.0, 0.4):
-                for im_tau in (0.05, 0.3, 1.0, 5.0, 20.0, 50.0):
-                    tau = complex(re_tau, im_tau)
-                    nome = ThetaNome(tau)
-                    for x in (0.0, 1.1):
-                        for frac in (-0.5, -0.25, 0.0, 0.25, 0.5):
-                            zeta = complex(x, frac * math.pi * im_tau)
-                            ref = theta(kind, zeta, nome, method="direct")
-                            m = np.arange(-400, 401) + (0.5 if kind == 2 else 0.0)
-                            scale = np.max(np.exp(-math.pi * im_tau * m * m
-                                                  - 2.0 * m * zeta.imag))
-                            try:
-                                val = _s_route(kind, zeta, tau)[0]
-                            except ValueError:
-                                raised += 1
-                                continue
-                            assert abs(val - ref) < 5e-9 * max(abs(ref), scale)
-        assert 0 < raised < 60
-        # the guard weighs the largest transformed term, not their sum:
-        # theta_3(10 pi i | 20 i) = 2 passes it and comes out 1.8e-9 off
-        val = _s_route(3, 10j * math.pi, 20j)[0]
-        assert abs(val - 2.0) < 5e-9 * 2.0
 
     def test_theta4_small_nome_leading_terms(self):
         q = math.exp(-math.pi ** 2)
@@ -703,10 +646,9 @@ class TestModularReduction:
             assert abs(got - value) <= 1e-15 * abs(value), (tau, got)
 
     def test_guard_tested_below_im_tau_1e_12(self):
-        # the guard of `_theta_route` tests a move only where |w| <
-        # ~1e-12, so the walk reaches it only below Im tau ~ 1e-12: here S
-        # (w = tau) and gamma = (-1 0; 2 -1) (w = 2 tau - 1).  It passes
-        # these values, each within 2.8e-16 of the Poisson sums
+        # the old guard's points, Im tau = 1e-13: S (w = tau) and gamma =
+        # (-1 0; 2 -1) (w = 2 tau - 1).  Each value is within 2.8e-16 of
+        # the Poisson sums
         # P_h(zeta) = y^(-1/2) sum_n exp(-(zeta - (n + h) pi)^2 / (pi y)):
         # theta_2 | iy is P_0 with signs (-1)^n, theta_3 | iy = P_0, and at
         # tau = 1/2 + iy, where exp(i pi n^2 / 2) is 1 or i by parity,
@@ -736,8 +678,8 @@ class TestModularReduction:
         for (kind, re), oracle in cases.items():
             nome = ThetaNome(complex(re, y))
             mod = _reduce_tau(nome.tau, kind)
-            assert mod.guard and mod.gamma == ((0, -1, 1, 0) if re == 0.0
-                                               else (-1, 0, 2, -1))
+            assert mod.gamma == ((0, -1, 1, 0) if re == 0.0
+                                 else (-1, 0, 2, -1))
             vals = theta(kind, np.array(zetas), nome)
             for z, val in zip(zetas, vals):
                 ref = oracle(z)
@@ -859,6 +801,215 @@ class TestModularReduction:
         assert err < 1e-11
 
 
+# -- how far a move cancels, and theta's accuracy envelope -----------------
+
+_U = 2.0 ** -53
+# C of `_theta_route`'s written bound, theta_3(0 | i sqrt(3)/2) / theta_4(0|i)
+_BOUND_M = np.arange(-8, 9)
+_BOUND_C = float(
+    np.sum(np.exp(-math.pi * math.sqrt(0.75) * _BOUND_M ** 2))
+    / np.sum((-1.0) ** _BOUND_M * np.exp(-math.pi * _BOUND_M ** 2)))
+# Im tau below which |q| > 0.9
+_IM_Q09 = -math.log(0.9) / math.pi
+
+
+def _log_direct_l1(kind, zeta, tau):
+    """log sum_m |exp(i pi tau m^2 + 2 i m zeta)| over the kind's lattice,
+    by Poisson summation, a = pi Im tau <= 5 and b = Im zeta: exp(b^2/a)
+    sqrt(pi/a) (1 + 2 sum_n exp(-pi^2 n^2/a) cos(2 pi n (h + b/a)))."""
+    a, b = math.pi * tau.imag, zeta.imag
+    n = np.arange(1.0, 9.0)
+    dual = 1.0 + 2.0 * np.sum(np.exp(-math.pi ** 2 * n * n / a) * np.cos(
+        2.0 * math.pi * n * ((0.5 if kind == 2 else 0.0) + b / a)))
+    return b * b / a + 0.5 * math.log(math.pi / a) + math.log(dual)
+
+
+def _log_move_l1(mod, zeta):
+    """log of |pref| times sum_m |exp(ct (s - pi m)^2)| over the partner's
+    lattice, s = c zeta - k pi as the route forms it: the transformed
+    terms' moduli, Gaussian included (their phases have modulus 1)."""
+    s = complex(_shifted(np.array([zeta]), mod)[1][0])
+    ct = mod.ct
+    # the index at the Gaussian's vertex
+    top = (s.real - ct.imag * s.imag / ct.real) / math.pi
+    m = (round(top) + np.arange(-40.0, 41.0)
+         + (0.5 if mod.partner == 2 else 0.0))
+    return math.log(abs(mod.pref)) + np.logaddexp.reduce(
+        (ct * (s - math.pi * m) ** 2).real)
+
+
+def _l1_scale(kind, zeta, nome, order):
+    """`_abs_terms` while the terms are few; below Im tau = 1e-7 the
+    integral sum_m tends to, sqrt(pi/a) exp(b^2/a) times the moment of
+    |2x|^order about the peak x0 = -b/a, a = pi Im tau, b = Im zeta (the
+    other Poisson terms are below exp(-pi/Im tau))."""
+    if nome.tau.imag >= 1e-7:
+        return _abs_terms(kind, zeta, nome, order)
+    a, b = math.pi * nome.tau.imag, zeta.imag
+    x0, width = -b / a, math.sqrt(math.pi / a)
+    moment = (1.0, 2.0 * (x0 * math.erf(x0 * math.sqrt(a))
+                          + math.exp(-a * x0 * x0) / (a * width)),
+              4.0 * (x0 * x0 + 0.5 / a))[order]
+    return math.exp(b * b / a) * width * moment
+
+
+def _reference(kind, zeta, tau):
+    """theta_kind(zeta | tau) and its zeta-derivatives of orders 0-4 at the
+    double zeta and tau, to 40 digits.  Where |q| <= 0.9 the direct series,
+    each term times (2im)^order.  Below, for tau = p/q + t with q <= 8,
+    every index m = mu + 4q n keeps the factor s_m exp(i pi p m^2/q) of
+    its residue mu, and Poisson summation over n gives (-i T)^(-1/2)
+    sum_k G_k exp(Q_k), T = 16 q^2 t, Q_k = -i (4q zeta - pi k)^2/(pi T),
+    G_k = sum_mu s_mu exp(i pi p mu^2/q + 2 pi i k mu/(4q)); each term's
+    derivatives are polynomials in Q_k' and the constant Q_k''."""
+    mpmath = _mpmath()
+    half = 0.5 if kind == 2 else 0.0
+    with mpmath.workdps(40):
+        z = mpmath.mpc(zeta.real, zeta.imag)
+        t = mpmath.mpc(tau.real, tau.imag)
+        h = mpmath.mpf(half)
+        out = [0] * 5
+        if tau.imag >= _IM_Q09:
+            # mpmath.jtheta is not used here: it returned 7e297 for
+            # theta_4(-0.128 - 464.8i | 0.375 + 325.7i) = 1
+            a, b = math.pi * tau.imag, zeta.imag
+            reach = math.sqrt(100.0 / a) + 3.0
+            for n in range(math.floor(-b / a - reach),
+                           math.ceil(-b / a + reach) + 1):
+                m = n + h
+                term = (-1) ** (n % 2 if kind == 4 else 0) * mpmath.exp(
+                    1j * mpmath.pi * t * m * m + 2j * m * z)
+                for order in range(5):
+                    out[order] += term * (2j * m) ** order
+            return [complex(x) for x in out]
+        frac = Fraction(tau.real).limit_denominator(8)
+        p, q = frac.numerator, frac.denominator
+        big_l = 4 * q
+        big_t = (t - mpmath.mpf(p) / q) * big_l * big_l
+        residues = [(r + h, (-1) ** (r % 2 if kind == 4 else 0)
+                     * mpmath.expjpi(mpmath.mpf(p) / q * (r + h) ** 2))
+                    for r in range(big_l)]
+        # Q_k = i pi tau* (k - x)^2, tau* = -1/T and x = 4q zeta/pi: the
+        # k within exp(-100) of the largest term
+        dual, x = complex(-1 / big_t), complex(big_l * z / mpmath.pi)
+        top = x.real + dual.real * x.imag / dual.imag
+        reach = math.sqrt(100.0 / (math.pi * dual.imag)) + 2.0
+        ks = np.arange(math.floor(top - reach), math.ceil(top + reach) + 1)
+        size = (1j * math.pi * dual * (ks - x) ** 2).real
+        q2 = -2j * big_l * big_l / (mpmath.pi * big_t)
+        for k in ks[size >= size.max() - 100.0].tolist():
+            g = mpmath.fsum(c * mpmath.expjpi(2 * k * mu / big_l)
+                            for mu, c in residues)
+            dz = big_l * z - mpmath.pi * k
+            q1 = -2j * big_l * dz / (mpmath.pi * big_t)
+            term = g * mpmath.exp(-1j * dz * dz / (mpmath.pi * big_t))
+            polys = (1, q1, q2 + q1 ** 2, 3 * q2 * q1 + q1 ** 3,
+                     3 * q2 ** 2 + 6 * q2 * q1 ** 2 + q1 ** 4)
+            for order in range(5):
+                out[order] += term * polys[order]
+        pref = (-1j * big_t) ** mpmath.mpf(-0.5)
+        return [complex(pref * x) for x in out]
+
+
+class TestAccuracyEnvelope:
+    """How far a move cancels (`_theta_route`'s written bound), and theta's
+    accuracy against 40-digit values scaled by the point's condition."""
+
+    def test_move_cancels_no_more_than_the_direct_series(self):
+        # |pref| sum |transformed terms| <= C sum |direct terms|, C = 1.239,
+        # over seeded walk draws (kinds 2-4, Im tau log-uniform in [1e-13,
+        # 1.6], Re tau 0, near p/q with q <= 8, or uniform; zeta over a
+        # period, |Im zeta| up to 2 pi Im tau) and the old guard's points,
+        # Im tau = 1e-13 at Re tau 0 and 1/2.  The largest ratio here is
+        # 1.085.
+        root = math.sqrt(1e-13)
+        cases = [(kind, complex(z), complex(re, 1e-13))
+                 for kind in (2, 3, 4) for re in (0.0, 0.5)
+                 for z in (0.0, 0.4 * root, -1.3 * root,
+                           math.pi / 2 + 0.7 * root,
+                           -math.pi / 2 - 0.2 * root)]
+        rng = np.random.default_rng(29)
+        for _ in range(1500):
+            kind, q = int(rng.integers(2, 5)), int(rng.integers(1, 9))
+            y = 10.0 ** rng.uniform(-13.0, math.log10(1.6))
+            re = (0.0, int(rng.integers(-q, q + 1)) / q
+                  + rng.uniform(-1.0, 1.0) * y,
+                  rng.uniform(-1.0, 1.0))[rng.integers(3)]
+            period = 2.0 * math.pi if kind == 2 else math.pi
+            cases.append((kind, complex(
+                rng.uniform(-0.5, 0.5) * period,
+                rng.uniform(-2.0, 2.0) * math.pi * y), complex(re, y)))
+        worst, moves = -math.inf, 0
+        for kind, zeta, tau in cases:
+            mod = _reduce_tau(tau, kind)
+            if mod is not None:
+                moves += 1
+                worst = max(worst, _log_move_l1(mod, zeta)
+                            - _log_direct_l1(kind, zeta, tau))
+        assert abs(_BOUND_C - 1.239) < 5e-4
+        assert moves > 1000 and worst <= math.log(_BOUND_C), math.exp(worst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.floats(-13.0, 3.0), st.booleans(),
+           st.integers(1, 8), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
+           st.floats(-0.5, 0.5), st.floats(-1.0, 1.0))
+    # the points where S lost up to 1.9e-3 (theta_4 near pi/2) and 7.9e-3
+    # (theta_2 near pi) relative before it took the lattice shift and one
+    # square per term
+    @example(4, -6.0, True, 1, 0.0, 0.0, 0.5 + 0.3e-3 / math.pi, 0.0)
+    @example(4, -9.0, True, 1, 0.0, 0.0,
+             0.5 + 0.3 * math.sqrt(1e-9) / math.pi, 0.0)
+    @example(4, -13.0, True, 1, 0.0, 0.0,
+             0.5 + 0.3 * math.sqrt(1e-13) / math.pi, 0.0)
+    @example(2, -6.0, True, 1, 0.0, 0.0, 0.5 + 0.15e-3 / math.pi, 0.0)
+    @example(2, -9.0, True, 1, 0.0, 0.0,
+             0.5 + 0.15 * math.sqrt(1e-9) / math.pi, 0.0)
+    @example(2, -13.0, True, 1, 0.0, 0.0,
+             0.5 + 0.15 * math.sqrt(1e-13) / math.pi, 0.0)
+    # theta_3 near 25 pi i | 50 i, about 2, where the terms of S would
+    # reach e^40: the walk keeps the direct series
+    @example(3, math.log10(50.0), False, 1, 0.0, 0.0, 0.0,
+             25.0 * math.pi / math.sqrt(600.0 * math.pi * 50.0))
+    def test_within_the_condition_scaled_envelope(self, kind, log_y, near, q,
+                                                  re, frac, re_frac,
+                                                  im_frac):
+        # kinds 2-4, Im tau log-uniform in [1e-13, 1e3], Re tau in [-2, 2]
+        # and near p/q (q <= 8) wherever |q| > 0.9; zeta over a period,
+        # |Im zeta| up to 2 pi Im tau (the peak term below exp(600)).  Each
+        # output, on both lanes, is within 8 u (1 + kappa) of the direct
+        # series' sum of |2m|^order |term|, where kappa = (|zeta| |d/dzeta|
+        # + |tau| |d/dtau|) / |output| and d/dtau = -(i pi/4) d^2/dzeta^2
+        # (the heat equation).  The array lane's fused series of a move
+        # (Im tau' <= 16) rounds the Gaussian and its terms' exponents,
+        # each up to about 4 pi, apart before they cancel, so it gets 32.
+        # Over 54,000 random draws, some aimed at the direct series at
+        # large Im tau and at the fused series, these read at most 3.6 and
+        # 12.2.
+        y = 10.0 ** log_y
+        if near or y < _IM_Q09:
+            re = round(re * q) / q + frac * min(y, 0.01)
+        tau = complex(re, y)
+        period = 2.0 * math.pi if kind == 2 else math.pi
+        zeta = complex(re_frac * period, im_frac * min(
+            2.0 * math.pi * y, math.sqrt(600.0 * math.pi * y)))
+        nome = ThetaNome(tau)
+        mod = _reduce_tau(tau, kind)
+        ref = _reference(kind, zeta, tau)
+        lanes = (theta_derivs(kind, zeta, nome),
+                 [v[0] for v in theta_derivs(kind, np.array([zeta]), nome)])
+        for lane, got in enumerate(lanes):
+            fused = (mod is not None and mod.tau.imag <= 16.0
+                     and (lane == 1 or mod.gamma != _S))
+            for order in range(3):
+                kappa = ((abs(zeta) * abs(ref[order + 1]) + abs(tau)
+                          * math.pi / 4.0 * abs(ref[order + 2]))
+                         / abs(ref[order]) if ref[order] else math.inf)
+                scale = max(_l1_scale(kind, zeta, nome, order), 2.0 ** -1022)
+                assert abs(got[order] - ref[order]) <= (
+                    (32.0 if fused else 8.0) * _U * (1.0 + kappa) * scale), (
+                        lane, order)
+
+
 def _profiled_calls(call):
     """(Python-level calls into specfun, C-level calls made from its
     frames other than `cmath.exp`, calls of `cmath.exp`) of one call,
@@ -925,12 +1076,12 @@ class TestScalarLane:
                 lane = _theta_dispatch(kind, zeta, nome, "auto", derivs)
             except ValueError as exc:
                 lane = exc
-            with mock.patch.object(specfun, "_LANE_WORK", 0):
-                try:
-                    arr = _theta_dispatch(kind, np.array([zeta]), nome,
-                                          "auto", derivs)
-                except ValueError as exc:
-                    arr = exc
+            # an array, even of one point, takes the array lane
+            try:
+                arr = _theta_dispatch(kind, np.array([zeta]), nome, "auto",
+                                      derivs)
+            except ValueError as exc:
+                arr = exc
         if isinstance(arr, ValueError):
             assert isinstance(lane, ValueError), (lane, arr)
             assert str(lane) == str(arr)
@@ -1001,11 +1152,11 @@ class TestPerCallFloor:
         # point, are pinned apart from the other C-level calls, so that a
         # term more or fewer does not read as fixed cost; the array lane's
         # np.exp ufunc is not seen
-        (1.6j, 0.3 + 0.2j, False, (5, 10, 11 * 1)),  # a scalar, direct
-        (0.05j, 0.3 + 0.2j, False, (6, 10, 7 * 1)),  # a scalar under S
-        (0.05j, np.array([0.3 + 0.2j, 0.1 - 0.05j]), True, (8, 20, 7 * 2)),
-        (0.31 + 0.0007j, _Nodes(1, 0.37 + 0.01j), False, (10, 20, 0)),
-    ], ids=["scalar-direct", "scalar-S", "two-point-derivs", "reduced-node"])
+        (1.6j, 0.3 + 0.2j, False, (5, 7, 11 * 1)),  # a scalar, direct
+        (0.05j, 0.3 + 0.2j, False, (4, 8, 7 * 1)),  # a scalar under S
+        (0.05j, 0.3 + 0.2j, True, (4, 8, 7 * 1)),
+        (0.31 + 0.0007j, _Nodes(1, 0.37 + 0.01j), False, (8, 20, 0)),
+    ], ids=["scalar-direct", "scalar-S", "scalar-S-derivs", "reduced-node"])
     def test_call_counts_pinned(self, tau, zeta, derivs, expected):
         # Python-level calls into specfun, C-level calls from it other
         # than cmath.exp (NumPy ufuncs are not seen) and cmath.exp calls:
@@ -1015,30 +1166,32 @@ class TestPerCallFloor:
         assert _profiled_calls(lambda: _theta_dispatch(
             3, zeta, nome, "auto", derivs)) == expected
 
-    @pytest.mark.parametrize("tau", [30j, 0.03j, 0.5 + 1e-3j])
+    @pytest.mark.parametrize("tau", [30j, 0.03j, 0.07j, 0.5 + 1e-3j])
     def test_callers_error_state_kept(self, tau):
-        # far terms underflow on the direct route, under S and past Im
-        # tau' = 16 off S, which raises under the caller's state unless
-        # theta sets its own for the series alone
+        # far terms underflow on the direct route, in the fused series of
+        # a move up to Im tau' = 16 and in its squares past it (S at 0.03i,
+        # whose derivatives keep more terms), which raises under the
+        # caller's state unless theta sets its own for the series alone
         nome = ThetaNome(tau)
-        expected = theta(3, 0.1, nome)
+        expected = theta(3, 1.2, nome)
         before = np.geterr()
         with np.errstate(all="raise"):
             inside = np.geterr()
-            got = theta(3, 0.1, nome)
-            values = theta_derivs(3, np.array([0.1, 0.2j]), nome)
+            got = theta(3, 1.2, nome)
+            values = theta_derivs(3, np.array([1.2, 0.2j]), nome)
             assert np.geterr() == inside
         assert np.geterr() == before
         assert got == expected and cmath.isfinite(got)
         assert all(np.isfinite(v).all() for v in values)
 
-    @pytest.mark.parametrize("tau", [30j, 0.03j, 0.5 + 1e-3j])
+    @pytest.mark.parametrize("tau", [30j, 0.07j, 0.5 + 1e-3j])
     def test_series_alone_raises_under_that_state(self, tau):
-        # so the case above is not vacuous
+        # so the case above is not vacuous: the direct series, the fused
+        # series under S (Im tau' = 14.3) and the squares (Im tau' = 250)
         nome = ThetaNome(tau)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             specfun._theta_route.__wrapped__(
-                3, np.float64(0.1) + 0j, nome, _reduce_tau(nome.tau, 3),
+                3, np.float64(1.2) + 0j, nome, _reduce_tau(nome.tau, 3),
                 False, 0.0)
 
     def test_term_plans_read_only_and_keyed_without_tau(self):

@@ -538,17 +538,23 @@ class TestBargmannMap:
         assert abs(bf.evaluate(z) - ref) < 1e-12 * max(abs(ref), 1.0)
 
 
-def _two_call_theta(kind, zetas, nome):
-    """theta_derivs' two-point call in w_expectations, answered as theta_3
-    and theta_4 at the first point, one scalar call each."""
-    zeta = zetas[0]
-    t3, d3, dd3 = theta_derivs(3, zeta, nome)
-    t4, d4, dd4 = theta_derivs(4, zeta, nome)
-    return np.array([t3, t4]), np.array([d3, d4]), np.array([dd3, dd4])
+def _theta_4_for_the_shift():
+    """theta_derivs as w_expectations calls it, theta_3 at zeta and then at
+    zeta + pi/2, answered as theta_3 and theta_4 at zeta."""
+    first = []
+
+    def call(kind, zeta, nome):
+        if not first:
+            first.append(zeta)
+            return theta_derivs(3, zeta, nome)
+        return theta_derivs(4, first[0], nome)
+    return call
 
 
 class TestWExpectations:
-    def test_one_theta_call(self, monkeypatch):
+    def test_two_scalar_theta_calls(self, monkeypatch):
+        # theta_3 at zeta and zeta + pi/2, each a number on theta's scalar
+        # lane
         calls = []
 
         def counted(*args):
@@ -557,7 +563,8 @@ class TestWExpectations:
 
         monkeypatch.setattr(zakcs, "theta_derivs", counted)
         w_expectations(WZParams(0.3, Sector(0.37)), PhasePoint(1.1, -0.4))
-        assert len(calls) == 1
+        assert [(kind, type(zeta)) for kind, zeta, _ in calls] == [
+            (3, float), (3, float)]
 
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.3, 1.0, 2.0])
     def test_matches_two_call_form(self, eps, monkeypatch):
@@ -575,7 +582,8 @@ class TestWExpectations:
                     z = PhasePoint(theta_ang, l)
                     rec = w_expectations(params, z)
                     with monkeypatch.context() as mp:
-                        mp.setattr(zakcs, "theta_derivs", _two_call_theta)
+                        mp.setattr(zakcs, "theta_derivs",
+                                   _theta_4_for_the_shift())
                         ref = w_expectations(params, z)
                     assert rec.leading == ref.leading
                     for name in fields:
