@@ -192,7 +192,9 @@ def kernel(spec: EvolutionSpec, dphi):
     """
     _damping(spec)
     dphi_arr = np.atleast_1d(np.asarray(dphi, dtype=float))
-    const, theta_vals = _kernel_theta(spec, dphi_arr)
+    # a scalar reaches theta as a number, which takes theta's scalar lane
+    const, theta_vals = _kernel_theta(
+        spec, dphi_arr if np.ndim(dphi) else dphi_arr[0])
     vals = const * np.exp(1j * spec.sector.delta * dphi_arr) * theta_vals
     return complex(vals[0]) if np.ndim(dphi) == 0 else vals
 

@@ -14,7 +14,7 @@ import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "circleqm"
-CODE_LINES = 2229
+CODE_LINES = 2230
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
