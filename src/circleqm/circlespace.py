@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -161,7 +162,9 @@ class CircleState:
         return np.arange(self.n_lo, self.n_hi + 1)
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+        mod_sq = np.abs(self.coeffs)
+        mod_sq *= mod_sq
+        return float(np.add.reduce(mod_sq))
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -243,21 +246,34 @@ def operator_coeffs(which: str, coeffs: np.ndarray,
     window one index wider on each side, c_n -> (c_{n-1} + c_{n+1})/2 and
     (c_{n-1} - c_{n+1})/(2i); L and L^2 multiply by freq and freq^2.
     """
-    if which not in _OPERATOR_TAGS:
-        raise ValueError(f"operator must be one of {_OPERATOR_TAGS}")
+    out = None
     if which in ("C", "S"):
         out = np.zeros(coeffs.shape[:-1] + (coeffs.shape[-1] + 2,),
                        dtype=complex)
+    return _operator_into(which, coeffs, freq, out)
+
+
+def _operator_into(which: str, coeffs: np.ndarray, freq, out):
+    """`operator_coeffs` written in place into `out`: for C and S a zeroed
+    window two indices wider than coeffs, for L and L^2 one as wide (or
+    None, for a new array)."""
+    if which not in _OPERATOR_TAGS:
+        raise ValueError(f"operator must be one of {_OPERATOR_TAGS}")
+    if which in ("C", "S"):
+        # 0.5 c (C) or c/2i (S): c_{n-1} adds at index n through out[2:],
+        # c_{n+1} (negated for S) through out[:-2]; a complex 0.5 spares
+        # the cast and keeps the bits of 0.5 * c
+        half = coeffs * (0.5 + 0j) if which == "C" else coeffs / 2j
+        out[..., 2:] += half
         if which == "C":
-            out[..., 2:] += 0.5 * coeffs    # c_{n-1} contribution at index n
-            out[..., :-2] += 0.5 * coeffs   # c_{n+1} contribution
+            out[..., :-2] += half
         else:
-            out[..., 2:] += coeffs / 2j
-            out[..., :-2] -= coeffs / 2j
+            out[..., :-2] -= half
         return out
-    if which == "L":
-        return coeffs * freq
-    return coeffs * freq * freq
+    out = np.multiply(coeffs, freq, out=out)
+    if which == "L2":
+        out *= freq
+    return out
 
 
 def apply_operator(which: str, state: CircleState) -> CircleState:
@@ -341,67 +357,104 @@ class UncertaintyReport:
     saturated: bool
     sigma: Optional[complex]
 
+    def __init__(self, mean_a, mean_b, var_a, var_b, covariance,
+                 commutator_mean, lhs, rhs, saturated, sigma):
+        # every field written once into the instance dict, as the
+        # validated records do: the generated frozen __init__ makes a call
+        # per field
+        self.__dict__.update(
+            mean_a=mean_a, mean_b=mean_b, var_a=var_a, var_b=var_b,
+            covariance=covariance, commutator_mean=commutator_mean,
+            lhs=lhs, rhs=rhs, saturated=saturated, sigma=sigma)
+
 
 def _centred_report(rows: np.ndarray, tol: float,
                     shifts=None) -> UncertaintyReport:
     """The variance inequality of a pair (A, B) from the coefficient rows
-    psi, A' psi, B' psi on one index range, psi normalized, A' = A - a0
-    and B' = B - b0 self-adjoint and (a0, b0) = shifts (none by default);
-    saturated means |lhs - rhs| < tol * lhs.
+    psi, A' psi, B' psi of a C-contiguous complex (3, n) array on one index
+    range, psi normalized, A' = A - a0 and B' = B - b0 self-adjoint and
+    (a0, b0) = shifts (none by default); saturated means |lhs - rhs| < tol
+    * lhs.  The rows are overwritten.
 
+    Two products on the rows' float views, where Re (u, v) = sum Re u Re v
+    + Im u Im v is a real dot.  Both means <X'> = Re (psi, X' psi) come
+    from one matrix-vector product; the operator rows are then centred in
+    place to dA psi = (A' - <A'>) psi and dB psi, and their real 2x2 Gram
+    matrix gives both variances and the covariance Re (dA psi, dB psi).
+    One complex dot adds Im (dA psi, dB psi), half of <[A, B]>/i.  No
+    complex matrix product is taken: OpenBLAS's zgemm returns with the
+    upper halves of the vector registers dirty, and the Python float code
+    after it ran about 3x slower (a 40-term cmath loop, 12 us -> 33 us)
+    until the next library call that cleared them.
+
+    Nothing is formed as <X^2> - <X>^2, so lhs >= rhs is the
+    Cauchy-Schwarz inequality of the Gram matrix and holds to rounding.
     The shifts are added back to the means only: the centred rows of A'
-    and A are the same vector.  The entries are the Gram entries of the
-    centred rows (see `_centred`), so lhs >= rhs is the Cauchy-Schwarz
-    inequality and holds to rounding.
+    and A are the same vector.  The fields are Python floats, a complex and
+    a bool.
     """
-    means, centred = _centred(rows[0], rows[1:])
+    flat = rows.view(float)
+    psi, ops = flat[0], flat[1:]
+    means = np.dot(ops, psi)
+    ops -= means[:, None] * psi
+    (var_a, covariance), (_, var_b) = np.dot(ops, ops.T).tolist()
+    im_ab = float(np.vdot(rows[1], rows[2]).imag)
     mean_a, mean_b = means.tolist()
     if shifts is not None:
         mean_a, mean_b = mean_a + shifts[0], mean_b + shifts[1]
-    var_a, var_b = _dots(centred, centred).real.tolist()
-    ab = _dots(*centred)
-    covariance = ab.real
-    commutator_mean = ab - np.conj(ab)  # <AB> - <BA> = 2i Im <dA psi, dB psi>
+    commutator_mean = complex(0.0, 2.0 * im_ab)  # <AB> - <BA>
     lhs = var_a * var_b
-    rhs = covariance ** 2 + 0.25 * abs(commutator_mean) ** 2
+    rhs = covariance * covariance + im_ab * im_ab
     saturated = abs(lhs - rhs) < tol * max(lhs, 1e-30)
     sigma = None
     if saturated and var_a > 0:
-        gamma = covariance / var_a
-        s = (0.5j * commutator_mean / var_a).real
-        sigma = complex(gamma, -s)
+        sigma = complex(covariance / var_a, im_ab / var_a)
     return UncertaintyReport(mean_a, mean_b, var_a, var_b, covariance,
-                             complex(commutator_mean), lhs, rhs, saturated,
-                             sigma)
+                             commutator_mean, lhs, rhs, saturated, sigma)
+
+
+# Below the smallest normal double the squared norm has lost bits.
+_TINY = sys.float_info.min
 
 
 def uncertainty_report(a: str, b: str, state: CircleState) -> UncertaintyReport:
     """Evaluate the variance inequality for operators a, b on the normalized
     window psi = c / ||c|| of `state`, from the centred vectors (see
-    `_centred_report`); saturated within 1e-10 relative.  A zero state
-    raises ValueError.
+    `_centred_report`); saturated within 1e-10 relative.  The report is
+    scale-invariant: where ||c||^2 is not a normal double (0, subnormal or
+    past range), c is divided by max |c| first, so only the zero state
+    raises ValueError, and no warning is raised.
 
-    The rows psi, A psi and B psi are written by `operator_coeffs` into one
-    zero-padded array over their common index range.  L is applied as
-    (n - n_c) + (n_c + delta) about the window centre n_c, as in
-    `evolve.moment_series`, so that a large <L> does not cancel in its
-    centred row.
+    psi, A psi and B psi are written in place into one zero-padded (3, n)
+    array over their common index range, with `operator_coeffs`'
+    arithmetic (`_operator_into`) and the normalization of
+    `CircleState.normalized`.  L is applied as (n - n_c) + (n_c + delta)
+    about the window centre n_c, as in `evolve.moment_series`, so that a
+    large <L> does not cancel in its centred row.
     """
-    norm = state.norm()
-    if norm == 0.0:
-        raise ValueError("the uncertainty report needs a nonzero state")
-    psi = state.coeffs / norm
-    n_c = (state.n_lo + state.n_hi) // 2
+    c = state.coeffs
+    with np.errstate(over="ignore"):
+        norm_sq = state.norm_sq()
+    if not _TINY <= norm_sq < math.inf:
+        scale = float(np.abs(c).max())
+        if scale == 0.0:
+            raise ValueError("the uncertainty report needs a nonzero state")
+        state = CircleState(state.sector, state.n_lo, c / scale)
+        c, norm_sq = state.coeffs, state.norm_sq()
+    size, n_lo = c.size, state.n_lo
     pad = 1 if "C" in (a, b) or "S" in (a, b) else 0
-    rows = np.zeros((3, psi.size + 2 * pad), dtype=complex)
-    rows[0, pad:pad + psi.size] = psi
-    for row, which in zip(rows[1:], (a, b)):
+    rows = np.zeros((3, size + 2 * pad), dtype=complex)
+    psi = rows[0, pad:pad + size]
+    np.divide(c, math.sqrt(norm_sq), out=psi)
+    n_c = n_lo + (size - 1) // 2
+    for row, which in ((rows[1], a), (rows[2], b)):
         if which in ("C", "S"):
-            row[:] = operator_coeffs(which, psi, None)
+            _operator_into(which, psi, None, row)
         else:
-            freq = (state.indices - n_c if which == "L"
-                    else state.indices + state.sector.delta)
-            row[pad:pad + psi.size] = operator_coeffs(which, psi, freq)
+            freq = (np.arange(n_lo - n_c, n_lo - n_c + size, dtype=complex)
+                    if which == "L"
+                    else np.arange(n_lo, n_lo + size) + state.sector.delta)
+            _operator_into(which, psi, freq, row[pad:pad + size])
     shift = n_c + state.sector.delta
     return _centred_report(rows, 1e-10, (shift if a == "L" else 0.0,
                                          shift if b == "L" else 0.0))

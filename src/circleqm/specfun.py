@@ -592,9 +592,11 @@ def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
     n = _n_cutoff(math.pi * mod.tau.imag, b) - (0 if want_derivs else 2)
     plan = (_term_plan if n <= _PLAN_TERMS
             else _term_plan.__wrapped__)(partner, n)
-    twice = (2 * plan.m).astype(np.int64)
-    # the phases' numerators a (2m)^2 + 4 (2m) j over 4c, exact mod 8c
-    quad = (a % (8 * c)) * twice * twice % (8 * c)
+    if a != 0:
+        twice = (2 * plan.m).astype(np.int64)
+        # the phases' numerators a (2m)^2 + 4 (2m) j over 4c, exact mod
+        # 8c; under S, a = 0 and so j = 0, and every phase is 0
+        quad = (a % (8 * c)) * twice * twice % (8 * c)
     alpha = -1j / (math.pi * mod.cw)
     slope = 2 * c * alpha
     chunk = max(1, _CHUNK // plan.m.size)
@@ -602,10 +604,13 @@ def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
             for _ in range(3 if want_derivs else 1)]
     for i in range(0, u.size, chunk):
         part = slice(i, i + chunk)
-        num = (quad[:, None] + 4 * np.multiply.outer(twice, j[part])) % (8 * c)
         d = s[part] - math.pi * plan.m[:, None]
-        terms = np.exp(alpha * d ** 2 + (1j * math.pi / (4 * c)) * num
-                       + off[part])
+        expo = alpha * d ** 2
+        if a != 0:
+            num = (quad[:, None]
+                   + 4 * np.multiply.outer(twice, j[part])) % (8 * c)
+            expo = expo + (1j * math.pi / (4 * c)) * num
+        terms = np.exp(expo + off[part])
         sums[0][part] = plan.sign.dot(terms)
         if want_derivs:
             e = slope * d

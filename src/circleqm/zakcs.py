@@ -175,18 +175,27 @@ def _winding_theta(params: WZParams, dz):
                  ThetaNome(2j * math.pi / eps))
 
 
-def _norm_arg(params: WZParams, l_tilde: float):
+def _norm_arg(eps: float, delta: float, l_tilde: float):
     """Argument pi (l - eps delta)/eps and nome e^{-pi^2/eps} of the
     periodized normalizer, which also carries every expectation ratio: the
     tau -> -1/tau partner of the flow theta at T = -2i."""
-    eps = params.epsilon
-    zeta = math.pi * (l_tilde - eps * params.delta) / eps
+    zeta = math.pi * (l_tilde - eps * delta) / eps
     return zeta, ThetaNome(1j * math.pi / eps)
 
 
+@functools.lru_cache(maxsize=16)
+def _normalizer(eps: float, delta: float, l_tilde: float) -> float:
+    return theta(3, *_norm_arg(eps, delta, l_tilde)).real
+
+
 def _periodized_norm(params: WZParams, l_tilde: float) -> float:
-    """theta3[pi (l - eps delta)/eps, e^{-pi^2/eps}]."""
-    return theta(3, *_norm_arg(params, l_tilde)).real
+    """theta3[pi (l - eps delta)/eps, e^{-pi^2/eps}], evaluated once per
+    label (eps, delta, l): `transition_prob`, `density` and
+    `periodized_norm_constant` read it from a small LRU cache, which
+    holds the bits of the `theta` call itself (l = +0.0 and -0.0, equal
+    keys, give one value: theta3 is even).  A value past double range
+    raises `theta`'s ValueError on every call, as nothing is cached."""
+    return _normalizer(params.epsilon, params.delta, l_tilde)
 
 
 def gaussian_cs(epsilon: float, z, xi):
@@ -398,7 +407,7 @@ def w_expectations(params: WZParams, z) -> WZExpectations:
     eps = params.epsilon
     pt = _as_point(z)
     theta_ang, l_tilde = pt.theta, pt.l_tilde
-    zeta, nome = _norm_arg(params, l_tilde)
+    zeta, nome = _norm_arg(eps, params.delta, l_tilde)
     t3, d3, dd3 = theta_derivs(3, zeta, nome)
     t4, d4, _ = theta_derivs(3, zeta + 0.5 * math.pi, nome)
     t3, t4, d3, d4, dd3 = t3.real, t4.real, d3.real, d4.real, dd3.real
@@ -449,7 +458,8 @@ def transition_prob(m, params: WZParams, z):
 
     m is an integer, giving a float, or an integer array, giving an array
     of probabilities shaped like m; either way the theta normalization is
-    evaluated once, on theta's scalar lane (`specfun._theta_dispatch`).  A
+    one scalar call on theta's scalar lane (`specfun._theta_dispatch`),
+    made once per label (`_periodized_norm`).  A
     builtin or NumPy integer below 2^63 in magnitude is computed in Python
     floats, with no NumPy call; an array, or a larger integer, in NumPy.
     Non-integer m raises ValueError.

@@ -5,7 +5,9 @@ quadrature (exact for the trigonometric-polynomial integrands here) and
 against the Jacobi-Anger expansion for the translation action.
 """
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -365,6 +367,89 @@ class TestUncertaintyReport:
     def test_unknown_operator_refused(self):
         with pytest.raises(ValueError, match="operator"):
             uncertainty_report("C", "X", basis_state(0, Sector(0.0)))
+
+    @pytest.mark.parametrize("coeffs", [
+        [1e200] * 3,                          # ||c||^2 overflows
+        [3e200, -1e199 + 2e200j, 5e150j],
+        [1e-170] * 3,                         # ||c||^2 underflows to 0
+        [2e-170j, -1e-171, 3e-170 + 1e-170j],
+        [1e-160, 2e-160j],                    # ||c||^2 is subnormal
+    ], ids=["over", "over-mixed", "under", "under-mixed", "subnormal"])
+    @pytest.mark.parametrize("pair", [("C", "L"), ("S", "L2"), ("L", "C")])
+    def test_norm_past_range_reports_the_rescaled_state(self, coeffs, pair):
+        # the report is scale-invariant: past range it is the report of
+        # c / max |c|, with no warning (warnings are errors here)
+        c = np.array(coeffs, dtype=complex)
+        state = CircleState(Sector(0.3), -4, c)
+        rescaled = CircleState(Sector(0.3), -4, c / np.abs(c).max())
+        rep = uncertainty_report(*pair, state)
+        assert repr(rep) == repr(uncertainty_report(*pair, rescaled))
+        assert rep.var_a > 0 and rep.lhs >= rep.rhs * (1 - 1e-12)
+
+    def test_overflowing_norm_not_read_as_saturated(self):
+        # ||c||^2 = inf once gave psi = 0: every moment 0 and "saturated"
+        rep = uncertainty_report("C", "L",
+                                 CircleState(Sector(0.3), 0, [1e200] * 3))
+        ref = uncertainty_report("C", "L", CircleState(Sector(0.3), 0,
+                                                       [1.0] * 3))
+        assert repr(rep) == repr(ref)
+        assert rep.mean_a == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert rep.var_b == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert not rep.saturated
+
+    @pytest.mark.parametrize("a", ["C", "S", "L", "L2"])
+    @pytest.mark.parametrize("b", ["C", "S", "L", "L2"])
+    def test_field_types(self, a, b):
+        # Python numbers, not NumPy scalars; sigma only where saturated
+        states = [random_state(Sector(0.7), -3, 9),
+                  min_state(MinUncParams(0.0, 1.3, 0.5, 1.0), 1e-14)]
+        for state in states:
+            rep = uncertainty_report(a, b, state)
+            types = {f.name: type(getattr(rep, f.name))
+                     for f in dataclasses.fields(rep)}
+            assert types.pop("commutator_mean") is complex
+            assert types.pop("saturated") is bool
+            assert types.pop("sigma") is (complex if rep.saturated
+                                          else type(None))
+            assert set(types.values()) == {float}, types
+        assert uncertainty_report("C", "L", states[1]).saturated
+
+
+class TestReportFloor:
+    """uncertainty_report's fixed cost: the calls it makes besides its
+    array arithmetic."""
+
+    @staticmethod
+    def _profiled_calls(call):
+        """(Python-level calls made from circlespace's frames, C-level
+        calls made from them) of one warm call; NumPy ufuncs, matmul and
+        array methods reached by operators are not seen."""
+        call()
+        counts = {"call": 0, "c_call": 0}
+
+        def hook(frame, event, arg):
+            if event == "call":
+                frame = frame.f_back
+            if (event in counts and frame is not None
+                    and frame.f_code.co_filename == _centred_report
+                    .__code__.co_filename):
+                counts[event] += 1
+
+        sys.setprofile(hook)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return counts["call"], counts["c_call"]
+
+    def test_call_counts_pinned(self):
+        # the report of ("C", "L") on a 40-wide window: work added to
+        # every call shows here; lower the pin when a call gets cheaper
+        rng = np.random.default_rng(11)
+        state = CircleState(Sector(0.3), 7, rng.normal(size=40)
+                            + 1j * rng.normal(size=40))
+        assert self._profiled_calls(
+            lambda: uncertainty_report("C", "L", state)) == (11, 10)
 
 
 class TestRepApply:

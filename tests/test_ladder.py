@@ -5,6 +5,7 @@ as the oracles for the closed forms.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -305,6 +306,21 @@ class TestKJReport:
             expval(sym).real - mean_k * mean_j, abs=1e-10)
         comm = k_mat @ j_mat - j_mat @ k_mat
         assert rep.commutator_mean == pytest.approx(expval(comm), abs=1e-10)
+
+    def test_field_types(self):
+        # Python numbers, not NumPy scalars, on every route to a KJReport
+        ctx = LadderContext(0.6, Sector(0.35))
+        z = PhasePoint(2.2, -0.4)
+        rng = np.random.default_rng(8)
+        state = CircleState(ctx.sector, -4, rng.normal(size=9)
+                            + 1j * rng.normal(size=9))
+        for rep in (pair_stats(ctx, state), kj_matrix_elements(ctx, z),
+                    kj_report(ctx, z)):
+            types = {f.name: type(getattr(rep, f.name))
+                     for f in dataclasses.fields(rep)}
+            assert types.pop("commutator_mean") is complex
+            assert types.pop("saturated") is bool
+            assert set(types.values()) == {float}, types
 
 
 class TestQDeform:

@@ -1112,12 +1112,20 @@ class TestScalarLane:
         assert [call() for call in calls] == expected
 
     def test_bits_independent_of_blas_threads(self):
-        # the lane sums with no BLAS dot: the same bytes at 1 and 2 threads
+        # the lane sums with no BLAS dot, and the uncertainty report's
+        # products on a 300-wide window: the same bytes at 1 and 2 threads
         script = (
+            "import numpy as np\n"
             "from circleqm.specfun import ThetaNome, theta, theta_derivs\n"
-            "from circleqm.circlespace import Sector\n"
+            "from circleqm.circlespace import (CircleState, Sector,\n"
+            "                                  uncertainty_report)\n"
             "from circleqm import zakcs\n"
             "out = []\n"
+            "rng = np.random.default_rng(300)\n"
+            "state = CircleState(Sector(0.37), -120, rng.normal(size=300)\n"
+            "                    + 1j * rng.normal(size=300))\n"
+            "rep = uncertainty_report('C', 'L', state)\n"
+            "out.extend(v for v in vars(rep).values() if v is not None)\n"
             "for tau in (1.6j, 0.05j, 0.3 + 2j, 3e-3j):\n"
             "    for kind in (2, 3, 4):\n"
             "        out.append(theta(kind, 0.3 + 0.2j, ThetaNome(tau)))\n"

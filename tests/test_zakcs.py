@@ -742,6 +742,89 @@ class TestTransitionProb:
                             PhasePoint(0.0, 0.0))
 
 
+class TestNormalizerCache:
+    """The periodized normalizer theta3[pi (l - eps delta)/eps,
+    e^{-pi^2/eps}] is evaluated once per label and read from a small cache
+    by `transition_prob`, `density` and `periodized_norm_constant`."""
+
+    @staticmethod
+    def _uncached(params, l_tilde):
+        return zakcs._normalizer.__wrapped__(params.epsilon, params.delta,
+                                             l_tilde)
+
+    def test_one_theta_call_per_label(self, monkeypatch):
+        params = WZParams(0.7, Sector(0.3))
+        z = PhasePoint(1.1, 0.4)
+        nome_tau = 1j * math.pi / params.epsilon
+        calls = []
+
+        def counted(kind, zeta, nome, *args):
+            if nome.tau == nome_tau:  # not density's winding theta
+                calls.append(zeta)
+            return theta(kind, zeta, nome, *args)
+
+        monkeypatch.setattr(zakcs, "theta", counted)
+        zakcs._normalizer.cache_clear()
+        for m in (-1, 0, 2):
+            transition_prob(m, params, z)
+        transition_prob(np.arange(-3, 4), params, z)
+        density(params, z, z.theta + np.linspace(-1.0, 1.0, 5))
+        periodized_norm_constant(params, z)
+        assert len(calls) == 1
+        # another label is another call
+        transition_prob(0, params, PhasePoint(1.1, 0.5))
+        assert len(calls) == 2
+
+    def test_readers_keep_the_uncached_bits(self):
+        rng = np.random.default_rng(3030)
+        draws = [(WZParams(0.4, Sector(0.0)), PhasePoint(0.3, l))
+                 for l in (0.0, -0.0)]
+        for _ in range(120):
+            eps = 10.0 ** rng.uniform(-2, 1.5)
+            delta = rng.uniform(0, 1) if rng.uniform() < 0.7 else 0.0
+            draws.append((WZParams(eps, Sector(delta)),
+                          PhasePoint(rng.uniform(0, 2 * math.pi),
+                                     rng.uniform(-6, 6))))
+        with np.errstate(all="ignore"):
+            for params, z in draws:
+                eps, delta = params.epsilon, params.delta
+                zakcs._normalizer.cache_clear()
+                norm = self._uncached(params, z.l_tilde)
+                m = int(round((z.l_tilde - eps * delta) / eps))
+                ms = np.arange(m - 3, m + 4)
+                x = z.l_tilde - eps * (m + delta)
+                scalar = (math.sqrt(eps / math.pi) * math.exp(-(x * x / eps))
+                          / norm)
+                array = (math.sqrt(eps / math.pi) * np.exp(
+                    -(z.l_tilde - eps * (ms + delta)) ** 2 / eps) / norm)
+                phi = z.theta + np.linspace(-2.0, 2.0, 7)
+                d = phi - z.theta
+                dens = (2.0 * math.pi / math.sqrt(eps * math.pi)
+                        * np.exp(-d ** 2 / eps)
+                        * np.abs(zakcs._winding_theta(
+                            params, d - 1j * z.l_tilde)) ** 2 / norm)
+                # cold, then read back from the cache
+                for _ in range(2):
+                    assert transition_prob(m, params, z) == scalar
+                    assert (transition_prob(ms, params, z).tobytes()
+                            == array.tobytes())
+                    assert np.array_equal(density(params, z, phi), dens,
+                                          equal_nan=True)
+                    assert (periodized_norm_constant(params, z)
+                            == math.sqrt(2.0 * math.pi / norm))
+
+    def test_signed_zero_momentum_shares_one_value(self):
+        # l = 0.0 and -0.0 are one key; theta3 is even, so both give the
+        # bits of either uncached call
+        for eps in (0.05, 0.4, 3.0, 40.0):
+            params = WZParams(eps, Sector(0.0))
+            values = {self._uncached(params, l).hex() for l in (0.0, -0.0)}
+            assert len(values) == 1
+            zakcs._normalizer.cache_clear()
+            assert zakcs._periodized_norm(params, -0.0).hex() in values
+            assert zakcs._periodized_norm(params, 0.0).hex() in values
+
+
 class TestDensity:
     def test_normalized_on_circle(self):
         params = WZParams(1.0, Sector(0.2))
