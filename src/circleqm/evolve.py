@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from circleqm.circlespace import (CircleState, Params, Sector, _centred, _dots,
-                                  _evaluate, _finite_array,
+                                  _evaluate, _finite_array, _scaled,
                                   _require_same_sector, operator_coeffs)
 from circleqm.mincs import MinUncParams, min_state
 from circleqm.specfun import _Nodes
@@ -115,7 +115,11 @@ def moment_series(params: Params, state: CircleState, times) -> np.ndarray:
     norm_sq = _dots(psi, psi).real
     mean_l = mean_dn + (n_c + state.sector.delta) * norm_sq
     var_c, var_s, var_l = (_dots(d, d).real for d in (dc, ds, dl))
-    fid = np.abs(psi @ state.coeffs.conj()) / (state.norm() * np.sqrt(norm_sq))
+    # the fidelity from the rows over `_scaled`'s m, whose norms stay in
+    # range at any scale
+    m, c, q = _scaled(state.coeffs)
+    u = psi / m
+    fid = np.abs(u @ c.conj()) / (math.sqrt(q) * np.sqrt(_dots(u, u).real))
     return np.column_stack((mean_c, mean_s, mean_l, var_c, var_s, var_l, fid))
 
 

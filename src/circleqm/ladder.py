@@ -95,18 +95,16 @@ def eigen_residual(ctx: LadderContext, z) -> float:
 
     The finite window necessarily breaks the eigen-relation at its two edge
     rows, which are excluded; on the interior the residual reflects only the
-    coefficient recursion, not the truncation.  ValueError, with no
-    warning, where ||w_z|| is 0 or past double range.
+    coefficient recursion, not the truncation.  w_z is normalized first,
+    so its norm may lie past double range.
     """
-    w = w_state(ctx, z)
-    norm = w._finite_norm()
+    w = w_state(ctx, z).normalized()
     eta = cmath.exp(-1j * _as_point(z).z)
     bw = apply_B(ctx, w)
     # interior indices of the union window: drop the two edge rows
-    lo, hi = w.n_lo, w.n_hi - 1
-    bw_slice = bw.coeffs[lo - bw.n_lo: hi - bw.n_lo + 1]
-    w_slice = w.coeffs[lo - w.n_lo: hi - w.n_lo + 1]
-    return float(np.linalg.norm(bw_slice - eta * w_slice) / norm)
+    lo = w.n_lo - bw.n_lo
+    bw_slice = bw.coeffs[lo:lo + w.coeffs.size - 1]
+    return float(np.linalg.norm(bw_slice - eta * w.coeffs[:-1]))
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,10 @@ def _norm_arg(eps: float, delta: float, l_tilde: float):
 
 @functools.lru_cache(maxsize=16)
 def _normalizer(eps: float, delta: float, l_tilde: float) -> float:
-    return theta(3, *_norm_arg(eps, delta, l_tilde)).real
+    value = theta(3, *_norm_arg(eps, delta, l_tilde)).real
+    if value == 0.0:
+        raise ValueError("the periodized normalizer underflows to 0")
+    return value
 
 
 def _periodized_norm(params: WZParams, l_tilde: float) -> float:
@@ -194,7 +197,8 @@ def _periodized_norm(params: WZParams, l_tilde: float) -> float:
     `periodized_norm_constant` read it from a small LRU cache, which
     holds the bits of the `theta` call itself (l = +0.0 and -0.0, equal
     keys, give one value: theta3 is even).  A value past double range
-    raises `theta`'s ValueError on every call, as nothing is cached."""
+    raises `theta`'s ValueError, and one that underflows to 0 (eps = 1e306,
+    l = 1e300) a ValueError, on every call, as nothing is cached."""
     return _normalizer(params.epsilon, params.delta, l_tilde)
 
 
@@ -345,7 +349,9 @@ class BargmannFunction:
         return complex(self.coeffs @ fn_basis(self.params, n, z))
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+        """sum |b_n|^2, read as `CircleState.norm_sq` of the circle state
+        it maps back to."""
+        return bargmann_inverse(self).norm_sq()
 
 
 def bargmann_forward(params: WZParams, state: CircleState) -> BargmannFunction:

@@ -35,7 +35,8 @@ from circleqm.circlespace import (
     time_reversal,
     uncertainty_report,
 )
-from circleqm.evolve import EvolutionSpec, evolve_min, kernel_apply, propagate
+from circleqm.evolve import (EvolutionSpec, evolve_min, kernel_apply,
+                             moment_series, propagate)
 from circleqm.ladder import LadderContext, apply_B, qdeform_residual
 from circleqm.mincs import (MinUncParams, dbt_divergence, min_expectations,
                             min_overlap, min_state)
@@ -330,10 +331,11 @@ class TestUncertaintyReport:
 
 
     @staticmethod
-    def _report_through_states(a, b, state):
+    def _report_through_states(a, b, state, psi=None):
         # the report as built from validated intermediate states: the
-        # normalized copy, its images and one zero-padded window of the three
-        psi = state.normalized()
+        # normalized copy (psi, state.normalized() unless given), its images
+        # and one zero-padded window of the three
+        psi = state.normalized() if psi is None else psi
         n_c = (psi.n_lo + psi.n_hi) // 2
         images = [CircleState(psi.sector, psi.n_lo, operator_coeffs(
             "L", psi.coeffs, psi.indices - n_c)) if w == "L"
@@ -416,8 +418,8 @@ class TestUncertaintyReport:
 
 
 class TestReportFloor:
-    """uncertainty_report's fixed cost: the calls it makes besides its
-    array arithmetic."""
+    """The fixed cost of uncertainty_report and of CircleState.normalized:
+    the calls they make besides their array arithmetic."""
 
     @staticmethod
     def _profiled_calls(call):
@@ -449,7 +451,134 @@ class TestReportFloor:
         state = CircleState(Sector(0.3), 7, rng.normal(size=40)
                             + 1j * rng.normal(size=40))
         assert self._profiled_calls(
-            lambda: uncertainty_report("C", "L", state)) == (11, 10)
+            lambda: uncertainty_report("C", "L", state)) == (8, 11)
+
+    def test_normalized_call_counts_pinned(self):
+        # normalized() runs on every CLI evolve; the same 40-wide window
+        rng = np.random.default_rng(11)
+        state = CircleState(Sector(0.3), 7, rng.normal(size=40)
+                            + 1j * rng.normal(size=40))
+        assert self._profiled_calls(state.normalized) == (4, 6)
+
+
+# The unit of the scale-invariance bounds below: the double epsilon 2^-52.
+EPS = 2.0 ** -52
+
+
+def _plain_norm_sq(c):
+    # the one norm before `_scaled`: sum |c_n|^2 by pairwise addition,
+    # with no rescaling, in-range bits of every reader
+    mod_sq = np.abs(c)
+    mod_sq *= mod_sq
+    return float(np.add.reduce(mod_sq))
+
+
+def _operator_scale(which, state):
+    """The operator norm of C, S, L or L^2 on the state's window."""
+    top = float(np.abs(state.indices + state.sector.delta).max())
+    return {"C": 1.0, "S": 1.0, "L": top, "L2": top * top}[which]
+
+
+# components 0 or +-2^e, e in [-20, 20], so that c 2^j is exact for every
+# j in [-1000, 1000]
+_PART = st.one_of(st.just(0.0), st.builds(
+    lambda sign, e: sign * 2.0 ** e, st.sampled_from([-1.0, 1.0]),
+    st.floats(-20.0, 20.0)))
+
+
+class TestScaledNorm:
+    """Every norm reader goes through `circlespace._scaled`: bits of the
+    plain sum where max |c| is in [2^-500, 2^500], and past that range the
+    reading of c / max |c|, so that results are scale-invariant from
+    2^-1000 to 2^1000 and no warning is raised (warnings are errors)."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_PART, _PART), min_size=1, max_size=8)
+           .filter(lambda parts: any(re or im for re, im in parts)),
+           st.integers(-1000, 1000), st.integers(-5, 5), st.floats(0, 0.999))
+    # a subnormal ||c||^2 (5.1e-320), and the two ends of the scale range
+    @example([(1.0, 0.0), (0.0, 2.0), (0.3, 0.0)], -531, 0, 0.3)
+    @example([(1.0, -3.0), (0.5, 0.25)], -1000, -2, 0.7)
+    @example([(1.0, -3.0), (0.5, 0.25)], 1000, 4, 0.0)
+    def test_scale_invariant_from_2_to_the_minus_1000_to_1000(
+            self, parts, j, n_lo, delta):
+        # bounds are twice the largest deviation over 20,000 seeded draws
+        # (2, 5, 5 and 4 eps): each reading at j = 0 carries its own
+        # rounding, and past range c / max |c| rounds once more
+        c = np.array([complex(re, im) for re, im in parts])
+        state = CircleState(Sector(delta), n_lo, c)
+        scaled = CircleState(Sector(delta), n_lo, c * 2.0 ** j)
+        assert abs(scaled.normalized().norm() - 1.0) <= 4 * EPS
+        assert abs(fidelity(scaled, state) - 1.0) <= 10 * EPS
+        for pair in (("C", "L"), ("S", "L2"), ("L", "C")):
+            ref = uncertainty_report(*pair, state)
+            rep = uncertainty_report(*pair, scaled)
+            sa, sb = (_operator_scale(w, state) for w in pair)
+            for name, scale in (("mean_a", sa), ("mean_b", sb),
+                                ("var_a", sa * sa), ("var_b", sb * sb),
+                                ("covariance", sa * sb),
+                                ("commutator_mean", sa * sb),
+                                ("lhs", (sa * sb) ** 2),
+                                ("rhs", (sa * sb) ** 2)):
+                assert (abs(getattr(rep, name) - getattr(ref, name))
+                        <= 10 * EPS * scale), (pair, name)
+        if j <= 0:
+            # the moment columns are those of c as given, and leave range
+            # for j > 0; the fidelity column does not
+            times = [0.0, 0.7, 3.1]
+            ref = moment_series(Params(0.8), state, times)[:, 6]
+            col = moment_series(Params(0.8), scaled, times)[:, 6]
+            assert np.all(np.abs(col - ref) <= 8 * EPS)
+
+    def test_in_range_bits_are_the_plain_sums(self):
+        # norm_sq, normalized, fidelity and the report keep the bits of the
+        # formulas they had before `_scaled` wherever max |c| lies in
+        # [2^-500, 2^500], the two ends included
+        rng = np.random.default_rng(3131)
+        draws = []
+        for _ in range(300):
+            width = int(rng.integers(1, 41))
+            c = ((rng.normal(size=width) + 1j * rng.normal(size=width))
+                 * 10.0 ** rng.uniform(-12, 0, size=width))
+            c *= 2.0 ** float(rng.integers(-490, 490)) / np.abs(c).max()
+            draws.append(c)
+        draws += [np.array([2.0 ** -500, 3e-160j]),
+                  np.array([2.0 ** 500, -1e150, 7e149j])]
+        for c in draws:
+            sector = Sector(float(rng.uniform(0, 1)))
+            state = CircleState(sector, int(rng.integers(-50, 50)), c)
+            other = CircleState(sector, state.n_lo + int(rng.integers(-3, 4)),
+                                c[::-1] * 2.0 ** float(rng.integers(-20, 20)))
+            norm_sq = _plain_norm_sq(c)
+            assert state.norm_sq() == norm_sq
+            unit = state.normalized()
+            assert np.array_equal(unit.coeffs, c / math.sqrt(norm_sq))
+            assert fidelity(other, state) == (
+                abs(inner(other, state))
+                / (math.sqrt(_plain_norm_sq(other.coeffs))
+                   * math.sqrt(norm_sq)))
+            psi = CircleState(sector, state.n_lo, c / math.sqrt(norm_sq))
+            for pair in (("C", "L"), ("S", "L2"), ("L", "C")):
+                assert (repr(uncertainty_report(*pair, state))
+                        == repr(TestUncertaintyReport._report_through_states(
+                            *pair, state, psi)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs", [[1e200] * 3, [1e-170, 2e-170j],
+                                        [1.7e308 + 1.7e308j, 1.0]],
+                             ids=["over", "under", "modulus-past-max"])
+    def test_past_range_readers_answer_without_warning(self, coeffs):
+        # norm_sq is the true value rounded (inf past range) and never
+        # raises; the norm reads m ||c / m|| while it is a double
+        state = CircleState(Sector(0.4), 2, coeffs)
+        c = np.array(coeffs, dtype=complex)
+        true_norm = math.hypot(*c.real, *c.imag)
+        assert state.norm() == pytest.approx(true_norm, rel=4 * EPS)
+        assert state.norm_sq() == pytest.approx(true_norm * true_norm,
+                                                rel=4 * EPS)
+        assert state.normalized().norm() == pytest.approx(1.0, abs=4 * EPS)
+        assert fidelity(state, state) == pytest.approx(1.0, abs=10 * EPS)
 
 
 class TestRepApply:

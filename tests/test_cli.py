@@ -546,18 +546,29 @@ class TestEvolve:
         assert row[0] == 0.0
         assert row[-1] == pytest.approx(1.0, abs=1e-12)  # fidelity
 
-    def test_state_norm_past_double_range_exits_two(self, capsys, tmp_path):
-        # w_state's norm is inf here (ROADMAP item 1): rows of zeros with
-        # fidelity nan used to print, with exit 0
+    def test_state_norm_past_double_range_evolves(self, capsys, tmp_path):
+        # w_state's squared norm is about e^900 here (ROADMAP item 1): this
+        # exited 2 while the norm was read unscaled; the t = 0 row is the
+        # closed-form record
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "wz", "epsilon": 0.01,
                                    "delta": 0.3, "theta": 0.5, "l": 3.0,
                                    "t_grid": [0.0, 1.0]}))
         code, out, err = run(capsys, "evolve", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("config error:") and "norm" in err
-        assert len(err.splitlines()) == 1
+        assert code == 0 and err == ""
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.splitlines()[1:]]
+        assert len(rows) == 2 and all(map(math.isfinite, sum(rows, [])))
+        t, mean_c, mean_s, mean_l, var_c, var_s, var_l, fid = rows[0]
+        ref = zakcs.w_expectations(zakcs.WZParams(0.01, Sector(0.3)),
+                                   zakcs.PhasePoint(0.5, 3.0))
+        for got, want in ((mean_c, ref.mean_c), (mean_s, ref.mean_s),
+                          (mean_l, ref.mean_l)):
+            assert abs(got - want) <= 1e-14 * abs(want)
+        for got, want in ((var_c, ref.var_c), (var_s, ref.var_s),
+                          (0.01 ** 2 * var_l, ref.var_l_scaled)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert t == 0.0 and abs(fid - 1.0) <= 4 * 2.0 ** -52
 
     def test_missing_t_grid_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -147,21 +147,34 @@ class TestEigenRelation:
     @pytest.mark.parametrize("eps,l_tilde,word", [
         (0.05, 40.0, "coefficients must be finite"),
         (40.0, 3000.0, "coefficients must be finite"),
-        (0.01, 3.0, "norm is inf")], ids=["eps-0.05", "eps-40", "eps-0.01"])
+        (0.01, 3.0, None)], ids=["eps-0.05", "eps-40", "eps-0.01"])
     def test_out_of_range_window_refused_without_warning(self, eps, l_tilde,
                                                          word, call):
-        # past e^709 the window's coefficients, or at (0.01, 3) its norm,
-        # leave double range: a ValueError, where numpy's overflow warning
-        # came first (an error under the suite's warning filter), and
-        # eigen_residual at (0.01, 3) returned nan.  w_state itself is
-        # finite there: only its norm overflows.
+        # past e^709 the window's coefficients leave double range: a
+        # ValueError, where numpy's overflow warning came first (an error
+        # under the suite's warning filter).  At (0.01, 3) the window is
+        # finite and only its norm, about e^450, is past range: the two
+        # readers that normalize it answer, where they raised "norm is inf"
+        # while the norm was read unscaled (eigen_residual once gave nan).
         ctx = LadderContext(eps, Sector(0.3))
         z = PhasePoint(0.5, l_tilde)
         run = {"w_state": lambda: w_state(ctx, z),
                "kj_matrix_elements": lambda: kj_matrix_elements(ctx, z),
                "eigen_residual": lambda: eigen_residual(ctx, z)}[call]
-        if call == "w_state" and eps == 0.01:
-            assert np.isfinite(run().coeffs).all()
+        if word is None:
+            out = run()
+            if call == "w_state":
+                assert np.isfinite(out.coeffs).all()
+            elif call == "eigen_residual":
+                assert out < 1e-10
+            else:
+                ref = kj_report(ctx, z)
+                for name in ("mean_k", "mean_j", "var_k", "var_j",
+                             "covariance", "commutator_mean"):
+                    want = getattr(ref, name)  # covariance: 0
+                    assert (abs(getattr(out, name) - want)
+                            <= 1e-12 * max(abs(want), ref.var_k)), name
+                assert out.saturated
             return
         with pytest.raises(ValueError, match=word):
             run()
@@ -306,6 +319,17 @@ class TestKJReport:
             expval(sym).real - mean_k * mean_j, abs=1e-10)
         comm = k_mat @ j_mat - j_mat @ k_mat
         assert rep.commutator_mean == pytest.approx(expval(comm), abs=1e-10)
+
+    def test_pair_stats_of_a_subnormal_norm(self):
+        # ||c||^2 = 5.1e-320 is subnormal: normalized() divided by its lost
+        # bits, and var_k read 7.93166 against 7.93145 for c / max |c|
+        ctx = LadderContext(0.5, Sector(0.3))
+        c = np.array([1e-160, 2e-160j, 3e-161])
+        rep = pair_stats(ctx, CircleState(Sector(0.3), 0, c))
+        ref = pair_stats(ctx, CircleState(Sector(0.3), 0, c / np.abs(c).max()))
+        for f in dataclasses.fields(rep):
+            got, want = getattr(rep, f.name), getattr(ref, f.name)
+            assert abs(got - want) <= 1e-15 * max(abs(want), 1.0), f.name
 
     def test_field_types(self):
         # Python numbers, not NumPy scalars, on every route to a KJReport

@@ -824,6 +824,31 @@ class TestNormalizerCache:
             assert zakcs._periodized_norm(params, -0.0).hex() in values
             assert zakcs._periodized_norm(params, 0.0).hex() in values
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps,l_tilde", [(1e306, 1e300), (1e305, 1e155)])
+    def test_normalizer_underflow_refused(self, eps, l_tilde):
+        # theta3 underflows to 0 with the Gaussian it divides: the scalar
+        # lane raised ZeroDivisionError, the array lane and density gave
+        # nan with a RuntimeWarning; a refusal is never cached
+        params = WZParams(eps, Sector(0.0))
+        z = PhasePoint(0.0, l_tilde)
+        zakcs._normalizer.cache_clear()
+        for call in (lambda: transition_prob(0, params, z),
+                     lambda: transition_prob(np.array([0, 1]), params, z),
+                     lambda: density(params, z, np.array([0.0, 0.5]))):
+            with pytest.raises(ValueError, match="underflows"):
+                call()
+        assert zakcs._normalizer.cache_info().currsize == 0
+
+    def test_gaussian_exponent_past_the_square_of_a_double(self):
+        # x = l - eps (m + delta) = 2e154: x^2 overflows while x^2 / eps
+        # = 8 does not, so the scalar lane takes (x / sqrt(eps))^2
+        params = WZParams(5e307, Sector(0.0))
+        z = PhasePoint(0.0, 2e154)
+        assert abs(transition_prob(0, params, z) - 1.0) <= 1e-14
+        probs = transition_prob(np.array([0, 1]), params, z)
+        assert abs(probs[0] - 1.0) <= 1e-14 and probs[1] == 0.0
+
 
 class TestDensity:
     def test_normalized_on_circle(self):
