@@ -11,6 +11,7 @@ throughout.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,6 @@ __all__ = [
     "UncertaintyReport",
     "basis_state",
     "apply_operator",
-    "operator_coeffs",
     "inner",
     "inner_quadrature",
     "uncertainty_report",
@@ -142,7 +142,8 @@ def _scaled(c: np.ndarray):
     warning is raised at any scale.
     """
     mod = np.abs(c)
-    m = float(np.maximum.reduce(mod))
+    # the first largest modulus, without the cost of a ufunc reduction
+    m = float(mod[mod.argmax()])
     if 0.0 < m < _SAFE_RANGE[0] or m > _SAFE_RANGE[1]:
         # max |c / m| is 1 up to rounding: the plain sum of c / m.  A
         # modulus past the largest double (m = inf) scales c / 2 instead.
@@ -255,25 +256,16 @@ def basis_state(n: int, sector: Sector) -> CircleState:
 _OPERATOR_TAGS = ("C", "S", "L", "L2")
 
 
-def operator_coeffs(which: str, coeffs: np.ndarray,
-                    freq: np.ndarray) -> np.ndarray:
-    """C, S, L or L^2 on coefficient windows along the last axis of coeffs.
-
-    freq holds the L eigenvalues n + delta of the window.  C and S return a
-    window one index wider on each side, c_n -> (c_{n-1} + c_{n+1})/2 and
-    (c_{n-1} - c_{n+1})/(2i); L and L^2 multiply by freq and freq^2.
-    """
-    out = None
-    if which in ("C", "S"):
-        out = np.zeros(coeffs.shape[:-1] + (coeffs.shape[-1] + 2,),
-                       dtype=complex)
-    return _operator_into(which, coeffs, freq, out)
-
-
 def _operator_into(which: str, coeffs: np.ndarray, freq, out):
-    """`operator_coeffs` written in place into `out`: for C and S a zeroed
-    window two indices wider than coeffs, for L and L^2 one as wide (or
-    None, for a new array)."""
+    """C, S, L or L^2 on coefficient windows along the last axis of coeffs,
+    written in place into `out`.
+
+    C and S write a window one index wider on each side, c_n -> (c_{n-1} +
+    c_{n+1})/2 and (c_{n-1} - c_{n+1})/(2i), into a zeroed `out` two
+    indices wider than coeffs (freq is not read); L and L^2 multiply by the
+    eigenvalues freq = n + delta and freq^2 into an `out` as wide (or None,
+    for a new array).
+    """
     if which not in _OPERATOR_TAGS:
         raise ValueError(f"operator must be one of {_OPERATOR_TAGS}")
     if which in ("C", "S"):
@@ -295,11 +287,76 @@ def _operator_into(which: str, coeffs: np.ndarray, freq, out):
 
 def apply_operator(which: str, state: CircleState) -> CircleState:
     """Apply C = cos phi, S = sin phi, L or L^2 in coefficient space (see
-    `operator_coeffs`); C and S widen the window by one index a side."""
-    out = operator_coeffs(which, state.coeffs,
-                          state.indices + state.sector.delta)
-    n_lo = state.n_lo - 1 if which in ("C", "S") else state.n_lo
-    return CircleState(state.sector, n_lo, out)
+    `_operator_into`); C and S widen the window by one index a side."""
+    wide = which in ("C", "S")
+    out = np.zeros(state.coeffs.size + 2, dtype=complex) if wide else None
+    out = _operator_into(which, state.coeffs,
+                         state.indices + state.sector.delta, out)
+    return CircleState(state.sector, state.n_lo - int(wide), out)
+
+
+def _operator_rows(c: np.ndarray, norm: float, tags, n_lo: int,
+                   delta: float):
+    """The normalized window psi = c / norm and its images under the
+    operator tags as the rows of one array, with the shifts their means
+    leave out.
+
+    c is a window over n_lo, n_lo + 1, ..., batched over its leading axes.
+    The rows, psi, X_1 psi, ..., X_k psi for the k tags, are written into
+    one zeroed complex array of shape c.shape[:-1] + (1 + k, n), padded by
+    one index a side where a tag is C or S, with `_operator_into`'s
+    arithmetic.  L is applied as n - n_c about the window centre n_c, so
+    that a large <L> does not cancel in its centred row; the shifts, n_c +
+    delta for an L and 0.0 for any other tag, are returned alongside, to be
+    added to the means only (the centred rows of L - s and of L are the
+    same vector).
+    """
+    size, k = c.shape[-1], len(tags)
+    pad = 1 if "C" in tags or "S" in tags else 0
+    rows = np.zeros(c.shape[:-1] + (1 + k, size + 2 * pad), dtype=complex)
+    psi = np.divide(c, norm, out=rows[..., 0, pad:pad + size])
+    n_c = n_lo + (size - 1) // 2
+    shifts = [0.0] * k
+    for i, which in enumerate(tags):
+        if which in ("C", "S"):
+            _operator_into(which, psi, None, rows[..., i + 1, :])
+            continue
+        if which == "L":
+            freq = np.arange(n_lo - n_c, n_lo - n_c + size, dtype=complex)
+            shifts[i] = n_c + delta
+        else:
+            freq = np.arange(n_lo, n_lo + size) + delta
+        _operator_into(which, psi, freq, rows[..., i + 1, pad:pad + size])
+    return rows, shifts
+
+
+def _centred_gram(rows: np.ndarray):
+    """The means and the centred Gram matrix of `_operator_rows`' rows.
+
+    rows is a C-contiguous complex array of rows psi, X_1 psi, ..., X_k psi
+    (psi normalized, each X_i self-adjoint), batched over leading axes.
+    Returns the means <X_i> = Re (psi, X_i psi) as a column, shaped (..., k,
+    1), and the real Gram matrix Re (dX_i psi, dX_j psi) of the centred rows
+    dX_i psi = (X_i - <X_i>) psi, shaped (..., k, k), whose diagonal holds
+    the variances; the centred rows overwrite the operator rows.
+
+    Two products on the rows' float views, where Re (u, v) = sum Re u Re v +
+    Im u Im v is a real dot: a matrix-vector product for the means and a
+    matrix product for the Gram matrix, by np.dot for one window (matmul's
+    ufunc machinery cost about 0.4 us a product there, with the same bits)
+    and by np.matmul over a batch.  No complex matrix product is taken:
+    OpenBLAS's zgemm returns with the upper halves of the vector registers
+    dirty, and the Python float code after it ran about 3x slower (a
+    40-term cmath loop, 12 us -> 33 us) until the next library call that
+    cleared them.  Nothing is formed as <X^2> - <X>^2, so the Gram matrix
+    is positive semi-definite to rounding.
+    """
+    product = np.dot if rows.ndim == 2 else np.matmul
+    flat = rows.view(float)
+    ops = flat[..., 1:, :]
+    means = product(ops, flat[..., 0, :, None])
+    ops -= means * flat[..., :1, :]
+    return means, product(ops, ops.swapaxes(-1, -2))
 
 
 def _windows(*states: CircleState) -> np.ndarray:
@@ -311,19 +368,6 @@ def _windows(*states: CircleState) -> np.ndarray:
     for row, s in zip(rows, states):
         row[s.n_lo - lo:s.n_hi - lo + 1] = s.coeffs
     return rows
-
-
-def _dots(a: np.ndarray, b: np.ndarray):
-    """(a, b) = sum conj(a) b along the last axis, one value per row (a
-    scalar for 1-d a and b, with the same bits as np.vdot)."""
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0][()]
-
-
-def _centred(psi: np.ndarray, x_psi: np.ndarray):
-    """Row-wise <X> = Re (psi, X psi) and the centred rows (X - <X>) psi,
-    whose squared norms are the variances without <X^2> - <X>^2."""
-    mean = _dots(psi, x_psi).real
-    return mean, x_psi - mean[..., None] * psi
 
 
 def inner(state2: CircleState, state1: CircleState) -> complex:
@@ -350,8 +394,11 @@ def inner_quadrature(state2: CircleState, state1: CircleState) -> complex:
 
 
 def fidelity(state2: CircleState, state1: CircleState) -> float:
-    """|<psi2, psi1>| / (||psi2|| ||psi1||), at any scale (`_scaled`)."""
+    """|<psi2, psi1>| / (||psi2|| ||psi1||), at any scale (`_scaled`);
+    ValueError where either is the zero state."""
     (_, c2, q2), (_, c1, q1) = _scaled(state2.coeffs), _scaled(state1.coeffs)
+    if q2 == 0.0 or q1 == 0.0:
+        raise ValueError("the fidelity needs two nonzero states")
     overlap = inner(CircleState(state2.sector, state2.n_lo, c2),
                     CircleState(state1.sector, state1.n_lo, c1))
     return abs(overlap) / (math.sqrt(q2) * math.sqrt(q1))
@@ -396,30 +443,18 @@ def _centred_report(rows: np.ndarray, tol: float,
     (a0, b0) = shifts (none by default); saturated means |lhs - rhs| < tol
     * lhs.  The rows are overwritten.
 
-    Two products on the rows' float views, where Re (u, v) = sum Re u Re v
-    + Im u Im v is a real dot.  Both means <X'> = Re (psi, X' psi) come
-    from one matrix-vector product; the operator rows are then centred in
-    place to dA psi = (A' - <A'>) psi and dB psi, and their real 2x2 Gram
-    matrix gives both variances and the covariance Re (dA psi, dB psi).
-    One complex dot adds Im (dA psi, dB psi), half of <[A, B]>/i.  No
-    complex matrix product is taken: OpenBLAS's zgemm returns with the
-    upper halves of the vector registers dirty, and the Python float code
-    after it ran about 3x slower (a 40-term cmath loop, 12 us -> 33 us)
-    until the next library call that cleared them.
-
-    Nothing is formed as <X^2> - <X>^2, so lhs >= rhs is the
-    Cauchy-Schwarz inequality of the Gram matrix and holds to rounding.
-    The shifts are added back to the means only: the centred rows of A'
-    and A are the same vector.  The fields are Python floats, a complex and
-    a bool.
+    `_centred_gram` gives both means and the real 2x2 Gram matrix of dA psi
+    = (A' - <A'>) psi and dB psi: both variances and the covariance Re (dA
+    psi, dB psi).  One complex dot adds Im (dA psi, dB psi), half of <[A,
+    B]>/i.  lhs >= rhs is then the Cauchy-Schwarz inequality of the Gram
+    matrix and holds to rounding.  The shifts are added back to the means
+    only: the centred rows of A' and A are the same vector.  The fields are
+    Python floats, a complex and a bool.
     """
-    flat = rows.view(float)
-    psi, ops = flat[0], flat[1:]
-    means = np.dot(ops, psi)
-    ops -= means[:, None] * psi
-    (var_a, covariance), (_, var_b) = np.dot(ops, ops.T).tolist()
+    means, gram = _centred_gram(rows)
+    (var_a, covariance), (_, var_b) = gram.tolist()
     im_ab = float(np.vdot(rows[1], rows[2]).imag)
-    mean_a, mean_b = means.tolist()
+    (mean_a,), (mean_b,) = means.tolist()
     if shifts is not None:
         mean_a, mean_b = mean_a + shifts[0], mean_b + shifts[1]
     commutator_mean = complex(0.0, 2.0 * im_ab)  # <AB> - <BA>
@@ -441,33 +476,34 @@ def uncertainty_report(a: str, b: str, state: CircleState) -> UncertaintyReport:
     outside [2^-500, 2^500]; only the zero state raises ValueError, and no
     warning is raised at any scale.
 
-    psi, A psi and B psi are written in place into one zero-padded (3, n)
-    array over their common index range, with `operator_coeffs`'
-    arithmetic (`_operator_into`) and the normalization of
-    `CircleState.normalized`.  L is applied as (n - n_c) + (n_c + delta)
-    about the window centre n_c, as in `evolve.moment_series`, so that a
-    large <L> does not cancel in its centred row.
+    psi, A psi and B psi are the rows of `_operator_rows`, which
+    `evolve.moment_series` builds too, batched over times; psi has the bits
+    of `CircleState.normalized`, and L is applied about the window centre
+    so that a large <L> does not cancel in its centred row.
     """
     _, c, norm_sq = _scaled(state.coeffs)
     if norm_sq == 0.0:
         raise ValueError("the uncertainty report needs a nonzero state")
-    size, n_lo = c.size, state.n_lo
-    pad = 1 if "C" in (a, b) or "S" in (a, b) else 0
-    rows = np.zeros((3, size + 2 * pad), dtype=complex)
-    psi = rows[0, pad:pad + size]
-    np.divide(c, math.sqrt(norm_sq), out=psi)
+    rows, shifts = _operator_rows(c, math.sqrt(norm_sq), (a, b), state.n_lo,
+                                  state.sector.delta)
+    return _centred_report(rows, 1e-10, shifts)
+
+
+def _rotation(n_lo: int, size: int, delta: float, alpha: float) -> np.ndarray:
+    """exp(-i (n + delta) alpha) over the window n = n_lo, ..., n_lo + size -
+    1, formed as the common phase exp(-i (n_c + delta) alpha) at the window
+    centre n_c = n_lo + (size - 1) // 2 times exp(-i k alpha) over the
+    offsets k = n - n_c.
+
+    Rounding each (n + delta) alpha on its own put an error of about u |n
+    alpha| into the phase between neighbours, which moved <C> of a 20-wide
+    window by up to 7e-11 at n_lo = 1e7.  Here a large n + delta rounds in the
+    common phase only, which no moment, |inner product| or fidelity sees,
+    and the offsets are smallest where a centred state's weight lies.
+    """
     n_c = n_lo + (size - 1) // 2
-    for row, which in ((rows[1], a), (rows[2], b)):
-        if which in ("C", "S"):
-            _operator_into(which, psi, None, row)
-        else:
-            freq = (np.arange(n_lo - n_c, n_lo - n_c + size, dtype=complex)
-                    if which == "L"
-                    else np.arange(n_lo, n_lo + size) + state.sector.delta)
-            _operator_into(which, psi, freq, row[pad:pad + size])
-    shift = n_c + state.sector.delta
-    return _centred_report(rows, 1e-10, (shift if a == "L" else 0.0,
-                                         shift if b == "L" else 0.0))
+    return (cmath.rect(1.0, -(n_c + delta) * alpha)
+            * np.exp(-1j * alpha * np.arange(n_lo - n_c, n_lo - n_c + size)))
 
 
 # The translation taps are cut where the dropped |J_k(R)|^2, bounded by
@@ -483,9 +519,10 @@ def rep_apply(alpha: float, a: float, b: float, rep: RepLabel,
     """Act with the group element (alpha, t = a + i b) in the representation
     labelled by rep.
 
-    The rotation is diagonal, c_n -> exp(-i (n + delta) alpha) c_n.  The
-    translation multiplies pointwise by exp(-i rho (a cos phi + b sin phi))
-    = exp(-i R cos(phi - beta)) with R e^{i beta} = rho (a + i b); by
+    The rotation is diagonal, c_n -> exp(-i (n + delta) alpha) c_n, with
+    the phases of `_rotation`.  The translation multiplies pointwise by
+    exp(-i rho (a cos phi + b sin phi)) = exp(-i R cos(phi - beta)) with
+    R e^{i beta} = rho (a + i b); by
     Jacobi-Anger (DLMF 10.12) that is the convolution of the coefficients
     with the taps (-i)^k J_k(R) e^{-i k beta}, |k| <= h, J taken over 0..h
     and mirrored (`specfun._bessel_window`).  h is
@@ -497,7 +534,8 @@ def rep_apply(alpha: float, a: float, b: float, rep: RepLabel,
     _require_same_sector(rep.sector, state.sector)
     coeffs = state.coeffs
     if alpha != 0.0:
-        coeffs = coeffs * np.exp(-1j * (state.indices + state.sector.delta) * alpha)
+        coeffs = coeffs * _rotation(state.n_lo, coeffs.size,
+                                    state.sector.delta, alpha)
     radius = rep.rho * math.hypot(a, b)
     if radius == 0.0:
         return CircleState(state.sector, state.n_lo, coeffs)

@@ -302,7 +302,7 @@ def _state_for_family(doc: dict) -> circlespace.CircleState:
 
 def _cmd_evolve(args) -> int:
     doc = _load_config(args.config)
-    state = _state_for_family(doc).normalized()
+    state = _state_for_family(doc)
     params = Params(_get(doc, "epsilon", 1.0), _get(doc, "omega", 1.0))
     t = _grid(doc, "t_grid")
     rows = np.column_stack((t, evolve.moment_series(params, state, t)))

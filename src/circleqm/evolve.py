@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circleqm.circlespace import (CircleState, Params, Sector, _centred, _dots,
-                                  _evaluate, _finite_array, _scaled,
-                                  _require_same_sector, operator_coeffs)
+from circleqm.circlespace import (CircleState, Params, Sector, _centred_gram,
+                                  _evaluate, _finite_array, _operator_rows,
+                                  _require_same_sector)
 from circleqm.mincs import MinUncParams, min_state
 from circleqm.specfun import _Nodes
 from circleqm.zakcs import WZParams, _flow_theta, _require_phase, _w_theta
@@ -91,36 +91,28 @@ def moment_series(params: Params, state: CircleState, times) -> np.ndarray:
     moments.
 
     times is a 1-D sequence.  Row i holds <C>, <S>, <L>, Var C, Var S,
-    Var L and the fidelity to `state` at times[i] (the moments are
-    expectation values when `state` is normalized).  The variances are
-    those of the centred rows (`circlespace._centred`), with L applied as
-    (n - n_c) + (n_c + delta) about the window centre n_c so that a large
-    <L> does not cancel.  Agrees with `propagate` and `apply_operator` per
-    time to about 1e-13.  Raises ValueError for non-finite times or where a
-    phase reaches 2^52 rad (see `_phases`).
+    Var L and the fidelity to `state` at times[i], the expectation values
+    of the normalized state (`CircleState.normalized`) at any scale of its
+    coefficients; the zero state raises ValueError.  The moments are those
+    of `uncertainty_report`, batched over the times: the rows psi_t, C psi_t,
+    S psi_t and L psi_t (`circlespace._operator_rows`, L about the window
+    centre) reduced to means and the Gram matrix of the centred rows
+    (`circlespace._centred_gram`).  Agrees with `propagate` and
+    `apply_operator` per time to about 1e-13.  Raises ValueError for
+    non-finite times or where a phase reaches 2^52 rad (see `_phases`).
     """
     t = np.asarray(times, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError("time must be finite")
-    freq = state.indices + state.sector.delta
+    unit = state.normalized()
+    delta = unit.sector.delta
     # row i is the window propagated to t[i]
-    psi = state.coeffs * _phases(params, t[:, None], freq)
-    # C and S widen the window by one index a side
-    wide = np.zeros((t.size, freq.size + 2), dtype=complex)
-    wide[:, 1:-1] = psi
-    mean_c, dc = _centred(wide, operator_coeffs("C", psi, freq))
-    mean_s, ds = _centred(wide, operator_coeffs("S", psi, freq))
-    n_c = (state.n_lo + state.n_hi) // 2
-    mean_dn, dl = _centred(psi, operator_coeffs("L", psi, state.indices - n_c))
-    norm_sq = _dots(psi, psi).real
-    mean_l = mean_dn + (n_c + state.sector.delta) * norm_sq
-    var_c, var_s, var_l = (_dots(d, d).real for d in (dc, ds, dl))
-    # the fidelity from the rows over `_scaled`'s m, whose norms stay in
-    # range at any scale
-    m, c, q = _scaled(state.coeffs)
-    u = psi / m
-    fid = np.abs(u @ c.conj()) / (math.sqrt(q) * np.sqrt(_dots(u, u).real))
-    return np.column_stack((mean_c, mean_s, mean_l, var_c, var_s, var_l, fid))
+    psi = unit.coeffs * _phases(params, t[:, None], unit.indices + delta)
+    rows, shifts = _operator_rows(psi, 1.0, "CSL", unit.n_lo, delta)
+    means, gram = _centred_gram(rows)
+    fid = np.abs(psi @ unit.coeffs.conj())
+    return np.column_stack((means[..., 0] + shifts,
+                            np.diagonal(gram, 0, -2, -1), fid))
 
 
 _MIN_DAMPING = 1e-8  # least eps omega eta: there the faces agree to 4e-9

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from circleqm.circlespace import (CircleState, Sector, _fold, _require_index,
-                                  _same_sector)
+                                  _rotation, _same_sector)
 from circleqm.specfun import (_bessel_half_width, _bessel_window, _special,
                                bessel_j, g_ratio)
 
@@ -110,15 +110,18 @@ def min_state(params: MinUncParams, window_tol: float = 1e-12) -> CircleState:
     sigma = 20 - 30i for window_tol = 1e-14).  At large |s| the I_k bound
     keeps the window near the state's own width, about sqrt(|sigma|) times
     a log factor: 146 orders a side at sigma = -400i for window_tol = 1e-12,
-    where the DLMF bound alone needs 569.
+    where the DLMF bound alone needs 569.  The phases are
+    `circlespace._rotation`'s: a common phase at n0 times those of the
+    offsets -h..h, so that the phase between neighbours keeps its accuracy
+    at large |l|.
     """
     if not 0.0 < window_tol < 1.0:
         raise ValueError("window_tol must lie in (0, 1)")
     half = _bessel_half_width(params.sigma, window_tol * window_tol)
-    ms = params.n0 + np.arange(-half, half + 1)
+    n_lo = params.n0 - half
     coeffs = (_normalized_window(params.sigma, half)
-              * np.exp(-1j * (ms + params.delta0) * params.alpha))
-    return CircleState(params.sector, int(ms[0]), coeffs)
+              * _rotation(n_lo, 2 * half + 1, params.delta0, params.alpha))
+    return CircleState(params.sector, n_lo, coeffs)
 
 
 @dataclass(frozen=True)

@@ -570,6 +570,31 @@ class TestEvolve:
             assert abs(got - want) <= 1e-12 * abs(want)
         assert t == 0.0 and abs(fid - 1.0) <= 4 * 2.0 ** -52
 
+    @pytest.mark.filterwarnings("error")
+    def test_raw_window_read_as_given(self, capsys, tmp_path):
+        # evolve passes the window to moment_series as built, which
+        # normalizes it: 1e60 times a window has that window's rows, with
+        # no warning (warnings are errors here), and the zero window exits 2
+        coeffs = [[1.0, 0.0], [0.0, 2.0], [0.5, 0.0]]
+        rows = []
+        for scale in (1.0, 1e60):
+            doc = {"delta": 0.3, "n_lo": -1, "epsilon": 0.7,
+                   "coeffs": [[scale * re, scale * im] for re, im in coeffs],
+                   "t_grid": [0.0, 0.25, 3.0]}
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "evolve", str(cfg))
+            assert code == 0 and err == ""
+            rows.append(np.array([[float(v) for v in line.split(",")]
+                                  for line in out.splitlines()[1:]]))
+        assert rows[0].shape == (3, 8)
+        assert np.all(np.abs(rows[1] - rows[0])
+                      <= 4 * 2.0 ** -52 * np.maximum(1.0, np.abs(rows[0])))
+        doc["coeffs"] = [[0.0, 0.0]] * 3
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "evolve", str(cfg))
+        assert code == 2 and out == "" and "zero state" in err
+
     def test_missing_t_grid_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "min", "alpha": 0.0, "l": 0.0,

@@ -154,6 +154,26 @@ class TestMomentSeries:
             ref = np.array(means + var + [fidelity(psi, phi)])
             assert np.all(np.abs(row - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e52, 1e200, 1e-200])
+    def test_columns_are_those_of_the_normalized_state(self, scale):
+        # the moment columns were those of c as given: from scale 1e52 they
+        # overflowed with numpy's warning, and at 1e-200 they read ~0
+        params, times = Params(0.7, 1.3), [0.0, 0.25, 3.0]
+        c = np.array([1.0, 2j, 0.5])
+        ref = moment_series(params, CircleState(Sector(0.3), -1, c), times)
+        got = moment_series(params, CircleState(Sector(0.3), -1, c * scale),
+                            times)
+        assert np.all(np.abs(got - ref)
+                      <= 4 * 2.0 ** -52 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_state_refused(self):
+        # this gave nan with numpy's "invalid value" warning
+        zero = CircleState(Sector(0.2), 3, np.zeros(4))
+        with pytest.raises(ValueError, match="zero state"):
+            moment_series(Params(1.0, 1.0), zero, [0.0, 1.0])
+
     def test_bad_times_rejected(self):
         psi = random_state(Sector(0.3))
         with pytest.raises(ValueError, match="finite"):

@@ -5,6 +5,7 @@ quadrature on the explicit wavefunction; the divergence of the flat group
 average is checked against its logarithmic asymptote.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -147,6 +148,13 @@ class TestMinState:
         st_zero = min_state(MinUncParams(0.1, 0.0, 0.5, 1.0))
         assert st_neg.n_lo == st_zero.n_lo
         assert np.array_equal(st_neg.coeffs, st_zero.coeffs)
+
+    def test_mean_c_at_large_l_matches_closed_form(self):
+        # each phase (m + delta) alpha rounded on its own, about 5e6 rad
+        # here, put <C> 5.6e-11 off the closed form
+        params = MinUncParams(5.1, 1e6 + 0.3, -2.704, 0.028)
+        rep = uncertainty_report("C", "L", min_state(params))
+        assert abs(rep.mean_a - min_expectations(params).mean_c) <= 1e-15
 
 
 class TestMinExpectations:
@@ -364,8 +372,13 @@ class TestWindowOrders:
             st = min_state(params, tol)
             half = (st.coeffs.size - 1) // 2
             ms = params.n0 + np.arange(-half, half + 1)
+            # the phases as a common one at the centre n0 times those of
+            # the offsets -h..h
             ref = (self._normalized(params.sigma, half)
-                   * np.exp(-1j * (ms + params.delta0) * params.alpha))
+                   * (cmath.rect(1.0, -(params.n0 + params.delta0)
+                                 * params.alpha)
+                      * np.exp(-1j * params.alpha
+                               * np.arange(-half, half + 1))))
             assert st.n_lo == ms[0]
             assert st.coeffs.tobytes() == ref.tobytes()
 

@@ -1412,6 +1412,11 @@ class TestEllipticSuite:
         with pytest.raises(ValueError):
             elliptic_suite(0.3, ThetaNome.from_q(0.3 + 0.2j))
 
+    def test_bare_nome_read_through_from_q(self):
+        # a number in place of a ThetaNome is taken as the nome q
+        assert (elliptic_suite(0.4, 0.3)
+                == elliptic_suite(0.4, ThetaNome.from_q(0.3)))
+
 
 # The I1/I0 ratio table: x, I1/I0, I1/(x I0), g = 1 - r1^2 - r2.
 RATIO_TABLE = [
