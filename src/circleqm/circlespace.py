@@ -223,9 +223,14 @@ class CircleState:
 
     @classmethod
     def from_json(cls, text: str) -> "CircleState":
-        """The state of `to_json`'s document; n_lo may be written as an
-        integral float (3.0), and anything else non-integral is refused."""
-        doc = json.loads(text)
+        """The state of `to_json`'s text, read by `from_doc`."""
+        return cls.from_doc(json.loads(text))
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "CircleState":
+        """The state of `to_json`'s document, already parsed; n_lo may be
+        written as an integral float (3.0), and anything else non-integral
+        is refused.  Keys other than delta, n_lo and coeffs are ignored."""
         coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]])
         n_lo = doc["n_lo"]
         if isinstance(n_lo, float) and n_lo.is_integer():

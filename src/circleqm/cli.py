@@ -29,7 +29,6 @@ is not a finite positive number.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -49,8 +48,21 @@ class ConfigError(Exception):
     """Raised on malformed configuration documents (exit code 2)."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _table(header: str, fields: str, rows: int, values) -> str:
+    """CSV text: the header line, then `rows` lines of the %-template
+    `fields`, filled from the flat sequence `values` (row by row) in one %
+    pass.  A float field is "%.17g", which writes the same bytes as
+    `format(x, ".17g")`."""
+    return header + "\n" + (fields + "\n") * rows % tuple(values)
+
+
+def _float_table(header: str, *columns) -> str:
+    """`_table` of equal-length float columns, every value as %.17g; a 2-D
+    column contributes each of its own columns."""
+    table = np.column_stack(columns)
+    rows, width = table.shape
+    return _table(header, ",".join(["%.17g"] * width), rows,
+                  table.ravel().tolist())
 
 
 def _emit(text: str, out_path):
@@ -135,17 +147,17 @@ def _cmd_verify(args) -> int:
         # inf would pass every row and nan fail every one
         raise ConfigError("--tol must be a finite positive number")
     rows = verify.run(verify.SUITES if args.suite == "all" else [args.suite])
-    lines = ["suite,check_id,identity,residual,tolerance,pass"]
+    values = []
     n_fail = 0
     for row in rows:
         tol = row.tolerance if args.tol is None else args.tol
         ok = row.residual < tol
         n_fail += 0 if ok else 1
-        lines.append(",".join([row.suite, row.check_id, f"\"{row.identity}\"",
-                               _fmt(row.residual), _fmt(tol),
-                               "pass" if ok else "FAIL"]))
-    lines.append(f"# {n_fail} failing of {len(rows)} checks")
-    _emit("\n".join(lines) + "\n", args.out)
+        values += (row.suite, row.check_id, row.identity, row.residual, tol,
+                   "pass" if ok else "FAIL")
+    _emit(_table("suite,check_id,identity,residual,tolerance,pass",
+                 '%s,%s,"%s",%.17g,%.17g,%s', len(rows), values)
+          + f"# {n_fail} failing of {len(rows)} checks\n", args.out)
     return 1 if n_fail else 0
 
 
@@ -160,35 +172,36 @@ def _cmd_table(args) -> int:
     doc = _load_config(args.config)
     if args.name == "mincs-g":
         xs = list(_RATIO_TABLE_X)
-        xs += [x for x in np.linspace(0.0, 20.0, 81) if x not in xs]
+        xs += [x for x in np.linspace(0.0, 20.0, 81).tolist() if x not in xs]
         rec = specfun.g_ratio(np.array(xs))
-        lines = ["x,i1_over_i0,i1_over_x_i0,g"] + [
-            ",".join(map(_fmt, row))
-            for row in zip(xs, rec.r1.tolist(), rec.r2.tolist(), rec.g.tolist())]
+        text = _float_table("x,i1_over_i0,i1_over_x_i0,g",
+                            xs, rec.r1, rec.r2, rec.g)
     elif args.name == "transition":
         params = WZParams(_get(doc, "epsilon", 1.0),
                           Sector(_get(doc, "delta", 0.0)))
         z = PhasePoint(_get(doc, "theta", 0.0), _get(doc, "l", 0.0))
         ms = zakcs.w_state(params, z, window_tol=1e-14).indices
         probs = zakcs.transition_prob(ms, params, z)
-        lines = ["m,probability"] + [
-            f"{m},{_fmt(p)}" for m, p in zip(ms.tolist(), probs.tolist())]
+        text = _table("m,probability", "%d,%.17g", ms.size,
+                      [v for row in zip(ms.tolist(), probs.tolist())
+                       for v in row])
     else:  # "kj"; argparse's choices admit no other name
         eps = _get(doc, "epsilon", 1.0)
         delta = _get(doc, "delta", 0.0)
         thetas = _grid(doc, "theta_grid", [0.0, math.pi / 2, math.pi])
         ls = _grid(doc, "l_grid", [-1.0, 0.0, 1.0])
         ctx = ladder.LadderContext(eps, Sector(delta))
-        lines = ["theta,l,mean_k,mean_j,var_k,var_j,commutator_im,saturated"]
+        values = []
         for th in thetas:
             for l_t in ls:
                 rep = ladder.kj_report(ctx, PhasePoint(th, l_t))
-                lines.append(",".join(
-                    [_fmt(th), _fmt(l_t), _fmt(rep.mean_k), _fmt(rep.mean_j),
-                     _fmt(rep.var_k), _fmt(rep.var_j),
-                     _fmt(rep.commutator_mean.imag),
-                     "true" if rep.saturated else "false"]))
-    _emit("\n".join(lines) + "\n", args.out)
+                values += (th, l_t, rep.mean_k, rep.mean_j, rep.var_k,
+                           rep.var_j, rep.commutator_mean.imag,
+                           "true" if rep.saturated else "false")
+        text = _table(
+            "theta,l,mean_k,mean_j,var_k,var_j,commutator_im,saturated",
+            "%.17g," * 7 + "%s", len(thetas) * len(ls), values)
+    _emit(text, args.out)
     return 0
 
 
@@ -213,14 +226,14 @@ def _record_to_strings(record: dict) -> dict:
     out = {}
     for key, val in record.items():
         if isinstance(val, complex):
-            out[key + "_re"] = _fmt(val.real)
-            out[key + "_im"] = _fmt(val.imag)
+            out[key + "_re"] = "%.17g" % val.real
+            out[key + "_im"] = "%.17g" % val.imag
         elif isinstance(val, bool):
             out[key] = "true" if val else "false"
         elif isinstance(val, dict):
             out[key] = _record_to_strings(val)
         else:
-            out[key] = _fmt(val)
+            out[key] = "%.17g" % val
     return out
 
 
@@ -242,20 +255,20 @@ def _render(record: dict, fmt: str) -> str:
 def _cmd_state(args) -> int:
     doc = _load_config(args.config)
     family = doc.get("family")
+    # the records' fields are read shallowly: `dataclasses.asdict` would
+    # deep-copy every value
     if family == "min":
-        record = dataclasses.asdict(
-            mincs.min_expectations(_min_params_from(doc)))
+        record = vars(mincs.min_expectations(_min_params_from(doc)))
     elif family == "wz":
         params, z = _wz_params_from(doc), _point_from(doc)
-        record = dataclasses.asdict(zakcs.w_expectations(params, z))
-        record["leading_order"] = record.pop("leading")
+        record = dict(vars(zakcs.w_expectations(params, z)))
+        record["leading_order"] = vars(record.pop("leading"))
         if args.density_out:
             n = _points(doc, "density_points", 256)
             phi = z.theta - math.pi + np.arange(n) * (2.0 * math.pi / n)
-            vals = zakcs.density(params, z, phi)
-            lines = ["phi,density"] + [
-                f"{_fmt(p)},{_fmt(v)}" for p, v in zip(phi, vals)]
-            _emit("\n".join(lines) + "\n", args.density_out)
+            _emit(_float_table("phi,density", phi,
+                               zakcs.density(params, z, phi)),
+                  args.density_out)
     else:
         raise ConfigError("key 'family' must be 'min' or 'wz'")
     _emit(_render(record, args.format), args.out)
@@ -293,7 +306,7 @@ def _state_for_family(doc: dict) -> circlespace.CircleState:
     if "coeffs" in doc:
         # raw coefficient window {delta, n_lo, coeffs: [[re, im], ...]}
         try:
-            return circlespace.CircleState.from_json(json.dumps(doc))
+            return circlespace.CircleState.from_doc(doc)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed state document: {exc}") from exc
     raise ConfigError("key 'family' must be 'min' or 'wz', or provide a raw "
@@ -305,10 +318,8 @@ def _cmd_evolve(args) -> int:
     state = _state_for_family(doc)
     params = Params(_get(doc, "epsilon", 1.0), _get(doc, "omega", 1.0))
     t = _grid(doc, "t_grid")
-    rows = np.column_stack((t, evolve.moment_series(params, state, t)))
-    lines = ["t,re_c,re_s,mean_l,var_c,var_s,var_l,fidelity"] + [
-        ",".join(map(_fmt, row)) for row in rows.tolist()]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_float_table("t,re_c,re_s,mean_l,var_c,var_s,var_l,fidelity", t,
+                       evolve.moment_series(params, state, t)), args.out)
     return 0
 
 
@@ -321,9 +332,8 @@ def _cmd_kernel(args) -> int:
     n = _points(doc, "n_points", 64)
     dphi = -math.pi + np.arange(n) * (2.0 * math.pi / n)
     vals = evolve.kernel(spec, dphi)
-    lines = ["dphi,re_k,im_k"] + [
-        f"{_fmt(d)},{_fmt(v.real)},{_fmt(v.imag)}" for d, v in zip(dphi, vals)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_float_table("dphi,re_k,im_k", dphi, vals.real, vals.imag),
+          args.out)
     return 0
 
 

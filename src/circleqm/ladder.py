@@ -60,11 +60,15 @@ class LadderContext(WZParams):
 def _diagonal(ctx: LadderContext, state: CircleState, weights,
               shift: int = 0) -> CircleState:
     """c_n e_{n} -> weights(n + delta) c_n e_{n+shift}, for a state in the
-    context's sector."""
+    context's sector.  A weight or product past double range gives a
+    non-finite coefficient, which `CircleState` refuses (ValueError) with
+    no warning first."""
     _require_same_sector(state.sector, ctx.sector)
     freq = state.indices + ctx.sector.delta
-    return CircleState(state.sector, state.n_lo + shift,
-                       state.coeffs * weights(freq))
+    # inf * 0 is nan: both leave the refusal to CircleState
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = state.coeffs * weights(freq)
+    return CircleState(state.sector, state.n_lo + shift, coeffs)
 
 
 def apply_B(ctx: LadderContext, state: CircleState) -> CircleState:

@@ -627,6 +627,13 @@ class TestRepApply:
             for n_lo in (0, 10 ** 7))
         assert abs(near.mean_a - far.mean_a) <= 1e-15
 
+    def test_tiny_translation_keeps_the_window(self):
+        # R = 1e-20 takes one tap, J_0(R) = 1: the window comes back as given
+        psi = random_state(Sector(0.3))
+        out = rep_apply(0.0, 1e-20, 0.0, RepLabel(1.0, Sector(0.3)), psi)
+        assert out.n_lo == psi.n_lo
+        assert np.array_equal(out.coeffs, psi.coeffs)
+
     def test_rotation_composition_exact(self):
         delta = 0.11
         rep = RepLabel(1.0, Sector(delta))

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, report contents."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -12,11 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circleqm import circlespace, evolve, mincs, verify, zakcs
+from circleqm import circlespace, evolve, ladder, mincs, verify, zakcs
 from circleqm.circlespace import Params, Sector
-from circleqm.cli import _build_parser, main
+from circleqm.cli import _build_parser, _float_table, _table, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fmt(x) -> str:
+    """The printing rule, one value at a time: 17 significant digits."""
+    return format(float(x), ".17g")
 
 
 def run(capsys, *argv):
@@ -204,7 +210,7 @@ class TestTable:
 
     def test_ratio_table_is_the_scalar_rows(self, capsys):
         # one array call gives the bytes of a per-point loop
-        from circleqm.cli import _RATIO_TABLE_X, _fmt
+        from circleqm.cli import _RATIO_TABLE_X
         from circleqm.specfun import g_ratio
         xs = list(_RATIO_TABLE_X)
         xs += [x for x in np.linspace(0.0, 20.0, 81) if x not in xs]
@@ -670,6 +676,163 @@ class TestKernel:
         assert code == 2
         assert out == ""
         assert err.startswith("config error:") and "eps omega eta" in err
+
+
+def _csv(header, rows) -> str:
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+def _report(record, fmt) -> str:
+    """A state or overlap report of a record dict, each value written with
+    `_fmt` and nested records copied by `dataclasses.asdict`."""
+    def strings(rec):
+        out = {}
+        for key, val in rec.items():
+            if isinstance(val, complex):
+                out[key + "_re"], out[key + "_im"] = _fmt(val.real), _fmt(val.imag)
+            elif isinstance(val, bool):
+                out[key] = "true" if val else "false"
+            elif isinstance(val, dict):
+                out[key] = strings(val)
+            else:
+                out[key] = _fmt(val)
+        return out
+
+    record = strings(record)
+    if fmt == "json":
+        return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    flat = {}
+    for key, val in record.items():
+        if isinstance(val, dict):
+            flat.update((f"{key}.{k}", v) for k, v in val.items())
+        else:
+            flat[key] = val
+    return _csv("key,value", [[k, flat[k]] for k in sorted(flat)])
+
+
+class TestFormatting:
+    """Every table and report is the library's values written one at a time
+    with `_fmt`, byte for byte."""
+
+    WZ = {"epsilon": 0.7, "delta": 0.3, "theta": 2.1, "l": -0.4}
+    MIN = {"alpha": 0.9, "l": 1.25, "gamma": -1.3, "s": 2.2}
+    EDGES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             0.1, 1.0, 1e16, math.nan, math.inf]
+
+    @staticmethod
+    def _run(capsys, tmp_path, doc, *argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, str(cfg))
+        assert (code, err) == (0, "")
+        return out
+
+    def test_edge_values(self):
+        values = self.EDGES + [-x for x in self.EDGES]
+        col = np.array(values)
+        assert _float_table("x", col) == _csv("x", [[_fmt(x)] for x in values])
+        # a 2-D column adds its own columns, row by row
+        pairs = np.column_stack((col, col[::-1]))
+        assert (_float_table("x,y,z", col, pairs)
+                == _csv("x,y,z", [[_fmt(a), _fmt(b), _fmt(c)]
+                                  for a, (b, c) in zip(values, pairs)]))
+        assert (_table("m,x,flag", "%d,%.17g,%s", len(values),
+                       [v for i, x in enumerate(values) for v in (i, x, "ok")])
+                == _csv("m,x,flag", [[str(i), _fmt(x), "ok"]
+                                     for i, x in enumerate(values)]))
+
+    def test_kernel(self, capsys, tmp_path):
+        doc = {"t": 0.37, "eta": 2e-3, "epsilon": 1.3, "delta": 0.6,
+               "n_points": 24}
+        out = self._run(capsys, tmp_path, doc, "kernel")
+        spec = evolve.EvolutionSpec(Params(1.3, 1.0), Sector(0.6), 0.37,
+                                    eta=2e-3)
+        dphi = -math.pi + np.arange(24) * (2.0 * math.pi / 24)
+        vals = evolve.kernel(spec, dphi)
+        assert out == _csv("dphi,re_k,im_k", [
+            [_fmt(d), _fmt(v.real), _fmt(v.imag)] for d, v in zip(dphi, vals)])
+
+    def test_evolve(self, capsys, tmp_path):
+        t_grid = [0.0, 0.25, 3.5, 11.0]
+        out = self._run(capsys, tmp_path,
+                        {"family": "wz", **self.WZ, "t_grid": t_grid},
+                        "evolve")
+        params = zakcs.WZParams(0.7, Sector(0.3))
+        state = zakcs.w_state(params, zakcs.PhasePoint(2.1, -0.4),
+                              window_tol=1e-14)
+        rows = evolve.moment_series(Params(0.7, 1.0), state, t_grid)
+        assert out == _csv("t,re_c,re_s,mean_l,var_c,var_s,var_l,fidelity", [
+            [_fmt(t)] + [_fmt(v) for v in row] for t, row in zip(t_grid, rows)])
+
+    def test_transition_table(self, capsys, tmp_path):
+        out = self._run(capsys, tmp_path, self.WZ, "table", "transition")
+        params = zakcs.WZParams(0.7, Sector(0.3))
+        z = zakcs.PhasePoint(2.1, -0.4)
+        ms = zakcs.w_state(params, z, window_tol=1e-14).indices
+        probs = zakcs.transition_prob(ms, params, z)
+        assert out == _csv("m,probability", [
+            [str(m), _fmt(p)] for m, p in zip(ms.tolist(), probs)])
+
+    def test_kj_table(self, capsys, tmp_path):
+        thetas, ls = [0.0, 1.7, 4.4], [-1.5, 0.25]
+        out = self._run(capsys, tmp_path,
+                        {"epsilon": 0.8, "delta": 0.45, "theta_grid": thetas,
+                         "l_grid": ls}, "table", "kj")
+        ctx = ladder.LadderContext(0.8, Sector(0.45))
+        rows = []
+        for th in thetas:
+            for l_t in ls:
+                rep = ladder.kj_report(ctx, zakcs.PhasePoint(th, l_t))
+                rows.append([_fmt(v) for v in (
+                    th, l_t, rep.mean_k, rep.mean_j, rep.var_k, rep.var_j,
+                    rep.commutator_mean.imag)]
+                    + ["true" if rep.saturated else "false"])
+        assert out == _csv(
+            "theta,l,mean_k,mean_j,var_k,var_j,commutator_im,saturated", rows)
+
+    def test_density(self, capsys, tmp_path):
+        dens = tmp_path / "density.csv"
+        self._run(capsys, tmp_path,
+                  {"family": "wz", **self.WZ, "density_points": 40},
+                  "state", "--density-out", str(dens))
+        params = zakcs.WZParams(0.7, Sector(0.3))
+        z = zakcs.PhasePoint(2.1, -0.4)
+        phi = 2.1 - math.pi + np.arange(40) * (2.0 * math.pi / 40)
+        vals = zakcs.density(params, z, phi)
+        assert dens.read_text() == _csv("phi,density", [
+            [_fmt(p), _fmt(v)] for p, v in zip(phi, vals)])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_state_reports(self, capsys, tmp_path, fmt):
+        out = self._run(capsys, tmp_path, {"family": "min", **self.MIN},
+                        "state", "--format", fmt)
+        rec = mincs.min_expectations(mincs.MinUncParams(0.9, 1.25, -1.3, 2.2))
+        assert out == _report(dataclasses.asdict(rec), fmt)
+        out = self._run(capsys, tmp_path, {"family": "wz", **self.WZ},
+                        "state", "--format", fmt)
+        record = dataclasses.asdict(zakcs.w_expectations(
+            zakcs.WZParams(0.7, Sector(0.3)), zakcs.PhasePoint(2.1, -0.4)))
+        record["leading_order"] = record.pop("leading")
+        assert out == _report(record, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overlap_reports(self, capsys, tmp_path, fmt):
+        second = dict(self.MIN, alpha=2.0, l=0.25)
+        out = self._run(capsys, tmp_path,
+                        {"family": "min", "first": self.MIN, "second": second},
+                        "overlap", "--format", fmt)
+        res = mincs.min_overlap(mincs.MinUncParams(2.0, 0.25, -1.3, 2.2),
+                                mincs.MinUncParams(0.9, 1.25, -1.3, 2.2))
+        assert out == _report({"value": res.value, "valid": res.valid}, fmt)
+        out = self._run(capsys, tmp_path,
+                        {"family": "wz", "epsilon": 0.7, "delta": 0.3,
+                         "first": {"theta": 2.1, "l": -0.4},
+                         "second": {"theta": 0.5, "l": 0.9}},
+                        "overlap", "--format", fmt)
+        value = zakcs.w_overlap(zakcs.WZParams(0.7, Sector(0.3)),
+                                zakcs.PhasePoint(2.1, -0.4),
+                                zakcs.PhasePoint(0.5, 0.9))
+        assert out == _report({"value": value}, fmt)
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ as the oracles for the closed forms.
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,31 @@ class TestShiftAction:
         ctx = LadderContext(1.0, Sector(0.1))
         with pytest.raises(ValueError):
             apply_B(ctx, basis_state(0, Sector(0.2)))
+
+    @pytest.mark.parametrize("call", [
+        "apply_B", "apply_Bdag", "inverse_complexifier", "pair_stats",
+        "pair_stats_eps_2", "qdeform_residual"])
+    def test_weights_past_range_refused_without_warning(self, call):
+        # e^{eps(n + delta +- 1/2)} passes e^709 at eps = 10, n = 71 (and at
+        # eps = 2, n = 356); a weight past range, its product with a
+        # coefficient (qdeform_residual: e^708 e^708) or inf * 0 (the zero
+        # coefficient) warned before CircleState refused the window
+        ctx = LadderContext(10.0, Sector(0.3))
+        state = CircleState(Sector(0.3), 70, [1, 0.5j, 0.2])
+        holed = CircleState(Sector(0.3), 70, [1, 0, 0.2])
+        run = {"apply_B": lambda: apply_B(ctx, holed),
+               "apply_Bdag": lambda: apply_Bdag(ctx, holed),
+               "inverse_complexifier":
+                   lambda: apply_complexifier(ctx, holed, inverse=True),
+               "pair_stats": lambda: pair_stats(ctx, state),
+               "pair_stats_eps_2": lambda: pair_stats(
+                   LadderContext(2.0, Sector(0.3)),
+                   CircleState(Sector(0.3), 355, [1, 0.5j, 0.2])),
+               "qdeform_residual": lambda: qdeform_residual(ctx, 70)}[call]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                run()
 
 
 class TestEigenRelation:

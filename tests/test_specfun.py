@@ -1111,6 +1111,31 @@ class TestScalarLane:
         monkeypatch.setattr(zakcs, "np", None)
         assert [call() for call in calls] == expected
 
+    def test_sum_past_range_of_in_range_terms_refused(self, monkeypatch):
+        # tau = i 709.5 / (210 pi) and zeta = -i pi Im(tau) 14.5: theta_3's
+        # two largest terms, m = 7 and 8, are e^{709.5} each, so every
+        # exponent is in range and only their sum leaves it; the lane refuses
+        # the non-finite sum, with no warning
+        assert math.isfinite(math.exp(709.5))
+        assert 2.0 * math.exp(709.5) == math.inf
+        tau = 1j * 709.5 / (210.0 * math.pi)
+        zeta = -1j * math.pi * tau.imag * 14.5
+        lane, raised = specfun._theta_lane, []
+
+        def spy(*args):
+            try:
+                return lane(*args)
+            except ValueError:
+                raised.append(args)
+                raise
+
+        monkeypatch.setattr(specfun, "_theta_lane", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves double range"):
+                theta(3, zeta, ThetaNome(tau))
+        assert len(raised) == 1
+
     def test_bits_independent_of_blas_threads(self):
         # the lane sums with no BLAS dot, and the uncertainty report's
         # products on a 300-wide window: the same bytes at 1 and 2 threads
@@ -1555,6 +1580,11 @@ class TestBesselHalfWidth:
 
     def test_zero_argument_is_one_order(self):
         assert _bessel_half_width(0j, 1e-32) == 0
+
+    def test_tiny_argument_is_one_order(self):
+        # a = 5e-21: the DLMF bound holds at h = 0 already, so the bisection
+        # ends at 0 and the I_k bound is not consulted
+        assert _bessel_half_width(1e-20, 1e-32) == 0
 
     @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf)])
     def test_rejects_nonfinite(self, z):
