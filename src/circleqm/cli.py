@@ -9,12 +9,13 @@ JSON or CSV reports for a configuration document (positional path or "-"
 for stdin).  Output is deterministic at a fixed BLAS thread count:
 identical configuration yields identical bytes (floats printed with 17
 significant digits, JSON numbers as decimal strings).  theta's array lane
-sums with `ndarray.dot`, which OpenBLAS splits across threads, so values
-built from theta over many points (the `kernel` samples, the
+sums its values with `ndarray.dot`, which OpenBLAS splits across threads,
+so values built from theta over many points (the `kernel` samples, the
 `state --density-out` density, `verify`'s kernel rows) can move in their
-last bits with the thread count.  theta's scalar lane calls no BLAS, so
-the holomorphic family's closed forms of one point (the `state` moments
-of a "wz" config, `table transition`) do not.
+last bits with the thread count.  theta's scalar lane, which sums every
+number and every derivative, calls no BLAS, so the holomorphic family's
+closed forms of one point (the `state` moments of a "wz" config,
+`table transition`) do not.
 
 Exit codes: 0 ok, 1 a failed verify check, 2 a malformed configuration,
 with a `config error:` message on stderr and nothing on stdout.  Exit 2

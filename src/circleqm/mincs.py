@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -213,7 +214,11 @@ def min_overlap(p2: MinUncParams, p1: MinUncParams) -> OverlapResult:
     is phase * (num/den)^(dl/2) I_dl(2 r) / I0(2s).  It is evaluated in the
     branch-free form (-i num)^dl I_dl(2r) / r^dl (num -> den for dl < 0),
     an entire function of num and den, so no square root or fractional
-    power picks a branch.
+    power picks a branch.  Where the power (-i num)^dl leaves double range,
+    or r^dl or I_dl(2r) the normal doubles, as at large |dl| and at r = 0
+    (where I_dl(2r) / r^dl is 1/dl!), the product is summed in logs
+    (`_log_product`): it is then finite, with no warning, and reads 0
+    where it underflows.
 
     Requires shared (gamma, s) and shared sector (the rule of
     `circlespace.Sector` on delta0); dl is then rounded to an exact
@@ -241,12 +246,45 @@ def min_overlap(p2: MinUncParams, p1: MinUncParams) -> OverlapResult:
     # exponential never exceeds 1
     ive = _special().ive
     ratio = math.exp(2.0 * r.real - 2.0 * abs(s)) / ive(0, 2.0 * abs(s))
-    if r == 0:
-        bess = ratio / math.gamma(order + 1.0)   # I_n(2r) / r^n -> 1/n!
-    else:
-        bess = ive(order, 2.0 * r) * ratio / r ** order
-    value = phase * base ** order * bess
+    scaled = ive(order, 2.0 * r)
+    try:
+        # I_n(2r) / r^n -> 1/n! at r = 0, where ive(n, 0) = 0 takes logs
+        bess = _in_range(scaled) * ratio / _in_range(r ** order)
+        value = phase * _in_range(base ** order, 0.0) * bess
+    except (OverflowError, ValueError):
+        # a power past range, or r^n or I_n(2r) outside the normal doubles:
+        # the product in logs, which reads 0 where it underflows
+        value = 0j if base == 0 else phase * cmath.exp(
+            _log_product(order, base, r, root_arg, scaled)
+            - 2.0 * abs(s) - math.log(ive(0, 2.0 * abs(s))))
     return OverlapResult(complex(value), True)
+
+
+_TINY = 2.0 ** -1022
+
+
+def _in_range(x, floor: float = _TINY):
+    """x, or ValueError where |x| is below floor or not finite."""
+    if not floor <= abs(x) < math.inf:
+        raise ValueError("min_overlap: a factor leaves double range")
+    return x
+
+
+def _log_product(order, base, r, z, scaled):
+    """log(base^n I_n(2r) / r^n) for `min_overlap`, base != 0, n >= 1, from
+    scaled = ive(n, 2r) while it is a normal double.  Where ive underflows,
+    I_n(2r) / r^n is the power series sum_k z^k / (k! (n + k)!), z = r^2:
+    there |z| is small beside n, |z| / n < |r|^1.5 / 53, so the terms stay
+    below e^350 for |gamma|, |s| <= 700.  A series past double range (|r|
+    beyond about 1100) raises ValueError."""
+    if abs(scaled) >= _TINY:
+        return order * cmath.log(base / r) + cmath.log(scaled) + 2.0 * r.real
+    # past k (n + k) = 2|z| each term is below half the one before
+    total = math.fsum(itertools.accumulate(
+        range(1, int(math.sqrt(2.0 * abs(z))) + 60),
+        lambda term, k: term * z / (k * (order + k)), initial=1.0))
+    return (order * cmath.log(base) - math.lgamma(order + 1.0)
+            + cmath.log(_in_range(total, 0.0)))
 
 
 def sum_rule_residual(sigma: complex) -> float:

@@ -22,13 +22,14 @@ move, S included, takes one rule: its large phases are cancelled exactly,
 in integers, before anything is rounded (see `_theta_route`), so no
 double-double arithmetic is needed, and its terms sum to at most 1.239
 times the direct series' in absolute value, so it cancels no more than
-the direct series does.  A number on the direct series or under S sums in
-Python complex arithmetic (`_theta_lane`); every other call sums its series
-in `_theta_sum`, which picks plain terms or Horner's rule, except a move
-that leaves Im tau' above 16, which sums one square per term
-(`_theta_squares`).  A value or derivative past double range raises
-ValueError.  `theta(method="direct")` forces the series at the given tau:
-the reference the modular route is checked against.
+the direct series does.  The input alone picks the lane: a number, and
+every derivative, sums in Python complex arithmetic (`_theta_lane`), on
+any route; the values of an array sum their series in `_theta_sum`, which
+picks plain terms or Horner's rule, except under a move that leaves Im
+tau' above 16, which sums one square per term (`_theta_squares`).  A value
+or derivative past double range raises ValueError.
+`theta(method="direct")` forces the series at the given tau: the
+reference the modular route is checked against.
 
 scipy.special is reached only through the cached accessor `_special`,
 which imports it on the first Bessel, elliptic or I1/I0 ratio call (here
@@ -70,13 +71,6 @@ _HORNER_TERMS = 24
 # Bound on the log magnitude of exp(offset) and of the powers of
 # exp(+-2i zeta) on Horner's route.
 _HORNER_MAX_LOG = 300.0
-# _theta_dispatch takes its scalar lane (`_theta_lane`) up to this much
-# work, counted as for _HORNER_WORK, where Python complex arithmetic beats
-# the array lane's fixed cost (measured, lane over array time: 0.3-0.45 for
-# a scalar, 0.85-0.96 at work 20-24 and 1.1-1.35 at 30-36; derivatives
-# alike).  It keeps the lane's nmax below _HORNER_TERMS, so that its
-# phases m^2 pi Re tau need no reduction, and its plans cached.
-_LANE_WORK = 24
 # Cap, in elements, on each temporary of the plain series (1 MiB complex).
 _CHUNK = 1 << 16
 # |Re zeta| / period from which theta refuses its argument.
@@ -148,10 +142,8 @@ def _n_cutoff(a: float, b: float) -> int:
     return int(math.ceil(extent)) + 2
 
 
-def _theta_sum(kind: int, zeta: np.ndarray, tau: complex, want_derivs: bool,
-               offset=0.0):
-    """Series for exp(offset) * theta and (optionally) its first two
-    zeta-derivatives, which always take the plain series.
+def _theta_sum(kind: int, zeta: np.ndarray, tau: complex, offset=0.0):
+    """Series for exp(offset) * theta over an array of points.
 
     The terms are s_m exp(offset + m^2 lq + 2 i m zeta), lq = i pi tau, m
     over the integers (kinds 3, 4; s_m = (-1)^m for kind 4) or the
@@ -163,13 +155,11 @@ def _theta_sum(kind: int, zeta: np.ndarray, tau: complex, want_derivs: bool,
     The route is picked from the work, (term count) x (points), the term
     count taken as the nmax + 1 indices m >= 0:
 
-    * below `_HORNER_WORK` (every scalar call, and small arrays), for the
-      derivatives, and past `_HORNER_TERMS` terms, one exp per (signed term,
-      point), the plain series (`_theta_terms`).  What tau leaves alone,
-      the indices, their squares, 2i m, the signs and the derivative
-      weights, is the `_term_plan` of (kind, nmax); a call forms only
-      m^2 lq, its phases reduced past `_HORNER_TERMS`
-      (`_reduced_square_exponents`);
+    * below `_HORNER_WORK` and past `_HORNER_TERMS` terms, one exp per
+      (signed term, point), the plain series (`_theta_terms`).  What tau
+      leaves alone, the indices, their squares, 2i m and the signs, is the
+      `_term_plan` of (kind, nmax); a call forms only m^2 lq, its phases
+      reduced past `_HORNER_TERMS` (`_reduced_square_exponents`);
     * otherwise Horner's rule in w = exp(2i zeta) and 1/w (`_theta_horner`):
       two exps and O(terms) products a point.  It takes exp(offset) apart
       from the series, so it is used only while |Re offset| and the powers'
@@ -181,48 +171,36 @@ def _theta_sum(kind: int, zeta: np.ndarray, tau: complex, want_derivs: bool,
     a = -lq.real
     b = float(_peak(zeta.imag))
     nmax = _n_cutoff(a, b)
-    horner = (not want_derivs and (nmax + 1) * z.size >= _HORNER_WORK
-              and nmax < _HORNER_TERMS and 2 * (nmax + 1) * b <= _HORNER_MAX_LOG
-              and _peak(off.real) < _HORNER_MAX_LOG)
-    if not horner:
+    if ((nmax + 1) * z.size >= _HORNER_WORK and nmax < _HORNER_TERMS
+            and 2 * (nmax + 1) * b <= _HORNER_MAX_LOG
+            and _peak(off.real) < _HORNER_MAX_LOG):
+        # Horner's route needs no margin past the extent: nothing else is
+        # summed there
+        v = _theta_horner(kind, math.ceil(_extent(a, b)), z, off, lq)
+    else:
         plan = (_term_plan if nmax <= _PLAN_TERMS
                 else _term_plan.__wrapped__)(kind, nmax)
         sq = plan.m2 * lq
         if nmax >= _HORNER_TERMS and tau.real != 0.0:
             sq = _reduced_square_exponents(plan.m, sq, tau)
-        sums = _theta_terms(plan, sq, z, off, want_derivs)
-    else:
-        # Horner's route needs no margin past the extent: nothing else is
-        # summed there
-        sums = [_theta_horner(kind, math.ceil(_extent(a, b)), z, off, lq)]
-    if want_derivs:
-        v, d1, d2 = sums
-        return (v.reshape(zeta.shape), d1.reshape(zeta.shape),
-                d2.reshape(zeta.shape))
-    return sums[0].reshape(zeta.shape), None, None
+        v = _theta_terms(plan, sq, z, off)
+    return v.reshape(zeta.shape)
 
 
 def _peak(x):
-    """max |x| over an array, 0 if it is empty; |x| of a scalar or 0-d
-    array, which needs no reduction (one costs microseconds, even over one
-    element)."""
-    x = abs(x)
-    if isinstance(x, np.ndarray):
-        return np.maximum.reduce(x, axis=None, initial=0.0)
-    return x
+    """max |x| over an array or scalar, 0 if it is empty."""
+    return np.maximum.reduce(abs(x), axis=None, initial=0.0)
 
 
 class _Plan(NamedTuple):
     """The tau-free arrays of the plain series at one kind and nmax, all
-    read-only: the signed indices m, m^2 and 2i m as columns, the signs
-    s_m and the derivative weights 2i m s_m and -4 m^2 s_m."""
+    read-only: the signed indices m, m^2 and 2i m as columns, and the
+    signs s_m."""
 
     m: np.ndarray
     m2: np.ndarray
     two_im: np.ndarray
     sign: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
 
 
 # Plans are cached up to this nmax, so a long series never stays in
@@ -238,21 +216,23 @@ def _term_plan(kind: int, nmax: int) -> _Plan:
     s = (-1.0 if kind == 4 else 1.0) ** m
     # cast to complex once, as the series' products would on each call
     plan = _Plan(m, (m * m).astype(complex)[:, None], (2j * m)[:, None],
-                 s.astype(complex), 2j * m * s,
-                 (-4.0 * m * m * s).astype(complex))
+                 s.astype(complex))
     for x in plan:
         x.flags.writeable = False
     return plan
 
 
-@functools.lru_cache(maxsize=3 * _LANE_WORK)
+@functools.lru_cache(maxsize=3 * (_PLAN_TERMS + 1))
 def _lane_plan(kind: int, nmax: int) -> tuple:
-    """The `_term_plan` of the scalar lane: a row of Python numbers per
-    signed index m, (m^2, 2i m, pi m, s_m, 2i m s_m, -4 m^2 s_m)."""
-    plan = _term_plan(kind, nmax)
-    return tuple(zip(plan.m2.ravel().tolist(), plan.two_im.ravel().tolist(),
-                     (math.pi * plan.m).tolist(), plan.sign.tolist(),
-                     plan.d1.tolist(), plan.d2.tolist()))
+    """The plan of the scalar lane, in Python numbers and the order of
+    `_term_plan`: a row per signed index m, (m^2, 2i m, pi m, s_m,
+    2i m s_m, -4 m^2 s_m).  Cached up to `_PLAN_TERMS`, as `_term_plan`
+    is."""
+    half = 0.5 if kind == 2 else 0.0
+    ms = [i - nmax - half for i in range(2 * nmax + (2 if kind == 2 else 1))]
+    signs = [(-1.0 if kind == 4 else 1.0) ** m for m in ms]
+    return tuple((complex(m * m), 2j * m, math.pi * m, complex(s), 2j * m * s,
+                  complex(-4.0 * m * m * s)) for m, s in zip(ms, signs))
 
 
 def _reduced_square_exponents(m: np.ndarray, sq: np.ndarray,
@@ -277,22 +257,19 @@ def _reduced_square_exponents(m: np.ndarray, sq: np.ndarray,
     return sq.real + 1j * (math.pi * np.fmod(turns, 2.0))[:, None]
 
 
-def _theta_terms(plan: _Plan, sq, z, off, want_derivs):
+def _theta_terms(plan: _Plan, sq, z, off):
     """Plain route of `_theta_sum` (see there): one exp per (term, point)
     over the plan's signed indices, with exponents m^2 lq = sq (a column),
     the point axis split so that no temporary holds more than `_CHUNK`
-    elements.  Returns [value] or [value, d1, d2], each flat like z."""
+    elements.  Flat like z."""
     chunk = max(1, _CHUNK // plan.m.size)
     if z.size > chunk:
         off = np.broadcast_to(off, z.shape)
-        parts = [_theta_terms(plan, sq, z[i:i + chunk], off[i:i + chunk],
-                              want_derivs) for i in range(0, z.size, chunk)]
-        return [np.concatenate(col) for col in zip(*parts)]
-    terms = np.exp(sq + off + plan.two_im * z)
+        return np.concatenate([
+            _theta_terms(plan, sq, z[i:i + chunk], off[i:i + chunk])
+            for i in range(0, z.size, chunk)])
     # the dot method: the BLAS product of `@`, at half its call cost
-    if not want_derivs:
-        return [plan.sign.dot(terms)]
-    return [plan.sign.dot(terms), plan.d1.dot(terms), plan.d2.dot(terms)]
+    return plan.sign.dot(np.exp(sq + off + plan.two_im * z))
 
 
 def _theta_horner(kind, nmax, z, off, lq):
@@ -450,10 +427,12 @@ def _reduce_tau(tau: complex, kind: int) -> _Modular | None:
 
 class _Nodes(NamedTuple):
     """The points zeta0 - pi j/size, j = 0..size-1, with pi j/size held
-    exactly: half the kernel's quadrature angles -2 pi j/size, shifted."""
+    exactly: half the kernel's quadrature angles -2 pi j/size, shifted.
+    `np.ndim` reads their ndim, 1, with no conversion to an array."""
 
     size: int
     zeta0: complex = 0.0
+    ndim = 1
 
     def points(self) -> np.ndarray:
         angles = np.arange(self.size) * (-2.0 * math.pi / self.size)
@@ -490,7 +469,7 @@ def _shifted(zeta, mod: _Modular):
 
 @np.errstate(all="ignore")
 def _theta_route(kind: int, zeta, nome: ThetaNome, mod: _Modular | None,
-                 want_derivs: bool, offset):
+                 offset):
     """The array lane of `_theta_dispatch`: exp(offset) * theta by the
     direct series (mod None), at tau reduced by its period (`_direct_tau`),
     or by the move `mod`: the short series at gamma tau, with `offset` and
@@ -537,8 +516,7 @@ def _theta_route(kind: int, zeta, nome: ThetaNome, mod: _Modular | None,
        (Im tau)^(-1/2) times the peak.
     """
     if mod is None:
-        return _theta_sum(kind, zeta, _direct_tau(nome.tau, kind),
-                          want_derivs, offset)
+        return _theta_sum(kind, zeta, _direct_tau(nome.tau, kind), offset)
     a, _, c, _ = mod.gamma
     k, s = _shifted(zeta, mod)
     # the integers j = k a and p = k j (+ c k) mod 2c, every product below
@@ -548,27 +526,17 @@ def _theta_route(kind: int, zeta, nome: ThetaNome, mod: _Modular | None,
     u = s / mod.cw + (math.pi / c) * j
     off = offset + (1j * math.pi / c) * p
     if mod.tau.imag > _SEPARATE_IM:
-        return _theta_squares(mod, s, u, j, off, want_derivs)
+        return _theta_squares(mod, s, u, j, off)
     # the Gaussian exp(ct s^2) is fused into the series' exponents: apart
     # they under- and overflow together once |Im u| grows
-    pref, ct, w = mod.pref, mod.ct, mod.w
-    g, g1, g2 = _theta_sum(mod.partner, u, mod.tau, want_derivs,
-                           offset=ct * s * s + off)
-    v = pref * g
-    if g1 is None:
-        return v, None, None
-    # the chain rule through ct s^2 (derivative 2 ct c s) and u (c/(c w) =
-    # 1/w)
-    d1 = pref * (2.0 * ct * c * s * g + g1 / w)
-    d2 = pref * ((2.0 * ct * c * c + 4.0 * ct * ct * c * c * s * s) * g
-                 + 4.0 * ct * c * s * g1 / w + g2 / w / w)
-    return v, d1, d2
+    return mod.pref * _theta_sum(mod.partner, u, mod.tau,
+                                 offset=mod.ct * s * s + off)
 
 
-def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
+def _theta_squares(mod: _Modular, s, u, j, off):
     """`_theta_route`'s move past Im tau' = `_SEPARATE_IM`: pref exp(off)
     exp(-i s^2/(pi c w)) theta_partner(u | gamma tau), u = s/(c w) + pi
-    j/c, and its first two zeta-derivatives (None without want_derivs).
+    j/c.
 
     As gamma tau = a/c - 1/(c w), term m of the product is s_m exp(off -
     i (s - pi m)^2/(pi c w) + i pi (a m^2 + 2 m j)/c): one square and an
@@ -578,18 +546,13 @@ def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
     each reach about pi Im tau' and cancel to O(1) in the largest terms,
     which near a revival (Im tau' = 6e4 at eps omega t = 2 pi, eps omega
     eta = 1e-4) cost 8e-12; up to `_SEPARATE_IM` they stay below ~16 pi,
-    and `_theta_sum` takes the series with the Gaussian in its offset.
-    For the same reason each term carries its own zeta-derivatives, e =
-    2 c ct (s - pi m) and e^2 + 2 c^2 ct times the term, ct = -i/(pi c
-    w): the chain rule through the Gaussian and the series apart cancelled
-    from ~1/Im tau to the derivative's scale."""
+    and `_theta_sum` takes the series with the Gaussian in its offset."""
     a, c, partner = mod.gamma[0], mod.gamma[2], mod.partner
     shape = u.shape
     s, u, j, off = s.reshape(-1), u.reshape(-1), j.reshape(-1), off.reshape(-1)
     b = float(_peak(u.imag))
-    # the extent, in the term budget; the derivatives keep the margin
-    # `_n_cutoff` leaves for their weights
-    n = _n_cutoff(math.pi * mod.tau.imag, b) - (0 if want_derivs else 2)
+    # the extent, in the term budget
+    n = _n_cutoff(math.pi * mod.tau.imag, b) - 2
     plan = (_term_plan if n <= _PLAN_TERMS
             else _term_plan.__wrapped__)(partner, n)
     if a != 0:
@@ -598,10 +561,8 @@ def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
         # 8c; under S, a = 0 and so j = 0, and every phase is 0
         quad = (a % (8 * c)) * twice * twice % (8 * c)
     alpha = -1j / (math.pi * mod.cw)
-    slope = 2 * c * alpha
     chunk = max(1, _CHUNK // plan.m.size)
-    sums = [np.empty(u.size, dtype=complex)
-            for _ in range(3 if want_derivs else 1)]
+    out = np.empty(u.size, dtype=complex)
     for i in range(0, u.size, chunk):
         part = slice(i, i + chunk)
         d = s[part] - math.pi * plan.m[:, None]
@@ -610,35 +571,30 @@ def _theta_squares(mod: _Modular, s, u, j, off, want_derivs: bool):
             num = (quad[:, None]
                    + 4 * np.multiply.outer(twice, j[part])) % (8 * c)
             expo = expo + (1j * math.pi / (4 * c)) * num
-        terms = np.exp(expo + off[part])
-        sums[0][part] = plan.sign.dot(terms)
-        if want_derivs:
-            e = slope * d
-            sums[1][part] = plan.sign.dot(e * terms)
-            sums[2][part] = plan.sign.dot((e * e + slope * c) * terms)
-    out = [mod.pref * x.reshape(shape) for x in sums]
-    return tuple(out) if want_derivs else (out[0], None, None)
+        out[part] = plan.sign.dot(np.exp(expo + off[part]))
+    return mod.pref * out.reshape(shape)
 
 
 def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
                     want_derivs: bool, offset=0.0):
     """`theta` or `theta_derivs` times exp(offset), a scalar fused into the
-    series' exponents (`_theta_sum`); zeta may be `_Nodes`.  The one owner
+    series' exponents (`_theta_sum`); zeta may be `_Nodes` for values.  The one owner
     of the route (`_reduce_tau` under "auto") and of the range refusal: a
     value or derivative that is not a finite double raises ValueError.
 
-    A call has two lanes, picked from its input.  On the direct route and
-    under S, the routes a point on the imaginary tau axis takes, a number
-    whose nmax + 1 terms are at most `_LANE_WORK` runs in Python complex
-    arithmetic from here to its sum, with no NumPy call (`_theta_lane`):
+    The input alone picks the lane.  A number (a Python or NumPy scalar,
+    or a 0-d array) runs in Python complex arithmetic from here to its sum,
+    with no NumPy call, on whatever route the walk picks (`_theta_lane`):
     most calls take a scalar, and there NumPy's fixed cost per call
-    outweighs the series.  Every other call, arrays and `_Nodes` included,
-    takes the array lane, which keeps its own fixed cost low: each peak (of
-    |Re zeta| / period here, of |Im zeta| in the series) is one reduction,
-    the series runs under one floating-point state set per call
-    (`_theta_route`), and what depends on tau alone comes cached, with the
-    move (`_Modular`) or the terms' plan (`_term_plan`).  The lanes share
-    the route and the lattice shift; their sums differ by rounding only."""
+    outweighs the series.  The derivatives of an array take that lane
+    point by point, each output shaped like zeta.  The values of an array
+    or of `_Nodes` take the array lane, which keeps its own fixed cost
+    low: each peak (of |Re zeta| / period here, of |Im zeta| in the
+    series) is one reduction, the series runs under one floating-point
+    state set per call (`_theta_route`), and what depends on tau alone
+    comes cached, with the move (`_Modular`) or the terms' plan
+    (`_term_plan`).  The lanes share the route and the lattice shift;
+    their sums differ by rounding only."""
     if kind not in (2, 3, 4):
         raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
     if not isinstance(nome, ThetaNome):
@@ -649,53 +605,41 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
     # theta_3 and theta_4 have period pi, theta_2 2 pi (theta_2(zeta + pi) =
     # -theta_2(zeta)); a reduced argument keeps every route's terms small
     period = 2.0 * math.pi if kind == 2 else math.pi
-    if mod is None or mod.gamma == _S:
-        lane = _theta_lane(kind, zeta, nome.tau, mod, period, want_derivs,
-                           offset)
-        if lane is not None:
-            return lane
+    if isinstance(zeta, (complex, float, int)) or np.ndim(zeta) == 0:
+        return _theta_lane(kind, nome.tau, mod, period, want_derivs, offset,
+                           complex(zeta))
+    if want_derivs:
+        z = np.asarray(zeta, dtype=complex)
+        # a map, not a comprehension: its closure would put the locals it
+        # reads in cells, which every call of this function pays for
+        rows = np.array(list(map(functools.partial(
+            _theta_lane, kind, nome.tau, mod, period, True, offset),
+            z.ravel().tolist())), dtype=complex)
+        return tuple(rows.T.reshape((3,) + z.shape))
     nodes = isinstance(zeta, _Nodes)
+    # the largest |Re zeta| / period, nan or inf past the range; the nodes
+    # reach a period below zeta0.  `_n_cutoff` refuses a non-finite Im zeta
     if nodes:
-        z = complex(zeta.zeta0)
-        finite = abs(z.real) / period + 1.0 < _TURN_LIMIT
+        peak = abs(zeta.zeta0.real) / period + 1.0
     else:
-        # a scalar as a NumPy scalar: its arithmetic skips the array
-        # machinery
-        zeta = z = np.asarray(zeta, dtype=complex)[()]
-        turns = z.real / period
-        # nan or inf past the range; `_n_cutoff` refuses a non-finite Im
-        # zeta
+        zeta = np.asarray(zeta, dtype=complex)
+        turns = zeta.real / period
         peak = _peak(turns)
-        finite = peak < _TURN_LIMIT
-    if not finite:
+    if not peak < _TURN_LIMIT:
         raise ValueError(_TURN_REFUSAL)
 
     # a move's lattice shift reduces the argument itself, exactly, as long
     # as its k stays below 2^29; past it, and on the direct series, the
     # argument is reduced by its period
-    shift = mod is not None
-    if shift:
-        reach = abs(z.real) if nodes else peak * period
-        shift = mod.gamma[2] * reach < _SHIFT_LIMIT
-    if not shift:
+    if mod is None or not mod.gamma[2] * (peak * period) < _SHIFT_LIMIT:
         if nodes:
-            z = zeta.points()
-            turns = z.real / period
-        zeta = z - period * np.rint(turns)
-    v, d1, d2 = _theta_route(kind, zeta, nome, mod, want_derivs, offset)
-    if v.ndim == 0:
-        v = complex(v)
-        if want_derivs:
-            d1, d2 = complex(d1), complex(d2)
-        finite = cmath.isfinite(v) and (not want_derivs or (
-            cmath.isfinite(d1) and cmath.isfinite(d2)))
-    else:
-        # one isfinite over the three outputs: each call costs ~1 us
-        finite = np.isfinite(np.concatenate((v, d1, d2)) if want_derivs
-                             else v).all()
-    if not finite:
+            zeta = zeta.points()
+            turns = zeta.real / period
+        zeta = zeta - period * np.rint(turns)
+    v = _theta_route(kind, zeta, nome, mod, offset)
+    if not np.isfinite(v).all():
         raise ValueError(_RANGE_REFUSAL)
-    return (v, d1, d2) if want_derivs else v
+    return v
 
 
 _TURN_REFUSAL = ("zeta must be finite, with |Re zeta| below 2^52 periods "
@@ -704,48 +648,71 @@ _RANGE_REFUSAL = ("theta is not a finite double here: its value or a "
                   "derivative leaves double range")
 
 
-def _theta_lane(kind: int, zeta, tau: complex, mod: _Modular | None,
-                period: float, want_derivs: bool, offset):
-    """The scalar lane of `_theta_dispatch` (see there) on the direct route
-    (mod None) or under S: the outputs, or None where zeta is not a number
-    or where its nmax + 1 terms pass `_LANE_WORK`.
+def _theta_lane(kind: int, tau: complex, mod: _Modular | None,
+                period: float, want_derivs: bool, offset, z: complex):
+    """The scalar lane of `_theta_dispatch` (see there): theta at the number
+    z, or its value and first two zeta-derivatives, on the direct route
+    (mod None) or under the move `mod`.
 
-    On the direct route zeta is reduced by the period, as on the array
-    lane.  Under S it is shifted to s = zeta - k pi as `_shifted` does with
-    c = 1, an odd k puts theta_2's sign in the offset as i pi, and each
-    term is one square, exp(ct (s - pi m)^2 + offset), with its own
-    zeta-derivatives, at every Im tau', as `_theta_squares` forms it.  The
-    series is summed term by term with `cmath.exp`, over the rows of the
-    `_lane_plan`: one exp per signed term, no BLAS `dot`, so the bits
+    z is first reduced by the period where the array lane reduces it.  On
+    the direct route each term is exp(m^2 lq + offset + 2i m z).  Under a
+    move z is shifted to s = c z - k pi as `_shifted` shifts it, and with
+    the integers j and p of `_theta_route` each term is one square, as
+    `_theta_squares` forms it, at every Im tau': s_m exp(ct (s - pi m)^2 +
+    offset + i pi p/c), ct = 1/(i pi c w), times the exact phase exp(i pi
+    ((a (2m)^2 + 4 (2m) j) mod 8c)/(4c)) where a != 0.  Such a term carries
+    its own zeta-derivatives, e = 2 c ct (s - pi m) and e^2 + 2 c^2 ct
+    times the term: the chain rule through the Gaussian and the series
+    apart cancelled from ~1/Im tau to the derivative's scale.  Past
+    `_HORNER_TERMS` on the direct route the phases m^2 pi Re tau reach far
+    beyond 2 pi, so each is reduced mod 2 pi exactly, in integers, before
+    it is rounded: with Re tau = X/D, D a power of two, it is pi ((2m)^2 X
+    mod 8D)/(4D).  An exact phase multiplies its term's weights
+    (`_phased`), so the loop over the terms is the same on every route.
+
+    The series is summed term by term with `cmath.exp`, over the rows of
+    the `_lane_plan`: one exp per signed term, no BLAS `dot`, so the bits
     depend on no thread count.  An exponent past double range raises
     OverflowError in `cmath.exp`, refused here with the array lane's
     ValueError."""
-    if not isinstance(zeta, (complex, float, int)):
-        return None
-    z = complex(zeta)
     turns = z.real / period
     if not -_TURN_LIMIT < turns < _TURN_LIMIT:
         raise ValueError(_TURN_REFUSAL)
-    if mod is None or not abs(turns) * period < _SHIFT_LIMIT:
-        z -= period * round(turns)
+    # term m's exact phase, where wrap > 0: 2 pi ((qa 2m + qb) 2m mod
+    # wrap)/wrap
+    wrap = 0
     if mod is None:
-        tau = _direct_tau(tau, kind)
-        u = z
+        z -= period * round(turns)
+        tau, u = _direct_tau(tau, kind), z
     else:
-        k = round(z.real * (1 / math.pi))
-        s = complex(z.real - k * mod.pi_head - k * mod.pi_tail, z.imag)
-        u = s / mod.cw
-        ct = mod.ct
-        slope = 2.0 * ct
+        a, _, c, _ = mod.gamma
+        # float * int, not int * float: the float's own product is faster
+        if not abs(turns) * period * c < _SHIFT_LIMIT:
+            z -= period * round(turns)
+        k = round(z.real * (c / math.pi))
+        s = complex((z.real - mod.pi_head * k - mod.pi_tail * k) * c,
+                    z.imag * c)
+        j = k * a % (2 * c)
+        p = k * (j + c if mod.partner == 4 else j) % (2 * c)
+        if p:
+            offset += (1j * math.pi / c) * p
+        if a:
+            qa, qb, wrap = a, 4 * j, 8 * c
+        u, ct, pref = s / mod.cw, mod.ct, mod.pref
+        if want_derivs:
+            slope, curve = ct * (2 * c), ct * (2 * c * c)
         tau, kind = mod.tau, mod.partner
-        if kind == 4 and k % 2:
-            offset += 1j * math.pi
     lq = 1j * math.pi * tau
     # `_n_cutoff` refuses a non-finite Im u
     nmax = _n_cutoff(-lq.real, abs(u.imag))
-    if nmax + 1 > _LANE_WORK:
-        return None
-    plan = _lane_plan(kind, nmax)
+    if mod is None and nmax >= _HORNER_TERMS and tau.real != 0.0:
+        qa, den = tau.real.as_integer_ratio()
+        qb, wrap = 0, 8 * den
+        lq = complex(lq.real, 0.0)
+    plan = (_lane_plan if nmax <= _PLAN_TERMS
+            else _lane_plan.__wrapped__)(kind, nmax)
+    if wrap:
+        plan = _phased(plan, qa, qb, wrap)
     exp = cmath.exp
     g = g1 = g2 = 0j
     try:
@@ -757,19 +724,29 @@ def _theta_lane(kind: int, zeta, tau: complex, mod: _Modular | None,
                 t = exp(ct * (d * d) + offset)
                 if want_derivs:
                     e = slope * d
-                    w1, w2 = sign * e, sign * (e * e + slope)
+                    w1, w2 = sign * e, sign * (e * e + curve)
             g += sign * t
             if want_derivs:
                 g1 += w1 * t
                 g2 += w2 * t
         if mod is not None:
-            g, g1, g2 = mod.pref * g, mod.pref * g1, mod.pref * g2
+            g, g1, g2 = pref * g, pref * g1, pref * g2
         out = (g, g1, g2) if want_derivs else (g,)
         if not all(map(cmath.isfinite, out)):
             raise OverflowError  # a sum past range, as an exponent
     except OverflowError:
         raise ValueError(_RANGE_REFUSAL) from None
     return out if want_derivs else g
+
+
+def _phased(plan, qa: int, qb: int, wrap: int) -> list:
+    """The rows of a `_lane_plan`, each weight s_m, 2i m s_m and -4 m^2 s_m
+    times its term's exact phase exp(2 pi i ((qa 2m + qb) 2m mod wrap) /
+    wrap), 2m = Im 2i m."""
+    turns = [cmath.exp(2j * math.pi * ((qa * m + qb) * m % wrap / wrap))
+             for m in (int(row[1].imag) for row in plan)]
+    return [(m2, two_im, pi_m, sign * t, w1 * t, w2 * t)
+            for (m2, two_im, pi_m, sign, w1, w2), t in zip(plan, turns)]
 
 
 def _direct_tau(tau: complex, kind: int) -> complex:
@@ -812,46 +789,45 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
         more at the same double (zeta, tau), on the propagator kernel's
         arguments, this is within 4.0e-15 of max|theta| for eps omega eta
         in [5e-5, 2e-2] (60 random draws of three points) and 3.2e-15
-        down to 1e-8 (8 draws); the tau -> -1/tau rule it replaces was off
-        by up to 1.7e-12 in the same draws.  The walk alone picks the
-        move: for a tau already in the domain, or one a translation takes
-        there, it leaves the direct series, and at Re tau = 0 below
-        Im tau = 1 it is S alone, the tau -> -1/tau series.  "direct"
-        forces the series at tau, the reference the modular route is
-        checked against.  The direct series is summed at Re tau reduced,
-        exactly, by theta's period in tau, 2 (8 for kind 2), so a large
-        |Re tau| costs no precision.  Any other method raises ValueError.
+        down to 1e-8 (8 draws).  The walk alone picks the move: for a tau
+        already in the domain, or one a translation takes there, it leaves
+        the direct series, and at Re tau = 0 below Im tau = 1 it is S
+        alone, the tau -> -1/tau series.  "direct" forces the series at
+        tau, the reference the modular route is checked against.  The
+        direct series is summed at Re tau reduced, exactly, by theta's
+        period in tau, 2 (8 for kind 2), so a large |Re tau| costs no
+        precision.  Any other method raises ValueError.
 
-    On the direct series and under S, a number whose series' nmax + 1
-    indices m >= 0 stay within `_LANE_WORK` (24) is summed in Python
-    complex arithmetic, with no NumPy call and no BLAS `dot`; every other
-    call, every array included, is summed over NumPy arrays.  The two
-    lanes agree to rounding: within 4 u (1 + E) of the function's scale,
-    E the size of the largest exponent that counts (a hypothesis test).
-    Both stay within 8 u (1 + kappa) of the sum of the direct series' term
-    moduli, kappa the condition number of the point in zeta and tau, and
-    within 32 u (1 + kappa) on the array lane's fused series of a move,
-    Im tau' <= 16 (a hypothesis test against 40-digit values, Im tau from
-    1e-13 to 1e3).
+    A number is summed in Python complex arithmetic, on every route, with
+    no NumPy call and no BLAS `dot`; an array is summed over NumPy arrays.
+    The two lanes agree to rounding: within 4 u (1 + E) of the function's
+    scale, E the size of the largest exponent that counts (a hypothesis
+    test).  A number stays within 8 u (1 + kappa) of the sum of the direct
+    series' term moduli, kappa the condition number of the point in zeta
+    and tau, and so does an array, except on its fused series of a move,
+    Im tau' <= 16, where it stays within 32 u (1 + kappa) (a hypothesis
+    test against 40-digit values, Im tau from 1e-13 to 1e3).
 
     Returns
     -------
     complex or ndarray
         Finite doubles: a value past double range raises ValueError.
     """
-    return _theta_dispatch(kind, zeta, nome, method, want_derivs=False)
+    return _theta_dispatch(kind, zeta, nome, method, False)
 
 
 def theta_derivs(kind: int, zeta, nome):
     """Theta value and first two derivatives with respect to zeta.
 
-    Term-wise differentiated series (direct route) or the chain rule applied
-    to the modular representation (`_theta_route`), on the "auto" route
-    and either lane of `theta`.  The plain series is summed at any array
-    size, one exp per term and point.  Returns (value, d/dzeta, d2/dzeta2); ValueError where
-    one of them is not a finite double.
+    The term-wise differentiated series on the "auto" route of `theta`,
+    summed in Python complex arithmetic: on the direct series each term
+    times 2i m and -4 m^2, under a move each completed square times its
+    own zeta-derivatives (`_theta_lane`).  An array is summed point by
+    point, each output shaped like zeta, with the bits of the number at
+    each point.  Returns (value, d/dzeta, d2/dzeta2); ValueError where one
+    of them is not a finite double.
     """
-    return _theta_dispatch(kind, zeta, nome, "auto", want_derivs=True)
+    return _theta_dispatch(kind, zeta, nome, "auto", True)
 
 
 # ---------------------------------------------------------------------------

