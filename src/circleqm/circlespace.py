@@ -78,6 +78,20 @@ def _require_index(n, name: str) -> int:
     return int(n)
 
 
+# The one size budget: no builder allocates a window, or an array of windows,
+# of more coefficients than this (2^22, 64 MB of complex doubles).
+_MAX_WIDTH = 2 ** 22
+
+
+def _require_width(n, what: str) -> None:
+    """ValueError naming `what`, the parameter that set the width, unless
+    n coefficients are within `_MAX_WIDTH`; called before they are
+    allocated."""
+    if not n <= _MAX_WIDTH:
+        raise ValueError(f"{what} asks for a window of more than "
+                         f"{_MAX_WIDTH} coefficients")
+
+
 # Sector labels closer than this name one Hilbert space (see `Sector`).
 _SECTOR_TOL = 1e-9
 
@@ -534,7 +548,9 @@ def rep_apply(alpha: float, a: float, b: float, rep: RepLabel,
     `_bessel_half_width(R, _TAP_TAIL)`: the dropped taps carry at most
     _TAP_TAIL of sum_k J_k(R)^2 = 1 by the DLMF 10.14.4 bound, so the image
     is exact up to a part of norm at most 1e-16 ||psi||, and the window
-    grows by h (8 to 96 for R from 0.1 to 50) on each side.
+    grows by h (8 to 96 for R from 0.1 to 50) on each side.  An image past
+    the size budget (`_require_width`, h above about 2.1 million, R above
+    about 1.5 million) raises ValueError before any tap is formed.
     """
     _require_same_sector(rep.sector, state.sector)
     coeffs = state.coeffs
@@ -545,6 +561,7 @@ def rep_apply(alpha: float, a: float, b: float, rep: RepLabel,
     if radius == 0.0:
         return CircleState(state.sector, state.n_lo, coeffs)
     half = _bessel_half_width(radius, _TAP_TAIL)
+    _require_width(coeffs.size + 2 * half, "rho |t|")
     k = np.arange(-half, half + 1)
     taps = (_MINUS_I_POWERS[k % 4] * _bessel_window(radius, half)
             * np.exp(-1j * k * math.atan2(b, a)))

@@ -17,6 +17,9 @@ number and every derivative, calls no BLAS, so the holomorphic family's
 closed forms of one point (the `state` moments of a "wz" config,
 `table transition`) do not.
 
+Each call is parsed once, by its subcommand's own parser; help, and any
+usage error, comes from the top-level parser, in argparse's own words.
+
 Exit codes: 0 ok, 1 a failed verify check, 2 a malformed configuration,
 with a `config error:` message on stderr and nothing on stdout.  Exit 2
 covers missing keys, non-finite numbers, values the library refuses (a
@@ -342,9 +345,10 @@ def _cmd_kernel(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every `main`
-    call in the process; `parse_args` leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level argument parser and its subcommands' parsers by name,
+    built on first use and shared by every `main` call in the process;
+    parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="circleqm",
         description="Quantum mechanics on the circle: verification suites, "
@@ -375,11 +379,26 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "state":
             p.add_argument("--density-out", default=None,
                            help="also write the angular density CSV here")
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The arguments of `argv`, parsed by the parser of the subcommand it
+    names first: the nested parse that the top-level parser would run on
+    them, without the top-level pass.  Any other argv (help, no or an
+    unknown subcommand, arguments left over) is the top-level parser's to
+    answer or to refuse."""
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     handlers = {
         "verify": _cmd_verify,
         "table": _cmd_table,

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circleqm.circlespace import (CircleState, Sector, _finite_array, _fold,
-                                  _require_index, _require_same_sector)
+from circleqm.circlespace import (_MAX_WIDTH, CircleState, Sector,
+                                  _finite_array, _fold, _require_index,
+                                  _require_same_sector, _require_width)
 from circleqm.specfun import (ThetaNome, _extent, _Nodes, _theta_dispatch,
                               theta, theta_derivs)
 
@@ -271,11 +272,17 @@ def zak_small_nome(params: WZParams, z, phi):
 def _window(eps: float, delta: float, l_tilde, tol: float) -> np.ndarray:
     """Index window of w_z at momentum l_tilde (a row per label for an
     array): centre round((l - eps delta)/eps), the magnitude peak, and
-    half-width ceil(sqrt(2 ln(1/tol)/eps)) + 5 (Gaussian decay)."""
+    half-width ceil(sqrt(2 ln(1/tol)/eps)) + 5 (Gaussian decay).  Windows
+    past the size budget (`_require_width`) raise ValueError before any
+    index is formed."""
     center = np.rint((np.asarray(l_tilde) - eps * delta) / eps)
     if not np.isfinite(center).all():
         raise ValueError("the label's momentum must be finite")
-    half = int(math.ceil(math.sqrt(2.0 * math.log(1.0 / tol) / eps))) + 5
+    # inf at the least eps: a half-width past the budget is refused below
+    # whatever it is, so it is rounded only up to the budget
+    half = math.ceil(min(math.sqrt(2.0 * math.log(1.0 / tol) / eps),
+                         _MAX_WIDTH)) + 5
+    _require_width(center.size * (2 * half + 1), "epsilon")
     return center.astype(np.int64)[..., None] + np.arange(-half, half + 1)
 
 

@@ -9,12 +9,15 @@ import cmath
 import dataclasses
 import math
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circleqm import circlespace
 from circleqm.circlespace import (
     _TAP_TAIL,
     _centred_report,
@@ -43,7 +46,8 @@ from circleqm.ladder import LadderContext, apply_B, qdeform_residual
 from circleqm.mincs import (MinUncParams, dbt_divergence, min_expectations,
                             min_overlap, min_state)
 from circleqm.specfun import _bessel_half_width, bessel_j
-from circleqm.zakcs import WZParams, bargmann_forward, completeness_residual_wz
+from circleqm.zakcs import (PhasePoint, WZParams, _window, bargmann_forward,
+                            completeness_residual_wz, w_state)
 
 RNG = np.random.default_rng(20260810)
 
@@ -737,6 +741,61 @@ class TestRepApply:
         grow = (_bessel_half_width(rho * abs(t1), _TAP_TAIL)
                 + _bessel_half_width(rho * abs(t2), _TAP_TAIL))
         assert both.n_lo >= psi.n_lo - grow and both.n_hi <= psi.n_hi + grow
+
+
+class TestSizeBudget:
+    """The one size budget, `circlespace._require_width`: a builder refuses
+    a window past it before it allocates."""
+
+    _MIN = min_state(MinUncParams(0.4, 1.0, 0.5, 0.8))
+
+    @pytest.mark.parametrize("build", [
+        # half-widths 802,946,969 and past double range (a 12.8 GB index
+        # array before the budget), and 13,591,437 and about 1e300 taps
+        lambda: w_state(WZParams(1e-16, Sector(0.2)), PhasePoint(1.0, 0.5)),
+        lambda: w_state(WZParams(1.4e-307, Sector(0.2)),
+                        PhasePoint(1.0, 0.5), window_tol=1e-14),
+        lambda: rep_apply(0.0, 1e7, 0.0, RepLabel(1.0, Sector(0.0)),
+                          TestSizeBudget._MIN),
+        lambda: rep_apply(0.3, 0.0, 1e300, RepLabel(1.0, Sector(0.0)),
+                          TestSizeBudget._MIN),
+    ], ids=["w_state-1e-16", "w_state-1.4e-307", "rep_apply-1e7",
+            "rep_apply-1e300"])
+    def test_refused_before_allocation(self, build):
+        _bessel_half_width(3.0, _TAP_TAIL)   # scipy.special's first import
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 4194304 coefficients"):
+            build()
+        assert time.perf_counter() - start < 0.05
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+
+    def test_boundary(self, monkeypatch):
+        # at a budget of exactly the width every builder answers as it did;
+        # one coefficient fewer refuses, naming the parameter.  An array of
+        # labels counts every row
+        params, point = WZParams(1.0, Sector(0.2)), PhasePoint(1.0, 0.5)
+        rep = RepLabel(1.0, Sector(0.0))
+        cases = [
+            (lambda: w_state(params, point).coeffs, "epsilon"),
+            (lambda: _window(1.0, 0.2, np.zeros(3), 1e-12), "epsilon"),
+            (lambda: rep_apply(0.0, 3.0, 4.0, rep, self._MIN).coeffs,
+             "rho"),
+        ]
+        for build, what in cases:
+            out = build()
+            monkeypatch.setattr(circlespace, "_MAX_WIDTH", out.size)
+            assert np.array_equal(build(), out)
+            monkeypatch.setattr(circlespace, "_MAX_WIDTH", out.size - 1)
+            with pytest.raises(ValueError, match=what):
+                build()
+            monkeypatch.undo()
 
 
 class TestParams:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, report contents."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -15,7 +16,7 @@ import pytest
 
 from circleqm import circlespace, evolve, ladder, mincs, verify, zakcs
 from circleqm.circlespace import Params, Sector
-from circleqm.cli import _build_parser, _float_table, _table, main
+from circleqm.cli import _build_parser, _float_table, _parse, _table, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -91,8 +92,8 @@ class TestVerify:
 
 class TestInProcess:
     def test_parser_built_once_and_left_unchanged(self):
-        parser = _build_parser()
-        assert _build_parser() is parser
+        parser, commands = _build_parser()
+        assert _build_parser() == (parser, commands)
         first = parser.parse_args(["state", "-", "--density-out", "d.csv"])
         second = parser.parse_args(["verify", "all"])
         assert first is not second
@@ -133,6 +134,65 @@ class TestInProcess:
                 assert mine == (proc.returncode, stdout, stderr), argv
         codes = [code for code, _, _ in in_process]
         assert codes == [0, 2, 0, 2, 0] and captured.out
+
+
+# argv of every kind: help, no or an unknown subcommand, usage errors in a
+# subcommand's parser and left-over arguments, "--", abbreviated, "="-joined
+# and repeated options, and valid calls of every subcommand
+_ARGV_CASES = [
+    [], ["-h"], ["-h", "state"], ["state", "-h"], ["nonsense"],
+    ["state", "-", "--format", "xml"], ["kernel", "-", "--tol", "1e-3"],
+    ["verify", "specfun", "--tol", "x"], ["table", "mincs-g", "a", "b"],
+    ["--", "state", "-"], ["state", "--", "-"], ["state", "-", "--fo", "csv"],
+    ["state", "--format=csv", "-"],
+    ["state", "-", "--format", "json", "--format", "csv"],
+    ["kernel", "--out"], ["--help"], ["verify"], ["verify", "all"],
+    ["verify", "nope"], ["verify", "e2", "--tol", "1e-3", "--out", "o.csv"],
+    ["table"], ["table", "kj", "-"], ["table", "nope"], ["state"],
+    ["state", "-", "--density-out", "d.csv"],
+    ["state", "-", "--density", "d.csv"],
+    ["overlap", "-", "--format", "csv", "--out", "o.json"],
+    ["evolve", "-", "extra"], ["kernel", "-", "--out=o.csv"],
+    ["Kernel", "-"], ["--format", "json", "state", "-"], ["state", "-", "-x"],
+]
+
+
+class TestDispatch:
+    """`main` parses a call once, with the parser of the subcommand it
+    names; the top-level parser's nested parse is the reference."""
+
+    @pytest.mark.parametrize("argv", _ARGV_CASES, ids=" ".join)
+    def test_same_as_the_nested_parse(self, capsys, argv):
+        parser, _ = _build_parser()
+        try:
+            nested = parser.parse_args(argv)
+        except SystemExit as exc:
+            nested = exc.code, capsys.readouterr()
+        if isinstance(nested, argparse.Namespace):
+            assert vars(_parse(argv)) == vars(nested)
+            return
+        # help and usage errors: the same exit code and the same bytes
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert (exc.value.code, capsys.readouterr()) == nested
+
+    def test_one_parse_per_call(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            json.dumps({"t": 0.5, "eta": 1e-3, "n_points": 4})))
+        target = argparse.ArgumentParser.parse_known_args.__code__
+        calls = []
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code is target:
+                calls.append(frame.f_locals["self"].prog)
+
+        sys.setprofile(hook)
+        try:
+            code = main(["kernel", "-"])
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and capsys.readouterr().out
+        assert calls == ["circleqm kernel"]
 
 
 _STARTUP_SCRIPT = """
@@ -343,6 +403,20 @@ class TestConfigValues:
         assert out == ""
         assert err.startswith("config error:")
         assert word in err
+
+
+    @pytest.mark.parametrize("argv", [["state"], ["table", "transition"],
+                                      ["evolve"]])
+    def test_window_past_the_size_budget_exits_two(self, capsys, tmp_path,
+                                                    argv):
+        # epsilon = 1e-16: a w_state window of 1.6e9 coefficients
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "wz", "epsilon": 1e-16,
+                                   "delta": 0.2, "theta": 0.3, "l": 0.5,
+                                   "t_grid": [0.0, 1.0]}))
+        code, out, err = run(capsys, *argv, str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 class TestKJRange:

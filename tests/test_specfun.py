@@ -1006,6 +1006,31 @@ class TestAccuracyEnvelope:
             assert abs(got - ref[order]) <= (
                 bound * _U * (1.0 + kappa) * scale), (order, bound)
 
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    @pytest.mark.parametrize("re", [2.0e8 + 0.3, -3.7e8 - 0.1, 1e12 + 0.5])
+    def test_far_argument_under_a_move(self, kind, re):
+        # tau = 0.31 + 0.02i takes a move with c = 3.  Where |Re zeta| c
+        # reaches _SHIFT_LIMIT the lane reduces zeta by whole periods before
+        # the move's shift: a number and its derivatives are those of zeta
+        # so reduced, bit for bit, and within the envelope above of 40-digit
+        # values at zeta reduced exactly (math.remainder).  They read at
+        # most 0.25 of it
+        tau = 0.31 + 0.02j
+        period = 2.0 * math.pi if kind == 2 else math.pi
+        assert abs(re) * _reduce_tau(tau, kind).gamma[2] >= specfun._SHIFT_LIMIT
+        zeta = complex(re, 0.01)
+        nome = ThetaNome(tau)
+        outs = theta_derivs(kind, zeta, nome)
+        assert outs == theta_derivs(
+            kind, complex(re - period * round(re / period), 0.01), nome)
+        reduced = complex(math.remainder(re, period), zeta.imag)
+        ref = _reference(kind, reduced, tau)
+        for order, got in enumerate(outs):
+            kappa = ((abs(zeta) * abs(ref[order + 1]) + abs(tau)
+                      * math.pi / 4.0 * abs(ref[order + 2])) / abs(ref[order]))
+            scale = _l1_scale(kind, reduced, nome, order)
+            assert abs(got - ref[order]) <= 8.0 * _U * (1.0 + kappa) * scale
+
 
 def _profiled_calls(call):
     """(Python-level calls into specfun, C-level calls made from its
