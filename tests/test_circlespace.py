@@ -743,11 +743,12 @@ class TestRepApply:
         assert both.n_lo >= psi.n_lo - grow and both.n_hi <= psi.n_hi + grow
 
 
+_PSI = CircleState(Sector(0.0), -2, np.arange(1.0, 6.0))
+
+
 class TestSizeBudget:
     """The one size budget, `circlespace._require_width`: a builder refuses
     a window past it before it allocates."""
-
-    _MIN = min_state(MinUncParams(0.4, 1.0, 0.5, 0.8))
 
     @pytest.mark.parametrize("build", [
         # half-widths 802,946,969 and past double range (a 12.8 GB index
@@ -755,10 +756,8 @@ class TestSizeBudget:
         lambda: w_state(WZParams(1e-16, Sector(0.2)), PhasePoint(1.0, 0.5)),
         lambda: w_state(WZParams(1.4e-307, Sector(0.2)),
                         PhasePoint(1.0, 0.5), window_tol=1e-14),
-        lambda: rep_apply(0.0, 1e7, 0.0, RepLabel(1.0, Sector(0.0)),
-                          TestSizeBudget._MIN),
-        lambda: rep_apply(0.3, 0.0, 1e300, RepLabel(1.0, Sector(0.0)),
-                          TestSizeBudget._MIN),
+        lambda: rep_apply(0.0, 1e7, 0.0, RepLabel(1.0, Sector(0.0)), _PSI),
+        lambda: rep_apply(0.3, 0.0, 1e300, RepLabel(1.0, Sector(0.0)), _PSI),
     ], ids=["w_state-1e-16", "w_state-1.4e-307", "rep_apply-1e7",
             "rep_apply-1e300"])
     def test_refused_before_allocation(self, build):
@@ -785,8 +784,7 @@ class TestSizeBudget:
         cases = [
             (lambda: w_state(params, point).coeffs, "epsilon"),
             (lambda: _window(1.0, 0.2, np.zeros(3), 1e-12), "epsilon"),
-            (lambda: rep_apply(0.0, 3.0, 4.0, rep, self._MIN).coeffs,
-             "rho"),
+            (lambda: rep_apply(0.0, 3.0, 4.0, rep, _PSI).coeffs, "rho"),
         ]
         for build, what in cases:
             out = build()

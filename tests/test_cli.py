@@ -92,8 +92,9 @@ class TestVerify:
 
 class TestInProcess:
     def test_parser_built_once_and_left_unchanged(self):
-        parser, commands = _build_parser()
-        assert _build_parser() == (parser, commands)
+        built = _build_parser()
+        assert _build_parser() is built
+        parser, _ = built
         first = parser.parse_args(["state", "-", "--density-out", "d.csv"])
         second = parser.parse_args(["verify", "all"])
         assert first is not second
@@ -403,7 +404,6 @@ class TestConfigValues:
         assert out == ""
         assert err.startswith("config error:")
         assert word in err
-
 
     @pytest.mark.parametrize("argv", [["state"], ["table", "transition"],
                                       ["evolve"]])
