@@ -4,8 +4,8 @@ Spectral phases are exact and revive completely at omega t = 4 pi (integer
 sector); the propagator kernel is a theta function of a complex nome with
 two modular faces -- a spectral series and a free-spreading Gaussian form,
 written out here from theta's direct series -- that both agree with the
-library's kernel.  Coherent wavepackets disperse (no rigid rotation) and
-their evolution stays in closed form.
+library's kernel.  Coherent wavepackets disperse (no rigid rotation); the
+holomorphic family's evolution stays in closed form.
 Run: python demos/time_evolution.py
 """
 
@@ -22,8 +22,8 @@ from circleqm.circlespace import (
     fidelity,
     inner,
 )
-from circleqm.evolve import EvolutionSpec, evolve_min, evolve_w, kernel, propagate
-from circleqm.mincs import MinUncParams
+from circleqm.evolve import EvolutionSpec, evolve_w, kernel, propagate
+from circleqm.mincs import MinUncParams, min_state
 from circleqm.specfun import ThetaNome, theta
 from circleqm.zakcs import PhasePoint, WZParams, w_state
 
@@ -62,7 +62,7 @@ print("\na squeezed wavepacket disperses while <L> stays pinned:")
 p = MinUncParams(0.0, 0.0, 0.0, 1.5)
 for wt in (0.0, 0.5, 1.0, 2.0):
     spec_t = EvolutionSpec(params, p.sector, wt)
-    state = evolve_min(spec_t, p).normalized()
+    state = propagate(spec_t, min_state(p)).normalized()
     mean_c = inner(state, apply_operator("C", state)).real
     mean_s = inner(state, apply_operator("S", state)).real
     mean_l = inner(state, apply_operator("L", state)).real

@@ -17,7 +17,6 @@ from circleqm.circlespace import (
     energy,
     ground_state,
     inner,
-    inner_quadrature,
     parity,
     rep_apply,
     time_reversal,

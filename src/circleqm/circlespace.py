@@ -30,7 +30,6 @@ __all__ = [
     "basis_state",
     "apply_operator",
     "inner",
-    "inner_quadrature",
     "uncertainty_report",
     "rep_apply",
     "energy",
@@ -394,22 +393,6 @@ def inner(state2: CircleState, state1: CircleState) -> complex:
     _require_same_sector(state2.sector, state1.sector)
     a, b = _windows(state2, state1)
     return complex(np.vdot(a, b))
-
-
-def inner_quadrature(state2: CircleState, state1: CircleState) -> complex:
-    """Scalar product by trapezoidal quadrature of conj(psi2) psi1 / 2 pi.
-
-    The integrand is an exactly 2 pi periodic trigonometric polynomial even
-    for delta != 0, so the uniform rule with more nodes than twice the
-    bandwidth is exact: it takes 4 w + 16 nodes for a common window w
-    indices wide.  Serves as the independent oracle for `inner`.
-    """
-    _require_same_sector(state2.sector, state1.sector)
-    width = max(state2.n_hi, state1.n_hi) - min(state2.n_lo, state1.n_lo) + 1
-    m = 4 * width + 16
-    phi = np.arange(m) * (2.0 * math.pi / m)
-    vals = np.conj(state2.evaluate(phi)) * state1.evaluate(phi)
-    return complex(np.mean(vals))
 
 
 def fidelity(state2: CircleState, state1: CircleState) -> float:

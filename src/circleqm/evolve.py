@@ -8,8 +8,9 @@ faces related by the imaginary-argument transformation -- a rapidly
 convergent Gaussian-prefactor form for small times and the plain spectral
 series; `kernel` evaluates neither as such, but the theta factor they
 share after an SL(2, Z) reduction of its tau, and `verify` checks it
-against both.  Closed-form evolutions of the two coherent-state families
-are provided alongside.
+against both.  The closed-form evolution of the holomorphic coherent-state
+family is provided alongside; a minimal-uncertainty state evolves by
+`propagate` of its window.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from circleqm.circlespace import (CircleState, Params, Sector, _centred_gram,
                                   _evaluate, _finite_array, _operator_rows,
                                   _require_same_sector)
-from circleqm.mincs import MinUncParams, min_state
 from circleqm.specfun import _Nodes
 from circleqm.zakcs import WZParams, _flow_theta, _require_phase, _w_theta
 
@@ -35,7 +35,6 @@ __all__ = [
     "kernel",
     "kernel_apply",
     "evolve_w",
-    "evolve_min",
 ]
 
 
@@ -221,7 +220,9 @@ def kernel_apply(spec: EvolutionSpec, state: CircleState, phi_out):
     m only moves the partners further out.  The indices past ceil(B), in a
     window far from n = 0, take Theta_k = 0: their own a_k is already below
     exp(-40).  So m is at most 2 ceil(B) + 1 rounded up to such a length,
-    however far the window sits.
+    however far the window sits.  `_NODE_COUNTS` stops at 262,144, below
+    the size budget (`circlespace._require_width`), so no budget check is
+    needed here.
 
     One convolution.  K(dphi) = C exp(i delta dphi) Theta(dphi), Theta the
     2 pi-periodic theta factor of `_kernel_theta`, and psi(phi) = sum_k c_k
@@ -272,10 +273,3 @@ def evolve_w(spec: EvolutionSpec, z):
     wt = spec.params.omega * spec.t
     return lambda phi: _w_theta(params, z, phi, wt)
 
-
-def evolve_min(spec: EvolutionSpec, params: MinUncParams) -> CircleState:
-    """Closed-form evolution of the minimal-uncertainty family: the Bessel
-    coefficients c_m times e^{-i eps delta^2 wt/2} (delta^2 piece), e^{-i eps
-    wt m^2/2} (quadratic) and e^{-i eps delta wt m} (angle drift), wt = omega
-    t: the spectral phase, so this is `propagate(spec, min_state(params))`."""
-    return propagate(spec, min_state(params))

@@ -28,7 +28,6 @@ __all__ = [
     "apply_B",
     "apply_Bdag",
     "apply_complexifier",
-    "apply_number_op",
     "eigen_residual",
     "kj_report",
     "kj_matrix_elements",
@@ -87,11 +86,6 @@ def apply_complexifier(ctx: LadderContext, state: CircleState,
     sign = 1.0 if inverse else -1.0
     return _diagonal(ctx, state,
                      lambda f: np.exp(sign * ctx.epsilon * f ** 2 / 2.0))
-
-
-def apply_number_op(ctx: LadderContext, state: CircleState) -> CircleState:
-    """N = L + shift_constant; unbounded below, generically non-integer."""
-    return _diagonal(ctx, state, lambda f: f + ctx.shift_constant)
 
 
 def eigen_residual(ctx: LadderContext, z) -> float:

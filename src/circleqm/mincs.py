@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from circleqm.circlespace import (CircleState, Sector, _fold, _require_index,
-                                  _rotation, _same_sector)
+                                  _require_width, _rotation, _same_sector)
 from circleqm.specfun import (_bessel_half_width, _bessel_window, _special,
                                bessel_j, g_ratio)
 
@@ -79,7 +79,9 @@ class MinUncParams:
 
 def _normalized_window(sigma: complex, half: int) -> np.ndarray:
     """J_k(sigma) / sqrt(I0(2s)), s = -Im sigma, for the orders k =
-    -half..half (one `bessel_j` call, see `_bessel_window`)."""
+    -half..half (one `bessel_j` call, see `_bessel_window`); a window past
+    the size budget (`_require_width`) raises ValueError first."""
+    _require_width(2 * half + 1, "sigma")
     return _bessel_window(sigma, half) * _inv_sqrt_i0(sigma)
 
 
@@ -311,11 +313,13 @@ def completeness_residual(m1: int, m2: int, s: float, gamma: float,
     the diagonal leaves (1/I0(2s)) sum_n |J_{m-n}(sigma)|^2 - 1, which
     decays to zero monotonically in n_cut.  `sector` is not read, since
     the defect does not depend on delta; positional callers still pass it.
+    The 2 n_cut + 1 orders are held to the size budget (`_require_width`).
     """
     if n_cut < 0:
         raise ValueError("n_cut must be nonnegative")
     if m1 != m2:
         return 0j
+    _require_width(2 * n_cut + 1, "n_cut")
     sigma = complex(gamma, -s)
     window = (bessel_j(m1 - np.arange(-n_cut, n_cut + 1), sigma)
               * _inv_sqrt_i0(sigma))
@@ -337,13 +341,16 @@ def dbt_divergence(n: int, gamma_max: float) -> float:
     the integral grows like log(Gamma)/pi without bound: increments between
     decades approach log(10)/pi, which is the numerical demonstration that
     a flat group-average of these states cannot resolve the identity.
-    n is an integer order (ValueError otherwise).
+    n is an integer order (ValueError otherwise).  The 12 nodes a panel
+    are held to the size budget (`_require_width`), counted in floats so
+    that an infinite or nan gamma_max is refused too.
     """
     n = _require_index(n, "n")
     if gamma_max < 0:
         raise ValueError("gamma_max must be nonnegative")
     if gamma_max == 0:
         return 0.0
+    _require_width(12.0 * np.ceil(gamma_max / math.pi), "gamma_max")
     edges = np.arange(0.0, gamma_max, math.pi)
     edges = np.append(edges, gamma_max)
     x_gl, w_gl = _dbt_nodes()

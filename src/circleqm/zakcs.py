@@ -22,7 +22,7 @@ import numpy as np
 
 from circleqm.circlespace import (_MAX_WIDTH, CircleState, Sector,
                                   _finite_array, _fold, _require_index,
-                                  _require_same_sector, _require_width)
+                                  _require_width)
 from circleqm.specfun import (ThetaNome, _extent, _Nodes, _theta_dispatch,
                               theta, theta_derivs)
 
@@ -32,18 +32,14 @@ __all__ = [
     "WZExpectations",
     "WZLeadingOrder",
     "WZCompletenessResiduals",
-    "BargmannFunction",
     "gaussian_cs",
     "zak_periodize",
-    "zak_small_nome",
     "w_state",
     "w_value",
     "w_norm_sq",
     "periodized_norm_constant",
     "w_overlap",
     "fn_basis",
-    "bargmann_forward",
-    "bargmann_inverse",
     "w_expectations",
     "transition_prob",
     "density",
@@ -258,17 +254,6 @@ def zak_periodize(params: WZParams, z, phi):
     return complex(series), complex(closed)
 
 
-def zak_small_nome(params: WZParams, z, phi):
-    """The same periodized state written with the nome e^{-eps/2} (the
-    modular partner of the winding-sum form): a multiple of w_z."""
-    eps, delta = params.epsilon, params.delta
-    z = _as_point(z).z
-    pref = ((2.0 * math.pi) ** -0.5 * (eps / math.pi) ** 0.25
-            * cmath.exp(-(abs(z) ** 2 - z * z) / (4.0 * eps))
-            * cmath.exp(-eps * delta ** 2 / 2.0 - 1j * z * delta))
-    return pref * w_value(params, z, phi)
-
-
 def _window(eps: float, delta: float, l_tilde, tol: float) -> np.ndarray:
     """Index window of w_z at momentum l_tilde (a row per label for an
     array): centre round((l - eps delta)/eps), the magnitude peak, and
@@ -331,45 +316,14 @@ def fn_basis(params: WZParams, n, z):
     """Orthonormal basis f_{n,delta}(z) = exp(-eps(n^2/2 + n delta))
     exp(-i n z) of the holomorphic-function space, the one place it is
     computed.  n is an integer or an integer array; an array of complex
-    labels z (this module's callers) broadcasts against n."""
+    labels z (this module's callers) broadcasts against n.  A circle state
+    sum c_n e_{n,delta} is represented by (psi, w_z) = sum conj(c_n)
+    f_{n,delta}(z)."""
     eps, delta = params.epsilon, params.delta
     zc = z if isinstance(z, np.ndarray) else _as_point(z).z
     n = np.asarray(n, dtype=float)
     vals = np.exp(-eps * (n * n / 2.0 + n * delta) - 1j * n * zc)
     return vals if vals.shape else complex(vals)
-
-
-@dataclass(frozen=True)
-class BargmannFunction:
-    """Expansion of a holomorphic-space element over f_{n,delta}.
-
-    Obtained from a circle state with coefficients b_n as ftilde(z) =
-    (f, w_z) = sum conj(b_n) f_{n,delta}(z); evaluation and norm follow.
-    """
-
-    params: WZParams
-    n_lo: int
-    coeffs: np.ndarray
-
-    def evaluate(self, z) -> complex:
-        n = np.arange(self.n_lo, self.n_lo + self.coeffs.size)
-        return complex(self.coeffs @ fn_basis(self.params, n, z))
-
-    def norm_sq(self) -> float:
-        """sum |b_n|^2, read as `CircleState.norm_sq` of the circle state
-        it maps back to."""
-        return bargmann_inverse(self).norm_sq()
-
-
-def bargmann_forward(params: WZParams, state: CircleState) -> BargmannFunction:
-    """Unitary map to the holomorphic space: coefficients conj(b_n)."""
-    _require_same_sector(state.sector, params.sector)
-    return BargmannFunction(params, state.n_lo, np.conj(state.coeffs))
-
-
-def bargmann_inverse(bf: BargmannFunction) -> CircleState:
-    """Back to the circle: b_n = conj(coefficient of f_{n,delta})."""
-    return CircleState(bf.params.sector, bf.n_lo, np.conj(bf.coeffs))
 
 
 @dataclass(frozen=True)

@@ -34,22 +34,35 @@ from circleqm.circlespace import (
     fidelity,
     ground_state,
     inner,
-    inner_quadrature,
     parity,
     rep_apply,
     time_reversal,
     uncertainty_report,
 )
-from circleqm.evolve import (EvolutionSpec, evolve_min, kernel_apply,
-                             moment_series, propagate)
+from circleqm.evolve import (EvolutionSpec, kernel_apply, moment_series,
+                             propagate)
 from circleqm.ladder import LadderContext, apply_B, qdeform_residual
-from circleqm.mincs import (MinUncParams, dbt_divergence, min_expectations,
-                            min_overlap, min_state)
+from circleqm.mincs import (MinUncParams, completeness_residual,
+                            dbt_divergence, min_expectations, min_overlap,
+                            min_state, sum_rule_residual)
 from circleqm.specfun import _bessel_half_width, bessel_j
-from circleqm.zakcs import (PhasePoint, WZParams, _window, bargmann_forward,
+from circleqm.zakcs import (PhasePoint, WZParams, _window,
                             completeness_residual_wz, w_state)
 
 RNG = np.random.default_rng(20260810)
+
+
+def inner_quadrature(state2, state1):
+    """The independent oracle for `inner`: trapezoidal quadrature of
+    conj(psi2) psi1 / 2 pi.  The integrand is an exactly 2 pi periodic
+    trigonometric polynomial even for delta != 0, so the uniform rule with
+    more nodes than twice the bandwidth is exact: it takes 4 w + 16 nodes
+    for a common window w indices wide."""
+    width = max(state2.n_hi, state1.n_hi) - min(state2.n_lo, state1.n_lo) + 1
+    m = 4 * width + 16
+    phi = np.arange(m) * (2.0 * math.pi / m)
+    vals = np.conj(state2.evaluate(phi)) * state1.evaluate(phi)
+    return complex(np.mean(vals))
 
 
 def random_state(sector, n_lo=-2, width=5, rng=RNG):
@@ -258,25 +271,19 @@ class TestSectorRule:
             assert abs(inner(psi, op(op(psi))) - psi.norm_sq()) < 1e-13
         spec = EvolutionSpec(Params(1.0, 1.0), p1.sector, 0.5)
         assert propagate(spec, s2).sector == s2.sector
-        assert evolve_min(spec, p2).sector == p2.sector
 
     @pytest.mark.parametrize("call", [
         lambda a, b: inner(basis_state(0, a), basis_state(0, b)),
-        lambda a, b: inner_quadrature(basis_state(0, a), basis_state(0, b)),
         lambda a, b: rep_apply(0.1, 0.2, 0.3, RepLabel(1.0, a),
                                basis_state(0, b)),
         lambda a, b: propagate(EvolutionSpec(Params(1.0), a, 0.5),
                                basis_state(0, b)),
         lambda a, b: kernel_apply(EvolutionSpec(Params(1.0), a, 0.5, 1e-2),
                                   basis_state(0, b), 0.0),
-        lambda a, b: evolve_min(EvolutionSpec(Params(1.0), a, 0.5),
-                                MinUncParams(0.0, 2.0 + b.delta, 0.5, 1.0)),
         lambda a, b: apply_B(LadderContext(1.0, a), basis_state(0, b)),
-        lambda a, b: bargmann_forward(WZParams(1.0, a), basis_state(0, b)),
         lambda a, b: min_overlap(MinUncParams(0.0, a.delta, 0.5, 1.0),
                                  MinUncParams(0.0, 3.0 + b.delta, 0.5, 1.0)),
-    ], ids=["inner", "inner_quadrature", "rep_apply", "propagate",
-            "kernel_apply", "evolve_min", "apply_B", "bargmann_forward",
+    ], ids=["inner", "rep_apply", "propagate", "kernel_apply", "apply_B",
             "min_overlap"])
     @pytest.mark.parametrize("d1,d2", [(0.1, 0.2), (1.0 - 1e-12, 0.0)])
     def test_every_owner_refuses_other_sectors(self, call, d1, d2):
@@ -758,8 +765,15 @@ class TestSizeBudget:
                         PhasePoint(1.0, 0.5), window_tol=1e-14),
         lambda: rep_apply(0.0, 1e7, 0.0, RepLabel(1.0, Sector(0.0)), _PSI),
         lambda: rep_apply(0.3, 0.0, 1e300, RepLabel(1.0, Sector(0.0)), _PSI),
+        # Bessel windows of about 2.7e8 orders (4.3 GB), 2e9 + 1 orders
+        # and 3.8e12 quadrature nodes
+        lambda: min_state(MinUncParams(0.0, 0.0, 1e8, 0.0)),
+        lambda: sum_rule_residual(1e8),
+        lambda: completeness_residual(0, 0, 0.0, 0.0, Sector(0.0), 10 ** 9),
+        lambda: dbt_divergence(0, 1e12),
     ], ids=["w_state-1e-16", "w_state-1.4e-307", "rep_apply-1e7",
-            "rep_apply-1e300"])
+            "rep_apply-1e300", "min_state-1e8", "sum_rule_residual-1e8",
+            "completeness_residual-1e9", "dbt_divergence-1e12"])
     def test_refused_before_allocation(self, build):
         _bessel_half_width(3.0, _TAP_TAIL)   # scipy.special's first import
         start = time.perf_counter()
@@ -778,19 +792,28 @@ class TestSizeBudget:
     def test_boundary(self, monkeypatch):
         # at a budget of exactly the width every builder answers as it did;
         # one coefficient fewer refuses, naming the parameter.  An array of
-        # labels counts every row
+        # labels counts every row, and dbt_divergence 12 nodes a panel
         params, point = WZParams(1.0, Sector(0.2)), PhasePoint(1.0, 0.5)
         rep = RepLabel(1.0, Sector(0.0))
+        sigma = 0.5 - 1.0j
         cases = [
-            (lambda: w_state(params, point).coeffs, "epsilon"),
-            (lambda: _window(1.0, 0.2, np.zeros(3), 1e-12), "epsilon"),
-            (lambda: rep_apply(0.0, 3.0, 4.0, rep, _PSI).coeffs, "rho"),
+            (lambda: w_state(params, point).coeffs, None, "epsilon"),
+            (lambda: _window(1.0, 0.2, np.zeros(3), 1e-12), None, "epsilon"),
+            (lambda: rep_apply(0.0, 3.0, 4.0, rep, _PSI).coeffs, None, "rho"),
+            (lambda: min_state(MinUncParams(0.4, 1.3, 0.6, 0.9)).coeffs,
+             None, "sigma"),
+            (lambda: sum_rule_residual(sigma),
+             2 * _bessel_half_width(sigma, 1e-14) + 1, "sigma"),
+            (lambda: completeness_residual(1, 1, 1.0, 0.5, Sector(0.0), 7),
+             15, "n_cut"),
+            (lambda: dbt_divergence(2, 10.0), 48, "gamma_max"),
         ]
-        for build, what in cases:
+        for build, width, what in cases:
             out = build()
-            monkeypatch.setattr(circlespace, "_MAX_WIDTH", out.size)
+            width = out.size if width is None else width
+            monkeypatch.setattr(circlespace, "_MAX_WIDTH", width)
             assert np.array_equal(build(), out)
-            monkeypatch.setattr(circlespace, "_MAX_WIDTH", out.size - 1)
+            monkeypatch.setattr(circlespace, "_MAX_WIDTH", width - 1)
             with pytest.raises(ValueError, match=what):
                 build()
             monkeypatch.undo()

@@ -418,6 +418,17 @@ class TestConfigValues:
         assert code == 2 and out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    def test_min_window_past_the_size_budget_exits_two(self, capsys,
+                                                        tmp_path):
+        # gamma = 1e8: a min_state window of about 2.7e8 Bessel orders
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "min", "alpha": 0.0, "l": 0.0,
+                                   "gamma": 1e8, "s": 0.0,
+                                   "t_grid": [0.0, 1.0]}))
+        code, out, err = run(capsys, "evolve", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and "sigma" in err
+
 
 class TestKJRange:
     @pytest.mark.parametrize("doc", [

@@ -22,7 +22,6 @@ from circleqm.circlespace import (
 from circleqm.evolve import (
     EvolutionSpec,
     _kernel_theta,
-    evolve_min,
     evolve_w,
     kernel,
     kernel_apply,
@@ -687,34 +686,28 @@ class TestEvolveW:
 
 
 class TestEvolveMin:
+    """Spectral evolution of the minimal-uncertainty family: `propagate` of
+    its window."""
+
     def test_zero_time_matches_family(self):
         p = MinUncParams(0.4, 1.3, 0.6, 0.9)
         spec = EvolutionSpec(Params(1.0, 1.0), p.sector, 0.0)
-        out = evolve_min(spec, p)
+        out = propagate(spec, min_state(p))
         ref = min_state(p)
         assert np.max(np.abs(out.coeffs - ref.coeffs)) < 1e-15
 
     def test_magnitudes_invariant(self):
         p = MinUncParams(0.0, 0.3, 0.2, 1.1)
         spec = EvolutionSpec(Params(0.8, 1.0), p.sector, 2.2)
-        out = evolve_min(spec, p)
+        out = propagate(spec, min_state(p))
         ref = min_state(p)
         assert np.max(np.abs(np.abs(out.coeffs) - np.abs(ref.coeffs))) < 1e-15
-
-    @pytest.mark.parametrize("wt", [0.4, 1.7, 5.0])
-    def test_matches_spectral_propagation(self, wt):
-        p = MinUncParams(0.9, 2.3, 0.5, 0.8)
-        spec = EvolutionSpec(Params(1.0, 1.0), p.sector, wt)
-        out = evolve_min(spec, p)
-        ref = propagate(spec, min_state(p))
-        assert out.n_lo == ref.n_lo
-        assert np.array_equal(out.coeffs, ref.coeffs)
 
     def test_refuses_phase_past_2_52(self):
         p = MinUncParams(0.9, 2.3, 0.5, 0.8)
         spec = EvolutionSpec(Params(1.0, 1.0), p.sector, 1e16)
         with pytest.raises(ValueError, match="2\\^52"):
-            evolve_min(spec, p)
+            propagate(spec, min_state(p))
 
     def test_momentum_constant_and_angle_disperses(self):
         # <L> is conserved; the angular distribution spreads at early times
@@ -724,7 +717,7 @@ class TestEvolveMin:
         spread, mean_l = [], []
         for wt in (0.0, 0.3, 0.6, 1.0, 1.5):
             spec = EvolutionSpec(Params(1.0, 1.0), sector, wt)
-            psi = evolve_min(spec, p).normalized()
+            psi = propagate(spec, min_state(p)).normalized()
             c_psi = apply_operator("C", psi)
             s_psi = apply_operator("S", psi)
             l_psi = apply_operator("L", psi)

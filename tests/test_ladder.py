@@ -18,7 +18,6 @@ from circleqm.ladder import (
     apply_B,
     apply_Bdag,
     apply_complexifier,
-    apply_number_op,
     eigen_residual,
     kj_matrix_elements,
     kj_report,
@@ -393,17 +392,18 @@ class TestQDeform:
 
     def test_number_expectation_tunable_to_integer(self):
         # at eps = 1 the shift is 0.427...; delta = 1 - shift makes the
-        # ground-level number expectation an exact integer
+        # ground-level number expectation <N> = <L> + shift an exact integer
         ctx0 = LadderContext(1.0, Sector(0.0))
         delta = 1.0 - ctx0.shift_constant
         ctx = LadderContext(1.0, Sector(delta))
         e0 = basis_state(0, Sector(delta))
-        out = apply_number_op(ctx, e0)
-        mean_n = inner(e0, out).real
+        mean_n = inner(e0, apply_operator("L", e0)).real + ctx.shift_constant
         assert mean_n == pytest.approx(1.0, abs=1e-12)
 
     def test_number_op_eigenvalues(self):
+        # N = L + shift_constant on e_2 of the sector 0.573, the shift at
+        # eps = 1 being ln(2 sinh 1)/2
         ctx = LadderContext(1.0, Sector(0.573))
-        out = apply_number_op(ctx, basis_state(2, Sector(0.573)))
-        assert out.coeffs[0].real == pytest.approx(
-            2 + 0.573 + ctx.shift_constant, rel=1e-13)
+        out = apply_operator("L", basis_state(2, Sector(0.573)))
+        assert out.coeffs[0].real + ctx.shift_constant == pytest.approx(
+            2 + 0.573 + 0.5 * math.log(2 * math.sinh(1.0)), rel=1e-13)

@@ -11,8 +11,8 @@ import dataclasses
 import importlib
 import inspect
 
-MODULES = ("circlespace", "e2action", "evolve", "ladder", "mincs", "specfun",
-           "verify", "zakcs")
+from surface import MODULES
+
 SETTABLE = 8
 
 

@@ -16,15 +16,12 @@ from scipy import integrate
 
 from circleqm import zakcs
 from circleqm.circlespace import (CircleState, Params, Sector, apply_operator,
-                                  basis_state, inner)
+                                  inner)
 from circleqm.evolve import EvolutionSpec, evolve_w, kernel, kernel_apply
 from circleqm.specfun import ThetaNome, theta, theta_derivs
 from circleqm.zakcs import (
-    BargmannFunction,
     PhasePoint,
     WZParams,
-    bargmann_forward,
-    bargmann_inverse,
     completeness_residual_wz,
     density,
     fn_basis,
@@ -37,7 +34,6 @@ from circleqm.zakcs import (
     w_state,
     w_value,
     zak_periodize,
-    zak_small_nome,
 )
 
 
@@ -242,11 +238,17 @@ class TestZakPeriodize:
             (eps * math.pi) ** -0.25, rel=1e-15)
 
     def test_small_nome_face_matches(self):
-        params = WZParams(1.0, Sector(0.3))
+        # the same periodized state written with the nome e^{-eps/2}, the
+        # modular partner of the winding-sum form: a multiple of w_z
+        eps, delta = 1.0, 0.3
+        params = WZParams(eps, Sector(delta))
         z = 0.8 + 0.6j
         phi = np.linspace(0, 2 * math.pi, 11)
         _, closed = zak_periodize(params, z, phi)
-        alt = zak_small_nome(params, z, phi)
+        pref = ((2.0 * math.pi) ** -0.5 * (eps / math.pi) ** 0.25
+                * cmath.exp(-(abs(z) ** 2 - z * z) / (4.0 * eps))
+                * cmath.exp(-eps * delta ** 2 / 2.0 - 1j * z * delta))
+        alt = pref * w_value(params, z, phi)
         assert np.max(np.abs(closed - alt)) < 1e-11 * np.max(np.abs(closed))
 
     def test_parseval(self):
@@ -492,50 +494,19 @@ class TestWOverlap:
 
 
 class TestBargmannMap:
-    def test_basis_state_maps_to_unit_coefficient(self):
-        params = WZParams(1.0, Sector(0.3))
-        bf = bargmann_forward(params, basis_state(2, Sector(0.3)))
-        assert bf.coeffs.size == 1
-        assert bf.coeffs[0] == 1.0 + 0j
-        assert bf.n_lo == 2
-
-    def test_norm_preserved(self):
-        params = WZParams(0.9, Sector(0.1))
-        rng = np.random.default_rng(3)
-        c = rng.normal(size=7) + 1j * rng.normal(size=7)
-        state = CircleState(Sector(0.1), -3, c)
-        bf = bargmann_forward(params, state)
-        assert bf.norm_sq() == pytest.approx(state.norm_sq(), rel=1e-12)
-
-    def test_round_trip_identity(self):
-        params = WZParams(1.2, Sector(0.8))
-        rng = np.random.default_rng(5)
-        c = rng.normal(size=5) + 1j * rng.normal(size=5)
-        state = CircleState(Sector(0.8), 0, c)
-        back = bargmann_inverse(bargmann_forward(params, state))
-        assert back.n_lo == state.n_lo
-        assert np.max(np.abs(back.coeffs - state.coeffs)) < 1e-12
-
-    def test_evaluate_matches_term_sum(self):
-        params = WZParams(0.6, Sector(0.35))
-        rng = np.random.default_rng(12)
-        c = rng.normal(size=21) + 1j * rng.normal(size=21)
-        bf = BargmannFunction(params, -10, c)
-        for z in (PhasePoint(0.9, 0.5), 2.0 - 1.5j, PhasePoint(4.0, 3.0)):
-            terms = [ck * fn_basis(params, n, z)
-                     for n, ck in zip(range(-10, 11), c)]
-            ref = sum(terms)
-            assert abs(bf.evaluate(z) - ref) < 1e-14 * sum(map(abs, terms))
+    """The holomorphic representative of a circle state psi = sum c_n e_n
+    is (psi, w_z) = sum conj(c_n) f_{n,delta}(z), the reproducing identity
+    of the family."""
 
     def test_evaluation_is_overlap_with_family(self):
         params = WZParams(1.0, Sector(0.4))
         rng = np.random.default_rng(8)
         c = rng.normal(size=5) + 1j * rng.normal(size=5)
         state = CircleState(Sector(0.4), -2, c)
-        bf = bargmann_forward(params, state)
         z = PhasePoint(0.9, 0.5)
+        value = np.conj(c) @ fn_basis(params, np.arange(-2, 3), z)
         ref = inner(state, w_state(params, z, window_tol=1e-15))
-        assert abs(bf.evaluate(z) - ref) < 1e-12 * max(abs(ref), 1.0)
+        assert abs(value - ref) < 1e-12 * max(abs(ref), 1.0)
 
 
 def _theta_4_for_the_shift():
@@ -1055,7 +1026,6 @@ class TestRefusals:
         evolved = evolve_w(EvolutionSpec(Params(1.0), Sector(0.3), 0.7), z)
         calls = [("phi", lambda: density(params, z, angle)),
                  ("phi", lambda: w_value(params, z, angle)),
-                 ("phi", lambda: zak_small_nome(params, z, angle)),
                  ("phi", lambda: evolved(np.array([0.2, angle]))),
                  ("phi", lambda: zak_periodize(params, z, angle)),
                  ("xi", lambda: gaussian_cs(1.0, z, angle))]
