@@ -26,7 +26,6 @@ from circleqm.specfun import (
     EllipticRecord,
     GRatio,
     ThetaNome,
-    bessel_i,
     bessel_j,
     elliptic_suite,
     g_ratio,

@@ -12,7 +12,6 @@ throughout.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -227,28 +226,20 @@ class CircleState:
                          self.sector.delta)
         return vals if vals.shape else complex(vals)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "delta": self.sector.delta,
-            "n_lo": self.n_lo,
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "CircleState":
-        """The state of `to_json`'s text, read by `from_doc`."""
-        return cls.from_doc(json.loads(text))
-
     @classmethod
     def from_doc(cls, doc: dict) -> "CircleState":
-        """The state of `to_json`'s document, already parsed; n_lo may be
-        written as an integral float (3.0), and anything else non-integral
-        is refused.  Keys other than delta, n_lo and coeffs are ignored."""
+        """The state of a parsed JSON document {"delta": ..., "n_lo": ...,
+        "coeffs": [[re, im], ...]}; n_lo may be written as an integral
+        float (3.0), and anything else non-integral is refused, as is a
+        delta that is a boolean or a string.  Keys other than delta, n_lo
+        and coeffs are ignored."""
         coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]])
-        n_lo = doc["n_lo"]
+        n_lo, delta = doc["n_lo"], doc["delta"]
         if isinstance(n_lo, float) and n_lo.is_integer():
             n_lo = int(n_lo)
-        return cls(Sector(float(doc["delta"])), n_lo, coeffs)
+        if isinstance(delta, (bool, str)):
+            raise ValueError("delta must be a number")
+        return cls(Sector(float(delta)), n_lo, coeffs)
 
 
 def _evaluate(phi: np.ndarray, freq: np.ndarray, coeffs: np.ndarray,
@@ -305,11 +296,16 @@ def _operator_into(which: str, coeffs: np.ndarray, freq, out):
 
 def apply_operator(which: str, state: CircleState) -> CircleState:
     """Apply C = cos phi, S = sin phi, L or L^2 in coefficient space (see
-    `_operator_into`); C and S widen the window by one index a side."""
+    `_operator_into`); C and S widen the window by one index a side.  An
+    image past double range raises `CircleState`'s ValueError, with no
+    warning."""
     wide = which in ("C", "S")
     out = np.zeros(state.coeffs.size + 2, dtype=complex) if wide else None
-    out = _operator_into(which, state.coeffs,
-                         state.indices + state.sector.delta, out)
+    # a product past range is inf, and inf * 0 nan: both leave the
+    # refusal to CircleState
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _operator_into(which, state.coeffs,
+                             state.indices + state.sector.delta, out)
     return CircleState(state.sector, state.n_lo - int(wide), out)
 
 
@@ -358,23 +354,21 @@ def _centred_gram(rows: np.ndarray):
     dX_i psi = (X_i - <X_i>) psi, shaped (..., k, k), whose diagonal holds
     the variances; the centred rows overwrite the operator rows.
 
-    Two products on the rows' float views, where Re (u, v) = sum Re u Re v +
-    Im u Im v is a real dot: a matrix-vector product for the means and a
-    matrix product for the Gram matrix, by np.dot for one window (matmul's
-    ufunc machinery cost about 0.4 us a product there, with the same bits)
-    and by np.matmul over a batch.  No complex matrix product is taken:
-    OpenBLAS's zgemm returns with the upper halves of the vector registers
-    dirty, and the Python float code after it ran about 3x slower (a
-    40-term cmath loop, 12 us -> 33 us) until the next library call that
-    cleared them.  Nothing is formed as <X^2> - <X>^2, so the Gram matrix
-    is positive semi-definite to rounding.
+    Two matmul products on the rows' float views, batched or not, where Re
+    (u, v) = sum Re u Re v + Im u Im v is a real dot: a matrix-vector
+    product for the means and a matrix product for the Gram matrix.  No
+    complex matrix product is taken: OpenBLAS's zgemm returns with the
+    upper halves of the vector registers dirty, and the Python float code
+    after it ran about 3x slower (a 40-term cmath loop, 12 us -> 33 us)
+    until the next library call that cleared them.  Nothing is formed as
+    <X^2> - <X>^2, so the Gram matrix is positive semi-definite to
+    rounding.
     """
-    product = np.dot if rows.ndim == 2 else np.matmul
     flat = rows.view(float)
     ops = flat[..., 1:, :]
-    means = product(ops, flat[..., 0, :, None])
+    means = ops @ flat[..., 0, :, None]
     ops -= means * flat[..., :1, :]
-    return means, product(ops, ops.swapaxes(-1, -2))
+    return means, ops @ ops.swapaxes(-1, -2)
 
 
 def _windows(*states: CircleState) -> np.ndarray:
@@ -425,16 +419,6 @@ class UncertaintyReport:
     rhs: float
     saturated: bool
     sigma: Optional[complex]
-
-    def __init__(self, mean_a, mean_b, var_a, var_b, covariance,
-                 commutator_mean, lhs, rhs, saturated, sigma):
-        # every field written once into the instance dict, as the
-        # validated records do: the generated frozen __init__ makes a call
-        # per field
-        self.__dict__.update(
-            mean_a=mean_a, mean_b=mean_b, var_a=var_a, var_b=var_b,
-            covariance=covariance, commutator_mean=commutator_mean,
-            lhs=lhs, rhs=rhs, saturated=saturated, sigma=sigma)
 
 
 def _centred_report(rows: np.ndarray, tol: float,
@@ -553,8 +537,12 @@ def rep_apply(alpha: float, a: float, b: float, rep: RepLabel,
 
 def energy(n: int, params: Params, sector: Sector) -> float:
     """Spectrum E_n = (1/2) epsilon (n + delta)^2 in units hbar omega = 1.
-    n is an integer index (ValueError otherwise, as for `basis_state`)."""
-    return 0.5 * params.epsilon * (_require_index(n, "n") + sector.delta) ** 2
+    n is an integer index (ValueError otherwise, as for `basis_state`), and
+    a level past double range raises ValueError."""
+    e = 0.5 * params.epsilon * (_require_index(n, "n") + sector.delta) ** 2
+    if e < math.inf:
+        return e
+    raise ValueError("energy: E_n leaves double range")
 
 
 def ground_state(params: Params, sector: Sector):

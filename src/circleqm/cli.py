@@ -98,13 +98,13 @@ def _load_config(source) -> dict:
 
 
 def _convert(val, what: str) -> float:
-    try:
-        val = float(val)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what}: expected float") from exc
-    if not math.isfinite(val):
+    """val as a float: a finite JSON number, not a boolean or a string."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{what}: expected float")
+    # an integer past the largest double is refused with nan and inf
+    if not abs(val) <= sys.float_info.max:
         raise ConfigError(f"{what}: expected a finite number")
-    return val
+    return float(val)
 
 
 def _need(doc: dict, key: str) -> float:

@@ -153,11 +153,19 @@ class MinExpectations:
 
 def min_expectations(params: MinUncParams) -> MinExpectations:
     """Evaluate the full closed-form moment record (the single source of
-    these formulas; negative s rides on the parity of I0, I1)."""
+    these formulas; negative s rides on the parity of I0, I1).  ValueError
+    where <L^2> = l^2 + |sigma|^2 r2 leaves double range, past |l| or
+    |sigma| of about 1.3e154; every other moment is then finite too."""
     alpha = params.alpha
     ratios = g_ratio(2.0 * params.s)
     r1, r2 = ratios.r1, ratios.r2
-    sig2 = params.gamma ** 2 + params.s ** 2
+    # a square or a sum past range raises OverflowError (fsum of two terms
+    # is their correctly rounded sum, as +, where it does not)
+    try:
+        sig2 = math.fsum((params.gamma ** 2, params.s ** 2))
+        mean_l2 = math.fsum((params.l_tilde ** 2, sig2 * r2))
+    except OverflowError:
+        raise ValueError("min_expectations: <L^2> past double range") from None
     ca, sa = math.cos(alpha), math.sin(alpha)
     c2a = math.cos(2.0 * alpha)
     return MinExpectations(
@@ -166,7 +174,7 @@ def min_expectations(params: MinUncParams) -> MinExpectations:
         mean_l=params.l_tilde,
         mean_c2=c2a * r2 + sa * sa,
         mean_s2=-c2a * r2 + ca * ca,
-        mean_l2=params.l_tilde ** 2 + sig2 * r2,
+        mean_l2=mean_l2,
         var_c=c2a * r2 + sa * sa * (1.0 - r1 * r1),
         var_s=-c2a * r2 + ca * ca * (1.0 - r1 * r1),
         var_l=sig2 * r2,
@@ -278,12 +286,16 @@ def _log_product(order, base, r, z, scaled):
     I_n(2r) / r^n is the power series sum_k z^k / (k! (n + k)!), z = r^2:
     there |z| is small beside n, |z| / n < |r|^1.5 / 53, so the terms stay
     below e^350 for |gamma|, |s| <= 700.  A series past double range (|r|
-    beyond about 1100) raises ValueError."""
+    beyond about 1100), or one past the size budget (`_require_width`, |r|
+    beyond about 3e6, where scipy's ive is nan from |2r| of about 1e9 on),
+    raises ValueError."""
     if abs(scaled) >= _TINY:
         return order * cmath.log(base / r) + cmath.log(scaled) + 2.0 * r.real
     # past k (n + k) = 2|z| each term is below half the one before
+    terms = math.sqrt(2.0 * abs(z))
+    _require_width(terms, "sigma")
     total = math.fsum(itertools.accumulate(
-        range(1, int(math.sqrt(2.0 * abs(z))) + 60),
+        range(1, int(terms) + 60),
         lambda term, k: term * z / (k * (order + k)), initial=1.0))
     return (order * cmath.log(base) - math.lgamma(order + 1.0)
             + cmath.log(_in_range(total, 0.0)))

@@ -1,11 +1,10 @@
 """Special-function kernel.
 
 Jacobi theta functions (kinds 2, 3, 4) evaluated after an SL(2, Z)
-reduction of tau to the fundamental domain, validated wrappers of scipy's
-modified Bessel functions I_nu of real order and Bessel functions J_n of
-integer order and complex argument, a Jacobi-elliptic evaluation suite,
-and the I1/I0 ratio functions that control the circular minimal-uncertainty
-family.
+reduction of tau to the fundamental domain, a validated wrapper of scipy's
+Bessel functions J_n of integer order and complex argument, a
+Jacobi-elliptic evaluation suite, and the I1/I0 ratio functions that
+control the circular minimal-uncertainty family.
 
 Conventions: theta_3(zeta, q) = sum_n q^(n^2) exp(2 i n zeta) with nome
 q = exp(i pi tau), Im(tau) > 0, and analogously for kinds 2 and 4.  All
@@ -22,12 +21,15 @@ move, S included, takes one rule: its large phases are cancelled exactly,
 in integers, before anything is rounded (see `_theta_route`), so no
 double-double arithmetic is needed, and its terms sum to at most 1.239
 times the direct series' in absolute value, so it cancels no more than
-the direct series does.  The input alone picks the lane: a number, and
-every derivative, sums in Python complex arithmetic (`_theta_lane`), on
-any route; the values of an array sum their series in `_theta_sum`, which
-picks plain terms or Horner's rule, except under a move that leaves Im
-tau' above 16, which sums one square per term (`_theta_squares`).  A value
-or derivative past double range raises ValueError.
+the direct series does.  A move's lattice shift zeta -> c zeta - k pi,
+theta's quasi-periodicity in zeta, reduces the argument on every move;
+only the direct series reduces it by the period first.  The input alone
+picks the lane: a number, and every derivative, sums in Python complex
+arithmetic (`_theta_lane`), on any route; the values of an array sum their
+series in `_theta_sum`, which picks plain terms or Horner's rule, except
+under a move that leaves Im tau' above 16, which sums one square per term
+(`_theta_squares`).  A value or derivative past double range raises
+ValueError.
 `theta(method="direct")` forces the series at the given tau: the
 reference the modular route is checked against.
 
@@ -53,7 +55,6 @@ __all__ = [
     "GRatio",
     "theta",
     "theta_derivs",
-    "bessel_i",
     "bessel_j",
     "elliptic_suite",
     "g_ratio",
@@ -314,9 +315,6 @@ _SEPARATE_IM = 16.0
 _MAX_C = 2 ** 25
 # pi - math.pi, the tail of pi past the double
 _PI_TAIL = 1.2246467991473532e-16
-# Largest |c Re zeta| the lattice shift takes: its k pi/c head is exact
-# below 2^29.
-_SHIFT_LIMIT = 2.0 ** 29
 
 
 class _Modular(NamedTuple):
@@ -443,17 +441,23 @@ def _shifted(zeta, mod: _Modular):
     """k mod 2c, as int64 in [-2c, 2c), and s = c zeta - k pi, k = rint(c
     Re zeta / pi), for an array or `_Nodes`, c that of the move `mod`.
 
-    Re s is within about an ulp of pi/2 of its exact value: pi/c is split
-    into a 24-bit head, whose products with |k| < 2^29 are exact, and a
-    tail (`_Modular`), and c Re zeta - k pi = c ((Re zeta - k head) - k
-    tail).  The nodes' zeta0 takes that shift and their -c pi j/size the
-    integer nearest -c j/size, so each point keeps its exact node."""
+    Re s is within about an ulp of pi/2 of its exact value where |k| <
+    2^29: pi/c is split into a 24-bit head, whose products with such k are
+    exact, and a tail (`_Modular`), and c Re zeta - k pi = c ((Re zeta - k
+    head) - k tail).  Past it k head rounds, by about an ulp of Re zeta,
+    and past |k| = 2^52 the rounded c Re zeta / pi can miss the nearest
+    integer, so |Re s| can pass pi/2 by some c ulps of Re zeta: either way
+    the value is that at zeta moved by about an ulp.  k reaches about 2^52
+    c below theta's turn limit, so it is taken mod 2c in floats, exactly,
+    before its int64 cast.  The nodes' zeta0 takes
+    that shift and their -c pi j/size the integer nearest -c j/size, so
+    each point keeps its exact node."""
     c, head, tail = mod.gamma[2], mod.pi_head, mod.pi_tail
     if not isinstance(zeta, _Nodes):
         x = zeta.real
         k = np.rint(x * (c / math.pi))
         s = c * (x - k * head - k * tail) + 1j * (c * zeta.imag)
-        return k.astype(np.int64) % (2 * c), s
+        return np.remainder(k, 2 * c).astype(np.int64), s
     x = zeta.zeta0.real
     # round() ties to even, as np.rint
     k0 = round(x * (c / math.pi))
@@ -627,11 +631,9 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
         peak = _peak(turns)
     if not peak < _TURN_LIMIT:
         raise ValueError(_TURN_REFUSAL)
-
-    # a move's lattice shift reduces the argument itself, exactly, as long
-    # as its k stays below 2^29; past it, and on the direct series, the
-    # argument is reduced by its period
-    if mod is None or not mod.gamma[2] * (peak * period) < _SHIFT_LIMIT:
+    # a move's lattice shift reduces the argument itself (`_shifted`); the
+    # direct series takes it reduced by its period
+    if mod is None:
         if nodes:
             zeta = zeta.points()
             turns = zeta.real / period
@@ -654,9 +656,10 @@ def _theta_lane(kind: int, tau: complex, mod: _Modular | None,
     z, or its value and first two zeta-derivatives, on the direct route
     (mod None) or under the move `mod`.
 
-    z is first reduced by the period where the array lane reduces it.  On
-    the direct route each term is exp(m^2 lq + offset + 2i m z).  Under a
-    move z is shifted to s = c z - k pi as `_shifted` shifts it, and with
+    On the direct route z is first reduced by the period, as the array
+    lane reduces it, and each term is exp(m^2 lq + offset + 2i m z).
+    Under a move the lattice shift alone reduces z: it is taken to s = c z
+    - k pi as `_shifted` takes it, k a Python integer, and with
     the integers j and p of `_theta_route` each term is one square, as
     `_theta_squares` forms it, at every Im tau': s_m exp(ct (s - pi m)^2 +
     offset + i pi p/c), ct = 1/(i pi c w), times the exact phase exp(i pi
@@ -686,9 +689,6 @@ def _theta_lane(kind: int, tau: complex, mod: _Modular | None,
         tau, u = _direct_tau(tau, kind), z
     else:
         a, _, c, _ = mod.gamma
-        # float * int, not int * float: the float's own product is faster
-        if not abs(turns) * period * c < _SHIFT_LIMIT:
-            z -= period * round(turns)
         k = round(z.real * (c / math.pi))
         s = complex((z.real - mod.pi_head * k - mod.pi_tail * k) * c,
                     z.imag * c)
@@ -772,8 +772,9 @@ def theta(kind: int, zeta, nome, method: str = "auto"):
         period, pi (2 pi for kind 2: theta_2(zeta + pi) = -theta_2(zeta)),
         in double precision: the value is that at an argument moved by up
         to ~2e-16 |Re zeta|; one within half a period keeps its bits.  The
-        reduced route below shifts the double zeta itself, exactly, while
-        c |Re zeta| < 2^29, and reduces it by the period past that.
+        reduced route below reduces the double zeta itself on every move,
+        by its lattice shift: exactly while c |Re zeta| < pi 2^29, and to
+        about an ulp of Re zeta past that.
     nome : ThetaNome or complex
         The nome, held as its tau; a bare complex q, |q| < 1, is wrapped
         by `ThetaNome.from_q` (the principal log).
@@ -918,30 +919,6 @@ def _bessel_half_width(z: complex, tol: float) -> int:
             hi = mid
         mid = (lo + hi) // 2
     return lo
-
-
-def bessel_i(nu: float, x: float):
-    """Modified Bessel function I_nu(x), real order, real argument.
-
-    scipy's `iv` on |x|.  For negative x: integer orders use the parity
-    relation I_n(-x) = (-1)^n I_n(x); fractional orders return the
-    principal-branch continuation exp(i pi nu) I_nu(|x|), which is complex
-    -- a nonzero imaginary part is the caller's signal that a branch choice
-    was made.  Raises ValueError where the value is not a finite double
-    (|x| beyond about 713, or x = 0 at negative fractional order).
-    """
-    nu = float(nu)
-    x = float(x)
-    if not (math.isfinite(nu) and math.isfinite(x)):
-        raise ValueError("bessel_i requires finite order and argument")
-    val = float(_special().iv(nu, abs(x)))
-    if not math.isfinite(val):
-        raise ValueError(f"I_{nu}({abs(x)}) is not a finite double")
-    if x >= 0:
-        return val
-    if nu == int(nu):
-        return val if int(nu) % 2 == 0 else -val
-    return cmath.exp(1j * math.pi * nu) * val
 
 
 def bessel_j(n, z):

@@ -182,21 +182,17 @@ def _norm_arg(eps: float, delta: float, l_tilde: float):
 
 @functools.lru_cache(maxsize=16)
 def _normalizer(eps: float, delta: float, l_tilde: float) -> float:
-    value = theta(3, *_norm_arg(eps, delta, l_tilde)).real
-    if value == 0.0:
-        raise ValueError("the periodized normalizer underflows to 0")
-    return value
-
-
-def _periodized_norm(params: WZParams, l_tilde: float) -> float:
     """theta3[pi (l - eps delta)/eps, e^{-pi^2/eps}], evaluated once per
     label (eps, delta, l): `transition_prob`, `density` and
-    `periodized_norm_constant` read it from a small LRU cache, which
+    `periodized_norm_constant` read it from this small LRU cache, which
     holds the bits of the `theta` call itself (l = +0.0 and -0.0, equal
     keys, give one value: theta3 is even).  A value past double range
     raises `theta`'s ValueError, and one that underflows to 0 (eps = 1e306,
     l = 1e300) a ValueError, on every call, as nothing is cached."""
-    return _normalizer(params.epsilon, params.delta, l_tilde)
+    value = theta(3, *_norm_arg(eps, delta, l_tilde)).real
+    if value == 0.0:
+        raise ValueError("the periodized normalizer underflows to 0")
+    return value
 
 
 def gaussian_cs(epsilon: float, z, xi):
@@ -301,8 +297,8 @@ def w_norm_sq(params: WZParams, z) -> float:
 def periodized_norm_constant(params: WZParams, z) -> float:
     """C_z = sqrt(2 pi / theta3[pi(l - eps delta)/eps, e^{-pi^2/eps}]),
     the normalizer of the periodized Gaussian itself."""
-    return math.sqrt(2.0 * math.pi
-                     / _periodized_norm(params, _as_point(z).l_tilde))
+    return math.sqrt(2.0 * math.pi / _normalizer(
+        params.epsilon, params.delta, _as_point(z).l_tilde))
 
 
 def w_overlap(params: WZParams, z1, z2) -> complex:
@@ -426,7 +422,7 @@ def transition_prob(m, params: WZParams, z):
     m is an integer, giving a float, or an integer array, giving an array
     of probabilities shaped like m; either way the theta normalization is
     one scalar call on theta's scalar lane (`specfun._theta_dispatch`),
-    made once per label (`_periodized_norm`).  A
+    made once per label (`_normalizer`).  A
     builtin or NumPy integer below 2^63 in magnitude is computed in Python
     floats, with no NumPy call; an array, or a larger integer, in NumPy.
     Non-integer m raises ValueError.
@@ -443,11 +439,11 @@ def transition_prob(m, params: WZParams, z):
             y = x / math.sqrt(eps)
             expo = y * y
         return (math.sqrt(eps / math.pi) * math.exp(-expo)
-                / _periodized_norm(params, l_tilde))
+                / _normalizer(eps, delta, l_tilde))
     m = np.asarray(m)
     if m.dtype.kind not in "iu":
         raise ValueError("m must be an integer or an integer array")
-    norm = _periodized_norm(params, l_tilde)
+    norm = _normalizer(eps, delta, l_tilde)
     with np.errstate(over="ignore"):
         x = l_tilde - eps * (m + delta)
         expo = x ** 2 / eps
@@ -472,7 +468,7 @@ def density(params: WZParams, z, phi):
     tvals = _winding_theta(params, d - 1j * pt.l_tilde)
     vals = (2.0 * math.pi / math.sqrt(eps * math.pi)
             * np.exp(-d ** 2 / eps)
-            * np.abs(tvals) ** 2 / _periodized_norm(params, pt.l_tilde))
+            * np.abs(tvals) ** 2 / _normalizer(eps, params.delta, pt.l_tilde))
     return vals if vals.shape else float(vals)
 
 

@@ -104,7 +104,6 @@ SURFACE = {
     "specfun.GRatio": {"guard": "test_specfun::TestGRatio"},
     "specfun.theta": {"guard": "test_specfun::TestThetaAgainstMpmath"},
     "specfun.theta_derivs": {"guard": "elliptic-identity-web"},
-    "specfun.bessel_i": {"guard": "test_specfun::TestBesselI"},
     "specfun.bessel_j": {"guard": "test_specfun::TestBesselJ"},
     "specfun.elliptic_suite": {"guard": "elliptic-identity-web"},
     "specfun.g_ratio": {

@@ -418,6 +418,46 @@ class TestConfigValues:
         assert code == 2 and out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,doc", [
+        (["kernel"], {"t": True, "eta": 1e-3}),
+        (["kernel"], {"t": "0.5", "eta": 1e-3}),
+        (["evolve"], {"delta": 0.3, "n_lo": 0, "coeffs": [[1, 0]],
+                      "t_grid": [0, True]}),
+        (["state"], {"family": "wz", "epsilon": "1.0", "delta": 0.2,
+                     "theta": 0.3, "l": 0.5}),
+        (["evolve"], {"delta": False, "n_lo": 0, "coeffs": [[1, 0]],
+                      "t_grid": [0, 1]}),
+        (["evolve"], {"delta": "0.3", "n_lo": 0, "coeffs": [[1, 0]],
+                      "t_grid": [0, 1]}),
+    ], ids=["bool", "string", "grid-bool", "wz-string", "raw-delta-bool",
+            "raw-delta-string"])
+    def test_boolean_or_string_is_not_a_number(self, capsys, tmp_path, argv,
+                                               doc):
+        # each ran at the number it converts to (t = 1, t = 0.5, delta = 0)
+        # and exited 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,doc", [
+        (["state"], {"family": "min", "alpha": 0.4, "l": 1e300,
+                     "gamma": 0.5, "s": 0.8}),
+        (["overlap"], {"family": "min",
+                       "first": {"alpha": 0, "l": 0, "gamma": 1e200, "s": 0.8},
+                       "second": {"alpha": 1, "l": 3, "gamma": 1e200,
+                                  "s": 0.8}}),
+    ], ids=["state-l", "overlap-gamma"])
+    def test_min_family_past_double_range_exits_two(self, capsys, tmp_path,
+                                                    argv, doc):
+        # both exited 1 with an OverflowError traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_min_window_past_the_size_budget_exits_two(self, capsys,
                                                         tmp_path):
         # gamma = 1e8: a min_state window of about 2.7e8 Bessel orders

@@ -27,7 +27,7 @@ from circleqm.mincs import (
     saturation_gap,
     sum_rule_residual,
 )
-from circleqm.specfun import _bessel_half_width, bessel_i, bessel_j
+from circleqm.specfun import _bessel_half_width, bessel_j, g_ratio
 
 
 def explicit_psi(params, phi):
@@ -35,7 +35,7 @@ def explicit_psi(params, phi):
     shifted = phi - params.alpha
     return (np.exp(1j * (params.l_tilde * shifted
                          + params.sigma * np.sin(shifted)))
-            / math.sqrt(bessel_i(0.0, 2.0 * params.s)))
+            / math.sqrt(special.iv(0.0, 2.0 * params.s)))
 
 
 class TestMinState:
@@ -164,7 +164,7 @@ class TestMinExpectations:
     def test_alpha_zero_means(self):
         s = 1.3
         e = min_expectations(MinUncParams(0.0, 0.7, 0.4, s))
-        r1 = bessel_i(1, 2 * s) / bessel_i(0, 2 * s)
+        r1 = special.iv(1, 2 * s) / special.iv(0, 2 * s)
         assert e.mean_c == 0.0
         assert e.mean_s == pytest.approx(r1, rel=1e-13)
         assert e.mean_l == pytest.approx(0.7)
@@ -178,7 +178,7 @@ class TestMinExpectations:
     def test_variance_sum_alpha_independent(self, alpha):
         s = 0.9
         e = min_expectations(MinUncParams(alpha, 0.0, 0.3, s))
-        r1 = bessel_i(1, 2 * s) / bessel_i(0, 2 * s)
+        r1 = special.iv(1, 2 * s) / special.iv(0, 2 * s)
         assert e.var_c + e.var_s == pytest.approx(1 - r1 * r1, abs=1e-14)
 
     @pytest.mark.parametrize("params", [
@@ -389,6 +389,36 @@ class TestRefusals:
     def test_refused(self, call, word):
         with pytest.raises(ValueError, match=word):
             call()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda: min_expectations(MinUncParams(0, 1e300, 0.5, 0.8)),
+        lambda: min_expectations(MinUncParams(0, 0, 1e200, 0.8)),
+        lambda: saturation_gap(MinUncParams(0.3, 0, 0.5, -1e200), "SL"),
+        # l^2 and |sigma|^2 r2 each finite, their sum past range
+        lambda: min_expectations(MinUncParams(0, 1.3e154, 1e154, 0.0)),
+        lambda: min_overlap(MinUncParams(0, 0, 1e200, 0.8),
+                            MinUncParams(0.5, 3, 1e200, 0.8)),
+        lambda: min_overlap(MinUncParams(0, 0, 0.3, 1e200),
+                            MinUncParams(0.5, 3, 0.3, 1e200)),
+        # ive is nan at |2r| = 2e9: the power series of I_n(2r) / r^n
+        # would have been summed over 1.4e9 terms
+        lambda: min_overlap(MinUncParams(0, 0, 0.3, 1e9),
+                            MinUncParams(0.5, 3, 0.3, 1e9)),
+    ], ids=["l", "gamma", "s", "sum", "overlap-gamma", "overlap-s",
+            "overlap-ive-nan"])
+    def test_past_double_range_refused(self, call):
+        # these raised OverflowError (a square, or int() of an infinite
+        # term count), returned inf (the sum) or ran past a minute summing
+        # the series
+        with pytest.raises(ValueError):
+            call()
+
+    def test_last_squares_in_range_answer(self):
+        # |l| and |sigma| at 1.3e154, whose squares and their sum are finite
+        e = min_expectations(MinUncParams(0, 1.3e154, 0.0, 1e-3))
+        assert e.mean_l2 == 1.3e154 ** 2 + 1e-6 * g_ratio(2e-3).r2
+        assert saturation_gap(MinUncParams(0, 0, 1.3e154, 0.5))[0] < math.inf
 
     def test_alpha_endpoint_folds_to_zero(self):
         # -1e-17 % 2 pi rounds up to 2 pi, the excluded end of [0, 2 pi)

@@ -702,7 +702,7 @@ class TestTransitionProb:
             params = WZParams(eps, Sector(rng.uniform(0, 1)))
             z = PhasePoint(rng.uniform(-3, 3), rng.uniform(-20, 20))
             ms = np.arange(-40, 41)
-            norm = zakcs._periodized_norm(params, z.l_tilde)
+            norm = zakcs._normalizer(eps, params.delta, z.l_tilde)
             ref = (math.sqrt(eps / math.pi) * np.exp(
                 -(z.l_tilde - eps * (ms + params.delta)) ** 2 / eps) / norm)
             assert transition_prob(ms, params, z).tobytes() == ref.tobytes()
@@ -792,8 +792,8 @@ class TestNormalizerCache:
             values = {self._uncached(params, l).hex() for l in (0.0, -0.0)}
             assert len(values) == 1
             zakcs._normalizer.cache_clear()
-            assert zakcs._periodized_norm(params, -0.0).hex() in values
-            assert zakcs._periodized_norm(params, 0.0).hex() in values
+            assert zakcs._normalizer(eps, 0.0, -0.0).hex() in values
+            assert zakcs._normalizer(eps, 0.0, 0.0).hex() in values
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("eps,l_tilde", [(1e306, 1e300), (1e305, 1e155)])
