@@ -5,7 +5,7 @@ to 0, and g = 1 - r1^2 - r2 (the transverse variance at the aligned angle)
 decays like 1/(2 x^2).  Run: python demos/ratio_functions.py
 """
 
-from circleqm import g_ratio
+from circleqm.specfun import g_ratio
 
 print(f"{'x':>8}  {'I1/I0':>10}  {'I1/(x I0)':>10}  {'g':>12}")
 for x in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0):

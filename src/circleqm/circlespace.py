@@ -226,21 +226,6 @@ class CircleState:
                          self.sector.delta)
         return vals if vals.shape else complex(vals)
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "CircleState":
-        """The state of a parsed JSON document {"delta": ..., "n_lo": ...,
-        "coeffs": [[re, im], ...]}; n_lo may be written as an integral
-        float (3.0), and anything else non-integral is refused, as is a
-        delta that is a boolean or a string.  Keys other than delta, n_lo
-        and coeffs are ignored."""
-        coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]])
-        n_lo, delta = doc["n_lo"], doc["delta"]
-        if isinstance(n_lo, float) and n_lo.is_integer():
-            n_lo = int(n_lo)
-        if isinstance(delta, (bool, str)):
-            raise ValueError("delta must be a number")
-        return cls(Sector(float(delta)), n_lo, coeffs)
-
 
 def _evaluate(phi: np.ndarray, freq: np.ndarray, coeffs: np.ndarray,
               delta: float) -> np.ndarray:

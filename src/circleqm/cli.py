@@ -20,14 +20,21 @@ closed forms of one point (the `state` moments of a "wz" config,
 Each call is parsed once, by its subcommand's own parser; help, and any
 usage error, comes from the top-level parser, in argparse's own words.
 
+This module alone reads the configuration documents, the raw coefficient
+window of `evolve` ({"delta", "n_lo", "coeffs": [[re, im], ...]})
+included: every number in them is a finite JSON number, not a boolean or
+a string, and every count or index an integral one.
+
 Exit codes: 0 ok, 1 a failed verify check, 2 a malformed configuration,
 with a `config error:` message on stderr and nothing on stdout.  Exit 2
 covers missing keys, non-finite numbers, values the library refuses (a
 ValueError), grids (`t_grid`, `theta_grid`, `l_grid`) that are not
 nonempty lists of finite numbers, counts (`n_points`, `density_points`)
-that are not integers in [1, 2^20], `evolve` and `kernel` times at which
-a phase eps omega t (n+delta)^2 / 2 reaches 2^52 rad, and a `--tol` that
-is not a finite positive number.
+that are not integers in [1, 2^20], a raw window whose `delta` or
+coefficients are not finite numbers or whose `n_lo` is not an integer
+with |n_lo| < 2^53, `evolve` and `kernel` times at which a phase eps
+omega t (n+delta)^2 / 2 reaches 2^52 rad, and a `--tol` that is not a
+finite positive number.
 """
 
 from __future__ import annotations
@@ -122,14 +129,18 @@ def _get(doc: dict, key: str, default: float) -> float:
 _MAX_POINTS = 2 ** 20
 
 
-def _points(doc: dict, key: str, default: int) -> int:
-    """The sample count `key`: an integral number, not a boolean, in
-    [1, 2^20]."""
-    val = doc.get(key, default)
+def _integral(val):
+    """val as an int where it is an integral JSON number (3 or 3.0, not a
+    boolean), else None."""
     if isinstance(val, float) and val.is_integer():
-        val = int(val)
-    if (isinstance(val, bool) or not isinstance(val, int)
-            or not 1 <= val <= _MAX_POINTS):
+        return int(val)
+    return val if type(val) is int else None
+
+
+def _points(doc: dict, key: str, default: int) -> int:
+    """The sample count `key`: an integral number in [1, 2^20]."""
+    val = _integral(doc.get(key, default))
+    if val is None or not 1 <= val <= _MAX_POINTS:
         raise ConfigError(f"key {key!r} must be an integer in [1, 2^20]")
     return val
 
@@ -301,20 +312,31 @@ def _cmd_overlap(args) -> int:
 
 
 def _state_for_family(doc: dict) -> circlespace.CircleState:
+    """The state of a "min" or "wz" family, or the raw coefficient window
+    {"delta": ..., "n_lo": ..., "coeffs": [[re, im], ...]}: n_lo an
+    integral number and delta and every re and im a finite number
+    (`_integral`, `_convert`); `CircleState` refuses |n_lo| >= 2^53."""
     family = doc.get("family")
     if family == "min":
         return mincs.min_state(_min_params_from(doc), window_tol=1e-14)
     if family == "wz":
         return zakcs.w_state(_wz_params_from(doc), _point_from(doc),
                              window_tol=1e-14)
-    if "coeffs" in doc:
-        # raw coefficient window {delta, n_lo, coeffs: [[re, im], ...]}
-        try:
-            return circlespace.CircleState.from_doc(doc)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed state document: {exc}") from exc
-    raise ConfigError("key 'family' must be 'min' or 'wz', or provide a raw "
-                      "state via delta/n_lo/coeffs")
+    if "coeffs" not in doc:
+        raise ConfigError("key 'family' must be 'min' or 'wz', or provide a "
+                          "raw state via delta/n_lo/coeffs")
+    n_lo = _integral(doc.get("n_lo"))
+    if n_lo is None:
+        raise ConfigError("key 'n_lo' must be an integer")
+    pairs = doc["coeffs"]
+    if not (isinstance(pairs, list) and pairs
+            and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        raise ConfigError("malformed state document: key 'coeffs' must be "
+                          "a nonempty list of [re, im] pairs")
+    # complex(re, im) of each pair, bit for bit
+    coeffs = np.array([_convert(x, "key 'coeffs'") for p in pairs for x in p])
+    return circlespace.CircleState(Sector(_need(doc, "delta")), n_lo,
+                                   coeffs.view(complex))
 
 
 def _cmd_evolve(args) -> int:

@@ -164,13 +164,28 @@ def pair_stats(ctx: LadderContext, state: CircleState) -> KJReport:
     K psi = B psi + Bdag psi and J psi = i (Bdag psi - B psi) on one index
     range give the means and the Gram record of the centred vectors (see
     `circlespace._centred_report`); saturated within 1e-8 relative.
+    ValueError, with no warning first, where a mean, a variance, the
+    covariance or the commutator is not a finite double.  l is recovered
+    from the means' modulus, finite where their squares leave double
+    range, and -inf where both means vanish.
     """
     psi = state.normalized()
     p, b, bd = _windows(psi, apply_B(ctx, psi), apply_Bdag(ctx, psi))
-    rep = _centred_report(np.stack([p, b + bd, 1j * (bd - b)]), 1e-8)
+    # past double range a sum or product gives inf or nan, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = _centred_report(np.stack([p, b + bd, 1j * (bd - b)]), 1e-8)
+    if not all(map(math.isfinite, (rep.mean_a, rep.mean_b, rep.var_a,
+                                   rep.var_b, rep.covariance,
+                                   rep.commutator_mean.imag))):
+        raise ValueError("the K/J record is not a finite double here: a "
+                         "moment leaves double range")
     theta_rec = math.atan2(-rep.mean_b, rep.mean_a) % (2.0 * math.pi)
-    mag_sq = (rep.mean_a ** 2 + rep.mean_b ** 2) / 4.0
-    l_rec = 0.5 * math.log(mag_sq) if mag_sq > 0 else -math.inf
+    # fsum rounds as + does, but raises OverflowError past double range
+    try:
+        mag_sq = math.fsum((rep.mean_a ** 2, rep.mean_b ** 2)) / 4.0
+        l_rec = 0.5 * math.log(mag_sq) if mag_sq > 0 else -math.inf
+    except OverflowError:  # the halved means' modulus stays in range
+        l_rec = math.log(math.hypot(rep.mean_a / 2.0, rep.mean_b / 2.0))
     return KJReport(
         mean_k=rep.mean_a, mean_j=rep.mean_b, var_k=rep.var_a,
         var_j=rep.var_b, covariance=rep.covariance,

@@ -590,14 +590,13 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
     or a 0-d array) runs in Python complex arithmetic from here to its sum,
     with no NumPy call, on whatever route the walk picks (`_theta_lane`):
     most calls take a scalar, and there NumPy's fixed cost per call
-    outweighs the series.  The derivatives of an array take that lane
-    point by point, each output shaped like zeta.  The values of an array
-    or of `_Nodes` take the array lane, which keeps its own fixed cost
-    low: each peak (of |Re zeta| / period here, of |Im zeta| in the
-    series) is one reduction, the series runs under one floating-point
-    state set per call (`_theta_route`), and what depends on tau alone
-    comes cached, with the move (`_Modular`) or the terms' plan
-    (`_term_plan`).  The lanes share the route and the lattice shift;
+    outweighs the series.  Derivatives are taken of a number only: an
+    array raises ValueError.  The values of an array or of `_Nodes` take
+    the array lane, which keeps its own fixed cost low: each peak (of |Re
+    zeta| / period here, of |Im zeta| in the series) is one reduction, the
+    series runs under one floating-point state set per call
+    (`_theta_route`), and what depends on tau alone comes cached, with the
+    move (`_Modular`) or the terms' plan (`_term_plan`).  The lanes share the route and the lattice shift;
     their sums differ by rounding only."""
     if kind not in (2, 3, 4):
         raise ValueError(f"theta kind must be 2, 3 or 4, got {kind}")
@@ -613,13 +612,7 @@ def _theta_dispatch(kind: int, zeta, nome: ThetaNome, method: str,
         return _theta_lane(kind, nome.tau, mod, period, want_derivs, offset,
                            complex(zeta))
     if want_derivs:
-        z = np.asarray(zeta, dtype=complex)
-        # a map, not a comprehension: its closure would put the locals it
-        # reads in cells, which every call of this function pays for
-        rows = np.array(list(map(functools.partial(
-            _theta_lane, kind, nome.tau, mod, period, True, offset),
-            z.ravel().tolist())), dtype=complex)
-        return tuple(rows.T.reshape((3,) + z.shape))
+        raise ValueError("theta_derivs takes a number, not an array")
     nodes = isinstance(zeta, _Nodes)
     # the largest |Re zeta| / period, nan or inf past the range; the nodes
     # reach a period below zeta0.  `_n_cutoff` refuses a non-finite Im zeta
@@ -823,10 +816,10 @@ def theta_derivs(kind: int, zeta, nome):
     The term-wise differentiated series on the "auto" route of `theta`,
     summed in Python complex arithmetic: on the direct series each term
     times 2i m and -4 m^2, under a move each completed square times its
-    own zeta-derivatives (`_theta_lane`).  An array is summed point by
-    point, each output shaped like zeta, with the bits of the number at
-    each point.  Returns (value, d/dzeta, d2/dzeta2); ValueError where one
-    of them is not a finite double.
+    own zeta-derivatives (`_theta_lane`).  zeta is a number (a Python or
+    NumPy scalar, or a 0-d array); an array raises ValueError.  Returns
+    (value, d/dzeta, d2/dzeta2); ValueError where one of them is not a
+    finite double.
     """
     return _theta_dispatch(kind, zeta, nome, "auto", True)
 

@@ -7,7 +7,6 @@ against the Jacobi-Anger expansion for the translation action.
 
 import cmath
 import dataclasses
-import json
 import math
 import sys
 import time
@@ -931,17 +930,6 @@ class TestDiscreteSymmetries:
 
 
 class TestSerialization:
-    def test_roundtrip(self):
-        # a window written as the JSON document the CLI reads comes back
-        # with the same bits
-        psi = random_state(Sector(0.62), n_lo=-1, width=4)
-        back = CircleState.from_doc(json.loads(json.dumps({
-            "delta": psi.sector.delta, "n_lo": psi.n_lo,
-            "coeffs": [[c.real, c.imag] for c in psi.coeffs.tolist()]})))
-        assert back.sector.delta == psi.sector.delta
-        assert back.n_lo == psi.n_lo
-        assert back.coeffs.tobytes() == psi.coeffs.tobytes()
-
     def test_fidelity_self(self):
         psi = random_state(Sector(0.1))
         assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-14)
@@ -961,15 +949,6 @@ class TestRefusals:
         (lambda: CircleState(Sector(0.25), 2.7, [1, 1j]), "n_lo"),
         (lambda: CircleState(Sector(0.25), True, [1]), "n_lo"),
         (lambda: CircleState(Sector(0.25), 2 ** 53, [1]), "n_lo"),
-        (lambda: CircleState.from_doc(
-            {"delta": 0.25, "n_lo": 2.7, "coeffs": [[1, 0]]}), "n_lo"),
-        (lambda: CircleState.from_doc(
-            {"delta": 0.25, "n_lo": True, "coeffs": [[1, 0]]}), "n_lo"),
-        # a boolean or a string delta was read as the number it converts to
-        (lambda: CircleState.from_doc(
-            {"delta": False, "n_lo": 0, "coeffs": [[1, 0]]}), "delta"),
-        (lambda: CircleState.from_doc(
-            {"delta": "0.25", "n_lo": 0, "coeffs": [[1, 0]]}), "delta"),
         # non-integer indices: basis_state(2.7) built e_2, qdeform_residual
         # took n = 2 on one side and 2.7 on the other, dbt_divergence
         # integrated J_{1/2}^2
@@ -987,8 +966,7 @@ class TestRefusals:
          "^n must be an integer"),
     ], ids=["rho-zero", "empty", "2-d",
             "nan-coeff", "inf-coeff", "n_lo-fraction", "n_lo-bool",
-            "n_lo-2^53", "json-fraction", "json-bool", "json-delta-bool",
-            "json-delta-string", "basis-fraction",
+            "n_lo-2^53", "basis-fraction",
             "basis-bool", "qdeform-fraction", "dbt-fraction", "wz-m1-fraction",
             "wz-m2-bool", "energy-fraction"])
     def test_refused(self, make, word):
@@ -996,8 +974,5 @@ class TestRefusals:
             make()
 
     def test_integral_n_lo_stored_as_int(self):
-        st_ = CircleState.from_doc(
-            {"delta": 0.25, "n_lo": 3.0, "coeffs": [[1, 0]]})
-        assert st_.n_lo == 3 and type(st_.n_lo) is int
         st_ = CircleState(Sector(0.0), np.int64(-4), [1.0])
         assert st_.n_lo == -4 and type(st_.n_lo) is int

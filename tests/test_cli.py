@@ -591,6 +591,83 @@ class TestConfigDocuments:
                                      for k, v in nested.items()}}
 
 
+class TestRawWindow:
+    """The raw coefficient window of `evolve`, {"delta", "n_lo", "coeffs"},
+    which the CLI alone reads."""
+
+    RAW = {"delta": 0.25, "n_lo": 0, "coeffs": [[1, 0]], "t_grid": [0.5]}
+
+    @pytest.mark.parametrize("change,word", [
+        ({"n_lo": 2.7}, "n_lo"),
+        ({"n_lo": True}, "n_lo"),
+        # a boolean or a string delta was read as the number it converts to
+        ({"delta": False}, "delta"),
+        ({"delta": "0.25"}, "delta"),
+        # a boolean coefficient was read as 1 or 0, and exit 0
+        ({"coeffs": [[True, 0], [0, False]]}, "coeffs"),
+        # these exited 2 with a message that named no key
+        ({"coeffs": [["1", 0]]}, "coeffs"),
+        ({"coeffs": [[None, 0]]}, "coeffs"),
+        ({"coeffs": [[1, 0, 0]]}, "coeffs"),
+        ({"coeffs": [1, 0]}, "coeffs"),
+        ({"coeffs": []}, "coeffs"),
+        # a traceback: OverflowError, int too large to convert to float
+        ({"coeffs": [[10 ** 400, 0]]}, "coeffs"),
+        ({"coeffs": [[0, -10 ** 400]]}, "coeffs"),
+        ({"delta": 10 ** 400}, "delta"),
+    ], ids=["json-fraction", "json-bool", "json-delta-bool",
+            "json-delta-string", "coeff-bool", "coeff-string", "coeff-null",
+            "coeff-triple", "coeff-not-pair", "coeffs-empty",
+            "coeff-400-digits", "coeff-im-400-digits", "delta-400-digits"])
+    def test_refused(self, capsys, tmp_path, change, word):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.RAW, **change}))
+        code, out, err = run(capsys, "evolve", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert word in err
+
+    def _window_read(self, capsys, tmp_path, monkeypatch, doc):
+        """The state that `evolve` of `doc` passes to the library."""
+        seen = []
+
+        def spy(params, state, t):
+            seen.append(state)
+            return moment_series(params, state, t)
+
+        moment_series = evolve.moment_series
+        monkeypatch.setattr(evolve, "moment_series", spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "evolve", str(cfg))
+        assert code == 0 and err == "" and len(seen) == 1
+        return seen[0]
+
+    def test_roundtrip(self, capsys, tmp_path, monkeypatch):
+        # a window written as the JSON document the CLI reads comes back
+        # with the same bits
+        rng = np.random.default_rng(62)
+        psi = circlespace.CircleState(
+            Sector(0.62), -1, rng.normal(size=4) + 1j * rng.normal(size=4))
+        back = self._window_read(capsys, tmp_path, monkeypatch, {
+            "delta": psi.sector.delta, "n_lo": psi.n_lo,
+            "coeffs": [[c.real, c.imag] for c in psi.coeffs.tolist()],
+            "t_grid": [0.0]})
+        assert back.sector.delta == psi.sector.delta
+        assert back.n_lo == psi.n_lo
+        assert back.coeffs.tobytes() == psi.coeffs.tobytes()
+
+    def test_integers_read_as_floats(self, capsys, tmp_path, monkeypatch):
+        # integer coefficients, -0.0 and an integral float n_lo
+        back = self._window_read(capsys, tmp_path, monkeypatch, {
+            "delta": 0, "n_lo": 3.0, "coeffs": [[1, -0.0], [0, 2], [-3, 0.5]],
+            "t_grid": [0.0]})
+        assert back.n_lo == 3 and type(back.n_lo) is int
+        want = np.array([complex(1, -0.0), complex(0, 2), complex(-3, 0.5)])
+        assert back.coeffs.tobytes() == want.tobytes()
+        assert back.sector.delta == 0.0
+
+
 def _per_t_rows(state, params, t_grid):
     """The evolve columns from the per-time library calls."""
     state = state.normalized()

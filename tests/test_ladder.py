@@ -356,6 +356,39 @@ class TestKJReport:
             got, want = getattr(rep, f.name), getattr(ref, f.name)
             assert abs(got - want) <= 1e-15 * max(abs(want), 1.0), f.name
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_lo", [175, 300])
+    def test_pair_stats_past_double_range_refused(self, n_lo):
+        # a window of ones far out at eps = 2: the Gram matmul overflowed
+        # with a RuntimeWarning, and then the square of a mean raised
+        # OverflowError
+        ctx = LadderContext(2.0, Sector(0.3))
+        with pytest.raises(ValueError, match="not a finite double"):
+            pair_stats(ctx, CircleState(Sector(0.3), n_lo, np.ones(5)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_pair_stats_where_a_mean_squared_leaves_range(self):
+        # B's eigenvector of eigenvalue e^{l - i theta} at eps = 1e-4, l =
+        # 357: the means, about 2 e^l = 1.4e155, and the variances, about 2
+        # eps e^{2l}, are finite doubles, the means' squares are not.  l and
+        # theta come back from the means' modulus; mean_k ** 2 raised
+        # OverflowError
+        eps, delta, l_t, theta_ang = 1e-4, 0.3, 357.0, 0.4
+        n0 = round(l_t / eps)
+        k = np.arange(-2000, 2001)
+        # c_n = e^{n (l - i theta) - eps (n + delta)^2 / 2}, up to a constant
+        c = np.exp(-eps * k ** 2 / 2.0 + k * (l_t - eps * (n0 + delta))
+                   - 1j * theta_ang * k)
+        rep = pair_stats(LadderContext(eps, Sector(delta)),
+                         CircleState(Sector(delta), n0 - 2000, c))
+        assert rep.mean_k * rep.mean_k == math.inf
+        assert rep.l_recovered == pytest.approx(l_t, abs=1e-12)
+        assert rep.theta_recovered == pytest.approx(theta_ang, abs=1e-12)
+        assert rep.mean_k == pytest.approx(
+            2.0 * math.cos(theta_ang) * math.exp(l_t), rel=1e-12)
+        assert rep.var_k == pytest.approx(
+            math.expm1(2.0 * eps) * math.exp(l_t) * math.exp(l_t), rel=1e-10)
+
     def test_field_types(self):
         # Python numbers, not NumPy scalars, on every route to a KJReport
         ctx = LadderContext(0.6, Sector(0.35))

@@ -4,6 +4,7 @@ one entry per `__all__` name, and a guard that exists for each entry."""
 import ast
 import functools
 import importlib
+import inspect
 from pathlib import Path
 
 from circleqm import verify
@@ -56,6 +57,16 @@ def test_every_public_name_has_one_entry():
 
 def test_every_entry_names_a_public_name():
     assert sorted(set(SURFACE) - set(public_names())) == []
+
+
+def test_package_root_binds_no_function_or_class():
+    # the modules' `__all__` is the whole surface: `circleqm` itself
+    # re-exports none of it
+    package = importlib.import_module("circleqm")
+    bound = [name for name, val in vars(package).items()
+             if not name.startswith("_")
+             and (inspect.isfunction(val) or inspect.isclass(val))]
+    assert bound == []
 
 
 def test_every_guard_exists():
